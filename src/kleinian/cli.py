@@ -109,47 +109,22 @@ def _resolve_group(doc: dict) -> tuple[SchottkyGroup, BoundaryPoint | None,
         return _build_schottky(doc), None, None, None, None
     params = doc.get("params", {})
     if kind == "example1":
-        from .examples import Example1Config, place_example1_discs
+        from .examples import Example1Config, example1_group
         from .series import example1_certificate
 
         cfg = Example1Config(**params)
-        pairs, seps = place_example1_discs(cfg)
-        group = SchottkyGroup.from_disc_pairs(
-            1, pairs, labels=[f"g{n}" for n in range(1, cfg.pairs + 1)],
-            separations=seps)
-        target = BoundaryPoint.from_angle(math.pi)
+        group, target = example1_group(cfg)
         cert = example1_certificate(cfg.schedule(), cfg.exponent)
         return group, target, DeclaredStabilizer.trivial(), None, cert
     if kind == "example2":
-        from .examples import Example2Config
+        from .examples import Example2Config, example2_group, example2_target
 
-        cfg = Example2Config(**params)
-        centers = np.linspace(cfg.first_center, cfg.last_center, 8)
-        small = [Disc.from_angles(centers[i], cfg.small_radius) for i in (0, 4, 2, 6)]
-        large = [Disc.from_angles(centers[i], cfg.large_radius) for i in (1, 5, 3, 7)]
-        g_small = SchottkyGroup.from_disc_pairs(
-            1, [(small[0], small[1]), (small[2], small[3])], labels=["a", "b"])
-        g_large = SchottkyGroup.from_disc_pairs(
-            1, [(large[0], large[1]), (large[2], large[3])], labels=["c", "d"])
-        group = SchottkyGroup.free_product(g_small, g_large)
-        quotient = QuotientSpec("free", {"a": (), "b": (), "c": ("c",), "d": ("d",)})
-        target = group.generator("c").transform.classify().fixed_points[0]
-        return group, target, None, quotient, None
+        group, quotient = example2_group(Example2Config(**params))
+        return group, example2_target(group, "c"), None, quotient, None
     if kind == "example3":
-        from .examples import Example3Config
+        from .examples import Example3Config, example3_group
 
-        cfg = Example3Config(**params)
-        deg = math.pi / 180.0
-        arcs = SchottkyGroup.from_disc_pairs(
-            1,
-            [(Disc.from_angles(60.0 * deg, cfg.arc_radius),
-              Disc.from_angles(300.0 * deg, cfg.arc_radius)),
-             (Disc.from_angles(120.0 * deg, cfg.arc_radius),
-              Disc.from_angles(240.0 * deg, cfg.arc_radius))],
-            labels=["a", "b"])
-        group = arcs.with_parabolic(
-            "p", Disc.from_angles(math.pi, cfg.parabolic_radius), cfg.strength)
-        target = group.generator("p").transform.classify().fixed_points[0]
+        group, target = example3_group(Example3Config(**params))
         return group, target, DeclaredStabilizer(("p",)), None, None
     raise _fail(f"unknown group.kind {kind!r} (expected trivial, schottky, "
                 "example1, example2 or example3)")
@@ -226,23 +201,6 @@ def _resolved_config(cfg: RunConfig) -> dict:
     return doc
 
 
-def _series_dict(result: SeriesResult) -> dict:
-    verdict: dict = {"kind": result.verdict.kind}
-    if result.verdict.tail_bound is not None:
-        verdict["tail_bound"] = result.verdict.tail_bound
-    return {
-        "exponent": result.exponent,
-        "depth": result.depth,
-        "depth_completed": result.depth_completed,
-        "partial_sum": result.partial_sum,
-        "level_sums": list(result.level_sums),
-        "tail_bound": result.tail_bound,
-        "verdict": verdict,
-        "budget_exhausted": result.budget_exhausted,
-        "incomplete_cosets": result.incomplete_cosets,
-    }
-
-
 def _write_report(out_dir: Path, name: str, payload: dict, cfg: RunConfig) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
@@ -293,7 +251,7 @@ def _build_measure(cfg: RunConfig) -> AtomicMeasure:
 
 def cmd_series(cfg: RunConfig, out_dir: Path) -> int:
     result = _run_series(cfg)
-    _write_report(out_dir, "series", _series_dict(result), cfg)
+    _write_report(out_dir, "series", result.summary(), cfg)
     return 3 if result.budget_exhausted else 0
 
 
@@ -307,7 +265,7 @@ def cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
         "max_atom_weight": measure.max_atom_weight(),
         "depth_shell_mass": measure.shell_mass(),
         "source": measure.source,
-        "series": _series_dict(measure.series),
+        "series": measure.series.summary(),
     }
     if cfg.stabilizer is not None:
         from .measure import classify_atomicity as _clf
@@ -334,7 +292,7 @@ def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
             "witness": verdict.stabilizer_check.witness,
             "value": verdict.stabilizer_check.value,
         },
-        "series": _series_dict(verdict.series),
+        "series": verdict.series.summary(),
         "transcript": verdict.transcript,
     }
     _write_report(out_dir, "classify", payload, cfg)
@@ -397,7 +355,7 @@ def cmd_render(cfg: RunConfig, out_dir: Path) -> int:
         "bins": cfg.render_bins,
         "nonzero_bins": int(np.count_nonzero(masses)),
         "peak_mass": float(np.max(masses)),
-        "series": _series_dict(measure.series),
+        "series": measure.series.summary(),
     }
     _write_report(out_dir, "render", payload, cfg)
     return 3 if measure.series.budget_exhausted else 0
@@ -419,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default="out", help="output directory")
         cmd.add_argument("--depth", type=int, default=None)
         cmd.add_argument("--exponent", type=float, default=None)
-        cmd.add_argument("--threads", type=int, default=None)
+        cmd.add_argument("--threads", type=int, default=None,
+                         help="recorded in the .meta.json sidecar only; "
+                              "computation is single-threaded")
         cmd.add_argument("--precision", choices=("double", "extended"), default=None)
     return parser
 

@@ -40,17 +40,8 @@ SLOT_FILL = 0.45         # enlarged discs fill this fraction of their half-slot
 
 
 def _series_summary(series: SeriesResult) -> dict:
-    return {
-        "exponent": series.exponent,
-        "depth": series.depth,
-        "depth_completed": series.depth_completed,
-        "partial_sum": series.partial_sum,
-        "level_sums": list(series.level_sums),
-        "tail_bound": series.tail_bound,
-        "verdict": series.verdict.kind,
-        "budget_exhausted": series.budget_exhausted,
-        "incomplete_cosets": series.incomplete_cosets,
-    }
+    """The series summary with the verdict kind as a bare string."""
+    return dict(series.summary(), verdict=series.verdict.kind)
 
 
 # --- construction 1: separated arc families ------------------------------------
@@ -122,16 +113,21 @@ def place_example1_discs(cfg: Example1Config) -> tuple[list[tuple[Disc, Disc]], 
     return pairs, seps
 
 
-def build_example1(cfg: Example1Config) -> Example1Result:
-    schedule = cfg.schedule()
+def example1_group(cfg: Example1Config) -> tuple[SchottkyGroup, BoundaryPoint]:
+    """The separated family and its accumulation point (the target)."""
     pairs, seps = place_example1_discs(cfg)
     labels = [f"g{n}" for n in range(1, cfg.pairs + 1)]
     group = SchottkyGroup.from_disc_pairs(1, pairs, labels=labels, separations=seps)
-    target = BoundaryPoint.from_angle(math.pi)
+    return group, BoundaryPoint.from_angle(math.pi)
 
-    for (plus, minus), phi in zip(pairs, seps):
-        for disc in (plus, minus):
-            if disc.enlarged(phi).contains(target):
+
+def build_example1(cfg: Example1Config) -> Example1Result:
+    schedule = cfg.schedule()
+    group, target = example1_group(cfg)
+    seps = [gen.separation for gen in group.generators]
+    for gen in group.generators:
+        for disc in (gen.source, gen.target):
+            if disc.enlarged(gen.separation).contains(target):
                 raise PlacementInfeasible("target fell inside an enlarged disc")
 
     s = cfg.exponent
@@ -235,7 +231,8 @@ def _top_atom_gap(mu: AtomicMeasure, nu: AtomicMeasure, k: int = 32) -> float:
     return float(np.min(d))
 
 
-def build_example2(cfg: Example2Config) -> Example2Result:
+def example2_group(cfg: Example2Config) -> tuple[SchottkyGroup, QuotientSpec]:
+    """The free product and its retraction onto the large-arc factor."""
     centers = np.linspace(cfg.first_center, cfg.last_center, 8)
     small = [Disc.from_angles(centers[i], cfg.small_radius) for i in (0, 4, 2, 6)]
     large = [Disc.from_angles(centers[i], cfg.large_radius) for i in (1, 5, 3, 7)]
@@ -244,7 +241,16 @@ def build_example2(cfg: Example2Config) -> Example2Result:
     factor_large = SchottkyGroup.from_disc_pairs(
         1, [(large[0], large[1]), (large[2], large[3])], labels=["c", "d"])
     group = SchottkyGroup.free_product(factor_small, factor_large)
-    quotient = QuotientSpec("free", {"a": (), "b": (), "c": ("c",), "d": ("d",)})
+    return group, QuotientSpec("free", {"a": (), "b": (), "c": ("c",), "d": ("d",)})
+
+
+def example2_target(group: SchottkyGroup, label: str) -> BoundaryPoint:
+    """Attracting fixed point of one of the large-arc factor's generators."""
+    return group.generator(label).transform.classify().fixed_points[0]
+
+
+def build_example2(cfg: Example2Config) -> Example2Result:
+    group, quotient = example2_group(cfg)
 
     delta_group = estimate_delta(group, cfg.bracket, depths=cfg.probe_depths,
                                  budget=cfg.delta_budget, max_probes=cfg.max_probes)
@@ -254,10 +260,7 @@ def build_example2(cfg: Example2Config) -> Example2Result:
                                   max_probes=cfg.max_probes)
     s = cfg.exponent if cfg.exponent is not None else delta_kernel.high
 
-    targets = []
-    for label in ("c", "d"):
-        cls = group.generator(label).transform.classify()
-        targets.append(cls.fixed_points[0])
+    targets = [example2_target(group, label) for label in ("c", "d")]
 
     depths_needed = sorted(set(cfg.decay_depths) | {cfg.depth})
     by_depth: dict[int, tuple[AtomicMeasure, AtomicMeasure]] = {}
@@ -355,7 +358,8 @@ class Example3Result:
     report: dict
 
 
-def build_example3(cfg: Example3Config) -> Example3Result:
+def example3_group(cfg: Example3Config) -> tuple[SchottkyGroup, BoundaryPoint]:
+    """The free product with the parabolic ``p`` and its fixed point (the target)."""
     deg = math.pi / 180.0
     arcs = SchottkyGroup.from_disc_pairs(
         1,
@@ -366,12 +370,16 @@ def build_example3(cfg: Example3Config) -> Example3Result:
         labels=["a", "b"])
     pdisc = Disc.from_angles(math.pi, cfg.parabolic_radius)
     group = arcs.with_parabolic("p", pdisc, cfg.strength)
-    pgen = group.generator("p")
-    cls = pgen.transform.classify()
+    cls = group.generator("p").transform.classify()
     if cls.kind != "parabolic":
         raise StabilizerNotParabolic(
             f"declared parabolic generator classifies as {cls.kind}")
-    target = cls.fixed_points[0]
+    return group, cls.fixed_points[0]
+
+
+def build_example3(cfg: Example3Config) -> Example3Result:
+    group, target = example3_group(cfg)
+    pgen = group.generator("p")
     stab = DeclaredStabilizer(("p",))
     s = cfg.exponent
 

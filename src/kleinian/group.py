@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, DiscsOverlap, TargetNotInDomainClosure
-from .mobius import Transform, image_disc, pair_discs, parabolic_fixing
+from .mobius import (Transform, image_disc, origin_images_raw, pair_discs,
+                     parabolic_fixing)
 from .model import BoundaryPoint, Disc, InteriorPoint, embed3, project_dim
 
 SLAB_WORDS = 1 << 20          # fixed, so partial sums are bit-reproducible
@@ -239,7 +240,7 @@ class WordBatch:
     last: np.ndarray       # (m,) int16 letters, -1 for the identity
     parent: np.ndarray     # (m,) int64 indices into the previous level
     mats: np.ndarray       # (m, 2, 2) complex128
-    final: bool            # True when this is the last batch of its level
+    final: bool            # True when this batch completes its level
 
 
 def _expand_indices(parent_last: np.ndarray, letter_count: int
@@ -265,7 +266,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     are produced whole (their matrices are the prefix cache for the next
     level); the top level is sliced into slabs of at most ``slab`` words.
     Raises :class:`BudgetExceeded` after yielding whatever fits within the
-    node budget.
+    node budget; the partial batch before a cut is not ``final``.
     """
     letter_mats = group.letter_matrices
     k2 = group.letter_count
@@ -300,7 +301,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
                                            parents[pos:hi], letters[pos:hi])
                     generated += hi - pos
                     yield WordBatch(length, pos, letters[pos:hi], parents[pos:hi],
-                                    chunk, final=True)
+                                    chunk, final=False)
                 raise BudgetExceeded(
                     f"node budget {budget} exhausted inside level {length}",
                     words_generated=generated, depth_completed=length - 1)
@@ -347,6 +348,92 @@ class WordTable:
             idx = int(self.parent[lvl][idx])
             lvl -= 1
         return Word(tuple(reversed(letters)), self.group.letter_labels)
+
+
+# --- the walker -----------------------------------------------------------------
+
+class LevelSums:
+    """Level blocks of one value stream: ``math.fsum`` per batch, then per level.
+
+    ``values(batch)`` gives one value per word of a batch; on a kernel walk
+    only the kernel words are summed unless ``whole_group`` is set.  After
+    the walk, ``level_sums`` and ``level_counts`` cover the complete levels
+    and ``tail_sum`` is what was summed beyond them before a budget cut.
+    """
+
+    def __init__(self, values: Callable[[WordBatch], np.ndarray] | None = None,
+                 whole_group: bool = False):
+        self.values = values
+        self.whole_group = whole_group
+        self.level_counts: list[int] = []
+        self._parts: list[list[float]] = []
+
+    def add(self, length: int, values: np.ndarray) -> None:
+        while len(self._parts) <= length:
+            self._parts.append([])
+            self.level_counts.append(0)
+        self._parts[length].append(math.fsum(values.tolist()))
+        self.level_counts[length] += values.shape[0]
+
+    def finish(self, depth: int, depth_completed: int) -> None:
+        self.add(depth, np.empty(0))   # levels without words sum to zero
+        sums = [math.fsum(parts) for parts in self._parts]
+        self.tail_sum = math.fsum(sums[depth_completed + 1:])
+        self.level_sums = sums[: depth_completed + 1]
+        del self.level_counts[depth_completed + 1:]
+
+
+@dataclass
+class Walk:
+    """How far one walk got: every word of levels <= ``depth_completed``."""
+
+    depth: int
+    depth_completed: int
+    cut: BudgetExceeded | None = None
+
+    @property
+    def budget_exhausted(self) -> bool:
+        return self.cut is not None
+
+
+def walk(group: SchottkyGroup, max_length: int, budget: int | None = None, *,
+         kernel: QuotientSpec | None = None, sums: Sequence[LevelSums] = (),
+         consumers: Sequence[Callable] = (),
+         on_level: Sequence[Callable[[int], None]] = ()) -> Walk:
+    """Walk the reduced words of length <= max_length once, batch by batch.
+
+    This is the one place that catches a budget cut and decides how far a
+    walk got: a level counts only when all of its words were enumerated,
+    which is the cut's ``depth_completed``.  With ``kernel`` the quotient is
+    tracked and ``keep`` flags the kernel words of each batch (it is None
+    otherwise).  Each batch feeds the ``sums``, then each consumer as
+    ``consume(batch, keep, kept)``, with ``kept`` the values each sum took
+    from the batch; ``on_level(length)`` hooks run once a level is complete.
+    """
+    tracker = QuotientTracker(group, kernel, max_length) if kernel is not None else None
+    cut = None
+    try:
+        for batch in iter_word_batches(group, max_length, budget):
+            keep = (None if tracker is None
+                    else QuotientTracker.kernel_mask(tracker.extend(batch)[1]))
+            kept = []
+            for blocks in sums:
+                values = blocks.values(batch)
+                if keep is not None and not blocks.whole_group:
+                    values = values[keep]
+                blocks.add(batch.length, values)
+                kept.append(values)
+            for consume in consumers:
+                consume(batch, keep, kept)
+            if batch.final:
+                for close in on_level:
+                    close(batch.length)
+    except BudgetExceeded as exc:
+        cut = exc.with_traceback(None)   # its frames would pin the level arrays
+    depth_completed = max_length if cut is None else cut.depth_completed
+    for blocks in sums:
+        blocks.finish(max_length, depth_completed)
+    return Walk(max_length, depth_completed, cut)
 
 
 def enumerate_words(group: SchottkyGroup, max_length: int,
@@ -564,22 +651,48 @@ def coset_representatives(group: SchottkyGroup, stab, max_length: int,
     if stab is None:
         yield from enumerate_words(group, max_length, budget)
         return
+    if isinstance(stab, DeclaredStabilizer) and policy in ("auto", "kernel"):
+        yield from kernel_enumerate(group, stab.quotient_for(group), max_length, budget)
+        return
+    table, reps, done = min_distance_walk(group, stab, max_length, budget)
+    for length, index, mat in reps:
+        yield table.word(length, index), Transform(mat, group.dim, _trusted_unit_det=True)
+    if done.cut is not None:
+        raise done.cut
+
+
+def min_distance_walk(group: SchottkyGroup, stab, max_length: int, budget: int | None
+                      ) -> tuple[WordTable, list[tuple[int, int, np.ndarray]], Walk]:
+    """One walk choosing, per coset of ``stab``, the enumerated member closest
+    to the origin (ties to the earlier word).
+
+    Returns the word table, the (length, index, matrix) of each
+    representative in order of its coset's first appearance, and the walk.
+    """
     if isinstance(stab, DeclaredStabilizer):
-        if policy in ("auto", "kernel"):
-            yield from kernel_enumerate(group, stab.quotient_for(group),
-                                        max_length, budget)
-            return
-        tracker = StabilizerTracker(group, group.letters_for(stab.labels))
-        yield from _min_distance_reps(group, max_length, budget,
-                                      lambda b: _anchor_keys(tracker.extend(b)))
-        return
-    if isinstance(stab, QuotientSpec):
-        tracker = QuotientTracker(group, stab, max_length)
-        yield from _min_distance_reps(
-            group, max_length, budget,
-            lambda b: QuotientTracker.coset_keys(tracker.extend(b)[0]))
-        return
-    raise TypeError(f"unsupported stabilizer declaration: {stab!r}")
+        anchors = StabilizerTracker(group, group.letters_for(stab.labels))
+    elif isinstance(stab, QuotientSpec):
+        images = QuotientTracker(group, stab, max_length)
+    else:
+        raise TypeError(f"unsupported stabilizer declaration: {stab!r}")
+    table = WordTable(group)
+    best: dict[bytes, tuple[float, int, int, np.ndarray]] = {}
+
+    def consume(batch: WordBatch, keep, kept) -> None:
+        table.record(batch)
+        keys = (_anchor_keys(anchors.extend(batch)) if isinstance(stab, DeclaredStabilizer)
+                else QuotientTracker.coset_keys(images.extend(batch)[0]))
+        _, conorm = origin_images_raw(batch.mats)
+        dist = np.arccosh(np.maximum(2.0 / conorm - 1.0, 1.0))
+        for i in range(batch.last.shape[0]):
+            key = keys[i].tobytes()
+            entry = best.get(key)
+            if entry is None or float(dist[i]) < entry[0] - 1e-13:
+                best[key] = (float(dist[i]), batch.length, batch.offset + i,
+                             batch.mats[i].copy())
+
+    done = walk(group, max_length, budget, consumers=[consume])
+    return table, [entry[1:] for entry in best.values()], done
 
 
 def _anchor_keys(anchors: np.ndarray) -> np.ndarray:
@@ -587,51 +700,14 @@ def _anchor_keys(anchors: np.ndarray) -> np.ndarray:
         np.dtype((np.void, anchors.dtype.itemsize * 2))).ravel()
 
 
-def _min_distance_reps(group, max_length, budget, key_fn):
-    from .mobius import origin_images_raw
-
-    table = WordTable(group)
-    best: dict[bytes, tuple[float, int, int, np.ndarray]] = {}
-    order: list[bytes] = []
-    exhausted = None
-    try:
-        for batch in iter_word_batches(group, max_length, budget):
-            table.record(batch)
-            keys = key_fn(batch)
-            img, conorm = origin_images_raw(batch.mats)
-            dist = np.arccosh(np.maximum(2.0 / conorm - 1.0, 1.0))
-            for i in range(batch.last.shape[0]):
-                key = keys[i].tobytes()
-                entry = best.get(key)
-                if entry is None:
-                    best[key] = (float(dist[i]), batch.length, batch.offset + i,
-                                 batch.mats[i].copy())
-                    order.append(key)
-                elif float(dist[i]) < entry[0] - 1e-13:
-                    best[key] = (float(dist[i]), batch.length, batch.offset + i,
-                                 batch.mats[i].copy())
-    except BudgetExceeded as exc:
-        exhausted = exc
-    for key in order:
-        _, length, index, mat = best[key]
-        yield table.word(length, index), Transform(mat, group.dim, _trusted_unit_det=True)
-    if exhausted is not None:
-        raise exhausted
-
-
 # --- ending sequences ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class EndingSequenceSpec:
-    """Radial approach data: target on the boundary, parameters t_n -> 1.
-
-    ``offset`` (hyperbolic distance) allows a bounded lateral displacement
-    from the ray; the default 0 keeps the sequence exactly radial.
-    """
+    """Radial approach data: target on the boundary, parameters t_n -> 1."""
 
     target: BoundaryPoint
     t_values: tuple[float, ...]
-    offset: float = 0.0
 
     def __post_init__(self):
         ts = tuple(self.t_values)
@@ -655,7 +731,4 @@ def ending_sequence(group: SchottkyGroup, spec: EndingSequenceSpec) -> list[Inte
     if not group.fundamental_domain_contains(spec.target):
         raise TargetNotInDomainClosure(
             f"target {spec.target.coords} lies inside an open generator disc")
-    if spec.offset != 0.0:
-        raise NotImplementedError("only radial sequences are generated; the "
-                                  "offset field is reserved")
     return [InteriorPoint.radial(spec.target, t) for t in spec.t_values]

@@ -16,9 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded
-from .group import QuotientSpec, QuotientTracker, SchottkyGroup, Word, WordTable, \
-    iter_word_batches
+from .group import QuotientSpec, SchottkyGroup, Walk, Word, WordTable, walk
 from .model import BoundaryPoint, InteriorPoint, embed3, hyperbolic_distance_raw
 from .mobius import origin_images_raw
 
@@ -44,6 +42,8 @@ class RadialProfile:
     slope: float
     bounded_evidence: bool
     growth_evidence: bool
+    depth_completed: int
+    budget_exhausted: bool
 
     def deltas(self) -> list[float]:
         return [d for _, d in self.samples]
@@ -58,6 +58,8 @@ class RadialProfile:
         return {
             "target": self.target.coords.tolist(),
             "depth": self.depth,
+            "depth_completed": self.depth_completed,
+            "budget_exhausted": self.budget_exhausted,
             "slope": self.slope,
             "bounded_evidence": self.bounded_evidence,
             "growth_evidence": self.growth_evidence,
@@ -66,24 +68,24 @@ class RadialProfile:
 
 
 def _orbit_points(group: SchottkyGroup, max_length: int,
-                  budget: int | None) -> tuple[np.ndarray, np.ndarray, bool]:
-    pts = []
-    conorms = []
-    exhausted = False
-    try:
-        for batch in iter_word_batches(group, max_length, budget):
-            img, conorm = origin_images_raw(batch.mats)
-            pts.append(img)
-            conorms.append(conorm)
-    except BudgetExceeded:
-        exhausted = True
-    return np.concatenate(pts), np.concatenate(conorms), exhausted
+                  budget: int | None) -> tuple[np.ndarray, np.ndarray, Walk]:
+    pts: list[np.ndarray] = []
+    conorms: list[np.ndarray] = []
+
+    def collect(batch, keep, kept) -> None:
+        img, conorm = origin_images_raw(batch.mats)
+        pts.append(img)
+        conorms.append(conorm)
+
+    done = walk(group, max_length, budget, consumers=[collect])
+    return np.concatenate(pts), np.concatenate(conorms), done
 
 
 def orbit_distance(group: SchottkyGroup, z: InteriorPoint, max_length: int,
                    budget: int | None = None) -> float:
     """min over enumerated words of d(z, w(0)): an upper bound on the true
-    distance of z to the orbit of the origin, nonincreasing in depth."""
+    distance of z to the orbit of the origin, nonincreasing in depth.  A
+    budget cut only shrinks the set of words, so the bound stays valid."""
     pts, conorms, _ = _orbit_points(group, max_length, budget)
     return float(np.min(hyperbolic_distance_raw(pts, embed3(z.coords),
                                                 conorms, z.conorm)))
@@ -96,7 +98,7 @@ def radial_profile(group: SchottkyGroup, zeta: BoundaryPoint,
     """Delta(xi_T) for xi_T on the ray toward ``zeta`` at hyperbolic distance T."""
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("T grid must increase")
-    pts, conorms, _ = _orbit_points(group, max_length, budget)
+    pts, conorms, done = _orbit_points(group, max_length, budget)
     zc = embed3(zeta.coords)
     samples = []
     for t in t_grid:
@@ -109,7 +111,9 @@ def radial_profile(group: SchottkyGroup, zeta: BoundaryPoint,
     slope = float(np.polyfit([t for t, _ in tail], [d for _, d in tail], 1)[0])
     return RadialProfile(zeta, tuple(samples), max_length, slope,
                          bounded_evidence=slope < BOUNDED_SLOPE,
-                         growth_evidence=slope > GROWTH_SLOPE)
+                         growth_evidence=slope > GROWTH_SLOPE,
+                         depth_completed=done.depth_completed,
+                         budget_exhausted=done.budget_exhausted)
 
 
 def jorgensen_test(group: SchottkyGroup, zeta: BoundaryPoint,
@@ -146,6 +150,8 @@ class HoroballWitnesses:
     """Words whose orbit point enters the horoball of level c at the target."""
 
     level: float
+    depth_completed: int
+    budget_exhausted: bool
     witnesses: list[tuple[Word, float]] = field(default_factory=list)
 
     def count(self) -> int:
@@ -166,24 +172,21 @@ def horoball_entry(group: SchottkyGroup, zeta: BoundaryPoint, c: float,
         raise ValueError("horoball level must be positive")
     zc = embed3(zeta.coords)
     table = WordTable(group)
-    tracker = QuotientTracker(group, kernel, max_length) if kernel is not None else None
     found: list[tuple[float, int, int]] = []
-    try:
-        for batch in iter_word_batches(group, max_length, budget):
-            table.record(batch)
-            img, conorm = origin_images_raw(batch.mats)
-            diff = zc[None, :] - img
-            kvals = conorm / np.einsum("ij,ij->i", diff, diff)
-            mask = kvals > c
-            if tracker is not None:
-                _, lengths = tracker.extend(batch)
-                mask &= QuotientTracker.kernel_mask(lengths)
-            for i in np.nonzero(mask)[0]:
-                found.append((float(kvals[i]), batch.length, batch.offset + int(i)))
-    except BudgetExceeded:
-        pass
+
+    def scan(batch, keep, kept) -> None:
+        table.record(batch)
+        img, conorm = origin_images_raw(batch.mats)
+        diff = zc[None, :] - img
+        kvals = conorm / np.einsum("ij,ij->i", diff, diff)
+        mask = kvals > c
+        if keep is not None:
+            mask &= keep
+        for i in np.nonzero(mask)[0]:
+            found.append((float(kvals[i]), batch.length, batch.offset + int(i)))
+
+    done = walk(group, max_length, budget, kernel=kernel, consumers=[scan])
     found.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
-    out = HoroballWitnesses(c)
-    for kval, length, index in found[:max_witnesses]:
-        out.witnesses.append((table.word(length, index), kval))
-    return out
+    return HoroballWitnesses(c, done.depth_completed, done.budget_exhausted,
+                             [(table.word(length, index), kval)
+                              for kval, length, index in found[:max_witnesses]])

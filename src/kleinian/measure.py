@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import BudgetExceeded, TargetNotInDomainClosure
-from .group import (DeclaredStabilizer, QuotientSpec, QuotientTracker, SchottkyGroup,
-                    iter_word_batches)
+from .errors import TargetNotInDomainClosure
+from .group import DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup, walk
 from .mobius import (apply_boundary_raw, apply_interior_raw, boundary_derivative_raw,
                      interior_derivative_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
-from .series import SeriesResult, TailCertificate, _Accumulated, _finish
+from .series import SeriesResult, TailCertificate, _finish
 
 # Atoms are coalesced only when indistinguishable at float resolution.  A
 # coarser merge (1e-12 was tried) misattributes mass across cells where the
@@ -126,34 +125,37 @@ def _merge_atoms(points: np.ndarray, weights: np.ndarray,
 
 # --- synthesis ------------------------------------------------------------------
 
+def _synthesize(group: SchottkyGroup, values, place, s: float, max_length: int,
+                budget: int | None, kernel: QuotientSpec | None,
+                tail: TailCertificate | None, incomplete_cosets: bool = False):
+    """One walk: atoms at ``place(mats)`` weighted by ``values``, merged and
+    normalized by the walk's own level blocks."""
+    blocks = LevelSums(values)
+    pts: list[np.ndarray] = []
+    wts: list[np.ndarray] = []
+    lens: list[np.ndarray] = []
+
+    def collect(batch, keep, kept) -> None:
+        positions = place(batch.mats)
+        pts.append(positions if keep is None else positions[keep])
+        wts.append(kept[0])
+        lens.append(np.full(kept[0].shape[0], batch.length, dtype=np.int32))
+
+    done = walk(group, max_length, budget, kernel=kernel, sums=[blocks],
+                consumers=[collect])
+    series = _finish(done, blocks, s, tail, incomplete_cosets=incomplete_cosets)
+    points, weights, lengths = _merge_atoms(np.concatenate(pts)[:, : group.dim + 1],
+                                            np.concatenate(wts), np.concatenate(lens))
+    return points, weights / series.partial_sum, lengths, series
+
+
 def orbit_measure(group: SchottkyGroup, z: InteriorPoint, s: float, max_length: int,
                   budget: int | None = None) -> AtomicMeasure:
     """Normalized point masses j(w, z)^s at the orbit points w(z), w of length <= L."""
     zc = embed3(z.coords)
-    pts: list[np.ndarray] = []
-    wts: list[np.ndarray] = []
-    lens: list[np.ndarray] = []
-    level_sums = [0.0] * (max_length + 1)
-    exhausted = False
-    depth_completed = max_length
-    try:
-        for batch in iter_word_batches(group, max_length, budget):
-            values = interior_derivative_raw(batch.mats, zc) ** s
-            level_sums[batch.length] += math.fsum(values.tolist())
-            pts.append(apply_interior_raw(batch.mats, zc))
-            wts.append(values)
-            lens.append(np.full(values.shape[0], batch.length, dtype=np.int32))
-    except BudgetExceeded as exc:
-        exhausted = True
-        depth_completed = exc.depth_completed
-    points = np.concatenate(pts)[:, : group.dim + 1]
-    weights = np.concatenate(wts)
-    lengths = np.concatenate(lens)
-    acc = _Accumulated(level_sums[: depth_completed + 1], [], depth_completed,
-                       exhausted, [], [], math.fsum(level_sums[depth_completed + 1:]))
-    series = _finish(acc, s, max_length, None)
-    points, weights, lengths = _merge_atoms(points, weights, lengths)
-    weights = weights / series.partial_sum
+    points, weights, lengths, series = _synthesize(
+        group, lambda batch: interior_derivative_raw(batch.mats, zc) ** s,
+        lambda mats: apply_interior_raw(mats, zc), s, max_length, budget, None, None)
     meta = {"base_point": z.coords.tolist(),
             "enumeration": {"group": group, "point": embed3(z.coords),
                             "kind": "interior", "kernel": None,
@@ -189,41 +191,10 @@ def ending_measure(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
         spec = stab.quotient_for(group)
     elif kernel is not None:
         spec = kernel
-    tracker = QuotientTracker(group, spec, max_length) if spec is not None else None
-
-    pts: list[np.ndarray] = []
-    wts: list[np.ndarray] = []
-    lens: list[np.ndarray] = []
-    level_sums = [0.0] * (max_length + 1)
-    exhausted = False
-    depth_completed = max_length
-    try:
-        for batch in iter_word_batches(group, max_length, budget):
-            values = boundary_derivative_raw(batch.mats, bc) ** s
-            positions = apply_boundary_raw(batch.mats, bc)
-            if tracker is not None:
-                _, lengths_arr = tracker.extend(batch)
-                mask = QuotientTracker.kernel_mask(lengths_arr)
-                values = values[mask]
-                positions = positions[mask]
-            if values.shape[0] == 0:
-                continue
-            level_sums[batch.length] += math.fsum(values.tolist())
-            pts.append(positions)
-            wts.append(values)
-            lens.append(np.full(values.shape[0], batch.length, dtype=np.int32))
-    except BudgetExceeded as exc:
-        exhausted = True
-        depth_completed = exc.depth_completed
-    points = np.concatenate(pts)[:, : group.dim + 1]
-    weights = np.concatenate(wts)
-    lengths = np.concatenate(lens)
-    acc = _Accumulated(level_sums[: depth_completed + 1], [], depth_completed,
-                       exhausted, [], [], math.fsum(level_sums[depth_completed + 1:]))
-    series = _finish(acc, s, max_length, tail,
-                     incomplete_cosets=bool(stab is not None and stab.labels))
-    points, weights, lengths = _merge_atoms(points, weights, lengths)
-    weights = weights / series.partial_sum
+    points, weights, lengths, series = _synthesize(
+        group, lambda batch: boundary_derivative_raw(batch.mats, bc) ** s,
+        lambda mats: apply_boundary_raw(mats, bc), s, max_length, budget, spec, tail,
+        incomplete_cosets=bool(stab is not None and stab.labels))
     meta = {"target": zeta.coords.tolist(),
             "enumeration": {"group": group, "point": embed3(zeta.coords),
                             "kind": "boundary",
@@ -355,29 +326,30 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
         dirs = points / np.where(norms > 0, norms, 1.0)[:, None]
         return _cell_index(dirs, mu.dim, cells)
 
-    try:
-        for batch in iter_word_batches(group, depth, enum.get("budget")):
-            first = first_letters(batch)
-            if batch.length != depth:
-                continue
-            pre_mats = np.einsum("ij,njk->nik", ginv.matrix, batch.mats)
-            comp_mats = np.einsum("ij,njk->nik", g.matrix, batch.mats)
-            if boundary:
-                jw = boundary_derivative_raw(batch.mats, point3) ** s
-                pos_v = apply_boundary_raw(batch.mats, point3)
-                pos_pre = apply_boundary_raw(pre_mats, point3)
-                jgv = boundary_derivative_raw(comp_mats, point3) ** s
-            else:
-                jw = interior_derivative_raw(batch.mats, point3) ** s
-                pos_v = apply_interior_raw(batch.mats, point3)
-                pos_pre = apply_interior_raw(pre_mats, point3)
-                jgv = interior_derivative_raw(comp_mats, point3) ** s
-            keep_lhs = first != g_letter
-            keep_rhs = first != ginv_letter
-            np.add.at(net, bin_of(pos_pre)[keep_lhs], jw[keep_lhs] / scale)
-            np.subtract.at(net, bin_of(pos_v)[keep_rhs], jgv[keep_rhs] / scale)
-    except BudgetExceeded:
-        pass
+    def shell(batch, keep, kept) -> None:
+        # first letters on every level; derivatives on the top level only
+        first = first_letters(batch)
+        if batch.length != depth:
+            return
+        pre_mats = np.einsum("ij,njk->nik", ginv.matrix, batch.mats)
+        comp_mats = np.einsum("ij,njk->nik", g.matrix, batch.mats)
+        if boundary:
+            jw = boundary_derivative_raw(batch.mats, point3) ** s
+            pos_v = apply_boundary_raw(batch.mats, point3)
+            pos_pre = apply_boundary_raw(pre_mats, point3)
+            jgv = boundary_derivative_raw(comp_mats, point3) ** s
+        else:
+            jw = interior_derivative_raw(batch.mats, point3) ** s
+            pos_v = apply_interior_raw(batch.mats, point3)
+            pos_pre = apply_interior_raw(pre_mats, point3)
+            jgv = interior_derivative_raw(comp_mats, point3) ** s
+        keep_lhs = first != g_letter
+        keep_rhs = first != ginv_letter
+        np.add.at(net, bin_of(pos_pre)[keep_lhs], jw[keep_lhs] / scale)
+        np.subtract.at(net, bin_of(pos_v)[keep_rhs], jgv[keep_rhs] / scale)
+
+    # the walk repeats the synthesis walk of ``mu``, budget cut included
+    walk(group, depth, enum.get("budget"), consumers=[shell])
     return float(np.max(np.abs(net)))
 
 
@@ -477,14 +449,8 @@ def classify_atomicity(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
             raise ValueError("precomputed series does not match the request")
         series = precomputed_series
     else:
-        try:
-            series = reduced_horospherical_partial(group, zeta, s, max_length,
-                                                   stab=stab, budget=budget,
-                                                   tail=tail)
-        except BudgetExceeded:
-            series = reduced_horospherical_partial(group, zeta, s, 0, stab=stab)
-            transcript["budget"] = "exhausted before any level completed"
-            return AtomicityVerdict(check, series, "inconclusive", transcript)
+        series = reduced_horospherical_partial(group, zeta, s, max_length,
+                                               stab=stab, budget=budget, tail=tail)
 
     if check.kind == "derivative_not_one":
         conclusion = "no_atom_at_target"

@@ -22,10 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (BudgetExceeded, EnlargedDiscsOverlap, InconclusiveBracket,
-                     InvalidSeparation)
-from .group import (DeclaredStabilizer, QuotientSpec, QuotientTracker, SchottkyGroup,
-                    WordBatch, iter_word_batches)
+from .errors import EnlargedDiscsOverlap, InconclusiveBracket, InvalidSeparation
+from .group import (DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup, Walk,
+                    WordBatch, min_distance_walk, walk)
 from .mobius import (boundary_derivative_raw, disc_boundary_points,
                      interior_derivative_raw, inverse_origin_images_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
@@ -77,6 +76,23 @@ class SeriesResult:
             return math.inf
         return self.partial_sum + self.tail_bound
 
+    def summary(self) -> dict:
+        """JSON-ready fields; the verdict as ``{"kind"[, "tail_bound"]}``."""
+        verdict: dict = {"kind": self.verdict.kind}
+        if self.verdict.tail_bound is not None:
+            verdict["tail_bound"] = self.verdict.tail_bound
+        return {
+            "exponent": self.exponent,
+            "depth": self.depth,
+            "depth_completed": self.depth_completed,
+            "partial_sum": self.partial_sum,
+            "level_sums": list(self.level_sums),
+            "tail_bound": self.tail_bound,
+            "verdict": verdict,
+            "budget_exhausted": self.budget_exhausted,
+            "incomplete_cosets": self.incomplete_cosets,
+        }
+
 
 @dataclass(frozen=True)
 class TailCertificate:
@@ -108,75 +124,41 @@ class TailCertificate:
 
 # --- the shared accumulation core ---------------------------------------------
 
-@dataclass
-class _Accumulated:
-    level_sums: list[float]
-    level_counts: list[int]
-    depth_completed: int
-    budget_exhausted: bool
-    match_counts: list[int]           # equal-summand matches per level pair
-    match_fractions: list[float]      # matches relative to the smaller level
-    truncated_tail_sum: float         # sum seen beyond the last complete level
+class _EqualSummands:
+    """Equal-summand matches between the summed values of consecutive levels."""
+
+    def __init__(self):
+        self.counts: list[int] = []        # matches per level pair
+        self.fractions: list[float] = []   # matches relative to the smaller level
+        self._prev: np.ndarray | None = None
+        self._cur: list[np.ndarray] = []
+
+    def consume(self, batch: WordBatch, keep, kept) -> None:
+        if kept[0].shape[0]:
+            self._cur.append(kept[0])
+
+    def close(self, length: int) -> None:
+        cur = np.sort(np.concatenate(self._cur)) if self._cur else np.empty(0)
+        if self._prev is not None:
+            matches = _count_equal_values(self._prev, cur)
+            self.counts.append(matches)
+            smaller = min(self._prev.shape[0], cur.shape[0])
+            self.fractions.append(matches / smaller if smaller else 0.0)
+        self._prev = cur
+        self._cur = []
 
 
-def _accumulate(group: SchottkyGroup, max_length: int, budget: int | None,
-                values_fn: Callable[[WordBatch], np.ndarray],
-                mask_fn: Callable[[WordBatch], np.ndarray] | None = None,
-                track_values: bool = True) -> _Accumulated:
-    level_parts: list[list[float]] = [[] for _ in range(max_length + 1)]
-    level_counts = [0] * (max_length + 1)
-    match_counts: list[int] = []
-    match_fractions: list[float] = []
-    prev_sorted: np.ndarray | None = None
-    cur_values: list[np.ndarray] = []
-    depth_completed = -1
-    exhausted = False
-    current_level = 0
-
-    def close_level(length: int) -> None:
-        nonlocal prev_sorted, cur_values, depth_completed
-        depth_completed = length
-        if not track_values:
-            return
-        cur = (np.sort(np.concatenate(cur_values))
-               if cur_values else np.empty(0))
-        if prev_sorted is not None and length >= 1:
-            matches = _count_equal_values(prev_sorted, cur)
-            match_counts.append(matches)
-            smaller = min(prev_sorted.shape[0], cur.shape[0])
-            match_fractions.append(matches / smaller if smaller else 0.0)
-        prev_sorted = cur
-        cur_values = []
-
-    try:
-        for batch in iter_word_batches(group, max_length, budget):
-            if batch.length != current_level:
-                close_level(current_level)
-                current_level = batch.length
-            values = values_fn(batch)
-            if mask_fn is not None:
-                values = values[mask_fn(batch)]
-            level_parts[batch.length].append(math.fsum(values.tolist()))
-            level_counts[batch.length] += values.shape[0]
-            if track_values and values.shape[0]:
-                cur_values.append(values)
-            if batch.final and batch.length == max_length:
-                close_level(batch.length)
-    except BudgetExceeded:
-        exhausted = True
-    else:
-        if depth_completed < current_level:
-            close_level(current_level)
-        depth_completed = max_length  # every level enumerated, even empty ones
-
-    level_sums = [math.fsum(parts) for parts in level_parts]
-    tail = 0.0
-    if exhausted:
-        tail = math.fsum(level_sums[depth_completed + 1:])
-        level_sums = level_sums[: depth_completed + 1]
-        level_counts = level_counts[: depth_completed + 1]
-    return _Accumulated(level_sums, level_counts, depth_completed, exhausted,
-                        match_counts, match_fractions, tail)
+def _series(group: SchottkyGroup, values: Callable[[WordBatch], np.ndarray],
+            exponent: float, max_length: int, budget: int | None,
+            tail: TailCertificate | None, kernel: QuotientSpec | None = None,
+            incomplete_cosets: bool = False) -> SeriesResult:
+    """One walk summing ``values`` by level, with equal-summand tracking."""
+    blocks = LevelSums(values)
+    matches = _EqualSummands()
+    done = walk(group, max_length, budget, kernel=kernel, sums=[blocks],
+                consumers=[matches.consume], on_level=[matches.close])
+    return _finish(done, blocks, exponent, tail, matches,
+                   incomplete_cosets=incomplete_cosets)
 
 
 def _count_equal_values(prev_sorted: np.ndarray, cur: np.ndarray) -> int:
@@ -203,32 +185,33 @@ def _fit_ratio(level_sums: Sequence[float]) -> float | None:
     return float(np.exp(np.mean(np.log(ratios))))
 
 
-def _build_verdict(acc: _Accumulated, exponent: float, depth: int,
+def _build_verdict(done: Walk, blocks: LevelSums, matches: _EqualSummands | None,
                    tail: TailCertificate | None) -> tuple[Verdict, float | None, dict]:
+    match_counts = matches.counts if matches is not None else []
     transcript: dict = {
-        "level_counts": list(acc.level_counts),
-        "ratio_fit": _fit_ratio(acc.level_sums),
-        "equal_summand_matches": list(acc.match_counts),
+        "level_counts": list(blocks.level_counts),
+        "ratio_fit": _fit_ratio(blocks.level_sums),
+        "equal_summand_matches": list(match_counts),
     }
-    blocks_beyond = [b for b in acc.level_sums[1:] if b > 0.0]
-    if not blocks_beyond and acc.depth_completed >= depth and not acc.budget_exhausted:
+    blocks_beyond = [b for b in blocks.level_sums[1:] if b > 0.0]
+    if not blocks_beyond and not done.budget_exhausted:
         # finite group exhausted: the partial sum is the series
         return Verdict("converged_within", 0.0), 0.0, transcript
     if tail is not None:
-        if not tail.admits_blocks(acc.level_sums):
+        if not tail.admits_blocks(blocks.level_sums):
             transcript["certificate_rejected"] = (
                 "measured level sums violate the certified envelope")
         elif tail.rate < 1.0:
-            bound = tail.tail_from(acc.depth_completed + 1)
+            bound = tail.tail_from(done.depth_completed + 1)
             transcript["certificate"] = {"rate": tail.rate, "coeff": tail.coeff,
                                          "source": tail.source}
             return Verdict("converged_within", bound), bound, transcript
         else:
             transcript["certificate_rejected"] = f"certified rate {tail.rate} >= 1"
     ratio = transcript["ratio_fit"]
-    growth_evidence = {"level_sums": list(acc.level_sums),
-                       "equal_summand_matches": list(acc.match_counts)}
-    window = acc.match_fractions[-2:]
+    growth_evidence = {"level_sums": list(blocks.level_sums),
+                       "equal_summand_matches": list(match_counts)}
+    window = matches.fractions[-2:] if matches is not None else []
     persistent_matches = (len(window) == 2
                           and all(f >= STRUCTURAL_MATCH_FRACTION for f in window))
     if ratio is not None and ratio > RATIO_DIVERGENT:
@@ -238,17 +221,16 @@ def _build_verdict(acc: _Accumulated, exponent: float, depth: int,
     return Verdict("inconclusive"), None, transcript
 
 
-def _finish(acc: _Accumulated, exponent: float, depth: int,
-            tail: TailCertificate | None, *, incomplete_cosets: bool = False,
-            extra_transcript: dict | None = None) -> SeriesResult:
-    verdict, bound, transcript = _build_verdict(acc, exponent, depth, tail)
-    if extra_transcript:
-        transcript.update(extra_transcript)
-    partial = math.fsum(acc.level_sums + [acc.truncated_tail_sum])
+def _finish(done: Walk, blocks: LevelSums, exponent: float,
+            tail: TailCertificate | None, matches: _EqualSummands | None = None, *,
+            incomplete_cosets: bool = False) -> SeriesResult:
+    """The series result of a walk's level blocks: partial sum, verdict, tail."""
+    verdict, bound, transcript = _build_verdict(done, blocks, matches, tail)
+    partial = math.fsum(blocks.level_sums + [blocks.tail_sum])
     return SeriesResult(
-        exponent=exponent, depth=depth, depth_completed=acc.depth_completed,
-        partial_sum=partial, level_sums=tuple(acc.level_sums), verdict=verdict,
-        tail_bound=bound, budget_exhausted=acc.budget_exhausted,
+        exponent=exponent, depth=done.depth, depth_completed=done.depth_completed,
+        partial_sum=partial, level_sums=tuple(blocks.level_sums), verdict=verdict,
+        tail_bound=bound, budget_exhausted=done.budget_exhausted,
         incomplete_cosets=incomplete_cosets, transcript=transcript)
 
 
@@ -265,8 +247,7 @@ def poincare_partial(group: SchottkyGroup, z: InteriorPoint, s: float, max_lengt
     def values(batch: WordBatch) -> np.ndarray:
         return interior_derivative_raw(batch.mats, zc) ** s
 
-    acc = _accumulate(group, max_length, budget, values)
-    return _finish(acc, s, max_length, tail)
+    return _series(group, values, s, max_length, budget, tail)
 
 
 def horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
@@ -283,8 +264,7 @@ def horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
     def values(batch: WordBatch) -> np.ndarray:
         return boundary_derivative_raw(batch.mats, bc) ** s
 
-    acc = _accumulate(group, max_length, budget, values)
-    return _finish(acc, s, max_length, tail)
+    return _series(group, values, s, max_length, budget, tail)
 
 
 def reduced_horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
@@ -308,40 +288,25 @@ def reduced_horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: 
         return boundary_derivative_raw(batch.mats, bc) ** s
 
     if stab is None or (isinstance(stab, DeclaredStabilizer) and not stab.labels):
-        acc = _accumulate(group, max_length, budget, values)
-        return _finish(acc, s, max_length, tail)
+        return _series(group, values, s, max_length, budget, tail)
     if isinstance(stab, DeclaredStabilizer):
         # The canonical complement of a declared stabilizer is an exact
         # transversal, so the reduced sum is a kernel-filtered sum.
-        spec = stab.quotient_for(group)
-        tracker = QuotientTracker(group, spec, max_length)
-
-        def mask(batch: WordBatch) -> np.ndarray:
-            _, lengths = tracker.extend(batch)
-            return QuotientTracker.kernel_mask(lengths)
-
-        acc = _accumulate(group, max_length, budget, values, mask_fn=mask)
-        return _finish(acc, s, max_length, tail, incomplete_cosets=True)
-    if isinstance(stab, QuotientSpec):
-        # Subgroup given as a kernel: cosets are keyed by the image word and
-        # the representative minimizes d(0, w(0)) among enumerated members.
-        from .group import coset_representatives
-
-        bc3 = embed3(zeta.coords)
-        level_sums = [0.0] * (max_length + 1)
-        exhausted = False
-        try:
-            for word, t in coset_representatives(group, stab, max_length, budget,
-                                                 policy="min_distance"):
-                level_sums[len(word)] += t.derivative_boundary(zeta) ** s
-        except BudgetExceeded:
-            exhausted = True
-        del bc3
-        acc = _Accumulated(level_sums, [0] * len(level_sums),
-                           max_length if not exhausted else max_length - 1,
-                           exhausted, [], [], 0.0)
-        return _finish(acc, s, max_length, tail, incomplete_cosets=True)
-    raise TypeError(f"unsupported stabilizer declaration: {stab!r}")
+        return _series(group, values, s, max_length, budget, tail,
+                       kernel=stab.quotient_for(group), incomplete_cosets=True)
+    # Subgroup given as a kernel: cosets are keyed by the image word and the
+    # representative minimizes d(0, w(0)) among enumerated members, so the
+    # representatives, and with them the level blocks, are known only once
+    # the walk is over.
+    _, reps, done = min_distance_walk(group, stab, max_length, budget)
+    by_level: dict[int, list[np.ndarray]] = {}
+    for length, _, mat in reps:
+        by_level.setdefault(length, []).append(mat)
+    blocks = LevelSums()
+    for length in sorted(by_level):
+        blocks.add(length, boundary_derivative_raw(np.stack(by_level[length]), bc) ** s)
+    blocks.finish(max_length, done.depth_completed)
+    return _finish(done, blocks, s, tail, incomplete_cosets=True)
 
 
 # --- certified tails -------------------------------------------------------------
@@ -383,30 +348,27 @@ class SeparationSchedule:
             term = (4.0 / self.scale) ** (2.0 * s)
             q = self.base ** (-2.0 * s)
             return term * q / (1.0 - q)
-        return math.inf if self.value > 0 else math.inf
+        return math.inf
 
 
 def example1_tail_bound(schedule: SeparationSchedule, s: float,
                         k_start: int) -> float | None:
     """Tail of the separated-family boundary series from word length k_start.
 
-    Uses the geometric envelope with per-level rate q = 2 * sum_n
-    (4/phi(n))^(2s); admissible exactly when the admissibility sum is
-    below 1/2, in which case the value is sum_{k >= k_start} q^k.  Returns
-    None when the admissibility condition fails.
+    The envelope of :func:`example1_certificate`, summed from k_start; None
+    when the admissibility condition fails.
     """
-    if schedule.min_phi() < 2.0:
-        raise InvalidSeparation(
-            f"separation schedule dips below 2 (min {schedule.min_phi()})")
-    adm = schedule.admissibility_sum(s)
-    if not adm < 0.5:
-        return None
-    q = 2.0 * adm
-    return q ** k_start / (1.0 - q)
+    cert = example1_certificate(schedule, s)
+    return None if cert is None else cert.tail_from(k_start)
 
 
 def example1_certificate(schedule: SeparationSchedule, s: float) -> TailCertificate | None:
-    """The same envelope as :func:`example1_tail_bound`, as a certificate."""
+    """Geometric envelope of the separated-family boundary series.
+
+    The per-level rate is q = 2 * sum_n (4/phi(n))^(2s); the family is
+    admissible exactly when the admissibility sum is below 1/2.  Returns
+    None when the admissibility condition fails.
+    """
     if schedule.min_phi() < 2.0:
         raise InvalidSeparation(
             f"separation schedule dips below 2 (min {schedule.min_phi()})")
@@ -529,31 +491,36 @@ def bounded_parabolic_domination(group: SchottkyGroup, zeta: BoundaryPoint, s: f
     For each transversal word the excess b_w = d(0, w(0)) + log j(w, zeta)
     is the gap between hyperbolic and horospherical distance of w^{-1}(0)
     to the origin; b is the max over the enumerated transversal.  Returns
-    the per-depth partial sums of both series and the measured b, and
-    whether reduced(<=d) <= e^{s b} poincare0(<=d) held at every depth.
+    the per-depth partial sums of both series over the complete levels, the
+    measured b, whether reduced(<=d) <= e^{s b} poincare0(<=d) held at every
+    depth, and how far the walk got.
     """
     bc = embed3(zeta.coords)
-    spec = stab.quotient_for(group)
-    tracker = QuotientTracker(group, spec, max_length)
-    red_levels = [0.0] * (max_length + 1)
-    poi_levels = [0.0] * (max_length + 1)
+    raw: dict[str, np.ndarray] = {}   # the current batch's derivatives, for gap()
     b_measured = 0.0
-    origin = np.zeros(3)
-    for batch in iter_word_batches(group, max_length, budget):
-        jb = boundary_derivative_raw(batch.mats, bc)
-        ji = interior_derivative_raw(batch.mats, origin)
-        poi_levels[batch.length] += math.fsum((ji ** s).tolist())
-        _, lengths = tracker.extend(batch)
-        mask = QuotientTracker.kernel_mask(lengths)
-        if np.any(mask):
-            red_levels[batch.length] += math.fsum((jb[mask] ** s).tolist())
-            conorm = ji[mask]  # at the origin 1 - |w(0)|^2 = j(w, 0)
+
+    def boundary(batch: WordBatch) -> np.ndarray:
+        raw["jb"] = boundary_derivative_raw(batch.mats, bc)
+        return raw["jb"] ** s
+
+    def interior(batch: WordBatch) -> np.ndarray:
+        raw["ji"] = interior_derivative_raw(batch.mats, np.zeros(3))
+        return raw["ji"] ** s
+
+    def gap(batch: WordBatch, keep, kept) -> None:
+        nonlocal b_measured
+        if np.any(keep):
+            conorm = raw["ji"][keep]  # at the origin 1 - |w(0)|^2 = j(w, 0)
             dist = np.arccosh(np.maximum(2.0 / conorm - 1.0, 1.0))
-            b_here = float(np.max(dist + np.log(jb[mask])))
-            b_measured = max(b_measured, b_here)
+            b_measured = max(b_measured, float(np.max(dist + np.log(raw["jb"][keep]))))
+
+    reduced = LevelSums(boundary)
+    poincare = LevelSums(interior, whole_group=True)
+    done = walk(group, max_length, budget, kernel=stab.quotient_for(group),
+                sums=[reduced, poincare], consumers=[gap])
     factor = math.exp(s * b_measured)
-    red_cum = np.cumsum(red_levels)
-    poi_cum = np.cumsum(poi_levels)
+    red_cum = np.cumsum(reduced.level_sums)
+    poi_cum = np.cumsum(poincare.level_sums)
     ok = bool(np.all(red_cum <= factor * poi_cum * (1.0 + 1e-12)))
     return {
         "b": b_measured,
@@ -561,6 +528,8 @@ def bounded_parabolic_domination(group: SchottkyGroup, zeta: BoundaryPoint, s: f
         "reduced_partials": red_cum.tolist(),
         "poincare_partials": poi_cum.tolist(),
         "dominated_at_every_depth": ok,
+        "depth_completed": done.depth_completed,
+        "budget_exhausted": done.budget_exhausted,
     }
 
 
@@ -587,7 +556,7 @@ class DeltaEstimate:
         return self.high - self.low
 
 
-def _probe_label(level_sums: Sequence[float], requested_depth: int,
+def _probe_label(level_sums: Sequence[float],
                  depth_completed: int) -> tuple[str, float | None]:
     if all(b == 0.0 for b in level_sums[1:]) and depth_completed >= 1:
         return "convergent", 0.0
@@ -623,22 +592,12 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
     def run_probe(s: float) -> str:
         label = "inconclusive"
         for depth in depths:
-            tracker = (QuotientTracker(group, restrict, depth)
-                       if restrict is not None else None)
-
-            def values(batch: WordBatch) -> np.ndarray:
-                return interior_derivative_raw(batch.mats, origin) ** s
-
-            def mask(batch: WordBatch) -> np.ndarray:
-                _, lengths = tracker.extend(batch)
-                return QuotientTracker.kernel_mask(lengths)
-
-            acc = _accumulate(group, depth, budget, values,
-                              mask_fn=mask if tracker is not None else None,
-                              track_values=False)
-            label, ratio = _probe_label(acc.level_sums, depth, acc.depth_completed)
-            probes.append(ProbeRecord(s, acc.depth_completed,
-                                      tuple(acc.level_sums), ratio, label))
+            blocks = LevelSums(
+                lambda batch: interior_derivative_raw(batch.mats, origin) ** s)
+            done = walk(group, depth, budget, kernel=restrict, sums=[blocks])
+            label, ratio = _probe_label(blocks.level_sums, done.depth_completed)
+            probes.append(ProbeRecord(s, done.depth_completed,
+                                      tuple(blocks.level_sums), ratio, label))
             if label != "inconclusive":
                 return label
         return label

@@ -250,6 +250,13 @@ def test_criterion_06_conformality_residual(ex1_result):
            f"shell masses {shallow.shell_mass():.2e} / {deep.shell_mass():.2e}")
 
 
+def test_ending_measure_normalizer_is_the_series(ex1_result):
+    """The depth-8 ending measure's level blocks are the boundary series'
+    own, bit for bit, although its top level spans several slabs."""
+    assert ex1_result.measure.series.level_sums == ex1_result.series.level_sums
+    assert ex1_result.measure.series.partial_sum == ex1_result.series.partial_sum
+
+
 def test_criterion_07_weak_convergence_trend(ex1_result):
     """weak_distance(mu_n, mu_zeta) strictly decreasing for n = 1..8 along
     the radial ending sequence."""

@@ -94,6 +94,14 @@ class TestEnumeration:
         assert info.value.depth_completed == 2  # 1 + 4 + 12 complete, 3 of level 3
         assert info.value.words_generated == 20
 
+    def test_final_marks_complete_levels_only(self, std_group):
+        batches = []
+        with pytest.raises(BudgetExceeded):
+            for batch in iter_word_batches(std_group, 3, budget=20):
+                batches.append((batch.length, batch.last.shape[0], batch.final))
+        # levels 0-2 complete (1 + 4 + 12 words), then 3 of the 36 top-level words
+        assert batches == [(0, 1, True), (1, 4, True), (2, 12, True), (3, 3, False)]
+
     def test_ping_pong_nesting_exhaustive(self, std_group):
         # every reduced word maps the closed exterior of its last letter's
         # source disc into the open interior of its first letter's target,

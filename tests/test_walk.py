@@ -1,0 +1,194 @@
+"""The single word walker: one truncation rule for every walk-backed API."""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kleinian.errors import BudgetExceeded
+from kleinian.group import (DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup,
+                            coset_representatives, level_count, walk)
+from kleinian.limits import horoball_entry, radial_profile
+from kleinian.measure import ending_measure, orbit_measure
+from kleinian.model import BoundaryPoint, Disc, InteriorPoint
+from kleinian.series import (bounded_parabolic_domination, horospherical_partial,
+                             poincare_partial, reduced_horospherical_partial)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kleinian"
+DOMAIN_POINT = BoundaryPoint.from_angle(math.radians(108.0))
+QUOTIENT = QuotientSpec("free", {"a": (), "b": ("b",)})
+
+
+# --- one rule across the APIs ----------------------------------------------------
+
+def _walk_reports(group, depth, budget):
+    """(depth_completed, budget_exhausted) of every walk-backed API."""
+    zeta, z = DOMAIN_POINT, InteriorPoint([0.1, 0.2])
+    stab = DeclaredStabilizer(("a",))
+
+    def series(r):
+        return r.depth_completed, r.budget_exhausted
+
+    dom = bounded_parabolic_domination(group, zeta, 1.0, depth, stab, budget=budget)
+    profile = radial_profile(group, zeta, t_grid=(1.0, 2.0, 3.0), max_length=depth,
+                             budget=budget)
+    hits = horoball_entry(group, zeta, 1.0, depth, budget=budget)
+    kernel_hits = horoball_entry(group, zeta, 1.0, depth, budget=budget, kernel=QUOTIENT)
+    try:
+        list(coset_representatives(group, QUOTIENT, depth, budget, policy="min_distance"))
+        reps = (depth, False)
+    except BudgetExceeded as cut:
+        reps = (cut.depth_completed, True)
+    return {
+        "poincare_partial": series(poincare_partial(group, z, 1.0, depth, budget=budget)),
+        "horospherical_partial": series(
+            horospherical_partial(group, zeta, 1.0, depth, budget=budget)),
+        "reduced (declared)": series(reduced_horospherical_partial(
+            group, zeta, 1.0, depth, stab=stab, budget=budget)),
+        "reduced (quotient)": series(reduced_horospherical_partial(
+            group, zeta, 1.0, depth, stab=QUOTIENT, budget=budget)),
+        "domination": (dom["depth_completed"], dom["budget_exhausted"]),
+        "orbit_measure": series(orbit_measure(group, z, 1.0, depth, budget=budget).series),
+        "ending_measure": series(
+            ending_measure(group, zeta, 1.0, depth, budget=budget).series),
+        "kernel ending_measure": series(ending_measure(
+            group, zeta, 1.0, depth, kernel=QUOTIENT, budget=budget).series),
+        "radial_profile": (profile.depth_completed, profile.budget_exhausted),
+        "horoball_entry": (hits.depth_completed, hits.budget_exhausted),
+        "kernel horoball_entry": (kernel_hits.depth_completed, kernel_hits.budget_exhausted),
+        "coset_representatives": reps,
+    }
+
+
+@pytest.mark.parametrize("budget", [17, 20])
+def test_every_api_reports_the_same_cut(std_group, budget):
+    # levels 0-2 hold 1 + 4 + 12 = 17 words: budget 17 ends exactly on the
+    # level boundary, budget 20 cuts three words into the top level
+    reports = _walk_reports(std_group, 3, budget)
+    assert reports == {name: (2, True) for name in reports}
+
+
+def test_every_api_reports_a_complete_walk(std_group):
+    reports = _walk_reports(std_group, 3, None)
+    assert reports == {name: (3, False) for name in reports}
+
+
+def test_quotient_reduced_series_counts_its_representatives(std_group):
+    r = reduced_horospherical_partial(std_group, DOMAIN_POINT, 0.8, 4, stab=QUOTIENT)
+    reps = list(coset_representatives(std_group, QUOTIENT, 4, policy="min_distance"))
+    per_level = [[t.derivative_boundary(DOMAIN_POINT) ** 0.8 for w, t in reps
+                  if len(w) == length] for length in range(5)]
+    assert r.depth_completed == 4 and not r.budget_exhausted
+    assert r.transcript["level_counts"] == [len(terms) for terms in per_level]
+    assert sum(r.transcript["level_counts"]) == len(reps)
+    for block, terms in zip(r.level_sums, per_level):
+        assert block == pytest.approx(math.fsum(terms), rel=1e-12)
+
+
+def test_radial_profile_labels_a_cut(std_group):
+    profile = radial_profile(std_group, DOMAIN_POINT, t_grid=(1.0, 2.0, 3.0),
+                             max_length=8, budget=10)
+    assert profile.depth == 8
+    assert profile.depth_completed == 1 and profile.budget_exhausted
+    summary = profile.summary()
+    assert (summary["depth_completed"], summary["budget_exhausted"]) == (1, True)
+
+
+# --- the walker itself -----------------------------------------------------------
+
+def test_level_sums_of_a_finite_group_cover_every_level():
+    blocks = LevelSums(lambda batch: np.ones(batch.last.shape[0]))
+    done = walk(SchottkyGroup.trivial(1), 3, sums=[blocks])
+    assert (done.depth_completed, done.budget_exhausted) == (3, False)
+    assert blocks.level_sums == [1.0, 0.0, 0.0, 0.0]
+    assert blocks.level_counts == [1, 0, 0, 0]
+
+
+def test_walk_before_the_identity(std_group):
+    blocks = LevelSums(lambda batch: np.ones(batch.last.shape[0]))
+    done = walk(std_group, 3, 0, sums=[blocks])
+    assert (done.depth_completed, done.budget_exhausted) == (-1, True)
+    assert blocks.level_sums == [] and blocks.tail_sum == 0.0
+
+
+@st.composite
+def schottky_groups(draw):
+    """Well-separated arc pairs on S^1, clear of the chart pole at angle 0."""
+    pairs = draw(st.integers(1, 2))
+    first = draw(st.floats(30.0, 50.0))
+    last = draw(st.floats(310.0, 330.0))
+    radius = draw(st.floats(2.0, 10.0))
+    centers = np.radians(np.linspace(first, last, 2 * pairs))
+    discs = [Disc.from_angles(float(c), math.radians(radius)) for c in centers]
+    order = draw(st.permutations(range(2 * pairs)))
+    return SchottkyGroup.from_disc_pairs(
+        1, [(discs[order[2 * i]], discs[order[2 * i + 1]]) for i in range(pairs)])
+
+
+@settings(max_examples=15, deadline=None)
+@given(group=schottky_groups(), depth=st.integers(1, 5))
+def test_level_counts_follow_the_free_group(group, depth):
+    expected = [level_count(group, l) for l in range(depth + 1)]
+    k2 = group.letter_count
+    assert expected[1:] == [k2 * (k2 - 1) ** (l - 1) for l in range(1, depth + 1)]
+    series = poincare_partial(group, InteriorPoint.origin(1), 0.7, depth)
+    mu = orbit_measure(group, InteriorPoint.origin(1), 0.7, depth)
+    assert series.transcript["level_counts"] == expected
+    assert mu.series.transcript["level_counts"] == expected
+
+
+@settings(max_examples=15, deadline=None)
+@given(group=schottky_groups(), depth=st.integers(1, 5), data=st.data())
+def test_budget_cut_is_a_prefix(group, depth, data):
+    total = sum(level_count(group, l) for l in range(depth + 1))
+    budget = data.draw(st.integers(1, total - 1))
+    zeta = BoundaryPoint.from_angle(math.pi)
+    full = horospherical_partial(group, zeta, 0.7, depth)
+    cut = horospherical_partial(group, zeta, 0.7, depth, budget=budget)
+    complete = max(l for l in range(depth + 1)
+                   if sum(level_count(group, k) for k in range(l + 1)) <= budget)
+    assert cut.budget_exhausted and cut.depth_completed == complete
+    assert cut.level_sums == full.level_sums[: complete + 1]
+    assert cut.transcript["level_counts"] == full.transcript["level_counts"][: complete + 1]
+    assert cut.partial_sum <= full.partial_sum
+
+
+# --- the single-walker rule --------------------------------------------------------
+
+WALKERS = {"walk", "enumerate_words", "kernel_enumerate"}
+CUT_HANDLERS = {("group.py", "walk"), ("cli.py", "main")}
+CATCHES_A_CUT = {"BudgetExceeded", "KleinianError", "Exception", "BaseException"}
+
+
+def _names(node) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _offences(path: Path) -> list[str]:
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call)
+                and "iter_word_batches" in _names(node.func) and func not in WALKERS):
+            found.append(f"{path.name}:{node.lineno} {func} calls iter_word_batches")
+        if isinstance(node, ast.ExceptHandler) and (path.name, func) not in CUT_HANDLERS:
+            caught = _names(node.type) if node.type is not None else {"BaseException"}
+            if caught & CATCHES_A_CUT:
+                found.append(f"{path.name}:{node.lineno} {func} catches a budget cut")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_the_walker_walks_and_catches_cuts():
+    offences = [o for path in sorted(SRC.glob("*.py")) for o in _offences(path)]
+    assert offences == []
