@@ -180,6 +180,9 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
                           else "poincare")
     _require(series_kind in ("poincare", "horospherical", "reduced"),
              f"series must be poincare/horospherical/reduced, got {series_kind!r}")
+    _require(kernel is None or series_kind == "horospherical",
+             f"series {series_kind!r} cannot be restricted to the group's kernel "
+             "(use 'horospherical')")
     render = raw.get("render", {})
     return RunConfig(
         raw=raw, group=group, target=target, point=point, stabilizer=stab,
@@ -228,9 +231,12 @@ def _run_series(cfg: RunConfig) -> SeriesResult:
     if cfg.target is None:
         raise _fail("boundary series need a 'target'")
     if cfg.series_kind == "horospherical":
+        if cfg.kernel is not None and cfg.precision == "extended":
+            raise _fail("extended precision sums the whole group; this group's "
+                        "series is restricted to a kernel")
         return horospherical_partial(cfg.group, cfg.target, cfg.exponent, cfg.depth,
                                      budget=cfg.budget, tail=cfg.certificate,
-                                     precision=cfg.precision)
+                                     precision=cfg.precision, kernel=cfg.kernel)
     return reduced_horospherical_partial(cfg.group, cfg.target, cfg.exponent,
                                          cfg.depth, stab=cfg.stabilizer,
                                          budget=cfg.budget, tail=cfg.certificate)
@@ -282,9 +288,12 @@ def cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.target is None:
         raise _fail("classify runs need a 'target'")
+    # a kernel-restricted group is classified on its kernel series
     verdict = classify_atomicity(cfg.group, cfg.target, cfg.exponent,
                                  cfg.stabilizer, cfg.depth, budget=cfg.budget,
-                                 tail=cfg.certificate)
+                                 tail=cfg.certificate,
+                                 precomputed_series=(_run_series(cfg) if cfg.kernel
+                                                     is not None else None))
     payload = {
         "conclusion": verdict.conclusion,
         "stabilizer_check": {

@@ -25,10 +25,10 @@ import numpy as np
 from .errors import PlacementInfeasible, StabilizerNotParabolic
 from .group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
                     SchottkyGroup, ending_sequence, kernel_enumerate)
-from .limits import DEFAULT_C_GRID, horoball_entry, jorgensen_test
+from .limits import DEFAULT_C_GRID, horoball_scan, jorgensen_test
 from .measure import (AtomicMeasure, AtomicityVerdict, classify_atomicity,
-                      ending_measure, orbit_measure, singularity_diagnostic,
-                      support_gap, weak_distance)
+                      ending_measure, ending_measures, orbit_measure,
+                      singularity_diagnostic, support_gap, weak_distance)
 from .model import BoundaryPoint, Disc
 from .series import (BranchBounds, DeltaEstimate, SeparationSchedule, SeriesResult,
                      branch_contraction, bounded_parabolic_domination,
@@ -262,12 +262,11 @@ def build_example2(cfg: Example2Config) -> Example2Result:
 
     targets = [example2_target(group, label) for label in ("c", "d")]
 
+    # one walk gives both targets' measures at every depth asked for below
     depths_needed = sorted(set(cfg.decay_depths) | {cfg.depth})
-    by_depth: dict[int, tuple[AtomicMeasure, AtomicMeasure]] = {}
-    for depth in depths_needed:
-        by_depth[depth] = tuple(
-            ending_measure(group, zeta, s, depth, kernel=quotient,
-                           budget=cfg.measure_budget) for zeta in targets)
+    measures_at = ending_measures(group, targets, s, depths_needed[-1], kernel=quotient,
+                                  budget=cfg.measure_budget)
+    by_depth = {depth: measures_at(depth) for depth in depths_needed}
     measures = by_depth[cfg.depth]
 
     decay_tables = []
@@ -285,9 +284,7 @@ def build_example2(cfg: Example2Config) -> Example2Result:
     while gap <= 0.0 and singularity_depth > 2:
         singularity_depth -= 1
         if singularity_depth not in by_depth:
-            by_depth[singularity_depth] = tuple(
-                ending_measure(group, zeta, s, singularity_depth, kernel=quotient,
-                               budget=cfg.measure_budget) for zeta in targets)
+            by_depth[singularity_depth] = measures_at(singularity_depth)
         pair = by_depth[singularity_depth]
         gap = support_gap(pair[0], pair[1])
     sing_measures = by_depth[singularity_depth]
@@ -295,11 +292,8 @@ def build_example2(cfg: Example2Config) -> Example2Result:
     overlap = singularity_diagnostic(sing_measures[0], sing_measures[1], eps)
     heavy_gap = _top_atom_gap(measures[0], measures[1])
 
-    horoball_scan = []
-    for c in DEFAULT_C_GRID:
-        witnesses = horoball_entry(group, targets[0], c, min(cfg.depth, 7),
-                                   budget=cfg.measure_budget, kernel=quotient)
-        horoball_scan.append({"level": c, "witnesses": witnesses.count()})
+    horoballs = horoball_scan(group, targets[0], DEFAULT_C_GRID, min(cfg.depth, 7),
+                              budget=cfg.measure_budget, kernel=quotient)
 
     report = {
         "construction": "retraction-kernel",
@@ -317,7 +311,8 @@ def build_example2(cfg: Example2Config) -> Example2Result:
         "singularity_eps": eps,
         "singularity_overlap": list(overlap),
         "heavy_support_gap_top32": heavy_gap,
-        "horoball_scan_at_first_target": horoball_scan,
+        "horoball_scan_at_first_target": [
+            {"level": h.level, "witnesses": h.count()} for h in horoballs],
         "measure_verdicts": [m.series.verdict.kind for m in measures],
     }
     return Example2Result(group, quotient, tuple(targets), measures,
@@ -410,8 +405,9 @@ def build_example3(cfg: Example3Config) -> Example3Result:
                                               budget=cfg.budget)
     measure = ending_measure(group, target, s, cfg.depth, stab=stab,
                              budget=cfg.budget)
+    # same target, exponent, depth, stabilizer and budget as ``reduced``
     atomicity = classify_atomicity(group, target, s, stab, cfg.depth,
-                                   budget=cfg.budget)
+                                   budget=cfg.budget, precomputed_series=reduced)
     delta_group = estimate_delta(group, cfg.bracket, depths=(5, 6),
                                  budget=10 ** 6)
 

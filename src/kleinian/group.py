@@ -233,6 +233,8 @@ class WordBatch:
 
     ``parent`` holds indices into the previous level's enumeration order;
     ``offset`` is the index of the batch's first word within its level.
+    A batch made by :meth:`select` holds some of another batch's words and
+    keeps their ``rows`` in it.
     """
 
     length: int
@@ -241,6 +243,13 @@ class WordBatch:
     parent: np.ndarray     # (m,) int64 indices into the previous level
     mats: np.ndarray       # (m, 2, 2) complex128
     final: bool            # True when this batch completes its level
+    rows: np.ndarray | None = None   # (m,) rows in the batch selected from
+
+    def select(self, keep: np.ndarray) -> "WordBatch":
+        """The words flagged by the boolean mask ``keep``, in order."""
+        rows = np.flatnonzero(keep)
+        return WordBatch(self.length, self.offset, self.last[rows], self.parent[rows],
+                         self.mats[rows], self.final, rows)
 
 
 def _expand_indices(parent_last: np.ndarray, letter_count: int
@@ -355,8 +364,8 @@ class WordTable:
 class LevelSums:
     """Level blocks of one value stream: ``math.fsum`` per batch, then per level.
 
-    ``values(batch)`` gives one value per word of a batch; on a kernel walk
-    only the kernel words are summed unless ``whole_group`` is set.  After
+    ``values(words)`` gives one value per word of a batch; on a kernel walk
+    it is handed only the kernel words unless ``whole_group`` is set.  After
     the walk, ``level_sums`` and ``level_counts`` cover the complete levels
     and ``tail_sum`` is what was summed beyond them before a budget cut.
     """
@@ -365,22 +374,27 @@ class LevelSums:
                  whole_group: bool = False):
         self.values = values
         self.whole_group = whole_group
-        self.level_counts: list[int] = []
         self._parts: list[list[float]] = []
+        self._counts: list[int] = []
 
     def add(self, length: int, values: np.ndarray) -> None:
         while len(self._parts) <= length:
             self._parts.append([])
-            self.level_counts.append(0)
+            self._counts.append(0)
         self._parts[length].append(math.fsum(values.tolist()))
-        self.level_counts[length] += values.shape[0]
+        self._counts[length] += values.shape[0]
 
     def finish(self, depth: int, depth_completed: int) -> None:
-        self.add(depth, np.empty(0))   # levels without words sum to zero
-        sums = [math.fsum(parts) for parts in self._parts]
+        """Close the blocks of a walk to ``depth`` that completed ``depth_completed``.
+
+        Batches longer than ``depth`` are left out, so the blocks of one deep
+        walk can be closed again at each shorter depth (see :meth:`Walk.upto`).
+        """
+        sums = [math.fsum(parts) for parts in self._parts[: depth + 1]]
+        sums += [0.0] * (depth + 1 - len(sums))   # levels without words sum to zero
         self.tail_sum = math.fsum(sums[depth_completed + 1:])
         self.level_sums = sums[: depth_completed + 1]
-        del self.level_counts[depth_completed + 1:]
+        self.level_counts = (self._counts + [0] * (depth + 1))[: depth_completed + 1]
 
 
 @dataclass
@@ -395,6 +409,18 @@ class Walk:
     def budget_exhausted(self) -> bool:
         return self.cut is not None
 
+    def upto(self, depth: int) -> "Walk":
+        """The walk to ``depth`` <= ``self.depth`` that this walk contains.
+
+        Slab boundaries do not depend on which level is the top, so that
+        walk yields this walk's batches of length <= ``depth``; it is cut
+        exactly when this walk's cut fell inside one of those levels.
+        """
+        if depth > self.depth:
+            raise ValueError(f"a walk to {self.depth} does not contain one to {depth}")
+        cut = self.cut if self.depth_completed < depth else None
+        return Walk(depth, min(depth, self.depth_completed), cut)
+
 
 def walk(group: SchottkyGroup, max_length: int, budget: int | None = None, *,
          kernel: QuotientSpec | None = None, sums: Sequence[LevelSums] = (),
@@ -405,26 +431,26 @@ def walk(group: SchottkyGroup, max_length: int, budget: int | None = None, *,
     This is the one place that catches a budget cut and decides how far a
     walk got: a level counts only when all of its words were enumerated,
     which is the cut's ``depth_completed``.  With ``kernel`` the quotient is
-    tracked and ``keep`` flags the kernel words of each batch (it is None
-    otherwise).  Each batch feeds the ``sums``, then each consumer as
-    ``consume(batch, keep, kept)``, with ``kept`` the values each sum took
-    from the batch; ``on_level(length)`` hooks run once a level is complete.
+    tracked and ``words`` is the batch's selection of kernel words (the
+    batch itself otherwise), so kernel walks evaluate kernel words only.
+    Each batch feeds the ``sums`` (``words``, or the whole batch for a
+    ``whole_group`` sum), then each consumer as ``consume(batch, words,
+    kept)``, with ``kept`` the values each sum took from the batch;
+    ``on_level(length)`` hooks run once a level is complete.
     """
     tracker = QuotientTracker(group, kernel, max_length) if kernel is not None else None
     cut = None
     try:
         for batch in iter_word_batches(group, max_length, budget):
-            keep = (None if tracker is None
-                    else QuotientTracker.kernel_mask(tracker.extend(batch)[1]))
+            words = (batch if tracker is None else batch.select(
+                QuotientTracker.kernel_mask(tracker.extend(batch)[1])))
             kept = []
             for blocks in sums:
-                values = blocks.values(batch)
-                if keep is not None and not blocks.whole_group:
-                    values = values[keep]
+                values = blocks.values(batch if blocks.whole_group else words)
                 blocks.add(batch.length, values)
                 kept.append(values)
             for consume in consumers:
-                consume(batch, keep, kept)
+                consume(batch, words, kept)
             if batch.final:
                 for close in on_level:
                     close(batch.length)
@@ -543,6 +569,8 @@ class QuotientTracker:
         return stacks, lengths
 
     def _store(self, batch: WordBatch, stacks: np.ndarray, lengths: np.ndarray) -> None:
+        if batch.length == self.depth:
+            return   # only a parent level is ever indexed
         while len(self.stacks) <= batch.length:
             self.stacks.append(np.empty((0, self.depth), dtype=np.int16))
             self.lengths.append(np.empty(0, dtype=np.int16))
@@ -678,7 +706,7 @@ def min_distance_walk(group: SchottkyGroup, stab, max_length: int, budget: int |
     table = WordTable(group)
     best: dict[bytes, tuple[float, int, int, np.ndarray]] = {}
 
-    def consume(batch: WordBatch, keep, kept) -> None:
+    def consume(batch: WordBatch, words, kept) -> None:
         table.record(batch)
         keys = (_anchor_keys(anchors.extend(batch)) if isinstance(stab, DeclaredStabilizer)
                 else QuotientTracker.coset_keys(images.extend(batch)[0]))

@@ -10,6 +10,7 @@ computable.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -72,7 +73,7 @@ def _orbit_points(group: SchottkyGroup, max_length: int,
     pts: list[np.ndarray] = []
     conorms: list[np.ndarray] = []
 
-    def collect(batch, keep, kept) -> None:
+    def collect(batch, words, kept) -> None:
         img, conorm = origin_images_raw(batch.mats)
         pts.append(img)
         conorms.append(conorm)
@@ -168,25 +169,40 @@ def horoball_entry(group: SchottkyGroup, zeta: BoundaryPoint, c: float,
     growing witness count with depth is evidence, never a decision.  The
     ``kernel`` restriction scans a normal subgroup's orbit instead.
     """
-    if c <= 0.0:
+    return horoball_scan(group, zeta, (c,), max_length, budget, kernel, max_witnesses)[0]
+
+
+def horoball_scan(group: SchottkyGroup, zeta: BoundaryPoint, levels: Sequence[float],
+                  max_length: int, budget: int | None = None,
+                  kernel: QuotientSpec | None = None,
+                  max_witnesses: int = 10_000) -> list[HoroballWitnesses]:
+    """:func:`horoball_entry` at every level c of ``levels``, from one walk.
+
+    The walk keeps the words above the lowest level sorted by descending
+    kernel value; the witnesses of each level are a prefix of that list.
+    """
+    if any(c <= 0.0 for c in levels):
         raise ValueError("horoball level must be positive")
     zc = embed3(zeta.coords)
+    floor = min(levels)
     table = WordTable(group)
     found: list[tuple[float, int, int]] = []
 
-    def scan(batch, keep, kept) -> None:
+    def scan(batch, words, kept) -> None:
         table.record(batch)
-        img, conorm = origin_images_raw(batch.mats)
+        img, conorm = origin_images_raw(words.mats)
         diff = zc[None, :] - img
         kvals = conorm / np.einsum("ij,ij->i", diff, diff)
-        mask = kvals > c
-        if keep is not None:
-            mask &= keep
-        for i in np.nonzero(mask)[0]:
-            found.append((float(kvals[i]), batch.length, batch.offset + int(i)))
+        hits = np.flatnonzero(kvals > floor)
+        rows = hits if words.rows is None else words.rows[hits]
+        found.extend(zip(kvals[hits].tolist(), [batch.length] * hits.shape[0],
+                         (batch.offset + rows).tolist()))
 
     done = walk(group, max_length, budget, kernel=kernel, consumers=[scan])
     found.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
-    return HoroballWitnesses(c, done.depth_completed, done.budget_exhausted,
-                             [(table.word(length, index), kval)
-                              for kval, length, index in found[:max_witnesses]])
+    witnesses = [(table.word(length, index), kval)
+                 for kval, length, index in found[:max_witnesses]]
+    return [HoroballWitnesses(c, done.depth_completed, done.budget_exhausted,
+                              witnesses[: bisect.bisect_left(found, -c,
+                                                             key=lambda rec: -rec[0])])
+            for c in levels]

@@ -125,37 +125,57 @@ def _merge_atoms(points: np.ndarray, weights: np.ndarray,
 
 # --- synthesis ------------------------------------------------------------------
 
-def _synthesize(group: SchottkyGroup, values, place, s: float, max_length: int,
+def _synthesize(group: SchottkyGroup, streams, s: float, max_length: int,
                 budget: int | None, kernel: QuotientSpec | None,
                 tail: TailCertificate | None, incomplete_cosets: bool = False):
-    """One walk: atoms at ``place(mats)`` weighted by ``values``, merged and
-    normalized by the walk's own level blocks."""
-    blocks = LevelSums(values)
-    pts: list[np.ndarray] = []
-    wts: list[np.ndarray] = []
+    """One walk collecting, for each ``(values, place)`` stream, atoms at
+    ``place(mats)`` weighted by ``values``, and their level blocks.
+
+    Returns ``at(depth)`` for any depth up to ``max_length``: per stream the
+    atoms of the words of length <= depth (a prefix of the enumeration
+    order), merged and normalized by that depth's own level blocks, with
+    their series, which is what a walk to ``depth`` alone would give.
+    """
+    blocks = [LevelSums(values) for values, _ in streams]
+    pts: list[list[np.ndarray]] = [[] for _ in streams]
+    wts: list[list[np.ndarray]] = [[] for _ in streams]
     lens: list[np.ndarray] = []
 
-    def collect(batch, keep, kept) -> None:
-        positions = place(batch.mats)
-        pts.append(positions if keep is None else positions[keep])
-        wts.append(kept[0])
-        lens.append(np.full(kept[0].shape[0], batch.length, dtype=np.int32))
+    def collect(batch, words, kept) -> None:
+        for i, (_, place) in enumerate(streams):
+            pts[i].append(place(words.mats))
+            wts[i].append(kept[i])
+        lens.append(np.full(words.mats.shape[0], batch.length, dtype=np.int32))
 
-    done = walk(group, max_length, budget, kernel=kernel, sums=[blocks],
+    done = walk(group, max_length, budget, kernel=kernel, sums=blocks,
                 consumers=[collect])
-    series = _finish(done, blocks, s, tail, incomplete_cosets=incomplete_cosets)
-    points, weights, lengths = _merge_atoms(np.concatenate(pts)[:, : group.dim + 1],
-                                            np.concatenate(wts), np.concatenate(lens))
-    return points, weights / series.partial_sum, lengths, series
+    points = [np.concatenate(p)[:, : group.dim + 1] for p in pts]
+    weights = [np.concatenate(w) for w in wts]
+    lengths = np.concatenate(lens)
+    del pts, wts, lens   # free the per-batch arrays before merging
+
+    def at(depth: int) -> list[tuple]:
+        upto = done.upto(depth)
+        n = int(np.searchsorted(lengths, depth, side="right"))
+        out = []
+        for i, sums in enumerate(blocks):
+            sums.finish(depth, upto.depth_completed)
+            series = _finish(upto, sums, s, tail, incomplete_cosets=incomplete_cosets)
+            pt, wt, ln = _merge_atoms(points[i][:n], weights[i][:n], lengths[:n])
+            out.append((pt, wt / series.partial_sum, ln, series))
+        return out
+
+    return at
 
 
 def orbit_measure(group: SchottkyGroup, z: InteriorPoint, s: float, max_length: int,
                   budget: int | None = None) -> AtomicMeasure:
     """Normalized point masses j(w, z)^s at the orbit points w(z), w of length <= L."""
     zc = embed3(z.coords)
-    points, weights, lengths, series = _synthesize(
-        group, lambda batch: interior_derivative_raw(batch.mats, zc) ** s,
-        lambda mats: apply_interior_raw(mats, zc), s, max_length, budget, None, None)
+    stream = (lambda batch: interior_derivative_raw(batch.mats, zc) ** s,
+              lambda mats: apply_interior_raw(mats, zc))
+    [(points, weights, lengths, series)] = _synthesize(
+        group, [stream], s, max_length, budget, None, None)(max_length)
     meta = {"base_point": z.coords.tolist(),
             "enumeration": {"group": group, "point": embed3(z.coords),
                             "kind": "interior", "kernel": None,
@@ -181,29 +201,58 @@ def ending_measure(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
     mutually exclusive.  The normalizing series verdict is attached, never
     hidden: a truncation of a divergent series stays flagged.
     """
+    return ending_measures(group, [zeta], s, max_length, stab=stab, kernel=kernel,
+                           budget=budget, tail=tail,
+                           check_domain=check_domain)(max_length)[0]
+
+
+def ending_measures(group: SchottkyGroup, targets, s: float, max_length: int,
+                    stab: DeclaredStabilizer | None = None,
+                    kernel: QuotientSpec | None = None,
+                    budget: int | None = None,
+                    tail: TailCertificate | None = None,
+                    check_domain: bool = True):
+    """The ending measures of :func:`ending_measure` at several targets and
+    depths, from one walk to ``max_length``.
+
+    Returns ``at(depth)``, the tuple of measures (one per target) for any
+    depth up to ``max_length``; each is bit for bit the measure
+    ``ending_measure`` builds at that depth, budget cut included.
+    """
     if stab is not None and kernel is not None:
         raise ValueError("pass a stabilizer or a kernel restriction, not both")
     if check_domain:
-        _check_target(group, zeta, stab, kernel)
-    bc = embed3(zeta.coords)
+        for zeta in targets:
+            _check_target(group, zeta, stab, kernel)
     spec = None
     if stab is not None and stab.labels:
         spec = stab.quotient_for(group)
     elif kernel is not None:
         spec = kernel
-    points, weights, lengths, series = _synthesize(
-        group, lambda batch: boundary_derivative_raw(batch.mats, bc) ** s,
-        lambda mats: apply_boundary_raw(mats, bc), s, max_length, budget, spec, tail,
-        incomplete_cosets=bool(stab is not None and stab.labels))
-    meta = {"target": zeta.coords.tolist(),
-            "enumeration": {"group": group, "point": embed3(zeta.coords),
-                            "kind": "boundary",
-                            "kernel": spec, "budget": budget}}
-    if kernel is not None:
-        meta["domain_check"] = "skipped (subgroup measure; the subgroup's domain is larger)"
-    return AtomicMeasure(points, weights, lengths, group.dim, "ending", s,
-                         max_length, boundary_supported=True, series=series,
-                         meta=meta)
+    streams = []
+    for zeta in targets:
+        bc = embed3(zeta.coords)
+        streams.append((lambda batch, bc=bc: boundary_derivative_raw(batch.mats, bc) ** s,
+                        lambda mats, bc=bc: apply_boundary_raw(mats, bc)))
+    synthesis = _synthesize(group, streams, s, max_length, budget, spec, tail,
+                            incomplete_cosets=bool(stab is not None and stab.labels))
+
+    def at(depth: int) -> tuple[AtomicMeasure, ...]:
+        out = []
+        for zeta, (points, weights, lengths, series) in zip(targets, synthesis(depth)):
+            meta = {"target": zeta.coords.tolist(),
+                    "enumeration": {"group": group, "point": embed3(zeta.coords),
+                                    "kind": "boundary",
+                                    "kernel": spec, "budget": budget}}
+            if kernel is not None:
+                meta["domain_check"] = ("skipped (subgroup measure; the subgroup's "
+                                        "domain is larger)")
+            out.append(AtomicMeasure(points, weights, lengths, group.dim, "ending", s,
+                                     depth, boundary_supported=True, series=series,
+                                     meta=meta))
+        return tuple(out)
+
+    return at
 
 
 def _check_target(group: SchottkyGroup, zeta: BoundaryPoint,
@@ -326,7 +375,7 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
         dirs = points / np.where(norms > 0, norms, 1.0)[:, None]
         return _cell_index(dirs, mu.dim, cells)
 
-    def shell(batch, keep, kept) -> None:
+    def shell(batch, words, kept) -> None:
         # first letters on every level; derivatives on the top level only
         first = first_letters(batch)
         if batch.length != depth:

@@ -133,7 +133,7 @@ class _EqualSummands:
         self._prev: np.ndarray | None = None
         self._cur: list[np.ndarray] = []
 
-    def consume(self, batch: WordBatch, keep, kept) -> None:
+    def consume(self, batch: WordBatch, words, kept) -> None:
         if kept[0].shape[0]:
             self._cur.append(kept[0])
 
@@ -254,9 +254,16 @@ def horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
                           max_length: int, budget: int | None = None,
                           tail: TailCertificate | None = None,
                           precision: str = "double",
-                          mantissa_bits: int = 160) -> SeriesResult:
-    """Partial sum of the boundary series sum_w j(w, zeta)^s, by word length."""
+                          mantissa_bits: int = 160,
+                          kernel: QuotientSpec | None = None) -> SeriesResult:
+    """Partial sum of the boundary series sum_w j(w, zeta)^s, by word length.
+
+    ``kernel`` restricts the sum to a normal subgroup given as a quotient
+    kernel; the extended-precision path sums the whole group only.
+    """
     if precision == "extended":
+        if kernel is not None:
+            raise ValueError("the extended-precision path has no kernel restriction")
         return _sum_series_mp(group, "boundary", zeta.coords, s, max_length,
                               mantissa_bits)
     bc = embed3(zeta.coords)
@@ -264,7 +271,7 @@ def horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
     def values(batch: WordBatch) -> np.ndarray:
         return boundary_derivative_raw(batch.mats, bc) ** s
 
-    return _series(group, values, s, max_length, budget, tail)
+    return _series(group, values, s, max_length, budget, tail, kernel=kernel)
 
 
 def reduced_horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
@@ -507,12 +514,12 @@ def bounded_parabolic_domination(group: SchottkyGroup, zeta: BoundaryPoint, s: f
         raw["ji"] = interior_derivative_raw(batch.mats, np.zeros(3))
         return raw["ji"] ** s
 
-    def gap(batch: WordBatch, keep, kept) -> None:
+    def gap(batch: WordBatch, words: WordBatch, kept) -> None:
         nonlocal b_measured
-        if np.any(keep):
-            conorm = raw["ji"][keep]  # at the origin 1 - |w(0)|^2 = j(w, 0)
+        if words.rows.shape[0]:
+            conorm = raw["ji"][words.rows]  # at the origin 1 - |w(0)|^2 = j(w, 0)
             dist = np.arccosh(np.maximum(2.0 / conorm - 1.0, 1.0))
-            b_measured = max(b_measured, float(np.max(dist + np.log(raw["jb"][keep]))))
+            b_measured = max(b_measured, float(np.max(dist + np.log(raw["jb"]))))
 
     reduced = LevelSums(boundary)
     poincare = LevelSums(interior, whole_group=True)
@@ -581,6 +588,11 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
     the fitted level-block ratio leaves the inconclusive band.  The result
     is evidence, never a certificate: the returned interval carries the
     probe transcripts.
+
+    The derivatives j(w, 0) do not depend on s, so one walk to the deepest
+    depth caches them per batch and every probe is a power sum over the
+    cached batches: at depth d it sees exactly the batches, and the budget
+    cut, of a walk to d (see :meth:`~kleinian.group.Walk.upto`).
     """
     s_lo, s_hi = bracket
     if not s_lo < s_hi:
@@ -588,15 +600,26 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
     probes: list[ProbeRecord] = []
     notes: list[str] = []
     origin = np.zeros(3)
+    raw: list[tuple[int, np.ndarray]] = []   # (length, j(w, 0)) per batch
+
+    def cache(batch: WordBatch, words: WordBatch, kept) -> None:
+        raw.append((batch.length, interior_derivative_raw(words.mats, origin)))
+
+    done = walk(group, max(depths, default=0), budget, kernel=restrict,
+                consumers=[cache])
 
     def run_probe(s: float) -> str:
         label = "inconclusive"
+        blocks = LevelSums()
+        fed = 0
         for depth in depths:
-            blocks = LevelSums(
-                lambda batch: interior_derivative_raw(batch.mats, origin) ** s)
-            done = walk(group, depth, budget, kernel=restrict, sums=[blocks])
-            label, ratio = _probe_label(blocks.level_sums, done.depth_completed)
-            probes.append(ProbeRecord(s, done.depth_completed,
+            while fed < len(raw) and raw[fed][0] <= depth:
+                blocks.add(raw[fed][0], raw[fed][1] ** s)
+                fed += 1
+            probe = done.upto(depth)
+            blocks.finish(depth, probe.depth_completed)
+            label, ratio = _probe_label(blocks.level_sums, probe.depth_completed)
+            probes.append(ProbeRecord(s, probe.depth_completed,
                                       tuple(blocks.level_sums), ratio, label))
             if label != "inconclusive":
                 return label

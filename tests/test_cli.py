@@ -246,6 +246,43 @@ class TestCommittedConfigs:
         assert cfg.group is not None
 
 
+class TestKernelConfig:
+    """configs/example2.json declares the retraction kernel: every command sums it."""
+
+    def _kernel_level_sums(self, depth):
+        import argparse
+
+        from kleinian.cli import load_config
+        from kleinian.group import kernel_enumerate
+
+        ns = argparse.Namespace(exponent=None, depth=None, threads=None, precision=None)
+        cfg = load_config(str(CONFIGS / "example2.json"), ns)
+        terms = [[] for _ in range(depth + 1)]
+        for word, t in kernel_enumerate(cfg.group, cfg.kernel, depth):
+            terms[len(word)].append(t.derivative_boundary(cfg.target) ** cfg.exponent)
+        return [math.fsum(level) for level in terms]
+
+    def test_series_and_classify_sum_the_kernel(self, tmp_path):
+        expected = self._kernel_level_sums(4)
+        for command in ("series", "classify", "measure"):
+            out = tmp_path / command
+            assert main([command, "--config", str(CONFIGS / "example2.json"),
+                         "--out", str(out), "--depth", "4"]) == 0
+            result = json.loads((out / f"{command}.json").read_text())["result"]
+            series = result if command == "series" else result["series"]
+            assert series["level_sums"] == pytest.approx(expected, rel=1e-12)
+            assert series["partial_sum"] == pytest.approx(math.fsum(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("override", [{"series": "poincare"}, {"series": "reduced"},
+                                          {"precision": "extended"}])
+    def test_unrestricted_series_are_rejected(self, tmp_path, override):
+        doc = json.loads((CONFIGS / "example2.json").read_text())
+        doc.update(override, depth=2)
+        code = main(["series", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+
+
 class TestGoldenRender:
     def test_example1_render_matches_committed_hashes(self, tmp_path):
         golden = json.loads(

@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kleinian.group
 from kleinian.errors import InvalidSeparation, PlacementInfeasible
 from kleinian.examples import (Example1Config, Example2Config, Example3Config,
                                build_example1, build_example2, build_example3,
@@ -16,10 +20,13 @@ def ex1():
     return build_example1(Example1Config(depth=6))
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EX2_SMALL = {"depth": 6, "decay_depths": (4, 5, 6), "probe_depths": (5, 6)}
+
+
 @pytest.fixture(scope="module")
 def ex2():
-    return build_example2(Example2Config(depth=6, decay_depths=(4, 5, 6),
-                                         probe_depths=(5, 6)))
+    return build_example2(Example2Config(**EX2_SMALL))
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +143,22 @@ class TestRetractionKernel:
             assert m.series.verdict.kind in ("growth_witness", "inconclusive")
             assert m.total_mass() == pytest.approx(1.0, abs=1e-12)
 
+    def test_small_configs_match_committed_hashes(self, ex2, monkeypatch):
+        golden = json.loads((GOLDEN / "example2_small.sha256.json").read_text())
+        assert _example2_digests(ex2) == golden["exponent=None"]
+        walks = []
+        enumerate_levels = kleinian.group.iter_word_batches
+
+        def counted(*args, **kwargs):
+            walks.append(args[1])
+            return enumerate_levels(*args, **kwargs)
+
+        monkeypatch.setattr(kleinian.group, "iter_word_batches", counted)
+        result = build_example2(Example2Config(exponent=0.4, **EX2_SMALL))
+        assert _example2_digests(result) == golden["exponent=0.4"]
+        # group probes, kernel probes, measures, horoball scan
+        assert sorted(walks) == [6, 6, 6, 7]
+
     def test_supports_disjoint_at_diagnostic_depth(self, ex2):
         assert ex2.report["support_gap"] > 0.0
         assert tuple(ex2.report["singularity_overlap"]) == (0.0, 0.0)
@@ -215,3 +238,21 @@ class TestExponentEvidenceWithCertificate:
         est = estimate_delta(ex1.group, (0.01, 0.5), depths=(5, 6),
                              budget=10 ** 5)
         assert est.high <= 0.5
+
+
+def _example2_digests(result) -> dict:
+    """SHA-256 of the report, the measures (points, weights, word lengths and
+    level sums) and the probe records of an Example 2 build."""
+    def digest(data):
+        if not isinstance(data, bytes):
+            data = json.dumps(data, sort_keys=True).encode()
+        return hashlib.sha256(data).hexdigest()
+
+    measures = b"".join(mu.points.tobytes() + mu.weights.tobytes()
+                        + mu.word_lengths.tobytes()
+                        + json.dumps(list(mu.series.level_sums)).encode()
+                        for mu in result.measures)
+    probes = [[[p.s, p.depth, list(p.level_sums), p.ratio, p.label] for p in est.probes]
+              for est in (result.delta_group, result.delta_kernel)]
+    return {"report": digest(result.report), "measures": digest(measures),
+            "probes": digest(probes)}

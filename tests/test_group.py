@@ -5,9 +5,9 @@ import pytest
 
 from kleinian.errors import BudgetExceeded, DiscsOverlap, TargetNotInDomainClosure
 from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
-                            SchottkyGroup, coset_representatives, ending_sequence,
-                            enumerate_words, iter_word_batches, kernel_enumerate,
-                            level_count)
+                            QuotientTracker, SchottkyGroup, coset_representatives,
+                            ending_sequence, enumerate_words, iter_word_batches,
+                            kernel_enumerate, level_count)
 from kleinian.mobius import image_disc
 from kleinian.model import BoundaryPoint, Disc, hyperbolic_distance, InteriorPoint
 
@@ -203,6 +203,16 @@ class TestQuotients:
         for letters in kernel:
             inverse = tuple(l ^ 1 for l in reversed(letters))
             assert inverse in kernel
+
+    def test_tracker_keeps_parent_levels_only(self, std_group):
+        spec = QuotientSpec("free", {"a": (), "b": ("b",)})
+        tracker = QuotientTracker(std_group, spec, 3)
+        kernel = []
+        for batch in iter_word_batches(std_group, 3, slab=5):
+            kernel.append(int(np.count_nonzero(tracker.extend(batch)[1] == 0)))
+        # the top level is never a parent, so its image stacks are not kept
+        assert [s.shape[0] for s in tracker.stacks] == [1, 4, 12]
+        assert sum(kernel) == sum(1 for _ in kernel_enumerate(std_group, spec, 3))
 
     def test_kernel_closed_under_short_conjugation(self, std_group):
         spec = QuotientSpec("free", {"a": (), "b": ("b",)})

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,14 +6,16 @@ import pytest
 
 from kleinian.errors import (EnlargedDiscsOverlap, InconclusiveBracket,
                              InvalidSeparation)
-from kleinian.group import (DeclaredStabilizer, QuotientSpec, SchottkyGroup,
-                            enumerate_words)
+from kleinian.group import (DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup,
+                            enumerate_words, walk)
+from kleinian.mobius import interior_derivative_raw
 from kleinian.model import BoundaryPoint, InteriorPoint
 from kleinian.series import (SeparationSchedule, TailCertificate,
                              bounded_parabolic_domination, branch_contraction,
                              estimate_delta, example1_certificate,
                              example1_tail_bound, horospherical_partial,
-                             poincare_partial, reduced_horospherical_partial)
+                             poincare_partial, reduced_horospherical_partial,
+                             _probe_label)
 
 from conftest import arc
 
@@ -280,6 +283,41 @@ class TestEstimateDelta:
         restricted = estimate_delta(group, (0.01, 0.9), depths=(6, 8, 10),
                                     budget=10 ** 5, restrict=quotient)
         assert restricted.high <= full.high + 1e-9
+
+
+def _probe_walk(group, s, depth, budget, restrict):
+    """One probe as its own walk: j(w, 0)^s over the whole batch, then the
+    kernel rows, summed by level."""
+    blocks = LevelSums()
+
+    def evaluate(batch, words, kept):
+        values = interior_derivative_raw(batch.mats, np.zeros(3)) ** s
+        blocks.add(batch.length, values if words is batch else values[words.rows])
+
+    done = walk(group, depth, budget, kernel=restrict, consumers=[evaluate])
+    blocks.finish(depth, done.depth_completed)
+    return done.depth_completed, tuple(blocks.level_sums)
+
+
+@pytest.mark.parametrize("bracket, depths, restrict, probes_cut", [
+    ((0.05, 0.9), (6, 8), None, False),
+    ((0.05, 0.9), (4, 6, 10), None, True),   # 10^5 words end inside level 10
+    ((0.01, 0.9), (6, 8, 10), QuotientSpec("free", {"a": (), "b": ("b",)}), False),
+])
+def test_probes_equal_one_walk_per_probe(group, bracket, depths, restrict, probes_cut):
+    est = estimate_delta(group, bracket, depths=depths, budget=10 ** 5,
+                         restrict=restrict)
+    cut = False
+    for s, records in itertools.groupby(est.probes, key=lambda r: r.s):
+        records = list(records)
+        assert len(records) <= len(depths)
+        assert all(r.label == "inconclusive" for r in records[:-1])
+        for record, depth in zip(records, depths):
+            completed, level_sums = _probe_walk(group, s, depth, 10 ** 5, restrict)
+            assert (record.depth, record.level_sums) == (completed, level_sums)
+            assert (record.label, record.ratio) == _probe_label(level_sums, completed)
+            cut |= completed < depth
+    assert cut == probes_cut
 
 
 class TestSummationContract:

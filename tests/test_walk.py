@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 
 from kleinian.errors import BudgetExceeded
 from kleinian.group import (DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup,
-                            coset_representatives, level_count, walk)
-from kleinian.limits import horoball_entry, radial_profile
-from kleinian.measure import ending_measure, orbit_measure
+                            coset_representatives, enumerate_words, kernel_enumerate,
+                            level_count, walk)
+from kleinian.limits import horoball_entry, horoball_scan, radial_profile
+from kleinian.measure import ending_measure, ending_measures, orbit_measure
 from kleinian.model import BoundaryPoint, Disc, InteriorPoint
 from kleinian.series import (bounded_parabolic_domination, horospherical_partial,
                              poincare_partial, reduced_horospherical_partial)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kleinian"
 DOMAIN_POINT = BoundaryPoint.from_angle(math.radians(108.0))
+TARGETS = (DOMAIN_POINT, BoundaryPoint.from_angle(math.radians(252.0)))
 QUOTIENT = QuotientSpec("free", {"a": (), "b": ("b",)})
 
 
@@ -38,6 +40,11 @@ def _walk_reports(group, depth, budget):
                              budget=budget)
     hits = horoball_entry(group, zeta, 1.0, depth, budget=budget)
     kernel_hits = horoball_entry(group, zeta, 1.0, depth, budget=budget, kernel=QUOTIENT)
+    grid_hits = horoball_scan(group, zeta, (0.5, 1.0, 2.0), depth, budget=budget,
+                              kernel=QUOTIENT)
+    measures = ending_measures(group, TARGETS, 1.0, depth, budget=budget)(depth)
+    kernel_measures = ending_measures(group, TARGETS, 1.0, depth, kernel=QUOTIENT,
+                                      budget=budget)(depth)
     try:
         list(coset_representatives(group, QUOTIENT, depth, budget, policy="min_distance"))
         reps = (depth, False)
@@ -60,6 +67,12 @@ def _walk_reports(group, depth, budget):
         "radial_profile": (profile.depth_completed, profile.budget_exhausted),
         "horoball_entry": (hits.depth_completed, hits.budget_exhausted),
         "kernel horoball_entry": (kernel_hits.depth_completed, kernel_hits.budget_exhausted),
+        **{f"horoball_scan at c={h.level}": (h.depth_completed, h.budget_exhausted)
+           for h in grid_hits},
+        **{f"ending_measures at target {i}": series(mu.series)
+           for i, mu in enumerate(measures)},
+        **{f"kernel ending_measures at target {i}": series(mu.series)
+           for i, mu in enumerate(kernel_measures)},
         "coset_representatives": reps,
     }
 
@@ -96,6 +109,68 @@ def test_radial_profile_labels_a_cut(std_group):
     assert profile.depth_completed == 1 and profile.budget_exhausted
     summary = profile.summary()
     assert (summary["depth_completed"], summary["budget_exhausted"]) == (1, True)
+
+
+# --- one walk answers many questions --------------------------------------------
+
+def _assert_same_measure(mu, reference):
+    assert np.array_equal(mu.points, reference.points)
+    assert np.array_equal(mu.weights, reference.weights)
+    assert np.array_equal(mu.word_lengths, reference.word_lengths)
+    assert (mu.depth, mu.meta["target"]) == (reference.depth, reference.meta["target"])
+    assert mu.series == reference.series
+
+
+@pytest.mark.parametrize("budget", [None, 17, 20])
+@pytest.mark.parametrize("restriction", [{}, {"stab": DeclaredStabilizer(("a",))},
+                                         {"kernel": QUOTIENT}],
+                         ids=["group", "stabilizer", "kernel"])
+def test_ending_measures_equal_one_walk_per_depth(std_group, budget, restriction):
+    # budget 17 ends on the level-2 boundary and budget 20 inside level 3, so
+    # the depth-2 measures of the cut depth-3 walk are complete
+    measures_at = ending_measures(std_group, TARGETS, 0.8, 3, budget=budget, **restriction)
+    for depth in range(4):
+        for zeta, mu in zip(TARGETS, measures_at(depth)):
+            _assert_same_measure(mu, ending_measure(std_group, zeta, 0.8, depth,
+                                                    budget=budget, **restriction))
+
+
+def _horoball_reference(group, zeta, c, depth, budget, kernel):
+    """(letters, k(w(0), zeta)) of every word above level c, word by word."""
+    words = (enumerate_words(group, depth, budget) if kernel is None
+             else kernel_enumerate(group, kernel, depth, budget))
+    found = []
+    try:
+        for word, t in words:
+            x = t.origin_image
+            diff = x.coords - zeta.coords
+            kval = x.conorm / (diff @ diff)
+            if kval > c:
+                found.append((word.letters, kval))
+    except BudgetExceeded:
+        pass
+    return found
+
+
+@pytest.mark.parametrize("budget", [None, 20, 200])
+@pytest.mark.parametrize("kernel", [None, QUOTIENT], ids=["group", "kernel"])
+def test_horoball_scan_equals_per_level_scans(std_group, budget, kernel):
+    # the attracting fixed point of a: the orbit enters every horoball there
+    zeta = std_group.generator("a").transform.classify().fixed_points[0]
+    levels = (0.05, 0.3, 1.0, 3.0)
+    scans = horoball_scan(std_group, zeta, levels, 5, budget=budget, kernel=kernel,
+                          max_witnesses=40)
+    for c, scan in zip(levels, scans):
+        single = horoball_entry(std_group, zeta, c, 5, budget=budget, kernel=kernel,
+                                max_witnesses=40)
+        assert scan == single and scan.level == c and scan.count() > 0
+        reference = _horoball_reference(std_group, zeta, c, 5, budget, kernel)
+        kvals = [kval for _, kval in scan.witnesses]
+        assert kvals == sorted(kvals, reverse=True)
+        assert scan.count() == min(len(reference), 40)
+        best = sorted(reference, key=lambda rec: -rec[1])[: scan.count()]
+        assert {w.letters for w, _ in scan.witnesses} == {letters for letters, _ in best}
+        assert kvals == pytest.approx([kval for _, kval in best], rel=1e-9)
 
 
 # --- the walker itself -----------------------------------------------------------
