@@ -25,7 +25,7 @@ import numpy as np
 from .errors import PlacementInfeasible, StabilizerNotParabolic
 from .group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
                     SchottkyGroup, ending_sequence, kernel_enumerate)
-from .limits import DEFAULT_C_GRID, horoball_scan, jorgensen_test
+from .limits import DEFAULT_C_GRID, horoball_scanner, jorgensen_test
 from .measure import (AtomicMeasure, AtomicityVerdict, classify_atomicity,
                       ending_measure, ending_measures, orbit_measure,
                       singularity_diagnostic, support_gap, weak_distance)
@@ -262,10 +262,13 @@ def build_example2(cfg: Example2Config) -> Example2Result:
 
     targets = [example2_target(group, label) for label in ("c", "d")]
 
-    # one walk gives both targets' measures at every depth asked for below
+    # one walk gives both targets' measures at every depth asked for below,
+    # and the horoball scan of its words up to length 7
     depths_needed = sorted(set(cfg.decay_depths) | {cfg.depth})
+    scan_depth = min(cfg.depth, 7)
+    scan, scanned = horoball_scanner(group, targets[0], DEFAULT_C_GRID, scan_depth)
     measures_at = ending_measures(group, targets, s, depths_needed[-1], kernel=quotient,
-                                  budget=cfg.measure_budget)
+                                  budget=cfg.measure_budget, consumers=[scan])
     by_depth = {depth: measures_at(depth) for depth in depths_needed}
     measures = by_depth[cfg.depth]
 
@@ -292,8 +295,7 @@ def build_example2(cfg: Example2Config) -> Example2Result:
     overlap = singularity_diagnostic(sing_measures[0], sing_measures[1], eps)
     heavy_gap = _top_atom_gap(measures[0], measures[1])
 
-    horoballs = horoball_scan(group, targets[0], DEFAULT_C_GRID, min(cfg.depth, 7),
-                              budget=cfg.measure_budget, kernel=quotient)
+    horoballs = scanned(measures_at.walk.upto(scan_depth))
 
     report = {
         "construction": "retraction-kernel",

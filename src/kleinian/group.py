@@ -21,8 +21,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, DiscsOverlap, TargetNotInDomainClosure
-from .mobius import (Transform, image_disc, origin_images_raw, pair_discs,
-                     parabolic_fixing)
+from .mobius import (Transform, image_disc, matmul_raw, origin_images_raw,
+                     pair_discs, parabolic_fixing)
 from .model import BoundaryPoint, Disc, InteriorPoint, embed3, project_dim
 
 SLAB_WORDS = 1 << 20          # fixed, so partial sums are bit-reproducible
@@ -86,8 +86,9 @@ class SchottkyGroup:
             labels.extend([gen.label, gen.label + "^-1"])
             sources.extend([gen.source, gen.target])
             targets.extend([gen.target, gen.source])
-        self.letter_matrices = (np.stack(mats) if mats
-                                else np.zeros((0, 2, 2), dtype=complex))
+        # a dimension-1 group acts by real matrices, so its walks carry float64
+        letters = np.stack(mats) if mats else np.zeros((0, 2, 2), dtype=complex)
+        self.letter_matrices = np.ascontiguousarray(letters.real) if dim == 1 else letters
         self.letter_labels = tuple(labels)
         self.letter_sources = tuple(sources)
         self.letter_targets = tuple(targets)
@@ -241,7 +242,7 @@ class WordBatch:
     offset: int
     last: np.ndarray       # (m,) int16 letters, -1 for the identity
     parent: np.ndarray     # (m,) int64 indices into the previous level
-    mats: np.ndarray       # (m, 2, 2) complex128
+    mats: np.ndarray       # (m, 2, 2) float64 in dimension 1, complex128 in 2
     final: bool            # True when this batch completes its level
     rows: np.ndarray | None = None   # (m,) rows in the batch selected from
 
@@ -284,7 +285,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     if budget is not None and budget < 1:
         raise BudgetExceeded("node budget exhausted before the identity word",
                              words_generated=0, depth_completed=-1)
-    identity = np.eye(2, dtype=complex)[None, :, :]
+    identity = np.eye(2, dtype=letter_mats.dtype)[None, :, :]
     root = WordBatch(0, 0, np.array([-1], dtype=np.int16),
                      np.array([0], dtype=np.int64), identity, final=True)
     generated = 1
@@ -299,7 +300,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
         parents, letters = _expand_indices(prev_last, k2)
         total = parents.shape[0]
         is_top = length == max_length
-        next_mats = None if is_top else np.empty((total, 2, 2), dtype=complex)
+        next_mats = None if is_top else np.empty((total, 2, 2), dtype=letter_mats.dtype)
         pos = 0
         while pos < total:
             hi = min(pos + slab, total)
@@ -331,7 +332,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
 
 def _compose_chunk(prev_mats: np.ndarray, letter_mats: np.ndarray,
                    parents: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    return np.einsum("nij,njk->nik", prev_mats[parents], letter_mats[letters])
+    return matmul_raw(prev_mats[parents], letter_mats[letters])
 
 
 class WordTable:

@@ -181,6 +181,18 @@ def horoball_scan(group: SchottkyGroup, zeta: BoundaryPoint, levels: Sequence[fl
     The walk keeps the words above the lowest level sorted by descending
     kernel value; the witnesses of each level are a prefix of that list.
     """
+    consume, result = horoball_scanner(group, zeta, levels, max_length, max_witnesses)
+    return result(walk(group, max_length, budget, kernel=kernel, consumers=[consume]))
+
+
+def horoball_scanner(group: SchottkyGroup, zeta: BoundaryPoint, levels: Sequence[float],
+                     max_length: int, max_witnesses: int = 10_000):
+    """The walk consumer behind :func:`horoball_scan`, for a walk that may go
+    deeper than ``max_length`` (its longer words are skipped).
+
+    Returns ``(consume, result)``: ``result(done)`` takes the walk to
+    ``max_length``, e.g. ``Walk.upto(max_length)`` of the deeper walk.
+    """
     if any(c <= 0.0 for c in levels):
         raise ValueError("horoball level must be positive")
     zc = embed3(zeta.coords)
@@ -188,7 +200,9 @@ def horoball_scan(group: SchottkyGroup, zeta: BoundaryPoint, levels: Sequence[fl
     table = WordTable(group)
     found: list[tuple[float, int, int]] = []
 
-    def scan(batch, words, kept) -> None:
+    def consume(batch, words, kept) -> None:
+        if batch.length > max_length:
+            return
         table.record(batch)
         img, conorm = origin_images_raw(words.mats)
         diff = zc[None, :] - img
@@ -198,11 +212,13 @@ def horoball_scan(group: SchottkyGroup, zeta: BoundaryPoint, levels: Sequence[fl
         found.extend(zip(kvals[hits].tolist(), [batch.length] * hits.shape[0],
                          (batch.offset + rows).tolist()))
 
-    done = walk(group, max_length, budget, kernel=kernel, consumers=[scan])
-    found.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
-    witnesses = [(table.word(length, index), kval)
-                 for kval, length, index in found[:max_witnesses]]
-    return [HoroballWitnesses(c, done.depth_completed, done.budget_exhausted,
-                              witnesses[: bisect.bisect_left(found, -c,
-                                                             key=lambda rec: -rec[0])])
-            for c in levels]
+    def result(done: Walk) -> list[HoroballWitnesses]:
+        found.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
+        witnesses = [(table.word(length, index), kval)
+                     for kval, length, index in found[:max_witnesses]]
+        return [HoroballWitnesses(c, done.depth_completed, done.budget_exhausted,
+                                  witnesses[: bisect.bisect_left(found, -c,
+                                                                 key=lambda rec: -rec[0])])
+                for c in levels]
+
+    return consume, result

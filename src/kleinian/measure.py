@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import TargetNotInDomainClosure
 from .group import DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup, walk
 from .mobius import (apply_boundary_raw, apply_interior_raw, boundary_derivative_raw,
-                     interior_derivative_raw)
+                     interior_derivative_raw, matmul_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
 from .series import SeriesResult, TailCertificate, _finish
 
@@ -107,14 +106,27 @@ class AtomicMeasure:
                 writer.writerow(row)
 
 
+def _snapped_keys(points: np.ndarray) -> np.ndarray:
+    """One row of integers per atom: its coordinates snapped to the merge grid."""
+    return np.round(points / MERGE_TOL).astype(np.int64)
+
+
+def _void_keys(keys: np.ndarray) -> np.ndarray:
+    """Rows of ``keys`` as single (void) values that sort like the rows do,
+    lexicographically: offset to unsigned and stored big-endian."""
+    ordered = (keys.view(np.uint64) ^ np.uint64(1 << 63)).astype(">u8")
+    return ordered.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
+
+
 def _merge_atoms(points: np.ndarray, weights: np.ndarray,
                  lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coalesce atoms closer than the merge tolerance (grid snap), keeping
-    the earliest representative and summing weights."""
-    keys = np.round(points / MERGE_TOL).astype(np.int64)
-    view = np.ascontiguousarray(keys).view(
-        np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
-    _, first_idx, inverse = np.unique(view, return_index=True, return_inverse=True)
+    the earliest representative and summing weights.
+
+    The one-shot form of :class:`_AtomStream`, which merges batch by batch
+    to the same bits."""
+    _, first_idx, inverse = np.unique(_void_keys(_snapped_keys(points)),
+                                      return_index=True, return_inverse=True)
     merged_w = np.zeros(first_idx.shape[0])
     np.add.at(merged_w, inverse, weights)
     merged_l = np.full(first_idx.shape[0], np.iinfo(np.int32).max, dtype=np.int64)
@@ -123,48 +135,112 @@ def _merge_atoms(points: np.ndarray, weights: np.ndarray,
     return points[first_idx[order]], merged_w[order], merged_l[order]
 
 
+class _AtomStream:
+    """Atoms merged as a walk yields them, equal bit for bit to one
+    :func:`_merge_atoms` of every atom so far.
+
+    Each batch's distinct keys are mapped to atom ids (new keys numbered in
+    order of first appearance) and its weights are added into the running
+    totals in enumeration order, so every atom gets the same representative
+    and the same summation order as in the one-shot merge.  ``close(length)``
+    keeps the totals at the end of a level, so ``at(depth)`` can give the
+    merge of the words of length <= depth.
+    """
+
+    def __init__(self, width: int):
+        self._keys = np.empty(0, dtype=np.dtype((np.void, 8 * width)))   # sorted
+        self._ids = np.empty(0, dtype=np.int64)       # atom id of each sorted key
+        self._points = [np.empty((0, width))]         # representatives by id
+        self._lengths = [np.empty(0, dtype=np.int64)]
+        self._totals = np.zeros(0)
+        self._closed: dict[int, np.ndarray] = {}      # level -> totals at its end
+
+    def add(self, points: np.ndarray, weights: np.ndarray, length: int) -> None:
+        if not points.shape[0]:
+            return
+        # the batch's distinct keys: a stable sort keeps equal keys in word
+        # order, so the head of each run is its first word
+        snapped = _snapped_keys(points)
+        order = np.lexsort(snapped.T[::-1])
+        ranked = snapped[order]
+        heads = np.concatenate([[True], np.any(ranked[1:] != ranked[:-1], axis=1)])
+        first = order[heads]
+        inverse = np.empty(order.shape[0], dtype=np.int64)
+        inverse[order] = np.cumsum(heads) - 1
+        keys = _void_keys(ranked[heads])   # sorted, as the rows were
+        # ... mapped to atom ids through the sorted table of every key so far
+        pos = np.searchsorted(self._keys, keys)
+        known = pos < self._keys.shape[0]
+        known[known] = self._keys[pos[known]] == keys[known]
+        ids = np.empty(keys.shape[0], dtype=np.int64)
+        ids[known] = self._ids[pos[known]]
+        new = np.flatnonzero(~known)
+        if new.shape[0]:
+            by_appearance = new[np.argsort(first[new], kind="stable")]
+            ids[by_appearance] = self._totals.shape[0] + np.arange(new.shape[0])
+            self._keys = np.insert(self._keys, pos[new], keys[new])
+            self._ids = np.insert(self._ids, pos[new], ids[new])
+            self._points.append(points[first[by_appearance]])
+            self._lengths.append(np.full(new.shape[0], length, dtype=np.int64))
+            self._totals = np.concatenate([self._totals, np.zeros(new.shape[0])])
+        np.add.at(self._totals, ids[inverse], weights)
+
+    def close(self, length: int) -> None:
+        self._closed[length] = self._totals.copy()
+
+    def at(self, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Merged (points, weights, lengths) of the words of length <= depth.
+
+        Without a closed level ``depth`` the walk stopped at or before it,
+        so every atom so far is in the prefix.
+        """
+        totals = self._closed.get(depth, self._totals)
+        n = totals.shape[0]
+        return np.concatenate(self._points)[:n], totals, np.concatenate(self._lengths)[:n]
+
+
 # --- synthesis ------------------------------------------------------------------
 
 def _synthesize(group: SchottkyGroup, streams, s: float, max_length: int,
                 budget: int | None, kernel: QuotientSpec | None,
-                tail: TailCertificate | None, incomplete_cosets: bool = False):
-    """One walk collecting, for each ``(values, place)`` stream, atoms at
-    ``place(mats)`` weighted by ``values``, and their level blocks.
+                tail: TailCertificate | None, incomplete_cosets: bool = False,
+                consumers=()):
+    """One walk merging, for each ``(values, place)`` stream, atoms at
+    ``place(mats)`` weighted by ``values``, and their level blocks; further
+    ``consumers`` ride along.
 
     Returns ``at(depth)`` for any depth up to ``max_length``: per stream the
     atoms of the words of length <= depth (a prefix of the enumeration
     order), merged and normalized by that depth's own level blocks, with
     their series, which is what a walk to ``depth`` alone would give.
+    ``at.walk`` is the :class:`~kleinian.group.Walk`.
     """
     blocks = [LevelSums(values) for values, _ in streams]
-    pts: list[list[np.ndarray]] = [[] for _ in streams]
-    wts: list[list[np.ndarray]] = [[] for _ in streams]
-    lens: list[np.ndarray] = []
+    atoms = [_AtomStream(group.dim + 1) for _ in streams]
 
     def collect(batch, words, kept) -> None:
         for i, (_, place) in enumerate(streams):
-            pts[i].append(place(words.mats))
-            wts[i].append(kept[i])
-        lens.append(np.full(words.mats.shape[0], batch.length, dtype=np.int32))
+            atoms[i].add(place(words.mats)[:, : group.dim + 1], kept[i], batch.length)
+
+    def close(length: int) -> None:
+        if length < max_length:   # the top level's totals are the final ones
+            for merged in atoms:
+                merged.close(length)
 
     done = walk(group, max_length, budget, kernel=kernel, sums=blocks,
-                consumers=[collect])
-    points = [np.concatenate(p)[:, : group.dim + 1] for p in pts]
-    weights = [np.concatenate(w) for w in wts]
-    lengths = np.concatenate(lens)
-    del pts, wts, lens   # free the per-batch arrays before merging
+                consumers=[collect, *consumers], on_level=[close])
 
     def at(depth: int) -> list[tuple]:
         upto = done.upto(depth)
-        n = int(np.searchsorted(lengths, depth, side="right"))
         out = []
-        for i, sums in enumerate(blocks):
+        for sums, merged in zip(blocks, atoms):
             sums.finish(depth, upto.depth_completed)
             series = _finish(upto, sums, s, tail, incomplete_cosets=incomplete_cosets)
-            pt, wt, ln = _merge_atoms(points[i][:n], weights[i][:n], lengths[:n])
+            pt, wt, ln = merged.at(depth)
             out.append((pt, wt / series.partial_sum, ln, series))
         return out
 
+    at.walk = done
     return at
 
 
@@ -211,13 +287,14 @@ def ending_measures(group: SchottkyGroup, targets, s: float, max_length: int,
                     kernel: QuotientSpec | None = None,
                     budget: int | None = None,
                     tail: TailCertificate | None = None,
-                    check_domain: bool = True):
+                    check_domain: bool = True, consumers=()):
     """The ending measures of :func:`ending_measure` at several targets and
     depths, from one walk to ``max_length``.
 
     Returns ``at(depth)``, the tuple of measures (one per target) for any
     depth up to ``max_length``; each is bit for bit the measure
-    ``ending_measure`` builds at that depth, budget cut included.
+    ``ending_measure`` builds at that depth, budget cut included.  Extra
+    walk ``consumers`` see the same batches; ``at.walk`` is the walk.
     """
     if stab is not None and kernel is not None:
         raise ValueError("pass a stabilizer or a kernel restriction, not both")
@@ -235,7 +312,8 @@ def ending_measures(group: SchottkyGroup, targets, s: float, max_length: int,
         streams.append((lambda batch, bc=bc: boundary_derivative_raw(batch.mats, bc) ** s,
                         lambda mats, bc=bc: apply_boundary_raw(mats, bc)))
     synthesis = _synthesize(group, streams, s, max_length, budget, spec, tail,
-                            incomplete_cosets=bool(stab is not None and stab.labels))
+                            incomplete_cosets=bool(stab is not None and stab.labels),
+                            consumers=consumers)
 
     def at(depth: int) -> tuple[AtomicMeasure, ...]:
         out = []
@@ -252,6 +330,7 @@ def ending_measures(group: SchottkyGroup, targets, s: float, max_length: int,
                                      meta=meta))
         return tuple(out)
 
+    at.walk = synthesis.walk
     return at
 
 
@@ -352,7 +431,9 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
     point3 = embed3(np.asarray(enum["point"]))
     boundary = enum["kind"] == "boundary"
     g_letter, ginv_letter = letters
-    ginv = g.inverse()
+    # real for a dimension-1 group, like the word matrices of its walk
+    g_mat, ginv_mat = (t.matrix.real if group.dim == 1 else t.matrix
+                       for t in (g, g.inverse()))
     depth = mu.depth
     scale = mu.series.partial_sum
     net = np.zeros(cells)
@@ -380,8 +461,8 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
         first = first_letters(batch)
         if batch.length != depth:
             return
-        pre_mats = np.einsum("ij,njk->nik", ginv.matrix, batch.mats)
-        comp_mats = np.einsum("ij,njk->nik", g.matrix, batch.mats)
+        pre_mats = matmul_raw(ginv_mat, batch.mats)
+        comp_mats = matmul_raw(g_mat, batch.mats)
         if boundary:
             jw = boundary_derivative_raw(batch.mats, point3) ** s
             pos_v = apply_boundary_raw(batch.mats, point3)
@@ -561,6 +642,9 @@ def weak_distance(mu: AtomicMeasure, nu: AtomicMeasure,
 def singularity_diagnostic(mu: AtomicMeasure, nu: AtomicMeasure,
                            eps: float) -> tuple[float, float]:
     """(mass of mu within eps of supp nu, mass of nu within eps of supp mu)."""
+    # imported here: at module level scipy.spatial adds about 0.5 s to every command
+    from scipy.spatial import cKDTree
+
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     ea, eb = embed3(mu.points), embed3(nu.points)
@@ -575,6 +659,8 @@ def singularity_diagnostic(mu: AtomicMeasure, nu: AtomicMeasure,
 
 def support_gap(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     """Smallest distance between the two atom sets."""
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(embed3(nu.points))
     d, _ = tree.query(embed3(mu.points), k=1)
     return float(np.min(d))

@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EnlargedDiscsOverlap, InconclusiveBracket, InvalidSeparation
-from .group import (DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup, Walk,
-                    WordBatch, min_distance_walk, walk)
+from .group import (SLAB_WORDS, DeclaredStabilizer, LevelSums, QuotientSpec,
+                    SchottkyGroup, Walk, WordBatch, min_distance_walk, walk)
 from .mobius import (boundary_derivative_raw, disc_boundary_points,
                      interior_derivative_raw, inverse_origin_images_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
@@ -130,7 +130,7 @@ class _EqualSummands:
     def __init__(self):
         self.counts: list[int] = []        # matches per level pair
         self.fractions: list[float] = []   # matches relative to the smaller level
-        self._prev: np.ndarray | None = None
+        self._prev: np.ndarray | None = None   # the previous level's values
         self._cur: list[np.ndarray] = []
 
     def consume(self, batch: WordBatch, words, kept) -> None:
@@ -138,8 +138,10 @@ class _EqualSummands:
             self._cur.append(kept[0])
 
     def close(self, length: int) -> None:
-        cur = np.sort(np.concatenate(self._cur)) if self._cur else np.empty(0)
+        cur = np.concatenate(self._cur) if self._cur else np.empty(0)
         if self._prev is not None:
+            # a level is sorted once the next one needs it, so the top level never is
+            self._prev.sort()
             matches = _count_equal_values(self._prev, cur)
             self.counts.append(matches)
             smaller = min(self._prev.shape[0], cur.shape[0])
@@ -162,17 +164,25 @@ def _series(group: SchottkyGroup, values: Callable[[WordBatch], np.ndarray],
 
 
 def _count_equal_values(prev_sorted: np.ndarray, cur: np.ndarray) -> int:
-    """How many current values coincide (relative 1e-12) with a previous one."""
-    if prev_sorted.shape[0] == 0 or cur.shape[0] == 0:
+    """How many current values coincide (relative 1e-12) with a previous one.
+
+    Counted in chunks of at most ``SLAB_WORDS`` values, so the temporaries
+    stay slab-sized however long the level is; each chunk is sorted first,
+    which keeps the binary searches in cache.
+    """
+    if prev_sorted.shape[0] == 0:
         return 0
-    idx = np.searchsorted(prev_sorted, cur)
-    matched = np.zeros(cur.shape[0], dtype=bool)
-    for shift in (-1, 0):
-        j = np.clip(idx + shift, 0, prev_sorted.shape[0] - 1)
-        near = prev_sorted[j]
-        tol = EQUAL_SUMMAND_RTOL * np.maximum(np.abs(near), np.abs(cur))
-        matched |= np.abs(near - cur) <= tol
-    return int(np.count_nonzero(matched))
+    total = 0
+    for lo in range(0, cur.shape[0], SLAB_WORDS):
+        chunk = np.sort(cur[lo: lo + SLAB_WORDS])
+        idx = np.searchsorted(prev_sorted, chunk)
+        matched = np.zeros(chunk.shape[0], dtype=bool)
+        for shift in (-1, 0):
+            near = prev_sorted[np.clip(idx + shift, 0, prev_sorted.shape[0] - 1)]
+            tol = EQUAL_SUMMAND_RTOL * np.maximum(np.abs(near), np.abs(chunk))
+            matched |= np.abs(near - chunk) <= tol
+        total += int(np.count_nonzero(matched))
+    return total
 
 
 def _fit_ratio(level_sums: Sequence[float]) -> float | None:

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleinian.cli import main
 
@@ -293,3 +296,54 @@ class TestGoldenRender:
         for name, expected in golden.items():
             actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert actual == expected, f"{name} drifted from the committed run"
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3", "trivial",
+                                      "two_generator"])
+    def test_depth5_outputs_match_committed_hashes(self, tmp_path, name):
+        """Every output but the sidecars, of every command, at --depth 5."""
+        golden = json.loads(
+            (REPO / "tests" / "golden" / "cli_depth5.sha256.json").read_text())
+        expected = {key: digest for key, digest in golden.items()
+                    if key.startswith(name + "/")}
+        actual = {}
+        for command in ("series", "measure", "classify", "render"):
+            out = tmp_path / command
+            assert main([command, "--config", str(CONFIGS / f"{name}.json"),
+                         "--out", str(out), "--depth", "5"]) == 0
+            for path in out.iterdir():
+                if not path.name.endswith(".meta.json"):
+                    actual[f"{name}/{command}/{path.name}"] = hashlib.sha256(
+                        path.read_bytes()).hexdigest()
+        assert actual == expected
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    """Only the Example 2 diagnostics use the KD-tree; no command start-up pays for it."""
+    import os
+    import subprocess
+    import sys
+
+    code = "import sys, kleinian.cli; print('scipy.spatial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")), check=True)
+    assert proc.stdout.strip() == "False"
+
+
+class TestBudgetExitCode:
+    @settings(max_examples=30, deadline=None)
+    @given(budget=st.integers(1, 250),
+           command=st.sampled_from(["series", "measure", "classify", "render"]))
+    def test_exit_code_3_comes_exactly_with_a_cut_report(self, budget, command):
+        doc = dict(TWO_GEN, depth=4, budget=budget)   # 161 words to depth 4
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            code = main([command, "--config", write_config(Path(tmp), doc),
+                         "--out", str(out)])
+            result = json.loads((out / f"{command}.json").read_text())["result"]
+        series = result if command == "series" else result["series"]
+        cut = series["budget_exhausted"] and series["depth_completed"] < series["depth"]
+        assert code in (0, 3)
+        assert (code == 3) == cut
+        assert (code == 3) == (budget < 161)
+        if code == 0:
+            assert series["depth_completed"] == series["depth"] == 4

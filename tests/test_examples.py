@@ -156,8 +156,8 @@ class TestRetractionKernel:
         monkeypatch.setattr(kleinian.group, "iter_word_batches", counted)
         result = build_example2(Example2Config(exponent=0.4, **EX2_SMALL))
         assert _example2_digests(result) == golden["exponent=0.4"]
-        # group probes, kernel probes, measures, horoball scan
-        assert sorted(walks) == [6, 6, 6, 7]
+        # group probes, kernel probes, measures with the horoball scan riding along
+        assert sorted(walks) == [6, 6, 7]
 
     def test_supports_disjoint_at_diagnostic_depth(self, ex2):
         assert ex2.report["support_gap"] > 0.0

@@ -36,6 +36,16 @@ class TestConstruction:
 
 
 class TestEnumeration:
+    def test_walks_carry_real_matrices_in_dimension_one_only(self, std_group, std_group_2d):
+        for group, dtype in ((std_group, np.float64), (std_group_2d, np.complex128)):
+            assert group.letter_matrices.dtype == dtype
+            assert all(batch.mats.dtype == dtype for batch in iter_word_batches(group, 3))
+            # transforms stay complex whatever the walk carries
+            assert group.letter_transform(0).matrix.dtype == np.complex128
+            word, transform = list(enumerate_words(group, 2))[-1]
+            assert transform.matrix.dtype == np.complex128
+        assert SchottkyGroup.trivial(1).letter_matrices.shape == (0, 2, 2)
+
     def test_length_zero_is_identity(self, std_group):
         words = list(enumerate_words(std_group, 0))
         assert len(words) == 1

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleinian.errors import TargetNotInDomainClosure
 from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
                             SchottkyGroup, ending_sequence, enumerate_words)
-from kleinian.measure import (classify_atomicity, conformality_residual,
-                              ending_measure, orbit_measure,
+from kleinian.measure import (MERGE_TOL, _AtomStream, _merge_atoms, classify_atomicity,
+                              conformality_residual, ending_measure, orbit_measure,
                               singularity_diagnostic, support_gap, weak_distance)
 from kleinian.model import BoundaryPoint, InteriorPoint
 from kleinian.series import branch_contraction
@@ -273,3 +275,44 @@ class TestCsvExport:
         weights = [float(line.split(",")[2]) for line in lines[1:]]
         assert weights == sorted(weights, reverse=True)
         assert len(weights) == mu.atom_count
+
+
+class TestAtomStream:
+    """The batch-by-batch merge against one merge of the whole stream."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), sizes=st.lists(st.integers(0, 60), min_size=1,
+                                                              max_size=4),
+           data=st.data())
+    def test_every_prefix_equals_one_merge(self, seed, sizes, data):
+        rng = np.random.default_rng(seed)
+        pool = rng.normal(size=(10, 2))
+        sizes = [1] + sizes
+        # repeated atoms, some moved by less than the merge grid (same key,
+        # different representative) and some by more (a new atom)
+        idx = rng.integers(0, pool.shape[0], size=sum(sizes))
+        nudge = rng.choice([0.0, 0.1 * MERGE_TOL, 10.0 * MERGE_TOL], size=(idx.shape[0], 1))
+        points = pool[idx] + nudge
+        weights = rng.uniform(0.0, 1.0, size=idx.shape[0]) ** 8
+        lengths = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        top_closed = data.draw(st.booleans())   # an open top level is a budget cut
+        stream = _AtomStream(2)
+        start = 0
+        for length, size in enumerate(sizes):
+            cuts = sorted(data.draw(st.lists(st.integers(0, size), max_size=3)))
+            for lo, hi in zip([0] + cuts, cuts + [size]):
+                stream.add(points[start + lo: start + hi], weights[start + lo: start + hi],
+                           length)
+            start += size
+            if length < len(sizes) - 1 or top_closed:
+                stream.close(length)
+        for depth in range(len(sizes)):
+            n = int(np.searchsorted(lengths, depth, side="right"))
+            expected = _merge_atoms(points[:n], weights[:n], lengths[:n])
+            for got, want in zip(stream.at(depth), expected):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_empty_stream(self):
+        points, weights, lengths = _AtomStream(3).at(4)
+        assert points.shape == (0, 3) and weights.shape == (0,) and lengths.shape == (0,)

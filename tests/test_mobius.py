@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from kleinian.errors import DiscsOverlap, NumericallyAmbiguous
-from kleinian.mobius import (Transform, classify, image_disc, pair_discs,
-                             parabolic_fixing, rotation_moving_to_pole)
+from kleinian.mobius import (Transform, classify, image_disc, inverse_origin_images_raw,
+                             matmul_raw, origin_images_raw, pair_discs, parabolic_fixing,
+                             rotation_moving_to_pole)
 from kleinian.model import BoundaryPoint, InteriorPoint, hyperbolic_distance
 
 from conftest import arc, cap, random_boundary_points, random_interior_points, \
@@ -358,3 +359,65 @@ class TestRotations:
             p = BoundaryPoint.from_angle(float(theta))
             rot = rotation_moving_to_pole(p.coords, 1)
             assert np.max(np.abs(rot.imag)) < 1e-14
+
+
+def _random_mats(rng, count, dtype, scale=1.0):
+    mats = rng.normal(size=(count, 2, 2)) * scale
+    if dtype is complex:
+        mats = mats + 1j * rng.normal(size=(count, 2, 2)) * scale
+    return mats
+
+
+def _origin_images_by_division(mats, inverse):
+    """The origin-image kernels as written with ``/ denom``."""
+    from kleinian.mobius import halfspace_to_ball
+
+    a, b = mats[..., 0, 0], mats[..., 0, 1]
+    c, d = mats[..., 1, 0], mats[..., 1, 1]
+    if inverse:
+        denom = np.abs(a) ** 2 + np.abs(c) ** 2
+        z = (-b * np.conj(a) - d * np.conj(c)) / denom
+    else:
+        denom = np.abs(c) ** 2 + np.abs(d) ** 2
+        z = (b * np.conj(d) + a * np.conj(c)) / denom
+    t = 1.0 / denom
+    dd = np.abs(z) ** 2 + (t + 1.0) ** 2
+    return halfspace_to_ball(z, t), 4.0 * t / dd
+
+
+class TestRawKernels:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8])
+    def test_matmul_raw_is_einsum_bit_for_bit(self, rng, dtype, scale):
+        x = _random_mats(rng, 5000, dtype, scale)
+        y = _random_mats(rng, 5000, dtype)
+        out = matmul_raw(x, y)
+        assert out.dtype == np.result_type(x, y)
+        assert out.tobytes() == np.einsum("nij,njk->nik", x, y).tobytes()
+        # one matrix against a batch, as the conformality shell multiplies
+        assert matmul_raw(x[0], y).tobytes() == np.einsum("ij,njk->nik", x[0], y).tobytes()
+
+    def test_real_products_are_the_complex_ones(self, rng):
+        x, y = _random_mats(rng, 5000, float), _random_mats(rng, 5000, float)
+        wide = np.einsum("nij,njk->nik", x.astype(complex), y.astype(complex))
+        assert matmul_raw(x, y).tobytes() == np.ascontiguousarray(wide.real).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8])
+    def test_origin_images_multiply_by_the_reciprocal(self, rng, scale):
+        mats = _random_mats(rng, 20000, complex, scale)
+        for kernel, inverse in ((origin_images_raw, False), (inverse_origin_images_raw, True)):
+            img, conorm = kernel(mats)
+            ref_img, ref_conorm = _origin_images_by_division(mats, inverse)
+            assert img.tobytes() == ref_img.tobytes()
+            assert conorm.tobytes() == ref_conorm.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8])
+    def test_real_matrices_give_the_complex_bits(self, rng, scale):
+        mats = _random_mats(rng, 20000, float, scale)
+        for kernel in (origin_images_raw, inverse_origin_images_raw):
+            img, conorm = kernel(mats)
+            ref_img, ref_conorm = kernel(mats.astype(complex))
+            assert np.array_equal(img, ref_img)   # the zero third coordinate may differ in sign
+            assert np.ascontiguousarray(img[:, :2]).tobytes() == \
+                np.ascontiguousarray(ref_img[:, :2]).tobytes()
+            assert conorm.tobytes() == ref_conorm.tobytes()

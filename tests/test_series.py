@@ -328,3 +328,25 @@ class TestSummationContract:
         for w, t in enumerate_words(group, 6):
             values.append(t.derivative_interior(InteriorPoint.origin(1)))
         assert math.fsum(values) == pytest.approx(r.partial_sum, rel=1e-15)
+
+
+def test_equal_values_counted_in_chunks(rng, monkeypatch):
+    """Chunked counting matches one pass over the whole level."""
+    import kleinian.series as series
+
+    prev = np.sort(rng.choice(rng.uniform(0.5, 2.0, size=40), size=200))
+    cur = np.concatenate([rng.choice(prev, size=150) * (1.0 + 1e-13),
+                          rng.uniform(0.5, 2.0, size=150)])
+    rng.shuffle(cur)
+    idx = np.searchsorted(prev, cur)
+    matched = np.zeros(cur.shape[0], dtype=bool)
+    for shift in (-1, 0):
+        near = prev[np.clip(idx + shift, 0, prev.shape[0] - 1)]
+        matched |= np.abs(near - cur) <= 1e-12 * np.maximum(np.abs(near), np.abs(cur))
+    expected = int(np.count_nonzero(matched))
+    assert expected >= 150
+    for slab in (7, 64, 1 << 20):
+        monkeypatch.setattr(series, "SLAB_WORDS", slab)
+        assert series._count_equal_values(prev, cur) == expected
+    assert series._count_equal_values(prev, cur[:0]) == 0
+    assert series._count_equal_values(prev[:0], cur) == 0

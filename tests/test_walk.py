@@ -1,6 +1,7 @@
 """The single word walker: one truncation rule for every walk-backed API."""
 
 import ast
+import copy
 import math
 from pathlib import Path
 
@@ -230,6 +231,34 @@ def test_budget_cut_is_a_prefix(group, depth, data):
     assert cut.level_sums == full.level_sums[: complete + 1]
     assert cut.transcript["level_counts"] == full.transcript["level_counts"][: complete + 1]
     assert cut.partial_sum <= full.partial_sum
+
+
+@settings(max_examples=15, deadline=None)
+@given(group=schottky_groups(), depth=st.integers(1, 5))
+def test_real_walk_gives_the_complex_bits(group, depth):
+    """Dimension-1 walks carry float64 matrices; the same letters as
+    complex128 give the same level sums and atoms, bit for bit."""
+    twin = copy.copy(group)
+    twin.letter_matrices = group.letter_matrices.astype(complex)
+    zeta, z = BoundaryPoint.from_angle(math.pi), InteriorPoint([0.1, -0.2])
+
+    def bits(sums):
+        return np.array(sums).tobytes()
+
+    def results(walked):
+        return (horospherical_partial(walked, zeta, 0.7, depth),
+                poincare_partial(walked, z, 0.7, depth),
+                ending_measure(walked, zeta, 0.7, depth),
+                orbit_measure(walked, z, 0.7, depth))
+
+    assert group.letter_matrices.dtype == np.float64
+    real, wide = results(group), results(twin)
+    for a, b in zip(real[:2], wide[:2]):
+        assert bits(a.level_sums) == bits(b.level_sums) and a.partial_sum == b.partial_sum
+    for a, b in zip(real[2:], wide[2:]):
+        for field in ("points", "weights", "word_lengths"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert bits(a.series.level_sums) == bits(b.series.level_sums)
 
 
 # --- the single-walker rule --------------------------------------------------------
