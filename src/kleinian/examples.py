@@ -23,17 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PlacementInfeasible, StabilizerNotParabolic
-from .group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
+from .group import (DeclaredStabilizer, EndingSequenceSpec, LevelSums, QuotientSpec,
                     SchottkyGroup, ending_sequence, kernel_enumerate)
 from .limits import DEFAULT_C_GRID, horoball_scanner, jorgensen_test
 from .measure import (AtomicMeasure, AtomicityVerdict, classify_atomicity,
-                      ending_measure, ending_measures, orbit_measure,
-                      singularity_diagnostic, support_gap, weak_distance)
-from .model import BoundaryPoint, Disc
-from .series import (BranchBounds, DeltaEstimate, SeparationSchedule, SeriesResult,
-                     branch_contraction, bounded_parabolic_domination,
-                     estimate_delta, example1_certificate, example1_tail_bound,
-                     horospherical_partial, reduced_horospherical_partial)
+                      ending_measures, singularity_diagnostic, support_gap,
+                      weak_distance)
+from .mobius import boundary_derivative_raw
+from .model import BoundaryPoint, Disc, embed3
+from .series import (BranchBounds, DeltaEstimate, EqualSummands, SeparationSchedule,
+                     SeriesResult, branch_contraction, estimate_delta,
+                     example1_certificate, example1_tail_bound, finish_series,
+                     parabolic_domination, reduced_horospherical_partial)
 
 POLE_SAFETY = 0.2        # keep all constructions away from the chart pole
 SLOT_FILL = 0.45         # enlarged discs fill this fraction of their half-slot
@@ -137,10 +138,15 @@ def build_example1(cfg: Example1Config) -> Example1Result:
     paper_bounds = [(4.0 / schedule.phi(1 + e // 2)) ** 2
                     for e in range(group.letter_count)]
     stab = DeclaredStabilizer.trivial()
-    series = horospherical_partial(group, target, s, cfg.depth, budget=cfg.budget,
-                                   tail=certificate)
-    measure = ending_measure(group, target, s, cfg.depth, stab=stab,
-                             budget=cfg.budget, tail=certificate)
+    # the boundary series is the measure's normalizer: one walk gives both,
+    # with the series' equal-summand evidence riding along
+    matches = EqualSummands()
+    measure_at = ending_measures(group, [target], s, cfg.depth, stab=stab,
+                                 budget=cfg.budget, tail=certificate,
+                                 consumers=[matches.consume], on_level=[matches.close])
+    [measure] = measure_at(cfg.depth)
+    series = finish_series(measure_at.walk, measure_at.blocks[0], s, certificate,
+                           matches)
     # trivial stabilizer: the reduced series coincides with the plain one
     atomicity = classify_atomicity(group, target, s, stab, cfg.depth,
                                    budget=cfg.budget, tail=certificate,
@@ -177,13 +183,11 @@ def example1_weak_trend(cfg: Example1Config, result: Example1Result) -> list[flo
     approach; the trend toward zero is the weak-convergence diagnostic."""
     seq = ending_sequence(result.group,
                           EndingSequenceSpec.dyadic(result.target, cfg.sequence_count))
-    reference = ending_measure(result.group, result.target, cfg.exponent,
-                               cfg.weak_depth, stab=DeclaredStabilizer.trivial())
-    out = []
-    for z in seq:
-        mu = orbit_measure(result.group, z, cfg.exponent, cfg.weak_depth)
-        out.append(weak_distance(mu, reference))
-    return out
+    # one walk for the ending measure and every orbit measure
+    reference, *orbits = ending_measures(
+        result.group, [result.target], cfg.exponent, cfg.weak_depth,
+        stab=DeclaredStabilizer.trivial(), orbit_points=seq)(cfg.weak_depth)
+    return [weak_distance(mu, reference) for mu in orbits]
 
 
 # --- construction 2: retraction kernels of free products -------------------------
@@ -389,10 +393,26 @@ def build_example3(cfg: Example3Config) -> Example3Result:
                            .derivative_boundary(target))
     max_power_defect = max(abs(v - 1.0) for v in power_table)
 
-    reduced = reduced_horospherical_partial(group, target, s, cfg.depth,
-                                            stab=stab, budget=cfg.budget)
-    unreduced = horospherical_partial(group, target, s, cfg.depth,
-                                      budget=cfg.budget)
+    # One walk over the transversal (the retraction kernel) gives the
+    # measure, whose normalizer is the reduced series, the unreduced series
+    # (a whole-group sum) and both domination sums.  ``kept`` holds the
+    # measure's values, the unreduced values, then the domination sums'.
+    bc = embed3(target.coords)
+    whole = LevelSums(lambda batch: boundary_derivative_raw(batch.mats, bc) ** s,
+                      whole_group=True)
+    reduced_matches, whole_matches = EqualSummands(0), EqualSummands(1)
+    dom_sums, dom_gap, dominated = parabolic_domination(target, s)
+    measure_at = ending_measures(
+        group, [target], s, cfg.depth, stab=stab, budget=cfg.budget,
+        sums=[whole, *dom_sums],
+        consumers=[reduced_matches.consume, whole_matches.consume, dom_gap],
+        on_level=[reduced_matches.close, whole_matches.close])
+    [measure] = measure_at(cfg.depth)
+    done = measure_at.walk
+    reduced = finish_series(done, measure_at.blocks[0], s, None, reduced_matches,
+                            incomplete_cosets=True)
+    unreduced = finish_series(done, whole, s, None, whole_matches)
+    domination = dominated(done)
 
     # independent per-word recomputation of the kernel sum at a small depth
     reduced_small = reduced_horospherical_partial(group, target, s,
@@ -403,10 +423,6 @@ def build_example3(cfg: Example3Config) -> Example3Result:
                                      cfg.identity_depth))
     identity_defect = abs(reduced_small.partial_sum - kernel_sum)
 
-    domination = bounded_parabolic_domination(group, target, s, cfg.depth, stab,
-                                              budget=cfg.budget)
-    measure = ending_measure(group, target, s, cfg.depth, stab=stab,
-                             budget=cfg.budget)
     # same target, exponent, depth, stabilizer and budget as ``reduced``
     atomicity = classify_atomicity(group, target, s, stab, cfg.depth,
                                    budget=cfg.budget, precomputed_series=reduced)

@@ -253,18 +253,20 @@ class WordBatch:
                          self.mats[rows], self.final, rows)
 
 
-def _expand_indices(parent_last: np.ndarray, letter_count: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Children of a level in parent-major, letter-minor order.
+def _children(prev_last: np.ndarray, branching: int, lo: int, hi: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(parent index, letter) of the words ``lo`` .. ``hi - 1`` of a level
+    beyond the first, in parent-major, letter-minor order.
 
-    Returns (parent_index, letter) arrays covering every reduced extension.
+    Word i is extension r = i mod (2k - 1) of parent i div (2k - 1): the
+    r-th letter, skipping the inverse of the parent's last letter.
     """
-    m = parent_last.shape[0]
-    letters = np.tile(np.arange(letter_count, dtype=np.int16), m)
-    parents = np.repeat(np.arange(m, dtype=np.int64), letter_count)
-    forbidden = np.repeat(parent_last ^ 1, letter_count)
-    keep = (letters != forbidden) | (np.repeat(parent_last, letter_count) < 0)
-    return parents[keep], letters[keep]
+    first, last = lo // branching, (hi - 1) // branching + 1   # parents touched
+    cut = slice(lo - first * branching, hi - first * branching)
+    parent = np.repeat(np.arange(first, last, dtype=np.int64), branching)[cut]
+    r = np.tile(np.arange(branching, dtype=np.int16), last - first)[cut]
+    skip = np.repeat(prev_last[first:last] ^ 1, branching)[cut]
+    return parent, r + (r >= skip)
 
 
 def iter_word_batches(group: SchottkyGroup, max_length: int,
@@ -272,9 +274,10 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
                       slab: int = SLAB_WORDS) -> Iterator[WordBatch]:
     """Yield every reduced word of length <= max_length as WordBatch runs.
 
-    Level ``l`` has exactly 2k (2k-1)^(l-1) words.  Levels below the top
-    are produced whole (their matrices are the prefix cache for the next
-    level); the top level is sliced into slabs of at most ``slab`` words.
+    Level ``l`` has exactly 2k (2k-1)^(l-1) words, yielded in slabs of at
+    most ``slab`` words.  Levels below the top are kept whole (their
+    matrices are the prefix cache for the next level); the top level's
+    words live only in their slab.
     Raises :class:`BudgetExceeded` after yielding whatever fits within the
     node budget; the partial batch before a cut is not ``final``.
     """
@@ -297,36 +300,41 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     prev_last = root.last
     length = 1
     while length <= max_length:
-        parents, letters = _expand_indices(prev_last, k2)
-        total = parents.shape[0]
+        # the identity has 2k children, every other word 2k - 1
+        branching = k2 if length == 1 else k2 - 1
+        total = prev_last.shape[0] * branching
         is_top = length == max_length
-        next_mats = None if is_top else np.empty((total, 2, 2), dtype=letter_mats.dtype)
+        if not is_top:   # the prefix cache of the next level
+            next_mats = np.empty((total, 2, 2), dtype=letter_mats.dtype)
+            next_last = np.empty(total, dtype=np.int16)
         pos = 0
         while pos < total:
             hi = min(pos + slab, total)
-            if budget is not None and generated + (hi - pos) > budget:
+            cut = budget is not None and generated + (hi - pos) > budget
+            if cut:
                 hi = pos + (budget - generated)
-                if hi > pos:
-                    chunk = _compose_chunk(prev_mats, letter_mats,
-                                           parents[pos:hi], letters[pos:hi])
-                    generated += hi - pos
-                    yield WordBatch(length, pos, letters[pos:hi], parents[pos:hi],
-                                    chunk, final=False)
+            if hi > pos:
+                if length == 1:
+                    parents = np.zeros(hi - pos, dtype=np.int64)
+                    letters = np.arange(pos, hi, dtype=np.int16)
+                else:
+                    parents, letters = _children(prev_last, branching, pos, hi)
+                chunk = _compose_chunk(prev_mats, letter_mats, parents, letters)
+                if not is_top:
+                    next_mats[pos:hi] = chunk
+                    next_last[pos:hi] = letters
+                generated += hi - pos
+                yield WordBatch(length, pos, letters, parents, chunk,
+                                final=not cut and hi == total)
+            if cut:
                 raise BudgetExceeded(
                     f"node budget {budget} exhausted inside level {length}",
                     words_generated=generated, depth_completed=length - 1)
-            chunk = _compose_chunk(prev_mats, letter_mats,
-                                   parents[pos:hi], letters[pos:hi])
-            if next_mats is not None:
-                next_mats[pos:hi] = chunk
-            generated += hi - pos
-            yield WordBatch(length, pos, letters[pos:hi], parents[pos:hi],
-                            chunk, final=hi == total)
             pos = hi
         if is_top:
             return
         prev_mats = next_mats
-        prev_last = letters
+        prev_last = next_last
         length += 1
 
 

@@ -18,11 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TargetNotInDomainClosure
-from .group import DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup, walk
-from .mobius import (apply_boundary_raw, apply_interior_raw, boundary_derivative_raw,
-                     interior_derivative_raw, matmul_raw)
+from .group import (SLAB_WORDS, DeclaredStabilizer, LevelSums, QuotientSpec,
+                    SchottkyGroup, walk)
+from .mobius import (apply_boundary_raw, apply_halfspace_raw, apply_interior_raw,
+                     ball_to_halfspace, boundary_derivative_raw, halfspace_to_ball,
+                     interior_derivative_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
-from .series import SeriesResult, TailCertificate, _finish
+from .series import SeriesResult, TailCertificate, finish_series
 
 # Atoms are coalesced only when indistinguishable at float resolution.  A
 # coarser merge (1e-12 was tried) misattributes mass across cells where the
@@ -56,6 +58,8 @@ class AtomicMeasure:
     boundary_supported: bool
     series: SeriesResult | None = None
     meta: dict = field(default_factory=dict)
+    # the depth shell the conformality residual pairs, kept by its first call
+    _shell: "_Shell | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def atom_count(self) -> int:
@@ -204,16 +208,18 @@ class _AtomStream:
 def _synthesize(group: SchottkyGroup, streams, s: float, max_length: int,
                 budget: int | None, kernel: QuotientSpec | None,
                 tail: TailCertificate | None, incomplete_cosets: bool = False,
-                consumers=()):
+                sums=(), consumers=(), on_level=()):
     """One walk merging, for each ``(values, place)`` stream, atoms at
     ``place(mats)`` weighted by ``values``, and their level blocks; further
-    ``consumers`` ride along.
+    ``sums``, ``consumers`` and ``on_level`` hooks ride along.
 
     Returns ``at(depth)`` for any depth up to ``max_length``: per stream the
     atoms of the words of length <= depth (a prefix of the enumeration
     order), merged and normalized by that depth's own level blocks, with
     their series, which is what a walk to ``depth`` alone would give.
-    ``at.walk`` is the :class:`~kleinian.group.Walk`.
+    ``at.walk`` is the :class:`~kleinian.group.Walk` and ``at.blocks`` the
+    streams' :class:`~kleinian.group.LevelSums`, closed at the depth of the
+    last ``at`` call.
     """
     blocks = [LevelSums(values) for values, _ in streams]
     atoms = [_AtomStream(group.dim + 1) for _ in streams]
@@ -227,38 +233,30 @@ def _synthesize(group: SchottkyGroup, streams, s: float, max_length: int,
             for merged in atoms:
                 merged.close(length)
 
-    done = walk(group, max_length, budget, kernel=kernel, sums=blocks,
-                consumers=[collect, *consumers], on_level=[close])
+    done = walk(group, max_length, budget, kernel=kernel, sums=[*blocks, *sums],
+                consumers=[collect, *consumers], on_level=[close, *on_level])
 
     def at(depth: int) -> list[tuple]:
         upto = done.upto(depth)
         out = []
-        for sums, merged in zip(blocks, atoms):
-            sums.finish(depth, upto.depth_completed)
-            series = _finish(upto, sums, s, tail, incomplete_cosets=incomplete_cosets)
+        for stream_sums, merged in zip(blocks, atoms):
+            stream_sums.finish(depth, upto.depth_completed)
+            series = finish_series(upto, stream_sums, s, tail,
+                                   incomplete_cosets=incomplete_cosets)
             pt, wt, ln = merged.at(depth)
             out.append((pt, wt / series.partial_sum, ln, series))
         return out
 
     at.walk = done
+    at.blocks = blocks
     return at
 
 
 def orbit_measure(group: SchottkyGroup, z: InteriorPoint, s: float, max_length: int,
                   budget: int | None = None) -> AtomicMeasure:
     """Normalized point masses j(w, z)^s at the orbit points w(z), w of length <= L."""
-    zc = embed3(z.coords)
-    stream = (lambda batch: interior_derivative_raw(batch.mats, zc) ** s,
-              lambda mats: apply_interior_raw(mats, zc))
-    [(points, weights, lengths, series)] = _synthesize(
-        group, [stream], s, max_length, budget, None, None)(max_length)
-    meta = {"base_point": z.coords.tolist(),
-            "enumeration": {"group": group, "point": embed3(z.coords),
-                            "kind": "interior", "kernel": None,
-                            "budget": budget}}
-    return AtomicMeasure(points, weights, lengths, group.dim, "orbit", s,
-                         max_length, boundary_supported=False, series=series,
-                         meta=meta)
+    return ending_measures(group, (), s, max_length, budget=budget,
+                           orbit_points=[z])(max_length)[0]
 
 
 def ending_measure(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
@@ -287,17 +285,28 @@ def ending_measures(group: SchottkyGroup, targets, s: float, max_length: int,
                     kernel: QuotientSpec | None = None,
                     budget: int | None = None,
                     tail: TailCertificate | None = None,
-                    check_domain: bool = True, consumers=()):
+                    check_domain: bool = True, *, orbit_points=(),
+                    sums=(), consumers=(), on_level=()):
     """The ending measures of :func:`ending_measure` at several targets and
     depths, from one walk to ``max_length``.
 
-    Returns ``at(depth)``, the tuple of measures (one per target) for any
-    depth up to ``max_length``; each is bit for bit the measure
-    ``ending_measure`` builds at that depth, budget cut included.  Extra
-    walk ``consumers`` see the same batches; ``at.walk`` is the walk.
+    Returns ``at(depth)``, the tuple of measures for any depth up to
+    ``max_length``: one per target, then the orbit measure of each interior
+    point in ``orbit_points``.  Each is bit for bit the measure
+    ``ending_measure`` (or ``orbit_measure``) builds at that depth, budget
+    cut included.  Orbit measures sum the whole group without a tail, so
+    they share no walk with a stabilizer, a kernel or a tail.
+
+    Extra ``sums``, ``consumers`` and ``on_level`` hooks ride on the walk;
+    a consumer's ``kept`` holds the measures' values first, then those of
+    ``sums``.  ``at.walk`` is the walk and ``at.blocks`` the measures' level
+    blocks (see :func:`_synthesize`).
     """
     if stab is not None and kernel is not None:
         raise ValueError("pass a stabilizer or a kernel restriction, not both")
+    if orbit_points and (kernel is not None or tail is not None
+                         or (stab is not None and stab.labels)):
+        raise ValueError("orbit measures sum the whole group without a tail")
     if check_domain:
         for zeta in targets:
             _check_target(group, zeta, stab, kernel)
@@ -311,26 +320,34 @@ def ending_measures(group: SchottkyGroup, targets, s: float, max_length: int,
         bc = embed3(zeta.coords)
         streams.append((lambda batch, bc=bc: boundary_derivative_raw(batch.mats, bc) ** s,
                         lambda mats, bc=bc: apply_boundary_raw(mats, bc)))
+    for z in orbit_points:
+        zc = embed3(z.coords)
+        streams.append((lambda batch, zc=zc: interior_derivative_raw(batch.mats, zc) ** s,
+                        lambda mats, zc=zc: apply_interior_raw(mats, zc)))
     synthesis = _synthesize(group, streams, s, max_length, budget, spec, tail,
                             incomplete_cosets=bool(stab is not None and stab.labels),
-                            consumers=consumers)
+                            sums=sums, consumers=consumers, on_level=on_level)
 
     def at(depth: int) -> tuple[AtomicMeasure, ...]:
         out = []
-        for zeta, (points, weights, lengths, series) in zip(targets, synthesis(depth)):
-            meta = {"target": zeta.coords.tolist(),
-                    "enumeration": {"group": group, "point": embed3(zeta.coords),
-                                    "kind": "boundary",
+        for i, (points, weights, lengths, series) in enumerate(synthesis(depth)):
+            boundary = i < len(targets)
+            point = targets[i] if boundary else orbit_points[i - len(targets)]
+            meta = {"target" if boundary else "base_point": point.coords.tolist(),
+                    "enumeration": {"group": group, "point": embed3(point.coords),
+                                    "kind": "boundary" if boundary else "interior",
                                     "kernel": spec, "budget": budget}}
             if kernel is not None:
                 meta["domain_check"] = ("skipped (subgroup measure; the subgroup's "
                                         "domain is larger)")
-            out.append(AtomicMeasure(points, weights, lengths, group.dim, "ending", s,
-                                     depth, boundary_supported=True, series=series,
+            out.append(AtomicMeasure(points, weights, lengths, group.dim,
+                                     "ending" if boundary else "orbit", s, depth,
+                                     boundary_supported=boundary, series=series,
                                      meta=meta))
         return tuple(out)
 
     at.walk = synthesis.walk
+    at.blocks = synthesis.blocks
     return at
 
 
@@ -387,12 +404,16 @@ def conformality_residual(mu: AtomicMeasure, g, s: float,
     words whose g-translate crosses the depth boundary, so the residual is
     controlled by the mass of the depth shell.
 
-    For measures synthesized from a word enumeration the two sides are
-    paired word by word through the chain rule, under which all interior
-    terms cancel identically and only the depth-shell stragglers remain;
-    this keeps the computation meaningful even when distinct deep atoms
-    are closer than float resolution.  Measures without enumeration data
-    (or restricted to a subgroup) fall back to the direct atom formula.
+    For a measure synthesized from a word enumeration of the whole group,
+    and a generator or inverse ``g``, the two sides are paired word by word
+    through the chain rule, under which all interior terms cancel
+    identically and only the depth-shell stragglers remain; this keeps the
+    computation meaningful even when distinct deep atoms are closer than
+    float resolution.  The first such call walks the measure's words once
+    (its depth and budget cut) and keeps the depth shell on the measure;
+    every later call, with any ``g`` or ``s``, is arithmetic on that record.
+    Other measures (restricted to a subgroup, or without enumeration data)
+    and other transforms fall back to the direct atom formula.
     """
     enum = mu.meta.get("enumeration")
     if enum is not None and enum.get("kernel") is None:
@@ -413,73 +434,104 @@ def conformality_residual(mu: AtomicMeasure, g, s: float,
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
-                                  enum: dict, letters: tuple[int, int]) -> float:
-    """Residual via the exact word pairing w = g v.
-
-    Every word v with |g v| <= L contributes j(g v, zeta)^s at the cell of
-    v(zeta) to both sides, cancelling exactly.  What remains per cell is
-
-      + weight(w)        for |w| = L not starting with the g letter,
-                         binned at g^{-1} w (zeta)  [mu(g A) keeps them]
-      - j(g v, zeta)^s/S for |v| = L not starting with the g^{-1} letter,
-                         binned at v(zeta)          [the integral keeps them]
-
-    both of which are depth-shell terms.
+@dataclass
+class _Shell:
+    """The words of length ``mu.depth`` of a measure's walk, in enumeration
+    order: first letters (-1 for the identity), raw derivatives j(v, p) at
+    the base point p, and v(p) in ball coordinates; for an interior p also
+    the exact half-space coordinates (z, t) of v(p).
     """
+
+    first: np.ndarray
+    jraw: np.ndarray
+    points: np.ndarray
+    z: np.ndarray | None = None
+    t: np.ndarray | None = None
+    # (cell count, slab start) -> the cell of each v(p), which no g changes
+    cells: dict = field(default_factory=dict)
+
+
+def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
+    """One walk of ``mu``'s words (its depth and budget), keeping the shell."""
     group: SchottkyGroup = enum["group"]
     point3 = embed3(np.asarray(enum["point"]))
     boundary = enum["kind"] == "boundary"
-    g_letter, ginv_letter = letters
-    # real for a dimension-1 group, like the word matrices of its walk
-    g_mat, ginv_mat = (t.matrix.real if group.dim == 1 else t.matrix
-                       for t in (g, g.inverse()))
     depth = mu.depth
+    # the words below a level-1 word are contiguous: (2k-1)^(L-1) at level L
+    below = (group.letter_count - 1) ** (depth - 1) if depth > 0 else 1
+    parts: list[tuple] = []
+
+    def shell(batch, words, kept) -> None:
+        if batch.length != depth:
+            return
+        index = batch.offset + np.arange(batch.last.shape[0])
+        first = (index // below if depth > 0 else np.full(1, -1)).astype(np.int16)
+        if boundary:
+            parts.append((first, boundary_derivative_raw(batch.mats, point3),
+                          apply_boundary_raw(batch.mats, point3)))
+        else:
+            z, t = apply_halfspace_raw(batch.mats, *ball_to_halfspace(point3))
+            parts.append((first, interior_derivative_raw(batch.mats, point3),
+                          halfspace_to_ball(z, t), z, t))
+
+    walk(group, depth, enum.get("budget"), consumers=[shell])
+    if not parts:   # the walk was cut before its top level
+        return _Shell(np.empty(0, dtype=np.int16), np.empty(0), np.empty((0, 3)))
+    return _Shell(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def _conorm(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """1 - |x|^2 of the ball point x at half-space coordinates (z, t), exactly."""
+    return 4.0 * t / (np.abs(z) ** 2 + (t + 1.0) ** 2)
+
+
+def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
+                                  enum: dict, letters: tuple[int, int]) -> float:
+    """Residual via the exact word pairing w = g v, on the depth shell.
+
+    Every word v with |g v| <= L contributes j(g v, p)^s at the cell of
+    v(p) to both sides, cancelling exactly.  What remains per cell is
+
+      + weight(w)        for |w| = L not starting with the g letter,
+                         binned at g^{-1} w (p)     [mu(g A) keeps them]
+      - j(g v, p)^s/S    for |v| = L not starting with the g^{-1} letter,
+                         binned at v(p)             [the integral keeps them]
+
+    both of which are depth-shell terms.  With the chain rule
+    j(g v, p) = j(g, v(p)) j(v, p) both come from the shell record: the
+    positions v(p), moved by g^{-1} and differentiated by g, and the raw
+    j(v, p).  Slabs of ``SLAB_WORDS`` words are binned in walk order.
+    """
+    if mu._shell is None:
+        mu._shell = _record_shell(mu, enum)
+    shell = mu._shell
+    g_letter, ginv_letter = letters
+    ginv = g.inverse()
     scale = mu.series.partial_sum
     net = np.zeros(cells)
-    first_by_level: list[np.ndarray] = []
-
-    def first_letters(batch) -> np.ndarray:
-        while len(first_by_level) <= batch.length:
-            first_by_level.append(np.empty(0, dtype=np.int16))
-        if batch.length == 0:
-            arr = np.array([-1], dtype=np.int16)
-        else:
-            parents = first_by_level[batch.length - 1][batch.parent]
-            arr = np.where(parents < 0, batch.last, parents).astype(np.int16)
-        first_by_level[batch.length] = np.concatenate(
-            [first_by_level[batch.length], arr])
-        return arr
 
     def bin_of(points: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(points, axis=1)
         dirs = points / np.where(norms > 0, norms, 1.0)[:, None]
         return _cell_index(dirs, mu.dim, cells)
 
-    def shell(batch, words, kept) -> None:
-        # first letters on every level; derivatives on the top level only
-        first = first_letters(batch)
-        if batch.length != depth:
-            return
-        pre_mats = matmul_raw(ginv_mat, batch.mats)
-        comp_mats = matmul_raw(g_mat, batch.mats)
-        if boundary:
-            jw = boundary_derivative_raw(batch.mats, point3) ** s
-            pos_v = apply_boundary_raw(batch.mats, point3)
-            pos_pre = apply_boundary_raw(pre_mats, point3)
-            jgv = boundary_derivative_raw(comp_mats, point3) ** s
+    for lo in range(0, shell.first.shape[0], SLAB_WORDS):
+        part = slice(lo, lo + SLAB_WORDS)
+        if shell.z is None:
+            pre = apply_boundary_raw(ginv.matrix, shell.points[part])
+            jg = _boundary_derivative_at_points(g, shell.points[part])
         else:
-            jw = interior_derivative_raw(batch.mats, point3) ** s
-            pos_v = apply_interior_raw(batch.mats, point3)
-            pos_pre = apply_interior_raw(pre_mats, point3)
-            jgv = interior_derivative_raw(comp_mats, point3) ** s
-        keep_lhs = first != g_letter
-        keep_rhs = first != ginv_letter
-        np.add.at(net, bin_of(pos_pre)[keep_lhs], jw[keep_lhs] / scale)
-        np.subtract.at(net, bin_of(pos_v)[keep_rhs], jgv[keep_rhs] / scale)
-
-    # the walk repeats the synthesis walk of ``mu``, budget cut included
-    walk(group, depth, enum.get("budget"), consumers=[shell])
+            z, t = shell.z[part], shell.t[part]
+            pre = halfspace_to_ball(*apply_halfspace_raw(ginv.matrix, z, t))
+            jg = _conorm(*apply_halfspace_raw(g.matrix, z, t)) / _conorm(z, t)
+        if (cells, lo) not in shell.cells:
+            shell.cells[cells, lo] = bin_of(shell.points[part])
+        jw = shell.jraw[part] ** s
+        keep_lhs = shell.first[part] != g_letter
+        keep_rhs = shell.first[part] != ginv_letter
+        np.add.at(net, bin_of(pre)[keep_lhs], jw[keep_lhs] / scale)
+        np.subtract.at(net, shell.cells[cells, lo][keep_rhs],
+                       (jg ** s * jw)[keep_rhs] / scale)
     return float(np.max(np.abs(net)))
 
 
@@ -502,8 +554,6 @@ def _boundary_derivative_at_points(g, points3: np.ndarray) -> np.ndarray:
 
 
 def _interior_derivative_at_points(g, points3: np.ndarray) -> np.ndarray:
-    from .mobius import apply_halfspace_raw, ball_to_halfspace
-
     z, t = ball_to_halfspace(points3)
     z2, t2 = apply_halfspace_raw(g.matrix, z, t)
     dd = np.abs(z2) ** 2 + (t2 + 1.0) ** 2

@@ -124,18 +124,24 @@ class TailCertificate:
 
 # --- the shared accumulation core ---------------------------------------------
 
-class _EqualSummands:
-    """Equal-summand matches between the summed values of consecutive levels."""
+class EqualSummands:
+    """Equal-summand matches between the values that the walk's
+    ``sums[stream]`` took from consecutive levels.
 
-    def __init__(self):
+    Rides on a walk as the consumer ``consume`` with the level hook
+    ``close``; :func:`finish_series` turns the matches into evidence.
+    """
+
+    def __init__(self, stream: int = 0):
+        self.stream = stream
         self.counts: list[int] = []        # matches per level pair
         self.fractions: list[float] = []   # matches relative to the smaller level
         self._prev: np.ndarray | None = None   # the previous level's values
         self._cur: list[np.ndarray] = []
 
     def consume(self, batch: WordBatch, words, kept) -> None:
-        if kept[0].shape[0]:
-            self._cur.append(kept[0])
+        if kept[self.stream].shape[0]:
+            self._cur.append(kept[self.stream])
 
     def close(self, length: int) -> None:
         cur = np.concatenate(self._cur) if self._cur else np.empty(0)
@@ -156,11 +162,11 @@ def _series(group: SchottkyGroup, values: Callable[[WordBatch], np.ndarray],
             incomplete_cosets: bool = False) -> SeriesResult:
     """One walk summing ``values`` by level, with equal-summand tracking."""
     blocks = LevelSums(values)
-    matches = _EqualSummands()
+    matches = EqualSummands()
     done = walk(group, max_length, budget, kernel=kernel, sums=[blocks],
                 consumers=[matches.consume], on_level=[matches.close])
-    return _finish(done, blocks, exponent, tail, matches,
-                   incomplete_cosets=incomplete_cosets)
+    return finish_series(done, blocks, exponent, tail, matches,
+                         incomplete_cosets=incomplete_cosets)
 
 
 def _count_equal_values(prev_sorted: np.ndarray, cur: np.ndarray) -> int:
@@ -195,7 +201,7 @@ def _fit_ratio(level_sums: Sequence[float]) -> float | None:
     return float(np.exp(np.mean(np.log(ratios))))
 
 
-def _build_verdict(done: Walk, blocks: LevelSums, matches: _EqualSummands | None,
+def _build_verdict(done: Walk, blocks: LevelSums, matches: EqualSummands | None,
                    tail: TailCertificate | None) -> tuple[Verdict, float | None, dict]:
     match_counts = matches.counts if matches is not None else []
     transcript: dict = {
@@ -231,9 +237,9 @@ def _build_verdict(done: Walk, blocks: LevelSums, matches: _EqualSummands | None
     return Verdict("inconclusive"), None, transcript
 
 
-def _finish(done: Walk, blocks: LevelSums, exponent: float,
-            tail: TailCertificate | None, matches: _EqualSummands | None = None, *,
-            incomplete_cosets: bool = False) -> SeriesResult:
+def finish_series(done: Walk, blocks: LevelSums, exponent: float,
+                  tail: TailCertificate | None, matches: EqualSummands | None = None, *,
+                  incomplete_cosets: bool = False) -> SeriesResult:
     """The series result of a walk's level blocks: partial sum, verdict, tail."""
     verdict, bound, transcript = _build_verdict(done, blocks, matches, tail)
     partial = math.fsum(blocks.level_sums + [blocks.tail_sum])
@@ -323,7 +329,7 @@ def reduced_horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: 
     for length in sorted(by_level):
         blocks.add(length, boundary_derivative_raw(np.stack(by_level[length]), bc) ** s)
     blocks.finish(max_length, done.depth_completed)
-    return _finish(done, blocks, s, tail, incomplete_cosets=True)
+    return finish_series(done, blocks, s, tail, incomplete_cosets=True)
 
 
 # --- certified tails -------------------------------------------------------------
@@ -512,6 +518,19 @@ def bounded_parabolic_domination(group: SchottkyGroup, zeta: BoundaryPoint, s: f
     measured b, whether reduced(<=d) <= e^{s b} poincare0(<=d) held at every
     depth, and how far the walk got.
     """
+    sums, gap, result = parabolic_domination(zeta, s)
+    return result(walk(group, max_length, budget, kernel=stab.quotient_for(group),
+                       sums=sums, consumers=[gap]))
+
+
+def parabolic_domination(zeta: BoundaryPoint, s: float):
+    """The walk riders behind :func:`bounded_parabolic_domination`, for a
+    walk over the stabilizer's retraction kernel that may carry more.
+
+    Returns ``(sums, gap, result)``: the two level sums (the reduced series
+    on the kernel words, P(0, s) on every word), the consumer measuring b,
+    and ``result(done)``, the domination record of the walk ``done``.
+    """
     bc = embed3(zeta.coords)
     raw: dict[str, np.ndarray] = {}   # the current batch's derivatives, for gap()
     b_measured = 0.0
@@ -533,21 +552,23 @@ def bounded_parabolic_domination(group: SchottkyGroup, zeta: BoundaryPoint, s: f
 
     reduced = LevelSums(boundary)
     poincare = LevelSums(interior, whole_group=True)
-    done = walk(group, max_length, budget, kernel=stab.quotient_for(group),
-                sums=[reduced, poincare], consumers=[gap])
-    factor = math.exp(s * b_measured)
-    red_cum = np.cumsum(reduced.level_sums)
-    poi_cum = np.cumsum(poincare.level_sums)
-    ok = bool(np.all(red_cum <= factor * poi_cum * (1.0 + 1e-12)))
-    return {
-        "b": b_measured,
-        "factor": factor,
-        "reduced_partials": red_cum.tolist(),
-        "poincare_partials": poi_cum.tolist(),
-        "dominated_at_every_depth": ok,
-        "depth_completed": done.depth_completed,
-        "budget_exhausted": done.budget_exhausted,
-    }
+
+    def result(done: Walk) -> dict:
+        factor = math.exp(s * b_measured)
+        red_cum = np.cumsum(reduced.level_sums)
+        poi_cum = np.cumsum(poincare.level_sums)
+        ok = bool(np.all(red_cum <= factor * poi_cum * (1.0 + 1e-12)))
+        return {
+            "b": b_measured,
+            "factor": factor,
+            "reduced_partials": red_cum.tolist(),
+            "poincare_partials": poi_cum.tolist(),
+            "dominated_at_every_depth": ok,
+            "depth_completed": done.depth_completed,
+            "budget_exhausted": done.budget_exhausted,
+        }
+
+    return [reduced, poincare], gap, result
 
 
 # --- exponent of convergence --------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from kleinian import BoundaryPoint, Disc, SchottkyGroup
 
@@ -64,3 +65,29 @@ def random_reduced_words(rng, group: SchottkyGroup, count: int, max_len: int):
                 letters.append(nxt)
         words.append(tuple(letters))
     return words
+
+
+@st.composite
+def schottky_groups(draw):
+    """Well-separated arc pairs on S^1, clear of the chart pole at angle 0."""
+    pairs = draw(st.integers(1, 2))
+    first = draw(st.floats(30.0, 50.0))
+    last = draw(st.floats(310.0, 330.0))
+    radius = draw(st.floats(2.0, 10.0))
+    centers = np.radians(np.linspace(first, last, 2 * pairs))
+    discs = [Disc.from_angles(float(c), math.radians(radius)) for c in centers]
+    order = draw(st.permutations(range(2 * pairs)))
+    return SchottkyGroup.from_disc_pairs(
+        1, [(discs[order[2 * i]], discs[order[2 * i + 1]]) for i in range(pairs)])
+
+
+@st.composite
+def cap_groups(draw):
+    """Two pairs of caps on S^2 centred on the +-y and +-z axes, clear of the
+    chart pole (1, 0, 0)."""
+    radius = draw(st.floats(0.2, 0.4))
+    axes = np.eye(3)[1:]
+    pairs = [(cap(a, radius), cap(-a, radius)) for a in axes]
+    if draw(st.booleans()):
+        pairs = [(minus, plus) for plus, minus in pairs]
+    return SchottkyGroup.from_disc_pairs(2, pairs, labels=["a", "b"])

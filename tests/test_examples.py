@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -256,3 +257,78 @@ def _example2_digests(result) -> dict:
               for est in (result.delta_group, result.delta_kernel)]
     return {"report": digest(result.report), "measures": digest(measures),
             "probes": digest(probes)}
+
+
+# --- the diagnostics builders against committed digests ----------------------------
+
+DIAGNOSTICS_SMALL = {
+    "example1": (Example1Config(depth=5, weak_depth=4, sequence_count=4),
+                 Example3Config(depth=6, identity_depth=5)),
+    "budget": (Example1Config(depth=5, budget=5000, weak_depth=3, sequence_count=3),
+               Example3Config(depth=6, identity_depth=4, budget=3000)),
+}
+
+
+def _diagnostics_digests(cfg1, cfg3, walks: dict | None = None) -> dict:
+    """SHA-256 of what ``build_example1``, ``example1_weak_trend`` and
+    ``build_example3`` return: reports, measures (points, weights, word
+    lengths, series), series with their transcripts, the weak trend and the
+    domination record.  ``walks`` collects the walk depths of each builder
+    when ``iter_word_batches`` is counted."""
+    def digest(data):
+        if not isinstance(data, bytes):
+            data = json.dumps(data, sort_keys=True, default=repr).encode()
+        return hashlib.sha256(data).hexdigest()
+
+    def measure(mu):
+        return digest(mu.points.tobytes() + mu.weights.tobytes()
+                      + mu.word_lengths.tobytes()
+                      + json.dumps(dataclasses.asdict(mu.series), sort_keys=True,
+                                   default=repr).encode())
+
+    def series(result):
+        return digest(dataclasses.asdict(result))
+
+    def run(name, build, *args):
+        if walks is not None:
+            walks["current"] = walks.setdefault(name, [])
+        return build(*args)
+
+    ex1 = run("build_example1", build_example1, cfg1)
+    trend = run("example1_weak_trend", example1_weak_trend, cfg1, ex1)
+    ex3 = run("build_example3", build_example3, cfg3)
+    return {
+        "example1_report": digest(ex1.report),
+        "example1_measure": measure(ex1.measure),
+        "example1_series": series(ex1.series),
+        "example1_weak_trend": digest(trend),
+        "example3_report": digest(ex3.report),
+        "example3_measure": measure(ex3.measure),
+        "example3_reduced": series(ex3.reduced),
+        "example3_unreduced": series(ex3.unreduced),
+        "example3_domination": digest(ex3.domination),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSTICS_SMALL))
+def test_diagnostics_builders_match_committed_hashes(name, monkeypatch):
+    golden = json.loads((GOLDEN / "diagnostics_small.sha256.json").read_text())
+    walks: dict = {}
+    enumerate_levels = kleinian.group.iter_word_batches
+
+    def counted(*args, **kwargs):
+        walks["current"].append(args[1])
+        return enumerate_levels(*args, **kwargs)
+
+    monkeypatch.setattr(kleinian.group, "iter_word_batches", counted)
+    cfg1, cfg3 = DIAGNOSTICS_SMALL[name]
+    assert _diagnostics_digests(cfg1, cfg3, walks) == golden[name]
+    del walks["current"]
+    # Example 1: the series rides on the measure's walk; the weak trend is
+    # one walk for every measure; Example 3: the reduced, unreduced and
+    # domination sums ride on the measure's kernel walk, beside the
+    # identity check's two small walks and the exponent probes
+    assert walks == {"build_example1": [cfg1.depth],
+                     "example1_weak_trend": [cfg1.weak_depth],
+                     "build_example3": [cfg3.depth, cfg3.identity_depth,
+                                        cfg3.identity_depth, 6]}

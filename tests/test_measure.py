@@ -2,19 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import kleinian.group
 from kleinian.errors import TargetNotInDomainClosure
 from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
-                            SchottkyGroup, ending_sequence, enumerate_words)
-from kleinian.measure import (MERGE_TOL, _AtomStream, _merge_atoms, classify_atomicity,
+                            SchottkyGroup, ending_sequence, enumerate_words, level_count,
+                            walk)
+from kleinian.measure import (DEFAULT_CELLS, MERGE_TOL, _AtomStream, _cell_index,
+                              _letters_of, _merge_atoms, classify_atomicity,
                               conformality_residual, ending_measure, orbit_measure,
                               singularity_diagnostic, support_gap, weak_distance)
-from kleinian.model import BoundaryPoint, InteriorPoint
+from kleinian.mobius import (apply_boundary_raw, apply_interior_raw,
+                             boundary_derivative_raw, interior_derivative_raw, matmul_raw)
+from kleinian.model import BoundaryPoint, InteriorPoint, embed3
 from kleinian.series import branch_contraction
 
-from conftest import arc
+from conftest import arc, cap_groups, schottky_groups
 
 DOMAIN_POINT = BoundaryPoint.from_angle(math.radians(108.0))
 
@@ -168,6 +173,107 @@ class TestConformalityResidual:
         mu = orbit_measure(group, z, 1.0, 6)
         g = group.generators[1].transform
         assert conformality_residual(mu, g, 1.0) <= 2.0 * mu.shell_mass() + 1e-15
+
+
+def _paired_reference(mu, g, s: float, cells: int = DEFAULT_CELLS) -> float:
+    """The paired conformality residual formed word by word: a walk of the
+    measure's words (its depth and budget) that multiplies g and g^-1 onto
+    every word v of the depth shell and evaluates j(g v, p) and g^-1 v (p)."""
+    enum = mu.meta["enumeration"]
+    group = enum["group"]
+    point3 = embed3(np.asarray(enum["point"]))
+    boundary = enum["kind"] == "boundary"
+    g_letter, ginv_letter = _letters_of(group, g)
+    assert g_letter >= 0
+    g_mat, ginv_mat = (t.matrix.real if group.dim == 1 else t.matrix
+                       for t in (g, g.inverse()))
+    scale = mu.series.partial_sum
+    net = np.zeros(cells)
+    first_by_level: list[np.ndarray] = []
+
+    def first_letters(batch) -> np.ndarray:
+        while len(first_by_level) <= batch.length:
+            first_by_level.append(np.empty(0, dtype=np.int16))
+        if batch.length == 0:
+            arr = np.array([-1], dtype=np.int16)
+        else:
+            parents = first_by_level[batch.length - 1][batch.parent]
+            arr = np.where(parents < 0, batch.last, parents).astype(np.int16)
+        first_by_level[batch.length] = np.concatenate([first_by_level[batch.length], arr])
+        return arr
+
+    def bin_of(points: np.ndarray) -> np.ndarray:
+        norms = np.linalg.norm(points, axis=1)
+        return _cell_index(points / np.where(norms > 0, norms, 1.0)[:, None], mu.dim, cells)
+
+    def shell(batch, words, kept) -> None:
+        first = first_letters(batch)
+        if batch.length != mu.depth:
+            return
+        pre_mats = matmul_raw(ginv_mat, batch.mats)
+        comp_mats = matmul_raw(g_mat, batch.mats)
+        if boundary:
+            jw = boundary_derivative_raw(batch.mats, point3) ** s
+            pos_v = apply_boundary_raw(batch.mats, point3)
+            pos_pre = apply_boundary_raw(pre_mats, point3)
+            jgv = boundary_derivative_raw(comp_mats, point3) ** s
+        else:
+            jw = interior_derivative_raw(batch.mats, point3) ** s
+            pos_v = apply_interior_raw(batch.mats, point3)
+            pos_pre = apply_interior_raw(pre_mats, point3)
+            jgv = interior_derivative_raw(comp_mats, point3) ** s
+        keep_lhs, keep_rhs = first != g_letter, first != ginv_letter
+        np.add.at(net, bin_of(pos_pre)[keep_lhs], jw[keep_lhs] / scale)
+        np.subtract.at(net, bin_of(pos_v)[keep_rhs], jgv[keep_rhs] / scale)
+
+    walk(group, mu.depth, enum["budget"], consumers=[shell])
+    return float(np.max(np.abs(net)))
+
+
+SHELL_POINTS = {1: (BoundaryPoint.from_angle(math.pi), InteriorPoint([0.1, -0.2])),
+                2: (BoundaryPoint([-0.8, 0.36, 0.48]), InteriorPoint([0.1, -0.2, 0.05]))}
+
+
+@settings(max_examples=25, deadline=None)
+@given(group=st.one_of(schottky_groups(), cap_groups()), depth=st.integers(0, 5),
+       kind=st.sampled_from(["ending", "orbit"]), s=st.floats(0.3, 1.5), data=st.data())
+def test_shell_residual_equals_the_word_pairing(group, depth, kind, s, data):
+    """The residual from the recorded shell (chain rule on stored positions)
+    agrees with the per-word matrix pairing for every letter, with and
+    without a budget cut, on both boundary dimensions."""
+    total = sum(level_count(group, length) for length in range(depth + 1))
+    budget = data.draw(st.one_of(st.none(), st.integers(1, total)))
+    zeta, z = SHELL_POINTS[group.dim]
+    mu = (ending_measure(group, zeta, s, depth, budget=budget, check_domain=False)
+          if kind == "ending" else orbit_measure(group, z, s, depth, budget=budget))
+    # one cell weighs both sides in full; the default cells locate them
+    for cells in (DEFAULT_CELLS, 1):
+        for gen in group.generators:
+            for g in (gen.transform, gen.transform.inverse()):
+                reference = _paired_reference(mu, g, s, cells)
+                residual = conformality_residual(mu, g, s, cells)
+                assert abs(residual - reference) <= 1e-12 * abs(reference)
+                event(f"{cells} cells: " + ("bit-equal" if residual == reference
+                                            else "within rel 1e-12, not bit-equal"))
+
+
+def test_residuals_of_one_measure_walk_once(group, monkeypatch):
+    mu = ending_measure(group, DOMAIN_POINT, 0.8, 5, stab=DeclaredStabilizer.trivial())
+    walks = []
+    enumerate_levels = kleinian.group.iter_word_batches
+
+    def counted(*args, **kwargs):
+        walks.append(args[1])
+        return enumerate_levels(*args, **kwargs)
+
+    monkeypatch.setattr(kleinian.group, "iter_word_batches", counted)
+    residuals = [conformality_residual(mu, t, 0.8) for gen in group.generators
+                 for t in (gen.transform, gen.transform.inverse())]
+    assert walks == [5]
+    assert residuals == pytest.approx([_paired_reference(mu, t, 0.8)
+                                       for gen in group.generators
+                                       for t in (gen.transform, gen.transform.inverse())],
+                                      rel=1e-12)
 
 
 class TestClassifyAtomicity:

@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 
 from kleinian.errors import BudgetExceeded
 from kleinian.group import (DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup,
-                            coset_representatives, enumerate_words, kernel_enumerate,
-                            level_count, walk)
+                            WordTable, coset_representatives, enumerate_words,
+                            kernel_enumerate, level_count, walk)
 from kleinian.limits import horoball_entry, horoball_scan, radial_profile
 from kleinian.measure import ending_measure, ending_measures, orbit_measure
-from kleinian.model import BoundaryPoint, Disc, InteriorPoint
+from kleinian.mobius import boundary_derivative_raw
+from kleinian.model import BoundaryPoint, InteriorPoint, embed3
 from kleinian.series import (bounded_parabolic_domination, horospherical_partial,
                              poincare_partial, reduced_horospherical_partial)
+
+from conftest import schottky_groups
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kleinian"
 DOMAIN_POINT = BoundaryPoint.from_angle(math.radians(108.0))
@@ -191,20 +194,6 @@ def test_walk_before_the_identity(std_group):
     assert blocks.level_sums == [] and blocks.tail_sum == 0.0
 
 
-@st.composite
-def schottky_groups(draw):
-    """Well-separated arc pairs on S^1, clear of the chart pole at angle 0."""
-    pairs = draw(st.integers(1, 2))
-    first = draw(st.floats(30.0, 50.0))
-    last = draw(st.floats(310.0, 330.0))
-    radius = draw(st.floats(2.0, 10.0))
-    centers = np.radians(np.linspace(first, last, 2 * pairs))
-    discs = [Disc.from_angles(float(c), math.radians(radius)) for c in centers]
-    order = draw(st.permutations(range(2 * pairs)))
-    return SchottkyGroup.from_disc_pairs(
-        1, [(discs[order[2 * i]], discs[order[2 * i + 1]]) for i in range(pairs)])
-
-
 @settings(max_examples=15, deadline=None)
 @given(group=schottky_groups(), depth=st.integers(1, 5))
 def test_level_counts_follow_the_free_group(group, depth):
@@ -231,6 +220,62 @@ def test_budget_cut_is_a_prefix(group, depth, data):
     assert cut.level_sums == full.level_sums[: complete + 1]
     assert cut.transcript["level_counts"] == full.transcript["level_counts"][: complete + 1]
     assert cut.partial_sum <= full.partial_sum
+
+
+@settings(max_examples=15, deadline=None)
+@given(group=schottky_groups(), depth=st.integers(1, 5), data=st.data())
+def test_kernel_walk_is_the_masked_whole_walk(group, depth, data):
+    """A kernel walk's level sums, and the words and values its consumers
+    see, are a whole walk's per-word values and words masked by kernel
+    membership (taken from ``kernel_enumerate``), bit for bit."""
+    labels = [gen.label for gen in group.generators]
+    killed = data.draw(st.sets(st.sampled_from(labels), min_size=1))
+    spec = QuotientSpec("free", {l: () if l in killed else (l,) for l in labels})
+    total = sum(level_count(group, length) for length in range(depth + 1))
+    budget = data.draw(st.one_of(st.none(), st.integers(1, total)))
+    bc = embed3(BoundaryPoint.from_angle(math.pi).coords)
+
+    def values(batch):
+        return boundary_derivative_raw(batch.mats, bc) ** 0.7
+
+    members = set()
+    try:
+        for word, _ in kernel_enumerate(group, spec, depth, budget):
+            members.add(word.letters)
+    except BudgetExceeded:
+        pass
+    table = WordTable(group)
+    keep: list[np.ndarray] = []   # the current batch's kernel mask
+
+    def masked(batch):
+        table.record(batch)
+        keep[:] = [np.array([table.word(batch.length, batch.offset + i).letters in members
+                             for i in range(batch.last.shape[0])], dtype=bool)]
+        return values(batch)[keep[0]]
+
+    def seen_by(record):
+        def consume(batch, words, kept):
+            if words is batch:   # the whole walk: mask it
+                rows = np.flatnonzero(keep[0])
+                mats = batch.mats[rows]
+            else:
+                rows, mats = words.rows, words.mats
+            record.append((batch.length, batch.offset + rows, mats.tobytes(),
+                           kept[0].tobytes()))
+        return consume
+
+    pruned, whole = LevelSums(values), LevelSums(masked)
+    by_kernel, by_mask = [], []
+    done = walk(group, depth, budget, kernel=spec, sums=[pruned],
+                consumers=[seen_by(by_kernel)])
+    reference = walk(group, depth, budget, sums=[whole], consumers=[seen_by(by_mask)])
+    assert (done.depth_completed, done.budget_exhausted) == (
+        reference.depth_completed, reference.budget_exhausted)
+    assert np.array(pruned.level_sums).tobytes() == np.array(whole.level_sums).tobytes()
+    assert (pruned.level_counts, pruned.tail_sum) == (whole.level_counts, whole.tail_sum)
+    assert len(by_kernel) == len(by_mask)
+    for (l1, i1, m1, v1), (l2, i2, m2, v2) in zip(by_kernel, by_mask):
+        assert (l1, m1, v1) == (l2, m2, v2) and np.array_equal(i1, i2)
 
 
 @settings(max_examples=15, deadline=None)
