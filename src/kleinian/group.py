@@ -1,12 +1,17 @@
 """Schottky-type groups: paired-disc generators and reduced-word machinery.
 
 The enumeration engine works on whole word-length levels at a time with
-numpy arrays: a level is described by its last-letter and parent-index
-arrays plus the evaluated matrices, and children are produced in
-breadth-first, parent-major / letter-minor order, which makes the stream
-deterministic and the per-level matrix array double as the prefix cache.
+numpy arrays: a level is its last letters plus its matrices, stored
+component-major as one (2, 2, n) array so that every entry read or written
+is contiguous.  Children are produced in breadth-first, parent-major /
+letter-minor order, which makes the stream deterministic and the level
+array double as the prefix cache.  A slab's children are one broadcast
+product of its parents' matrices with a per-walk table of the letters that
+may follow each last letter, so no parent matrix is gathered per child.
 The final level of a deep run is emitted in slabs so its matrices never
-have to be held in memory at once.
+have to be held in memory at once.  Level sums take one correctly rounded
+sum per batch (:func:`exact_sum`, equal to ``math.fsum``), then one per
+level.
 
 Letters are integers: generator ``i`` contributes letters ``2*i`` (the
 generator) and ``2*i + 1`` (its inverse); ``letter ^ 1`` is the inverse.
@@ -253,20 +258,23 @@ class WordBatch:
                          self.mats[rows], self.final, rows)
 
 
-def _children(prev_last: np.ndarray, branching: int, lo: int, hi: int
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """(parent index, letter) of the words ``lo`` .. ``hi - 1`` of a level
-    beyond the first, in parent-major, letter-minor order.
+def _successors(letter_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The letters that may follow each last letter, and their matrices.
 
-    Word i is extension r = i mod (2k - 1) of parent i div (2k - 1): the
-    r-th letter, skipping the inverse of the parent's last letter.
+    Row ``a`` of the (2k, 2k - 1) letter table lists the letters other than
+    ``a ^ 1`` in increasing order, the order of a parent's children; the
+    matrices come component-major, as a (2, 2, 2k, 2k - 1) array.
     """
-    first, last = lo // branching, (hi - 1) // branching + 1   # parents touched
-    cut = slice(lo - first * branching, hi - first * branching)
-    parent = np.repeat(np.arange(first, last, dtype=np.int64), branching)[cut]
-    r = np.tile(np.arange(branching, dtype=np.int16), last - first)[cut]
-    skip = np.repeat(prev_last[first:last] ^ 1, branching)[cut]
-    return parent, r + (r >= skip)
+    k2 = letter_mats.shape[0]
+    r = np.arange(k2 - 1, dtype=np.int16)
+    skip = (np.arange(k2, dtype=np.int16) ^ 1)[:, None]
+    letters = r + (r >= skip).astype(np.int16)
+    return letters, np.ascontiguousarray(letter_mats[letters].transpose(2, 3, 0, 1))
+
+
+def _matrices(components: np.ndarray) -> np.ndarray:
+    """The (..., 2, 2) view of a component-major (2, 2, ...) array."""
+    return np.moveaxis(components, (0, 1), (-2, -1))
 
 
 def iter_word_batches(group: SchottkyGroup, max_length: int,
@@ -283,30 +291,32 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     """
     letter_mats = group.letter_matrices
     k2 = group.letter_count
-    generated = 0
 
     if budget is not None and budget < 1:
         raise BudgetExceeded("node budget exhausted before the identity word",
                              words_generated=0, depth_completed=-1)
-    identity = np.eye(2, dtype=letter_mats.dtype)[None, :, :]
+    identity = np.eye(2, dtype=letter_mats.dtype)
     root = WordBatch(0, 0, np.array([-1], dtype=np.int16),
-                     np.array([0], dtype=np.int64), identity, final=True)
+                     np.array([0], dtype=np.int64), identity[None], final=True)
     generated = 1
     yield root
-    if max_length == 0:
+    if max_length == 0 or k2 == 0:
         return
 
-    prev_mats = identity
-    prev_last = root.last
-    length = 1
-    while length <= max_length:
-        # the identity has 2k children, every other word 2k - 1
-        branching = k2 if length == 1 else k2 - 1
-        total = prev_last.shape[0] * branching
+    # A level is (2, 2, n): entry (i, k) of its n matrices is contiguous.
+    # The identity's children are every letter; any other word's children
+    # are the successors of its last letter, found by ``keys``.
+    prev = identity[:, :, None]
+    keys = np.zeros(1, dtype=np.int16)
+    table = np.arange(k2, dtype=np.int16)[None], letter_mats.transpose(1, 2, 0)[:, :, None]
+    for length in range(1, max_length + 1):
+        letter_table, mat_table = table
+        branching = letter_table.shape[1]
+        total = keys.shape[0] * branching
         is_top = length == max_length
         if not is_top:   # the prefix cache of the next level
-            next_mats = np.empty((total, 2, 2), dtype=letter_mats.dtype)
-            next_last = np.empty(total, dtype=np.int16)
+            level = np.empty((2, 2, total), dtype=letter_mats.dtype)
+            level_last = np.empty(total, dtype=np.int16)
         pos = 0
         while pos < total:
             hi = min(pos + slab, total)
@@ -314,17 +324,27 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
             if cut:
                 hi = pos + (budget - generated)
             if hi > pos:
-                if length == 1:
-                    parents = np.zeros(hi - pos, dtype=np.int64)
-                    letters = np.arange(pos, hi, dtype=np.int16)
+                # the children of the parents touched, cut to [pos, hi)
+                first, last = pos // branching, (hi - 1) // branching + 1
+                words = slice(pos - first * branching, hi - first * branching)
+                if is_top:
+                    block = np.empty((2, 2, last - first, branching), dtype=letter_mats.dtype)
                 else:
-                    parents, letters = _children(prev_last, branching, pos, hi)
-                chunk = _compose_chunk(prev_mats, letter_mats, parents, letters)
+                    block = level.reshape(2, 2, -1, branching)[:, :, first:last]
+                parent_keys = keys[first:last]
+                matmul_raw(_matrices(prev[:, :, first:last, None]),
+                           _matrices(np.take(mat_table, parent_keys, axis=2)),
+                           _matrices(block))
+                letters = letter_table[parent_keys].ravel()[words]
+                parents = np.repeat(np.arange(first, last, dtype=np.int64), branching)[words]
                 if not is_top:
-                    next_mats[pos:hi] = chunk
-                    next_last[pos:hi] = letters
+                    level_last[pos:hi] = letters
+                mats = _matrices(block.reshape(2, 2, -1)[:, :, words])
+                mats.flags.writeable = False   # below the top, a view of the prefix cache
+                if is_top and hi == total:   # the last slab: free the cache first
+                    prev = keys = None
                 generated += hi - pos
-                yield WordBatch(length, pos, letters, parents, chunk,
+                yield WordBatch(length, pos, letters, parents, mats,
                                 final=not cut and hi == total)
             if cut:
                 raise BudgetExceeded(
@@ -333,14 +353,9 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
             pos = hi
         if is_top:
             return
-        prev_mats = next_mats
-        prev_last = next_last
-        length += 1
-
-
-def _compose_chunk(prev_mats: np.ndarray, letter_mats: np.ndarray,
-                   parents: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    return matmul_raw(prev_mats[parents], letter_mats[letters])
+        prev, keys = level, level_last
+        if length == 1:
+            table = _successors(letter_mats)
 
 
 class WordTable:
@@ -370,8 +385,46 @@ class WordTable:
 
 # --- the walker -----------------------------------------------------------------
 
+EXACT_SUM_MIN = 64   # shorter batches are summed by math.fsum directly
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """``math.fsum(values.tolist())``, bit for bit, without the Python list.
+
+    Both are correctly rounded, so they are the same double.  Each value is
+    m 2^(e - 53) with m an integer below 2^53 in magnitude; m is split into
+    26- and 27-bit halves, which ``np.bincount`` sums by exponent exactly,
+    since fewer than 2^26 of them stay below 2^53.  The buckets are
+    combined as Python ints and rounded once.  Short, non-finite, huge or
+    non-float64 batches, and sums that are zero or not normal, go to
+    ``math.fsum``.
+    """
+    n = values.shape[0]
+    if values.dtype != np.float64 or not EXACT_SUM_MIN <= n < 1 << 26:
+        return math.fsum(values.tolist())
+    mant, exp = np.frexp(values)
+    if not np.isfinite(mant).all():
+        return math.fsum(values.tolist())
+    lowest, highest = int(exp.min()), int(exp.max())
+    if highest + n.bit_length() > 1022:   # fsum could overflow on the way
+        return math.fsum(values.tolist())
+    high = np.trunc(mant * 2.0 ** 26)
+    low = (mant * 2.0 ** 26 - high) * 2.0 ** 27
+    bucket = exp - lowest
+    total = 0
+    for shift, (h, l) in enumerate(zip(np.bincount(bucket, weights=high).tolist(),
+                                       np.bincount(bucket, weights=low).tolist())):
+        if h or l:
+            total += (int(h) << (shift + 27)) + (int(l) << shift)
+    scale = lowest - 53
+    result = float(total << scale) if scale >= 0 else total / (1 << -scale)
+    if abs(result) < 2.0 ** -1022:   # zero or subnormal
+        return math.fsum(values.tolist())
+    return result
+
+
 class LevelSums:
-    """Level blocks of one value stream: ``math.fsum`` per batch, then per level.
+    """Level blocks of one value stream: an exact sum per batch, then per level.
 
     ``values(words)`` gives one value per word of a batch; on a kernel walk
     it is handed only the kernel words unless ``whole_group`` is set.  After
@@ -390,7 +443,7 @@ class LevelSums:
         while len(self._parts) <= length:
             self._parts.append([])
             self._counts.append(0)
-        self._parts[length].append(math.fsum(values.tolist()))
+        self._parts[length].append(exact_sum(values))
         self._counts[length] += values.shape[0]
 
     def finish(self, depth: int, depth_completed: int) -> None:
@@ -498,15 +551,22 @@ def level_count(group: SchottkyGroup, length: int) -> int:
 
 @dataclass(frozen=True)
 class QuotientSpec:
-    """Homomorphism onto a free or free-abelian target, by generator images.
+    """Homomorphism onto a free target, by generator images.
 
     ``images`` maps each generator label to a word in target symbols, e.g.
     ``{"a": (), "b": ("b",)}`` kills ``a`` and keeps ``b``.  Because the
-    domain is free the assignment always extends to a homomorphism.
+    domain is free the assignment always extends to a homomorphism.  Only
+    ``target_kind="free"`` is tracked; any other kind is rejected, since
+    tracking it as free would give the wrong kernel.
     """
 
-    target_kind: str                      # "free" | "abelian"
+    target_kind: str
     images: dict[str, tuple[str, ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.target_kind != "free":
+            raise ValueError(f"unsupported quotient target kind {self.target_kind!r}; "
+                             "only 'free' quotients are tracked")
 
     def target_symbols(self) -> tuple[str, ...]:
         seen: list[str] = []

@@ -416,10 +416,17 @@ def conformality_residual(mu: AtomicMeasure, g, s: float,
     and other transforms fall back to the direct atom formula.
     """
     enum = mu.meta.get("enumeration")
-    if enum is not None and enum.get("kernel") is None:
-        letters = _letters_of(enum["group"], g)
-        if letters[0] >= 0:
-            return _conformality_residual_paired(mu, g, s, cells, enum, letters)
+    letters = (_letters_of(enum["group"], g)
+               if enum is not None and enum.get("kernel") is None else (-2, -2))
+    residual = (_conformality_residual_paired(mu, g, s, cells, enum, letters)
+                if letters[0] >= 0 else _conformality_residual_direct(mu, g, s, cells))
+    if math.isnan(residual):
+        raise FloatingPointError("the conformality residual is NaN")
+    return residual
+
+
+def _conformality_residual_direct(mu: AtomicMeasure, g, s: float, cells: int) -> float:
+    """The transformation rule checked on the atoms as they stand."""
     emb = embed3(mu.points)
     ginv = g.inverse()
     if mu.boundary_supported:
@@ -536,13 +543,26 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
 
 
 def _letters_of(group: SchottkyGroup, g) -> tuple[int, int]:
-    """Letter indices of a generator transform and its inverse (-2 if absent)."""
+    """Letter indices of a generator transform and its inverse (-2 if absent).
+
+    Matrices are compared projectively at a relative tolerance, so a letter
+    re-normalized on its way in (``group.letter_transform(e)``) is matched.
+    """
     for idx, gen in enumerate(group.generators):
-        if gen.transform.is_close(g, tol=1e-12):
+        if _projectively_close(gen.transform.matrix, g.matrix):
             return 2 * idx, 2 * idx + 1
-        if gen.transform.inverse().is_close(g, tol=1e-12):
+        if _projectively_close(gen.transform.inverse().matrix, g.matrix):
             return 2 * idx + 1, 2 * idx
     return -2, -2
+
+
+def _projectively_close(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when ``a`` and ``b`` are proportional up to a relative 1e-9: every
+    2x2 minor of their entry vectors, side by side, is that small against
+    the product of their largest entries."""
+    u, v = a.reshape(4), b.reshape(4)
+    minors = np.outer(u, v) - np.outer(v, u)
+    return float(np.max(np.abs(minors))) <= 1e-9 * float(np.max(np.abs(u)) * np.max(np.abs(v)))
 
 
 def _boundary_derivative_at_points(g, points3: np.ndarray) -> np.ndarray:
@@ -554,11 +574,18 @@ def _boundary_derivative_at_points(g, points3: np.ndarray) -> np.ndarray:
 
 
 def _interior_derivative_at_points(g, points3: np.ndarray) -> np.ndarray:
+    """j(g, x) = (1 - |g x|^2) / (1 - |x|^2) at ball points x.
+
+    Both co-norms come from the half-space identity 1 - |eta|^2 = 4 t / d,
+    d = |z|^2 + (t + 1)^2, and g divides t by |c z + d|^2 + |c|^2 t^2, so
+    the ratio is formed without 1 - |x|^2 and without dividing by t, either
+    of which rounds to nothing near the sphere.
+    """
     z, t = ball_to_halfspace(points3)
     z2, t2 = apply_halfspace_raw(g.matrix, z, t)
-    dd = np.abs(z2) ** 2 + (t2 + 1.0) ** 2
-    nsq = np.einsum("ij,ij->i", points3, points3)
-    return (4.0 * t2 / dd) / (1.0 - nsq)
+    c, d = g.matrix[1, 0], g.matrix[1, 1]
+    stretch = np.abs(c * z + d) ** 2 + np.abs(c) ** 2 * t ** 2
+    return (np.abs(z) ** 2 + (t + 1.0) ** 2) / (stretch * (np.abs(z2) ** 2 + (t2 + 1.0) ** 2))
 
 
 # --- atomicity ------------------------------------------------------------------

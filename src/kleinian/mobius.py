@@ -64,20 +64,28 @@ def normalize_matrix(matrix: np.ndarray) -> np.ndarray:
     return _canonical_sign(m / np.sqrt(det))
 
 
-def matmul_raw(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def matmul_raw(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Products x @ y of 2x2 matrices (..., 2, 2), broadcast over leading axes.
 
     Each entry is a sum of two products without fused multiply-adds, as
     ``np.einsum`` forms it.  Real matrices (the walks of dimension-1 groups)
     get the products written out, which is over twice as fast as einsum and
-    rounds as einsum does on the same matrices stored complex.
+    rounds as einsum does on the same matrices stored complex.  ``out`` may
+    be any view of the broadcast shape; the level engine passes views of
+    component-major (2, 2, ...) arrays, so that every entry it reads and
+    writes is contiguous.
     """
     if np.iscomplexobj(x) or np.iscomplexobj(y):
-        return np.einsum("...ij,...jk->...ik", x, y)
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+        return np.einsum("...ij,...jk->...ik", x, y, out=out)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    if out is None:
+        out = np.empty(shape)
+    term = np.empty(shape[:-2])
     for i in (0, 1):
         for k in (0, 1):
-            out[..., i, k] = x[..., i, 0] * y[..., 0, k] + x[..., i, 1] * y[..., 1, k]
+            entry = out[..., i, k]
+            np.multiply(x[..., i, 0], y[..., 0, k], out=entry)
+            entry += np.multiply(x[..., i, 1], y[..., 1, k], out=term)
     return out
 
 

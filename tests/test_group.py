@@ -207,6 +207,11 @@ class TestQuotients:
         full = {w.letters for w, _ in kernel_enumerate(std_group, spec, 3)}
         assert full == {()}
 
+    @pytest.mark.parametrize("kind", ["abelian", "Free", ""])
+    def test_only_free_targets_are_accepted(self, kind):
+        with pytest.raises(ValueError, match="target kind"):
+            QuotientSpec(kind, {"a": ("a",), "b": ("b",)})
+
     def test_kernel_closed_under_inversion(self, std_group):
         spec = QuotientSpec("free", {"a": (), "b": ("b",)})
         kernel = {w.letters for w, _ in kernel_enumerate(std_group, spec, 4)}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import kleinian.group
 from kleinian.errors import TargetNotInDomainClosure
+from kleinian.examples import Example1Config, example1_group
 from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
                             SchottkyGroup, ending_sequence, enumerate_words, level_count,
                             walk)
@@ -15,7 +16,8 @@ from kleinian.measure import (DEFAULT_CELLS, MERGE_TOL, _AtomStream, _cell_index
                               conformality_residual, ending_measure, orbit_measure,
                               singularity_diagnostic, support_gap, weak_distance)
 from kleinian.mobius import (apply_boundary_raw, apply_interior_raw,
-                             boundary_derivative_raw, interior_derivative_raw, matmul_raw)
+                             boundary_derivative_raw, interior_derivative_raw, matmul_raw,
+                             Transform)
 from kleinian.model import BoundaryPoint, InteriorPoint, embed3
 from kleinian.series import branch_contraction
 
@@ -173,6 +175,43 @@ class TestConformalityResidual:
         mu = orbit_measure(group, z, 1.0, 6)
         g = group.generators[1].transform
         assert conformality_residual(mu, g, 1.0) <= 2.0 * mu.shell_mass() + 1e-15
+
+
+@pytest.fixture(scope="module")
+def example1():
+    return example1_group(Example1Config())[0]
+
+
+@pytest.mark.parametrize("depth", [3, 5, 7])
+def test_letter_transforms_take_the_paired_path(example1, depth):
+    """``group.letter_transform(e)`` re-normalizes the stored letter; it is
+    still recognized as letter e, and its residual is the generator's."""
+    mu = orbit_measure(example1, InteriorPoint([0.1, -0.2]), 0.5, depth)
+    for e in range(example1.letter_count):
+        gen = example1.generators[e // 2].transform
+        own = gen if e % 2 == 0 else gen.inverse()
+        g = example1.letter_transform(e)
+        assert _letters_of(example1, g) == (e, e ^ 1)
+        residual = conformality_residual(mu, g, 0.5)
+        assert residual == pytest.approx(conformality_residual(mu, own, 0.5), rel=1e-9)
+        assert residual <= 2.0 * mu.shell_mass()
+
+
+def test_direct_residual_on_deep_orbit_atoms(example1):
+    """A transform that is no letter takes the direct formula, whose
+    co-norms near the sphere stay finite."""
+    mu = orbit_measure(example1, InteriorPoint([0.1, -0.2]), 0.5, 7)
+    g = example1.word_transform((0, 2))
+    assert _letters_of(example1, g) == (-2, -2)
+    with np.errstate(all="raise"):
+        assert math.isfinite(conformality_residual(mu, g, 0.5))
+
+
+def test_nan_residual_raises():
+    mu = one_atom_measure(1.0)
+    mu.weights = np.array([math.nan])
+    with pytest.raises(FloatingPointError, match="NaN"):
+        conformality_residual(mu, Transform.identity(1), 1.0)
 
 
 def _paired_reference(mu, g, s: float, cells: int = DEFAULT_CELLS) -> float:

@@ -7,16 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kleinian.errors import BudgetExceeded
-from kleinian.group import (DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup,
-                            WordTable, coset_representatives, enumerate_words,
-                            kernel_enumerate, level_count, walk)
+from kleinian.examples import Example3Config, example3_group
+from kleinian.group import (EXACT_SUM_MIN, DeclaredStabilizer, LevelSums, QuotientSpec,
+                            SchottkyGroup, WordTable, coset_representatives, enumerate_words,
+                            exact_sum, iter_word_batches, kernel_enumerate, level_count, walk)
 from kleinian.limits import horoball_entry, horoball_scan, radial_profile
 from kleinian.measure import ending_measure, ending_measures, orbit_measure
-from kleinian.mobius import boundary_derivative_raw
+from kleinian.mobius import boundary_derivative_raw, matmul_raw
 from kleinian.model import BoundaryPoint, InteriorPoint, embed3
 from kleinian.series import (bounded_parabolic_domination, horospherical_partial,
                              poincare_partial, reduced_horospherical_partial)
@@ -304,6 +305,108 @@ def test_real_walk_gives_the_complex_bits(group, depth):
         for field in ("points", "weights", "word_lengths"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
         assert bits(a.series.level_sums) == bits(b.series.level_sums)
+
+
+# --- the level engine's bits ---------------------------------------------------------
+
+def _reference_levels(group, depth):
+    """Each level's (parents, letters, matrices), built one level at a time
+    by gathering the parents' matrices and multiplying by the letters'."""
+    letter_mats = group.letter_matrices
+    mats, last = np.eye(2, dtype=letter_mats.dtype)[None], [-1]
+    levels = []
+    for _ in range(depth):
+        children = [(p, l) for p, a in enumerate(last) for l in range(group.letter_count)
+                    if a < 0 or l != a ^ 1]
+        parents = np.array([p for p, _ in children], dtype=np.int64)
+        letters = np.array([l for _, l in children], dtype=np.int16)
+        mats = matmul_raw(mats[parents], letter_mats[letters])
+        last = letters.tolist()
+        levels.append((parents, letters, mats))
+    return levels
+
+
+@pytest.mark.parametrize("name", ["std_group", "std_group_2d", "example3"])
+@pytest.mark.parametrize("slab", [7, 1000])
+def test_batches_are_the_level_by_level_products(name, slab, request):
+    """Every batch's matrices, parents, letters, offset and ``final`` flag
+    equal the gather-and-multiply reference, bit for bit, for slabs that
+    are no multiple of 2k - 1 and for budgets that cut inside one parent's
+    children."""
+    group = (example3_group(Example3Config())[0] if name == "example3"
+             else request.getfixturevalue(name))
+    depth = 4
+    levels = _reference_levels(group, depth)
+    sizes = [1] + [letters.shape[0] for _, letters, _ in levels]
+    before = np.cumsum([0] + sizes)          # words of the levels below each level
+    branching = group.letter_count - 1
+    budgets = [None, int(before[-1]), int(before[2]) + branching + 1,
+               int(before[depth]) + branching + 2]
+    for budget in budgets:
+        seen = [0] * (depth + 1)
+        try:
+            for batch in iter_word_batches(group, depth, budget, slab=slab):
+                m = batch.last.shape[0]
+                assert 0 < m <= slab and batch.offset == seen[batch.length]
+                assert batch.final == (batch.offset + m == sizes[batch.length])
+                seen[batch.length] += m
+                if batch.length == 0:
+                    assert batch.mats.tobytes() == np.eye(2, dtype=group.letter_matrices.dtype
+                                                          ).tobytes()
+                    continue
+                parents, letters, mats = levels[batch.length - 1]
+                rows = slice(batch.offset, batch.offset + m)
+                assert np.array_equal(batch.parent, parents[rows])
+                assert np.array_equal(batch.last, letters[rows])
+                assert batch.mats.tobytes() == mats[rows].tobytes()
+        except BudgetExceeded as cut:
+            assert budget is not None and cut.words_generated == budget
+        assert sum(seen) == (before[-1] if budget is None else min(budget, before[-1]))
+
+
+# --- exact batch sums ------------------------------------------------------------------
+
+def _sum_outcome(add, values):
+    """The bits of a sum, or the name of what it raised."""
+    try:
+        return add(values).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-300, 300)),   # ~600 binades
+    st.floats(-1e-307, 1e-307),                                            # subnormals too
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(FINITE, min_size=EXACT_SUM_MIN, max_size=400))
+@example(values=[])
+@example(values=[0.1])
+@example(values=[0.0] * 100)
+@example(values=[-0.0] * 100)
+@example(values=[1.0, -1.0] * 50)
+@example(values=[5e-324] * 100)
+@example(values=[2.0 ** -1000] * 70 + [-(2.0 ** -1000)] * 69)
+def test_exact_sum_is_fsum_bit_for_bit(values):
+    array = np.array(values, dtype=np.float64)
+    assert _sum_outcome(exact_sum, array) == _sum_outcome(
+        lambda a: math.fsum(a.tolist()), array)
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(FINITE, min_size=EXACT_SUM_MIN, max_size=200),
+       special=st.lists(st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308]),
+                        min_size=1, max_size=3),
+       data=st.data())
+def test_exact_sum_falls_back_on_non_finite_and_huge_values(values, special, data):
+    for value in special:
+        values.insert(data.draw(st.integers(0, len(values))), value)
+    array = np.array(values, dtype=np.float64)
+    assert _sum_outcome(exact_sum, array) == _sum_outcome(
+        lambda a: math.fsum(a.tolist()), array)
 
 
 # --- the single-walker rule --------------------------------------------------------
