@@ -274,11 +274,10 @@ def cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
         "series": measure.series.summary(),
     }
     if cfg.stabilizer is not None:
-        from .measure import classify_atomicity as _clf
-
-        verdict = _clf(cfg.group, cfg.target, cfg.exponent, cfg.stabilizer,
-                       cfg.depth, budget=cfg.budget, tail=cfg.certificate,
-                       precomputed_series=measure.series)
+        verdict = classify_atomicity(cfg.group, cfg.target, cfg.exponent,
+                                     cfg.stabilizer, cfg.depth, budget=cfg.budget,
+                                     tail=cfg.certificate,
+                                     precomputed_series=measure.series)
         payload["stabilizer_check"] = verdict.stabilizer_check.kind
         payload["atomicity"] = verdict.conclusion
     _write_report(out_dir, "measure", payload, cfg)

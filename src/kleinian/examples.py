@@ -29,10 +29,9 @@ from .limits import DEFAULT_C_GRID, horoball_scanner, jorgensen_test
 from .measure import (AtomicMeasure, AtomicityVerdict, classify_atomicity,
                       ending_measures, singularity_diagnostic, support_gap,
                       weak_distance)
-from .mobius import boundary_derivative_raw
-from .model import BoundaryPoint, Disc, embed3
+from .model import BoundaryPoint, Disc
 from .series import (BranchBounds, DeltaEstimate, EqualSummands, SeparationSchedule,
-                     SeriesResult, branch_contraction, estimate_delta,
+                     SeriesResult, boundary_values, branch_contraction, estimate_delta,
                      example1_certificate, example1_tail_bound, finish_series,
                      parabolic_domination, reduced_horospherical_partial)
 
@@ -397,9 +396,7 @@ def build_example3(cfg: Example3Config) -> Example3Result:
     # measure, whose normalizer is the reduced series, the unreduced series
     # (a whole-group sum) and both domination sums.  ``kept`` holds the
     # measure's values, the unreduced values, then the domination sums'.
-    bc = embed3(target.coords)
-    whole = LevelSums(lambda batch: boundary_derivative_raw(batch.mats, bc) ** s,
-                      whole_group=True)
+    whole = LevelSums(boundary_values(target, s), whole_group=True)
     reduced_matches, whole_matches = EqualSummands(0), EqualSummands(1)
     dom_sums, dom_gap, dominated = parabolic_domination(target, s)
     measure_at = ending_measures(

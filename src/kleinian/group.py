@@ -26,8 +26,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, DiscsOverlap, TargetNotInDomainClosure
-from .mobius import (Transform, image_disc, matmul_raw, origin_images_raw,
-                     pair_discs, parabolic_fixing)
+from .mobius import Transform, image_disc, matmul_raw, pair_discs, parabolic_fixing
 from .model import BoundaryPoint, Disc, InteriorPoint, embed3, project_dim
 
 SLAB_WORDS = 1 << 20          # fixed, so partial sums are bit-reproducible
@@ -74,8 +73,7 @@ class Word:
 class SchottkyGroup:
     """Finitely many disc-pairing generators acting on the ball of dimension N."""
 
-    def __init__(self, dim: int, generators: Sequence[Generator],
-                 validate: bool = True):
+    def __init__(self, dim: int, generators: Sequence[Generator]):
         if dim not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {dim}")
         self.dim = dim
@@ -97,8 +95,7 @@ class SchottkyGroup:
         self.letter_labels = tuple(labels)
         self.letter_sources = tuple(sources)
         self.letter_targets = tuple(targets)
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- construction helpers --
 
@@ -200,14 +197,6 @@ class SchottkyGroup:
             if gen.label == label:
                 return gen
         raise KeyError(f"no generator labelled {label!r}")
-
-    def letters_for(self, labels: Sequence[str]) -> frozenset[int]:
-        """Letters (both signs) of the named generators."""
-        out = set()
-        for idx, gen in enumerate(self.generators):
-            if gen.label in labels:
-                out.update((2 * idx, 2 * idx + 1))
-        return frozenset(out)
 
     def fundamental_domain_contains(self, zeta: BoundaryPoint) -> bool:
         """True iff ``zeta`` lies in the closed exterior of every generator disc."""
@@ -504,8 +493,7 @@ def walk(group: SchottkyGroup, max_length: int, budget: int | None = None, *,
     cut = None
     try:
         for batch in iter_word_batches(group, max_length, budget):
-            words = (batch if tracker is None else batch.select(
-                QuotientTracker.kernel_mask(tracker.extend(batch)[1])))
+            words = batch if tracker is None else batch.select(tracker.extend(batch)[1] == 0)
             kept = []
             for blocks in sums:
                 values = blocks.values(batch if blocks.whole_group else words)
@@ -583,8 +571,8 @@ class QuotientTracker:
 
     The image of a word is tracked as a reduced stack of target letters;
     appending a domain letter whose image is empty or a single target
-    letter is a masked push/pop, so kernel membership (empty stack) and
-    coset keys (the stack contents) are exact and symbolic.
+    letter is a masked push/pop, so kernel membership (an empty stack) is
+    exact and symbolic.
     """
 
     def __init__(self, group: SchottkyGroup, spec: QuotientSpec, max_length: int):
@@ -646,16 +634,6 @@ class QuotientTracker:
         self.stacks[batch.length] = np.concatenate([self.stacks[batch.length], stacks])
         self.lengths[batch.length] = np.concatenate([self.lengths[batch.length], lengths])
 
-    @staticmethod
-    def kernel_mask(lengths: np.ndarray) -> np.ndarray:
-        return lengths == 0
-
-    @staticmethod
-    def coset_keys(stacks: np.ndarray) -> np.ndarray:
-        """One hashable row key per word: the packed image stack."""
-        return np.ascontiguousarray(stacks).view(
-            np.dtype((np.void, stacks.dtype.itemsize * stacks.shape[1])) ).ravel()
-
 
 class StabilizerTracker:
     """Schreier coset keys for a stabilizer generated by a subset of letters.
@@ -663,6 +641,9 @@ class StabilizerTracker:
     In a free group the words with no trailing stabilizer letter form a
     transversal; the key of a word is the index of its maximal prefix with
     that property, maintained incrementally (no suffix walking).
+
+    Nothing in the package walks with it: it stays while ``bench/spans.py``
+    still wraps its ``extend``.
     """
 
     def __init__(self, group: SchottkyGroup, letters: frozenset[int]):
@@ -720,9 +701,6 @@ class DeclaredStabilizer:
     def trivial(cls) -> "DeclaredStabilizer":
         return cls(())
 
-    def retraction(self) -> QuotientSpec:
-        return QuotientSpec("free", {label: (label,) for label in self.labels})
-
     def quotient_for(self, group: SchottkyGroup) -> QuotientSpec:
         images = {}
         keep = set(self.labels)
@@ -731,70 +709,22 @@ class DeclaredStabilizer:
         return QuotientSpec("free", images)
 
 
-def coset_representatives(group: SchottkyGroup, stab, max_length: int,
-                          budget: int | None = None,
-                          policy: str = "auto") -> Iterator[tuple[Word, Transform]]:
+def coset_representatives(group: SchottkyGroup, stab: DeclaredStabilizer | None,
+                          max_length: int, budget: int | None = None
+                          ) -> Iterator[tuple[Word, Transform]]:
     """One representative per left coset of ``stab`` among words <= max_length.
 
-    ``stab`` is None (trivial), a :class:`DeclaredStabilizer`, or a
-    :class:`QuotientSpec` whose kernel is the subgroup.  Policies:
-
-    * ``"kernel"`` (default for declared stabilizers): representatives are
-      the canonical complement words, i.e. exactly the kernel of the
-      retraction killing the stabilizer letters;
-    * ``"min_distance"``: among the enumerated members of each coset keep
-      the one minimizing d(0, w(0)), ties to the earlier word.
+    ``stab`` is None (the trivial stabilizer: every word) or a
+    :class:`DeclaredStabilizer`, whose representatives are the words of the
+    canonical complement, the kernel of the retraction killing the
+    stabilizer letters.  This is the one coset transversal; anything else
+    raises :class:`TypeError`.
     """
     if stab is None:
-        yield from enumerate_words(group, max_length, budget)
-        return
-    if isinstance(stab, DeclaredStabilizer) and policy in ("auto", "kernel"):
-        yield from kernel_enumerate(group, stab.quotient_for(group), max_length, budget)
-        return
-    table, reps, done = min_distance_walk(group, stab, max_length, budget)
-    for length, index, mat in reps:
-        yield table.word(length, index), Transform(mat, group.dim, _trusted_unit_det=True)
-    if done.cut is not None:
-        raise done.cut
-
-
-def min_distance_walk(group: SchottkyGroup, stab, max_length: int, budget: int | None
-                      ) -> tuple[WordTable, list[tuple[int, int, np.ndarray]], Walk]:
-    """One walk choosing, per coset of ``stab``, the enumerated member closest
-    to the origin (ties to the earlier word).
-
-    Returns the word table, the (length, index, matrix) of each
-    representative in order of its coset's first appearance, and the walk.
-    """
+        return enumerate_words(group, max_length, budget)
     if isinstance(stab, DeclaredStabilizer):
-        anchors = StabilizerTracker(group, group.letters_for(stab.labels))
-    elif isinstance(stab, QuotientSpec):
-        images = QuotientTracker(group, stab, max_length)
-    else:
-        raise TypeError(f"unsupported stabilizer declaration: {stab!r}")
-    table = WordTable(group)
-    best: dict[bytes, tuple[float, int, int, np.ndarray]] = {}
-
-    def consume(batch: WordBatch, words, kept) -> None:
-        table.record(batch)
-        keys = (_anchor_keys(anchors.extend(batch)) if isinstance(stab, DeclaredStabilizer)
-                else QuotientTracker.coset_keys(images.extend(batch)[0]))
-        _, conorm = origin_images_raw(batch.mats)
-        dist = np.arccosh(np.maximum(2.0 / conorm - 1.0, 1.0))
-        for i in range(batch.last.shape[0]):
-            key = keys[i].tobytes()
-            entry = best.get(key)
-            if entry is None or float(dist[i]) < entry[0] - 1e-13:
-                best[key] = (float(dist[i]), batch.length, batch.offset + i,
-                             batch.mats[i].copy())
-
-    done = walk(group, max_length, budget, consumers=[consume])
-    return table, [entry[1:] for entry in best.values()], done
-
-
-def _anchor_keys(anchors: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(anchors).view(
-        np.dtype((np.void, anchors.dtype.itemsize * 2))).ravel()
+        return kernel_enumerate(group, stab.quotient_for(group), max_length, budget)
+    raise TypeError(f"unsupported stabilizer declaration: {stab!r}")
 
 
 # --- ending sequences ---------------------------------------------------------

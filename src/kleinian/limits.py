@@ -46,9 +46,6 @@ class RadialProfile:
     depth_completed: int
     budget_exhausted: bool
 
-    def deltas(self) -> list[float]:
-        return [d for _, d in self.samples]
-
     def to_csv(self, path) -> None:
         with open(path, "w") as handle:
             handle.write("T,delta\n")

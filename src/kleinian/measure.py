@@ -24,7 +24,7 @@ from .mobius import (apply_boundary_raw, apply_halfspace_raw, apply_interior_raw
                      ball_to_halfspace, boundary_derivative_raw, halfspace_to_ball,
                      interior_derivative_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
-from .series import SeriesResult, TailCertificate, finish_series
+from .series import SeriesResult, TailCertificate, boundary_values, finish_series
 
 # Atoms are coalesced only when indistinguishable at float resolution.  A
 # coarser merge (1e-12 was tried) misattributes mass across cells where the
@@ -205,53 +205,6 @@ class _AtomStream:
 
 # --- synthesis ------------------------------------------------------------------
 
-def _synthesize(group: SchottkyGroup, streams, s: float, max_length: int,
-                budget: int | None, kernel: QuotientSpec | None,
-                tail: TailCertificate | None, incomplete_cosets: bool = False,
-                sums=(), consumers=(), on_level=()):
-    """One walk merging, for each ``(values, place)`` stream, atoms at
-    ``place(mats)`` weighted by ``values``, and their level blocks; further
-    ``sums``, ``consumers`` and ``on_level`` hooks ride along.
-
-    Returns ``at(depth)`` for any depth up to ``max_length``: per stream the
-    atoms of the words of length <= depth (a prefix of the enumeration
-    order), merged and normalized by that depth's own level blocks, with
-    their series, which is what a walk to ``depth`` alone would give.
-    ``at.walk`` is the :class:`~kleinian.group.Walk` and ``at.blocks`` the
-    streams' :class:`~kleinian.group.LevelSums`, closed at the depth of the
-    last ``at`` call.
-    """
-    blocks = [LevelSums(values) for values, _ in streams]
-    atoms = [_AtomStream(group.dim + 1) for _ in streams]
-
-    def collect(batch, words, kept) -> None:
-        for i, (_, place) in enumerate(streams):
-            atoms[i].add(place(words.mats)[:, : group.dim + 1], kept[i], batch.length)
-
-    def close(length: int) -> None:
-        if length < max_length:   # the top level's totals are the final ones
-            for merged in atoms:
-                merged.close(length)
-
-    done = walk(group, max_length, budget, kernel=kernel, sums=[*blocks, *sums],
-                consumers=[collect, *consumers], on_level=[close, *on_level])
-
-    def at(depth: int) -> list[tuple]:
-        upto = done.upto(depth)
-        out = []
-        for stream_sums, merged in zip(blocks, atoms):
-            stream_sums.finish(depth, upto.depth_completed)
-            series = finish_series(upto, stream_sums, s, tail,
-                                   incomplete_cosets=incomplete_cosets)
-            pt, wt, ln = merged.at(depth)
-            out.append((pt, wt / series.partial_sum, ln, series))
-        return out
-
-    at.walk = done
-    at.blocks = blocks
-    return at
-
-
 def orbit_measure(group: SchottkyGroup, z: InteriorPoint, s: float, max_length: int,
                   budget: int | None = None) -> AtomicMeasure:
     """Normalized point masses j(w, z)^s at the orbit points w(z), w of length <= L."""
@@ -292,47 +245,61 @@ def ending_measures(group: SchottkyGroup, targets, s: float, max_length: int,
 
     Returns ``at(depth)``, the tuple of measures for any depth up to
     ``max_length``: one per target, then the orbit measure of each interior
-    point in ``orbit_points``.  Each is bit for bit the measure
+    point in ``orbit_points``.  Each merges the atoms of the words of length
+    <= depth (a prefix of the enumeration order) and is normalized by that
+    depth's own level blocks, so it is bit for bit the measure
     ``ending_measure`` (or ``orbit_measure``) builds at that depth, budget
     cut included.  Orbit measures sum the whole group without a tail, so
     they share no walk with a stabilizer, a kernel or a tail.
 
     Extra ``sums``, ``consumers`` and ``on_level`` hooks ride on the walk;
     a consumer's ``kept`` holds the measures' values first, then those of
-    ``sums``.  ``at.walk`` is the walk and ``at.blocks`` the measures' level
-    blocks (see :func:`_synthesize`).
+    ``sums``.  ``at.walk`` is the :class:`~kleinian.group.Walk` and
+    ``at.blocks`` the measures' :class:`~kleinian.group.LevelSums`, closed
+    at the depth of the last ``at`` call.
     """
     if stab is not None and kernel is not None:
         raise ValueError("pass a stabilizer or a kernel restriction, not both")
-    if orbit_points and (kernel is not None or tail is not None
-                         or (stab is not None and stab.labels)):
+    reduced = stab is not None and bool(stab.labels)   # over a coset transversal
+    if orbit_points and (kernel is not None or tail is not None or reduced):
         raise ValueError("orbit measures sum the whole group without a tail")
     if check_domain:
         for zeta in targets:
             _check_target(group, zeta, stab, kernel)
-    spec = None
-    if stab is not None and stab.labels:
-        spec = stab.quotient_for(group)
-    elif kernel is not None:
-        spec = kernel
+    spec = stab.quotient_for(group) if reduced else kernel
+    # per measure: its point, the values j(w, .)^s and where its atoms sit
     streams = []
     for zeta in targets:
         bc = embed3(zeta.coords)
-        streams.append((lambda batch, bc=bc: boundary_derivative_raw(batch.mats, bc) ** s,
+        streams.append((zeta, boundary_values(zeta, s),
                         lambda mats, bc=bc: apply_boundary_raw(mats, bc)))
     for z in orbit_points:
         zc = embed3(z.coords)
-        streams.append((lambda batch, zc=zc: interior_derivative_raw(batch.mats, zc) ** s,
+        streams.append((z, lambda batch, zc=zc: interior_derivative_raw(batch.mats, zc) ** s,
                         lambda mats, zc=zc: apply_interior_raw(mats, zc)))
-    synthesis = _synthesize(group, streams, s, max_length, budget, spec, tail,
-                            incomplete_cosets=bool(stab is not None and stab.labels),
-                            sums=sums, consumers=consumers, on_level=on_level)
+    blocks = [LevelSums(values) for _, values, _ in streams]
+    atoms = [_AtomStream(group.dim + 1) for _ in streams]
+
+    def collect(batch, words, kept) -> None:
+        for i, (_, _, place) in enumerate(streams):
+            atoms[i].add(place(words.mats)[:, : group.dim + 1], kept[i], batch.length)
+
+    def close(length: int) -> None:
+        if length < max_length:   # the top level's totals are the final ones
+            for merged in atoms:
+                merged.close(length)
+
+    done = walk(group, max_length, budget, kernel=spec, sums=[*blocks, *sums],
+                consumers=[collect, *consumers], on_level=[close, *on_level])
 
     def at(depth: int) -> tuple[AtomicMeasure, ...]:
+        upto = done.upto(depth)
         out = []
-        for i, (points, weights, lengths, series) in enumerate(synthesis(depth)):
+        for i, (point, _, _) in enumerate(streams):
             boundary = i < len(targets)
-            point = targets[i] if boundary else orbit_points[i - len(targets)]
+            blocks[i].finish(depth, upto.depth_completed)
+            series = finish_series(upto, blocks[i], s, tail, incomplete_cosets=reduced)
+            points, weights, lengths = atoms[i].at(depth)
             meta = {"target" if boundary else "base_point": point.coords.tolist(),
                     "enumeration": {"group": group, "point": embed3(point.coords),
                                     "kind": "boundary" if boundary else "interior",
@@ -340,14 +307,14 @@ def ending_measures(group: SchottkyGroup, targets, s: float, max_length: int,
             if kernel is not None:
                 meta["domain_check"] = ("skipped (subgroup measure; the subgroup's "
                                         "domain is larger)")
-            out.append(AtomicMeasure(points, weights, lengths, group.dim,
-                                     "ending" if boundary else "orbit", s, depth,
-                                     boundary_supported=boundary, series=series,
+            out.append(AtomicMeasure(points, weights / series.partial_sum, lengths,
+                                     group.dim, "ending" if boundary else "orbit", s,
+                                     depth, boundary_supported=boundary, series=series,
                                      meta=meta))
         return tuple(out)
 
-    at.walk = synthesis.walk
-    at.blocks = synthesis.blocks
+    at.walk = done
+    at.blocks = blocks
     return at
 
 
@@ -431,7 +398,7 @@ def _conformality_residual_direct(mu: AtomicMeasure, g, s: float, cells: int) ->
     ginv = g.inverse()
     if mu.boundary_supported:
         pre = apply_boundary_raw(ginv.matrix[None, :, :], emb)
-        jvals = _boundary_derivative_at_points(g, emb)
+        jvals = boundary_derivative_raw(g.matrix, emb)
     else:
         pre = apply_interior_raw(ginv.matrix[None, :, :], emb)
         jvals = _interior_derivative_at_points(g, emb)
@@ -526,7 +493,7 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
         part = slice(lo, lo + SLAB_WORDS)
         if shell.z is None:
             pre = apply_boundary_raw(ginv.matrix, shell.points[part])
-            jg = _boundary_derivative_at_points(g, shell.points[part])
+            jg = boundary_derivative_raw(g.matrix, shell.points[part])
         else:
             z, t = shell.z[part], shell.t[part]
             pre = halfspace_to_ball(*apply_halfspace_raw(ginv.matrix, z, t))
@@ -563,14 +530,6 @@ def _projectively_close(a: np.ndarray, b: np.ndarray) -> bool:
     u, v = a.reshape(4), b.reshape(4)
     minors = np.outer(u, v) - np.outer(v, u)
     return float(np.max(np.abs(minors))) <= 1e-9 * float(np.max(np.abs(u)) * np.max(np.abs(v)))
-
-
-def _boundary_derivative_at_points(g, points3: np.ndarray) -> np.ndarray:
-    from .mobius import inverse_origin_images_raw
-
-    pre, conorm = inverse_origin_images_raw(g.matrix)
-    diff = points3 - pre[None, :]
-    return conorm / np.einsum("ij,ij->i", diff, diff)
 
 
 def _interior_derivative_at_points(g, points3: np.ndarray) -> np.ndarray:

@@ -205,10 +205,12 @@ def inverse_origin_images_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def boundary_derivative_raw(mats: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """j(g, zeta) = k(g^{-1}(0), zeta), vectorized over matrices (n, 2, 2)."""
+    """j(g, zeta) = k(g^{-1}(0), zeta), broadcast over matrices (..., 2, 2)
+    and boundary points (..., 3): many words at one point, or one word at
+    many points."""
     pre, conorm = inverse_origin_images_raw(mats)
-    diff = zeta[None, :] - pre
-    return conorm / np.einsum("ij,ij->i", diff, diff)
+    diff = zeta - pre
+    return conorm / np.einsum("...i,...i->...", diff, diff)
 
 
 def interior_derivative_raw(mats: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -256,12 +256,6 @@ def project_dim(coords: np.ndarray, dim: int) -> np.ndarray:
     return coords[..., : dim + 1]
 
 
-def poisson_kernel_raw(points: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Vectorized kernel over an (n, d) array of interior points."""
-    diff = zeta[None, :] - points
-    return (1.0 - np.einsum("ij,ij->i", points, points)) / np.einsum("ij,ij->i", diff, diff)
-
-
 def hyperbolic_distance_raw(points: np.ndarray, z: np.ndarray,
                             conorms: np.ndarray | None = None,
                             z_conorm: float | None = None) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EnlargedDiscsOverlap, InconclusiveBracket, InvalidSeparation
 from .group import (SLAB_WORDS, DeclaredStabilizer, LevelSums, QuotientSpec,
-                    SchottkyGroup, Walk, WordBatch, min_distance_walk, walk)
+                    SchottkyGroup, Walk, WordBatch, walk)
 from .mobius import (boundary_derivative_raw, disc_boundary_points,
                      interior_derivative_raw, inverse_origin_images_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
@@ -51,10 +51,6 @@ class Verdict:
     kind: str
     tail_bound: float | None = None
     evidence: dict | None = None
-
-    @property
-    def is_certified(self) -> bool:
-        return self.kind == "converged_within"
 
 
 @dataclass
@@ -136,7 +132,7 @@ class EqualSummands:
         self.stream = stream
         self.counts: list[int] = []        # matches per level pair
         self.fractions: list[float] = []   # matches relative to the smaller level
-        self._prev: np.ndarray | None = None   # the previous level's values
+        self._prev: list[np.ndarray] | None = None   # the previous level's values
         self._cur: list[np.ndarray] = []
 
     def consume(self, batch: WordBatch, words, kept) -> None:
@@ -144,15 +140,16 @@ class EqualSummands:
             self._cur.append(kept[self.stream])
 
     def close(self, length: int) -> None:
-        cur = np.concatenate(self._cur) if self._cur else np.empty(0)
         if self._prev is not None:
-            # a level is sorted once the next one needs it, so the top level never is
-            self._prev.sort()
-            matches = _count_equal_values(self._prev, cur)
+            # a level is joined and sorted once the next one needs it, so the
+            # top level, the largest, is only ever held batch by batch
+            prev = np.concatenate(self._prev) if self._prev else np.empty(0)
+            prev.sort()
+            matches = sum(_count_equal_values(prev, part) for part in self._cur)
             self.counts.append(matches)
-            smaller = min(self._prev.shape[0], cur.shape[0])
+            smaller = min(prev.shape[0], sum(part.shape[0] for part in self._cur))
             self.fractions.append(matches / smaller if smaller else 0.0)
-        self._prev = cur
+        self._prev = self._cur
         self._cur = []
 
 
@@ -167,6 +164,12 @@ def _series(group: SchottkyGroup, values: Callable[[WordBatch], np.ndarray],
                 consumers=[matches.consume], on_level=[matches.close])
     return finish_series(done, blocks, exponent, tail, matches,
                          incomplete_cosets=incomplete_cosets)
+
+
+def boundary_values(zeta: BoundaryPoint, s: float) -> Callable[[WordBatch], np.ndarray]:
+    """The value stream j(w, zeta)^s of a batch's words w."""
+    bc = embed3(zeta.coords)
+    return lambda batch: boundary_derivative_raw(batch.mats, bc) ** s
 
 
 def _count_equal_values(prev_sorted: np.ndarray, cur: np.ndarray) -> int:
@@ -282,17 +285,12 @@ def horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
             raise ValueError("the extended-precision path has no kernel restriction")
         return _sum_series_mp(group, "boundary", zeta.coords, s, max_length,
                               mantissa_bits)
-    bc = embed3(zeta.coords)
-
-    def values(batch: WordBatch) -> np.ndarray:
-        return boundary_derivative_raw(batch.mats, bc) ** s
-
-    return _series(group, values, s, max_length, budget, tail, kernel=kernel)
+    return _series(group, boundary_values(zeta, s), s, max_length, budget, tail,
+                   kernel=kernel)
 
 
 def reduced_horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
-                                  max_length: int,
-                                  stab: DeclaredStabilizer | QuotientSpec | None = None,
+                                  max_length: int, stab: DeclaredStabilizer | None = None,
                                   budget: int | None = None,
                                   tail: TailCertificate | None = None) -> SeriesResult:
     """Boundary series summed over one representative per coset of the stabilizer.
@@ -303,33 +301,14 @@ def reduced_horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: 
     truncation identical to a kernel enumeration at the same depth.  With a
     trivial stabilizer this is the plain boundary series.  The
     ``incomplete_cosets`` flag records that a depth-truncated transversal
-    of a nontrivial stabilizer cannot be certified complete.
+    of a nontrivial stabilizer cannot be certified complete.  Any other
+    ``stab`` raises :class:`TypeError`.
     """
-    bc = embed3(zeta.coords)
-
-    def values(batch: WordBatch) -> np.ndarray:
-        return boundary_derivative_raw(batch.mats, bc) ** s
-
-    if stab is None or (isinstance(stab, DeclaredStabilizer) and not stab.labels):
-        return _series(group, values, s, max_length, budget, tail)
-    if isinstance(stab, DeclaredStabilizer):
-        # The canonical complement of a declared stabilizer is an exact
-        # transversal, so the reduced sum is a kernel-filtered sum.
-        return _series(group, values, s, max_length, budget, tail,
-                       kernel=stab.quotient_for(group), incomplete_cosets=True)
-    # Subgroup given as a kernel: cosets are keyed by the image word and the
-    # representative minimizes d(0, w(0)) among enumerated members, so the
-    # representatives, and with them the level blocks, are known only once
-    # the walk is over.
-    _, reps, done = min_distance_walk(group, stab, max_length, budget)
-    by_level: dict[int, list[np.ndarray]] = {}
-    for length, _, mat in reps:
-        by_level.setdefault(length, []).append(mat)
-    blocks = LevelSums()
-    for length in sorted(by_level):
-        blocks.add(length, boundary_derivative_raw(np.stack(by_level[length]), bc) ** s)
-    blocks.finish(max_length, done.depth_completed)
-    return finish_series(done, blocks, s, tail, incomplete_cosets=True)
+    if stab is not None and not isinstance(stab, DeclaredStabilizer):
+        raise TypeError(f"unsupported stabilizer declaration: {stab!r}")
+    kernel = stab.quotient_for(group) if stab is not None and stab.labels else None
+    return _series(group, boundary_values(zeta, s), s, max_length, budget, tail,
+                   kernel=kernel, incomplete_cosets=kernel is not None)
 
 
 # --- certified tails -------------------------------------------------------------

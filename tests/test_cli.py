@@ -329,6 +329,19 @@ def test_cli_import_leaves_scipy_spatial_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_benchmark_tracer_installs():
+    """``bench/spans.py`` wraps library names by attribute; each must still exist."""
+    import os
+    import subprocess
+    import sys
+
+    code = "import spans; spans.install(spans.Tracer())"
+    path = os.pathsep.join([str(REPO / "src"), str(REPO / "bench")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestBudgetExitCode:
     @settings(max_examples=30, deadline=None)
     @given(budget=st.integers(1, 250),

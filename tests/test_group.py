@@ -9,7 +9,8 @@ from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec
                             ending_sequence, enumerate_words, iter_word_batches,
                             kernel_enumerate, level_count)
 from kleinian.mobius import image_disc
-from kleinian.model import BoundaryPoint, Disc, hyperbolic_distance, InteriorPoint
+from kleinian.model import BoundaryPoint, Disc
+from kleinian.series import reduced_horospherical_partial
 
 from conftest import arc
 
@@ -268,38 +269,13 @@ class TestCosets:
             std_group, stab.quotient_for(std_group), 4)]
         assert reps == kernel
 
-    def test_min_distance_policy_one_per_coset(self, std_group):
-        stab = DeclaredStabilizer(("b",))
-        reps = list(coset_representatives(std_group, stab, 4,
-                                          policy="min_distance"))
-        # no two representatives differ by a b-word: strip b-suffixes
-        def key(letters):
-            out = list(letters)
-            while out and out[-1] in (2, 3):
-                out.pop()
-            return tuple(out)
-
-        keys = [key(w.letters) for w, _ in reps]
-        assert len(keys) == len(set(keys))
-
-    def test_min_distance_policy_minimizes(self, std_group):
-        stab = DeclaredStabilizer(("b",))
-        reps = {tuple(w.letters): t for w, t in coset_representatives(
-            std_group, stab, 3, policy="min_distance")}
-        origin = InteriorPoint.origin(1)
-        by_coset = {}
-        for w, t in enumerate_words(std_group, 3):
-            out = list(w.letters)
-            while out and out[-1] in (2, 3):
-                out.pop()
-            by_coset.setdefault(tuple(out), []).append(
-                hyperbolic_distance(origin, t.apply_interior(origin)))
-        for letters, t in reps.items():
-            d = hyperbolic_distance(origin, t.apply_interior(origin))
-            out = list(letters)
-            while out and out[-1] in (2, 3):
-                out.pop()
-            assert d <= min(by_coset[tuple(out)]) + 1e-9
+    def test_only_declared_stabilizers_are_transversals(self, std_group):
+        quotient = QuotientSpec("free", {"a": (), "b": ("b",)})
+        with pytest.raises(TypeError):
+            coset_representatives(std_group, quotient, 3)
+        zeta = BoundaryPoint.from_angle(math.radians(108.0))
+        with pytest.raises(TypeError):
+            reduced_horospherical_partial(std_group, zeta, 0.8, 3, stab=quotient)
 
 
 class TestEndingSequence:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kleinian.errors import DiscsOverlap, NumericallyAmbiguous
-from kleinian.mobius import (Transform, classify, image_disc, inverse_origin_images_raw,
-                             matmul_raw, origin_images_raw, pair_discs, parabolic_fixing,
-                             rotation_moving_to_pole)
+from kleinian.mobius import (Transform, boundary_derivative_raw, classify, image_disc,
+                             inverse_origin_images_raw, matmul_raw, origin_images_raw,
+                             pair_discs, parabolic_fixing, rotation_moving_to_pole)
 from kleinian.model import BoundaryPoint, InteriorPoint, hyperbolic_distance
 
 from conftest import arc, cap, random_boundary_points, random_interior_points, \
@@ -421,3 +421,22 @@ class TestRawKernels:
             assert np.ascontiguousarray(img[:, :2]).tobytes() == \
                 np.ascontiguousarray(ref_img[:, :2]).tobytes()
             assert conorm.tobytes() == ref_conorm.tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8])
+    def test_boundary_derivative_is_the_row_formula(self, rng, dtype, scale):
+        # stored component-major, as the level engine yields its batches
+        mats = np.ascontiguousarray(_random_mats(rng, 5000, dtype, scale).transpose(1, 2, 0))
+        mats = mats.transpose(2, 0, 1)
+        points = rng.normal(size=(5000, 3))
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        # many words at one point: the walks' value streams
+        pre, conorm = inverse_origin_images_raw(mats)
+        diff = points[0][None, :] - pre
+        assert boundary_derivative_raw(mats, points[0]).tobytes() == \
+            (conorm / np.einsum("ij,ij->i", diff, diff)).tobytes()
+        # one word at many points: the conformality residual
+        pre, conorm = inverse_origin_images_raw(mats[0])
+        diff = points - pre[None, :]
+        assert boundary_derivative_raw(mats[0], points).tobytes() == \
+            (conorm / np.einsum("ij,ij->i", diff, diff)).tobytes()

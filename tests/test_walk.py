@@ -51,7 +51,7 @@ def _walk_reports(group, depth, budget):
     kernel_measures = ending_measures(group, TARGETS, 1.0, depth, kernel=QUOTIENT,
                                       budget=budget)(depth)
     try:
-        list(coset_representatives(group, QUOTIENT, depth, budget, policy="min_distance"))
+        list(coset_representatives(group, stab, depth, budget))
         reps = (depth, False)
     except BudgetExceeded as cut:
         reps = (cut.depth_completed, True)
@@ -61,8 +61,6 @@ def _walk_reports(group, depth, budget):
             horospherical_partial(group, zeta, 1.0, depth, budget=budget)),
         "reduced (declared)": series(reduced_horospherical_partial(
             group, zeta, 1.0, depth, stab=stab, budget=budget)),
-        "reduced (quotient)": series(reduced_horospherical_partial(
-            group, zeta, 1.0, depth, stab=QUOTIENT, budget=budget)),
         "domination": (dom["depth_completed"], dom["budget_exhausted"]),
         "orbit_measure": series(orbit_measure(group, z, 1.0, depth, budget=budget).series),
         "ending_measure": series(
@@ -93,18 +91,6 @@ def test_every_api_reports_the_same_cut(std_group, budget):
 def test_every_api_reports_a_complete_walk(std_group):
     reports = _walk_reports(std_group, 3, None)
     assert reports == {name: (3, False) for name in reports}
-
-
-def test_quotient_reduced_series_counts_its_representatives(std_group):
-    r = reduced_horospherical_partial(std_group, DOMAIN_POINT, 0.8, 4, stab=QUOTIENT)
-    reps = list(coset_representatives(std_group, QUOTIENT, 4, policy="min_distance"))
-    per_level = [[t.derivative_boundary(DOMAIN_POINT) ** 0.8 for w, t in reps
-                  if len(w) == length] for length in range(5)]
-    assert r.depth_completed == 4 and not r.budget_exhausted
-    assert r.transcript["level_counts"] == [len(terms) for terms in per_level]
-    assert sum(r.transcript["level_counts"]) == len(reps)
-    for block, terms in zip(r.level_sums, per_level):
-        assert block == pytest.approx(math.fsum(terms), rel=1e-12)
 
 
 def test_radial_profile_labels_a_cut(std_group):
