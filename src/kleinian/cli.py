@@ -22,13 +22,17 @@ import numpy as np
 from . import __version__
 from .errors import BudgetExceeded, ConfigError, KleinianError
 from .group import DeclaredStabilizer, QuotientSpec, SchottkyGroup
-from .measure import (AtomicMeasure, classify_atomicity, ending_measure,
-                      orbit_measure)
+from .measure import (AtomicMeasure, _cell_index, _cell_masses, classify_atomicity,
+                      ending_measure, orbit_measure)
 from .model import BoundaryPoint, Disc, InteriorPoint
 from .series import (SeriesResult, TailCertificate, horospherical_partial,
                      poincare_partial, reduced_horospherical_partial)
 
 SCHEMA_VERSION = 1
+CONFIG_KEYS = {"schema_version", "group", "exponent", "depth", "budget", "threads",
+               "precision", "partition_cells", "target", "point", "stabilizer",
+               "series", "render"}
+RENDER_KEYS = {"bins", "width", "height"}
 
 
 @dataclass
@@ -53,13 +57,23 @@ class RunConfig:
     render_size: tuple[int, int]
 
 
-def _fail(message: str) -> ConfigError:
-    return ConfigError(message)
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
-        raise _fail(message)
+        raise ConfigError(message)
+
+
+def _require_known(doc: dict, known: set[str], what: str) -> None:
+    unknown = sorted(set(doc) - known)
+    _require(not unknown, f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
+def _example_config(cls, params):
+    """``cls(**params)``, with a bad key or value reported as a config error."""
+    _require(isinstance(params, dict), "group.params must be an object")
+    try:
+        return cls(**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"group.params: {exc}") from exc
 
 
 def _point_from(doc, dim: int, what: str) -> BoundaryPoint:
@@ -68,7 +82,7 @@ def _point_from(doc, dim: int, what: str) -> BoundaryPoint:
         return BoundaryPoint.from_angle(float(doc["angle"]))
     if isinstance(doc, dict) and "coords" in doc:
         return BoundaryPoint(doc["coords"])
-    raise _fail(f"{what} must be {{'angle': ...}} or {{'coords': [...]}}")
+    raise ConfigError(f"{what} must be {{'angle': ...}} or {{'coords': [...]}}")
 
 
 def _build_schottky(doc: dict) -> SchottkyGroup:
@@ -112,22 +126,22 @@ def _resolve_group(doc: dict) -> tuple[SchottkyGroup, BoundaryPoint | None,
         from .examples import Example1Config, example1_group
         from .series import example1_certificate
 
-        cfg = Example1Config(**params)
+        cfg = _example_config(Example1Config, params)
         group, target = example1_group(cfg)
         cert = example1_certificate(cfg.schedule(), cfg.exponent)
         return group, target, DeclaredStabilizer.trivial(), None, cert
     if kind == "example2":
         from .examples import Example2Config, example2_group, example2_target
 
-        group, quotient = example2_group(Example2Config(**params))
+        group, quotient = example2_group(_example_config(Example2Config, params))
         return group, example2_target(group, "c"), None, quotient, None
     if kind == "example3":
         from .examples import Example3Config, example3_group
 
-        group, target = example3_group(Example3Config(**params))
+        group, target = example3_group(_example_config(Example3Config, params))
         return group, target, DeclaredStabilizer(("p",)), None, None
-    raise _fail(f"unknown group.kind {kind!r} (expected trivial, schottky, "
-                "example1, example2 or example3)")
+    raise ConfigError(f"unknown group.kind {kind!r} (expected trivial, schottky, "
+                      "example1, example2 or example3)")
 
 
 def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
@@ -135,10 +149,11 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
         with open(path) as handle:
             raw = json.load(handle)
     except FileNotFoundError as exc:
-        raise _fail(f"config file not found: {path}") from exc
+        raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config root must be an object")
+    _require_known(raw, CONFIG_KEYS, "config")
     version = raw.get("schema_version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION,
              f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
@@ -184,6 +199,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
              f"series {series_kind!r} cannot be restricted to the group's kernel "
              "(use 'horospherical')")
     render = raw.get("render", {})
+    _require(isinstance(render, dict), "render must be an object")
+    _require_known(render, RENDER_KEYS, "render")
     return RunConfig(
         raw=raw, group=group, target=target, point=point, stabilizer=stab,
         kernel=kernel, certificate=cert, exponent=exponent, depth=depth,
@@ -229,11 +246,11 @@ def _run_series(cfg: RunConfig) -> SeriesResult:
                                 budget=cfg.budget, tail=cfg.certificate,
                                 precision=cfg.precision)
     if cfg.target is None:
-        raise _fail("boundary series need a 'target'")
+        raise ConfigError("boundary series need a 'target'")
     if cfg.series_kind == "horospherical":
         if cfg.kernel is not None and cfg.precision == "extended":
-            raise _fail("extended precision sums the whole group; this group's "
-                        "series is restricted to a kernel")
+            raise ConfigError("extended precision sums the whole group; this group's "
+                              "series is restricted to a kernel")
         return horospherical_partial(cfg.group, cfg.target, cfg.exponent, cfg.depth,
                                      budget=cfg.budget, tail=cfg.certificate,
                                      precision=cfg.precision, kernel=cfg.kernel)
@@ -247,7 +264,7 @@ def _build_measure(cfg: RunConfig) -> AtomicMeasure:
         return orbit_measure(cfg.group, cfg.point, cfg.exponent, cfg.depth,
                              budget=cfg.budget)
     if cfg.target is None:
-        raise _fail("measure runs need a 'target' (ending) or 'point' (orbit)")
+        raise ConfigError("measure runs need a 'target' (ending) or 'point' (orbit)")
     return ending_measure(cfg.group, cfg.target, cfg.exponent, cfg.depth,
                           stab=cfg.stabilizer, kernel=cfg.kernel,
                           budget=cfg.budget, tail=cfg.certificate)
@@ -286,7 +303,7 @@ def cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.target is None:
-        raise _fail("classify runs need a 'target'")
+        raise ConfigError("classify runs need a 'target'")
     # a kernel-restricted group is classified on its kernel series
     verdict = classify_atomicity(cfg.group, cfg.target, cfg.exponent,
                                  cfg.stabilizer, cfg.depth, budget=cfg.budget,
@@ -307,12 +324,6 @@ def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
     return 3 if verdict.series.budget_exhausted else 0
 
 
-def _histogram(measure: AtomicMeasure, bins: int) -> np.ndarray:
-    from .measure import _cell_masses
-
-    return _cell_masses(measure.points, measure.weights, measure.dim, bins)
-
-
 def _render_ppm(masses: np.ndarray, dim: int, size: tuple[int, int]) -> bytes:
     width, height = size
     peak = float(np.max(masses)) or 1.0
@@ -326,9 +337,8 @@ def _render_ppm(masses: np.ndarray, dim: int, size: tuple[int, int]) -> bytes:
         dx, dy = xx - cx, yy - cy
         rr = np.sqrt(dx * dx + dy * dy) / (width / 2.0)
         ring = (rr >= 0.72) & (rr <= 0.98)
-        ang = np.arctan2(dy, dx)
-        frac = (ang / (2.0 * math.pi) + 0.5 * (math.sqrt(5.0) - 1.0)) % 1.0
-        idx = np.minimum((frac * bins).astype(np.int64), bins - 1)
+        idx = _cell_index(np.stack([dx.ravel(), dy.ravel()], axis=1), 1, bins
+                          ).reshape(dx.shape)
         level = np.where(ring, shade[idx], 0)
         img[..., 0] = np.where(ring, 255 - level, 255)
         img[..., 1] = np.where(ring, 255 - level, 255)
@@ -352,7 +362,7 @@ def _render_ppm(masses: np.ndarray, dim: int, size: tuple[int, int]) -> bytes:
 def cmd_render(cfg: RunConfig, out_dir: Path) -> int:
     measure = _build_measure(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    masses = _histogram(measure, cfg.render_bins)
+    masses = _cell_masses(measure.points, measure.weights, measure.dim, cfg.render_bins)
     with open(out_dir / "histogram.csv", "w") as handle:
         handle.write("bin,mass\n")
         for i, m in enumerate(masses):

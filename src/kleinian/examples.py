@@ -26,8 +26,8 @@ from .errors import PlacementInfeasible, StabilizerNotParabolic
 from .group import (DeclaredStabilizer, EndingSequenceSpec, LevelSums, QuotientSpec,
                     SchottkyGroup, ending_sequence, kernel_enumerate)
 from .limits import DEFAULT_C_GRID, horoball_scanner, jorgensen_test
-from .measure import (AtomicMeasure, AtomicityVerdict, classify_atomicity,
-                      ending_measures, singularity_diagnostic, support_gap,
+from .measure import (AtomicMeasure, AtomicityVerdict, EndingMeasures,
+                      classify_atomicity, singularity_diagnostic, support_gap,
                       weak_distance)
 from .model import BoundaryPoint, Disc
 from .series import (BranchBounds, DeltaEstimate, EqualSummands, SeparationSchedule,
@@ -139,13 +139,11 @@ def build_example1(cfg: Example1Config) -> Example1Result:
     stab = DeclaredStabilizer.trivial()
     # the boundary series is the measure's normalizer: one walk gives both,
     # with the series' equal-summand evidence riding along
-    matches = EqualSummands()
-    measure_at = ending_measures(group, [target], s, cfg.depth, stab=stab,
-                                 budget=cfg.budget, tail=certificate,
-                                 consumers=[matches.consume], on_level=[matches.close])
-    [measure] = measure_at(cfg.depth)
-    series = finish_series(measure_at.walk, measure_at.blocks[0], s, certificate,
-                           matches)
+    measures = EndingMeasures(group, [target], s, stab=stab, tail=certificate)
+    matches = EqualSummands(measures.blocks[0])
+    done = measures.walk(cfg.depth, cfg.budget, [matches])
+    [measure] = measures.at(done)
+    series = finish_series(done, measures.blocks[0], s, certificate, matches)
     # trivial stabilizer: the reduced series coincides with the plain one
     atomicity = classify_atomicity(group, target, s, stab, cfg.depth,
                                    budget=cfg.budget, tail=certificate,
@@ -183,9 +181,9 @@ def example1_weak_trend(cfg: Example1Config, result: Example1Result) -> list[flo
     seq = ending_sequence(result.group,
                           EndingSequenceSpec.dyadic(result.target, cfg.sequence_count))
     # one walk for the ending measure and every orbit measure
-    reference, *orbits = ending_measures(
-        result.group, [result.target], cfg.exponent, cfg.weak_depth,
-        stab=DeclaredStabilizer.trivial(), orbit_points=seq)(cfg.weak_depth)
+    measures = EndingMeasures(result.group, [result.target], cfg.exponent,
+                              stab=DeclaredStabilizer.trivial(), orbit_points=seq)
+    reference, *orbits = measures.at(measures.walk(cfg.weak_depth))
     return [weak_distance(mu, reference) for mu in orbits]
 
 
@@ -270,9 +268,9 @@ def build_example2(cfg: Example2Config) -> Example2Result:
     depths_needed = sorted(set(cfg.decay_depths) | {cfg.depth})
     scan_depth = min(cfg.depth, 7)
     scan, scanned = horoball_scanner(group, targets[0], DEFAULT_C_GRID, scan_depth)
-    measures_at = ending_measures(group, targets, s, depths_needed[-1], kernel=quotient,
-                                  budget=cfg.measure_budget, consumers=[scan])
-    by_depth = {depth: measures_at(depth) for depth in depths_needed}
+    kernel_measures = EndingMeasures(group, targets, s, kernel=quotient)
+    done = kernel_measures.walk(depths_needed[-1], cfg.measure_budget, [scan])
+    by_depth = {depth: kernel_measures.at(done.upto(depth)) for depth in depths_needed}
     measures = by_depth[cfg.depth]
 
     decay_tables = []
@@ -290,7 +288,7 @@ def build_example2(cfg: Example2Config) -> Example2Result:
     while gap <= 0.0 and singularity_depth > 2:
         singularity_depth -= 1
         if singularity_depth not in by_depth:
-            by_depth[singularity_depth] = measures_at(singularity_depth)
+            by_depth[singularity_depth] = kernel_measures.at(done.upto(singularity_depth))
         pair = by_depth[singularity_depth]
         gap = support_gap(pair[0], pair[1])
     sing_measures = by_depth[singularity_depth]
@@ -298,7 +296,7 @@ def build_example2(cfg: Example2Config) -> Example2Result:
     overlap = singularity_diagnostic(sing_measures[0], sing_measures[1], eps)
     heavy_gap = _top_atom_gap(measures[0], measures[1])
 
-    horoballs = scanned(measures_at.walk.upto(scan_depth))
+    horoballs = scanned(done.upto(scan_depth))
 
     report = {
         "construction": "retraction-kernel",
@@ -394,19 +392,15 @@ def build_example3(cfg: Example3Config) -> Example3Result:
 
     # One walk over the transversal (the retraction kernel) gives the
     # measure, whose normalizer is the reduced series, the unreduced series
-    # (a whole-group sum) and both domination sums.  ``kept`` holds the
-    # measure's values, the unreduced values, then the domination sums'.
+    # (a whole-group sum) and both domination sums.
+    measures = EndingMeasures(group, [target], s, stab=stab)
     whole = LevelSums(boundary_values(target, s), whole_group=True)
-    reduced_matches, whole_matches = EqualSummands(0), EqualSummands(1)
-    dom_sums, dom_gap, dominated = parabolic_domination(target, s)
-    measure_at = ending_measures(
-        group, [target], s, cfg.depth, stab=stab, budget=cfg.budget,
-        sums=[whole, *dom_sums],
-        consumers=[reduced_matches.consume, whole_matches.consume, dom_gap],
-        on_level=[reduced_matches.close, whole_matches.close])
-    [measure] = measure_at(cfg.depth)
-    done = measure_at.walk
-    reduced = finish_series(done, measure_at.blocks[0], s, None, reduced_matches,
+    reduced_matches, whole_matches = EqualSummands(measures.blocks[0]), EqualSummands(whole)
+    dominate, dominated = parabolic_domination(target, s)
+    done = measures.walk(cfg.depth, cfg.budget,
+                         [whole, reduced_matches, whole_matches, dominate])
+    [measure] = measures.at(done)
+    reduced = finish_series(done, measures.blocks[0], s, None, reduced_matches,
                             incomplete_cosets=True)
     unreduced = finish_series(done, whole, s, None, whole_matches)
     domination = dominated(done)

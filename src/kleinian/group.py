@@ -347,29 +347,22 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
             table = _successors(letter_mats)
 
 
-class WordTable:
-    """Per-level (last, parent) records for reconstructing words by index."""
+def word_at(group: SchottkyGroup, length: int, index: int) -> Word:
+    """The word at ``index`` in the enumeration order of level ``length``.
 
-    def __init__(self, group: SchottkyGroup):
-        self.group = group
-        self.last: list[np.ndarray] = []
-        self.parent: list[np.ndarray] = []
-
-    def record(self, batch: WordBatch) -> None:
-        while len(self.last) <= batch.length:
-            self.last.append(np.empty(0, dtype=np.int16))
-            self.parent.append(np.empty(0, dtype=np.int64))
-        self.last[batch.length] = np.concatenate([self.last[batch.length], batch.last])
-        self.parent[batch.length] = np.concatenate([self.parent[batch.length], batch.parent])
-
-    def word(self, length: int, index: int) -> Word:
-        letters: list[int] = []
-        lvl, idx = length, index
-        while lvl > 0:
-            letters.append(int(self.last[lvl][idx]))
-            idx = int(self.parent[lvl][idx])
-            lvl -= 1
-        return Word(tuple(reversed(letters)), self.group.letter_labels)
+    Level 1 lists the letters in order.  Above it, word i extends word
+    i div (2k - 1) of the level below by that word's (i mod (2k - 1))-th
+    successor: the letters other than the inverse of its last letter, in
+    increasing order (see :func:`_successors`).
+    """
+    index, ranks = int(index), []
+    for _ in range(length - 1):
+        index, rank = divmod(index, group.letter_count - 1)
+        ranks.append(rank)
+    letters = [index] if length else []
+    for rank in reversed(ranks):
+        letters.append(rank + (rank >= letters[-1] ^ 1))
+    return Word(tuple(letters), group.letter_labels)
 
 
 # --- the walker -----------------------------------------------------------------
@@ -415,18 +408,27 @@ def exact_sum(values: np.ndarray) -> float:
 class LevelSums:
     """Level blocks of one value stream: an exact sum per batch, then per level.
 
-    ``values(words)`` gives one value per word of a batch; on a kernel walk
-    it is handed only the kernel words unless ``whole_group`` is set.  After
-    the walk, ``level_sums`` and ``level_counts`` cover the complete levels
-    and ``tail_sum`` is what was summed beyond them before a budget cut.
+    A walk consumer.  ``values(words)`` gives one value per word of a
+    batch; on a kernel walk it is handed only the kernel words unless
+    ``whole_group`` is set.  The batch's values stay on as ``batch_values``
+    for the consumers after it, until the next batch.  :meth:`finish`
+    closes the blocks at a walk: ``level_sums`` and ``level_counts`` then
+    cover its complete levels and ``tail_sum`` is what was summed beyond
+    them before a budget cut.
     """
 
     def __init__(self, values: Callable[[WordBatch], np.ndarray] | None = None,
                  whole_group: bool = False):
         self.values = values
         self.whole_group = whole_group
+        self.batch_values: np.ndarray | None = None
         self._parts: list[list[float]] = []
         self._counts: list[int] = []
+
+    def __call__(self, batch: WordBatch, words: WordBatch) -> None:
+        self.batch_values = None   # the previous batch's values go first
+        self.batch_values = self.values(batch if self.whole_group else words)
+        self.add(batch.length, self.batch_values)
 
     def add(self, length: int, values: np.ndarray) -> None:
         while len(self._parts) <= length:
@@ -435,17 +437,18 @@ class LevelSums:
         self._parts[length].append(exact_sum(values))
         self._counts[length] += values.shape[0]
 
-    def finish(self, depth: int, depth_completed: int) -> None:
-        """Close the blocks of a walk to ``depth`` that completed ``depth_completed``.
+    def finish(self, done: Walk) -> None:
+        """Close the blocks at the walk ``done``.
 
-        Batches longer than ``depth`` are left out, so the blocks of one deep
-        walk can be closed again at each shorter depth (see :meth:`Walk.upto`).
+        Batches longer than ``done.depth`` are left out, so the blocks of one
+        deep walk can be closed again at each shorter depth (see :meth:`Walk.upto`).
         """
+        depth = done.depth
         sums = [math.fsum(parts) for parts in self._parts[: depth + 1]]
         sums += [0.0] * (depth + 1 - len(sums))   # levels without words sum to zero
-        self.tail_sum = math.fsum(sums[depth_completed + 1:])
-        self.level_sums = sums[: depth_completed + 1]
-        self.level_counts = (self._counts + [0] * (depth + 1))[: depth_completed + 1]
+        self.tail_sum = math.fsum(sums[done.depth_completed + 1:])
+        self.level_sums = sums[: done.depth_completed + 1]
+        self.level_counts = (self._counts + [0] * (depth + 1))[: done.depth_completed + 1]
 
 
 @dataclass
@@ -474,9 +477,8 @@ class Walk:
 
 
 def walk(group: SchottkyGroup, max_length: int, budget: int | None = None, *,
-         kernel: QuotientSpec | None = None, sums: Sequence[LevelSums] = (),
-         consumers: Sequence[Callable] = (),
-         on_level: Sequence[Callable[[int], None]] = ()) -> Walk:
+         kernel: QuotientSpec | None = None,
+         consumers: Sequence[Callable[[WordBatch, WordBatch], None]] = ()) -> Walk:
     """Walk the reduced words of length <= max_length once, batch by batch.
 
     This is the one place that catches a budget cut and decides how far a
@@ -484,32 +486,20 @@ def walk(group: SchottkyGroup, max_length: int, budget: int | None = None, *,
     which is the cut's ``depth_completed``.  With ``kernel`` the quotient is
     tracked and ``words`` is the batch's selection of kernel words (the
     batch itself otherwise), so kernel walks evaluate kernel words only.
-    Each batch feeds the ``sums`` (``words``, or the whole batch for a
-    ``whole_group`` sum), then each consumer as ``consume(batch, words,
-    kept)``, with ``kept`` the values each sum took from the batch;
-    ``on_level(length)`` hooks run once a level is complete.
+    Each batch goes to every consumer in turn as ``consume(batch, words)``;
+    a level ends at the batch with ``batch.final`` set.  Consumers keep
+    their own answers, which they read off the returned :class:`Walk`.
     """
     tracker = QuotientTracker(group, kernel, max_length) if kernel is not None else None
     cut = None
     try:
         for batch in iter_word_batches(group, max_length, budget):
             words = batch if tracker is None else batch.select(tracker.extend(batch)[1] == 0)
-            kept = []
-            for blocks in sums:
-                values = blocks.values(batch if blocks.whole_group else words)
-                blocks.add(batch.length, values)
-                kept.append(values)
             for consume in consumers:
-                consume(batch, words, kept)
-            if batch.final:
-                for close in on_level:
-                    close(batch.length)
+                consume(batch, words)
     except BudgetExceeded as exc:
         cut = exc.with_traceback(None)   # its frames would pin the level arrays
-    depth_completed = max_length if cut is None else cut.depth_completed
-    for blocks in sums:
-        blocks.finish(max_length, depth_completed)
-    return Walk(max_length, depth_completed, cut)
+    return Walk(max_length, max_length if cut is None else cut.depth_completed, cut)
 
 
 def enumerate_words(group: SchottkyGroup, max_length: int,
@@ -520,12 +510,10 @@ def enumerate_words(group: SchottkyGroup, max_length: int,
     raises :class:`BudgetExceeded` once the configured node budget is hit,
     after yielding the words that fit.
     """
-    table = WordTable(group)
     for batch in iter_word_batches(group, max_length, budget):
-        table.record(batch)
         for i in range(batch.last.shape[0]):
-            word = table.word(batch.length, batch.offset + i)
-            yield word, Transform(batch.mats[i], group.dim, _trusted_unit_det=True)
+            yield (word_at(group, batch.length, batch.offset + i),
+                   Transform(batch.mats[i], group.dim, _trusted_unit_det=True))
 
 
 def level_count(group: SchottkyGroup, length: int) -> int:
@@ -576,8 +564,6 @@ class QuotientTracker:
     """
 
     def __init__(self, group: SchottkyGroup, spec: QuotientSpec, max_length: int):
-        self.group = group
-        self.spec = spec
         symbols = spec.target_symbols()
         self.symbol_index = {s: i for i, s in enumerate(symbols)}
         self.letter_image = np.full(group.letter_count, -1, dtype=np.int16)
@@ -677,13 +663,11 @@ def kernel_enumerate(group: SchottkyGroup, spec: QuotientSpec, max_length: int,
                      budget: int | None = None) -> Iterator[tuple[Word, Transform]]:
     """Stream the reduced words of length <= max_length killed by the quotient."""
     tracker = QuotientTracker(group, spec, max_length)
-    table = WordTable(group)
     for batch in iter_word_batches(group, max_length, budget):
-        table.record(batch)
         _, lengths = tracker.extend(batch)
         for i in np.nonzero(lengths == 0)[0]:
-            word = table.word(batch.length, batch.offset + int(i))
-            yield word, Transform(batch.mats[i], group.dim, _trusted_unit_det=True)
+            yield (word_at(group, batch.length, batch.offset + i),
+                   Transform(batch.mats[i], group.dim, _trusted_unit_det=True))
 
 
 @dataclass(frozen=True)

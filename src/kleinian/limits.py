@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .group import QuotientSpec, SchottkyGroup, Walk, Word, WordTable, walk
+from .group import QuotientSpec, SchottkyGroup, Walk, Word, walk, word_at
 from .model import BoundaryPoint, InteriorPoint, embed3, hyperbolic_distance_raw
 from .mobius import origin_images_raw
 
@@ -70,7 +70,7 @@ def _orbit_points(group: SchottkyGroup, max_length: int,
     pts: list[np.ndarray] = []
     conorms: list[np.ndarray] = []
 
-    def collect(batch, words, kept) -> None:
+    def collect(batch, words) -> None:
         img, conorm = origin_images_raw(batch.mats)
         pts.append(img)
         conorms.append(conorm)
@@ -194,13 +194,11 @@ def horoball_scanner(group: SchottkyGroup, zeta: BoundaryPoint, levels: Sequence
         raise ValueError("horoball level must be positive")
     zc = embed3(zeta.coords)
     floor = min(levels)
-    table = WordTable(group)
     found: list[tuple[float, int, int]] = []
 
-    def consume(batch, words, kept) -> None:
+    def consume(batch, words) -> None:
         if batch.length > max_length:
             return
-        table.record(batch)
         img, conorm = origin_images_raw(words.mats)
         diff = zc[None, :] - img
         kvals = conorm / np.einsum("ij,ij->i", diff, diff)
@@ -211,7 +209,7 @@ def horoball_scanner(group: SchottkyGroup, zeta: BoundaryPoint, levels: Sequence
 
     def result(done: Walk) -> list[HoroballWitnesses]:
         found.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
-        witnesses = [(table.word(length, index), kval)
+        witnesses = [(word_at(group, length, index), kval)
                      for kval, length, index in found[:max_witnesses]]
         return [HoroballWitnesses(c, done.depth_completed, done.budget_exhausted,
                                   witnesses[: bisect.bisect_left(found, -c,

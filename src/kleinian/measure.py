@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import TargetNotInDomainClosure
 from .group import (SLAB_WORDS, DeclaredStabilizer, LevelSums, QuotientSpec,
-                    SchottkyGroup, walk)
+                    SchottkyGroup, Walk, WordBatch, walk)
 from .mobius import (apply_boundary_raw, apply_halfspace_raw, apply_interior_raw,
                      ball_to_halfspace, boundary_derivative_raw, halfspace_to_ball,
                      interior_derivative_raw)
@@ -147,8 +147,9 @@ class _AtomStream:
     order of first appearance) and its weights are added into the running
     totals in enumeration order, so every atom gets the same representative
     and the same summation order as in the one-shot merge.  ``close(length)``
-    keeps the totals at the end of a level, so ``at(depth)`` can give the
-    merge of the words of length <= depth.
+    marks the end of a level, so ``at(depth)`` can give the merge of the
+    words of length <= depth; its totals are copied only once a later batch
+    changes them, so the top level's never are.
     """
 
     def __init__(self, width: int):
@@ -158,10 +159,15 @@ class _AtomStream:
         self._lengths = [np.empty(0, dtype=np.int64)]
         self._totals = np.zeros(0)
         self._closed: dict[int, np.ndarray] = {}      # level -> totals at its end
+        self._open: list[int] = []                    # ended levels not yet copied
 
     def add(self, points: np.ndarray, weights: np.ndarray, length: int) -> None:
         if not points.shape[0]:
             return
+        if self._open:
+            totals = self._totals.copy()
+            self._closed.update(dict.fromkeys(self._open, totals))
+            self._open = []
         # the batch's distinct keys: a stable sort keeps equal keys in word
         # order, so the head of each run is its first word
         snapped = _snapped_keys(points)
@@ -190,13 +196,14 @@ class _AtomStream:
         np.add.at(self._totals, ids[inverse], weights)
 
     def close(self, length: int) -> None:
-        self._closed[length] = self._totals.copy()
+        self._open.append(length)
 
     def at(self, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Merged (points, weights, lengths) of the words of length <= depth.
 
-        Without a closed level ``depth`` the walk stopped at or before it,
-        so every atom so far is in the prefix.
+        Without a copy for level ``depth`` no batch was added after it (or
+        the walk stopped at or before it), so every atom so far is in the
+        prefix.
         """
         totals = self._closed.get(depth, self._totals)
         n = totals.shape[0]
@@ -208,8 +215,8 @@ class _AtomStream:
 def orbit_measure(group: SchottkyGroup, z: InteriorPoint, s: float, max_length: int,
                   budget: int | None = None) -> AtomicMeasure:
     """Normalized point masses j(w, z)^s at the orbit points w(z), w of length <= L."""
-    return ending_measures(group, (), s, max_length, budget=budget,
-                           orbit_points=[z])(max_length)[0]
+    measures = EndingMeasures(group, (), s, orbit_points=[z])
+    return measures.at(measures.walk(max_length, budget))[0]
 
 
 def ending_measure(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
@@ -228,94 +235,92 @@ def ending_measure(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
     mutually exclusive.  The normalizing series verdict is attached, never
     hidden: a truncation of a divergent series stays flagged.
     """
-    return ending_measures(group, [zeta], s, max_length, stab=stab, kernel=kernel,
-                           budget=budget, tail=tail,
-                           check_domain=check_domain)(max_length)[0]
+    measures = EndingMeasures(group, [zeta], s, stab=stab, kernel=kernel, tail=tail,
+                              check_domain=check_domain)
+    return measures.at(measures.walk(max_length, budget))[0]
 
 
-def ending_measures(group: SchottkyGroup, targets, s: float, max_length: int,
-                    stab: DeclaredStabilizer | None = None,
-                    kernel: QuotientSpec | None = None,
-                    budget: int | None = None,
-                    tail: TailCertificate | None = None,
-                    check_domain: bool = True, *, orbit_points=(),
-                    sums=(), consumers=(), on_level=()):
-    """The ending measures of :func:`ending_measure` at several targets and
-    depths, from one walk to ``max_length``.
+class EndingMeasures:
+    """The ending measures of :func:`ending_measure` at several targets, and
+    the orbit measures of :func:`orbit_measure` at ``orbit_points``, at
+    every depth of one walk.
 
-    Returns ``at(depth)``, the tuple of measures for any depth up to
-    ``max_length``: one per target, then the orbit measure of each interior
-    point in ``orbit_points``.  Each merges the atoms of the words of length
-    <= depth (a prefix of the enumeration order) and is normalized by that
-    depth's own level blocks, so it is bit for bit the measure
-    ``ending_measure`` (or ``orbit_measure``) builds at that depth, budget
-    cut included.  Orbit measures sum the whole group without a tail, so
-    they share no walk with a stabilizer, a kernel or a tail.
-
-    Extra ``sums``, ``consumers`` and ``on_level`` hooks ride on the walk;
-    a consumer's ``kept`` holds the measures' values first, then those of
-    ``sums``.  ``at.walk`` is the :class:`~kleinian.group.Walk` and
-    ``at.blocks`` the measures' :class:`~kleinian.group.LevelSums`, closed
-    at the depth of the last ``at`` call.
+    A walk consumer: :meth:`walk` walks once, with further consumers riding
+    after it, and :meth:`at` gives the measures of a walk, one per target
+    and then one per orbit point.  ``blocks`` holds each measure's
+    :class:`~kleinian.group.LevelSums`, which later consumers may read.
+    Each measure merges the atoms of the words of length <= depth (a prefix
+    of the enumeration order) and is normalized by that depth's own level
+    blocks, so ``at(done.upto(depth))`` is bit for bit the measure that a
+    walk to ``depth`` builds, budget cut included.  Orbit measures sum the
+    whole group without a tail, so they share no walk with a stabilizer, a
+    kernel or a tail.
     """
-    if stab is not None and kernel is not None:
-        raise ValueError("pass a stabilizer or a kernel restriction, not both")
-    reduced = stab is not None and bool(stab.labels)   # over a coset transversal
-    if orbit_points and (kernel is not None or tail is not None or reduced):
-        raise ValueError("orbit measures sum the whole group without a tail")
-    if check_domain:
+
+    def __init__(self, group: SchottkyGroup, targets, s: float,
+                 stab: DeclaredStabilizer | None = None,
+                 kernel: QuotientSpec | None = None,
+                 tail: TailCertificate | None = None,
+                 check_domain: bool = True, orbit_points=()):
+        if stab is not None and kernel is not None:
+            raise ValueError("pass a stabilizer or a kernel restriction, not both")
+        self.reduced = stab is not None and bool(stab.labels)   # over a coset transversal
+        if orbit_points and (kernel is not None or tail is not None or self.reduced):
+            raise ValueError("orbit measures sum the whole group without a tail")
+        if check_domain:
+            for zeta in targets:
+                _check_target(group, zeta, stab, kernel)
+        self.group, self.s, self.tail, self.kernel = group, s, tail, kernel
+        self.spec = stab.quotient_for(group) if self.reduced else kernel
+        self._targets, self.points = len(targets), [*targets, *orbit_points]
+        # per measure: its values j(w, .)^s and where its atoms sit
+        self.blocks, self._places = [], []
         for zeta in targets:
-            _check_target(group, zeta, stab, kernel)
-    spec = stab.quotient_for(group) if reduced else kernel
-    # per measure: its point, the values j(w, .)^s and where its atoms sit
-    streams = []
-    for zeta in targets:
-        bc = embed3(zeta.coords)
-        streams.append((zeta, boundary_values(zeta, s),
-                        lambda mats, bc=bc: apply_boundary_raw(mats, bc)))
-    for z in orbit_points:
-        zc = embed3(z.coords)
-        streams.append((z, lambda batch, zc=zc: interior_derivative_raw(batch.mats, zc) ** s,
-                        lambda mats, zc=zc: apply_interior_raw(mats, zc)))
-    blocks = [LevelSums(values) for _, values, _ in streams]
-    atoms = [_AtomStream(group.dim + 1) for _ in streams]
+            bc = embed3(zeta.coords)
+            self.blocks.append(LevelSums(boundary_values(zeta, s)))
+            self._places.append(lambda mats, bc=bc: apply_boundary_raw(mats, bc))
+        for z in orbit_points:
+            zc = embed3(z.coords)
+            self.blocks.append(LevelSums(
+                lambda batch, zc=zc: interior_derivative_raw(batch.mats, zc) ** s))
+            self._places.append(lambda mats, zc=zc: apply_interior_raw(mats, zc))
+        self._atoms = [_AtomStream(group.dim + 1) for _ in self.points]
 
-    def collect(batch, words, kept) -> None:
-        for i, (_, _, place) in enumerate(streams):
-            atoms[i].add(place(words.mats)[:, : group.dim + 1], kept[i], batch.length)
+    def __call__(self, batch: WordBatch, words: WordBatch) -> None:
+        for blocks, place, atoms in zip(self.blocks, self._places, self._atoms):
+            blocks(batch, words)
+            atoms.add(place(words.mats)[:, : self.group.dim + 1], blocks.batch_values,
+                      batch.length)
+            if batch.final:
+                atoms.close(batch.length)
 
-    def close(length: int) -> None:
-        if length < max_length:   # the top level's totals are the final ones
-            for merged in atoms:
-                merged.close(length)
+    def walk(self, max_length: int, budget: int | None = None, consumers=()) -> Walk:
+        """One walk to ``max_length`` feeding these measures, then ``consumers``."""
+        return walk(self.group, max_length, budget, kernel=self.spec,
+                    consumers=[self, *consumers])
 
-    done = walk(group, max_length, budget, kernel=spec, sums=[*blocks, *sums],
-                consumers=[collect, *consumers], on_level=[close, *on_level])
-
-    def at(depth: int) -> tuple[AtomicMeasure, ...]:
-        upto = done.upto(depth)
+    def at(self, done: Walk) -> tuple[AtomicMeasure, ...]:
+        """The measures of the walk ``done``; pass ``done.upto(depth)`` for a
+        shallower depth.  Closes ``blocks`` at ``done``."""
         out = []
-        for i, (point, _, _) in enumerate(streams):
-            boundary = i < len(targets)
-            blocks[i].finish(depth, upto.depth_completed)
-            series = finish_series(upto, blocks[i], s, tail, incomplete_cosets=reduced)
-            points, weights, lengths = atoms[i].at(depth)
+        budget = done.cut.words_generated if done.cut else None   # reproduces the cut
+        for i, point in enumerate(self.points):
+            boundary = i < self._targets
+            series = finish_series(done, self.blocks[i], self.s, self.tail,
+                                   incomplete_cosets=self.reduced)
+            points, weights, lengths = self._atoms[i].at(done.depth)
             meta = {"target" if boundary else "base_point": point.coords.tolist(),
-                    "enumeration": {"group": group, "point": embed3(point.coords),
+                    "enumeration": {"group": self.group, "point": embed3(point.coords),
                                     "kind": "boundary" if boundary else "interior",
-                                    "kernel": spec, "budget": budget}}
-            if kernel is not None:
+                                    "kernel": self.spec, "budget": budget}}
+            if self.kernel is not None:
                 meta["domain_check"] = ("skipped (subgroup measure; the subgroup's "
                                         "domain is larger)")
             out.append(AtomicMeasure(points, weights / series.partial_sum, lengths,
-                                     group.dim, "ending" if boundary else "orbit", s,
-                                     depth, boundary_supported=boundary, series=series,
-                                     meta=meta))
+                                     self.group.dim, "ending" if boundary else "orbit",
+                                     self.s, done.depth, boundary_supported=boundary,
+                                     series=series, meta=meta))
         return tuple(out)
-
-    at.walk = done
-    at.blocks = blocks
-    return at
 
 
 def _check_target(group: SchottkyGroup, zeta: BoundaryPoint,
@@ -435,7 +440,7 @@ def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
     below = (group.letter_count - 1) ** (depth - 1) if depth > 0 else 1
     parts: list[tuple] = []
 
-    def shell(batch, words, kept) -> None:
+    def shell(batch, words) -> None:
         if batch.length != depth:
             return
         index = batch.offset + np.arange(batch.last.shape[0])

@@ -1,10 +1,11 @@
 """Poincare-type series as certified partial sums.
 
 Every evaluator walks the breadth-first word stream once, forms the block
-sum of each word length with error-free-transformation summation
-(``math.fsum`` per slab and per level, combined in enumeration order),
-and returns a :class:`SeriesResult` carrying the per-level blocks, a
-three-valued convergence verdict and an optional certified tail.
+sum of each word length by correctly rounded summation (one
+:func:`~kleinian.group.exact_sum` per batch, then ``math.fsum`` per
+level, in enumeration order), and returns a :class:`SeriesResult`
+carrying the per-level blocks, a three-valued convergence verdict and an
+optional certified tail.
 
 A ``converged_within`` verdict is only ever issued against a
 :class:`TailCertificate` (a proven geometric bound on the level blocks);
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import EnlargedDiscsOverlap, InconclusiveBracket, InvalidSeparation
 from .group import (SLAB_WORDS, DeclaredStabilizer, LevelSums, QuotientSpec,
-                    SchottkyGroup, Walk, WordBatch, walk)
+                    SchottkyGroup, Walk, WordBatch, level_count, walk)
 from .mobius import (boundary_derivative_raw, disc_boundary_points,
                      interior_derivative_raw, inverse_origin_images_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
@@ -32,6 +33,7 @@ from .model import BoundaryPoint, InteriorPoint, embed3
 RATIO_CONVERGENT = 0.95
 RATIO_DIVERGENT = 1.05
 EQUAL_SUMMAND_RTOL = 1e-12
+ORACLE_BITS = 160   # mantissa bits of the extended-precision oracle
 RATIO_WINDOW = 3
 STRUCTURAL_MATCH_FRACTION = 0.01
 CIRCLE_SAMPLES = 4096
@@ -121,25 +123,25 @@ class TailCertificate:
 # --- the shared accumulation core ---------------------------------------------
 
 class EqualSummands:
-    """Equal-summand matches between the values that the walk's
-    ``sums[stream]`` took from consecutive levels.
+    """Equal-summand matches between the values that ``blocks`` took from
+    consecutive levels.
 
-    Rides on a walk as the consumer ``consume`` with the level hook
-    ``close``; :func:`finish_series` turns the matches into evidence.
+    A walk consumer that rides after ``blocks``, whose ``batch_values`` it
+    reads; :func:`finish_series` turns the matches into evidence.
     """
 
-    def __init__(self, stream: int = 0):
-        self.stream = stream
+    def __init__(self, blocks: LevelSums):
+        self.blocks = blocks
         self.counts: list[int] = []        # matches per level pair
         self.fractions: list[float] = []   # matches relative to the smaller level
         self._prev: list[np.ndarray] | None = None   # the previous level's values
         self._cur: list[np.ndarray] = []
 
-    def consume(self, batch: WordBatch, words, kept) -> None:
-        if kept[self.stream].shape[0]:
-            self._cur.append(kept[self.stream])
-
-    def close(self, length: int) -> None:
+    def __call__(self, batch: WordBatch, words: WordBatch) -> None:
+        if self.blocks.batch_values.shape[0]:
+            self._cur.append(self.blocks.batch_values)
+        if not batch.final:
+            return
         if self._prev is not None:
             # a level is joined and sorted once the next one needs it, so the
             # top level, the largest, is only ever held batch by batch
@@ -159,9 +161,8 @@ def _series(group: SchottkyGroup, values: Callable[[WordBatch], np.ndarray],
             incomplete_cosets: bool = False) -> SeriesResult:
     """One walk summing ``values`` by level, with equal-summand tracking."""
     blocks = LevelSums(values)
-    matches = EqualSummands()
-    done = walk(group, max_length, budget, kernel=kernel, sums=[blocks],
-                consumers=[matches.consume], on_level=[matches.close])
+    matches = EqualSummands(blocks)
+    done = walk(group, max_length, budget, kernel=kernel, consumers=[blocks, matches])
     return finish_series(done, blocks, exponent, tail, matches,
                          incomplete_cosets=incomplete_cosets)
 
@@ -243,7 +244,10 @@ def _build_verdict(done: Walk, blocks: LevelSums, matches: EqualSummands | None,
 def finish_series(done: Walk, blocks: LevelSums, exponent: float,
                   tail: TailCertificate | None, matches: EqualSummands | None = None, *,
                   incomplete_cosets: bool = False) -> SeriesResult:
-    """The series result of a walk's level blocks: partial sum, verdict, tail."""
+    """The series result of a walk's level blocks: partial sum, verdict, tail.
+
+    Closes ``blocks`` at ``done`` first."""
+    blocks.finish(done)
     verdict, bound, transcript = _build_verdict(done, blocks, matches, tail)
     partial = math.fsum(blocks.level_sums + [blocks.tail_sum])
     return SeriesResult(
@@ -257,10 +261,10 @@ def finish_series(done: Walk, blocks: LevelSums, exponent: float,
 
 def poincare_partial(group: SchottkyGroup, z: InteriorPoint, s: float, max_length: int,
                      budget: int | None = None, tail: TailCertificate | None = None,
-                     precision: str = "double", mantissa_bits: int = 160) -> SeriesResult:
+                     precision: str = "double") -> SeriesResult:
     """Partial sum of P(z, s) = sum over words of j(w, z)^s, by word length."""
     if precision == "extended":
-        return _sum_series_mp(group, "interior", z.coords, s, max_length, mantissa_bits)
+        return _sum_series_mp(group, "interior", z.coords, s, max_length)
     zc = embed3(z.coords)
 
     def values(batch: WordBatch) -> np.ndarray:
@@ -273,7 +277,6 @@ def horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
                           max_length: int, budget: int | None = None,
                           tail: TailCertificate | None = None,
                           precision: str = "double",
-                          mantissa_bits: int = 160,
                           kernel: QuotientSpec | None = None) -> SeriesResult:
     """Partial sum of the boundary series sum_w j(w, zeta)^s, by word length.
 
@@ -283,8 +286,7 @@ def horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
     if precision == "extended":
         if kernel is not None:
             raise ValueError("the extended-precision path has no kernel restriction")
-        return _sum_series_mp(group, "boundary", zeta.coords, s, max_length,
-                              mantissa_bits)
+        return _sum_series_mp(group, "boundary", zeta.coords, s, max_length)
     return _series(group, boundary_values(zeta, s), s, max_length, budget, tail,
                    kernel=kernel)
 
@@ -497,42 +499,37 @@ def bounded_parabolic_domination(group: SchottkyGroup, zeta: BoundaryPoint, s: f
     measured b, whether reduced(<=d) <= e^{s b} poincare0(<=d) held at every
     depth, and how far the walk got.
     """
-    sums, gap, result = parabolic_domination(zeta, s)
+    consume, result = parabolic_domination(zeta, s)
     return result(walk(group, max_length, budget, kernel=stab.quotient_for(group),
-                       sums=sums, consumers=[gap]))
+                       consumers=[consume]))
 
 
 def parabolic_domination(zeta: BoundaryPoint, s: float):
-    """The walk riders behind :func:`bounded_parabolic_domination`, for a
+    """The walk consumer behind :func:`bounded_parabolic_domination`, for a
     walk over the stabilizer's retraction kernel that may carry more.
 
-    Returns ``(sums, gap, result)``: the two level sums (the reduced series
-    on the kernel words, P(0, s) on every word), the consumer measuring b,
-    and ``result(done)``, the domination record of the walk ``done``.
+    Returns ``(consume, result)``: ``consume`` sums the reduced series over
+    the kernel words and P(0, s) over every word, and measures b;
+    ``result(done)`` is the domination record of the walk ``done``.
     """
     bc = embed3(zeta.coords)
-    raw: dict[str, np.ndarray] = {}   # the current batch's derivatives, for gap()
+    reduced, poincare = LevelSums(), LevelSums()
     b_measured = 0.0
 
-    def boundary(batch: WordBatch) -> np.ndarray:
-        raw["jb"] = boundary_derivative_raw(batch.mats, bc)
-        return raw["jb"] ** s
-
-    def interior(batch: WordBatch) -> np.ndarray:
-        raw["ji"] = interior_derivative_raw(batch.mats, np.zeros(3))
-        return raw["ji"] ** s
-
-    def gap(batch: WordBatch, words: WordBatch, kept) -> None:
+    def consume(batch: WordBatch, words: WordBatch) -> None:
         nonlocal b_measured
+        jb = boundary_derivative_raw(words.mats, bc)
+        reduced.add(batch.length, jb ** s)
+        ji = interior_derivative_raw(batch.mats, np.zeros(3))
+        poincare.add(batch.length, ji ** s)
         if words.rows.shape[0]:
-            conorm = raw["ji"][words.rows]  # at the origin 1 - |w(0)|^2 = j(w, 0)
+            conorm = ji[words.rows]  # at the origin 1 - |w(0)|^2 = j(w, 0)
             dist = np.arccosh(np.maximum(2.0 / conorm - 1.0, 1.0))
-            b_measured = max(b_measured, float(np.max(dist + np.log(raw["jb"]))))
-
-    reduced = LevelSums(boundary)
-    poincare = LevelSums(interior, whole_group=True)
+            b_measured = max(b_measured, float(np.max(dist + np.log(jb))))
 
     def result(done: Walk) -> dict:
+        reduced.finish(done)
+        poincare.finish(done)
         factor = math.exp(s * b_measured)
         red_cum = np.cumsum(reduced.level_sums)
         poi_cum = np.cumsum(poincare.level_sums)
@@ -547,7 +544,7 @@ def parabolic_domination(zeta: BoundaryPoint, s: float):
             "budget_exhausted": done.budget_exhausted,
         }
 
-    return [reduced, poincare], gap, result
+    return consume, result
 
 
 # --- exponent of convergence --------------------------------------------------------
@@ -612,7 +609,7 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
     origin = np.zeros(3)
     raw: list[tuple[int, np.ndarray]] = []   # (length, j(w, 0)) per batch
 
-    def cache(batch: WordBatch, words: WordBatch, kept) -> None:
+    def cache(batch: WordBatch, words: WordBatch) -> None:
         raw.append((batch.length, interior_derivative_raw(words.mats, origin)))
 
     done = walk(group, max(depths, default=0), budget, kernel=restrict,
@@ -627,7 +624,7 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
                 blocks.add(raw[fed][0], raw[fed][1] ** s)
                 fed += 1
             probe = done.upto(depth)
-            blocks.finish(depth, probe.depth_completed)
+            blocks.finish(probe)
             label, ratio = _probe_label(blocks.level_sums, probe.depth_completed)
             probes.append(ProbeRecord(s, probe.depth_completed,
                                       tuple(blocks.level_sums), ratio, label))
@@ -677,7 +674,7 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
 # --- extended-precision oracle path --------------------------------------------------
 
 def _sum_series_mp(group: SchottkyGroup, kind: str, coords: np.ndarray, s: float,
-                   max_length: int, mantissa_bits: int) -> SeriesResult:
+                   max_length: int) -> SeriesResult:
     """Slow reimplementation of the series sums with mpmath matrices.
 
     Exists as an independent cross-check of the double-precision pipeline;
@@ -685,13 +682,11 @@ def _sum_series_mp(group: SchottkyGroup, kind: str, coords: np.ndarray, s: float
     """
     from mpmath import mp, mpf, mpc
 
-    total_words = sum((2 * len(group.generators)) *
-                      max(2 * len(group.generators) - 1, 1) ** max(l - 1, 0)
-                      if l else 1 for l in range(max_length + 1))
+    total_words = sum(level_count(group, l) for l in range(max_length + 1))
     if total_words > 200_000:
         raise ValueError("extended-precision path is for oracle-scale runs only")
     old_prec = mp.prec
-    mp.prec = mantissa_bits
+    mp.prec = ORACLE_BITS
     try:
         letters = [[[mpc(x) for x in row] for row in mat]
                    for mat in group.letter_matrices]
@@ -751,5 +746,5 @@ def _sum_series_mp(group: SchottkyGroup, kind: str, coords: np.ndarray, s: float
     verdict = Verdict("inconclusive")
     return SeriesResult(exponent=s, depth=max_length, depth_completed=max_length,
                         partial_sum=partial, level_sums=sums, verdict=verdict,
-                        transcript={"precision_bits": mantissa_bits,
+                        transcript={"precision_bits": ORACLE_BITS,
                                     "backend": "mpmath"})

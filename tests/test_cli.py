@@ -88,6 +88,24 @@ class TestSeriesCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["series", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("doc, named", [
+        (dict(TRIVIAL, budjet=5), "'budjet'"),
+        (dict(TRIVIAL, render={"bins": 8, "widht": 64}), "'widht'"),
+        (dict(TRIVIAL, group={"kind": "example1", "params": {"pears": 4}}), "'pears'"),
+        (dict(TRIVIAL, group={"kind": "example2", "params": {"depht": 4}}), "'depht'"),
+        (dict(TRIVIAL, group={"kind": "example3", "params": {"strenght": 4.5}}),
+         "'strenght'"),
+        (dict(TRIVIAL, group={"kind": "example1", "params": {"exponent": 0.1}}),
+         "inadmissible schedule"),
+    ], ids=["top-level key", "render key", "example1 param", "example2 param",
+            "example3 param", "inadmissible exponent"])
+    def test_config_faults_exit_2_and_name_the_fault(self, tmp_path, capsys, doc, named):
+        cfg = write_config(tmp_path, doc)
+        assert main(["series", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not (tmp_path / "o").exists()
+
     def test_budget_exhaustion_exits_3_with_partial_report(self, tmp_path):
         doc = dict(TWO_GEN, budget=30)
         cfg = write_config(tmp_path, doc)

@@ -245,7 +245,7 @@ def _paired_reference(mu, g, s: float, cells: int = DEFAULT_CELLS) -> float:
         norms = np.linalg.norm(points, axis=1)
         return _cell_index(points / np.where(norms > 0, norms, 1.0)[:, None], mu.dim, cells)
 
-    def shell(batch, words, kept) -> None:
+    def shell(batch, words) -> None:
         first = first_letters(batch)
         if batch.length != mu.depth:
             return

@@ -290,12 +290,12 @@ def _probe_walk(group, s, depth, budget, restrict):
     kernel rows, summed by level."""
     blocks = LevelSums()
 
-    def evaluate(batch, words, kept):
+    def evaluate(batch, words):
         values = interior_derivative_raw(batch.mats, np.zeros(3)) ** s
         blocks.add(batch.length, values if words is batch else values[words.rows])
 
     done = walk(group, depth, budget, kernel=restrict, consumers=[evaluate])
-    blocks.finish(depth, done.depth_completed)
+    blocks.finish(done)
     return done.depth_completed, tuple(blocks.level_sums)
 
 

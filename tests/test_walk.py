@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from kleinian.errors import BudgetExceeded
 from kleinian.examples import Example3Config, example3_group
 from kleinian.group import (EXACT_SUM_MIN, DeclaredStabilizer, LevelSums, QuotientSpec,
-                            SchottkyGroup, WordTable, coset_representatives, enumerate_words,
-                            exact_sum, iter_word_batches, kernel_enumerate, level_count, walk)
+                            SchottkyGroup, coset_representatives, enumerate_words, exact_sum,
+                            iter_word_batches, kernel_enumerate, level_count, walk, word_at)
 from kleinian.limits import horoball_entry, horoball_scan, radial_profile
-from kleinian.measure import ending_measure, ending_measures, orbit_measure
+from kleinian.measure import EndingMeasures, ending_measure, orbit_measure
 from kleinian.mobius import boundary_derivative_raw, matmul_raw
 from kleinian.model import BoundaryPoint, InteriorPoint, embed3
 from kleinian.series import (bounded_parabolic_domination, horospherical_partial,
@@ -47,9 +47,10 @@ def _walk_reports(group, depth, budget):
     kernel_hits = horoball_entry(group, zeta, 1.0, depth, budget=budget, kernel=QUOTIENT)
     grid_hits = horoball_scan(group, zeta, (0.5, 1.0, 2.0), depth, budget=budget,
                               kernel=QUOTIENT)
-    measures = ending_measures(group, TARGETS, 1.0, depth, budget=budget)(depth)
-    kernel_measures = ending_measures(group, TARGETS, 1.0, depth, kernel=QUOTIENT,
-                                      budget=budget)(depth)
+    plain = EndingMeasures(group, TARGETS, 1.0)
+    measures = plain.at(plain.walk(depth, budget))
+    restricted = EndingMeasures(group, TARGETS, 1.0, kernel=QUOTIENT)
+    kernel_measures = restricted.at(restricted.walk(depth, budget))
     try:
         list(coset_representatives(group, stab, depth, budget))
         reps = (depth, False)
@@ -113,15 +114,19 @@ def _assert_same_measure(mu, reference):
 
 
 @pytest.mark.parametrize("budget", [None, 17, 20])
-@pytest.mark.parametrize("restriction", [{}, {"stab": DeclaredStabilizer(("a",))},
-                                         {"kernel": QUOTIENT}],
-                         ids=["group", "stabilizer", "kernel"])
+@pytest.mark.parametrize("restriction", [
+    {}, {"stab": DeclaredStabilizer(("a",))}, {"kernel": QUOTIENT},
+    {"kernel": QuotientSpec("free", {"a": ("x",), "b": ("x",)})}],
+    ids=["group", "stabilizer", "kernel", "kernel without level 1"])
 def test_ending_measures_equal_one_walk_per_depth(std_group, budget, restriction):
     # budget 17 ends on the level-2 boundary and budget 20 inside level 3, so
-    # the depth-2 measures of the cut depth-3 walk are complete
-    measures_at = ending_measures(std_group, TARGETS, 0.8, 3, budget=budget, **restriction)
+    # the depth-2 measures of the cut depth-3 walk are complete; a and b map
+    # to one letter, so that kernel has no word of length 1 and no atom
+    # arrives between the ends of levels 0 and 1
+    measures = EndingMeasures(std_group, TARGETS, 0.8, **restriction)
+    done = measures.walk(3, budget)
     for depth in range(4):
-        for zeta, mu in zip(TARGETS, measures_at(depth)):
+        for zeta, mu in zip(TARGETS, measures.at(done.upto(depth))):
             _assert_same_measure(mu, ending_measure(std_group, zeta, 0.8, depth,
                                                     budget=budget, **restriction))
 
@@ -168,7 +173,8 @@ def test_horoball_scan_equals_per_level_scans(std_group, budget, kernel):
 
 def test_level_sums_of_a_finite_group_cover_every_level():
     blocks = LevelSums(lambda batch: np.ones(batch.last.shape[0]))
-    done = walk(SchottkyGroup.trivial(1), 3, sums=[blocks])
+    done = walk(SchottkyGroup.trivial(1), 3, consumers=[blocks])
+    blocks.finish(done)
     assert (done.depth_completed, done.budget_exhausted) == (3, False)
     assert blocks.level_sums == [1.0, 0.0, 0.0, 0.0]
     assert blocks.level_counts == [1, 0, 0, 0]
@@ -176,7 +182,8 @@ def test_level_sums_of_a_finite_group_cover_every_level():
 
 def test_walk_before_the_identity(std_group):
     blocks = LevelSums(lambda batch: np.ones(batch.last.shape[0]))
-    done = walk(std_group, 3, 0, sums=[blocks])
+    done = walk(std_group, 3, 0, consumers=[blocks])
+    blocks.finish(done)
     assert (done.depth_completed, done.budget_exhausted) == (-1, True)
     assert blocks.level_sums == [] and blocks.tail_sum == 0.0
 
@@ -231,31 +238,31 @@ def test_kernel_walk_is_the_masked_whole_walk(group, depth, data):
             members.add(word.letters)
     except BudgetExceeded:
         pass
-    table = WordTable(group)
     keep: list[np.ndarray] = []   # the current batch's kernel mask
 
     def masked(batch):
-        table.record(batch)
-        keep[:] = [np.array([table.word(batch.length, batch.offset + i).letters in members
+        keep[:] = [np.array([word_at(group, batch.length, batch.offset + i).letters in members
                              for i in range(batch.last.shape[0])], dtype=bool)]
         return values(batch)[keep[0]]
 
-    def seen_by(record):
-        def consume(batch, words, kept):
+    def seen_by(record, blocks):
+        def consume(batch, words):
             if words is batch:   # the whole walk: mask it
                 rows = np.flatnonzero(keep[0])
                 mats = batch.mats[rows]
             else:
                 rows, mats = words.rows, words.mats
             record.append((batch.length, batch.offset + rows, mats.tobytes(),
-                           kept[0].tobytes()))
+                           blocks.batch_values.tobytes()))
         return consume
 
     pruned, whole = LevelSums(values), LevelSums(masked)
     by_kernel, by_mask = [], []
-    done = walk(group, depth, budget, kernel=spec, sums=[pruned],
-                consumers=[seen_by(by_kernel)])
-    reference = walk(group, depth, budget, sums=[whole], consumers=[seen_by(by_mask)])
+    done = walk(group, depth, budget, kernel=spec,
+                consumers=[pruned, seen_by(by_kernel, pruned)])
+    reference = walk(group, depth, budget, consumers=[whole, seen_by(by_mask, whole)])
+    pruned.finish(done)
+    whole.finish(reference)
     assert (done.depth_completed, done.budget_exhausted) == (
         reference.depth_completed, reference.budget_exhausted)
     assert np.array(pruned.level_sums).tobytes() == np.array(whole.level_sums).tobytes()
@@ -291,6 +298,30 @@ def test_real_walk_gives_the_complex_bits(group, depth):
         for field in ("points", "weights", "word_lengths"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
         assert bits(a.series.level_sums) == bits(b.series.level_sums)
+
+
+@settings(max_examples=15, deadline=None)
+@given(group=schottky_groups(), depth=st.integers(0, 5))
+def test_word_at_follows_the_parent_chain(group, depth):
+    """``word_at`` equals the word read back along the (last, parent)
+    records of the level engine's batches, at every level from the
+    identity up."""
+    last, parent = [], []   # per level: every word's last letter and parent
+    for batch in iter_word_batches(group, depth):
+        if batch.length == len(last):
+            last.append([])
+            parent.append([])
+        last[-1].extend(batch.last.tolist())
+        parent[-1].extend(batch.parent.tolist())
+    for length in range(depth + 1):
+        for index in range(len(last[length])):
+            letters, lvl, idx = [], length, index
+            while lvl > 0:
+                letters.append(last[lvl][idx])
+                idx, lvl = parent[lvl][idx], lvl - 1
+            word = word_at(group, length, index)
+            assert word.letters == tuple(reversed(letters))
+            assert word.labels == group.letter_labels
 
 
 # --- the level engine's bits ---------------------------------------------------------
