@@ -30,9 +30,11 @@ from .series import (SeriesResult, TailCertificate, horospherical_partial,
 
 SCHEMA_VERSION = 1
 CONFIG_KEYS = {"schema_version", "group", "exponent", "depth", "budget", "threads",
-               "precision", "partition_cells", "target", "point", "stabilizer",
-               "series", "render"}
+               "precision", "target", "point", "stabilizer", "series", "render"}
 RENDER_KEYS = {"bins", "width", "height"}
+GROUP_KEYS = {"trivial": {"kind", "dim"},
+              "schottky": {"kind", "dim", "pairs", "parabolics"},
+              **{f"example{i}": {"kind", "params"} for i in (1, 2, 3)}}
 
 
 @dataclass
@@ -52,7 +54,6 @@ class RunConfig:
     series_kind: str
     threads: int
     precision: str
-    partition_cells: int
     render_bins: int
     render_size: tuple[int, int]
 
@@ -67,81 +68,102 @@ def _require_known(doc: dict, known: set[str], what: str) -> None:
     _require(not unknown, f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
 
 
-def _example_config(cls, params):
-    """``cls(**params)``, with a bad key or value reported as a config error."""
-    _require(isinstance(params, dict), "group.params must be an object")
+def _number(value, what: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str, low: int) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= low,
+             f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _built(what: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a bad key or value reported as a config error."""
     try:
-        return cls(**params)
+        return make(*args, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"group.params: {exc}") from exc
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _point_from(doc, dim: int, what: str) -> BoundaryPoint:
-    if isinstance(doc, dict) and "angle" in doc:
+def _point_from(doc, dim: int, what: str, extra: tuple[str, ...] = ()) -> BoundaryPoint:
+    """``{'angle': ...}`` or ``{'coords': [...]}``, which may also hold ``extra`` keys."""
+    _require(isinstance(doc, dict) and ("angle" in doc) != ("coords" in doc),
+             f"{what} must be {{'angle': ...}} or {{'coords': [...]}}")
+    _require_known(doc, {"angle", "coords", *extra}, what)
+    if "angle" in doc:
         _require(dim == 1, f"{what}: angles only make sense on S^1")
-        return BoundaryPoint.from_angle(float(doc["angle"]))
-    if isinstance(doc, dict) and "coords" in doc:
-        return BoundaryPoint(doc["coords"])
-    raise ConfigError(f"{what} must be {{'angle': ...}} or {{'coords': [...]}}")
+        return BoundaryPoint.from_angle(_number(doc["angle"], f"{what}.angle"))
+    return _built(f"{what}.coords", BoundaryPoint, doc["coords"])
 
 
-def _build_schottky(doc: dict) -> SchottkyGroup:
-    dim = doc.get("dim", 1)
-    _require(dim in (1, 2), f"group.dim must be 1 or 2, got {dim}")
+def _disc_from(doc, dim: int, what: str, extra: tuple[str, ...] = ()) -> Disc:
+    center = _point_from(doc, dim, what, ("radius", *extra))
+    return _built(f"{what}.radius", Disc, center, _number(doc.get("radius"), f"{what}.radius"))
+
+
+def _entries(doc: dict, key: str) -> list[dict]:
+    entries = doc.get(key, [])
+    _require(isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
+             f"group.{key} must be a list of objects")
+    return entries
+
+
+def _build_schottky(doc: dict, dim: int) -> SchottkyGroup:
     pairs = []
     labels = []
-    for i, pair in enumerate(doc.get("pairs", [])):
-        _require(isinstance(pair, dict), f"group.pairs[{i}] must be an object")
+    for i, pair in enumerate(_entries(doc, "pairs")):
+        _require_known(pair, {"label", "plus", "minus"}, f"group.pairs[{i}]")
         labels.append(pair.get("label", chr(ord("a") + i)))
-        discs = []
-        for side in ("plus", "minus"):
-            side_doc = pair.get(side)
-            _require(isinstance(side_doc, dict), f"group.pairs[{i}].{side} missing")
-            center = _point_from(side_doc, dim, f"group.pairs[{i}].{side}")
-            _require("radius" in side_doc,
-                     f"group.pairs[{i}].{side}.radius (chordal) missing")
-            discs.append(Disc(center, float(side_doc["radius"])))
-        pairs.append((discs[0], discs[1]))
+        pairs.append(tuple(_disc_from(pair.get(side), dim, f"group.pairs[{i}].{side}")
+                           for side in ("plus", "minus")))
     _require(bool(pairs), "group.pairs must list at least one disc pair")
     group = SchottkyGroup.from_disc_pairs(dim, pairs, labels=labels)
-    for pdoc in doc.get("parabolics", []):
-        center = _point_from(pdoc, dim, "group.parabolics[]")
-        group = group.with_parabolic(pdoc.get("label", "p"),
-                                     Disc(center, float(pdoc["radius"])),
-                                     float(pdoc.get("strength", 4.0)))
+    for i, pdoc in enumerate(_entries(doc, "parabolics")):
+        what = f"group.parabolics[{i}]"
+        disc = _disc_from(pdoc, dim, what, ("label", "strength"))
+        group = _built(what, group.with_parabolic, pdoc.get("label", "p"), disc,
+                       _number(pdoc.get("strength", 4.0), f"{what}.strength"))
     return group
 
 
-def _resolve_group(doc: dict) -> tuple[SchottkyGroup, BoundaryPoint | None,
-                                       DeclaredStabilizer | None,
-                                       QuotientSpec | None,
-                                       TailCertificate | None]:
+def _resolve_group(doc) -> tuple[SchottkyGroup, BoundaryPoint | None,
+                                 DeclaredStabilizer | None,
+                                 QuotientSpec | None,
+                                 TailCertificate | None]:
+    _require(isinstance(doc, dict), "group must be an object")
     kind = doc.get("kind")
+    _require(isinstance(kind, str) and kind in GROUP_KEYS, f"unknown group.kind {kind!r} "
+             "(expected trivial, schottky, example1, example2 or example3)")
+    _require_known(doc, GROUP_KEYS[kind], f"group ({kind})")
+    dim = doc.get("dim", 1)
+    _require(dim in (1, 2) and not isinstance(dim, bool),
+             f"group.dim must be 1 or 2, got {dim!r}")
     if kind == "trivial":
-        return SchottkyGroup.trivial(doc.get("dim", 1)), None, None, None, None
+        return SchottkyGroup.trivial(dim), None, None, None, None
     if kind == "schottky":
-        return _build_schottky(doc), None, None, None, None
+        return _build_schottky(doc, dim), None, None, None, None
     params = doc.get("params", {})
+    _require(isinstance(params, dict), "group.params must be an object")
     if kind == "example1":
         from .examples import Example1Config, example1_group
         from .series import example1_certificate
 
-        cfg = _example_config(Example1Config, params)
+        cfg = _built("group.params", Example1Config, **params)
         group, target = example1_group(cfg)
         cert = example1_certificate(cfg.schedule(), cfg.exponent)
         return group, target, DeclaredStabilizer.trivial(), None, cert
     if kind == "example2":
         from .examples import Example2Config, example2_group, example2_target
 
-        group, quotient = example2_group(_example_config(Example2Config, params))
+        group, quotient = example2_group(_built("group.params", Example2Config, **params))
         return group, example2_target(group, "c"), None, quotient, None
-    if kind == "example3":
-        from .examples import Example3Config, example3_group
+    from .examples import Example3Config, example3_group
 
-        group, target = example3_group(_example_config(Example3Config, params))
-        return group, target, DeclaredStabilizer(("p",)), None, None
-    raise ConfigError(f"unknown group.kind {kind!r} (expected trivial, schottky, "
-                      "example1, example2 or example3)")
+    group, target = example3_group(_built("group.params", Example3Config, **params))
+    return group, target, DeclaredStabilizer(("p",)), None, None
 
 
 def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
@@ -160,37 +182,35 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     _require("group" in raw, "config needs a 'group' section")
     group, default_target, stab, kernel, cert = _resolve_group(raw["group"])
 
-    exponent = float(overrides.exponent if overrides.exponent is not None
-                     else raw.get("exponent", 1.0))
-    depth = int(overrides.depth if overrides.depth is not None
-                else raw.get("depth", 6))
+    def knob(name: str, default):
+        override = getattr(overrides, name)
+        return override if override is not None else raw.get(name, default)
+
+    exponent = _number(knob("exponent", 1.0), "exponent")
+    _require(0.0 <= exponent < math.inf, f"exponent must be finite and >= 0, got {exponent}")
+    depth = _integer(knob("depth", 6), "depth", 0)
     budget = raw.get("budget")
-    if budget is not None:
-        budget = int(budget)
-    threads = int(overrides.threads if overrides.threads is not None
-                  else raw.get("threads", 1))
-    precision = (overrides.precision if overrides.precision is not None
-                 else raw.get("precision", "double"))
-    _require(exponent >= 0.0, f"exponent must be >= 0, got {exponent}")
-    _require(depth >= 0, f"depth must be >= 0, got {depth}")
-    _require(budget is None or budget > 0, f"budget must be positive, got {budget}")
-    _require(threads >= 1, f"threads must be >= 1, got {threads}")
+    budget = None if budget is None else _integer(budget, "budget", 1)
+    threads = _integer(knob("threads", 1), "threads", 1)
+    precision = knob("precision", "double")
     _require(precision in ("double", "extended"),
              f"precision must be 'double' or 'extended', got {precision!r}")
-    cells = int(raw.get("partition_cells", 64))
-    _require(cells >= 4, f"partition_cells must be >= 4, got {cells}")
 
-    target = default_target
-    if "target" in raw:
-        target = _point_from(raw["target"], group.dim, "target")
+    target = (_point_from(raw["target"], group.dim, "target") if "target" in raw
+              else default_target)
     point = None
     if "point" in raw:
         pdoc = raw["point"]
-        _require(isinstance(pdoc, dict) and "coords" in pdoc,
+        _require(isinstance(pdoc, dict) and set(pdoc) == {"coords"},
                  "point must be {'coords': [...]}")
-        point = InteriorPoint(pdoc["coords"])
+        point = _built("point.coords", InteriorPoint, pdoc["coords"])
     if "stabilizer" in raw:
-        stab = DeclaredStabilizer(tuple(raw["stabilizer"]))
+        labels = raw["stabilizer"]
+        known = {gen.label for gen in group.generators}
+        _require(isinstance(labels, list)
+                 and all(isinstance(label, str) and label in known for label in labels),
+                 f"stabilizer must list generator labels of {sorted(known)}, got {labels!r}")
+        stab = DeclaredStabilizer(tuple(labels))
     series_kind = raw.get("series", "horospherical" if target is not None
                           else "poincare")
     _require(series_kind in ("poincare", "horospherical", "reduced"),
@@ -201,24 +221,21 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     render = raw.get("render", {})
     _require(isinstance(render, dict), "render must be an object")
     _require_known(render, RENDER_KEYS, "render")
+    bins, width, height = (_integer(render.get(key, default), f"render.{key}", 1)
+                           for key, default in (("bins", 64), ("width", 256), ("height", 128)))
     return RunConfig(
         raw=raw, group=group, target=target, point=point, stabilizer=stab,
         kernel=kernel, certificate=cert, exponent=exponent, depth=depth,
         budget=budget, series_kind=series_kind, threads=threads,
-        precision=precision, partition_cells=cells,
-        render_bins=int(render.get("bins", 64)),
-        render_size=(int(render.get("width", 256)), int(render.get("height", 128))))
+        precision=precision, render_bins=bins, render_size=(width, height))
 
 
 # --- report plumbing -----------------------------------------------------------
 
 def _resolved_config(cfg: RunConfig) -> dict:
-    doc = {k: v for k, v in cfg.raw.items() if k != "threads"}
-    doc["schema_version"] = SCHEMA_VERSION
-    doc["exponent"] = cfg.exponent
-    doc["depth"] = cfg.depth
-    doc["precision"] = cfg.precision
-    return doc
+    return {**{k: v for k, v in cfg.raw.items() if k != "threads"},
+            "schema_version": SCHEMA_VERSION, "exponent": cfg.exponent,
+            "depth": cfg.depth, "precision": cfg.precision}
 
 
 def _write_report(out_dir: Path, name: str, payload: dict, cfg: RunConfig) -> Path:
@@ -290,7 +307,8 @@ def cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
         "source": measure.source,
         "series": measure.series.summary(),
     }
-    if cfg.stabilizer is not None:
+    if cfg.stabilizer is not None and measure.source == "ending":
+        # its series is the one the verdict reads; an orbit measure's is not
         verdict = classify_atomicity(cfg.group, cfg.target, cfg.exponent,
                                      cfg.stabilizer, cfg.depth, budget=cfg.budget,
                                      tail=cfg.certificate,
@@ -328,33 +346,23 @@ def _render_ppm(masses: np.ndarray, dim: int, size: tuple[int, int]) -> bytes:
     width, height = size
     peak = float(np.max(masses)) or 1.0
     shade = (masses / peak * 255.0).astype(np.uint8)
-    img = np.zeros((height if dim == 2 else width, width, 3), dtype=np.uint8)
-    img[:] = 255
-    if dim == 1:
-        bins = masses.shape[0]
-        cx = cy = (width - 1) / 2.0
-        yy, xx = np.mgrid[0:width, 0:width]
-        dx, dy = xx - cx, yy - cy
-        rr = np.sqrt(dx * dx + dy * dy) / (width / 2.0)
+    bins = masses.shape[0]
+    if dim == 1:   # a ring of cells on a width x width square
+        yy, xx = np.mgrid[0:width, 0:width] - (width - 1) / 2.0
+        rr = np.sqrt(xx * xx + yy * yy) / (width / 2.0)
         ring = (rr >= 0.72) & (rr <= 0.98)
-        idx = _cell_index(np.stack([dx.ravel(), dy.ravel()], axis=1), 1, bins
-                          ).reshape(dx.shape)
+        idx = _cell_index(np.stack([xx.ravel(), yy.ravel()], axis=1), 1, bins
+                          ).reshape(xx.shape)
         level = np.where(ring, shade[idx], 0)
-        img[..., 0] = np.where(ring, 255 - level, 255)
-        img[..., 1] = np.where(ring, 255 - level, 255)
-        img[..., 2] = 255
     else:
-        bins = masses.shape[0]
         lon_cells = int(round(math.sqrt(bins)))
         lat_cells = bins // lon_cells
         yy, xx = np.mgrid[0:height, 0:width]
         i = (xx * lon_cells // width).astype(np.int64)
         j = (yy * lat_cells // height).astype(np.int64)
-        idx = np.minimum(i * lat_cells + j, bins - 1)
-        level = shade[idx]
-        img[..., 0] = 255 - level
-        img[..., 1] = 255 - level
-        img[..., 2] = 255
+        level = shade[np.minimum(i * lat_cells + j, bins - 1)]
+    img = np.full(level.shape + (3,), 255, dtype=np.uint8)
+    img[..., 0] = img[..., 1] = 255 - level
     header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode()
     return header + img.tobytes()
 

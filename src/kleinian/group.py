@@ -13,6 +13,10 @@ have to be held in memory at once.  Level sums take one correctly rounded
 sum per batch (:func:`exact_sum`, equal to ``math.fsum``), then one per
 level.
 
+A kernel walk also tracks each word's image under a retraction onto a free
+group (:class:`QuotientTracker`): one integer key that reads the reduced
+image as digits, and its length, which is 0 exactly on the kernel.
+
 Letters are integers: generator ``i`` contributes letters ``2*i`` (the
 generator) and ``2*i + 1`` (its inverse); ``letter ^ 1`` is the inverse.
 """
@@ -544,81 +548,71 @@ class QuotientSpec:
             raise ValueError(f"unsupported quotient target kind {self.target_kind!r}; "
                              "only 'free' quotients are tracked")
 
-    def target_symbols(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for word in self.images.values():
-            for sym in word:
-                base = sym[:-3] if sym.endswith("^-1") else sym
-                if base not in seen:
-                    seen.append(base)
-        return tuple(seen)
-
 
 class QuotientTracker:
-    """Vectorized image-word state along the BFS.
+    """The reduced image of every word along the walk, as one integer key.
 
-    The image of a word is tracked as a reduced stack of target letters;
-    appending a domain letter whose image is empty or a single target
-    letter is a masked push/pop, so kernel membership (an empty stack) is
-    exact and symbolic.
+    Target symbols are numbered as the generator images first name them.
+    With r symbols the key reads a reduced image as base-B digits, B = 2r + 1,
+    last letter lowest: target letter code c (2 i for symbol i, 2 i + 1 for
+    its inverse) is digit c + 1.  A letter with an empty image keeps the key;
+    otherwise the key pops (``key // B``) when its top digit ``key % B`` is
+    the inverse of the letter's digit, and pushes (``key * B + d``) in every
+    other case.  The image length is kept beside the key, so kernel
+    membership (length 0) is exact.  Only parent levels are stored, one int64
+    key and one int16 length per word.  A key holds at most ``cap`` letters
+    (39 for B = 3); longer images, and generator images of more than one
+    letter, raise :class:`NotImplementedError`.
     """
 
     def __init__(self, group: SchottkyGroup, spec: QuotientSpec, max_length: int):
-        symbols = spec.target_symbols()
-        self.symbol_index = {s: i for i, s in enumerate(symbols)}
-        self.letter_image = np.full(group.letter_count, -1, dtype=np.int16)
+        symbols: dict[str, int] = {}
+        digit = self.digit = np.zeros(group.letter_count, dtype=np.int16)
         for idx, gen in enumerate(group.generators):
             image = spec.images.get(gen.label, (gen.label,))
             if len(image) > 1:
                 raise NotImplementedError(
                     "only trivial or single-letter generator images are supported")
             if image:
-                sym = image[0]
-                base, inv = (sym[:-3], True) if sym.endswith("^-1") else (sym, False)
-                code = 2 * self.symbol_index[base] + (1 if inv else 0)
-                self.letter_image[2 * idx] = code
-                self.letter_image[2 * idx + 1] = code ^ 1
-        self.depth = max_length
-        self.stacks: list[np.ndarray] = []
+                base, inv = (image[0][:-3], 1) if image[0].endswith("^-1") else (image[0], 0)
+                code = 2 * symbols.setdefault(base, len(symbols)) + inv
+                digit[2 * idx], digit[2 * idx + 1] = code + 1, (code ^ 1) + 1
+        self.base = 2 * len(symbols) + 1
+        self.cap = max(n for n in range(64) if self.base ** n < 1 << 63)   # B = 1: never hit
+        # per letter: the key's factor and addend on a push (1 and 0 keep it),
+        # the top digit that pops instead (-1: never), and the length change
+        self.scale = np.where(digit > 0, self.base, 1).astype(np.int16)
+        self.pop_digit = np.where(digit > 0, digit[np.arange(digit.shape[0]) ^ 1], -1)
+        self.step = (digit > 0).astype(np.int16)
+        self.group, self.depth = group, max_length
+        self.keys: list[np.ndarray] = []      # per parent level
         self.lengths: list[np.ndarray] = []
 
     def extend(self, batch: WordBatch) -> tuple[np.ndarray, np.ndarray]:
-        """Image stacks for a batch; returns (stack rows, stack lengths)."""
+        """Image keys and image lengths of a batch's words (0 on the kernel)."""
         if batch.length == 0:
-            stacks = np.full((1, self.depth), -1, dtype=np.int16)
-            lengths = np.zeros(1, dtype=np.int16)
-            self._store(batch, stacks, lengths)
-            return stacks, lengths
-        pstacks = self.stacks[batch.length - 1][batch.parent]
-        plens = self.lengths[batch.length - 1][batch.parent]
-        codes = self.letter_image[batch.last]
-        stacks = pstacks.copy()
-        lengths = plens.copy()
-        m = batch.last.shape[0]
-        rows = np.arange(m)
-        has_image = codes >= 0
-        top = np.where(plens > 0, pstacks[rows, np.maximum(plens - 1, 0)], -2)
-        pops = has_image & (top == (codes ^ 1))
-        pushes = has_image & ~pops
-        if np.any(pops):
-            r = rows[pops]
-            lengths[r] = plens[r] - 1
-            stacks[r, lengths[r]] = -1
-        if np.any(pushes):
-            r = rows[pushes]
-            stacks[r, plens[r]] = codes[pushes]
-            lengths[r] = plens[r] + 1
-        self._store(batch, stacks, lengths)
-        return stacks, lengths
-
-    def _store(self, batch: WordBatch, stacks: np.ndarray, lengths: np.ndarray) -> None:
-        if batch.length == self.depth:
-            return   # only a parent level is ever indexed
-        while len(self.stacks) <= batch.length:
-            self.stacks.append(np.empty((0, self.depth), dtype=np.int16))
-            self.lengths.append(np.empty(0, dtype=np.int16))
-        self.stacks[batch.length] = np.concatenate([self.stacks[batch.length], stacks])
-        self.lengths[batch.length] = np.concatenate([self.lengths[batch.length], lengths])
+            keys, lengths = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int16)
+        else:
+            last, level = batch.last, batch.length - 1
+            keys = self.keys[level][batch.parent]   # a copy: the parents' keys
+            top = keys % self.base
+            pops = top == self.pop_digit[last]
+            popped = np.floor_divide(keys, self.base, out=top)   # in place: few temporaries
+            keys *= self.scale[last]
+            keys += self.digit[last]
+            np.copyto(keys, popped, where=pops)
+            lengths = self.lengths[level][batch.parent] + self.step[last]
+            lengths[pops] -= 2
+            if batch.length > self.cap and lengths.max() > self.cap:
+                raise NotImplementedError(
+                    f"images longer than {self.cap} letters do not fit an int64 key")
+        if batch.length < self.depth:   # only a parent level is ever indexed
+            rows = slice(batch.offset, batch.offset + keys.shape[0])
+            for store, values in ((self.keys, keys), (self.lengths, lengths)):
+                if batch.offset == 0:
+                    store.append(np.empty(level_count(self.group, batch.length), values.dtype))
+                store[batch.length][rows] = values
+        return keys, lengths
 
 
 class StabilizerTracker:
@@ -686,11 +680,8 @@ class DeclaredStabilizer:
         return cls(())
 
     def quotient_for(self, group: SchottkyGroup) -> QuotientSpec:
-        images = {}
-        keep = set(self.labels)
-        for gen in group.generators:
-            images[gen.label] = (gen.label,) if gen.label in keep else ()
-        return QuotientSpec("free", images)
+        return QuotientSpec("free", {gen.label: (gen.label,) if gen.label in self.labels
+                                     else () for gen in group.generators})
 
 
 def coset_representatives(group: SchottkyGroup, stab: DeclaredStabilizer | None,

@@ -48,6 +48,12 @@ TWO_GEN = {
 }
 
 
+def _two_gen_with(edit) -> dict:
+    doc = json.loads(json.dumps(TWO_GEN))
+    edit(doc)
+    return doc
+
+
 class TestSeriesCommand:
     def test_trivial_group_reports_unit_sum(self, tmp_path):
         cfg = write_config(tmp_path, TRIVIAL)
@@ -97,8 +103,30 @@ class TestSeriesCommand:
          "'strenght'"),
         (dict(TRIVIAL, group={"kind": "example1", "params": {"exponent": 0.1}}),
          "inadmissible schedule"),
+        (dict(TRIVIAL, exponent="abc"), "exponent"),
+        (dict(TRIVIAL, depth="x"), "depth"),
+        (dict(TRIVIAL, target={"angle": "x"}), "target.angle"),
+        (dict(TRIVIAL, stabilizer=5), "stabilizer"),
+        (_two_gen_with(lambda doc: doc["group"]["pairs"][0]["plus"].update(radius=3)),
+         "group.pairs[0].plus.radius"),
+        (dict(TRIVIAL, render={"bins": 0}), "render.bins"),
+        (dict(TRIVIAL, render={"width": -5}), "render.width"),
+        (dict(TRIVIAL, budget=True), "budget"),
+        (dict(TRIVIAL, partition_cells=64), "'partition_cells'"),
+        (dict(TRIVIAL, group={"kind": "trivial", "dimm": 2}), "'dimm'"),
+        (dict(TRIVIAL, group={"kind": "example1", "pairs": []}), "'pairs'"),
+        (_two_gen_with(lambda doc: doc["group"].update(params={})), "'params'"),
+        (_two_gen_with(lambda doc: doc["group"]["pairs"][1].update(lable="b")), "'lable'"),
+        (_two_gen_with(lambda doc: doc["group"]["pairs"][0]["minus"].update(radus=0.1)),
+         "'radus'"),
+        (_two_gen_with(lambda doc: doc["group"].update(parabolics=[
+            {"angle": 0.5, "radius": 0.1, "strenght": 4.0}])), "'strenght'"),
     ], ids=["top-level key", "render key", "example1 param", "example2 param",
-            "example3 param", "inadmissible exponent"])
+            "example3 param", "inadmissible exponent", "exponent string",
+            "depth string", "target angle string", "stabilizer number",
+            "pair radius 3", "render bins 0", "render width -5", "budget boolean",
+            "partition_cells", "trivial group key", "example group key",
+            "schottky group key", "pair key", "disc key", "parabolic key"])
     def test_config_faults_exit_2_and_name_the_fault(self, tmp_path, capsys, doc, named):
         cfg = write_config(tmp_path, doc)
         assert main(["series", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -139,6 +167,24 @@ class TestMeasureCommand:
                      "--out", str(tmp_path / "o"), "--depth", "5"]) == 0
         report = json.loads((tmp_path / "o" / "measure.json").read_text())
         assert report["result"]["stabilizer_check"] == "all_derivatives_one"
+
+    def test_atomicity_comes_with_ending_measures_only(self, tmp_path):
+        """An orbit measure's series says nothing about atoms at the target."""
+        doc = json.loads((CONFIGS / "example1.json").read_text())
+        doc["depth"] = 4
+        for name, extra in (("ending", {}), ("orbit", {"point": {"coords": [0.1, 0.2]}})):
+            cfg = write_config(tmp_path, dict(doc, **extra))
+            result = {}
+            for command in ("measure", "classify"):
+                out = tmp_path / name / command
+                assert main([command, "--config", cfg, "--out", str(out)]) == 0
+                result[command] = json.loads((out / f"{command}.json").read_text())["result"]
+            measure, classify = result["measure"], result["classify"]
+            assert classify["conclusion"] == "atom_at_target"
+            if name == "ending":
+                assert measure["atomicity"] == "atom_at_target"
+            else:
+                assert measure["source"] == "orbit" and "atomicity" not in measure
 
     def test_weights_descending(self, tmp_path):
         cfg = write_config(tmp_path, TWO_GEN)

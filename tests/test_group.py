@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleinian.errors import BudgetExceeded, DiscsOverlap, TargetNotInDomainClosure
 from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
                             QuotientTracker, SchottkyGroup, coset_representatives,
                             ending_sequence, enumerate_words, iter_word_batches,
-                            kernel_enumerate, level_count)
+                            kernel_enumerate, level_count, walk, word_at)
 from kleinian.mobius import image_disc
 from kleinian.model import BoundaryPoint, Disc
 from kleinian.series import reduced_horospherical_partial
 
-from conftest import arc
+from conftest import arc, schottky_groups
 
 
 class TestConstruction:
@@ -226,9 +228,26 @@ class TestQuotients:
         kernel = []
         for batch in iter_word_batches(std_group, 3, slab=5):
             kernel.append(int(np.count_nonzero(tracker.extend(batch)[1] == 0)))
-        # the top level is never a parent, so its image stacks are not kept
-        assert [s.shape[0] for s in tracker.stacks] == [1, 4, 12]
+        # the top level is never a parent, so its image keys are not kept
+        assert [k.shape[0] for k in tracker.keys] == [1, 4, 12]
+        assert [k.dtype for k in tracker.keys] == [np.int64] * 3
+        assert [n.dtype for n in tracker.lengths] == [np.int16] * 3
         assert sum(kernel) == sum(1 for _ in kernel_enumerate(std_group, spec, 3))
+
+    def test_unlisted_generator_keeps_its_own_label(self, std_group):
+        partial = QuotientSpec("free", {"a": ()})
+        full = QuotientSpec("free", {"a": (), "b": ("b",)})
+        assert ([w.letters for w, _ in kernel_enumerate(std_group, partial, 3)]
+                == [w.letters for w, _ in kernel_enumerate(std_group, full, 3)])
+
+    def test_int64_key_caps_the_image_length(self):
+        group = SchottkyGroup.from_disc_pairs(1, [(arc(72, 10), arc(216, 10))])
+        spec = QuotientSpec("free", {"a": ("a",)})   # a^n has an image of n letters
+        assert walk(group, 39, kernel=spec).depth_completed == 39
+        with pytest.raises(NotImplementedError, match="39 letters"):
+            walk(group, 40, kernel=spec)
+        killed = QuotientSpec("free", {"a": ()})   # every key is 0: no cap
+        assert walk(group, 70, kernel=killed).depth_completed == 70
 
     def test_kernel_closed_under_short_conjugation(self, std_group):
         spec = QuotientSpec("free", {"a": (), "b": ("b",)})
@@ -239,6 +258,45 @@ class TestQuotients:
                 word = _reduce((conj,) + letters + (conj ^ 1,))
                 if len(word) <= 6:
                     assert word in kernel
+
+
+def _hand_image(group, images, letters):
+    """The image of a word, free-reduced by hand, as (symbol, +-1) letters."""
+    out = []
+    for letter in letters:
+        label = group.generators[letter // 2].label
+        for sym in images.get(label, (label,)):
+            base, sign = (sym[:-3], -1) if sym.endswith("^-1") else (sym, 1)
+            sign = -sign if letter & 1 else sign
+            if out and out[-1] == (base, -sign):
+                out.pop()
+            else:
+                out.append((base, sign))
+    return tuple(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(group=schottky_groups(), depth=st.integers(0, 5),
+       slab=st.sampled_from([7, 1 << 20]), data=st.data())
+def test_tracker_matches_hand_reduced_images(group, depth, slab, data):
+    """Kill, keep, merge onto one symbol or invert: each word's image length,
+    kernel membership and key agree with the image reduced by hand."""
+    images = {}
+    for gen in group.generators:
+        choice = data.draw(st.sampled_from(["unlisted", (), (gen.label,), ("x",), ("x^-1",)]))
+        if choice != "unlisted":
+            images[gen.label] = choice
+    tracker = QuotientTracker(group, QuotientSpec("free", images), depth)
+    key_of = {}
+    for batch in iter_word_batches(group, depth, slab=slab):
+        keys, lengths = tracker.extend(batch)
+        for i in range(batch.last.shape[0]):
+            word = word_at(group, batch.length, batch.offset + i)
+            image = _hand_image(group, images, word.letters)
+            assert lengths[i] == len(image), (word, images)
+            # one key per image: equal images share it, different ones do not
+            assert key_of.setdefault(image, int(keys[i])) == keys[i]
+    assert len(set(key_of.values())) == len(key_of)
 
 
 def _reduce(letters):
