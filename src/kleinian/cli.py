@@ -23,7 +23,7 @@ from . import __version__
 from .errors import BudgetExceeded, ConfigError, KleinianError
 from .group import DeclaredStabilizer, QuotientSpec, SchottkyGroup
 from .measure import (AtomicMeasure, _cell_index, _cell_masses, classify_atomicity,
-                      ending_measure, orbit_measure)
+                      ending_measure, moving_generator, orbit_measure)
 from .model import BoundaryPoint, Disc, InteriorPoint
 from .series import (SeriesResult, TailCertificate, horospherical_partial,
                      poincare_partial, reduced_horospherical_partial)
@@ -211,6 +211,9 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
                  and all(isinstance(label, str) and label in known for label in labels),
                  f"stabilizer must list generator labels of {sorted(known)}, got {labels!r}")
         stab = DeclaredStabilizer(tuple(labels))
+    if stab is not None and target is not None:
+        mover = moving_generator(group, target, stab.labels)
+        _require(mover is None, f"stabilizer generator {mover!r} does not fix the target")
     series_kind = raw.get("series", "horospherical" if target is not None
                           else "poincare")
     _require(series_kind in ("poincare", "horospherical", "reduced"),

@@ -98,21 +98,22 @@ class AtomicMeasure:
         return float(math.fsum(self.weights[d <= tol].tolist()))
 
     def to_csv(self, path) -> None:
-        """Columns x[,y][,z], weight, word_length; rows by descending weight."""
+        """Columns x[,y][,z], weight, word_length; rows by descending weight.
+
+        The csv module writes a float as its ``repr``."""
         order = np.lexsort((np.arange(self.atom_count), -self.weights))
         headers = ["x", "y", "z"][: self.dim + 1] + ["weight", "word_length"]
+        columns = [*self.points[order].T, self.weights[order], self.word_lengths[order]]
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(headers)
-            for i in order:
-                row = [repr(float(c)) for c in self.points[i]]
-                row += [repr(float(self.weights[i])), int(self.word_lengths[i])]
-                writer.writerow(row)
+            writer.writerows(zip(*(column.tolist() for column in columns)))
 
 
-def _snapped_keys(points: np.ndarray) -> np.ndarray:
-    """One row of integers per atom: its coordinates snapped to the merge grid."""
-    return np.round(points / MERGE_TOL).astype(np.int64)
+def _snapped(points: np.ndarray) -> np.ndarray:
+    """The coordinates snapped to the merge grid: integers, held as floats."""
+    grid = np.divide(points, MERGE_TOL, order="C")
+    return np.round(grid, out=grid)
 
 
 def _void_keys(keys: np.ndarray) -> np.ndarray:
@@ -129,8 +130,8 @@ def _merge_atoms(points: np.ndarray, weights: np.ndarray,
 
     The one-shot form of :class:`_AtomStream`, which merges batch by batch
     to the same bits."""
-    _, first_idx, inverse = np.unique(_void_keys(_snapped_keys(points)),
-                                      return_index=True, return_inverse=True)
+    keys = _void_keys(_snapped(points).astype(np.int64))
+    _, first_idx, inverse = np.unique(keys, return_index=True, return_inverse=True)
     merged_w = np.zeros(first_idx.shape[0])
     np.add.at(merged_w, inverse, weights)
     merged_l = np.full(first_idx.shape[0], np.iinfo(np.int32).max, dtype=np.int64)
@@ -143,23 +144,41 @@ class _AtomStream:
     """Atoms merged as a walk yields them, equal bit for bit to one
     :func:`_merge_atoms` of every atom so far.
 
-    Each batch's distinct keys are mapped to atom ids (new keys numbered in
-    order of first appearance) and its weights are added into the running
-    totals in enumeration order, so every atom gets the same representative
-    and the same summation order as in the one-shot merge.  ``close(length)``
-    marks the end of a level, so ``at(depth)`` can give the merge of the
-    words of length <= depth; its totals are copied only once a later batch
-    changes them, so the top level's never are.
+    Each batch's keys are first looked up in the sorted table of known
+    atoms; only the keys it misses are sorted, and its new atoms are
+    numbered in order of first appearance.  Its weights are added into the
+    running totals in enumeration order, so every atom gets the same
+    representative and the same summation order as in the one-shot merge.
+    A key is an atom's row of grid integers as one value that compares as
+    the row does: for width 2 a complex128 whose parts are the snapped
+    floats themselves (exact integers: |k| <= 10^15 < 2^53 on the closed
+    disc), for width 3 a void row of big-endian integers.  Coordinates that
+    are not finite, or off the int64 grid, raise :class:`FloatingPointError`
+    rather than merge.
+
+    ``close(length)`` marks the end of a level, so ``at(depth)`` can give
+    the merge of the words of length <= depth; its totals are copied only
+    once a later batch changes them, so the top level's never are.
     """
 
     def __init__(self, width: int):
-        self._keys = np.empty(0, dtype=np.dtype((np.void, 8 * width)))   # sorted
+        self._width = width
+        self._keys = self._key(np.empty((0, width)))  # sorted
         self._ids = np.empty(0, dtype=np.int64)       # atom id of each sorted key
         self._points = [np.empty((0, width))]         # representatives by id
         self._lengths = [np.empty(0, dtype=np.int64)]
         self._totals = np.zeros(0)
         self._closed: dict[int, np.ndarray] = {}      # level -> totals at its end
         self._open: list[int] = []                    # ended levels not yet copied
+
+    def _key(self, points: np.ndarray) -> np.ndarray:
+        grid = _snapped(points)
+        if grid.shape[0] and not -2.0 ** 63 < grid.min() <= grid.max() < 2.0 ** 63:
+            raise FloatingPointError("atom coordinates are not finite or too large "
+                                     "for the merge grid")
+        if self._width == 2:
+            return grid.view(np.complex128).ravel()
+        return _void_keys(grid.astype(np.int64))
 
     def add(self, points: np.ndarray, weights: np.ndarray, length: int) -> None:
         if not points.shape[0]:
@@ -168,32 +187,32 @@ class _AtomStream:
             totals = self._totals.copy()
             self._closed.update(dict.fromkeys(self._open, totals))
             self._open = []
-        # the batch's distinct keys: a stable sort keeps equal keys in word
-        # order, so the head of each run is its first word
-        snapped = _snapped_keys(points)
-        order = np.lexsort(snapped.T[::-1])
-        ranked = snapped[order]
-        heads = np.concatenate([[True], np.any(ranked[1:] != ranked[:-1], axis=1)])
-        first = order[heads]
-        inverse = np.empty(order.shape[0], dtype=np.int64)
-        inverse[order] = np.cumsum(heads) - 1
-        keys = _void_keys(ranked[heads])   # sorted, as the rows were
-        # ... mapped to atom ids through the sorted table of every key so far
+        keys = self._key(points)
         pos = np.searchsorted(self._keys, keys)
-        known = pos < self._keys.shape[0]
-        known[known] = self._keys[pos[known]] == keys[known]
-        ids = np.empty(keys.shape[0], dtype=np.int64)
-        ids[known] = self._ids[pos[known]]
-        new = np.flatnonzero(~known)
-        if new.shape[0]:
-            by_appearance = new[np.argsort(first[new], kind="stable")]
-            ids[by_appearance] = self._totals.shape[0] + np.arange(new.shape[0])
-            self._keys = np.insert(self._keys, pos[new], keys[new])
-            self._ids = np.insert(self._ids, pos[new], ids[new])
+        if self._keys.shape[0]:
+            np.minimum(pos, self._keys.shape[0] - 1, out=pos)
+            miss = np.flatnonzero(self._keys[pos] != keys)
+            ids = self._ids[pos]
+        else:
+            miss, ids = np.arange(keys.shape[0]), np.empty(keys.shape[0], dtype=np.int64)
+        if miss.shape[0]:
+            # a stable sort keeps equal keys in word order, so the head of
+            # each run is the new atom's first word
+            order = miss[np.argsort(keys[miss], kind="stable")]
+            ranked = keys[order]
+            heads = np.concatenate([[True], ranked[1:] != ranked[:-1]])
+            first = order[heads]
+            by_appearance = np.argsort(first, kind="stable")
+            new_ids = np.empty(first.shape[0], dtype=np.int64)
+            new_ids[by_appearance] = self._totals.shape[0] + np.arange(first.shape[0])
+            ids[order] = new_ids[np.cumsum(heads) - 1]
+            at = np.searchsorted(self._keys, ranked[heads])
+            self._keys = np.insert(self._keys, at, ranked[heads])
+            self._ids = np.insert(self._ids, at, new_ids)
             self._points.append(points[first[by_appearance]])
-            self._lengths.append(np.full(new.shape[0], length, dtype=np.int64))
-            self._totals = np.concatenate([self._totals, np.zeros(new.shape[0])])
-        np.add.at(self._totals, ids[inverse], weights)
+            self._lengths.append(np.full(first.shape[0], length, dtype=np.int64))
+            self._totals = np.concatenate([self._totals, np.zeros(first.shape[0])])
+        np.add.at(self._totals, ids, weights)
 
     def close(self, length: int) -> None:
         self._open.append(length)
@@ -576,6 +595,16 @@ class AtomicityVerdict:
     transcript: dict = field(default_factory=dict)
 
 
+def moving_generator(group: SchottkyGroup, zeta: BoundaryPoint,
+                     labels) -> str | None:
+    """The first of the generator ``labels`` that moves ``zeta``, if any."""
+    for label in labels:
+        moved = group.generator(label).transform.apply_boundary(zeta)
+        if float(np.linalg.norm(moved.coords - zeta.coords)) > 1e-8:
+            return label
+    return None
+
+
 def classify_atomicity(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
                        stab: DeclaredStabilizer | None, max_length: int,
                        budget: int | None = None,
@@ -603,13 +632,11 @@ def classify_atomicity(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
         transcript["stabilizer"] = "trivial declaration; condition holds vacuously"
     else:
         check = StabilizerCheck("all_derivatives_one")
+        mover = moving_generator(group, zeta, stab.labels)
+        if mover is not None:
+            raise ValueError(f"declared stabilizer generator {mover} does not fix the target")
         for label in stab.labels:
-            gen = group.generator(label)
-            moved = gen.transform.apply_boundary(zeta)
-            if float(np.linalg.norm(moved.coords - zeta.coords)) > 1e-8:
-                raise ValueError(
-                    f"declared stabilizer generator {label} does not fix the target")
-            value = gen.transform.derivative_boundary(zeta)
+            value = group.generator(label).transform.derivative_boundary(zeta)
             transcript.setdefault("stabilizer_derivatives", {})[label] = value
             if abs(value - 1.0) > 1e-9:
                 check = StabilizerCheck("derivative_not_one", label, value)

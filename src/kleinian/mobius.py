@@ -126,11 +126,39 @@ def proj_to_sphere(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def apply_boundary_raw(mats: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Boundary action of matrices (..., 2, 2) on unit vectors (..., 3)."""
+    """Boundary action of matrices (..., 2, 2) on unit vectors (..., 3).
+
+    Real matrices acting on points of the equator (the walks of
+    dimension-1 groups) take a float64 branch that gives the bits of the
+    complex formulas on the same matrices stored complex: the images of p
+    and q have zero imaginary parts, so |.|^2 is the square of the real
+    part, and numpy divides a complex array by a real one by multiplying
+    with the reciprocal, so the second coordinate is (2 p q) * (1 / n).
+    The third coordinate is zero, possibly of the other sign.
+    """
     p, q = sphere_to_proj(points)
-    p2 = mats[..., 0, 0] * p + mats[..., 0, 1] * q
-    q2 = mats[..., 1, 0] * p + mats[..., 1, 1] * q
-    return proj_to_sphere(p2, q2)
+    if np.iscomplexobj(mats) or np.any(points[..., 2]):
+        p2 = mats[..., 0, 0] * p + mats[..., 0, 1] * q
+        q2 = mats[..., 1, 0] * p + mats[..., 1, 1] * q
+        return proj_to_sphere(p2, q2)
+    p, q = p.real, q.real
+    shape = np.broadcast_shapes(mats.shape[:-2], points.shape[:-1])
+    p2, q2, n, tmp = (np.empty(shape) for _ in range(4))
+    np.multiply(mats[..., 0, 0], p, out=p2)
+    p2 += np.multiply(mats[..., 0, 1], q, out=tmp)
+    np.multiply(mats[..., 1, 0], p, out=q2)
+    q2 += np.multiply(mats[..., 1, 1], q, out=tmp)
+    out = np.zeros(shape + (3,))
+    np.multiply(p2, p2, out=n)
+    np.multiply(q2, q2, out=tmp)
+    np.subtract(n, tmp, out=out[..., 0])
+    n += tmp
+    out[..., 0] /= n
+    p2 *= 2.0
+    p2 *= q2
+    np.divide(1.0, n, out=n)
+    np.multiply(p2, n, out=out[..., 1])
+    return out
 
 
 def ball_to_halfspace(points: np.ndarray,
@@ -207,10 +235,49 @@ def inverse_origin_images_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def boundary_derivative_raw(mats: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """j(g, zeta) = k(g^{-1}(0), zeta), broadcast over matrices (..., 2, 2)
     and boundary points (..., 3): many words at one point, or one word at
-    many points."""
-    pre, conorm = inverse_origin_images_raw(mats)
-    diff = zeta - pre
-    return conorm / np.einsum("...i,...i->...", diff, diff)
+    many points.
+
+    Real matrices (the walks of dimension-1 groups) take a float64 branch
+    on the four entry arrays that gives the bits of the complex formulas on
+    the same matrices stored complex.  With z = -(b a + d c) t, t = 1 / (a^2
+    + c^2) and D = z^2 + (t + 1)^2, g^{-1}(0) is ((z^2 + t^2 - 1) / D,
+    2 z / D, 0) with co-norm 4 t / D, and the squared distance is summed
+    as einsum sums it, (d0^2 + d2^2) + d1^2.
+    """
+    if np.iscomplexobj(mats):
+        pre, conorm = inverse_origin_images_raw(mats)
+        diff = zeta - pre
+        return conorm / np.einsum("...i,...i->...", diff, diff)
+    a, b = mats[..., 0, 0], mats[..., 0, 1]
+    c, d = mats[..., 1, 0], mats[..., 1, 1]
+    t, m, dd, zz, sq = (np.empty(np.broadcast_shapes(a.shape, zeta.shape[:-1]))
+                        for _ in range(5))
+    np.multiply(a, a, out=t)
+    t += np.multiply(c, c, out=zz)
+    np.divide(1.0, t, out=t)
+    np.multiply(b, a, out=m)
+    m += np.multiply(d, c, out=zz)
+    m *= t                                  # -z, so that d1 = zeta1 + 2 m / D
+    np.multiply(m, m, out=zz)
+    np.add(t, 1.0, out=dd)
+    dd *= dd
+    dd += zz
+    m *= 2.0
+    m /= dd
+    m += zeta[..., 1]
+    m *= m                                  # d1^2
+    np.multiply(t, t, out=sq)
+    sq += zz
+    sq -= 1.0
+    sq /= dd
+    np.subtract(zeta[..., 0], sq, out=sq)
+    sq *= sq                                # d0^2
+    sq += np.square(zeta[..., 2])           # d2^2, as g^{-1}(0) has no third coordinate
+    sq += m
+    t *= 4.0
+    t /= dd                                 # the co-norm
+    t /= sq
+    return t
 
 
 def interior_derivative_raw(mats: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -170,7 +170,12 @@ def _series(group: SchottkyGroup, values: Callable[[WordBatch], np.ndarray],
 def boundary_values(zeta: BoundaryPoint, s: float) -> Callable[[WordBatch], np.ndarray]:
     """The value stream j(w, zeta)^s of a batch's words w."""
     bc = embed3(zeta.coords)
-    return lambda batch: boundary_derivative_raw(batch.mats, bc) ** s
+
+    def values(batch: WordBatch) -> np.ndarray:
+        j = boundary_derivative_raw(batch.mats, bc)
+        j **= s   # in place: ``j ** s`` bit for bit, without a second array
+        return j
+    return values
 
 
 def _count_equal_values(prev_sorted: np.ndarray, cur: np.ndarray) -> int:

@@ -219,6 +219,15 @@ class TestClassifyCommand:
         report = json.loads((tmp_path / "o" / "classify.json").read_text())
         assert report["result"]["conclusion"] == "atom_at_target"
 
+    @pytest.mark.parametrize("command", ["classify", "measure"])
+    def test_stabilizer_moving_the_target_exits_2(self, tmp_path, capsys, command):
+        doc = json.loads((CONFIGS / "two_generator.json").read_text())
+        cfg = write_config(tmp_path, dict(doc, stabilizer=["a"]))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'a'" in err and "fix" in err
+        assert not (tmp_path / "o").exists()
+
     def test_insufficient_budget_inconclusive(self, tmp_path):
         doc = dict(TWO_GEN, budget=3, stabilizer=[])
         cfg = write_config(tmp_path, doc)

@@ -425,38 +425,68 @@ class TestCsvExport:
 class TestAtomStream:
     """The batch-by-batch merge against one merge of the whole stream."""
 
+    @pytest.mark.parametrize("width", [2, 3])
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), sizes=st.lists(st.integers(0, 60), min_size=1,
                                                               max_size=4),
            data=st.data())
-    def test_every_prefix_equals_one_merge(self, seed, sizes, data):
+    def test_every_prefix_equals_one_merge(self, width, seed, sizes, data):
         rng = np.random.default_rng(seed)
-        pool = rng.normal(size=(10, 2))
+        pool = rng.normal(size=(10, width))
         sizes = [1] + sizes
         # repeated atoms, some moved by less than the merge grid (same key,
         # different representative) and some by more (a new atom)
         idx = rng.integers(0, pool.shape[0], size=sum(sizes))
         nudge = rng.choice([0.0, 0.1 * MERGE_TOL, 10.0 * MERGE_TOL], size=(idx.shape[0], 1))
-        points = pool[idx] + nudge
-        weights = rng.uniform(0.0, 1.0, size=idx.shape[0]) ** 8
-        lengths = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-        top_closed = data.draw(st.booleans())   # an open top level is a budget cut
-        stream = _AtomStream(2)
-        start = 0
-        for length, size in enumerate(sizes):
+        drawn = pool[idx] + nudge
+        levels, start = [], 0
+        for size in sizes:
             cuts = sorted(data.draw(st.lists(st.integers(0, size), max_size=3)))
-            for lo, hi in zip([0] + cuts, cuts + [size]):
-                stream.add(points[start + lo: start + hi], weights[start + lo: start + hi],
-                           length)
+            levels.append([drawn[start + lo: start + hi]
+                           for lo, hi in zip([0] + cuts, cuts + [size])])
             start += size
-            if length < len(sizes) - 1 or top_closed:
+        # a last level of three batches: every key known (stored column-major),
+        # every key new, and known keys before the first new one
+        known = drawn[rng.integers(0, drawn.shape[0], size=(3, 4))]
+        fresh = rng.normal(size=(2, 4, width)) + 8.0
+        levels.append([np.asfortranarray(known[0]), fresh[0],
+                       np.concatenate([known[1], fresh[1], known[2], fresh[1][:1]])])
+        points = np.concatenate([batch for level in levels for batch in level])
+        weights = rng.uniform(0.0, 1.0, size=points.shape[0]) ** 8
+        lengths = np.repeat(np.arange(len(levels), dtype=np.int32),
+                            [sum(batch.shape[0] for batch in level) for level in levels])
+        top_closed = data.draw(st.booleans())   # an open top level is a budget cut
+        stream = _AtomStream(width)
+        start = 0
+        for length, level in enumerate(levels):
+            for i, batch in enumerate(level):
+                atoms = stream._totals.shape[0]
+                stream.add(batch, weights[start: start + batch.shape[0]], length)
+                start += batch.shape[0]
+                if length == len(levels) - 1:
+                    assert stream._totals.shape[0] - atoms == (0, 4, 4)[i]
+            if length < len(levels) - 1 or top_closed:
                 stream.close(length)
-        for depth in range(len(sizes)):
+        for depth in range(len(levels)):
             n = int(np.searchsorted(lengths, depth, side="right"))
             expected = _merge_atoms(points[:n], weights[:n], lengths[:n])
             for got, want in zip(stream.at(depth), expected):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e4])
+    def test_unmergeable_points_raise(self, width, bad):
+        # 1e4 / MERGE_TOL is beyond the int64 range of the grid
+        good = np.full((3, width), 0.25)
+        points = good.copy()
+        points[1, -1] = bad
+        stream = _AtomStream(width)
+        with pytest.raises(FloatingPointError):
+            stream.add(points, np.ones(3), 0)
+        stream.add(good, np.ones(3), 0)
+        with pytest.raises(FloatingPointError):
+            stream.add(np.concatenate([good, points]), np.ones(6), 1)
 
     def test_empty_stream(self):
         points, weights, lengths = _AtomStream(3).at(4)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from kleinian.errors import DiscsOverlap, NumericallyAmbiguous
-from kleinian.mobius import (Transform, boundary_derivative_raw, classify, image_disc,
-                             inverse_origin_images_raw, matmul_raw, origin_images_raw,
-                             pair_discs, parabolic_fixing, rotation_moving_to_pole)
+from kleinian.mobius import (Transform, apply_boundary_raw, boundary_derivative_raw,
+                             classify, image_disc, inverse_origin_images_raw, matmul_raw,
+                             origin_images_raw, pair_discs, parabolic_fixing,
+                             rotation_moving_to_pole)
 from kleinian.model import BoundaryPoint, InteriorPoint, hyperbolic_distance
 
 from conftest import arc, cap, random_boundary_points, random_interior_points, \
@@ -440,3 +441,40 @@ class TestRawKernels:
         diff = points - pre[None, :]
         assert boundary_derivative_raw(mats[0], points).tobytes() == \
             (conorm / np.einsum("ij,ij->i", diff, diff)).tobytes()
+        if dtype is complex:
+            return
+        # the float64 branch gives the bits of the same matrices stored
+        # complex, off and on the equator (where the third difference is 0)
+        wide = mats.astype(complex)
+        equator = np.stack([points[:, 0], points[:, 1], np.zeros(5000)], axis=1)
+        equator /= np.linalg.norm(equator, axis=1)[:, None]
+        for zeta in (points, equator):
+            for got, want in ((boundary_derivative_raw(mats, zeta[0]),
+                               boundary_derivative_raw(wide, zeta[0])),
+                              (boundary_derivative_raw(mats[0], zeta),
+                               boundary_derivative_raw(wide[0], zeta))):
+                assert got.dtype == want.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8])
+    def test_real_boundary_action_gives_the_complex_bits(self, rng, scale):
+        mats = np.ascontiguousarray(_random_mats(rng, 5000, float, scale).transpose(1, 2, 0))
+        mats = mats.transpose(2, 0, 1)
+        wide = mats.astype(complex)
+        # chart [w : 1 - u1] away from the pole, chart [1 + u1 : conj w] near
+        # it (1 - u1 <= |w|), and the pole itself
+        angles = np.concatenate([rng.uniform(0.5, 2.0 * math.pi - 0.5, 2500),
+                                 rng.uniform(-1e-3, 1e-3, 2499), [0.0]])
+        points = np.stack([np.cos(angles), np.sin(angles), np.zeros(5000)], axis=1)
+        use_a = (1.0 - points[:, 0]) > np.abs(points[:, 1])
+        assert use_a.any() and not use_a.all()
+
+        def same_bits(got, want):
+            assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+            assert np.ascontiguousarray(got[..., :2]).tobytes() == \
+                np.ascontiguousarray(want[..., :2]).tobytes()
+            assert np.array_equal(got, want)   # the zero third coordinate may differ in sign
+
+        for zeta in (points[0], points[2500], points[-1]):
+            same_bits(apply_boundary_raw(mats, zeta), apply_boundary_raw(wide, zeta))
+        same_bits(apply_boundary_raw(mats[0], points), apply_boundary_raw(wide[0], points))
