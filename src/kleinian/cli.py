@@ -259,6 +259,11 @@ def _write_report(out_dir: Path, name: str, payload: dict, cfg: RunConfig) -> Pa
     return path
 
 
+def _double_only(cfg: RunConfig, what: str) -> None:
+    _require(cfg.precision == "double", "precision 'extended' is available for poincare "
+             f"and horospherical series only, not for {what}")
+
+
 def _run_series(cfg: RunConfig) -> SeriesResult:
     if cfg.series_kind == "poincare":
         point = cfg.point if cfg.point is not None else InteriorPoint.origin(cfg.group.dim)
@@ -274,12 +279,14 @@ def _run_series(cfg: RunConfig) -> SeriesResult:
         return horospherical_partial(cfg.group, cfg.target, cfg.exponent, cfg.depth,
                                      budget=cfg.budget, tail=cfg.certificate,
                                      precision=cfg.precision, kernel=cfg.kernel)
+    _double_only(cfg, "the reduced series")
     return reduced_horospherical_partial(cfg.group, cfg.target, cfg.exponent,
                                          cfg.depth, stab=cfg.stabilizer,
                                          budget=cfg.budget, tail=cfg.certificate)
 
 
 def _build_measure(cfg: RunConfig) -> AtomicMeasure:
+    _double_only(cfg, "measures")
     if cfg.point is not None:
         return orbit_measure(cfg.group, cfg.point, cfg.exponent, cfg.depth,
                              budget=cfg.budget)
@@ -325,6 +332,7 @@ def cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.target is None:
         raise ConfigError("classify runs need a 'target'")
+    _double_only(cfg, "classify runs")
     # a kernel-restricted group is classified on its kernel series
     verdict = classify_atomicity(cfg.group, cfg.target, cfg.exponent,
                                  cfg.stabilizer, cfg.depth, budget=cfg.budget,

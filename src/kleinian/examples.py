@@ -29,11 +29,12 @@ from .limits import DEFAULT_C_GRID, horoball_scanner, jorgensen_test
 from .measure import (AtomicMeasure, AtomicityVerdict, EndingMeasures,
                       classify_atomicity, singularity_diagnostic, support_gap,
                       weak_distance)
+from .mobius import Transform
 from .model import BoundaryPoint, Disc
-from .series import (BranchBounds, DeltaEstimate, EqualSummands, SeparationSchedule,
-                     SeriesResult, boundary_values, branch_contraction, estimate_delta,
+from .series import (BranchBounds, DeltaEstimate, SeparationSchedule, SeriesResult,
+                     boundary_values, branch_contraction, estimate_delta,
                      example1_certificate, example1_tail_bound, finish_series,
-                     parabolic_domination, reduced_horospherical_partial)
+                     parabolic_domination, reduced_horospherical_partial, unit_fixer)
 
 POLE_SAFETY = 0.2        # keep all constructions away from the chart pole
 SLOT_FILL = 0.45         # enlarged discs fill this fraction of their half-slot
@@ -137,13 +138,10 @@ def build_example1(cfg: Example1Config) -> Example1Result:
     paper_bounds = [(4.0 / schedule.phi(1 + e // 2)) ** 2
                     for e in range(group.letter_count)]
     stab = DeclaredStabilizer.trivial()
-    # the boundary series is the measure's normalizer: one walk gives both,
-    # with the series' equal-summand evidence riding along
+    # the boundary series is the measure's normalizer: one walk gives both
     measures = EndingMeasures(group, [target], s, stab=stab, tail=certificate)
-    matches = EqualSummands(measures.blocks[0])
-    done = measures.walk(cfg.depth, cfg.budget, [matches])
-    [measure] = measures.at(done)
-    series = finish_series(done, measures.blocks[0], s, certificate, matches)
+    [measure] = measures.at(measures.walk(cfg.depth, cfg.budget))
+    series = measure.series
     # trivial stabilizer: the reduced series coincides with the plain one
     atomicity = classify_atomicity(group, target, s, stab, cfg.depth,
                                    budget=cfg.budget, tail=certificate,
@@ -383,7 +381,6 @@ def build_example3(cfg: Example3Config) -> Example3Result:
 
     power_table = []
     mat = np.eye(2, dtype=complex)
-    from .mobius import Transform
     for k in range(1, cfg.power_checks + 1):
         mat = mat @ pgen.transform.matrix
         power_table.append(Transform(mat, group.dim, _trusted_unit_det=True)
@@ -395,14 +392,12 @@ def build_example3(cfg: Example3Config) -> Example3Result:
     # (a whole-group sum) and both domination sums.
     measures = EndingMeasures(group, [target], s, stab=stab)
     whole = LevelSums(boundary_values(target, s), whole_group=True)
-    reduced_matches, whole_matches = EqualSummands(measures.blocks[0]), EqualSummands(whole)
     dominate, dominated = parabolic_domination(target, s)
-    done = measures.walk(cfg.depth, cfg.budget,
-                         [whole, reduced_matches, whole_matches, dominate])
+    done = measures.walk(cfg.depth, cfg.budget, [whole, dominate])
     [measure] = measures.at(done)
-    reduced = finish_series(done, measures.blocks[0], s, None, reduced_matches,
-                            incomplete_cosets=True)
-    unreduced = finish_series(done, whole, s, None, whole_matches)
+    reduced = measure.series
+    # p fixes the target with unit derivative, so the whole-group sum diverges
+    unreduced = finish_series(done, whole, s, None, unit_fixer(group, target))
     domination = dominated(done)
 
     # independent per-word recomputation of the kernel sum at a small depth

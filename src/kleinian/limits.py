@@ -2,10 +2,9 @@
 
 Radial, uniformly-radial and big-horospherical membership are tail
 properties invisible at any finite depth, so everything here is labelled
-evidence: orbit-distance profiles along rays, horoball entry witnesses,
-and slope fits.  The one exact decision is the Jorgensen test for
-Schottky data, where the disc structure makes the fundamental domain
-computable.
+evidence: the horoball entry witnesses of the enumerated words.  The
+one exact decision is the Jorgensen test for Schottky data, where the
+disc structure makes the fundamental domain computable.
 """
 
 from __future__ import annotations
@@ -18,100 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .group import QuotientSpec, SchottkyGroup, Walk, Word, walk, word_at
-from .model import BoundaryPoint, InteriorPoint, embed3, hyperbolic_distance_raw
+from .model import BoundaryPoint, embed3
 from .mobius import origin_images_raw
 
-GROWTH_SLOPE = 0.5
-BOUNDED_SLOPE = 0.2
-DEFAULT_T_GRID = tuple(float(t) for t in range(1, 13))
 DEFAULT_C_GRID = tuple(2.0 ** k for k in range(-3, 7))
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Orbit-distance samples Delta(xi_T) along the ray toward a target.
-
-    Each Delta value is an upper bound for the true orbit distance
-    (nonincreasing in enumeration depth).  ``slope`` is the linear fit on
-    the later half of the profile; growth evidence means the ray escapes
-    every finite orbit neighbourhood, bounded evidence the opposite.
-    """
-
-    target: BoundaryPoint
-    samples: tuple[tuple[float, float], ...]
-    depth: int
-    slope: float
-    bounded_evidence: bool
-    growth_evidence: bool
-    depth_completed: int
-    budget_exhausted: bool
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write("T,delta\n")
-            for t, d in self.samples:
-                handle.write(f"{t!r},{d!r}\n")
-
-    def summary(self) -> dict:
-        return {
-            "target": self.target.coords.tolist(),
-            "depth": self.depth,
-            "depth_completed": self.depth_completed,
-            "budget_exhausted": self.budget_exhausted,
-            "slope": self.slope,
-            "bounded_evidence": self.bounded_evidence,
-            "growth_evidence": self.growth_evidence,
-            "samples": [[t, d] for t, d in self.samples],
-        }
-
-
-def _orbit_points(group: SchottkyGroup, max_length: int,
-                  budget: int | None) -> tuple[np.ndarray, np.ndarray, Walk]:
-    pts: list[np.ndarray] = []
-    conorms: list[np.ndarray] = []
-
-    def collect(batch, words) -> None:
-        img, conorm = origin_images_raw(batch.mats)
-        pts.append(img)
-        conorms.append(conorm)
-
-    done = walk(group, max_length, budget, consumers=[collect])
-    return np.concatenate(pts), np.concatenate(conorms), done
-
-
-def orbit_distance(group: SchottkyGroup, z: InteriorPoint, max_length: int,
-                   budget: int | None = None) -> float:
-    """min over enumerated words of d(z, w(0)): an upper bound on the true
-    distance of z to the orbit of the origin, nonincreasing in depth.  A
-    budget cut only shrinks the set of words, so the bound stays valid."""
-    pts, conorms, _ = _orbit_points(group, max_length, budget)
-    return float(np.min(hyperbolic_distance_raw(pts, embed3(z.coords),
-                                                conorms, z.conorm)))
-
-
-def radial_profile(group: SchottkyGroup, zeta: BoundaryPoint,
-                   t_grid: Sequence[float] = DEFAULT_T_GRID,
-                   max_length: int = 8,
-                   budget: int | None = None) -> RadialProfile:
-    """Delta(xi_T) for xi_T on the ray toward ``zeta`` at hyperbolic distance T."""
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("T grid must increase")
-    pts, conorms, done = _orbit_points(group, max_length, budget)
-    zc = embed3(zeta.coords)
-    samples = []
-    for t in t_grid:
-        radius = math.tanh(t / 2.0)
-        xi = radius * zc
-        xi_conorm = (1.0 - radius) * (1.0 + radius)
-        samples.append((float(t), float(np.min(
-            hyperbolic_distance_raw(pts, xi, conorms, xi_conorm)))))
-    tail = samples[len(samples) // 2:]
-    slope = float(np.polyfit([t for t, _ in tail], [d for _, d in tail], 1)[0])
-    return RadialProfile(zeta, tuple(samples), max_length, slope,
-                         bounded_evidence=slope < BOUNDED_SLOPE,
-                         growth_evidence=slope > GROWTH_SLOPE,
-                         depth_completed=done.depth_completed,
-                         budget_exhausted=done.budget_exhausted)
 
 
 def jorgensen_test(group: SchottkyGroup, zeta: BoundaryPoint,

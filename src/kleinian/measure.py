@@ -24,7 +24,9 @@ from .mobius import (apply_boundary_raw, apply_halfspace_raw, apply_interior_raw
                      ball_to_halfspace, boundary_derivative_raw, halfspace_to_ball,
                      interior_derivative_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
-from .series import SeriesResult, TailCertificate, boundary_values, finish_series
+from .series import (FIXED_POINT_TOL, UNIT_DERIVATIVE_TOL, SeriesResult, TailCertificate,
+                     boundary_values, finish_series, reduced_horospherical_partial,
+                     unit_fixer)
 
 # Atoms are coalesced only when indistinguishable at float resolution.  A
 # coarser merge (1e-12 was tried) misattributes mass across cells where the
@@ -325,7 +327,8 @@ class EndingMeasures:
         budget = done.cut.words_generated if done.cut else None   # reproduces the cut
         for i, point in enumerate(self.points):
             boundary = i < self._targets
-            series = finish_series(done, self.blocks[i], self.s, self.tail,
+            fixer = unit_fixer(self.group, point, self.spec) if boundary else None
+            series = finish_series(done, self.blocks[i], self.s, self.tail, fixer,
                                    incomplete_cosets=self.reduced)
             points, weights, lengths = self._atoms[i].at(done.depth)
             meta = {"target" if boundary else "base_point": point.coords.tolist(),
@@ -600,7 +603,7 @@ def moving_generator(group: SchottkyGroup, zeta: BoundaryPoint,
     """The first of the generator ``labels`` that moves ``zeta``, if any."""
     for label in labels:
         moved = group.generator(label).transform.apply_boundary(zeta)
-        if float(np.linalg.norm(moved.coords - zeta.coords)) > 1e-8:
+        if float(np.linalg.norm(moved.coords - zeta.coords)) > FIXED_POINT_TOL:
             return label
     return None
 
@@ -616,8 +619,6 @@ def classify_atomicity(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
     ``precomputed_series`` skips the series enumeration when the caller
     already evaluated the reduced series for the same target and exponent.
     """
-    from .series import reduced_horospherical_partial
-
     transcript: dict = {}
     if stab is None:
         check = StabilizerCheck("none_declared")
@@ -638,7 +639,7 @@ def classify_atomicity(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
         for label in stab.labels:
             value = group.generator(label).transform.derivative_boundary(zeta)
             transcript.setdefault("stabilizer_derivatives", {})[label] = value
-            if abs(value - 1.0) > 1e-9:
+            if abs(value - 1.0) > UNIT_DERIVATIVE_TOL:
                 check = StabilizerCheck("derivative_not_one", label, value)
                 break
     if precomputed_series is not None:

@@ -254,20 +254,3 @@ def embed3(coords: np.ndarray) -> np.ndarray:
 def project_dim(coords: np.ndarray, dim: int) -> np.ndarray:
     """Drop the padding component when the session dimension is 1."""
     return coords[..., : dim + 1]
-
-
-def hyperbolic_distance_raw(points: np.ndarray, z: np.ndarray,
-                            conorms: np.ndarray | None = None,
-                            z_conorm: float | None = None) -> np.ndarray:
-    """Vectorized distance from a fixed interior point to an (n, d) array.
-
-    Pass exact co-norms for points too deep for 1 - |.|^2 to survive in
-    coordinates.
-    """
-    diff = points - z[None, :]
-    if conorms is None:
-        conorms = 1.0 - np.einsum("ij,ij->i", points, points)
-    if z_conorm is None:
-        z_conorm = 1.0 - float(np.dot(z, z))
-    delta = np.einsum("ij,ij->i", diff, diff) / (conorms * z_conorm)
-    return 2.0 * np.arcsinh(np.sqrt(delta))

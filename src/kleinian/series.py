@@ -10,9 +10,11 @@ optional certified tail.
 A ``converged_within`` verdict is only ever issued against a
 :class:`TailCertificate` (a proven geometric bound on the level blocks);
 truncations alone never claim convergence.  Divergence is reported as
-``growth_witness`` evidence: either the level blocks refuse to decay, or
-identical summand values keep reappearing across consecutive levels, the
-signature of a boundary point fixed with unit derivative.
+``growth_witness``.  One rule is exact: a generator of the summed
+subgroup that fixes the target zeta with j(g, zeta) = 1 gives
+j(g^n, zeta) = 1 for every n, so the series diverges at every exponent
+(:func:`unit_fixer`).  Otherwise the evidence is a fitted level ratio
+above ``RATIO_DIVERGENT``.
 """
 
 from __future__ import annotations
@@ -24,19 +26,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EnlargedDiscsOverlap, InconclusiveBracket, InvalidSeparation
-from .group import (SLAB_WORDS, DeclaredStabilizer, LevelSums, QuotientSpec,
-                    SchottkyGroup, Walk, WordBatch, level_count, walk)
+from .group import (DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup, Walk,
+                    WordBatch, level_count, walk)
 from .mobius import (boundary_derivative_raw, disc_boundary_points,
                      interior_derivative_raw, inverse_origin_images_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
 
 RATIO_CONVERGENT = 0.95
 RATIO_DIVERGENT = 1.05
-EQUAL_SUMMAND_RTOL = 1e-12
 ORACLE_BITS = 160   # mantissa bits of the extended-precision oracle
 RATIO_WINDOW = 3
-STRUCTURAL_MATCH_FRACTION = 0.01
 CIRCLE_SAMPLES = 4096
+FIXED_POINT_TOL = 1e-8        # |g(zeta) - zeta| up to which g fixes zeta
+UNIT_DERIVATIVE_TOL = 1e-9    # |j(g, zeta) - 1| up to which j(g, zeta) = 1
 
 
 # --- results -----------------------------------------------------------------
@@ -46,8 +48,9 @@ class Verdict:
     """Three-valued convergence verdict.
 
     kind is one of ``converged_within`` (carries the certified tail bound),
-    ``growth_witness`` (carries the per-level sums and equal-summand match
-    counts) or ``inconclusive``.
+    ``growth_witness`` (carries the per-level sums, and under ``unit_fixer``
+    the generator that fixes the target with unit derivative) or
+    ``inconclusive``.
     """
 
     kind: str
@@ -122,48 +125,14 @@ class TailCertificate:
 
 # --- the shared accumulation core ---------------------------------------------
 
-class EqualSummands:
-    """Equal-summand matches between the values that ``blocks`` took from
-    consecutive levels.
-
-    A walk consumer that rides after ``blocks``, whose ``batch_values`` it
-    reads; :func:`finish_series` turns the matches into evidence.
-    """
-
-    def __init__(self, blocks: LevelSums):
-        self.blocks = blocks
-        self.counts: list[int] = []        # matches per level pair
-        self.fractions: list[float] = []   # matches relative to the smaller level
-        self._prev: list[np.ndarray] | None = None   # the previous level's values
-        self._cur: list[np.ndarray] = []
-
-    def __call__(self, batch: WordBatch, words: WordBatch) -> None:
-        if self.blocks.batch_values.shape[0]:
-            self._cur.append(self.blocks.batch_values)
-        if not batch.final:
-            return
-        if self._prev is not None:
-            # a level is joined and sorted once the next one needs it, so the
-            # top level, the largest, is only ever held batch by batch
-            prev = np.concatenate(self._prev) if self._prev else np.empty(0)
-            prev.sort()
-            matches = sum(_count_equal_values(prev, part) for part in self._cur)
-            self.counts.append(matches)
-            smaller = min(prev.shape[0], sum(part.shape[0] for part in self._cur))
-            self.fractions.append(matches / smaller if smaller else 0.0)
-        self._prev = self._cur
-        self._cur = []
-
-
 def _series(group: SchottkyGroup, values: Callable[[WordBatch], np.ndarray],
             exponent: float, max_length: int, budget: int | None,
             tail: TailCertificate | None, kernel: QuotientSpec | None = None,
-            incomplete_cosets: bool = False) -> SeriesResult:
-    """One walk summing ``values`` by level, with equal-summand tracking."""
+            fixer: str | None = None, incomplete_cosets: bool = False) -> SeriesResult:
+    """One walk summing ``values`` by level."""
     blocks = LevelSums(values)
-    matches = EqualSummands(blocks)
-    done = walk(group, max_length, budget, kernel=kernel, consumers=[blocks, matches])
-    return finish_series(done, blocks, exponent, tail, matches,
+    done = walk(group, max_length, budget, kernel=kernel, consumers=[blocks])
+    return finish_series(done, blocks, exponent, tail, fixer,
                          incomplete_cosets=incomplete_cosets)
 
 
@@ -178,26 +147,24 @@ def boundary_values(zeta: BoundaryPoint, s: float) -> Callable[[WordBatch], np.n
     return values
 
 
-def _count_equal_values(prev_sorted: np.ndarray, cur: np.ndarray) -> int:
-    """How many current values coincide (relative 1e-12) with a previous one.
+def unit_fixer(group: SchottkyGroup, zeta: BoundaryPoint,
+               spec: QuotientSpec | None = None) -> str | None:
+    """The first generator of the summed subgroup that fixes ``zeta`` with
+    unit derivative, if any: the series over that subgroup then diverges.
 
-    Counted in chunks of at most ``SLAB_WORDS`` values, so the temporaries
-    stay slab-sized however long the level is; each chunk is sorted first,
-    which keeps the binary searches in cache.
+    The summed subgroup is the whole group when ``spec`` is None, else the
+    kernel of ``spec``, which holds the generators that ``spec`` maps to
+    ``()``.  A declared stabilizer's letters map to themselves, so they are
+    never in its transversal's kernel.
     """
-    if prev_sorted.shape[0] == 0:
-        return 0
-    total = 0
-    for lo in range(0, cur.shape[0], SLAB_WORDS):
-        chunk = np.sort(cur[lo: lo + SLAB_WORDS])
-        idx = np.searchsorted(prev_sorted, chunk)
-        matched = np.zeros(chunk.shape[0], dtype=bool)
-        for shift in (-1, 0):
-            near = prev_sorted[np.clip(idx + shift, 0, prev_sorted.shape[0] - 1)]
-            tol = EQUAL_SUMMAND_RTOL * np.maximum(np.abs(near), np.abs(chunk))
-            matched |= np.abs(near - chunk) <= tol
-        total += int(np.count_nonzero(matched))
-    return total
+    for gen in group.generators:
+        if spec is not None and spec.images.get(gen.label, (gen.label,)):
+            continue
+        moved = gen.transform.apply_boundary(zeta).coords - zeta.coords
+        if (float(np.linalg.norm(moved)) <= FIXED_POINT_TOL and abs(
+                gen.transform.derivative_boundary(zeta) - 1.0) <= UNIT_DERIVATIVE_TOL):
+            return gen.label
+    return None
 
 
 def _fit_ratio(level_sums: Sequence[float]) -> float | None:
@@ -210,13 +177,11 @@ def _fit_ratio(level_sums: Sequence[float]) -> float | None:
     return float(np.exp(np.mean(np.log(ratios))))
 
 
-def _build_verdict(done: Walk, blocks: LevelSums, matches: EqualSummands | None,
+def _build_verdict(done: Walk, blocks: LevelSums, fixer: str | None,
                    tail: TailCertificate | None) -> tuple[Verdict, float | None, dict]:
-    match_counts = matches.counts if matches is not None else []
     transcript: dict = {
         "level_counts": list(blocks.level_counts),
         "ratio_fit": _fit_ratio(blocks.level_sums),
-        "equal_summand_matches": list(match_counts),
     }
     blocks_beyond = [b for b in blocks.level_sums[1:] if b > 0.0]
     if not blocks_beyond and not done.budget_exhausted:
@@ -233,27 +198,25 @@ def _build_verdict(done: Walk, blocks: LevelSums, matches: EqualSummands | None,
             return Verdict("converged_within", bound), bound, transcript
         else:
             transcript["certificate_rejected"] = f"certified rate {tail.rate} >= 1"
-    ratio = transcript["ratio_fit"]
-    growth_evidence = {"level_sums": list(blocks.level_sums),
-                       "equal_summand_matches": list(match_counts)}
-    window = matches.fractions[-2:] if matches is not None else []
-    persistent_matches = (len(window) == 2
-                          and all(f >= STRUCTURAL_MATCH_FRACTION for f in window))
-    if ratio is not None and ratio > RATIO_DIVERGENT:
+    growth_evidence = {"level_sums": list(blocks.level_sums)}
+    if fixer is not None:
+        growth_evidence["unit_fixer"] = fixer
         return Verdict("growth_witness", None, growth_evidence), None, transcript
-    if persistent_matches and ratio is not None and ratio >= 0.98:
+    ratio = transcript["ratio_fit"]
+    if ratio is not None and ratio > RATIO_DIVERGENT:
         return Verdict("growth_witness", None, growth_evidence), None, transcript
     return Verdict("inconclusive"), None, transcript
 
 
 def finish_series(done: Walk, blocks: LevelSums, exponent: float,
-                  tail: TailCertificate | None, matches: EqualSummands | None = None, *,
+                  tail: TailCertificate | None, fixer: str | None = None, *,
                   incomplete_cosets: bool = False) -> SeriesResult:
     """The series result of a walk's level blocks: partial sum, verdict, tail.
 
-    Closes ``blocks`` at ``done`` first."""
+    ``fixer`` is the :func:`unit_fixer` of the summed subgroup at the
+    target, if any.  Closes ``blocks`` at ``done`` first."""
     blocks.finish(done)
-    verdict, bound, transcript = _build_verdict(done, blocks, matches, tail)
+    verdict, bound, transcript = _build_verdict(done, blocks, fixer, tail)
     partial = math.fsum(blocks.level_sums + [blocks.tail_sum])
     return SeriesResult(
         exponent=exponent, depth=done.depth, depth_completed=done.depth_completed,
@@ -293,7 +256,7 @@ def horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
             raise ValueError("the extended-precision path has no kernel restriction")
         return _sum_series_mp(group, "boundary", zeta.coords, s, max_length)
     return _series(group, boundary_values(zeta, s), s, max_length, budget, tail,
-                   kernel=kernel)
+                   kernel=kernel, fixer=unit_fixer(group, zeta, kernel))
 
 
 def reduced_horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
@@ -315,7 +278,8 @@ def reduced_horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: 
         raise TypeError(f"unsupported stabilizer declaration: {stab!r}")
     kernel = stab.quotient_for(group) if stab is not None and stab.labels else None
     return _series(group, boundary_values(zeta, s), s, max_length, budget, tail,
-                   kernel=kernel, incomplete_cosets=kernel is not None)
+                   kernel=kernel, fixer=unit_fixer(group, zeta, kernel),
+                   incomplete_cosets=kernel is not None)
 
 
 # --- certified tails -------------------------------------------------------------

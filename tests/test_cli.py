@@ -153,6 +153,20 @@ class TestSeriesCommand:
         assert report["config"]["precision"] == "extended"
 
 
+@pytest.mark.parametrize("command", ["series", "measure", "classify", "render"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_extended_precision_is_refused_where_it_would_be_ignored(tmp_path, capsys,
+                                                                command, via):
+    # example3 sums its reduced series; measures and verdicts sum in double
+    doc = json.loads((CONFIGS / "example3.json").read_text())
+    doc.update(depth=4, precision="extended" if via == "config" else "double")
+    argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+    assert main(argv + (["--precision", "extended"] if via == "flag" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "precision" in err
+    assert not (tmp_path / "o").exists()
+
+
 class TestMeasureCommand:
     def test_trivial_group_single_row(self, tmp_path):
         cfg = write_config(tmp_path, TRIVIAL)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from kleinian.group import QuotientSpec, SchottkyGroup
-from kleinian.limits import (DEFAULT_C_GRID, horoball_entry, jorgensen_test,
-                             orbit_distance, radial_profile)
-from kleinian.model import BoundaryPoint, InteriorPoint
+from kleinian.limits import DEFAULT_C_GRID, horoball_entry, jorgensen_test
+from kleinian.model import BoundaryPoint
 
 from conftest import arc
 
@@ -18,55 +17,6 @@ def group():
     return SchottkyGroup.from_disc_pairs(
         1, [(arc(72, 10), arc(216, 10)), (arc(144, 10), arc(288, 10))],
         labels=["a", "b"])
-
-
-class TestOrbitDistance:
-    def test_origin_is_on_orbit(self, group):
-        assert orbit_distance(group, InteriorPoint.origin(1), 3) == 0.0
-
-    def test_orbit_point_has_zero_distance(self, group):
-        g = group.generators[0].transform
-        z = g.apply_interior(InteriorPoint.origin(1))
-        assert orbit_distance(group, z, 3) < 1e-10
-
-    def test_monotone_nonincreasing_in_depth(self, group):
-        z = InteriorPoint([0.61, 0.44])
-        values = [orbit_distance(group, z, depth) for depth in range(6)]
-        assert all(b <= a for a, b in zip(values, values[1:]))
-
-
-class TestRadialProfile:
-    def test_zero_time_distance_vanishes(self, group):
-        profile = radial_profile(group, DOMAIN_POINT, t_grid=(1e-12, 1.0, 2.0),
-                                 max_length=3)
-        assert profile.samples[0][1] < 1e-9
-
-    def test_bounded_along_loxodromic_axis(self, group):
-        # the orbit of powers of g tracks the axis toward the attracting point
-        zeta = group.generators[0].transform.classify().fixed_points[0]
-        profile = radial_profile(group, zeta, t_grid=tuple(range(1, 10)),
-                                 max_length=8)
-        assert profile.bounded_evidence
-        assert not profile.growth_evidence
-
-    def test_growth_toward_domain_interior_point(self, group):
-        # an ordinary point: the orbit never follows the ray
-        profile = radial_profile(group, DOMAIN_POINT, t_grid=tuple(range(1, 10)),
-                                 max_length=8)
-        assert profile.growth_evidence
-        assert profile.slope > 0.5
-
-    def test_deltas_nonincreasing_in_depth(self, group):
-        shallow = radial_profile(group, DOMAIN_POINT, t_grid=(1.0, 3.0, 5.0),
-                                 max_length=3)
-        deep = radial_profile(group, DOMAIN_POINT, t_grid=(1.0, 3.0, 5.0),
-                              max_length=6)
-        for (_, d1), (_, d2) in zip(shallow.samples, deep.samples):
-            assert d2 <= d1 + 1e-12
-
-    def test_t_grid_must_increase(self, group):
-        with pytest.raises(ValueError):
-            radial_profile(group, DOMAIN_POINT, t_grid=(2.0, 1.0))
 
 
 class TestJorgensenTest:
@@ -179,19 +129,3 @@ class TestCertifiedAtomConsistency:
             counts = [horoball_entry(result.group, result.target, c, depth).count()
                       for depth in (3, 5)]
             assert counts[0] == counts[1] == 0
-
-
-class TestProfileExport:
-    def test_csv_and_summary(self, group, tmp_path):
-        profile = radial_profile(group, DOMAIN_POINT, t_grid=(1.0, 2.0, 3.0),
-                                 max_length=4)
-        path = tmp_path / "profile.csv"
-        profile.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "T,delta"
-        assert len(lines) == 4
-        summary = profile.summary()
-        assert set(summary) >= {"target", "depth", "slope", "samples"}
-        import json
-
-        json.dumps(summary)  # JSON-serializable

@@ -15,7 +15,7 @@ from kleinian.series import (SeparationSchedule, TailCertificate,
                              estimate_delta, example1_certificate,
                              example1_tail_bound, horospherical_partial,
                              poincare_partial, reduced_horospherical_partial,
-                             _probe_label)
+                             unit_fixer, _probe_label)
 
 from conftest import arc
 
@@ -125,7 +125,7 @@ class TestHorosphericalPartial:
         zeta = parabolic_group.generator("p").transform.classify().fixed_points[0]
         r = horospherical_partial(parabolic_group, zeta, 0.7, 6)
         assert r.verdict.kind == "growth_witness"
-        assert all(c > 0 for c in r.transcript["equal_summand_matches"])
+        assert r.verdict.evidence["unit_fixer"] == "p"
 
     def test_certificate_issues_converged_verdict(self, group):
         bounds = branch_contraction(group, 2.5)
@@ -173,6 +173,57 @@ class TestReducedSeries:
         assert dom["b"] >= 0.0
         for red, poi in zip(dom["reduced_partials"], dom["poincare_partials"]):
             assert red <= dom["factor"] * poi * (1.0 + 1e-12)
+
+
+KILLS_P = QuotientSpec("free", {"a": ("a",), "b": ("b",), "p": ()})
+KEEPS_P = QuotientSpec("free", {"a": (), "b": ("b",), "p": ("p",)})
+
+
+class TestUnitFixer:
+    """The exact divergence rule: a generator of the summed subgroup fixing
+    the target with j(g, zeta) = 1 makes every j(g^n, zeta) = 1."""
+
+    @pytest.fixture(scope="class")
+    def zeta(self, parabolic_group):
+        return parabolic_group.generator("p").transform.classify().fixed_points[0]
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda g, z: horospherical_partial(g, z, 0.7, 5),
+        lambda g, z: reduced_horospherical_partial(g, z, 0.7, 5),
+        lambda g, z: reduced_horospherical_partial(g, z, 0.7, 5,
+                                                   stab=DeclaredStabilizer.trivial()),
+        lambda g, z: horospherical_partial(g, z, 0.7, 5, kernel=KILLS_P),
+    ], ids=["whole group", "no stabilizer", "trivial stabilizer", "kernel holding p"])
+    def test_fires_when_p_is_summed(self, parabolic_group, zeta, evaluate):
+        r = evaluate(parabolic_group, zeta)
+        assert r.verdict.kind == "growth_witness"
+        assert r.verdict.evidence["unit_fixer"] == "p"
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda g, z: reduced_horospherical_partial(g, z, 0.7, 5,
+                                                   stab=DeclaredStabilizer(("p",))),
+        lambda g, z: horospherical_partial(g, z, 0.7, 5, kernel=KEEPS_P),
+    ], ids=["declared stabilizer", "kernel keeping p"])
+    def test_silent_when_p_is_not_summed(self, parabolic_group, zeta, evaluate):
+        r = evaluate(parabolic_group, zeta)
+        assert "unit_fixer" not in (r.verdict.evidence or {})
+
+    def test_silent_at_a_loxodromic_fixed_point(self, parabolic_group):
+        # a fixes its attracting point, but with derivative far from 1
+        a = parabolic_group.generator("a").transform
+        xi = a.classify().fixed_points[0]
+        assert np.linalg.norm(a.apply_boundary(xi).coords - xi.coords) < 1e-8
+        assert abs(a.derivative_boundary(xi) - 1.0) > 1e-3
+        assert unit_fixer(parabolic_group, xi) is None
+        r = horospherical_partial(parabolic_group, xi, 0.7, 5)
+        assert "unit_fixer" not in (r.verdict.evidence or {})
+
+    def test_measure_and_series_read_one_rule(self, parabolic_group, zeta):
+        from kleinian.measure import ending_measure
+
+        mu = ending_measure(parabolic_group, zeta, 0.7, 5, check_domain=False)
+        r = horospherical_partial(parabolic_group, zeta, 0.7, 5)
+        assert mu.series.verdict.kind == r.verdict.kind == "growth_witness"
 
 
 class TestSeparationSchedules:
@@ -328,25 +379,3 @@ class TestSummationContract:
         for w, t in enumerate_words(group, 6):
             values.append(t.derivative_interior(InteriorPoint.origin(1)))
         assert math.fsum(values) == pytest.approx(r.partial_sum, rel=1e-15)
-
-
-def test_equal_values_counted_in_chunks(rng, monkeypatch):
-    """Chunked counting matches one pass over the whole level."""
-    import kleinian.series as series
-
-    prev = np.sort(rng.choice(rng.uniform(0.5, 2.0, size=40), size=200))
-    cur = np.concatenate([rng.choice(prev, size=150) * (1.0 + 1e-13),
-                          rng.uniform(0.5, 2.0, size=150)])
-    rng.shuffle(cur)
-    idx = np.searchsorted(prev, cur)
-    matched = np.zeros(cur.shape[0], dtype=bool)
-    for shift in (-1, 0):
-        near = prev[np.clip(idx + shift, 0, prev.shape[0] - 1)]
-        matched |= np.abs(near - cur) <= 1e-12 * np.maximum(np.abs(near), np.abs(cur))
-    expected = int(np.count_nonzero(matched))
-    assert expected >= 150
-    for slab in (7, 64, 1 << 20):
-        monkeypatch.setattr(series, "SLAB_WORDS", slab)
-        assert series._count_equal_values(prev, cur) == expected
-    assert series._count_equal_values(prev, cur[:0]) == 0
-    assert series._count_equal_values(prev[:0], cur) == 0

@@ -15,7 +15,7 @@ from kleinian.examples import Example3Config, example3_group
 from kleinian.group import (EXACT_SUM_MIN, DeclaredStabilizer, LevelSums, QuotientSpec,
                             SchottkyGroup, coset_representatives, enumerate_words, exact_sum,
                             iter_word_batches, kernel_enumerate, level_count, walk, word_at)
-from kleinian.limits import horoball_entry, horoball_scan, radial_profile
+from kleinian.limits import horoball_entry, horoball_scan
 from kleinian.measure import EndingMeasures, ending_measure, orbit_measure
 from kleinian.mobius import boundary_derivative_raw, matmul_raw
 from kleinian.model import BoundaryPoint, InteriorPoint, embed3
@@ -41,8 +41,6 @@ def _walk_reports(group, depth, budget):
         return r.depth_completed, r.budget_exhausted
 
     dom = bounded_parabolic_domination(group, zeta, 1.0, depth, stab, budget=budget)
-    profile = radial_profile(group, zeta, t_grid=(1.0, 2.0, 3.0), max_length=depth,
-                             budget=budget)
     hits = horoball_entry(group, zeta, 1.0, depth, budget=budget)
     kernel_hits = horoball_entry(group, zeta, 1.0, depth, budget=budget, kernel=QUOTIENT)
     grid_hits = horoball_scan(group, zeta, (0.5, 1.0, 2.0), depth, budget=budget,
@@ -68,7 +66,6 @@ def _walk_reports(group, depth, budget):
             ending_measure(group, zeta, 1.0, depth, budget=budget).series),
         "kernel ending_measure": series(ending_measure(
             group, zeta, 1.0, depth, kernel=QUOTIENT, budget=budget).series),
-        "radial_profile": (profile.depth_completed, profile.budget_exhausted),
         "horoball_entry": (hits.depth_completed, hits.budget_exhausted),
         "kernel horoball_entry": (kernel_hits.depth_completed, kernel_hits.budget_exhausted),
         **{f"horoball_scan at c={h.level}": (h.depth_completed, h.budget_exhausted)
@@ -92,15 +89,6 @@ def test_every_api_reports_the_same_cut(std_group, budget):
 def test_every_api_reports_a_complete_walk(std_group):
     reports = _walk_reports(std_group, 3, None)
     assert reports == {name: (3, False) for name in reports}
-
-
-def test_radial_profile_labels_a_cut(std_group):
-    profile = radial_profile(std_group, DOMAIN_POINT, t_grid=(1.0, 2.0, 3.0),
-                             max_length=8, budget=10)
-    assert profile.depth == 8
-    assert profile.depth_completed == 1 and profile.budget_exhausted
-    summary = profile.summary()
-    assert (summary["depth_completed"], summary["budget_exhausted"]) == (1, True)
 
 
 # --- one walk answers many questions --------------------------------------------
