@@ -14,7 +14,7 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,9 @@ from .group import DeclaredStabilizer, QuotientSpec, SchottkyGroup
 from .measure import (AtomicMeasure, _cell_index, _cell_masses, classify_atomicity,
                       ending_measure, moving_generator, orbit_measure)
 from .model import BoundaryPoint, Disc, InteriorPoint
-from .series import (SeriesResult, TailCertificate, horospherical_partial,
-                     poincare_partial, reduced_horospherical_partial)
+from .series import (SeparationSchedule, SeriesResult, TailCertificate,
+                     example1_certificate, horospherical_partial, poincare_partial,
+                     reduced_horospherical_partial)
 
 SCHEMA_VERSION = 1
 CONFIG_KEYS = {"schema_version", "group", "exponent", "depth", "budget", "threads",
@@ -129,10 +130,8 @@ def _build_schottky(doc: dict, dim: int) -> SchottkyGroup:
     return group
 
 
-def _resolve_group(doc) -> tuple[SchottkyGroup, BoundaryPoint | None,
-                                 DeclaredStabilizer | None,
-                                 QuotientSpec | None,
-                                 TailCertificate | None]:
+def _resolve_group(doc) -> tuple[SchottkyGroup, BoundaryPoint | None, DeclaredStabilizer | None,
+                                 QuotientSpec | None, SeparationSchedule | None]:
     _require(isinstance(doc, dict), "group must be an object")
     kind = doc.get("kind")
     _require(isinstance(kind, str) and kind in GROUP_KEYS, f"unknown group.kind {kind!r} "
@@ -149,12 +148,10 @@ def _resolve_group(doc) -> tuple[SchottkyGroup, BoundaryPoint | None,
     _require(isinstance(params, dict), "group.params must be an object")
     if kind == "example1":
         from .examples import Example1Config, example1_group
-        from .series import example1_certificate
 
         cfg = _built("group.params", Example1Config, **params)
         group, target = example1_group(cfg)
-        cert = example1_certificate(cfg.schedule(), cfg.exponent)
-        return group, target, DeclaredStabilizer.trivial(), None, cert
+        return group, target, DeclaredStabilizer.trivial(), None, cfg.schedule()
     if kind == "example2":
         from .examples import Example2Config, example2_group, example2_target
 
@@ -180,7 +177,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     _require(version == SCHEMA_VERSION,
              f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
     _require("group" in raw, "config needs a 'group' section")
-    group, default_target, stab, kernel, cert = _resolve_group(raw["group"])
+    group, default_target, stab, kernel, schedule = _resolve_group(raw["group"])
 
     def knob(name: str, default):
         override = getattr(overrides, name)
@@ -188,6 +185,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
 
     exponent = _number(knob("exponent", 1.0), "exponent")
     _require(0.0 <= exponent < math.inf, f"exponent must be finite and >= 0, got {exponent}")
+    # the certificate at the exponent the run sums at
+    cert = example1_certificate(schedule, exponent) if schedule is not None else None
     depth = _integer(knob("depth", 6), "depth", 0)
     budget = raw.get("budget")
     budget = None if budget is None else _integer(budget, "budget", 1)
@@ -205,6 +204,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
                  "point must be {'coords': [...]}")
         point = _built("point.coords", InteriorPoint, pdoc["coords"])
     if "stabilizer" in raw:
+        _require(kernel is None, "stabilizer cannot be declared for this group: every "
+                 "command sums over its kernel, not over a coset transversal")
         labels = raw["stabilizer"]
         known = {gen.label for gen in group.generators}
         _require(isinstance(labels, list)
@@ -319,10 +320,8 @@ def cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
     }
     if cfg.stabilizer is not None and measure.source == "ending":
         # its series is the one the verdict reads; an orbit measure's is not
-        verdict = classify_atomicity(cfg.group, cfg.target, cfg.exponent,
-                                     cfg.stabilizer, cfg.depth, budget=cfg.budget,
-                                     tail=cfg.certificate,
-                                     precomputed_series=measure.series)
+        verdict = classify_atomicity(cfg.group, cfg.target, cfg.stabilizer,
+                                     measure.series)
         payload["stabilizer_check"] = verdict.stabilizer_check.kind
         payload["atomicity"] = verdict.conclusion
     _write_report(out_dir, "measure", payload, cfg)
@@ -333,12 +332,11 @@ def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.target is None:
         raise ConfigError("classify runs need a 'target'")
     _double_only(cfg, "classify runs")
-    # a kernel-restricted group is classified on its kernel series
-    verdict = classify_atomicity(cfg.group, cfg.target, cfg.exponent,
-                                 cfg.stabilizer, cfg.depth, budget=cfg.budget,
-                                 tail=cfg.certificate,
-                                 precomputed_series=(_run_series(cfg) if cfg.kernel
-                                                     is not None else None))
+    # a kernel-restricted group is classified on its kernel series, any
+    # other on the series over its stabilizer's coset transversal
+    series = _run_series(cfg if cfg.kernel is not None
+                         else replace(cfg, series_kind="reduced"))
+    verdict = classify_atomicity(cfg.group, cfg.target, cfg.stabilizer, series)
     payload = {
         "conclusion": verdict.conclusion,
         "stabilizer_check": {

@@ -33,8 +33,7 @@ from .mobius import Transform
 from .model import BoundaryPoint, Disc
 from .series import (BranchBounds, DeltaEstimate, SeparationSchedule, SeriesResult,
                      boundary_values, branch_contraction, estimate_delta,
-                     example1_certificate, example1_tail_bound, finish_series,
-                     parabolic_domination, reduced_horospherical_partial, unit_fixer)
+                     example1_certificate, finish_series, parabolic_domination)
 
 POLE_SAFETY = 0.2        # keep all constructions away from the chart pole
 SLOT_FILL = 0.45         # enlarged discs fill this fraction of their half-slot
@@ -143,9 +142,7 @@ def build_example1(cfg: Example1Config) -> Example1Result:
     [measure] = measures.at(measures.walk(cfg.depth, cfg.budget))
     series = measure.series
     # trivial stabilizer: the reduced series coincides with the plain one
-    atomicity = classify_atomicity(group, target, s, stab, cfg.depth,
-                                   budget=cfg.budget, tail=certificate,
-                                   precomputed_series=series)
+    atomicity = classify_atomicity(group, target, stab, series)
 
     report = {
         "construction": "separated-arc-family",
@@ -154,7 +151,7 @@ def build_example1(cfg: Example1Config) -> Example1Result:
         "admissibility_sum": adm,
         "admissible": adm < 0.5,
         "tail_rate": 2.0 * adm,
-        "tail_from_depth": example1_tail_bound(schedule, s, cfg.depth + 1),
+        "tail_from_depth": certificate.tail_from(cfg.depth + 1),
         "branch_bounds": [
             {"letter": group.letter_labels[e],
              "bound": branch.letter_bounds[e],
@@ -397,21 +394,19 @@ def build_example3(cfg: Example3Config) -> Example3Result:
     [measure] = measures.at(done)
     reduced = measure.series
     # p fixes the target with unit derivative, so the whole-group sum diverges
-    unreduced = finish_series(done, whole, s, None, unit_fixer(group, target))
+    unreduced = finish_series(done, whole, s, None, group, None, target)
     domination = dominated(done)
 
-    # independent per-word recomputation of the kernel sum at a small depth
-    reduced_small = reduced_horospherical_partial(group, target, s,
-                                                  cfg.identity_depth, stab=stab)
+    # the walk's coset sum at a small depth against an independent per-word
+    # recomputation of the kernel sum
+    identity_depth = min(cfg.identity_depth, done.depth_completed)
+    coset_sum = measures.at(done.upto(identity_depth))[0].series.partial_sum
     kernel_sum = math.fsum(
         t.derivative_boundary(target) ** s
-        for _, t in kernel_enumerate(group, stab.quotient_for(group),
-                                     cfg.identity_depth))
-    identity_defect = abs(reduced_small.partial_sum - kernel_sum)
+        for _, t in kernel_enumerate(group, stab.quotient_for(group), identity_depth))
+    identity_defect = abs(coset_sum - kernel_sum)
 
-    # same target, exponent, depth, stabilizer and budget as ``reduced``
-    atomicity = classify_atomicity(group, target, s, stab, cfg.depth,
-                                   budget=cfg.budget, precomputed_series=reduced)
+    atomicity = classify_atomicity(group, target, stab, reduced)
     delta_group = estimate_delta(group, cfg.bracket, depths=(5, 6),
                                  budget=10 ** 6)
 
@@ -421,8 +416,8 @@ def build_example3(cfg: Example3Config) -> Example3Result:
         "stabilizer_derivatives_at_powers": power_table,
         "max_power_defect": max_power_defect,
         "coset_vs_kernel_sum": {
-            "depth": cfg.identity_depth,
-            "coset_sum": reduced_small.partial_sum,
+            "depth": identity_depth,
+            "coset_sum": coset_sum,
             "kernel_sum": kernel_sum,
             "defect": identity_defect,
         },

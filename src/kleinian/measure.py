@@ -25,8 +25,7 @@ from .mobius import (apply_boundary_raw, apply_halfspace_raw, apply_interior_raw
                      interior_derivative_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
 from .series import (FIXED_POINT_TOL, UNIT_DERIVATIVE_TOL, SeriesResult, TailCertificate,
-                     boundary_values, finish_series, reduced_horospherical_partial,
-                     unit_fixer)
+                     boundary_values, finish_series)
 
 # Atoms are coalesced only when indistinguishable at float resolution.  A
 # coarser merge (1e-12 was tried) misattributes mass across cells where the
@@ -327,8 +326,8 @@ class EndingMeasures:
         budget = done.cut.words_generated if done.cut else None   # reproduces the cut
         for i, point in enumerate(self.points):
             boundary = i < self._targets
-            fixer = unit_fixer(self.group, point, self.spec) if boundary else None
-            series = finish_series(done, self.blocks[i], self.s, self.tail, fixer,
+            series = finish_series(done, self.blocks[i], self.s, self.tail, self.group,
+                                   self.spec, point if boundary else None,
                                    incomplete_cosets=self.reduced)
             points, weights, lengths = self._atoms[i].at(done.depth)
             meta = {"target" if boundary else "base_point": point.coords.tolist(),
@@ -587,14 +586,14 @@ class StabilizerCheck:
 class AtomicityVerdict:
     """Outcome of the two-sided atom test at a boundary point.
 
-    ``atom_at_target`` only ever holds with a unit-derivative stabilizer
-    and a certified convergent reduced series; a growth witness with unit
-    derivatives, or any non-unit stabilizer derivative, excludes the atom.
+    ``conclusion`` is ``atom_at_target``, ``no_atom_at_target`` or
+    ``inconclusive``; ``series`` is the boundary series the test read, and
+    ``transcript`` names the facts behind the conclusion.
     """
 
     stabilizer_check: StabilizerCheck
     series: SeriesResult
-    conclusion: str           # atom_at_target | no_atom_at_target | inconclusive
+    conclusion: str
     transcript: dict = field(default_factory=dict)
 
 
@@ -608,56 +607,49 @@ def moving_generator(group: SchottkyGroup, zeta: BoundaryPoint,
     return None
 
 
-def classify_atomicity(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
-                       stab: DeclaredStabilizer | None, max_length: int,
-                       budget: int | None = None,
-                       tail: TailCertificate | None = None,
-                       precomputed_series: SeriesResult | None = None) -> AtomicityVerdict:
-    """Decide atom-or-not at ``zeta`` from stabilizer derivatives and the
-    reduced boundary series, per the two-condition criterion.
+def classify_atomicity(group: SchottkyGroup, zeta: BoundaryPoint,
+                       stab: DeclaredStabilizer | None,
+                       series: SeriesResult) -> AtomicityVerdict:
+    """Decide atom-or-not at ``zeta`` from the declared stabilizer and
+    ``series``, the boundary series at ``zeta`` over the stabilizer's coset
+    transversal.  Walks nothing; only exact facts conclude.
 
-    ``precomputed_series`` skips the series enumeration when the caller
-    already evaluated the reduced series for the same target and exponent.
-    """
+    ``atom_at_target``: every stabilizer derivative at ``zeta`` is 1 and the
+    series is ``converged_within``.  ``no_atom_at_target``: a derivative is
+    not 1, or the series' growth witness names a ``unit_fixer``.  Otherwise
+    (no stabilizer declared, or growth evidence that is the fitted ratio
+    alone, which the transcript names) ``inconclusive``.  A stabilizer
+    generator moving ``zeta``, or a nontrivial ``stab`` with a series not
+    over its transversal (no ``incomplete_cosets``), raises ValueError."""
     transcript: dict = {}
     if stab is None:
-        check = StabilizerCheck("none_declared")
         transcript["stabilizer"] = ("no stabilizer declared; the unit-derivative "
                                     "condition cannot be assessed")
-        series = precomputed_series if precomputed_series is not None else \
-            reduced_horospherical_partial(group, zeta, s, max_length,
-                                          stab=None, budget=budget, tail=tail)
-        return AtomicityVerdict(check, series, "inconclusive", transcript)
+        return AtomicityVerdict(StabilizerCheck("none_declared"), series,
+                                "inconclusive", transcript)
+    if (mover := moving_generator(group, zeta, stab.labels)) is not None:
+        raise ValueError(f"declared stabilizer generator {mover} does not fix the target")
     if not stab.labels:
-        check = StabilizerCheck("all_derivatives_one")
         transcript["stabilizer"] = "trivial declaration; condition holds vacuously"
-    else:
-        check = StabilizerCheck("all_derivatives_one")
-        mover = moving_generator(group, zeta, stab.labels)
-        if mover is not None:
-            raise ValueError(f"declared stabilizer generator {mover} does not fix the target")
-        for label in stab.labels:
-            value = group.generator(label).transform.derivative_boundary(zeta)
-            transcript.setdefault("stabilizer_derivatives", {})[label] = value
-            if abs(value - 1.0) > UNIT_DERIVATIVE_TOL:
-                check = StabilizerCheck("derivative_not_one", label, value)
-                break
-    if precomputed_series is not None:
-        if (precomputed_series.exponent != s
-                or precomputed_series.depth != max_length):
-            raise ValueError("precomputed series does not match the request")
-        series = precomputed_series
-    else:
-        series = reduced_horospherical_partial(group, zeta, s, max_length,
-                                               stab=stab, budget=budget, tail=tail)
-
+    elif not series.incomplete_cosets:
+        raise ValueError("the series is not summed over the stabilizer's coset transversal")
+    check = StabilizerCheck("all_derivatives_one")
+    for label in stab.labels:
+        value = group.generator(label).transform.derivative_boundary(zeta)
+        transcript.setdefault("stabilizer_derivatives", {})[label] = value
+        if abs(value - 1.0) > UNIT_DERIVATIVE_TOL:
+            check = StabilizerCheck("derivative_not_one", label, value)
+            break
+    verdict = series.verdict
     if check.kind == "derivative_not_one":
         conclusion = "no_atom_at_target"
-    elif series.verdict.kind == "converged_within":
+    elif verdict.kind == "converged_within":
         conclusion = "atom_at_target"
-    elif series.verdict.kind == "growth_witness":
+    elif verdict.kind == "growth_witness" and "unit_fixer" in verdict.evidence:
         conclusion = "no_atom_at_target"
     else:
+        if verdict.kind == "growth_witness":   # the fitted ratio alone
+            transcript["ratio_only_growth"] = series.transcript["ratio_fit"]
         conclusion = "inconclusive"
     return AtomicityVerdict(check, series, conclusion, transcript)
 

@@ -326,8 +326,9 @@ def rotation_moving_to_pole(xi: np.ndarray, dim: int) -> np.ndarray:
 class Transform:
     """Conformal automorphism of the closed ball in dimension ``dim``.
 
-    Immutable; carries cached ball images of the origin under the map and
-    its inverse, which feed the conformal-derivative formulas.
+    Immutable.  The ball images of the origin under the map and its inverse,
+    which feed the conformal-derivative formulas, are computed on demand,
+    with co-norms 1 - |.|^2 in the cancellation-free 4t/D form.
     """
 
     matrix: np.ndarray
@@ -352,16 +353,6 @@ class Transform:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", dim)
-        img, img_conorm = origin_images_raw(m)
-        pre, pre_conorm = inverse_origin_images_raw(m)
-        img.setflags(write=False)
-        pre.setflags(write=False)
-        object.__setattr__(self, "_origin_image", img)
-        object.__setattr__(self, "_origin_preimage", pre)
-        # 1 - |.|^2 in the cancellation-free 4t/D form; stays positive for
-        # arbitrarily deep words
-        object.__setattr__(self, "_origin_conorm", float(img_conorm))
-        object.__setattr__(self, "_preimage_conorm", float(pre_conorm))
 
     @classmethod
     def identity(cls, dim: int) -> "Transform":
@@ -369,15 +360,15 @@ class Transform:
 
     @property
     def origin_image(self) -> InteriorPoint:
-        """g(0), cached at construction."""
-        return InteriorPoint(project_dim(self._origin_image, self.dim),
-                             conorm=self._origin_conorm)
+        """g(0)."""
+        img, conorm = origin_images_raw(self.matrix)
+        return InteriorPoint(project_dim(img, self.dim), conorm=float(conorm))
 
     @property
     def origin_preimage(self) -> InteriorPoint:
-        """g^{-1}(0), cached at construction."""
-        return InteriorPoint(project_dim(self._origin_preimage, self.dim),
-                             conorm=self._preimage_conorm)
+        """g^{-1}(0)."""
+        pre, conorm = inverse_origin_images_raw(self.matrix)
+        return InteriorPoint(project_dim(pre, self.dim), conorm=float(conorm))
 
     def compose(self, other: "Transform") -> "Transform":
         """(self o other): apply ``other`` first."""
@@ -409,9 +400,9 @@ class Transform:
     def derivative_boundary(self, zeta: BoundaryPoint) -> float:
         """Conformal stretch on the sphere: equals k(g^{-1}(0), zeta)."""
         self._check_point_dim(zeta.dim)
-        pre = self._origin_preimage
+        pre, conorm = inverse_origin_images_raw(self.matrix)
         diff = embed3(zeta.coords) - pre
-        return float(self._preimage_conorm / np.dot(diff, diff))
+        return float(conorm / np.dot(diff, diff))
 
     def derivative_interior(self, z: InteriorPoint) -> float:
         """Conformal stretch in the ball: (1 - |g(z)|^2) / (1 - |z|^2)."""

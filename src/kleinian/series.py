@@ -8,13 +8,13 @@ carrying the per-level blocks, a three-valued convergence verdict and an
 optional certified tail.
 
 A ``converged_within`` verdict is only ever issued against a
-:class:`TailCertificate` (a proven geometric bound on the level blocks);
-truncations alone never claim convergence.  Divergence is reported as
-``growth_witness``.  One rule is exact: a generator of the summed
-subgroup that fixes the target zeta with j(g, zeta) = 1 gives
-j(g^n, zeta) = 1 for every n, so the series diverges at every exponent
-(:func:`unit_fixer`).  Otherwise the evidence is a fitted level ratio
-above ``RATIO_DIVERGENT``.
+:class:`TailCertificate` (a proven geometric bound on the level blocks),
+or for the identity alone (:func:`trivial_subgroup`); truncations alone
+never claim convergence.  Divergence is reported as ``growth_witness``.
+One rule is exact: a generator of the summed subgroup that fixes the
+target zeta with j(g, zeta) = 1 gives j(g^n, zeta) = 1 for every n, so the
+series diverges at every exponent (:func:`unit_fixer`).  Otherwise the
+evidence is a fitted level ratio above ``RATIO_DIVERGENT``.
 """
 
 from __future__ import annotations
@@ -128,11 +128,12 @@ class TailCertificate:
 def _series(group: SchottkyGroup, values: Callable[[WordBatch], np.ndarray],
             exponent: float, max_length: int, budget: int | None,
             tail: TailCertificate | None, kernel: QuotientSpec | None = None,
-            fixer: str | None = None, incomplete_cosets: bool = False) -> SeriesResult:
+            target: BoundaryPoint | None = None,
+            incomplete_cosets: bool = False) -> SeriesResult:
     """One walk summing ``values`` by level."""
     blocks = LevelSums(values)
     done = walk(group, max_length, budget, kernel=kernel, consumers=[blocks])
-    return finish_series(done, blocks, exponent, tail, fixer,
+    return finish_series(done, blocks, exponent, tail, group, kernel, target,
                          incomplete_cosets=incomplete_cosets)
 
 
@@ -167,6 +168,17 @@ def unit_fixer(group: SchottkyGroup, zeta: BoundaryPoint,
     return None
 
 
+def trivial_subgroup(group: SchottkyGroup, spec: QuotientSpec | None) -> bool:
+    """True when the summed subgroup is the identity alone: a group without
+    generators, or the kernel of a ``spec`` mapping the generators one-to-one
+    onto distinct target letters (a free basis into a free basis kills no word)."""
+    if spec is None:
+        return not group.generators
+    images = [spec.images.get(gen.label, (gen.label,)) for gen in group.generators]
+    return (all(len(image) == 1 for image in images)
+            and len({image[0].removesuffix("^-1") for image in images}) == len(images))
+
+
 def _fit_ratio(level_sums: Sequence[float]) -> float | None:
     """Geometric ratio fitted to the last RATIO_WINDOW nonzero blocks."""
     blocks = [b for b in level_sums[1:] if b > 0.0]
@@ -177,51 +189,50 @@ def _fit_ratio(level_sums: Sequence[float]) -> float | None:
     return float(np.exp(np.mean(np.log(ratios))))
 
 
-def _build_verdict(done: Walk, blocks: LevelSums, fixer: str | None,
-                   tail: TailCertificate | None) -> tuple[Verdict, float | None, dict]:
-    transcript: dict = {
-        "level_counts": list(blocks.level_counts),
-        "ratio_fit": _fit_ratio(blocks.level_sums),
-    }
-    blocks_beyond = [b for b in blocks.level_sums[1:] if b > 0.0]
-    if not blocks_beyond and not done.budget_exhausted:
-        # finite group exhausted: the partial sum is the series
-        return Verdict("converged_within", 0.0), 0.0, transcript
+def _verdict(done: Walk, blocks: LevelSums, tail: TailCertificate | None,
+             group: SchottkyGroup, spec: QuotientSpec | None,
+             target: BoundaryPoint | None, transcript: dict) -> Verdict:
+    if trivial_subgroup(group, spec) and not done.budget_exhausted:
+        return Verdict("converged_within", 0.0)   # the partial sum is the series
     if tail is not None:
         if not tail.admits_blocks(blocks.level_sums):
             transcript["certificate_rejected"] = (
                 "measured level sums violate the certified envelope")
         elif tail.rate < 1.0:
-            bound = tail.tail_from(done.depth_completed + 1)
             transcript["certificate"] = {"rate": tail.rate, "coeff": tail.coeff,
                                          "source": tail.source}
-            return Verdict("converged_within", bound), bound, transcript
+            return Verdict("converged_within", tail.tail_from(done.depth_completed + 1))
         else:
             transcript["certificate_rejected"] = f"certified rate {tail.rate} >= 1"
-    growth_evidence = {"level_sums": list(blocks.level_sums)}
+    evidence = {"level_sums": list(blocks.level_sums)}
+    fixer = unit_fixer(group, target, spec) if target is not None else None
     if fixer is not None:
-        growth_evidence["unit_fixer"] = fixer
-        return Verdict("growth_witness", None, growth_evidence), None, transcript
+        return Verdict("growth_witness", None, {**evidence, "unit_fixer": fixer})
     ratio = transcript["ratio_fit"]
     if ratio is not None and ratio > RATIO_DIVERGENT:
-        return Verdict("growth_witness", None, growth_evidence), None, transcript
-    return Verdict("inconclusive"), None, transcript
+        return Verdict("growth_witness", None, evidence)
+    return Verdict("inconclusive")
 
 
 def finish_series(done: Walk, blocks: LevelSums, exponent: float,
-                  tail: TailCertificate | None, fixer: str | None = None, *,
+                  tail: TailCertificate | None, group: SchottkyGroup,
+                  spec: QuotientSpec | None, target: BoundaryPoint | None, *,
                   incomplete_cosets: bool = False) -> SeriesResult:
     """The series result of a walk's level blocks: partial sum, verdict, tail.
 
-    ``fixer`` is the :func:`unit_fixer` of the summed subgroup at the
-    target, if any.  Closes ``blocks`` at ``done`` first."""
+    ``blocks`` sum the subgroup of ``group`` kept by ``spec`` (all of it when
+    None) at the boundary ``target`` (None for interior sums); its exact
+    facts, :func:`trivial_subgroup` and :func:`unit_fixer`, are derived here
+    and nowhere else.  Closes ``blocks`` at ``done`` first."""
     blocks.finish(done)
-    verdict, bound, transcript = _build_verdict(done, blocks, fixer, tail)
+    transcript = {"level_counts": list(blocks.level_counts),
+                  "ratio_fit": _fit_ratio(blocks.level_sums)}
+    verdict = _verdict(done, blocks, tail, group, spec, target, transcript)
     partial = math.fsum(blocks.level_sums + [blocks.tail_sum])
     return SeriesResult(
         exponent=exponent, depth=done.depth, depth_completed=done.depth_completed,
         partial_sum=partial, level_sums=tuple(blocks.level_sums), verdict=verdict,
-        tail_bound=bound, budget_exhausted=done.budget_exhausted,
+        tail_bound=verdict.tail_bound, budget_exhausted=done.budget_exhausted,
         incomplete_cosets=incomplete_cosets, transcript=transcript)
 
 
@@ -256,7 +267,7 @@ def horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
             raise ValueError("the extended-precision path has no kernel restriction")
         return _sum_series_mp(group, "boundary", zeta.coords, s, max_length)
     return _series(group, boundary_values(zeta, s), s, max_length, budget, tail,
-                   kernel=kernel, fixer=unit_fixer(group, zeta, kernel))
+                   kernel=kernel, target=zeta)
 
 
 def reduced_horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
@@ -278,8 +289,7 @@ def reduced_horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: 
         raise TypeError(f"unsupported stabilizer declaration: {stab!r}")
     kernel = stab.quotient_for(group) if stab is not None and stab.labels else None
     return _series(group, boundary_values(zeta, s), s, max_length, budget, tail,
-                   kernel=kernel, fixer=unit_fixer(group, zeta, kernel),
-                   incomplete_cosets=kernel is not None)
+                   kernel=kernel, target=zeta, incomplete_cosets=kernel is not None)
 
 
 # --- certified tails -------------------------------------------------------------
@@ -539,9 +549,8 @@ class DeltaEstimate:
         return self.high - self.low
 
 
-def _probe_label(level_sums: Sequence[float],
-                 depth_completed: int) -> tuple[str, float | None]:
-    if all(b == 0.0 for b in level_sums[1:]) and depth_completed >= 1:
+def _probe_label(level_sums: Sequence[float], trivial: bool) -> tuple[str, float | None]:
+    if trivial:   # the identity alone (:func:`trivial_subgroup`)
         return "convergent", 0.0
     ratio = _fit_ratio(level_sums)
     if ratio is None:
@@ -583,6 +592,7 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
 
     done = walk(group, max(depths, default=0), budget, kernel=restrict,
                 consumers=[cache])
+    trivial = trivial_subgroup(group, restrict)
 
     def run_probe(s: float) -> str:
         label = "inconclusive"
@@ -594,7 +604,7 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
                 fed += 1
             probe = done.upto(depth)
             blocks.finish(probe)
-            label, ratio = _probe_label(blocks.level_sums, probe.depth_completed)
+            label, ratio = _probe_label(blocks.level_sums, trivial)
             probes.append(ProbeRecord(s, probe.depth_completed,
                                       tuple(blocks.level_sums), ratio, label))
             if label != "inconclusive":

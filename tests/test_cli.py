@@ -70,6 +70,41 @@ class TestSeriesCommand:
         assert report["result"]["verdict"]["kind"] == "converged_within"
         assert report["result"]["tail_bound"] is not None
 
+    def test_example1_certificate_at_the_run_exponent(self, tmp_path):
+        from kleinian.examples import Example1Config
+        from kleinian.series import example1_certificate
+
+        config = str(CONFIGS / "example1.json")
+        # at s = 0.3 the admissibility sum is 0.844 >= 1/2: no certificate
+        assert main(["series", "--config", config, "--out", str(tmp_path / "a"),
+                     "--exponent", "0.3", "--depth", "6"]) == 0
+        result = json.loads((tmp_path / "a" / "series.json").read_text())["result"]
+        assert result["verdict"]["kind"] != "converged_within"
+        assert result["tail_bound"] is None
+        assert main(["classify", "--config", config, "--out", str(tmp_path / "b"),
+                     "--exponent", "0.3", "--depth", "6"]) == 0
+        result = json.loads((tmp_path / "b" / "classify.json").read_text())["result"]
+        assert result["conclusion"] != "atom_at_target"
+        # at s = 0.45 the tail is the certificate's at 0.45, not at 0.5
+        assert main(["series", "--config", config, "--out", str(tmp_path / "c"),
+                     "--exponent", "0.45", "--depth", "6"]) == 0
+        result = json.loads((tmp_path / "c" / "series.json").read_text())["result"]
+        cert = example1_certificate(Example1Config().schedule(), 0.45)
+        assert cert.rate == pytest.approx(0.6632, abs=1e-4)
+        assert result["verdict"]["kind"] == "converged_within"
+        assert result["tail_bound"] == cert.tail_from(6 + 1)
+
+    def test_depth_zero_certifies_only_the_trivial_group(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = str(CONFIGS / "two_generator.json")
+        assert main(["series", "--config", cfg, "--out", str(out), "--depth", "0"]) == 0
+        result = json.loads((out / "series.json").read_text())["result"]
+        assert result["verdict"]["kind"] == "inconclusive" and result["tail_bound"] is None
+        cfg = str(CONFIGS / "trivial.json")
+        assert main(["series", "--config", cfg, "--out", str(out), "--depth", "0"]) == 0
+        result = json.loads((out / "series.json").read_text())["result"]
+        assert result["verdict"] == {"kind": "converged_within", "tail_bound": 0.0}
+
     def test_overlap_names_pair_and_exits_2(self, tmp_path, capsys):
         doc = {
             "schema_version": 1,
@@ -233,6 +268,18 @@ class TestClassifyCommand:
         report = json.loads((tmp_path / "o" / "classify.json").read_text())
         assert report["result"]["conclusion"] == "atom_at_target"
 
+    @pytest.mark.parametrize("exponent", [0.2, 0.24])
+    def test_ratio_evidence_never_excludes_the_atom(self, tmp_path, exponent):
+        doc = json.loads((CONFIGS / "two_generator.json").read_text())
+        cfg = write_config(tmp_path, dict(doc, stabilizer=[], depth=8))
+        out = tmp_path / "o"
+        assert main(["classify", "--config", cfg, "--out", str(out),
+                     "--exponent", str(exponent)]) == 0
+        result = json.loads((out / "classify.json").read_text())["result"]
+        assert result["series"]["verdict"]["kind"] == "growth_witness"
+        assert result["conclusion"] == "inconclusive"
+        assert result["transcript"]["ratio_only_growth"] > 1.05
+
     @pytest.mark.parametrize("command", ["classify", "measure"])
     def test_stabilizer_moving_the_target_exits_2(self, tmp_path, capsys, command):
         doc = json.loads((CONFIGS / "two_generator.json").read_text())
@@ -362,6 +409,18 @@ class TestKernelConfig:
             series = result if command == "series" else result["series"]
             assert series["level_sums"] == pytest.approx(expected, rel=1e-12)
             assert series["partial_sum"] == pytest.approx(math.fsum(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["series", "measure", "classify", "render"])
+    def test_stabilizer_is_rejected(self, tmp_path, capsys, command):
+        # the kernel is summed, never a stabilizer's coset transversal
+        doc = json.loads((CONFIGS / "example2.json").read_text())
+        doc.update(stabilizer=["c"], depth=2)
+        code = main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "stabilizer" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override", [{"series": "poincare"}, {"series": "reduced"},
                                           {"precision": "extended"}])

@@ -214,6 +214,14 @@ class TestParabolicStabilizer:
         # the chosen exponent sits above the measured divergence bracket
         assert ex3.report["exponent"] > evidence["low"]
 
+    def test_identity_check_stops_at_the_walk_depth(self):
+        # the coset sum comes off the measure's walk, so it reaches no
+        # deeper than that walk
+        check = build_example3(Example3Config(depth=3, identity_depth=5)).report[
+            "coset_vs_kernel_sum"]
+        assert check["depth"] == 3
+        assert check["defect"] < 1e-10
+
     def test_built_generator_classifies_parabolic(self):
         # the builder validates the classification and raises otherwise
         cfg = Example3Config(depth=3, identity_depth=2)
@@ -326,9 +334,9 @@ def test_diagnostics_builders_match_committed_hashes(name, monkeypatch):
     del walks["current"]
     # Example 1: the series rides on the measure's walk; the weak trend is
     # one walk for every measure; Example 3: the reduced, unreduced and
-    # domination sums ride on the measure's kernel walk, beside the
-    # identity check's two small walks and the exponent probes
+    # domination sums and the identity check's coset sum ride on the
+    # measure's kernel walk, beside the identity check's independent
+    # kernel enumeration and the exponent probes
     assert walks == {"build_example1": [cfg1.depth],
                      "example1_weak_trend": [cfg1.weak_depth],
-                     "build_example3": [cfg3.depth, cfg3.identity_depth,
-                                        cfg3.identity_depth, 6]}
+                     "build_example3": [cfg3.depth, cfg3.identity_depth, 6]}

@@ -19,7 +19,8 @@ from kleinian.mobius import (apply_boundary_raw, apply_interior_raw,
                              boundary_derivative_raw, interior_derivative_raw, matmul_raw,
                              Transform)
 from kleinian.model import BoundaryPoint, InteriorPoint, embed3
-from kleinian.series import branch_contraction
+from kleinian.series import (branch_contraction, horospherical_partial,
+                             reduced_horospherical_partial)
 
 from conftest import arc, cap_groups, schottky_groups
 
@@ -316,48 +317,111 @@ def test_residuals_of_one_measure_walk_once(group, monkeypatch):
 
 
 class TestClassifyAtomicity:
+    @pytest.fixture(scope="class")
+    def parabolic(self, group):
+        """The group with a parabolic p added, and the fixed point of p."""
+        extended = SchottkyGroup.free_product(group).with_parabolic(
+            "p", arc(180, 12), 4.5)
+        return extended, extended.generator("p").transform.classify().fixed_points[0]
+
     def test_loxodromic_fixed_point_no_atom(self, group):
         tc = group.generators[0].transform.classify()
-        verdict = classify_atomicity(group, tc.fixed_points[0], 1.0,
-                                     DeclaredStabilizer(("a",)), 5)
+        stab = DeclaredStabilizer(("a",))
+        series = reduced_horospherical_partial(group, tc.fixed_points[0], 1.0, 5,
+                                               stab=stab)
+        verdict = classify_atomicity(group, tc.fixed_points[0], stab, series)
         assert verdict.stabilizer_check.kind == "derivative_not_one"
         assert verdict.conclusion == "no_atom_at_target"
         assert verdict.stabilizer_check.witness == "a"
 
     def test_certified_atom_with_contraction_certificate(self, group):
         cert = branch_contraction(group, 2.5).boundary_certificate(1.5)
-        verdict = classify_atomicity(group, DOMAIN_POINT, 1.5,
-                                     DeclaredStabilizer.trivial(), 6, tail=cert)
+        series = reduced_horospherical_partial(group, DOMAIN_POINT, 1.5, 6,
+                                               stab=DeclaredStabilizer.trivial(), tail=cert)
+        verdict = classify_atomicity(group, DOMAIN_POINT, DeclaredStabilizer.trivial(),
+                                     series)
         assert verdict.conclusion == "atom_at_target"
 
     def test_no_certificate_is_inconclusive(self, group):
-        verdict = classify_atomicity(group, DOMAIN_POINT, 1.5,
-                                     DeclaredStabilizer.trivial(), 6)
+        series = reduced_horospherical_partial(group, DOMAIN_POINT, 1.5, 6,
+                                               stab=DeclaredStabilizer.trivial())
+        verdict = classify_atomicity(group, DOMAIN_POINT, DeclaredStabilizer.trivial(),
+                                     series)
         assert verdict.conclusion == "inconclusive"
 
     def test_undeclared_stabilizer_is_inconclusive(self, group):
-        verdict = classify_atomicity(group, DOMAIN_POINT, 1.5, None, 5)
+        series = reduced_horospherical_partial(group, DOMAIN_POINT, 1.5, 5)
+        verdict = classify_atomicity(group, DOMAIN_POINT, None, series)
         assert verdict.stabilizer_check.kind == "none_declared"
         assert verdict.conclusion == "inconclusive"
 
-    def test_parabolic_point_unreduced_diverges_reduced_consulted(self, group):
-        extended = SchottkyGroup.free_product(group).with_parabolic(
-            "p", arc(180, 12), 4.5)
-        zeta = extended.generator("p").transform.classify().fixed_points[0]
-        from kleinian.series import horospherical_partial
-
+    def test_parabolic_point_unreduced_diverges_reduced_consulted(self, parabolic):
+        extended, zeta = parabolic
         unreduced = horospherical_partial(extended, zeta, 0.7, 6)
         assert unreduced.verdict.kind == "growth_witness"
-        verdict = classify_atomicity(extended, zeta, 0.7,
-                                     DeclaredStabilizer(("p",)), 6)
+        stab = DeclaredStabilizer(("p",))
+        series = reduced_horospherical_partial(extended, zeta, 0.7, 6, stab=stab)
+        verdict = classify_atomicity(extended, zeta, stab, series)
         assert verdict.stabilizer_check.kind == "all_derivatives_one"
         # reduced series carries no certificate here: stays honest
         assert verdict.conclusion == "inconclusive"
 
     def test_misdeclared_stabilizer_rejected(self, group):
         with pytest.raises(ValueError):
-            classify_atomicity(group, DOMAIN_POINT, 1.0,
-                               DeclaredStabilizer(("a",)), 4)
+            stab = DeclaredStabilizer(("a",))
+            series = reduced_horospherical_partial(group, DOMAIN_POINT, 1.0, 4, stab=stab)
+            classify_atomicity(group, DOMAIN_POINT, stab, series)
+
+
+    def test_ratio_only_growth_is_inconclusive(self, group):
+        # the two-generator series at s = 0.2 and 0.24 grows by its fitted
+        # level ratio alone: no exact rule says it diverges
+        for s in (0.2, 0.24):
+            series = reduced_horospherical_partial(group, DOMAIN_POINT, s, 8,
+                                                   stab=DeclaredStabilizer.trivial())
+            assert series.verdict.kind == "growth_witness"
+            assert "unit_fixer" not in series.verdict.evidence
+            verdict = classify_atomicity(group, DOMAIN_POINT, DeclaredStabilizer.trivial(),
+                                         series)
+            assert verdict.conclusion == "inconclusive"
+            assert verdict.transcript["ratio_only_growth"] == series.transcript["ratio_fit"]
+            assert series.transcript["ratio_fit"] > 1.05
+
+    def test_unit_fixer_growth_excludes_the_atom(self, parabolic):
+        extended, zeta = parabolic
+        # over the whole group p is summed, and p fixes zeta with unit derivative
+        series = reduced_horospherical_partial(extended, zeta, 0.7, 5,
+                                               stab=DeclaredStabilizer.trivial())
+        assert series.verdict.evidence["unit_fixer"] == "p"
+        verdict = classify_atomicity(extended, zeta, DeclaredStabilizer.trivial(), series)
+        assert verdict.conclusion == "no_atom_at_target"
+
+    def test_series_not_over_the_transversal_rejected(self, parabolic):
+        extended, zeta = parabolic
+        unreduced = horospherical_partial(extended, zeta, 0.7, 4)
+        with pytest.raises(ValueError, match="transversal"):
+            classify_atomicity(extended, zeta, DeclaredStabilizer(("p",)), unreduced)
+
+    def test_walks_nothing(self, group, parabolic, monkeypatch):
+        extended, zeta = parabolic
+        stab = DeclaredStabilizer(("p",))
+        cases = [(group, DOMAIN_POINT, None,
+                  reduced_horospherical_partial(group, DOMAIN_POINT, 1.5, 4)),
+                 (group, DOMAIN_POINT, DeclaredStabilizer.trivial(),
+                  reduced_horospherical_partial(group, DOMAIN_POINT, 1.5, 4)),
+                 (extended, zeta, stab,
+                  reduced_horospherical_partial(extended, zeta, 0.7, 4, stab=stab))]
+        walks = []
+        enumerate_levels = kleinian.group.iter_word_batches
+
+        def counted(*args, **kwargs):
+            walks.append(args[1])
+            return enumerate_levels(*args, **kwargs)
+
+        monkeypatch.setattr(kleinian.group, "iter_word_batches", counted)
+        for case in cases:
+            classify_atomicity(*case)
+        assert walks == []
 
 
 class TestWeakDistance:

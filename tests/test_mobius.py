@@ -107,6 +107,18 @@ class TestAction:
             assert np.allclose(g.origin_preimage.coords, direct_inv, atol=1e-10)
 
 
+    def test_origin_images_on_demand(self, std_group, rng):
+        # nothing is computed at construction; every call reads the raw kernels
+        for letters in random_reduced_words(rng, std_group, 5, 6):
+            g = word_transform(std_group, letters)
+            assert set(vars(g)) == {"matrix", "dim"}
+            pre, conorm = inverse_origin_images_raw(g.matrix)
+            assert g.origin_preimage.conorm == float(conorm)
+            img, conorm = origin_images_raw(g.matrix)
+            assert g.origin_image.conorm == float(conorm)
+            assert np.array_equal(g.origin_image.coords, img[:2])
+
+
 class TestDerivatives:
     def test_identity_derivatives_are_one(self, std_group, rng):
         ident = Transform.identity(1)

@@ -15,7 +15,7 @@ from kleinian.series import (SeparationSchedule, TailCertificate,
                              estimate_delta, example1_certificate,
                              example1_tail_bound, horospherical_partial,
                              poincare_partial, reduced_horospherical_partial,
-                             unit_fixer, _probe_label)
+                             trivial_subgroup, unit_fixer, _probe_label)
 
 from conftest import arc
 
@@ -226,6 +226,59 @@ class TestUnitFixer:
         assert mu.series.verdict.kind == r.verdict.kind == "growth_witness"
 
 
+class TestTrivialSubgroup:
+    """Tail 0 is certified only for the identity alone, never from level
+    blocks that happen to be zero."""
+
+    KERNEL_XX = QuotientSpec("free", {"a": ("x",), "b": ("x",)})
+    KERNEL_XY = QuotientSpec("free", {"a": ("x",), "b": ("y^-1",)})
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda g: poincare_partial(g, InteriorPoint.origin(1), 1.0, 0),
+        lambda g: horospherical_partial(g, DOMAIN_POINT, 1.0, 0),
+        lambda g: horospherical_partial(g, DOMAIN_POINT, 1.0, 1,
+                                        kernel=TestTrivialSubgroup.KERNEL_XX),
+    ], ids=["poincare depth 0", "boundary depth 0", "kernel a,b -> x at depth 1"])
+    def test_infinite_subgroup_with_zero_blocks_is_not_certified(self, group, evaluate):
+        r = evaluate(group)
+        assert all(b == 0.0 for b in r.level_sums[1:])
+        assert r.verdict.kind == "inconclusive"
+        assert r.tail_bound is None and r.upper_bound() == math.inf
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda g: horospherical_partial(SchottkyGroup.trivial(1), DOMAIN_POINT, 1.0, 3),
+        lambda g: poincare_partial(SchottkyGroup.trivial(1), InteriorPoint.origin(1),
+                                   1.0, 3),
+        lambda g: horospherical_partial(g, DOMAIN_POINT, 1.0, 3,
+                                        kernel=TestTrivialSubgroup.KERNEL_XY),
+        lambda g: reduced_horospherical_partial(g, DOMAIN_POINT, 1.0, 3,
+                                                stab=DeclaredStabilizer(("a", "b"))),
+    ], ids=["trivial group", "trivial group interior", "kernel a -> x, b -> y^-1",
+            "stabilizer naming every generator"])
+    def test_identity_alone_converges_with_tail_zero(self, group, evaluate):
+        r = evaluate(group)
+        assert r.verdict.kind == "converged_within"
+        assert r.tail_bound == 0.0 and r.partial_sum == 1.0
+
+    def test_rule(self, group):
+        assert trivial_subgroup(SchottkyGroup.trivial(1), None)
+        assert not trivial_subgroup(group, None)
+        assert trivial_subgroup(group, self.KERNEL_XY)
+        assert not trivial_subgroup(group, self.KERNEL_XX)
+        assert not trivial_subgroup(group, QuotientSpec("free", {"a": ("x",), "b": ("x^-1",)}))
+        assert not trivial_subgroup(group, QuotientSpec("free", {"a": (), "b": ("b",)}))
+        assert trivial_subgroup(group, DeclaredStabilizer(("a", "b")).quotient_for(group))
+
+    def test_delta_probes_read_the_same_rule(self, group):
+        # kernel words of a, b -> x start at length 2: a depth-1 probe sees
+        # zero blocks, which is no evidence of convergence
+        with pytest.raises(InconclusiveBracket):
+            estimate_delta(group, (0.1, 0.9), depths=(1,), restrict=self.KERNEL_XX)
+        est = estimate_delta(SchottkyGroup.trivial(1), (0.1, 0.9), depths=(2,))
+        assert (est.low, est.high) == (0.0, 0.1)
+        assert est.probes[0].label == "convergent"
+
+
 class TestSeparationSchedules:
     def test_geometric_closed_form(self):
         sch = SeparationSchedule.geometric(16.0, 2.0)
@@ -366,7 +419,8 @@ def test_probes_equal_one_walk_per_probe(group, bracket, depths, restrict, probe
         for record, depth in zip(records, depths):
             completed, level_sums = _probe_walk(group, s, depth, 10 ** 5, restrict)
             assert (record.depth, record.level_sums) == (completed, level_sums)
-            assert (record.label, record.ratio) == _probe_label(level_sums, completed)
+            assert (record.label, record.ratio) == _probe_label(
+                level_sums, trivial_subgroup(group, restrict))
             cut |= completed < depth
     assert cut == probes_cut
 
