@@ -194,6 +194,9 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     precision = knob("precision", "double")
     _require(precision in ("double", "extended"),
              f"precision must be 'double' or 'extended', got {precision!r}")
+    _require(budget is None or precision == "double",
+             "budget applies to double precision only: the extended-precision "
+             "path walks every word")
 
     target = (_point_from(raw["target"], group.dim, "target") if "target" in raw
               else default_target)

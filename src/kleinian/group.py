@@ -230,10 +230,11 @@ class SchottkyGroup:
 class WordBatch:
     """A contiguous run of words of one length, in enumeration order.
 
-    ``parent`` holds indices into the previous level's enumeration order;
+    ``parent`` holds indices into the previous level's (kept) words;
     ``offset`` is the index of the batch's first word within its level.
-    A batch made by :meth:`select` holds some of another batch's words and
-    keeps their ``rows`` in it.
+    A batch made by :meth:`select`, or by a pruned walk, holds some of a
+    run's words and keeps their ``rows`` in it: word i of the batch is word
+    ``offset + rows[i]`` of its level.
     """
 
     length: int
@@ -243,12 +244,14 @@ class WordBatch:
     mats: np.ndarray       # (m, 2, 2) float64 in dimension 1, complex128 in 2
     final: bool            # True when this batch completes its level
     rows: np.ndarray | None = None   # (m,) rows in the batch selected from
+    image: np.ndarray | None = None  # (m,) image lengths on a tracked walk
 
     def select(self, keep: np.ndarray) -> "WordBatch":
         """The words flagged by the boolean mask ``keep``, in order."""
         rows = np.flatnonzero(keep)
         return WordBatch(self.length, self.offset, self.last[rows], self.parent[rows],
-                         self.mats[rows], self.final, rows)
+                         self.mats[rows], self.final,
+                         rows if self.rows is None else self.rows[rows])
 
 
 def _successors(letter_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,8 +274,8 @@ def _matrices(components: np.ndarray) -> np.ndarray:
 
 
 def iter_word_batches(group: SchottkyGroup, max_length: int,
-                      budget: int | None = None,
-                      slab: int = SLAB_WORDS) -> Iterator[WordBatch]:
+                      budget: int | None = None, slab: int = SLAB_WORDS,
+                      tracker: QuotientTracker | None = None) -> Iterator[WordBatch]:
     """Yield every reduced word of length <= max_length as WordBatch runs.
 
     Level ``l`` has exactly 2k (2k-1)^(l-1) words, yielded in slabs of at
@@ -281,9 +284,16 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     words live only in their slab.
     Raises :class:`BudgetExceeded` after yielding whatever fits within the
     node budget; the partial batch before a cut is not ``final``.
+
+    With a ``tracker`` each batch carries its words' image lengths as
+    ``image``.  A pruning tracker keys each slab's candidates, the children
+    of the words kept one level down, and forms only those that can still
+    return to the kernel.  Slabs, ``offset``, ``final`` and the budget count
+    every word: batch i holds the kept words of the whole walk's slab i.
     """
     letter_mats = group.letter_matrices
     k2 = group.letter_count
+    prune = tracker is not None and tracker.prune
 
     if budget is not None and budget < 1:
         raise BudgetExceeded("node budget exhausted before the identity word",
@@ -291,6 +301,8 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     identity = np.eye(2, dtype=letter_mats.dtype)
     root = WordBatch(0, 0, np.array([-1], dtype=np.int16),
                      np.array([0], dtype=np.int64), identity[None], final=True)
+    if tracker is not None:
+        root.image = tracker.extend(root)[1]
     generated = 1
     yield root
     if max_length == 0 or k2 == 0:
@@ -298,19 +310,22 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
 
     # A level is (2, 2, n): entry (i, k) of its n matrices is contiguous.
     # The identity's children are every letter; any other word's children
-    # are the successors of its last letter, found by ``keys``.
+    # are the successors of its last letter, found by ``keys``; ``index``
+    # holds the level indices of a pruned level's words.
     prev = identity[:, :, None]
     keys = np.zeros(1, dtype=np.int16)
+    index = np.zeros(1, dtype=np.int64)
     table = np.arange(k2, dtype=np.int16)[None], letter_mats.transpose(1, 2, 0)[:, :, None]
     for length in range(1, max_length + 1):
         letter_table, mat_table = table
         branching = letter_table.shape[1]
-        total = keys.shape[0] * branching
+        size, total = keys.shape[0] * branching, level_count(group, length)
         is_top = length == max_length
         if not is_top:   # the prefix cache of the next level
-            level = np.empty((2, 2, total), dtype=letter_mats.dtype)
-            level_last = np.empty(total, dtype=np.int16)
-        pos = 0
+            level = np.empty((2, 2, size), dtype=letter_mats.dtype)
+            level_last = np.empty(size, dtype=np.int16)
+            level_index = np.empty(size if prune else 0, dtype=np.int64)
+        pos = kept = 0
         while pos < total:
             hi = min(pos + slab, total)
             cut = budget is not None and generated + (hi - pos) > budget
@@ -318,27 +333,50 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
                 hi = pos + (budget - generated)
             if hi > pos:
                 # the children of the parents touched, cut to [pos, hi)
-                first, last = pos // branching, (hi - 1) // branching + 1
-                words = slice(pos - first * branching, hi - first * branching)
-                if is_top:
-                    block = np.empty((2, 2, last - first, branching), dtype=letter_mats.dtype)
+                if prune:
+                    first, last = np.searchsorted(index, (pos // branching,
+                                                          (hi - 1) // branching + 1))
+                    rows = (index[first:last, None] * branching
+                            + np.arange(branching)).ravel() - pos
+                    words = slice(*np.searchsorted(rows, (0, hi - pos)))
                 else:
-                    block = level.reshape(2, 2, -1, branching)[:, :, first:last]
+                    first, last = pos // branching, (hi - 1) // branching + 1
+                    rows, words = None, slice(pos - first * branching, hi - first * branching)
                 parent_keys = keys[first:last]
-                matmul_raw(_matrices(prev[:, :, first:last, None]),
-                           _matrices(np.take(mat_table, parent_keys, axis=2)),
-                           _matrices(block))
                 letters = letter_table[parent_keys].ravel()[words]
                 parents = np.repeat(np.arange(first, last, dtype=np.int64), branching)[words]
+                final = not cut and hi == total
+                if prune:   # key the candidates, then form the survivors only
+                    candidates = WordBatch(length, pos, letters, parents, None, final)
+                    image = tracker.extend(candidates)[1]
+                    alive = np.flatnonzero(tracker.reaches(length, image))
+                    letters, parents, rows, image = (a[alive] for a in (letters, parents,
+                                                                        rows[words], image))
+                    mats = _matrices(np.empty((2, 2, alive.shape[0]), dtype=letter_mats.dtype)
+                                     if is_top else level[:, :, kept:kept + alive.shape[0]])
+                    matmul_raw(_matrices(prev[:, :, parents]), letter_mats[letters], mats)
+                    if not is_top:
+                        level_index[kept:kept + alive.shape[0]] = rows + pos
+                else:
+                    if is_top:
+                        block = np.empty((2, 2, last - first, branching), dtype=letter_mats.dtype)
+                    else:
+                        block = level.reshape(2, 2, -1, branching)[:, :, first:last]
+                    matmul_raw(_matrices(prev[:, :, first:last, None]),
+                               _matrices(np.take(mat_table, parent_keys, axis=2)),
+                               _matrices(block))
+                    mats = _matrices(block.reshape(2, 2, -1)[:, :, words])
                 if not is_top:
-                    level_last[pos:hi] = letters
-                mats = _matrices(block.reshape(2, 2, -1)[:, :, words])
+                    level_last[kept:kept + letters.shape[0]] = letters
+                kept += letters.shape[0]
                 mats.flags.writeable = False   # below the top, a view of the prefix cache
                 if is_top and hi == total:   # the last slab: free the cache first
-                    prev = keys = None
+                    prev = keys = index = None
                 generated += hi - pos
-                yield WordBatch(length, pos, letters, parents, mats,
-                                final=not cut and hi == total)
+                batch = WordBatch(length, pos, letters, parents, mats, final, rows)
+                if tracker is not None:
+                    batch.image = image if prune else tracker.extend(batch)[1]
+                yield batch
             if cut:
                 raise BudgetExceeded(
                     f"node budget {budget} exhausted inside level {length}",
@@ -346,7 +384,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
             pos = hi
         if is_top:
             return
-        prev, keys = level, level_last
+        prev, keys, index = level[:, :, :kept], level_last[:kept], level_index[:kept]
         if length == 1:
             table = _successors(letter_mats)
 
@@ -414,11 +452,11 @@ class LevelSums:
 
     A walk consumer.  ``values(words)`` gives one value per word of a
     batch; on a kernel walk it is handed only the kernel words unless
-    ``whole_group`` is set.  The batch's values stay on as ``batch_values``
-    for the consumers after it, until the next batch.  :meth:`finish`
-    closes the blocks at a walk: ``level_sums`` and ``level_counts`` then
-    cover its complete levels and ``tail_sum`` is what was summed beyond
-    them before a budget cut.
+    ``whole_group`` is set, which also keeps the walk unpruned (:func:`walk`).
+    The batch's values stay on as ``batch_values`` for the consumers after
+    it, until the next batch.  :meth:`finish` closes the blocks at a walk:
+    ``level_sums`` and ``level_counts`` then cover its complete levels and
+    ``tail_sum`` is what was summed beyond them before a budget cut.
     """
 
     def __init__(self, values: Callable[[WordBatch], np.ndarray] | None = None,
@@ -493,12 +531,20 @@ def walk(group: SchottkyGroup, max_length: int, budget: int | None = None, *,
     Each batch goes to every consumer in turn as ``consume(batch, words)``;
     a level ends at the batch with ``batch.final`` set.  Consumers keep
     their own answers, which they read off the returned :class:`Walk`.
+
+    A kernel walk is pruned (see :class:`QuotientTracker`): ``batch`` holds
+    only the words that can still reach the kernel, while the calls,
+    ``words``, ``offset + words.rows``, ``final`` and the cut are the whole
+    walk's.  A consumer that reads the whole batch keeps the walk whole by a
+    true ``whole_group`` attribute: ``LevelSums(whole_group=True)`` and
+    :func:`~kleinian.series.parabolic_domination`'s consumer.
     """
-    tracker = QuotientTracker(group, kernel, max_length) if kernel is not None else None
+    whole = any(getattr(consume, "whole_group", False) for consume in consumers)
+    tracker = None if kernel is None else QuotientTracker(group, kernel, max_length, not whole)
     cut = None
     try:
-        for batch in iter_word_batches(group, max_length, budget):
-            words = batch if tracker is None else batch.select(tracker.extend(batch)[1] == 0)
+        for batch in iter_word_batches(group, max_length, budget, tracker=tracker):
+            words = batch if tracker is None else batch.select(batch.image == 0)
             for consume in consumers:
                 consume(batch, words)
     except BudgetExceeded as exc:
@@ -561,11 +607,18 @@ class QuotientTracker:
     other case.  The image length is kept beside the key, so kernel
     membership (length 0) is exact.  Only parent levels are stored, one int64
     key and one int16 length per word.  A key holds at most ``cap`` letters
-    (39 for B = 3); longer images, and generator images of more than one
-    letter, raise :class:`NotImplementedError`.
+    (39 for B = 3), so a walk deeper than ``cap`` with B > 1, and generator
+    images of more than one letter, raise :class:`NotImplementedError`.
+
+    Pruning is exact: a letter changes the image length by at most one, so
+    a word whose image is longer than the letters it has left never returns
+    to the kernel.  A ``prune`` tracker keeps only the other words
+    (:meth:`reaches`) as parents, and :func:`iter_word_batches` forms no
+    more; :func:`walk` prunes unless a consumer reads the whole batch.
     """
 
-    def __init__(self, group: SchottkyGroup, spec: QuotientSpec, max_length: int):
+    def __init__(self, group: SchottkyGroup, spec: QuotientSpec, max_length: int,
+                 prune: bool = False):
         symbols: dict[str, int] = {}
         digit = self.digit = np.zeros(group.letter_count, dtype=np.int16)
         for idx, gen in enumerate(group.generators):
@@ -578,15 +631,21 @@ class QuotientTracker:
                 code = 2 * symbols.setdefault(base, len(symbols)) + inv
                 digit[2 * idx], digit[2 * idx + 1] = code + 1, (code ^ 1) + 1
         self.base = 2 * len(symbols) + 1
-        self.cap = max(n for n in range(64) if self.base ** n < 1 << 63)   # B = 1: never hit
+        self.cap = max(n for n in range(64) if self.base ** n < 1 << 63)
+        if self.base > 1 and max_length > self.cap:
+            raise NotImplementedError(f"images over {self.cap} letters do not fit an int64 key")
         # per letter: the key's factor and addend on a push (1 and 0 keep it),
         # the top digit that pops instead (-1: never), and the length change
         self.scale = np.where(digit > 0, self.base, 1).astype(np.int16)
         self.pop_digit = np.where(digit > 0, digit[np.arange(digit.shape[0]) ^ 1], -1)
         self.step = (digit > 0).astype(np.int16)
-        self.group, self.depth = group, max_length
-        self.keys: list[np.ndarray] = []      # per parent level
+        self.group, self.depth, self.prune = group, max_length, prune
+        self.keys: list[np.ndarray] = []      # per parent level, filled up to ``filled``
         self.lengths: list[np.ndarray] = []
+
+    def reaches(self, length: int, lengths: np.ndarray) -> np.ndarray:
+        """Which words of ``length`` can still return to the kernel by ``depth``."""
+        return lengths <= self.depth - length
 
     def extend(self, batch: WordBatch) -> tuple[np.ndarray, np.ndarray]:
         """Image keys and image lengths of a batch's words (0 on the kernel)."""
@@ -603,15 +662,15 @@ class QuotientTracker:
             np.copyto(keys, popped, where=pops)
             lengths = self.lengths[level][batch.parent] + self.step[last]
             lengths[pops] -= 2
-            if batch.length > self.cap and lengths.max() > self.cap:
-                raise NotImplementedError(
-                    f"images longer than {self.cap} letters do not fit an int64 key")
         if batch.length < self.depth:   # only a parent level is ever indexed
-            rows = slice(batch.offset, batch.offset + keys.shape[0])
-            for store, values in ((self.keys, keys), (self.lengths, lengths)):
-                if batch.offset == 0:
-                    store.append(np.empty(level_count(self.group, batch.length), values.dtype))
-                store[batch.length][rows] = values
+            if batch.length == len(self.keys):   # its first batch
+                self.filled = 0
+                for store, dtype in ((self.keys, np.int64), (self.lengths, np.int16)):
+                    store.append(np.empty(level_count(self.group, batch.length), dtype))
+            kept = self.reaches(batch.length, lengths) if self.prune else slice(None)
+            for store, values in ((self.keys, keys[kept]), (self.lengths, lengths[kept])):
+                store[batch.length][self.filled:self.filled + values.shape[0]] = values
+            self.filled += values.shape[0]
         return keys, lengths
 
 
@@ -657,9 +716,8 @@ def kernel_enumerate(group: SchottkyGroup, spec: QuotientSpec, max_length: int,
                      budget: int | None = None) -> Iterator[tuple[Word, Transform]]:
     """Stream the reduced words of length <= max_length killed by the quotient."""
     tracker = QuotientTracker(group, spec, max_length)
-    for batch in iter_word_batches(group, max_length, budget):
-        _, lengths = tracker.extend(batch)
-        for i in np.nonzero(lengths == 0)[0]:
+    for batch in iter_word_batches(group, max_length, budget, tracker=tracker):
+        for i in np.flatnonzero(batch.image == 0):
             yield (word_at(group, batch.length, batch.offset + i),
                    Transform(batch.mats[i], group.dim, _trusted_unit_det=True))
 

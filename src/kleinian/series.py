@@ -189,13 +189,13 @@ def _fit_ratio(level_sums: Sequence[float]) -> float | None:
     return float(np.exp(np.mean(np.log(ratios))))
 
 
-def _verdict(done: Walk, blocks: LevelSums, tail: TailCertificate | None,
+def _verdict(done: Walk, level_sums: Sequence[float], tail: TailCertificate | None,
              group: SchottkyGroup, spec: QuotientSpec | None,
              target: BoundaryPoint | None, transcript: dict) -> Verdict:
     if trivial_subgroup(group, spec) and not done.budget_exhausted:
         return Verdict("converged_within", 0.0)   # the partial sum is the series
     if tail is not None:
-        if not tail.admits_blocks(blocks.level_sums):
+        if not tail.admits_blocks(level_sums):
             transcript["certificate_rejected"] = (
                 "measured level sums violate the certified envelope")
         elif tail.rate < 1.0:
@@ -204,7 +204,7 @@ def _verdict(done: Walk, blocks: LevelSums, tail: TailCertificate | None,
             return Verdict("converged_within", tail.tail_from(done.depth_completed + 1))
         else:
             transcript["certificate_rejected"] = f"certified rate {tail.rate} >= 1"
-    evidence = {"level_sums": list(blocks.level_sums)}
+    evidence = {"level_sums": list(level_sums)}
     fixer = unit_fixer(group, target, spec) if target is not None else None
     if fixer is not None:
         return Verdict("growth_witness", None, {**evidence, "unit_fixer": fixer})
@@ -227,7 +227,7 @@ def finish_series(done: Walk, blocks: LevelSums, exponent: float,
     blocks.finish(done)
     transcript = {"level_counts": list(blocks.level_counts),
                   "ratio_fit": _fit_ratio(blocks.level_sums)}
-    verdict = _verdict(done, blocks, tail, group, spec, target, transcript)
+    verdict = _verdict(done, blocks.level_sums, tail, group, spec, target, transcript)
     partial = math.fsum(blocks.level_sums + [blocks.tail_sum])
     return SeriesResult(
         exponent=exponent, depth=done.depth, depth_completed=done.depth_completed,
@@ -243,7 +243,7 @@ def poincare_partial(group: SchottkyGroup, z: InteriorPoint, s: float, max_lengt
                      precision: str = "double") -> SeriesResult:
     """Partial sum of P(z, s) = sum over words of j(w, z)^s, by word length."""
     if precision == "extended":
-        return _sum_series_mp(group, "interior", z.coords, s, max_length)
+        return _sum_series_mp(group, "interior", z.coords, s, max_length, budget, tail)
     zc = embed3(z.coords)
 
     def values(batch: WordBatch) -> np.ndarray:
@@ -260,12 +260,13 @@ def horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
     """Partial sum of the boundary series sum_w j(w, zeta)^s, by word length.
 
     ``kernel`` restricts the sum to a normal subgroup given as a quotient
-    kernel; the extended-precision path sums the whole group only.
+    kernel; the extended-precision path sums the whole group, without budget.
     """
     if precision == "extended":
         if kernel is not None:
             raise ValueError("the extended-precision path has no kernel restriction")
-        return _sum_series_mp(group, "boundary", zeta.coords, s, max_length)
+        return _sum_series_mp(group, "boundary", zeta.coords, s, max_length, budget, tail,
+                              zeta)
     return _series(group, boundary_values(zeta, s), s, max_length, budget, tail,
                    kernel=kernel, target=zeta)
 
@@ -506,6 +507,8 @@ def parabolic_domination(zeta: BoundaryPoint, s: float):
             dist = np.arccosh(np.maximum(2.0 / conorm - 1.0, 1.0))
             b_measured = max(b_measured, float(np.max(dist + np.log(jb))))
 
+    consume.whole_group = True   # P(0, s) reads every word: the walk is not pruned
+
     def result(done: Walk) -> dict:
         reduced.finish(done)
         poincare.finish(done)
@@ -653,16 +656,19 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
 # --- extended-precision oracle path --------------------------------------------------
 
 def _sum_series_mp(group: SchottkyGroup, kind: str, coords: np.ndarray, s: float,
-                   max_length: int) -> SeriesResult:
+                   max_length: int, budget: int | None, tail: TailCertificate | None,
+                   target: BoundaryPoint | None = None) -> SeriesResult:
     """Slow reimplementation of the series sums with mpmath matrices.
 
     Exists as an independent cross-check of the double-precision pipeline;
-    enumerates words recursively, so it is capped at small depths.
+    enumerates words recursively, so it is capped at small depths and
+    refuses a budget.  Its verdict follows the same rules as the double path.
     """
     from mpmath import mp, mpf, mpc
 
-    total_words = sum(level_count(group, l) for l in range(max_length + 1))
-    if total_words > 200_000:
+    if budget is not None:
+        raise ValueError("the extended-precision path walks every word; it takes no budget")
+    if sum(level_count(group, l) for l in range(max_length + 1)) > 200_000:
         raise ValueError("extended-precision path is for oracle-scale runs only")
     old_prec = mp.prec
     mp.prec = ORACLE_BITS
@@ -722,8 +728,10 @@ def _sum_series_mp(group: SchottkyGroup, kind: str, coords: np.ndarray, s: float
         partial = float(sum(level_sums))
     finally:
         mp.prec = old_prec
-    verdict = Verdict("inconclusive")
+    transcript = {"precision_bits": ORACLE_BITS, "backend": "mpmath",
+                  "ratio_fit": _fit_ratio(sums)}
+    verdict = _verdict(Walk(max_length, max_length), sums, tail, group, None, target,
+                       transcript)
     return SeriesResult(exponent=s, depth=max_length, depth_completed=max_length,
                         partial_sum=partial, level_sums=sums, verdict=verdict,
-                        transcript={"precision_bits": ORACLE_BITS,
-                                    "backend": "mpmath"})
+                        tail_bound=verdict.tail_bound, transcript=transcript)

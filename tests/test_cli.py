@@ -188,6 +188,36 @@ class TestSeriesCommand:
         assert report["config"]["precision"] == "extended"
 
 
+@pytest.mark.parametrize("config, depth, tail_bound", [("example1.json", 3, 0.125),
+                                                      ("trivial.json", None, 0.0)])
+def test_extended_precision_verdict_is_the_double_verdict(tmp_path, config, depth,
+                                                          tail_bound):
+    # one verdict rule: the certificate (example1) and the trivial group
+    # certify the extended-precision sums as they certify the double ones
+    results = {}
+    for precision in ("double", "extended"):
+        argv = ["series", "--config", str(CONFIGS / config), "--precision", precision,
+                "--out", str(tmp_path / precision)]
+        assert main(argv + (["--depth", str(depth)] if depth is not None else [])) == 0
+        results[precision] = json.loads((tmp_path / precision / "series.json").read_text())
+    for result in (r["result"] for r in results.values()):
+        assert result["verdict"] == {"kind": "converged_within", "tail_bound": tail_bound}
+        assert result["tail_bound"] == tail_bound
+    assert results["extended"]["result"]["partial_sum"] == pytest.approx(
+        results["double"]["result"]["partial_sum"], rel=1e-12)
+
+
+def test_extended_precision_refuses_a_budget(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "example1.json").read_text())
+    doc.update(budget=50, precision="extended")
+    argv = ["series", "--config", write_config(tmp_path, doc), "--depth", "3",
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "budget" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["series", "measure", "classify", "render"])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_extended_precision_is_refused_where_it_would_be_ignored(tmp_path, capsys,

@@ -78,6 +78,16 @@ class TestOrbitMeasure:
         oracle = poincare_partial(group, z, 1.0, 6, precision="extended")
         assert mu.series.partial_sum == pytest.approx(oracle.partial_sum, rel=1e-12)
 
+    def test_extended_precision_takes_no_budget(self, group):
+        from kleinian.series import horospherical_partial, poincare_partial
+
+        with pytest.raises(ValueError, match="budget"):
+            poincare_partial(group, InteriorPoint([0.25, 0.15]), 1.0, 3, budget=10,
+                             precision="extended")
+        with pytest.raises(ValueError, match="budget"):
+            horospherical_partial(group, DOMAIN_POINT, 1.0, 3, budget=10,
+                                  precision="extended")
+
 
 class TestEndingMeasure:
     def test_trivial_group_single_atom(self):

@@ -2,16 +2,19 @@
 
 import ast
 import copy
+import functools
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kleinian.group
 from kleinian.errors import BudgetExceeded
-from kleinian.examples import Example3Config, example3_group
+from kleinian.examples import Example2Config, Example3Config, example2_group, example3_group
 from kleinian.group import (EXACT_SUM_MIN, DeclaredStabilizer, LevelSums, QuotientSpec,
                             SchottkyGroup, coset_representatives, enumerate_words, exact_sum,
                             iter_word_batches, kernel_enumerate, level_count, walk, word_at)
@@ -22,7 +25,7 @@ from kleinian.model import BoundaryPoint, InteriorPoint, embed3
 from kleinian.series import (bounded_parabolic_domination, horospherical_partial,
                              poincare_partial, reduced_horospherical_partial)
 
-from conftest import schottky_groups
+from conftest import cap_groups, schottky_groups
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kleinian"
 DOMAIN_POINT = BoundaryPoint.from_angle(math.radians(108.0))
@@ -258,6 +261,107 @@ def test_kernel_walk_is_the_masked_whole_walk(group, depth, data):
     assert len(by_kernel) == len(by_mask)
     for (l1, i1, m1, v1), (l2, i2, m2, v2) in zip(by_kernel, by_mask):
         assert (l1, m1, v1) == (l2, m2, v2) and np.array_equal(i1, i2)
+
+
+def _slab_budget(data, group, depth, slab):
+    """None, or a budget below 1, on a level boundary, on a slab boundary
+    inside a level, or inside a slab."""
+    counts = [level_count(group, length) for length in range(depth + 1)]
+    before = np.cumsum([0] + counts).tolist()   # words of the levels below each level
+    kind = data.draw(st.sampled_from(["none", "below 1", "level", "slab", "inside"]))
+    if kind == "none":
+        return None
+    if kind == "below 1":
+        return data.draw(st.integers(-1, 0))
+    length = data.draw(st.integers(0, depth))
+    if kind == "level":
+        return before[length + 1]
+    start = before[length] + slab * data.draw(st.integers(0, (counts[length] - 1) // slab))
+    if kind == "slab":
+        return start
+    return start + data.draw(st.integers(1, max(1, min(slab, before[length + 1] - start) - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=st.one_of(schottky_groups(), cap_groups()), depth=st.integers(1, 6),
+       slab=st.sampled_from([7, 64]), data=st.data())
+def test_pruned_kernel_walk_crosses_slabs(group, depth, slab, data):
+    """With slabs of 7 or 64 words, a pruned kernel walk gives the level
+    sums, level counts, tail sum and consumer calls (rows, matrices and
+    values) of the whole walk masked by kernel membership, bit for bit, for
+    budgets on level and slab boundaries, inside a slab and below 1, in
+    dimensions 1 (float64 matrices) and 2 (complex128)."""
+    labels = [gen.label for gen in group.generators]
+    killed = data.draw(st.sets(st.sampled_from(labels), min_size=1))
+    spec = QuotientSpec("free", {l: () if l in killed else (l,) for l in labels})
+    budget = _slab_budget(data, group, depth, slab)
+    bc = embed3(BoundaryPoint.from_angle(math.pi).coords)
+
+    def values(batch):
+        return boundary_derivative_raw(batch.mats, bc) ** 0.7
+
+    def recorder(calls, blocks, keep=None):
+        def consume(batch, words):
+            if keep is None:
+                rows, mats = batch.offset + words.rows, words.mats
+            else:   # the whole walk, masked
+                rows = batch.offset + np.flatnonzero(keep[0])
+                mats = batch.mats[keep[0]]
+            calls.append((batch.length, batch.final, rows.tolist(), mats.tobytes(),
+                          blocks.batch_values.tobytes()))
+        return consume
+
+    with mock.patch.object(kleinian.group, "iter_word_batches",
+                           functools.partial(iter_word_batches, slab=slab)):
+        members = set()
+        try:
+            for word, _ in kernel_enumerate(group, spec, depth, budget):
+                members.add(word.letters)
+        except BudgetExceeded:
+            pass
+        keep: list[np.ndarray] = []
+
+        def masked(batch):
+            keep[:] = [np.array([word_at(group, batch.length, batch.offset + i).letters
+                                 in members for i in range(batch.last.shape[0])], dtype=bool)]
+            return values(batch)[keep[0]]
+
+        pruned, whole = LevelSums(values), LevelSums(masked)
+        by_kernel, by_mask = [], []
+        done = walk(group, depth, budget, kernel=spec,
+                    consumers=[pruned, recorder(by_kernel, pruned)])
+        reference = walk(group, depth, budget, consumers=[whole, recorder(by_mask, whole, keep)])
+    pruned.finish(done)
+    whole.finish(reference)
+    assert (done.depth_completed, done.budget_exhausted) == (
+        reference.depth_completed, reference.budget_exhausted)
+    if done.cut is not None:
+        assert done.cut.words_generated == reference.cut.words_generated == max(budget, 0)
+    assert np.array(pruned.level_sums).tobytes() == np.array(whole.level_sums).tobytes()
+    assert (pruned.level_counts, pruned.tail_sum) == (whole.level_counts, whole.tail_sum)
+    assert by_kernel == by_mask
+
+
+def test_pruning_is_pinned_on_the_constructions():
+    """Example 2's depth-8 kernel walk forms 515,681 of its 7,686,401 words
+    and Example 3's declared-stabilizer walk 167,305 of 585,937; a
+    whole-group consumer keeps every word, with the same kernel words."""
+    ex2, quotient = example2_group(Example2Config())
+    ex3 = example3_group(Example3Config())[0]
+    for group, spec, kept, every, kernel in (
+            (ex2, quotient, 515_681, 7_686_401, 309_825),
+            (ex3, DeclaredStabilizer(("p",)).quotient_for(ex3), 167_305, 585_937, 117_249)):
+        for whole, formed in ((False, kept), (True, every)):
+            seen = [0, 0]
+
+            def count(batch, words):
+                seen[0] += batch.last.shape[0]
+                seen[1] += words.last.shape[0]
+
+            reads_all = LevelSums(lambda batch: np.ones(batch.last.shape[0]), whole_group=True)
+            done = walk(group, 8, kernel=spec, consumers=[count, reads_all][: 1 + whole])
+            assert (done.depth_completed, done.budget_exhausted) == (8, False)
+            assert seen == [formed, kernel]
 
 
 @settings(max_examples=15, deadline=None)
