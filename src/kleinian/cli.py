@@ -36,6 +36,9 @@ RENDER_KEYS = {"bins", "width", "height"}
 GROUP_KEYS = {"trivial": {"kind", "dim"},
               "schottky": {"kind", "dim", "pairs", "parabolics"},
               **{f"example{i}": {"kind", "params"} for i in (1, 2, 3)}}
+# group.params: what the CLI reads (example3's exponent is checked, not read)
+PARAM_KEYS = {"example1": {"exponent", "schedule_scale", "schedule_base", "pairs", "span"},
+              "example2": set(), "example3": {"exponent"}}
 
 
 @dataclass
@@ -146,6 +149,7 @@ def _resolve_group(doc) -> tuple[SchottkyGroup, BoundaryPoint | None, DeclaredSt
         return _build_schottky(doc, dim), None, None, None, None
     params = doc.get("params", {})
     _require(isinstance(params, dict), "group.params must be an object")
+    _require_known(params, PARAM_KEYS[kind], f"group.params ({kind})")
     if kind == "example1":
         from .examples import Example1Config, example1_group
 
@@ -153,13 +157,15 @@ def _resolve_group(doc) -> tuple[SchottkyGroup, BoundaryPoint | None, DeclaredSt
         group, target = example1_group(cfg)
         return group, target, DeclaredStabilizer.trivial(), None, cfg.schedule()
     if kind == "example2":
-        from .examples import Example2Config, example2_group, example2_target
+        from .examples import example2_group, example2_target
 
-        group, quotient = example2_group(_built("group.params", Example2Config, **params))
+        group, quotient = example2_group()
         return group, example2_target(group, "c"), None, quotient, None
-    from .examples import Example3Config, example3_group
+    from .examples import example3_group
 
-    group, target = example3_group(_built("group.params", Example3Config, **params))
+    if "exponent" in params:
+        _number(params["exponent"], "group.params.exponent")
+    group, target = example3_group()
     return group, target, DeclaredStabilizer(("p",)), None, None
 
 

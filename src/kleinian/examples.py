@@ -188,24 +188,16 @@ def example1_weak_trend(cfg: Example1Config, result: Example1Result) -> list[flo
 class Example2Config:
     """Free product of a small-arc pair group with a large-arc pair group.
 
-    The quotient retracts onto the large-arc factor; measures are built
-    for the kernel at the attracting fixed points of the factor's two
-    generators.  Radii are angular (radians); eight arcs sit at equal
-    spacing away from the chart pole.
+    Fixed geometry: arcs k = 0..7 centred at 30 + 300k/7 degrees; ``a``
+    pairs arcs 0 and 4, ``b`` 2 and 6 (radius 4 degrees), ``c`` 1 and 5,
+    ``d`` 3 and 7 (radius 16 degrees).  The quotient retracts onto <c, d>;
+    measures are built for the kernel at the attracting fixed points of c, d.
     """
 
-    small_radius: float = math.radians(4.0)
-    large_radius: float = math.radians(16.0)
-    first_center: float = math.radians(30.0)
-    last_center: float = math.radians(330.0)
     exponent: float | None = None          # default: upper kernel-exponent estimate
     depth: int = 8
     decay_depths: tuple[int, ...] = (6, 7, 8)
-    delta_budget: int | None = 10 ** 6     # per exponent probe
-    measure_budget: int | None = None      # measures need the full enumeration
-    bracket: tuple[float, float] = (0.02, 0.9)
     probe_depths: tuple[int, ...] = (5, 6)
-    max_probes: int = 10
 
 
 @dataclass
@@ -227,11 +219,11 @@ def _top_atom_gap(mu: AtomicMeasure, nu: AtomicMeasure, k: int = 32) -> float:
     return float(np.min(d))
 
 
-def example2_group(cfg: Example2Config) -> tuple[SchottkyGroup, QuotientSpec]:
+def example2_group() -> tuple[SchottkyGroup, QuotientSpec]:
     """The free product and its retraction onto the large-arc factor."""
-    centers = np.linspace(cfg.first_center, cfg.last_center, 8)
-    small = [Disc.from_angles(centers[i], cfg.small_radius) for i in (0, 4, 2, 6)]
-    large = [Disc.from_angles(centers[i], cfg.large_radius) for i in (1, 5, 3, 7)]
+    centers = np.linspace(math.radians(30.0), math.radians(330.0), 8)
+    small = [Disc.from_angles(centers[i], math.radians(4.0)) for i in (0, 4, 2, 6)]
+    large = [Disc.from_angles(centers[i], math.radians(16.0)) for i in (1, 5, 3, 7)]
     factor_small = SchottkyGroup.from_disc_pairs(
         1, [(small[0], small[1]), (small[2], small[3])], labels=["a", "b"])
     factor_large = SchottkyGroup.from_disc_pairs(
@@ -246,14 +238,14 @@ def example2_target(group: SchottkyGroup, label: str) -> BoundaryPoint:
 
 
 def build_example2(cfg: Example2Config) -> Example2Result:
-    group, quotient = example2_group(cfg)
+    group, quotient = example2_group()
 
-    delta_group = estimate_delta(group, cfg.bracket, depths=cfg.probe_depths,
-                                 budget=cfg.delta_budget, max_probes=cfg.max_probes)
-    delta_kernel = estimate_delta(group, cfg.bracket,
+    # exponent probes on [0.02, 0.9], each walk capped at 10^6 words
+    probes = {"budget": 10 ** 6, "max_probes": 10}
+    delta_group = estimate_delta(group, (0.02, 0.9), depths=cfg.probe_depths, **probes)
+    delta_kernel = estimate_delta(group, (0.02, 0.9),
                                   depths=cfg.probe_depths + (cfg.probe_depths[-1] + 1,),
-                                  budget=cfg.delta_budget, restrict=quotient,
-                                  max_probes=cfg.max_probes)
+                                  restrict=quotient, **probes)
     s = cfg.exponent if cfg.exponent is not None else delta_kernel.high
 
     targets = [example2_target(group, label) for label in ("c", "d")]
@@ -264,7 +256,7 @@ def build_example2(cfg: Example2Config) -> Example2Result:
     scan_depth = min(cfg.depth, 7)
     scan, scanned = horoball_scanner(group, targets[0], DEFAULT_C_GRID, scan_depth)
     kernel_measures = EndingMeasures(group, targets, s, kernel=quotient)
-    done = kernel_measures.walk(depths_needed[-1], cfg.measure_budget, [scan])
+    done = kernel_measures.walk(depths_needed[-1], consumers=[scan])
     by_depth = {depth: kernel_measures.at(done.upto(depth)) for depth in depths_needed}
     measures = by_depth[cfg.depth]
 
@@ -277,16 +269,16 @@ def build_example2(cfg: Example2Config) -> Example2Result:
 
     # At full depth the two orbits collide below float resolution, so the
     # minimal-gap diagnostic runs at the deepest depth where the atom sets
-    # still resolve.
-    singularity_depth = cfg.depth
-    gap = support_gap(measures[0], measures[1])
-    while gap <= 0.0 and singularity_depth > 2:
-        singularity_depth -= 1
-        if singularity_depth not in by_depth:
-            by_depth[singularity_depth] = kernel_measures.at(done.upto(singularity_depth))
-        pair = by_depth[singularity_depth]
-        gap = support_gap(pair[0], pair[1])
-    sing_measures = by_depth[singularity_depth]
+    # are still disjoint.  A depth's atoms are the full-depth atoms of word
+    # length <= that depth, so one exact join finds the first collision.
+    keys = [mu.points.view(np.complex128).ravel() for mu in measures]
+    _, ia, ib = np.intersect1d(*keys, return_indices=True)
+    first = np.maximum(measures[0].word_lengths[ia], measures[1].word_lengths[ib])
+    collision = int(first.min(initial=cfg.depth + 1))   # past the depth when none
+    singularity_depth = min(cfg.depth, max(collision - 1, 2))
+    sing_measures = (by_depth[singularity_depth] if singularity_depth in by_depth
+                     else kernel_measures.at(done.upto(singularity_depth)))
+    gap = support_gap(*sing_measures)
     eps = gap / 4.0
     overlap = singularity_diagnostic(sing_measures[0], sing_measures[1], eps)
     heavy_gap = _top_atom_gap(measures[0], measures[1])
@@ -323,20 +315,17 @@ def build_example2(cfg: Example2Config) -> Example2Result:
 class Example3Config:
     """Free product of a rank-2 arc group with one parabolic generator.
 
-    The parabolic fixes the center of its disc (placed at angle pi); the
-    reduced boundary series at that point runs over the retraction kernel
-    and is dominated by e^{s b} P(0, s) with the measured gap b.
+    Fixed geometry: ``a`` pairs arcs at 60 and 300 degrees, ``b`` at 120 and
+    240 (radius 6 degrees); the parabolic ``p``, of strength 4.5, fixes the
+    centre pi of its 12-degree arc.  The reduced boundary series there runs
+    over the retraction kernel and is dominated by e^{s b} P(0, s) with the
+    measured gap b.
     """
 
-    arc_radius: float = math.radians(6.0)
-    parabolic_radius: float = math.radians(12.0)
-    strength: float = 4.5
     exponent: float = 0.8
     depth: int = 8
     identity_depth: int = 6
-    power_checks: int = 20
     budget: int | None = None
-    bracket: tuple[float, float] = (0.05, 1.2)
 
 
 @dataclass
@@ -351,18 +340,17 @@ class Example3Result:
     report: dict
 
 
-def example3_group(cfg: Example3Config) -> tuple[SchottkyGroup, BoundaryPoint]:
+def example3_group() -> tuple[SchottkyGroup, BoundaryPoint]:
     """The free product with the parabolic ``p`` and its fixed point (the target)."""
     deg = math.pi / 180.0
+    radius = math.radians(6.0)
     arcs = SchottkyGroup.from_disc_pairs(
         1,
-        [(Disc.from_angles(60.0 * deg, cfg.arc_radius),
-          Disc.from_angles(300.0 * deg, cfg.arc_radius)),
-         (Disc.from_angles(120.0 * deg, cfg.arc_radius),
-          Disc.from_angles(240.0 * deg, cfg.arc_radius))],
+        [(Disc.from_angles(60.0 * deg, radius), Disc.from_angles(300.0 * deg, radius)),
+         (Disc.from_angles(120.0 * deg, radius), Disc.from_angles(240.0 * deg, radius))],
         labels=["a", "b"])
-    pdisc = Disc.from_angles(math.pi, cfg.parabolic_radius)
-    group = arcs.with_parabolic("p", pdisc, cfg.strength)
+    pdisc = Disc.from_angles(math.pi, math.radians(12.0))
+    group = arcs.with_parabolic("p", pdisc, 4.5)
     cls = group.generator("p").transform.classify()
     if cls.kind != "parabolic":
         raise StabilizerNotParabolic(
@@ -371,14 +359,14 @@ def example3_group(cfg: Example3Config) -> tuple[SchottkyGroup, BoundaryPoint]:
 
 
 def build_example3(cfg: Example3Config) -> Example3Result:
-    group, target = example3_group(cfg)
+    group, target = example3_group()
     pgen = group.generator("p")
     stab = DeclaredStabilizer(("p",))
     s = cfg.exponent
 
     power_table = []
     mat = np.eye(2, dtype=complex)
-    for k in range(1, cfg.power_checks + 1):
+    for k in range(1, 21):   # the derivatives of p, ..., p^20 at the target
         mat = mat @ pgen.transform.matrix
         power_table.append(Transform(mat, group.dim, _trusted_unit_det=True)
                            .derivative_boundary(target))
@@ -407,8 +395,7 @@ def build_example3(cfg: Example3Config) -> Example3Result:
     identity_defect = abs(coset_sum - kernel_sum)
 
     atomicity = classify_atomicity(group, target, stab, reduced)
-    delta_group = estimate_delta(group, cfg.bracket, depths=(5, 6),
-                                 budget=10 ** 6)
+    delta_group = estimate_delta(group, (0.05, 1.2), depths=(5, 6), budget=10 ** 6)
 
     report = {
         "construction": "parabolic-stabilizer",

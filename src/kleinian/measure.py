@@ -87,12 +87,6 @@ class AtomicMeasure:
         order = np.lexsort((np.arange(self.atom_count), -self.weights))[:k]
         return self.points[order], self.weights[order]
 
-    def directions(self) -> np.ndarray:
-        """Radial projections of the atoms onto the boundary sphere."""
-        norms = np.linalg.norm(self.points, axis=1)
-        safe = np.where(norms > 0, norms, 1.0)
-        return self.points / safe[:, None]
-
     def weight_at(self, point: BoundaryPoint | InteriorPoint,
                   tol: float = 1e-9) -> float:
         d = np.linalg.norm(self.points - point.coords[None, :], axis=1)

@@ -545,6 +545,8 @@ class DeltaEstimate:
     low: float
     high: float
     probes: list[ProbeRecord]
+    depth_completed: int
+    budget_exhausted: bool
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -595,6 +597,7 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
 
     done = walk(group, max(depths, default=0), budget, kernel=restrict,
                 consumers=[cache])
+    walked = (done.depth_completed, done.budget_exhausted)
     trivial = trivial_subgroup(group, restrict)
 
     def run_probe(s: float) -> str:
@@ -618,7 +621,7 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
     if lo_label == "convergent":
         notes.append(f"series already convergent at s_lo={s_lo}; "
                      "exponent estimate collapses to [0, s_lo]")
-        return DeltaEstimate(0.0, s_lo, probes, notes)
+        return DeltaEstimate(0.0, s_lo, probes, *walked, notes)
     if lo_label != "divergent":
         raise InconclusiveBracket(f"no divergence evidence at s_lo={s_lo}")
     hi_label = run_probe(s_hi)
@@ -650,7 +653,7 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
         if not moved:
             notes.append(f"probes around s={mid} all inconclusive; stopping")
             break
-    return DeltaEstimate(lo, hi, probes, notes)
+    return DeltaEstimate(lo, hi, probes, *walked, notes)
 
 
 # --- extended-precision oracle path --------------------------------------------------

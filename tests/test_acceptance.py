@@ -281,8 +281,7 @@ def test_criterion_08_parabolic_construction():
     from kleinian.examples import Example3Config, build_example3
 
     tic = time.perf_counter()
-    result = build_example3(Example3Config(depth=8, identity_depth=6,
-                                           power_checks=20))
+    result = build_example3(Example3Config(depth=8, identity_depth=6))
     rep = result.report
     checks = {
         "unit derivatives at powers": rep["max_power_defect"] < 1e-9,
@@ -305,8 +304,7 @@ def test_criterion_09_kernel_measures():
     from kleinian.examples import Example2Config, build_example2
 
     tic = time.perf_counter()
-    result = build_example2(Example2Config(depth=8, decay_depths=(6, 7, 8),
-                                           delta_budget=10 ** 6))
+    result = build_example2(Example2Config(depth=8, decay_depths=(6, 7, 8)))
     rep = result.report
     decay_ok = all(
         rows[0]["max_atom_weight"] > rows[-1]["max_atom_weight"]

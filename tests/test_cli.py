@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kleinian.cli import main
+from kleinian.examples import Example1Config, Example2Config, Example3Config
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -18,6 +20,13 @@ def write_config(tmp_path: Path, doc: dict) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+EXAMPLE_CONFIGS = {"example1": Example1Config, "example2": Example2Config,
+                   "example3": Example3Config}
+# the group.params keys the CLI reads (example3's exponent is checked only)
+PARAMS_READ = {"example1": {"exponent", "schedule_scale", "schedule_base", "pairs", "span"},
+               "example2": set(), "example3": {"exponent"}}
 
 
 TRIVIAL = {
@@ -156,18 +165,40 @@ class TestSeriesCommand:
          "'radus'"),
         (_two_gen_with(lambda doc: doc["group"].update(parabolics=[
             {"angle": 0.5, "radius": 0.1, "strenght": 4.0}])), "'strenght'"),
+        (dict(TRIVIAL, group={"kind": "example1", "params": {"weak_depth": -3}}),
+         "'weak_depth'"),
+        (dict(TRIVIAL, group={"kind": "example2", "params": {"depth": 2}}), "'depth'"),
+        (dict(TRIVIAL, group={"kind": "example3", "params": {"power_checks": -4}}),
+         "'power_checks'"),
+        (dict(TRIVIAL, group={"kind": "example3", "params": {"exponent": "x"}}),
+         "group.params.exponent"),
     ], ids=["top-level key", "render key", "example1 param", "example2 param",
             "example3 param", "inadmissible exponent", "exponent string",
             "depth string", "target angle string", "stabilizer number",
             "pair radius 3", "render bins 0", "render width -5", "budget boolean",
             "partition_cells", "trivial group key", "example group key",
-            "schottky group key", "pair key", "disc key", "parabolic key"])
+            "schottky group key", "pair key", "disc key", "parabolic key",
+            "example1 run setting", "example2 run setting", "example3 run setting",
+            "example3 exponent string"])
     def test_config_faults_exit_2_and_name_the_fault(self, tmp_path, capsys, doc, named):
         cfg = write_config(tmp_path, doc)
         assert main(["series", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind, field", [
+        (kind, f.name) for kind, accepted in PARAMS_READ.items()
+        for f in dataclasses.fields(EXAMPLE_CONFIGS[kind]) if f.name not in accepted])
+    def test_unread_example_params_exit_2(self, tmp_path, capsys, kind, field):
+        """A builder setting the CLI does not read is rejected, never echoed
+        and ignored, including any field a builder config gains later."""
+        default = getattr(EXAMPLE_CONFIGS[kind](), field)
+        doc = dict(TRIVIAL, group={"kind": kind, "params": {field: default}})
+        cfg = write_config(tmp_path, doc)
+        assert main(["series", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(field) in err
 
     def test_budget_exhaustion_exits_3_with_partial_report(self, tmp_path):
         doc = dict(TWO_GEN, budget=30)

@@ -160,6 +160,12 @@ class TestRetractionKernel:
         # group probes, kernel probes, measures with the horoball scan riding along
         assert sorted(walks) == [6, 6, 7]
 
+    def test_delta_estimates_say_how_far_their_walk_got(self, ex2):
+        # the kernel probes' depth-7 walk is cut inside level 7 by its 10^6
+        # budget; the group probes' depth-6 walk is whole
+        assert (ex2.delta_kernel.depth_completed, ex2.delta_kernel.budget_exhausted) == (6, True)
+        assert (ex2.delta_group.depth_completed, ex2.delta_group.budget_exhausted) == (6, False)
+
     def test_supports_disjoint_at_diagnostic_depth(self, ex2):
         assert ex2.report["support_gap"] > 0.0
         assert tuple(ex2.report["singularity_overlap"]) == (0.0, 0.0)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import kleinian.group
 from kleinian.errors import BudgetExceeded
-from kleinian.examples import Example2Config, Example3Config, example2_group, example3_group
+from kleinian.examples import example2_group, example3_group
 from kleinian.group import (EXACT_SUM_MIN, DeclaredStabilizer, LevelSums, QuotientSpec,
                             SchottkyGroup, coset_representatives, enumerate_words, exact_sum,
                             iter_word_batches, kernel_enumerate, level_count, walk, word_at)
@@ -346,8 +346,8 @@ def test_pruning_is_pinned_on_the_constructions():
     """Example 2's depth-8 kernel walk forms 515,681 of its 7,686,401 words
     and Example 3's declared-stabilizer walk 167,305 of 585,937; a
     whole-group consumer keeps every word, with the same kernel words."""
-    ex2, quotient = example2_group(Example2Config())
-    ex3 = example3_group(Example3Config())[0]
+    ex2, quotient = example2_group()
+    ex3 = example3_group()[0]
     for group, spec, kept, every, kernel in (
             (ex2, quotient, 515_681, 7_686_401, 309_825),
             (ex3, DeclaredStabilizer(("p",)).quotient_for(ex3), 167_305, 585_937, 117_249)):
@@ -442,7 +442,7 @@ def test_batches_are_the_level_by_level_products(name, slab, request):
     equal the gather-and-multiply reference, bit for bit, for slabs that
     are no multiple of 2k - 1 and for budgets that cut inside one parent's
     children."""
-    group = (example3_group(Example3Config())[0] if name == "example3"
+    group = (example3_group()[0] if name == "example3"
              else request.getfixturevalue(name))
     depth = 4
     levels = _reference_levels(group, depth)
