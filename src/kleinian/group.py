@@ -8,10 +8,12 @@ letter-minor order, which makes the stream deterministic and the level
 array double as the prefix cache.  A slab's children are one broadcast
 product of its parents' matrices with a per-walk table of the letters that
 may follow each last letter, so no parent matrix is gathered per child.
-The final level of a deep run is emitted in slabs so its matrices never
-have to be held in memory at once.  Level sums take one correctly rounded
-sum per batch (:func:`exact_sum`, equal to ``math.fsum``), then one per
-level.
+The final level of a deep run is emitted in slabs whose matrices are not
+formed up front: a consumer that reads ``WordBatch.mats`` forms its slab
+whole, and one that walks ``WordBatch.blocks`` forms cache-sized blocks
+with the same product, so the top level's matrices are never held at
+once.  Level sums take one correctly rounded sum per batch
+(:func:`exact_sum`, equal to ``math.fsum``), then one per level.
 
 A kernel walk also tracks each word's image under a retraction onto a free
 group (:class:`QuotientTracker`): one integer key that reads the reduced
@@ -34,6 +36,7 @@ from .mobius import Transform, image_disc, matmul_raw, pair_discs, parabolic_fix
 from .model import BoundaryPoint, Disc, InteriorPoint, embed3, project_dim
 
 SLAB_WORDS = 1 << 20          # fixed, so partial sums are bit-reproducible
+BLOCK_WORDS = 1 << 15         # words per block of WordBatch.blocks: fits in cache
 PARABOLIC_POWER_CHECK = 30
 
 
@@ -235,16 +238,39 @@ class WordBatch:
     A batch made by :meth:`select`, or by a pruned walk, holds some of a
     run's words and keeps their ``rows`` in it: word i of the batch is word
     ``offset + rows[i]`` of its level.
+
+    A top-level slab of an unpruned walk comes with its matrices unformed
+    (``children``): the first read of :attr:`mats` forms the whole slab,
+    while :meth:`blocks` forms one cache-sized block at a time and keeps
+    none of them.  Either way each matrix is the same product, bit for bit.
     """
 
     length: int
     offset: int
     last: np.ndarray       # (m,) int16 letters, -1 for the identity
     parent: np.ndarray     # (m,) int64 indices into the previous level
-    mats: np.ndarray       # (m, 2, 2) float64 in dimension 1, complex128 in 2
+    formed: np.ndarray | None   # the matrices, once formed (see ``mats``)
     final: bool            # True when this batch completes its level
     rows: np.ndarray | None = None   # (m,) rows in the batch selected from
     image: np.ndarray | None = None  # (m,) image lengths on a tracked walk
+    children: _Children | None = None   # how to form ``mats`` when not yet formed
+
+    @property
+    def mats(self) -> np.ndarray:
+        """(m, 2, 2) float64 matrices in dimension 1, complex128 in 2."""
+        if self.formed is None and self.children is not None:
+            self.formed, self.children = self.children.whole(), None
+        return self.formed
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The matrices in consecutive blocks of about ``BLOCK_WORDS`` words,
+        as (row of the block's first word, its (n, 2, 2) matrices).  Unformed
+        matrices are formed block by block and stay unformed."""
+        if self.children is not None:
+            yield from self.children.blocks(BLOCK_WORDS)
+            return
+        for lo in range(0, self.last.shape[0], BLOCK_WORDS):
+            yield lo, self.mats[lo:lo + BLOCK_WORDS]
 
     def select(self, keep: np.ndarray) -> "WordBatch":
         """The words flagged by the boolean mask ``keep``, in order."""
@@ -252,6 +278,50 @@ class WordBatch:
         return WordBatch(self.length, self.offset, self.last[rows], self.parent[rows],
                          self.mats[rows], self.final,
                          rows if self.rows is None else self.rows[rows])
+
+
+def _products(parents: np.ndarray, keys: np.ndarray, table: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """The children of the parents, (2, 2, p, b): one broadcast product of
+    their matrices ``parents`` (2, 2, p) with the successor matrices
+    ``table[:, :, key]`` of their last letters ``keys``."""
+    if out is None:
+        out = np.empty(parents.shape + table.shape[3:], dtype=table.dtype)
+    matmul_raw(_matrices(parents[:, :, :, None]),
+               _matrices(np.take(table, keys, axis=2)), _matrices(out))
+    return out
+
+
+@dataclass
+class _Children:
+    """The unformed matrices of a top-level slab: children ``words`` of the
+    parents whose matrices ``parents`` are a (2, 2, p) view of the prefix
+    cache, with last letters ``keys``; ``table`` is the walk's (2, 2, 2k, b)
+    successor table."""
+
+    parents: np.ndarray
+    keys: np.ndarray
+    table: np.ndarray
+    words: slice
+
+    def whole(self) -> np.ndarray:
+        mats = _products(self.parents, self.keys, self.table).reshape(2, 2, -1)
+        mats = _matrices(mats[:, :, self.words])
+        mats.flags.writeable = False
+        return mats
+
+    def blocks(self, size: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Blocks of whole parents, about ``size`` children each (see
+        :meth:`WordBatch.blocks`)."""
+        branching = self.table.shape[3]
+        step = max(1, size // branching)
+        start, stop = self.words.start, self.words.stop
+        for first in range(0, self.keys.shape[0], step):
+            last = min(first + step, self.keys.shape[0])
+            mats = _products(self.parents[:, :, first:last], self.keys[first:last],
+                             self.table).reshape(2, 2, -1)
+            lo, hi = max(start, first * branching), min(stop, last * branching)
+            yield lo - start, _matrices(mats[:, :, lo - first * branching:hi - first * branching])
 
 
 def _successors(letter_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +351,10 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     Level ``l`` has exactly 2k (2k-1)^(l-1) words, yielded in slabs of at
     most ``slab`` words.  Levels below the top are kept whole (their
     matrices are the prefix cache for the next level); the top level's
-    words live only in their slab.
+    words live only in their slab.  An unpruned walk yields its top-level
+    slabs with their matrices unformed, as the parents' matrices (a view of
+    the prefix cache), their last letters and the slab's word range: see
+    :class:`WordBatch` for how ``mats`` and ``blocks`` form them.
     Raises :class:`BudgetExceeded` after yielding whatever fits within the
     node budget; the partial batch before a cut is not ``final``.
 
@@ -346,6 +419,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
                 letters = letter_table[parent_keys].ravel()[words]
                 parents = np.repeat(np.arange(first, last, dtype=np.int64), branching)[words]
                 final = not cut and hi == total
+                mats = children = None
                 if prune:   # key the candidates, then form the survivors only
                     candidates = WordBatch(length, pos, letters, parents, None, final)
                     image = tracker.extend(candidates)[1]
@@ -357,23 +431,22 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
                     matmul_raw(_matrices(prev[:, :, parents]), letter_mats[letters], mats)
                     if not is_top:
                         level_index[kept:kept + alive.shape[0]] = rows + pos
+                elif is_top:   # formed when read (see WordBatch)
+                    children = _Children(prev[:, :, first:last], parent_keys, mat_table, words)
                 else:
-                    if is_top:
-                        block = np.empty((2, 2, last - first, branching), dtype=letter_mats.dtype)
-                    else:
-                        block = level.reshape(2, 2, -1, branching)[:, :, first:last]
-                    matmul_raw(_matrices(prev[:, :, first:last, None]),
-                               _matrices(np.take(mat_table, parent_keys, axis=2)),
-                               _matrices(block))
+                    block = _products(prev[:, :, first:last], parent_keys, mat_table,
+                                      level.reshape(2, 2, -1, branching)[:, :, first:last])
                     mats = _matrices(block.reshape(2, 2, -1)[:, :, words])
                 if not is_top:
                     level_last[kept:kept + letters.shape[0]] = letters
                 kept += letters.shape[0]
-                mats.flags.writeable = False   # below the top, a view of the prefix cache
-                if is_top and hi == total:   # the last slab: free the cache first
+                if mats is not None:
+                    mats.flags.writeable = False   # below the top, a view of the prefix cache
+                if is_top and hi == total:   # the last slab: the cache lives on in it alone
                     prev = keys = index = None
                 generated += hi - pos
-                batch = WordBatch(length, pos, letters, parents, mats, final, rows)
+                batch = WordBatch(length, pos, letters, parents, mats, final, rows,
+                                  children=children)
                 if tracker is not None:
                     batch.image = image if prune else tracker.extend(batch)[1]
                 yield batch
@@ -453,8 +526,7 @@ class LevelSums:
     A walk consumer.  ``values(words)`` gives one value per word of a
     batch; on a kernel walk it is handed only the kernel words unless
     ``whole_group`` is set, which also keeps the walk unpruned (:func:`walk`).
-    The batch's values stay on as ``batch_values`` for the consumers after
-    it, until the next batch.  :meth:`finish` closes the blocks at a walk:
+    :meth:`finish` closes the blocks at a walk:
     ``level_sums`` and ``level_counts`` then cover its complete levels and
     ``tail_sum`` is what was summed beyond them before a budget cut.
     """
@@ -463,14 +535,11 @@ class LevelSums:
                  whole_group: bool = False):
         self.values = values
         self.whole_group = whole_group
-        self.batch_values: np.ndarray | None = None
         self._parts: list[list[float]] = []
         self._counts: list[int] = []
 
     def __call__(self, batch: WordBatch, words: WordBatch) -> None:
-        self.batch_values = None   # the previous batch's values go first
-        self.batch_values = self.values(batch if self.whole_group else words)
-        self.add(batch.length, self.batch_values)
+        self.add(batch.length, self.values(batch if self.whole_group else words))
 
     def add(self, length: int, values: np.ndarray) -> None:
         while len(self._parts) <= length:

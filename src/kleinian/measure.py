@@ -11,7 +11,6 @@ included, and consumers are expected to surface that verdict.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +24,7 @@ from .mobius import (apply_boundary_raw, apply_halfspace_raw, apply_interior_raw
                      interior_derivative_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
 from .series import (FIXED_POINT_TOL, UNIT_DERIVATIVE_TOL, SeriesResult, TailCertificate,
-                     boundary_values, finish_series)
+                     boundary_power, finish_series)
 
 # Atoms are coalesced only when indistinguishable at float resolution.  A
 # coarser merge (1e-12 was tried) misattributes mass across cells where the
@@ -36,6 +35,7 @@ MASS_TOL = 1e-12
 DEFAULT_CELLS = 64
 TOP_K_ATOMS = 32
 PARTITION_OFFSET = 0.5 * (math.sqrt(5.0) - 1.0)  # keeps atoms off cell edges
+NEAREST_PAIRS = 1 << 18   # point pairs compared at a time by _nearest_distances
 
 
 # --- the measure value type ---------------------------------------------------
@@ -84,7 +84,17 @@ class AtomicMeasure:
         return float(math.fsum(self.weights[self.word_lengths == length].tolist()))
 
     def top_atoms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        order = np.lexsort((np.arange(self.atom_count), -self.weights))[:k]
+        """The k heaviest atoms, heaviest first, ties in atom order.
+
+        Only the atoms at least as heavy as the k-th are sorted, by the keys
+        of the full sort, so the order is the same."""
+        keys = -self.weights
+        rows = np.arange(self.atom_count)
+        if 0 < k < self.atom_count:
+            kth = np.partition(keys, k - 1)[k - 1]
+            if not np.isnan(kth):   # with NaN weights the full sort decides
+                rows = np.flatnonzero(keys <= kth)
+        order = rows[np.lexsort((rows, keys[rows]))][:k]
         return self.points[order], self.weights[order]
 
     def weight_at(self, point: BoundaryPoint | InteriorPoint,
@@ -95,14 +105,15 @@ class AtomicMeasure:
     def to_csv(self, path) -> None:
         """Columns x[,y][,z], weight, word_length; rows by descending weight.
 
-        The csv module writes a float as its ``repr``."""
+        The bytes of ``csv.writer``: each field is the ``repr`` of its
+        number, which needs no quoting, and each line ends in ``\\r\\n``."""
         order = np.lexsort((np.arange(self.atom_count), -self.weights))
         headers = ["x", "y", "z"][: self.dim + 1] + ["weight", "word_length"]
         columns = [*self.points[order].T, self.weights[order], self.word_lengths[order]]
+        lines = [",".join(headers)]
+        lines += map(",".join, zip(*(map(repr, column.tolist()) for column in columns)))
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(headers)
-            writer.writerows(zip(*(column.tolist() for column in columns)))
+            handle.write("\r\n".join(lines) + "\r\n")
 
 
 def _snapped(points: np.ndarray) -> np.ndarray:
@@ -287,26 +298,29 @@ class EndingMeasures:
         self.group, self.s, self.tail, self.kernel = group, s, tail, kernel
         self.spec = stab.quotient_for(group) if self.reduced else kernel
         self._targets, self.points = len(targets), [*targets, *orbit_points]
-        # per measure: its values j(w, .)^s and where its atoms sit
-        self.blocks, self._places = [], []
-        for zeta in targets:
-            bc = embed3(zeta.coords)
-            self.blocks.append(LevelSums(boundary_values(zeta, s)))
-            self._places.append(lambda mats, bc=bc: apply_boundary_raw(mats, bc))
-        for z in orbit_points:
-            zc = embed3(z.coords)
-            self.blocks.append(LevelSums(
-                lambda batch, zc=zc: interior_derivative_raw(batch.mats, zc) ** s))
-            self._places.append(lambda mats, zc=zc: apply_interior_raw(mats, zc))
+        self.blocks = [LevelSums() for _ in self.points]
+        self._embedded = [embed3(point.coords) for point in self.points]
         self._atoms = [_AtomStream(group.dim + 1) for _ in self.points]
 
     def __call__(self, batch: WordBatch, words: WordBatch) -> None:
-        for blocks, place, atoms in zip(self.blocks, self._places, self._atoms):
-            blocks(batch, words)
-            atoms.add(place(words.mats)[:, : self.group.dim + 1], blocks.batch_values,
-                      batch.length)
-            if batch.final:
-                atoms.close(batch.length)
+        """Every measure's values j(w, .)^s and atom positions of the batch's
+        words: the orbit points' first, from the batch's matrices, so that
+        the blocks below are views of them; then the targets', from one
+        formation of each block of matrices."""
+        width, s = self.group.dim + 1, self.s
+        measures = list(zip(self._embedded, self.blocks, self._atoms))
+        for zc, blocks, atoms in measures[self._targets:]:
+            _add_atoms(batch, blocks, atoms, interior_derivative_raw(words.mats, zc) ** s,
+                       apply_interior_raw(words.mats, zc)[:, :width])
+        n = words.last.shape[0]
+        targets = [(np.empty(n), np.empty((n, width))) for _ in range(self._targets)]
+        for lo, mats in words.blocks():
+            rows = slice(lo, lo + mats.shape[0])
+            for bc, (value, place) in zip(self._embedded, targets):
+                value[rows] = boundary_power(mats, bc, s)
+                place[rows] = apply_boundary_raw(mats, bc)[:, :width]
+        for (_, blocks, atoms), (value, place) in zip(measures, targets):
+            _add_atoms(batch, blocks, atoms, value, place)
 
     def walk(self, max_length: int, budget: int | None = None, consumers=()) -> Walk:
         """One walk to ``max_length`` feeding these measures, then ``consumers``."""
@@ -336,6 +350,15 @@ class EndingMeasures:
                                      self.s, done.depth, boundary_supported=boundary,
                                      series=series, meta=meta))
         return tuple(out)
+
+
+def _add_atoms(batch: WordBatch, blocks: LevelSums, atoms: _AtomStream,
+               values: np.ndarray, places: np.ndarray) -> None:
+    """One measure's share of a batch: its level block and its atoms."""
+    blocks.add(batch.length, values)
+    atoms.add(places, values, batch.length)
+    if batch.final:
+        atoms.close(batch.length)
 
 
 def _check_target(group: SchottkyGroup, zeta: BoundaryPoint,
@@ -458,15 +481,16 @@ def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
     def shell(batch, words) -> None:
         if batch.length != depth:
             return
-        index = batch.offset + np.arange(batch.last.shape[0])
-        first = (index // below if depth > 0 else np.full(1, -1)).astype(np.int16)
-        if boundary:
-            parts.append((first, boundary_derivative_raw(batch.mats, point3),
-                          apply_boundary_raw(batch.mats, point3)))
-        else:
-            z, t = apply_halfspace_raw(batch.mats, *ball_to_halfspace(point3))
-            parts.append((first, interior_derivative_raw(batch.mats, point3),
-                          halfspace_to_ball(z, t), z, t))
+        for lo, mats in batch.blocks():
+            index = batch.offset + lo + np.arange(mats.shape[0])
+            first = (index // below if depth > 0 else np.full(1, -1)).astype(np.int16)
+            if boundary:
+                parts.append((first, boundary_derivative_raw(mats, point3),
+                              apply_boundary_raw(mats, point3)))
+            else:
+                z, t = apply_halfspace_raw(mats, *ball_to_halfspace(point3))
+                parts.append((first, interior_derivative_raw(mats, point3),
+                              halfspace_to_ball(z, t), z, t))
 
     walk(group, depth, enum.get("budget"), consumers=[shell])
     if not parts:   # the walk was cut before its top level
@@ -697,16 +721,10 @@ def weak_distance(mu: AtomicMeasure, nu: AtomicMeasure,
 def singularity_diagnostic(mu: AtomicMeasure, nu: AtomicMeasure,
                            eps: float) -> tuple[float, float]:
     """(mass of mu within eps of supp nu, mass of nu within eps of supp mu)."""
-    # imported here: at module level scipy.spatial adds about 0.5 s to every command
-    from scipy.spatial import cKDTree
-
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     ea, eb = embed3(mu.points), embed3(nu.points)
-    tree_b = cKDTree(eb)
-    tree_a = cKDTree(ea)
-    da, _ = tree_b.query(ea, k=1)
-    db, _ = tree_a.query(eb, k=1)
+    da, db = _nearest_distances(ea, eb), _nearest_distances(eb, ea)
     overlap_a = float(math.fsum(mu.weights[da <= eps].tolist()))
     overlap_b = float(math.fsum(nu.weights[db <= eps].tolist()))
     return overlap_a, overlap_b
@@ -714,8 +732,22 @@ def singularity_diagnostic(mu: AtomicMeasure, nu: AtomicMeasure,
 
 def support_gap(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     """Smallest distance between the two atom sets."""
-    from scipy.spatial import cKDTree
+    return float(np.min(_nearest_distances(embed3(mu.points), embed3(nu.points))))
 
-    tree = cKDTree(embed3(nu.points))
-    d, _ = tree.query(embed3(mu.points), k=1)
-    return float(np.min(d))
+
+def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each row of ``a`` to the nearest row of ``b`` (ambient
+    (n, 3) points; inf when ``b`` is empty), by an exact search in row
+    blocks.  Squared differences are summed as (d0^2 + d1^2) + d2^2 and
+    the square root is taken last, as a KD-tree query computes them."""
+    nearest = np.full(a.shape[0], np.inf)
+    if not b.shape[0]:
+        return nearest
+    step = max(1, NEAREST_PAIRS // b.shape[0])
+    for lo in range(0, a.shape[0], step):
+        diff = a[lo:lo + step, None, :] - b[None, :, :]
+        diff *= diff
+        sq = diff[..., 0] + diff[..., 1]
+        sq += diff[..., 2]
+        nearest[lo:lo + step] = sq.min(axis=1)
+    return np.sqrt(nearest)

@@ -138,14 +138,23 @@ def _series(group: SchottkyGroup, values: Callable[[WordBatch], np.ndarray],
 
 
 def boundary_values(zeta: BoundaryPoint, s: float) -> Callable[[WordBatch], np.ndarray]:
-    """The value stream j(w, zeta)^s of a batch's words w."""
+    """The value stream j(w, zeta)^s of a batch's words w, evaluated block
+    by block (:meth:`~kleinian.group.WordBatch.blocks`)."""
     bc = embed3(zeta.coords)
 
     def values(batch: WordBatch) -> np.ndarray:
-        j = boundary_derivative_raw(batch.mats, bc)
-        j **= s   # in place: ``j ** s`` bit for bit, without a second array
-        return j
+        out = np.empty(batch.last.shape[0])
+        for lo, mats in batch.blocks():
+            out[lo:lo + mats.shape[0]] = boundary_power(mats, bc, s)
+        return out
     return values
+
+
+def boundary_power(mats: np.ndarray, bc: np.ndarray, s: float) -> np.ndarray:
+    """j(w, zeta)^s of matrices (n, 2, 2) at the embedded boundary point ``bc``."""
+    j = boundary_derivative_raw(mats, bc)
+    j **= s   # in place: ``j ** s`` bit for bit, without a second array
+    return j
 
 
 def unit_fixer(group: SchottkyGroup, zeta: BoundaryPoint,

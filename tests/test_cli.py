@@ -525,15 +525,22 @@ class TestGoldenRender:
 
 
 def test_cli_import_leaves_scipy_spatial_out():
-    """Only the Example 2 diagnostics use the KD-tree; no command start-up pays for it."""
+    """No command start-up pays for ``scipy.spatial``, and nothing on the run
+    path imports SciPy at all: not even ``build_example2``, whose support
+    diagnostics search nearest atoms with numpy."""
     import os
     import subprocess
     import sys
 
-    code = "import sys, kleinian.cli; print('scipy.spatial' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")), check=True)
-    assert proc.stdout.strip() == "False"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    for code, loaded in (
+            ("import sys, kleinian.cli; print('scipy.spatial' in sys.modules)", "False"),
+            ("import sys; from kleinian.examples import Example2Config, build_example2; "
+             "build_example2(Example2Config()); print(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] == 'scipy'))", "[]")):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.strip() == loaded
 
 
 def test_benchmark_tracer_installs():

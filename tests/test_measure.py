@@ -1,4 +1,6 @@
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,13 +8,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import kleinian.group
+import kleinian.measure
 from kleinian.errors import TargetNotInDomainClosure
 from kleinian.examples import Example1Config, example1_group
 from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
                             SchottkyGroup, ending_sequence, enumerate_words, level_count,
                             walk)
-from kleinian.measure import (DEFAULT_CELLS, MERGE_TOL, _AtomStream, _cell_index,
-                              _letters_of, _merge_atoms, classify_atomicity,
+from kleinian.measure import (DEFAULT_CELLS, MERGE_TOL, AtomicMeasure, _AtomStream,
+                              _cell_index, _letters_of, _merge_atoms, classify_atomicity,
                               conformality_residual, ending_measure, orbit_measure,
                               singularity_diagnostic, support_gap, weak_distance)
 from kleinian.mobius import (apply_boundary_raw, apply_interior_raw,
@@ -22,7 +25,8 @@ from kleinian.model import BoundaryPoint, InteriorPoint, embed3
 from kleinian.series import (branch_contraction, horospherical_partial,
                              reduced_horospherical_partial)
 
-from conftest import arc, cap_groups, schottky_groups
+from conftest import (arc, cap_groups, random_boundary_points, random_interior_points,
+                      schottky_groups)
 
 DOMAIN_POINT = BoundaryPoint.from_angle(math.radians(108.0))
 
@@ -477,6 +481,20 @@ class TestSingularityDiagnostic:
         assert gap > 1.0
         assert singularity_diagnostic(m1, m2, gap / 4.0) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("pairs", [7, 1 << 18])
+    def test_nearest_distances_are_the_kd_trees(self, pairs, rng):
+        """The blocked exact search gives the KD-tree's nearest distances bit
+        for bit, on the sphere and inside the ball."""
+        from scipy.spatial import cKDTree
+
+        a = np.concatenate([random_boundary_points(rng, 2, 150),
+                            random_interior_points(rng, 2, 50)])
+        b = np.concatenate([random_boundary_points(rng, 2, 90), a[:3]])
+        with mock.patch.object(kleinian.measure, "NEAREST_PAIRS", pairs):
+            for x, y in ((a, b), (b, a)):
+                assert (kleinian.measure._nearest_distances(x, y).tobytes()
+                        == cKDTree(y).query(x, k=1)[0].tobytes())
+
     def test_eps_validation(self):
         m1 = one_atom_measure(0.5)
         with pytest.raises(ValueError):
@@ -494,6 +512,46 @@ class TestCsvExport:
         weights = [float(line.split(",")[2]) for line in lines[1:]]
         assert weights == sorted(weights, reverse=True)
         assert len(weights) == mu.atom_count
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_csv_bytes_are_the_csv_modules(self, dim, tmp_path):
+        """``to_csv`` writes the bytes ``csv.writer`` writes, for widths 2 and
+        3, with -0.0, subnormal weights and ties, and for an empty measure."""
+        import csv
+
+        points = np.array([[-0.0, 1.0, 0.5], [0.1, -0.0, 1e-300], [1 / 3, 2 / 3, -0.0],
+                           [0.25, -0.5, 0.75], [1e300, 5e-324, -1.0]])[:, : dim + 1]
+        weights = np.array([5e-324, 0.5, 2.5e-310, 0.5, -0.0])
+        lengths = np.array([0, 3, 12, 1, 7])
+        for n in (0, 5):
+            mu = AtomicMeasure(points[:n], weights[:n], lengths[:n], dim, "ending", 1.0, 12,
+                               True)
+            path = tmp_path / f"atoms{n}.csv"
+            mu.to_csv(path)
+            order = np.lexsort((np.arange(n), -weights[:n]))
+            columns = [*points[order].T, weights[order], lengths[order]]
+            expected = io.StringIO(newline="")
+            writer = csv.writer(expected)
+            writer.writerow(["x", "y", "z"][: dim + 1] + ["weight", "word_length"])
+            writer.writerows(zip(*(column.tolist() for column in columns)))
+            assert path.read_bytes() == expected.getvalue().encode()
+
+
+class TestTopAtoms:
+    @pytest.mark.parametrize("k", [-3, 0, 1, 5, 37, 38, 197, 199, 200, 250])
+    def test_top_atoms_are_the_full_sorts_head(self, k, rng):
+        """The partial selection gives the head of the full sort by
+        (descending weight, atom order), with many ties at the cut, signed
+        zeros, and NaN weights below and at the cut."""
+        weights = rng.choice([0.3, 0.2, 0.1, 0.0, -0.0], size=200)
+        weights[[17, 60, 133]] = np.nan
+        points = rng.normal(size=(200, 2))
+        mu = AtomicMeasure(points, weights, np.ones(200, dtype=np.int64), 1, "ending",
+                           1.0, 1, True)
+        order = np.lexsort((np.arange(200), -weights))[:k]
+        top_points, top_weights = mu.top_atoms(k)
+        assert top_points.tobytes() == points[order].tobytes()
+        assert top_weights.tobytes() == weights[order].tobytes()
 
 
 class TestAtomStream:

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kleinian.group
@@ -19,7 +19,7 @@ from kleinian.group import (EXACT_SUM_MIN, DeclaredStabilizer, LevelSums, Quotie
                             SchottkyGroup, coset_representatives, enumerate_words, exact_sum,
                             iter_word_batches, kernel_enumerate, level_count, walk, word_at)
 from kleinian.limits import horoball_entry, horoball_scan
-from kleinian.measure import EndingMeasures, ending_measure, orbit_measure
+from kleinian.measure import EndingMeasures, _record_shell, ending_measure, orbit_measure
 from kleinian.mobius import boundary_derivative_raw, matmul_raw
 from kleinian.model import BoundaryPoint, InteriorPoint, embed3
 from kleinian.series import (bounded_parabolic_domination, horospherical_partial,
@@ -207,6 +207,14 @@ def test_budget_cut_is_a_prefix(group, depth, data):
     assert cut.partial_sum <= full.partial_sum
 
 
+def _keeping(values):
+    """``values``, keeping its latest output as ``.last`` for the recorders."""
+    def kept(batch):
+        kept.last = values(batch)
+        return kept.last
+    return kept
+
+
 @settings(max_examples=15, deadline=None)
 @given(group=schottky_groups(), depth=st.integers(1, 5), data=st.data())
 def test_kernel_walk_is_the_masked_whole_walk(group, depth, data):
@@ -244,10 +252,10 @@ def test_kernel_walk_is_the_masked_whole_walk(group, depth, data):
             else:
                 rows, mats = words.rows, words.mats
             record.append((batch.length, batch.offset + rows, mats.tobytes(),
-                           blocks.batch_values.tobytes()))
+                           blocks.values.last.tobytes()))
         return consume
 
-    pruned, whole = LevelSums(values), LevelSums(masked)
+    pruned, whole = LevelSums(_keeping(values)), LevelSums(_keeping(masked))
     by_kernel, by_mask = [], []
     done = walk(group, depth, budget, kernel=spec,
                 consumers=[pruned, seen_by(by_kernel, pruned)])
@@ -308,7 +316,7 @@ def test_pruned_kernel_walk_crosses_slabs(group, depth, slab, data):
                 rows = batch.offset + np.flatnonzero(keep[0])
                 mats = batch.mats[keep[0]]
             calls.append((batch.length, batch.final, rows.tolist(), mats.tobytes(),
-                          blocks.batch_values.tobytes()))
+                          blocks.values.last.tobytes()))
         return consume
 
     with mock.patch.object(kleinian.group, "iter_word_batches",
@@ -326,7 +334,7 @@ def test_pruned_kernel_walk_crosses_slabs(group, depth, slab, data):
                                  in members for i in range(batch.last.shape[0])], dtype=bool)]
             return values(batch)[keep[0]]
 
-        pruned, whole = LevelSums(values), LevelSums(masked)
+        pruned, whole = LevelSums(_keeping(values)), LevelSums(_keeping(masked))
         by_kernel, by_mask = [], []
         done = walk(group, depth, budget, kernel=spec,
                     consumers=[pruned, recorder(by_kernel, pruned)])
@@ -471,6 +479,82 @@ def test_batches_are_the_level_by_level_products(name, slab, request):
         except BudgetExceeded as cut:
             assert budget is not None and cut.words_generated == budget
         assert sum(seen) == (before[-1] if budget is None else min(budget, before[-1]))
+
+
+# --- the blocked top level ------------------------------------------------------------
+
+def _whole_slab_blocks(batch):
+    """Each batch as one block of its whole matrices: the unblocked path."""
+    yield 0, batch.mats
+
+
+def _blocked_outputs(group, depth, budget):
+    """The bits of a boundary series, of ending measures at one and at two
+    targets and beside an orbit measure, and of the conformality shells of
+    an ending and an orbit measure."""
+    if group.dim == 1:
+        targets = (BoundaryPoint.from_angle(math.pi), BoundaryPoint.from_angle(3.5))
+        base = InteriorPoint([0.1, 0.2])
+    else:
+        targets = (BoundaryPoint([-1.0, 0.0, 0.0]), BoundaryPoint([-1.0, 0.3, 0.2]))
+        base = InteriorPoint([0.1, 0.2, -0.1])
+    out = []
+    series = horospherical_partial(group, targets[0], 0.7, depth, budget)
+    out.append(np.array(series.level_sums + (series.partial_sum,)).tobytes())
+    for count, orbits in ((1, ()), (2, ()), (1, (base,))):
+        measures = EndingMeasures(group, targets[:count], 0.7, check_domain=False,
+                                  orbit_points=orbits)
+        for mu in measures.at(measures.walk(depth, budget)):
+            out += [mu.points.tobytes(), mu.weights.tobytes(), mu.word_lengths.tobytes(),
+                    np.array(mu.series.level_sums).tobytes()]
+    for mu in (ending_measure(group, targets[0], 0.7, depth, budget=budget,
+                              check_domain=False),
+               orbit_measure(group, base, 0.7, depth, budget)):
+        shell = _record_shell(mu, mu.meta["enumeration"])
+        out += [getattr(shell, name).tobytes() for name in ("first", "jraw", "points", "z", "t")
+                if getattr(shell, name) is not None]
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(group=st.one_of(schottky_groups(), cap_groups()), depth=st.integers(1, 5),
+       slab=st.sampled_from([23, 200]), block=st.sampled_from([7, 64]), data=st.data())
+def test_blocked_top_level_keeps_every_bit(group, depth, slab, block, data):
+    """With blocks of 7 or 64 words, boundary series level sums, ending
+    measures at one and two targets (points, weights, word lengths) and the
+    conformality shells equal the whole-slab path bit for bit, in
+    dimensions 1 and 2, for budgets that cut on and inside slabs and blocks."""
+    budget = _slab_budget(data, group, depth, slab)
+    assume(budget is None or budget >= 1)
+    with mock.patch.object(kleinian.group, "iter_word_batches",
+                           functools.partial(iter_word_batches, slab=slab)):
+        with mock.patch.object(kleinian.group, "BLOCK_WORDS", block):
+            blocked = _blocked_outputs(group, depth, budget)
+        with mock.patch.object(kleinian.group.WordBatch, "blocks", _whole_slab_blocks):
+            whole = _blocked_outputs(group, depth, budget)
+    assert blocked == whole
+
+
+def test_boundary_walks_never_form_a_whole_top_slab(std_group):
+    """The boundary series and the ending measure evaluate the top level block
+    by block and never form a top-level slab's matrices; the interior series
+    reads every slab's matrices whole."""
+    formed = []
+    whole = kleinian.group._Children.whole
+
+    def counted(children):
+        formed.append(children.words.stop - children.words.start)
+        return whole(children)
+
+    depth, slab = 5, 100
+    with mock.patch.object(kleinian.group._Children, "whole", counted), \
+            mock.patch.object(kleinian.group, "iter_word_batches",
+                              functools.partial(iter_word_batches, slab=slab)):
+        horospherical_partial(std_group, DOMAIN_POINT, 0.7, depth)
+        ending_measure(std_group, DOMAIN_POINT, 0.7, depth)
+        assert formed == []
+        poincare_partial(std_group, InteriorPoint([0.1, 0.2]), 0.7, depth)
+    assert sum(formed) == level_count(std_group, depth) and len(formed) > 1
 
 
 # --- exact batch sums ------------------------------------------------------------------
