@@ -79,7 +79,7 @@ class Example1Config:
                 f"inadmissible schedule: sum_n (4/phi(n))^(2s) = {adm} >= 1/2")
 
     def schedule(self) -> SeparationSchedule:
-        return SeparationSchedule.geometric(self.schedule_scale, self.schedule_base)
+        return SeparationSchedule(self.schedule_scale, self.schedule_base)
 
 
 @dataclass

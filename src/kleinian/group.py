@@ -172,7 +172,7 @@ class SchottkyGroup:
                 if disc is src:
                     continue
                 img = image_disc(t, disc)
-                if not tgt.contains_disc(img, strict=True):
+                if not tgt.contains_disc(img):
                     raise DiscsOverlap(
                         f"ping-pong failure: {self.letter_labels[e]} does not map "
                         f"disc at {disc.center.coords} inside its target")
@@ -189,7 +189,7 @@ class SchottkyGroup:
             for _ in range(PARABOLIC_POWER_CHECK):
                 power = power @ sign_mat
                 img = image_disc(Transform(power, self.dim), ext)
-                if not gen.source.contains_disc(img, strict=True):
+                if not gen.source.contains_disc(img):
                     raise DiscsOverlap(
                         f"parabolic generator {gen.label}: some power leaks out of its disc "
                         "(increase the strength or shrink the disc)")
@@ -218,13 +218,6 @@ class SchottkyGroup:
         for letter in letters:
             mat = mat @ self.letter_matrices[letter]
         return Transform(mat, self.dim, _trusted_unit_det=True)
-
-    def word(self, letters: Sequence[int]) -> Word:
-        letters = tuple(letters)
-        for a, b in zip(letters, letters[1:]):
-            if b == a ^ 1:
-                raise ValueError(f"word {letters} is not reduced")
-        return Word(letters, self.letter_labels)
 
 
 # --- the level engine ---------------------------------------------------------
@@ -809,24 +802,6 @@ class DeclaredStabilizer:
     def quotient_for(self, group: SchottkyGroup) -> QuotientSpec:
         return QuotientSpec("free", {gen.label: (gen.label,) if gen.label in self.labels
                                      else () for gen in group.generators})
-
-
-def coset_representatives(group: SchottkyGroup, stab: DeclaredStabilizer | None,
-                          max_length: int, budget: int | None = None
-                          ) -> Iterator[tuple[Word, Transform]]:
-    """One representative per left coset of ``stab`` among words <= max_length.
-
-    ``stab`` is None (the trivial stabilizer: every word) or a
-    :class:`DeclaredStabilizer`, whose representatives are the words of the
-    canonical complement, the kernel of the retraction killing the
-    stabilizer letters.  This is the one coset transversal; anything else
-    raises :class:`TypeError`.
-    """
-    if stab is None:
-        return enumerate_words(group, max_length, budget)
-    if isinstance(stab, DeclaredStabilizer):
-        return kernel_enumerate(group, stab.quotient_for(group), max_length, budget)
-    raise TypeError(f"unsupported stabilizer declaration: {stab!r}")
 
 
 # --- ending sequences ---------------------------------------------------------

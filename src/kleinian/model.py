@@ -9,9 +9,8 @@ Conventions used throughout the package:
 
 * the Poisson kernel is ``k(z, zeta) = (1 - |z|^2) / |zeta - z|^2``;
 * horoballs are super-level sets ``H_zeta(c) = {k(., zeta) > c}``, bounded
-  by a Euclidean sphere of radius ``1/(1+c)`` tangent at ``zeta``;
-* the signed horospherical distance ``d_zeta(z1, z2) = log(k(z2)/k(z1))``
-  is positive exactly when ``z2`` lies inside the horoball through ``z1``;
+  by a Euclidean sphere of radius ``1/(1+c)`` tangent at ``zeta``; the
+  horoball scans of :mod:`kleinian.limits` test membership this way;
 * discs on the boundary sphere (arcs when N=1, round caps when N=2) are
   chordal balls ``{xi in S : |xi - center| < radius}``.
 """
@@ -134,22 +133,6 @@ class InteriorPoint:
 
 
 @dataclass(frozen=True)
-class Horoball:
-    """Horoball ``H_zeta(c) = {z : k(z, zeta) > c}`` based at ``zeta`` with level c > 0."""
-
-    base: BoundaryPoint
-    level: float
-
-    def __post_init__(self):
-        if not (self.level > 0.0 and math.isfinite(self.level)):
-            raise ValueError(f"horoball level must be positive and finite, got {self.level}")
-
-    def euclidean_radius(self) -> float:
-        """Radius of the bounding horosphere, ``1/(1+c)``."""
-        return 1.0 / (1.0 + self.level)
-
-
-@dataclass(frozen=True)
 class Disc:
     """A round disc on the boundary sphere: arc on S^1, cap on S^2.
 
@@ -191,16 +174,14 @@ class Disc:
         dot = float(np.clip(np.dot(self.center.coords, other.center.coords), -1.0, 1.0))
         return math.acos(dot) - self.angular_radius - other.angular_radius
 
-    def is_disjoint_from(self, other: "Disc", margin: float = 0.0) -> bool:
-        return self.angular_gap(other) > margin
+    def is_disjoint_from(self, other: "Disc") -> bool:
+        return self.angular_gap(other) > 0.0
 
-    def contains_disc(self, other: "Disc", strict: bool = True) -> bool:
-        """Whether ``other`` sits inside this disc (open interior when strict)."""
+    def contains_disc(self, other: "Disc") -> bool:
+        """Whether ``other`` sits inside the open interior of this disc."""
         dot = float(np.clip(np.dot(self.center.coords, other.center.coords), -1.0, 1.0))
         reach = math.acos(dot) + other.angular_radius
-        if strict:
-            return reach < self.angular_radius
-        return reach <= self.angular_radius
+        return reach < self.angular_radius
 
     def enlarged(self, factor: float) -> "Disc":
         """Concentric disc with chordal radius scaled by ``factor``."""
@@ -224,19 +205,6 @@ def hyperbolic_distance(z: InteriorPoint, w: InteriorPoint) -> float:
     diff = z.coords - w.coords
     delta = np.dot(diff, diff) / (z.conorm * w.conorm)
     return float(2.0 * math.asinh(math.sqrt(delta)))
-
-
-def signed_horodistance(z1: InteriorPoint, z2: InteriorPoint, zeta: BoundaryPoint) -> float:
-    """Signed distance between the horospheres at ``zeta`` through z1 and z2.
-
-    Returns ``log(k(z2, zeta) / k(z1, zeta))``; positive exactly when z2
-    lies strictly inside the horoball whose boundary passes through z1.
-    """
-    return math.log(poisson_kernel(z2, zeta) / poisson_kernel(z1, zeta))
-
-
-def horoball_contains(ball: Horoball, z: InteriorPoint) -> bool:
-    return poisson_kernel(z, ball.base) > ball.level
 
 
 # --- raw-array helpers shared by the vectorized engine ---------------------

@@ -106,7 +106,6 @@ class TailCertificate:
     rate: float
     coeff: float = 1.0
     source: str = ""
-    details: dict = field(default_factory=dict)
 
     def tail_from(self, k_start: int) -> float:
         if self.rate >= 1.0:
@@ -306,53 +305,26 @@ def reduced_horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: 
 
 @dataclass(frozen=True)
 class SeparationSchedule:
-    """Closed-form separation schedule phi(n) for enlarged-disc families.
+    """Geometric separation schedule phi(n) = scale * base^n (base > 1, increasing)."""
 
-    ``geometric``: phi(n) = scale * base^n (base > 1, increasing);
-    ``constant``: phi(n) = value for every n.
-    """
+    scale: float
+    base: float
 
-    kind: str
-    scale: float = 0.0
-    base: float = 0.0
-    value: float = 0.0
-
-    @classmethod
-    def geometric(cls, scale: float, base: float) -> "SeparationSchedule":
-        if base <= 1.0:
+    def __post_init__(self):
+        if self.base <= 1.0:
             raise ValueError("geometric schedule needs base > 1")
-        return cls("geometric", scale=scale, base=base)
-
-    @classmethod
-    def constant(cls, value: float) -> "SeparationSchedule":
-        return cls("constant", value=value)
 
     def phi(self, n: int) -> float:
-        if self.kind == "geometric":
-            return self.scale * self.base ** n
-        return self.value
+        return self.scale * self.base ** n
 
     def min_phi(self) -> float:
-        return self.phi(1) if self.kind == "geometric" else self.value
+        return self.phi(1)
 
     def admissibility_sum(self, s: float) -> float:
         """sum over all n >= 1 of (4 / phi(n))^(2s), in closed form."""
-        if self.kind == "geometric":
-            term = (4.0 / self.scale) ** (2.0 * s)
-            q = self.base ** (-2.0 * s)
-            return term * q / (1.0 - q)
-        return math.inf
-
-
-def example1_tail_bound(schedule: SeparationSchedule, s: float,
-                        k_start: int) -> float | None:
-    """Tail of the separated-family boundary series from word length k_start.
-
-    The envelope of :func:`example1_certificate`, summed from k_start; None
-    when the admissibility condition fails.
-    """
-    cert = example1_certificate(schedule, s)
-    return None if cert is None else cert.tail_from(k_start)
+        term = (4.0 / self.scale) ** (2.0 * s)
+        q = self.base ** (-2.0 * s)
+        return term * q / (1.0 - q)
 
 
 def example1_certificate(schedule: SeparationSchedule, s: float) -> TailCertificate | None:
@@ -368,8 +340,7 @@ def example1_certificate(schedule: SeparationSchedule, s: float) -> TailCertific
     adm = schedule.admissibility_sum(s)
     if not adm < 0.5:
         return None
-    return TailCertificate(rate=2.0 * adm, coeff=1.0, source="separation_schedule",
-                           details={"admissibility_sum": adm})
+    return TailCertificate(rate=2.0 * adm, coeff=1.0, source="separation_schedule")
 
 
 @dataclass(frozen=True)
@@ -397,8 +368,7 @@ class BranchBounds:
         """Envelope for the boundary series at any point off every enlarged disc."""
         self._require_chain()
         return TailCertificate(rate=self.rate(s), coeff=1.0,
-                               source="branch_contraction",
-                               details={"letter_bounds": list(self.letter_bounds)})
+                               source="branch_contraction")
 
     def interior_certificate(self, s: float, group: SchottkyGroup) -> TailCertificate:
         """Envelope for P(0, s): blocks <= 2k (2 rho_max)^s q^(l-1)."""
@@ -406,8 +376,7 @@ class BranchBounds:
         rho_max = max(d.radius for _, d in group.discs())
         q = self.rate(s)
         coeff = group.letter_count * (2.0 * rho_max) ** s / q if q > 0 else math.inf
-        return TailCertificate(rate=q, coeff=coeff, source="branch_contraction",
-                               details={"rho_max": rho_max})
+        return TailCertificate(rate=q, coeff=coeff, source="branch_contraction")
 
 
 def branch_contraction(group: SchottkyGroup,

@@ -379,7 +379,7 @@ def test_criterion_11_freeness_and_nesting(std_group):
                                   atol=1e-9)
                       and abs(image.radius - target.radius) < 1e-9)
         else:
-            inside = target.contains_disc(image, strict=True)
+            inside = target.contains_disc(image)
         if not inside:
             nesting_ok = False
             break

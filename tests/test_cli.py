@@ -556,6 +556,13 @@ def test_benchmark_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
+
+def test_every_public_name_resolves():
+    """``kleinian.__all__`` lists only names the package binds."""
+    import kleinian
+
+    assert [name for name in kleinian.__all__ if not hasattr(kleinian, name)] == []
+
 class TestBudgetExitCode:
     @settings(max_examples=30, deadline=None)
     @given(budget=st.integers(1, 250),

@@ -105,7 +105,7 @@ class TestSeparatedFamily:
         from kleinian.series import SeparationSchedule, example1_certificate
 
         with pytest.raises(InvalidSeparation):
-            example1_certificate(SeparationSchedule.geometric(0.5, 2.0), 0.5)
+            example1_certificate(SeparationSchedule(0.5, 2.0), 0.5)
 
     def test_infeasible_placement_rejected(self):
         with pytest.raises(PlacementInfeasible):

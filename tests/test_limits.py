@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kleinian.group import QuotientSpec, SchottkyGroup
-from kleinian.limits import DEFAULT_C_GRID, horoball_entry, jorgensen_test
+from kleinian.limits import DEFAULT_C_GRID, horoball_entry, horoball_scanner, jorgensen_test
 from kleinian.model import BoundaryPoint
 
 from conftest import arc
@@ -33,15 +33,9 @@ class TestJorgensenTest:
         zeta = group.generators[0].transform.classify().fixed_points[0]
         assert not jorgensen_test(group, zeta)
 
-    def test_declared_limit_point(self, group):
-        # a finitely generated group has no accumulation evidence, but the
-        # declaration path accepts a domain point
+    def test_domain_point_without_accumulation_rejected(self, group):
+        # a finitely generated group has no accumulation evidence at a domain point
         assert not jorgensen_test(group, DOMAIN_POINT)
-        assert jorgensen_test(group, DOMAIN_POINT, declared=True)
-
-    def test_declared_point_still_needs_domain(self, group):
-        inside = BoundaryPoint.from_angle(math.radians(72.0))
-        assert not jorgensen_test(group, inside, declared=True)
 
     def test_radial_ray_misses_half_spaces_when_true(self):
         # geometric consequence: t*zeta stays in the closed exterior of
@@ -68,6 +62,12 @@ class TestHoroballEntry:
     def test_level_validation(self, group):
         with pytest.raises(ValueError):
             horoball_entry(group, DOMAIN_POINT, 0.0, 3)
+
+    @pytest.mark.parametrize("levels", [(math.nan,), (0.0,), (-1.0,), (1.0, math.nan), ()],
+                             ids=["nan", "zero", "negative", "nan in grid", "empty"])
+    def test_scanner_rejects_levels_that_are_not_positive(self, group, levels):
+        with pytest.raises(ValueError, match="positive levels"):
+            horoball_scanner(group, DOMAIN_POINT, levels, 3)
 
     def test_attracting_point_collects_powers(self, group):
         zeta = group.generators[0].transform.classify().fixed_points[0]

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kleinian.model import (BoundaryPoint, Disc, Horoball, InteriorPoint,
-                            horoball_contains, hyperbolic_distance,
-                            poisson_kernel, signed_horodistance)
+from kleinian.model import (BoundaryPoint, Disc, InteriorPoint, hyperbolic_distance,
+                            poisson_kernel)
 
 from conftest import random_boundary_points, random_interior_points
 
@@ -111,29 +110,36 @@ class TestHyperbolicDistance:
 
 
 class TestSignedHorodistance:
+    """The signed horospherical distance d_zeta(z1, z2) = log(k(z2)/k(z1))."""
+
     def test_identity_case(self, rng):
-        z = InteriorPoint([0.2, 0.4])
-        zeta = BoundaryPoint.from_angle(2.2)
-        assert signed_horodistance(z, z, zeta) == 0.0
+        # the horosphere through the origin has level 1 at every boundary point
+        for dim in (1, 2):
+            for zeta in random_boundary_points(rng, dim, 50):
+                assert poisson_kernel(InteriorPoint.origin(dim), BoundaryPoint(zeta)) == \
+                    pytest.approx(1.0, rel=1e-15)
 
     def test_from_origin_matches_log_kernel(self, rng):
+        # Busemann function: d(0, w) - d(z, w) -> log k(z, zeta) as w -> zeta
         for dim in (1, 2):
             zs = random_interior_points(rng, dim, 50)
             zetas = random_boundary_points(rng, dim, 50)
             for z, zeta in zip(zs, zetas):
                 zp, bp = InteriorPoint(z), BoundaryPoint(zeta)
-                assert signed_horodistance(InteriorPoint.origin(dim), zp, bp) == \
-                    pytest.approx(math.log(poisson_kernel(zp, bp)), rel=1e-12, abs=1e-14)
+                w = InteriorPoint.radial(bp, 1.0 - 1e-9)
+                busemann = (hyperbolic_distance(InteriorPoint.origin(dim), w)
+                            - hyperbolic_distance(zp, w))
+                assert busemann == pytest.approx(math.log(poisson_kernel(zp, bp)), abs=1e-6)
 
     def test_sign_means_horoball_containment(self, rng):
         zeta = BoundaryPoint.from_angle(0.0)
         z1 = InteriorPoint([0.5, 0.0])
         z2 = InteriorPoint([0.8, 0.0])   # deeper inside the horoball at zeta
-        assert signed_horodistance(z1, z2, zeta) > 0.0
-        assert signed_horodistance(z2, z1, zeta) < 0.0
+        assert math.log(poisson_kernel(z2, zeta) / poisson_kernel(z1, zeta)) > 0.0
+        assert math.log(poisson_kernel(z1, zeta) / poisson_kernel(z2, zeta)) < 0.0
 
     def test_dominated_by_hyperbolic_distance(self, rng):
-        # |d_zeta(z1, z2)| <= d(z1, z2) over 10^4 random triples
+        # |log k(z2, zeta)/k(z1, zeta)| <= d(z1, z2) over 10^4 random triples
         for dim in (1, 2):
             n = 5000
             z1s = random_interior_points(rng, dim, n, rmax=0.95)
@@ -141,43 +147,45 @@ class TestSignedHorodistance:
             zetas = random_boundary_points(rng, dim, n)
             for z1, z2, zeta in zip(z1s, z2s, zetas):
                 p1, p2, b = InteriorPoint(z1), InteriorPoint(z2), BoundaryPoint(zeta)
-                assert abs(signed_horodistance(p1, p2, b)) <= \
+                assert abs(math.log(poisson_kernel(p2, b) / poisson_kernel(p1, b))) <= \
                     hyperbolic_distance(p1, p2) + 1e-10
 
 
 class TestHoroball:
+    """Horoballs H_zeta(c) = {z : k(z, zeta) > c}."""
+
     def test_level_one_excludes_origin(self):
-        ball = Horoball(BoundaryPoint.from_angle(1.0), 1.0)
-        assert not horoball_contains(ball, InteriorPoint.origin(1))
+        assert not poisson_kernel(InteriorPoint.origin(1), BoundaryPoint.from_angle(1.0)) > 1.0
 
     def test_level_half_contains_origin(self):
-        ball = Horoball(BoundaryPoint.from_angle(1.0), 0.5)
-        assert horoball_contains(ball, InteriorPoint.origin(1))
+        assert poisson_kernel(InteriorPoint.origin(1), BoundaryPoint.from_angle(1.0)) > 0.5
 
     def test_radial_entry(self):
         # k(t zeta, zeta) = (1+t)/(1-t) -> infinity: eventually inside any level
         zeta = BoundaryPoint.from_angle(0.3)
         for c in (0.5, 2.0, 16.0, 256.0):
-            ball = Horoball(zeta, c)
             entered = False
             for t in (0.9, 0.99, 0.999, 0.9999, 0.99999):
-                if horoball_contains(ball, InteriorPoint.radial(zeta, t)):
+                if poisson_kernel(InteriorPoint.radial(zeta, t), zeta) > c:
                     entered = True
             assert entered
 
-    def test_euclidean_radius_formula(self):
-        # t zeta with t = (c-1)/(c+1) sits on the horosphere of level c
-        zeta = BoundaryPoint.from_angle(-1.3)
-        for c in (1.5, 3.0, 10.0, 99.0):
-            t = (c - 1.0) / (c + 1.0)
-            k = poisson_kernel(InteriorPoint.radial(zeta, t), zeta)
-            assert k == pytest.approx(c, rel=1e-10)
-            assert Horoball(zeta, c).euclidean_radius() == pytest.approx(
-                1.0 / (1.0 + c))
-
-    def test_rejects_bad_level(self):
-        with pytest.raises(ValueError):
-            Horoball(BoundaryPoint.from_angle(0.0), 0.0)
+    def test_euclidean_radius_formula(self, rng):
+        # t zeta with t = (c-1)/(c+1) sits on the horosphere of level c, which
+        # is the sphere of radius 1/(1+c) tangent to the boundary at zeta
+        for dim in (1, 2):
+            zeta = BoundaryPoint(random_boundary_points(rng, dim, 1)[0])
+            for c in (0.25, 1.5, 3.0, 10.0, 99.0):
+                t = (c - 1.0) / (c + 1.0)
+                if t >= 0.0:
+                    k = poisson_kernel(InteriorPoint.radial(zeta, t), zeta)
+                    assert k == pytest.approx(c, rel=1e-10)
+                radius = 1.0 / (1.0 + c)
+                for u in random_boundary_points(rng, dim, 20):
+                    if np.dot(u, zeta.coords) > 0.99:
+                        continue        # too near the tangent point on the sphere
+                    z = InteriorPoint(zeta.coords * (1.0 - radius) + radius * u)
+                    assert poisson_kernel(z, zeta) == pytest.approx(c, rel=1e-9)
 
 
 class TestDisc:

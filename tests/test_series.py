@@ -12,8 +12,7 @@ from kleinian.mobius import interior_derivative_raw
 from kleinian.model import BoundaryPoint, InteriorPoint
 from kleinian.series import (SeparationSchedule, TailCertificate,
                              bounded_parabolic_domination, branch_contraction,
-                             estimate_delta, example1_certificate,
-                             example1_tail_bound, horospherical_partial,
+                             estimate_delta, example1_certificate, horospherical_partial,
                              poincare_partial, reduced_horospherical_partial,
                              trivial_subgroup, unit_fixer, _probe_label)
 
@@ -281,27 +280,30 @@ class TestTrivialSubgroup:
 
 class TestSeparationSchedules:
     def test_geometric_closed_form(self):
-        sch = SeparationSchedule.geometric(16.0, 2.0)
+        sch = SeparationSchedule(16.0, 2.0)
         # sum over n of (4/(16 2^n))^(2s) at s=1/2: geometric with ratio 1/2
         assert sch.admissibility_sum(0.5) == pytest.approx(0.25, rel=1e-14)
-        assert example1_tail_bound(sch, 0.5, 1) == pytest.approx(1.0, rel=1e-12)
-        assert example1_tail_bound(sch, 0.5, 9) == pytest.approx(
-            0.5 ** 9 / 0.5, rel=1e-12)
+        cert = example1_certificate(sch, 0.5)
+        assert cert.tail_from(1) == pytest.approx(1.0, rel=1e-12)
+        assert cert.tail_from(9) == pytest.approx(0.5 ** 9 / 0.5, rel=1e-12)
 
     def test_constant_schedule_inadmissible(self):
-        assert example1_tail_bound(SeparationSchedule.constant(4.0), 1.0, 1) is None
+        # a nearly constant schedule, phi(n) = 4 * 1.01^n, sums to far over 1/2
+        assert example1_certificate(SeparationSchedule(4.0, 1.01), 1.0) is None
 
     def test_separation_below_two_rejected(self):
         with pytest.raises(InvalidSeparation):
-            example1_tail_bound(SeparationSchedule.constant(1.5), 1.0, 1)
-        with pytest.raises(InvalidSeparation):
-            example1_certificate(SeparationSchedule.geometric(0.5, 2.0), 1.0)
+            example1_certificate(SeparationSchedule(0.5, 2.0), 1.0)
+        with pytest.raises(ValueError):
+            SeparationSchedule(16.0, 1.0)
 
     def test_certificate_matches_tail_bound(self):
-        sch = SeparationSchedule.geometric(16.0, 2.0)
+        sch = SeparationSchedule(16.0, 2.0)
         cert = example1_certificate(sch, 0.5)
+        assert (cert.rate, cert.coeff, cert.source) == (
+            2.0 * sch.admissibility_sum(0.5), 1.0, "separation_schedule")
         assert cert.tail_from(9) == pytest.approx(
-            example1_tail_bound(sch, 0.5, 9), rel=1e-14)
+            sum(cert.rate ** k for k in range(9, 200)), rel=1e-14)
 
 
 class TestBranchContraction:

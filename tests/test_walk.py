@@ -13,12 +13,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kleinian.group
+import kleinian.limits
 from kleinian.errors import BudgetExceeded
 from kleinian.examples import example2_group, example3_group
 from kleinian.group import (EXACT_SUM_MIN, DeclaredStabilizer, LevelSums, QuotientSpec,
-                            SchottkyGroup, coset_representatives, enumerate_words, exact_sum,
-                            iter_word_batches, kernel_enumerate, level_count, walk, word_at)
-from kleinian.limits import horoball_entry, horoball_scan
+                            SchottkyGroup, enumerate_words, exact_sum, iter_word_batches,
+                            kernel_enumerate, level_count, walk, word_at)
+from kleinian.limits import horoball_entry, horoball_scanner
 from kleinian.measure import EndingMeasures, _record_shell, ending_measure, orbit_measure
 from kleinian.mobius import boundary_derivative_raw, matmul_raw
 from kleinian.model import BoundaryPoint, InteriorPoint, embed3
@@ -46,14 +47,14 @@ def _walk_reports(group, depth, budget):
     dom = bounded_parabolic_domination(group, zeta, 1.0, depth, stab, budget=budget)
     hits = horoball_entry(group, zeta, 1.0, depth, budget=budget)
     kernel_hits = horoball_entry(group, zeta, 1.0, depth, budget=budget, kernel=QUOTIENT)
-    grid_hits = horoball_scan(group, zeta, (0.5, 1.0, 2.0), depth, budget=budget,
-                              kernel=QUOTIENT)
+    consume, scanned = horoball_scanner(group, zeta, (0.5, 1.0, 2.0), depth)
+    grid_hits = scanned(walk(group, depth, budget, kernel=QUOTIENT, consumers=[consume]))
     plain = EndingMeasures(group, TARGETS, 1.0)
     measures = plain.at(plain.walk(depth, budget))
     restricted = EndingMeasures(group, TARGETS, 1.0, kernel=QUOTIENT)
     kernel_measures = restricted.at(restricted.walk(depth, budget))
     try:
-        list(coset_representatives(group, stab, depth, budget))
+        list(kernel_enumerate(group, stab.quotient_for(group), depth, budget))
         reps = (depth, False)
     except BudgetExceeded as cut:
         reps = (cut.depth_completed, True)
@@ -77,7 +78,7 @@ def _walk_reports(group, depth, budget):
            for i, mu in enumerate(measures)},
         **{f"kernel ending_measures at target {i}": series(mu.series)
            for i, mu in enumerate(kernel_measures)},
-        "coset_representatives": reps,
+        "kernel_enumerate (declared)": reps,
     }
 
 
@@ -141,21 +142,23 @@ def _horoball_reference(group, zeta, c, depth, budget, kernel):
 
 @pytest.mark.parametrize("budget", [None, 20, 200])
 @pytest.mark.parametrize("kernel", [None, QUOTIENT], ids=["group", "kernel"])
-def test_horoball_scan_equals_per_level_scans(std_group, budget, kernel):
-    # the attracting fixed point of a: the orbit enters every horoball there
+def test_horoball_scan_equals_per_level_scans(std_group, budget, kernel, monkeypatch):
+    # the attracting fixed point of a: the orbit enters every horoball there;
+    # a cap of 40 cuts the witness lists of the low levels but not their counts
+    monkeypatch.setattr(kleinian.limits, "MAX_WITNESSES", 40)
     zeta = std_group.generator("a").transform.classify().fixed_points[0]
     levels = (0.05, 0.3, 1.0, 3.0)
-    scans = horoball_scan(std_group, zeta, levels, 5, budget=budget, kernel=kernel,
-                          max_witnesses=40)
+    consume, scanned = horoball_scanner(std_group, zeta, levels, 5)
+    scans = scanned(walk(std_group, 5, budget, kernel=kernel, consumers=[consume]))
     for c, scan in zip(levels, scans):
-        single = horoball_entry(std_group, zeta, c, 5, budget=budget, kernel=kernel,
-                                max_witnesses=40)
+        single = horoball_entry(std_group, zeta, c, 5, budget=budget, kernel=kernel)
         assert scan == single and scan.level == c and scan.count() > 0
         reference = _horoball_reference(std_group, zeta, c, 5, budget, kernel)
         kvals = [kval for _, kval in scan.witnesses]
         assert kvals == sorted(kvals, reverse=True)
-        assert scan.count() == min(len(reference), 40)
-        best = sorted(reference, key=lambda rec: -rec[1])[: scan.count()]
+        assert scan.count() == len(reference)
+        assert len(scan.witnesses) == min(len(reference), 40)
+        best = sorted(reference, key=lambda rec: -rec[1])[: len(scan.witnesses)]
         assert {w.letters for w, _ in scan.witnesses} == {letters for letters, _ in best}
         assert kvals == pytest.approx([kval for _, kval in best], rel=1e-9)
 
