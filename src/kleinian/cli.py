@@ -99,7 +99,8 @@ def _point_from(doc, dim: int, what: str, extra: tuple[str, ...] = ()) -> Bounda
     _require_known(doc, {"angle", "coords", *extra}, what)
     if "angle" in doc:
         _require(dim == 1, f"{what}: angles only make sense on S^1")
-        return BoundaryPoint.from_angle(_number(doc["angle"], f"{what}.angle"))
+        angle = _number(doc["angle"], f"{what}.angle")
+        return _built(f"{what}.angle", BoundaryPoint.from_angle, angle)
     return _built(f"{what}.coords", BoundaryPoint, doc["coords"])
 
 

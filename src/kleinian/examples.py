@@ -26,11 +26,11 @@ from .errors import PlacementInfeasible, StabilizerNotParabolic
 from .group import (DeclaredStabilizer, EndingSequenceSpec, LevelSums, QuotientSpec,
                     SchottkyGroup, ending_sequence, kernel_enumerate)
 from .limits import DEFAULT_C_GRID, horoball_scanner, jorgensen_test
-from .measure import (AtomicMeasure, AtomicityVerdict, EndingMeasures,
-                      classify_atomicity, singularity_diagnostic, support_gap,
-                      weak_distance)
+from .measure import (TOP_K_ATOMS, AtomicMeasure, AtomicityVerdict, EndingMeasures,
+                      _nearest_distances, classify_atomicity, singularity_diagnostic,
+                      support_gap, weak_distance)
 from .mobius import Transform
-from .model import BoundaryPoint, Disc
+from .model import BoundaryPoint, Disc, embed3
 from .series import (BranchBounds, DeltaEstimate, SeparationSchedule, SeriesResult,
                      boundary_values, branch_contraction, estimate_delta,
                      example1_certificate, finish_series, parabolic_domination)
@@ -211,12 +211,10 @@ class Example2Result:
     report: dict
 
 
-def _top_atom_gap(mu: AtomicMeasure, nu: AtomicMeasure, k: int = 32) -> float:
-    """Separation of the mass cores: min distance between the top-k atoms."""
-    pa, _ = mu.top_atoms(k)
-    pb, _ = nu.top_atoms(k)
-    d = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
-    return float(np.min(d))
+def _top_atom_gap(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
+    """Separation of the mass cores: min distance between the top ``TOP_K_ATOMS`` atoms."""
+    pa, pb = (embed3(m.top_atoms(TOP_K_ATOMS)[0]) for m in (mu, nu))
+    return float(np.min(_nearest_distances(pa, pb)))
 
 
 def example2_group() -> tuple[SchottkyGroup, QuotientSpec]:
@@ -229,7 +227,7 @@ def example2_group() -> tuple[SchottkyGroup, QuotientSpec]:
     factor_large = SchottkyGroup.from_disc_pairs(
         1, [(large[0], large[1]), (large[2], large[3])], labels=["c", "d"])
     group = SchottkyGroup.free_product(factor_small, factor_large)
-    return group, QuotientSpec("free", {"a": (), "b": (), "c": ("c",), "d": ("d",)})
+    return group, QuotientSpec({"a": (), "b": (), "c": ("c",), "d": ("d",)})
 
 
 def example2_target(group: SchottkyGroup, label: str) -> BoundaryPoint:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DiscsOverlap, TargetNotInDomainClosure
 from .mobius import Transform, image_disc, matmul_raw, pair_discs, parabolic_fixing
-from .model import BoundaryPoint, Disc, InteriorPoint, embed3, project_dim
+from .model import BoundaryPoint, Disc, InteriorPoint
 
 SLAB_WORDS = 1 << 20          # fixed, so partial sums are bit-reproducible
 BLOCK_WORDS = 1 << 15         # words per block of WordBatch.blocks: fits in cache
@@ -181,9 +181,7 @@ class SchottkyGroup:
                 self._check_parabolic_powers(gen)
 
     def _check_parabolic_powers(self, gen: Generator) -> None:
-        # Ext(source) is itself a disc: the complementary cap.
-        ext = Disc(BoundaryPoint(project_dim(-embed3(gen.source.center.coords), self.dim)),
-                   math.sqrt(max(0.0, 4.0 - gen.source.radius ** 2)))
+        ext = gen.source.complement()   # Ext(source) is itself a disc
         for sign_mat in (gen.transform.matrix, gen.transform.inverse().matrix):
             power = np.eye(2, dtype=complex)
             for _ in range(PARABOLIC_POWER_CHECK):
@@ -643,18 +641,10 @@ class QuotientSpec:
 
     ``images`` maps each generator label to a word in target symbols, e.g.
     ``{"a": (), "b": ("b",)}`` kills ``a`` and keeps ``b``.  Because the
-    domain is free the assignment always extends to a homomorphism.  Only
-    ``target_kind="free"`` is tracked; any other kind is rejected, since
-    tracking it as free would give the wrong kernel.
+    domain is free the assignment always extends to a homomorphism.
     """
 
-    target_kind: str
     images: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.target_kind != "free":
-            raise ValueError(f"unsupported quotient target kind {self.target_kind!r}; "
-                             "only 'free' quotients are tracked")
 
 
 class QuotientTracker:
@@ -800,8 +790,8 @@ class DeclaredStabilizer:
         return cls(())
 
     def quotient_for(self, group: SchottkyGroup) -> QuotientSpec:
-        return QuotientSpec("free", {gen.label: (gen.label,) if gen.label in self.labels
-                                     else () for gen in group.generators})
+        return QuotientSpec({gen.label: (gen.label,) if gen.label in self.labels
+                             else () for gen in group.generators})
 
 
 # --- ending sequences ---------------------------------------------------------

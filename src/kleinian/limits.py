@@ -13,7 +13,6 @@ fundamental domain computable.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .group import QuotientSpec, SchottkyGroup, Walk, Word, walk, word_at
 from .model import BoundaryPoint, embed3
-from .mobius import origin_images_raw
+from .mobius import origin_images_raw, poisson_raw
 
 DEFAULT_C_GRID = tuple(2.0 ** k for k in range(-3, 7))
 MAX_WITNESSES = 10_000
@@ -42,8 +41,7 @@ def jorgensen_test(group: SchottkyGroup, zeta: BoundaryPoint) -> bool:
     for gen in group.generators:
         gaps = []
         for disc in (gen.source, gen.target):
-            dot = float(np.clip(np.dot(disc.center.coords, zeta.coords), -1.0, 1.0))
-            gaps.append(math.acos(dot) - disc.angular_radius)
+            gaps.append(disc.angle_to(zeta) - disc.angular_radius)
         dists.append(max(min(gaps), 1e-300))
     if len(dists) < 3:
         return False
@@ -104,9 +102,7 @@ def horoball_scanner(group: SchottkyGroup, zeta: BoundaryPoint, levels: Sequence
     def consume(batch, words) -> None:
         if batch.length > max_length:
             return
-        img, conorm = origin_images_raw(words.mats)
-        diff = zc[None, :] - img
-        kvals = conorm / np.einsum("ij,ij->i", diff, diff)
+        kvals = poisson_raw(*origin_images_raw(words.mats), zc)
         hits = np.flatnonzero(kvals > floor)
         rows = hits if words.rows is None else words.rows[hits]
         found.extend(zip(kvals[hits].tolist(), [batch.length] * hits.shape[0],

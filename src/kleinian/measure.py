@@ -23,8 +23,8 @@ from .mobius import (apply_boundary_raw, apply_halfspace_raw, apply_interior_raw
                      ball_to_halfspace, boundary_derivative_raw, halfspace_to_ball,
                      interior_derivative_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
-from .series import (FIXED_POINT_TOL, UNIT_DERIVATIVE_TOL, SeriesResult, TailCertificate,
-                     boundary_power, finish_series)
+from .series import (SeriesResult, TailCertificate, boundary_power, finish_series, fixes,
+                     unit_derivative)
 
 # Atoms are coalesced only when indistinguishable at float resolution.  A
 # coarser merge (1e-12 was tried) misattributes mass across cells where the
@@ -395,14 +395,16 @@ def _cell_index(directions: np.ndarray, dim: int, cells: int) -> np.ndarray:
     return i * lat_cells + j
 
 
+def _cells_of(points: np.ndarray, dim: int, cells: int) -> np.ndarray:
+    """The cell of the direction of each ambient (n, 3) point."""
+    norms = np.linalg.norm(points, axis=1)
+    return _cell_index(points / np.where(norms > 0, norms, 1.0)[:, None], dim, cells)
+
+
 def _cell_masses(points: np.ndarray, weights: np.ndarray, dim: int,
                  cells: int) -> np.ndarray:
-    emb = embed3(points)
-    norms = np.linalg.norm(emb, axis=1)
-    dirs = emb / np.where(norms > 0, norms, 1.0)[:, None]
-    idx = _cell_index(dirs, dim, cells)
     out = np.zeros(cells)
-    np.add.at(out, idx, weights)
+    np.add.at(out, _cells_of(embed3(points), dim, cells), weights)
     return out
 
 
@@ -444,7 +446,7 @@ def _conformality_residual_direct(mu: AtomicMeasure, g, s: float, cells: int) ->
         jvals = boundary_derivative_raw(g.matrix, emb)
     else:
         pre = apply_interior_raw(ginv.matrix[None, :, :], emb)
-        jvals = _interior_derivative_at_points(g, emb)
+        jvals = _stretch(g, *ball_to_halfspace(emb))
     lhs = _cell_masses(pre, mu.weights, mu.dim, cells)        # mass of g(A_i)
     rhs_weights = (jvals ** s) * mu.weights
     rhs = _cell_masses(emb, rhs_weights, mu.dim, cells)
@@ -498,11 +500,6 @@ def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
     return _Shell(*(np.concatenate(column) for column in zip(*parts)))
 
 
-def _conorm(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """1 - |x|^2 of the ball point x at half-space coordinates (z, t), exactly."""
-    return 4.0 * t / (np.abs(z) ** 2 + (t + 1.0) ** 2)
-
-
 def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
                                   enum: dict, letters: tuple[int, int]) -> float:
     """Residual via the exact word pairing w = g v, on the depth shell.
@@ -527,12 +524,6 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
     ginv = g.inverse()
     scale = mu.series.partial_sum
     net = np.zeros(cells)
-
-    def bin_of(points: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(points, axis=1)
-        dirs = points / np.where(norms > 0, norms, 1.0)[:, None]
-        return _cell_index(dirs, mu.dim, cells)
-
     for lo in range(0, shell.first.shape[0], SLAB_WORDS):
         part = slice(lo, lo + SLAB_WORDS)
         if shell.z is None:
@@ -541,13 +532,13 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
         else:
             z, t = shell.z[part], shell.t[part]
             pre = halfspace_to_ball(*apply_halfspace_raw(ginv.matrix, z, t))
-            jg = _conorm(*apply_halfspace_raw(g.matrix, z, t)) / _conorm(z, t)
+            jg = _stretch(g, z, t)
         if (cells, lo) not in shell.cells:
-            shell.cells[cells, lo] = bin_of(shell.points[part])
+            shell.cells[cells, lo] = _cells_of(shell.points[part], mu.dim, cells)
         jw = shell.jraw[part] ** s
         keep_lhs = shell.first[part] != g_letter
         keep_rhs = shell.first[part] != ginv_letter
-        np.add.at(net, bin_of(pre)[keep_lhs], jw[keep_lhs] / scale)
+        np.add.at(net, _cells_of(pre, mu.dim, cells)[keep_lhs], jw[keep_lhs] / scale)
         np.subtract.at(net, shell.cells[cells, lo][keep_rhs],
                        (jg ** s * jw)[keep_rhs] / scale)
     return float(np.max(np.abs(net)))
@@ -559,11 +550,9 @@ def _letters_of(group: SchottkyGroup, g) -> tuple[int, int]:
     Matrices are compared projectively at a relative tolerance, so a letter
     re-normalized on its way in (``group.letter_transform(e)``) is matched.
     """
-    for idx, gen in enumerate(group.generators):
-        if _projectively_close(gen.transform.matrix, g.matrix):
-            return 2 * idx, 2 * idx + 1
-        if _projectively_close(gen.transform.inverse().matrix, g.matrix):
-            return 2 * idx + 1, 2 * idx
+    for e, letter in enumerate(group.letter_matrices):
+        if _projectively_close(letter, g.matrix):
+            return e, e ^ 1
     return -2, -2
 
 
@@ -576,15 +565,15 @@ def _projectively_close(a: np.ndarray, b: np.ndarray) -> bool:
     return float(np.max(np.abs(minors))) <= 1e-9 * float(np.max(np.abs(u)) * np.max(np.abs(v)))
 
 
-def _interior_derivative_at_points(g, points3: np.ndarray) -> np.ndarray:
-    """j(g, x) = (1 - |g x|^2) / (1 - |x|^2) at ball points x.
+def _stretch(g, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """j(g, x) = (1 - |g x|^2) / (1 - |x|^2) at the ball points x with
+    half-space coordinates (z, t).
 
     Both co-norms come from the half-space identity 1 - |eta|^2 = 4 t / d,
     d = |z|^2 + (t + 1)^2, and g divides t by |c z + d|^2 + |c|^2 t^2, so
     the ratio is formed without 1 - |x|^2 and without dividing by t, either
     of which rounds to nothing near the sphere.
     """
-    z, t = ball_to_halfspace(points3)
     z2, t2 = apply_halfspace_raw(g.matrix, z, t)
     c, d = g.matrix[1, 0], g.matrix[1, 1]
     stretch = np.abs(c * z + d) ** 2 + np.abs(c) ** 2 * t ** 2
@@ -619,8 +608,7 @@ def moving_generator(group: SchottkyGroup, zeta: BoundaryPoint,
                      labels) -> str | None:
     """The first of the generator ``labels`` that moves ``zeta``, if any."""
     for label in labels:
-        moved = group.generator(label).transform.apply_boundary(zeta)
-        if float(np.linalg.norm(moved.coords - zeta.coords)) > FIXED_POINT_TOL:
+        if not fixes(group.generator(label).transform, zeta):
             return label
     return None
 
@@ -653,9 +641,10 @@ def classify_atomicity(group: SchottkyGroup, zeta: BoundaryPoint,
         raise ValueError("the series is not summed over the stabilizer's coset transversal")
     check = StabilizerCheck("all_derivatives_one")
     for label in stab.labels:
-        value = group.generator(label).transform.derivative_boundary(zeta)
+        transform = group.generator(label).transform
+        value = transform.derivative_boundary(zeta)
         transcript.setdefault("stabilizer_derivatives", {})[label] = value
-        if abs(value - 1.0) > UNIT_DERIVATIVE_TOL:
+        if not unit_derivative(transform, zeta):
             check = StabilizerCheck("derivative_not_one", label, value)
             break
     verdict = series.verdict
@@ -674,8 +663,7 @@ def classify_atomicity(group: SchottkyGroup, zeta: BoundaryPoint,
 
 # --- weak-convergence and singularity diagnostics --------------------------------
 
-def weak_distance(mu: AtomicMeasure, nu: AtomicMeasure,
-                  cells: int = DEFAULT_CELLS, top_k: int = TOP_K_ATOMS) -> float:
+def weak_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     """Bounded-Lipschitz-style distance: greedy transport between the top-K
     atoms plus total variation of the leftovers on the fixed partition.
 
@@ -684,8 +672,8 @@ def weak_distance(mu: AtomicMeasure, nu: AtomicMeasure,
     """
     if mu.dim != nu.dim:
         raise ValueError("measures live on different boundary dimensions")
-    pa, wa = mu.top_atoms(top_k)
-    pb, wb = nu.top_atoms(top_k)
+    pa, wa = mu.top_atoms(TOP_K_ATOMS)
+    pb, wb = nu.top_atoms(TOP_K_ATOMS)
     wa = wa.copy()
     wb = wb.copy()
     ea, eb = embed3(pa), embed3(pb)
@@ -711,10 +699,10 @@ def weak_distance(mu: AtomicMeasure, nu: AtomicMeasure,
             active[i, :] = False
         if wb[j] <= 1e-15:
             active[:, j] = False
-    cells_a = _cell_masses(mu.points, mu.weights, mu.dim, cells)
-    cells_b = _cell_masses(nu.points, nu.weights, nu.dim, cells)
-    cells_a -= _cell_masses(pa, moved_a, mu.dim, cells)
-    cells_b -= _cell_masses(pb, moved_b, nu.dim, cells)
+    cells_a = _cell_masses(mu.points, mu.weights, mu.dim, DEFAULT_CELLS)
+    cells_b = _cell_masses(nu.points, nu.weights, nu.dim, DEFAULT_CELLS)
+    cells_a -= _cell_masses(pa, moved_a, mu.dim, DEFAULT_CELLS)
+    cells_b -= _cell_masses(pb, moved_b, nu.dim, DEFAULT_CELLS)
     return float(transport + 0.5 * np.sum(np.abs(cells_a - cells_b)))
 
 

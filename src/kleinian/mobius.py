@@ -188,6 +188,12 @@ def halfspace_to_ball(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def conorm_raw(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """1 - |x|^2 of the ball point x at half-space coordinates (z, t), by the
+    exact identity 4t / (|z|^2 + (t + 1)^2): no cancellation near the sphere."""
+    return 4.0 * t / (np.abs(z) ** 2 + (t + 1.0) ** 2)
+
+
 def apply_halfspace_raw(mats: np.ndarray, z: np.ndarray,
                         t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b = mats[..., 0, 0], mats[..., 0, 1]
@@ -218,8 +224,7 @@ def origin_images_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # times the reciprocal: complex division by a real does exactly this, so
     # real (dimension-1) and complex matrices give the same bits
     z = (b * np.conj(d) + a * np.conj(c)) * t
-    dd = np.abs(z) ** 2 + (t + 1.0) ** 2
-    return halfspace_to_ball(z, t), 4.0 * t / dd
+    return halfspace_to_ball(z, t), conorm_raw(z, t)
 
 
 def inverse_origin_images_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,8 +233,14 @@ def inverse_origin_images_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     denom = np.abs(a) ** 2 + np.abs(c) ** 2
     t = 1.0 / denom
     z = (-b * np.conj(a) - d * np.conj(c)) * t   # as in origin_images_raw
-    dd = np.abs(z) ** 2 + (t + 1.0) ** 2
-    return halfspace_to_ball(z, t), 4.0 * t / dd
+    return halfspace_to_ball(z, t), conorm_raw(z, t)
+
+
+def poisson_raw(points: np.ndarray, conorm: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """k(x, zeta) = (1 - |x|^2) / |zeta - x|^2 of ball points x (..., 3) with
+    co-norms ``conorm``, broadcast against boundary points ``zeta`` (..., 3)."""
+    diff = zeta - points
+    return conorm / np.einsum("...i,...i->...", diff, diff)
 
 
 def boundary_derivative_raw(mats: np.ndarray, zeta: np.ndarray) -> np.ndarray:
@@ -245,9 +256,7 @@ def boundary_derivative_raw(mats: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     as einsum sums it, (d0^2 + d2^2) + d1^2.
     """
     if np.iscomplexobj(mats):
-        pre, conorm = inverse_origin_images_raw(mats)
-        diff = zeta - pre
-        return conorm / np.einsum("...i,...i->...", diff, diff)
+        return poisson_raw(*inverse_origin_images_raw(mats), zeta)
     a, b = mats[..., 0, 0], mats[..., 0, 1]
     c, d = mats[..., 1, 0], mats[..., 1, 1]
     t, m, dd, zz, sq = (np.empty(np.broadcast_shapes(a.shape, zeta.shape[:-1]))
@@ -284,8 +293,7 @@ def interior_derivative_raw(mats: np.ndarray, z: np.ndarray) -> np.ndarray:
     """j(g, z) = (1 - |g(z)|^2) / (1 - |z|^2), vectorized over matrices."""
     zc, t = ball_to_halfspace(z)
     z2, t2 = apply_halfspace_raw(mats, np.asarray(zc), np.asarray(t))
-    dd = np.abs(z2) ** 2 + (t2 + 1.0) ** 2
-    return (4.0 * t2 / dd) / (1.0 - float(np.dot(z, z)))
+    return conorm_raw(z2, t2) / (1.0 - float(np.dot(z, z)))
 
 
 # --- rotations --------------------------------------------------------------
@@ -390,12 +398,9 @@ class Transform:
         return BoundaryPoint(project_dim(out, self.dim))
 
     def apply_interior(self, z: InteriorPoint) -> InteriorPoint:
-        self._check_point_dim(z.dim)
-        zc, t = ball_to_halfspace(embed3(z.coords), z.conorm)
-        z2, t2 = apply_halfspace_raw(self.matrix, np.asarray(zc), np.asarray(t))
-        dd = np.abs(z2) ** 2 + (t2 + 1.0) ** 2
-        out = halfspace_to_ball(z2, t2)
-        return InteriorPoint(project_dim(out, self.dim), conorm=float(4.0 * t2 / dd))
+        z2, t2 = self._halfspace_image(z)
+        return InteriorPoint(project_dim(halfspace_to_ball(z2, t2), self.dim),
+                             conorm=float(conorm_raw(z2, t2)))
 
     def derivative_boundary(self, zeta: BoundaryPoint) -> float:
         """Conformal stretch on the sphere: equals k(g^{-1}(0), zeta)."""
@@ -406,20 +411,22 @@ class Transform:
 
     def derivative_interior(self, z: InteriorPoint) -> float:
         """Conformal stretch in the ball: (1 - |g(z)|^2) / (1 - |z|^2)."""
+        return float(conorm_raw(*self._halfspace_image(z))) / z.conorm
+
+    def _halfspace_image(self, z: InteriorPoint) -> tuple[np.ndarray, np.ndarray]:
+        """Half-space coordinates of g(z), from the exact co-norm of ``z``."""
         self._check_point_dim(z.dim)
         zc, t = ball_to_halfspace(embed3(z.coords), z.conorm)
-        z2, t2 = apply_halfspace_raw(self.matrix, np.asarray(zc), np.asarray(t))
-        dd = np.abs(z2) ** 2 + (t2 + 1.0) ** 2
-        return float(4.0 * t2 / dd) / z.conorm
+        return apply_halfspace_raw(self.matrix, np.asarray(zc), np.asarray(t))
 
-    def is_identity(self, tol: float = IDENTITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - np.eye(2))) < tol
-                    or np.max(np.abs(self.matrix + np.eye(2))) < tol)
+    def is_identity(self) -> bool:
+        return bool(np.max(np.abs(self.matrix - np.eye(2))) < IDENTITY_TOL
+                    or np.max(np.abs(self.matrix + np.eye(2))) < IDENTITY_TOL)
 
-    def is_close(self, other: "Transform", tol: float = 1e-10) -> bool:
+    def is_close(self, other: "Transform") -> bool:
         d1 = float(np.max(np.abs(self.matrix - other.matrix)))
         d2 = float(np.max(np.abs(self.matrix + other.matrix)))
-        return min(d1, d2) < tol
+        return min(d1, d2) < 1e-10
 
     def classify(self) -> "TransformClass":
         return classify(self)
@@ -522,10 +529,7 @@ def image_disc(g: Transform, disc: Disc) -> Disc:
     m = embed3(disc.center.coords)
     alpha = disc.angular_radius
     if g.dim == 1:
-        theta = math.atan2(m[1], m[0])
-        ends = apply_boundary_raw(g.matrix[None, :, :],
-                                  np.array([[math.cos(theta - alpha), math.sin(theta - alpha), 0.0],
-                                            [math.cos(theta + alpha), math.sin(theta + alpha), 0.0]]))
+        ends = apply_boundary_raw(g.matrix[None, :, :], disc_boundary_points(disc, 2))
         mid = apply_boundary_raw(g.matrix, m)
         t1 = math.atan2(ends[0, 1], ends[0, 0])
         t2 = math.atan2(ends[1, 1], ends[1, 0])
@@ -646,9 +650,7 @@ def parabolic_fixing(disc: Disc, strength: float = 4.0) -> Transform:
     # After the rotation the fixed point is the pole = plane infinity, and the
     # disc complement is a bounded plane disc centered at the origin chart...
     # its plane picture is Ext of a circle; translation by beta > 2R pins it.
-    complement = Disc(BoundaryPoint(project_dim(-embed3(moved.center.coords), dim)),
-                      math.sqrt(max(0.0, 4.0 - moved.radius ** 2)))
-    _, plane_radius = _disc_to_plane_circle(complement)
+    _, plane_radius = _disc_to_plane_circle(moved.complement())
     beta = strength * plane_radius
     trans = np.array([[1.0, beta], [0.0, 1.0]], dtype=complex)
     return rot_t.inverse() @ Transform(trans, dim) @ rot_t

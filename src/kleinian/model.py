@@ -169,19 +169,25 @@ class Disc:
         d = self.chordal_distance(point)
         return d <= self.radius if closed else d < self.radius
 
+    def angle_to(self, point: BoundaryPoint) -> float:
+        """Angle in [0, pi] between the centre and ``point``, seen from the origin."""
+        return math.acos(float(np.clip(np.dot(self.center.coords, point.coords), -1.0, 1.0)))
+
+    def complement(self) -> "Disc":
+        """The disc on the other side of this one's rim: the interior of its exterior."""
+        return Disc(BoundaryPoint(-self.center.coords),
+                    math.sqrt(max(0.0, 4.0 - self.radius ** 2)))
+
     def angular_gap(self, other: "Disc") -> float:
         """Angular separation between the closures (negative when they meet)."""
-        dot = float(np.clip(np.dot(self.center.coords, other.center.coords), -1.0, 1.0))
-        return math.acos(dot) - self.angular_radius - other.angular_radius
+        return self.angle_to(other.center) - self.angular_radius - other.angular_radius
 
     def is_disjoint_from(self, other: "Disc") -> bool:
         return self.angular_gap(other) > 0.0
 
     def contains_disc(self, other: "Disc") -> bool:
         """Whether ``other`` sits inside the open interior of this disc."""
-        dot = float(np.clip(np.dot(self.center.coords, other.center.coords), -1.0, 1.0))
-        reach = math.acos(dot) + other.angular_radius
-        return reach < self.angular_radius
+        return self.angle_to(other.center) + other.angular_radius < self.angular_radius
 
     def enlarged(self, factor: float) -> "Disc":
         """Concentric disc with chordal radius scaled by ``factor``."""

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import EnlargedDiscsOverlap, InconclusiveBracket, InvalidSeparation
 from .group import (DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup, Walk,
                     WordBatch, level_count, walk)
-from .mobius import (boundary_derivative_raw, disc_boundary_points,
+from .mobius import (Transform, boundary_derivative_raw, disc_boundary_points,
                      interior_derivative_raw, inverse_origin_images_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
 
@@ -39,6 +39,7 @@ RATIO_WINDOW = 3
 CIRCLE_SAMPLES = 4096
 FIXED_POINT_TOL = 1e-8        # |g(zeta) - zeta| up to which g fixes zeta
 UNIT_DERIVATIVE_TOL = 1e-9    # |j(g, zeta) - 1| up to which j(g, zeta) = 1
+DELTA_TOL = 1e-2              # bracket width at which estimate_delta stops
 
 
 # --- results -----------------------------------------------------------------
@@ -112,12 +113,12 @@ class TailCertificate:
             return math.inf
         return self.coeff * self.rate ** k_start / (1.0 - self.rate)
 
-    def admits_blocks(self, level_sums: Sequence[float], rtol: float = 1e-9) -> bool:
+    def admits_blocks(self, level_sums: Sequence[float]) -> bool:
         """Audit the measured blocks against the certified envelope."""
         for length, block in enumerate(level_sums):
             if length == 0:
                 continue
-            if block > self.coeff * self.rate ** length * (1.0 + rtol) + 1e-300:
+            if block > self.coeff * self.rate ** length * (1.0 + 1e-9) + 1e-300:
                 return False
         return True
 
@@ -156,6 +157,16 @@ def boundary_power(mats: np.ndarray, bc: np.ndarray, s: float) -> np.ndarray:
     return j
 
 
+def fixes(g: Transform, zeta: BoundaryPoint) -> bool:
+    """Whether g fixes ``zeta``: |g(zeta) - zeta| <= ``FIXED_POINT_TOL``."""
+    return float(np.linalg.norm(g.apply_boundary(zeta).coords - zeta.coords)) <= FIXED_POINT_TOL
+
+
+def unit_derivative(g: Transform, zeta: BoundaryPoint) -> bool:
+    """Whether j(g, zeta) = 1: |j(g, zeta) - 1| <= ``UNIT_DERIVATIVE_TOL``."""
+    return abs(g.derivative_boundary(zeta) - 1.0) <= UNIT_DERIVATIVE_TOL
+
+
 def unit_fixer(group: SchottkyGroup, zeta: BoundaryPoint,
                spec: QuotientSpec | None = None) -> str | None:
     """The first generator of the summed subgroup that fixes ``zeta`` with
@@ -169,9 +180,7 @@ def unit_fixer(group: SchottkyGroup, zeta: BoundaryPoint,
     for gen in group.generators:
         if spec is not None and spec.images.get(gen.label, (gen.label,)):
             continue
-        moved = gen.transform.apply_boundary(zeta).coords - zeta.coords
-        if (float(np.linalg.norm(moved)) <= FIXED_POINT_TOL and abs(
-                gen.transform.derivative_boundary(zeta) - 1.0) <= UNIT_DERIVATIVE_TOL):
+        if fixes(gen.transform, zeta) and unit_derivative(gen.transform, zeta):
             return gen.label
     return None
 
@@ -547,8 +556,8 @@ def _probe_label(level_sums: Sequence[float], trivial: bool) -> tuple[str, float
 
 def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
                    depths: Sequence[int] = (6, 8), budget: int | None = None,
-                   restrict: QuotientSpec | None = None, max_probes: int = 8,
-                   tol: float = 1e-2) -> DeltaEstimate:
+                   restrict: QuotientSpec | None = None,
+                   max_probes: int = 8) -> DeltaEstimate:
     """Bracket the exponent of convergence by bisection on ratio evidence.
 
     Each probe evaluates the series at the origin (restricted to a kernel
@@ -607,7 +616,7 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
         raise InconclusiveBracket(f"no convergence evidence at s_hi={s_hi}")
     lo, hi = s_lo, s_hi
     for _ in range(max_probes):
-        if hi - lo <= tol:
+        if hi - lo <= DELTA_TOL:
             break
         mid = 0.5 * (lo + hi)
         label = run_probe(mid)

@@ -69,9 +69,10 @@ def _boundary_j(transform, pts3):
 
 
 def _interior_j(transform, pts3):
-    from kleinian.measure import _interior_derivative_at_points
+    from kleinian.measure import _stretch
+    from kleinian.mobius import ball_to_halfspace
 
-    return _interior_derivative_at_points(transform, pts3)
+    return _stretch(transform, *ball_to_halfspace(pts3))
 
 
 def test_criterion_01_chain_rule_both_forms(groups, rng):

@@ -150,6 +150,10 @@ class TestSeriesCommand:
         (dict(TRIVIAL, exponent="abc"), "exponent"),
         (dict(TRIVIAL, depth="x"), "depth"),
         (dict(TRIVIAL, target={"angle": "x"}), "target.angle"),
+        (dict(TRIVIAL, target={"angle": math.nan}), "target.angle"),
+        (dict(TRIVIAL, target={"angle": math.inf}), "target.angle"),
+        (_two_gen_with(lambda doc: doc["group"]["pairs"][0]["plus"].update(angle=math.nan)),
+         "group.pairs[0].plus.angle"),
         (dict(TRIVIAL, stabilizer=5), "stabilizer"),
         (_two_gen_with(lambda doc: doc["group"]["pairs"][0]["plus"].update(radius=3)),
          "group.pairs[0].plus.radius"),
@@ -174,7 +178,8 @@ class TestSeriesCommand:
          "group.params.exponent"),
     ], ids=["top-level key", "render key", "example1 param", "example2 param",
             "example3 param", "inadmissible exponent", "exponent string",
-            "depth string", "target angle string", "stabilizer number",
+            "depth string", "target angle string", "target angle NaN",
+            "target angle Infinity", "pair angle NaN", "stabilizer number",
             "pair radius 3", "render bins 0", "render width -5", "budget boolean",
             "partition_cells", "trivial group key", "example group key",
             "schottky group key", "pair key", "disc key", "parabolic key",

@@ -83,7 +83,7 @@ class TestEnumeration:
                 continue
             prefix = std_group.word_transform(w.letters[:-1])
             last = std_group.letter_transform(w.letters[-1])
-            assert prefix.compose(last).is_close(t, tol=1e-10)
+            assert prefix.compose(last).is_close(t)
 
     def test_transforms_pairwise_distinct_to_depth_five(self, std_group):
         mats = []
@@ -187,13 +187,13 @@ class TestFundamentalDomain:
 
 class TestQuotients:
     def test_kill_everything_gives_whole_group(self, std_group):
-        spec = QuotientSpec("free", {"a": (), "b": ()})
+        spec = QuotientSpec({"a": (), "b": ()})
         kernel = [w.letters for w, _ in kernel_enumerate(std_group, spec, 3)]
         everything = [w.letters for w, _ in enumerate_words(std_group, 3)]
         assert kernel == everything
 
     def test_kill_one_generator(self, std_group):
-        spec = QuotientSpec("free", {"a": (), "b": ("b",)})
+        spec = QuotientSpec({"a": (), "b": ("b",)})
         kernel = {w.letters for w, _ in kernel_enumerate(std_group, spec, 2)}
         # reduced words over {a, a^-1} only: the identity, both letters, and
         # the two squares (a a^-1 is not reduced)
@@ -201,29 +201,24 @@ class TestQuotients:
 
     def test_commutator_in_abelianization_kernel(self, std_group):
         # abelian target: a maps to e1, b to e2; the commutator dies
-        spec = QuotientSpec("free", {"a": ("a",), "b": ("b",)})
+        spec = QuotientSpec({"a": ("a",), "b": ("b",)})
         # simulate the abelian check through the free tracker by hand:
         # under a -> id, the image of b a b^-1 a^-1 is b b^-1 = id
-        killed = QuotientSpec("free", {"a": (), "b": ("b",)})
+        killed = QuotientSpec({"a": (), "b": ("b",)})
         kernel = {w.letters for w, _ in kernel_enumerate(std_group, killed, 4)}
         assert (2, 0, 3, 1) in kernel       # b a b^-1 a^-1
         full = {w.letters for w, _ in kernel_enumerate(std_group, spec, 3)}
         assert full == {()}
 
-    @pytest.mark.parametrize("kind", ["abelian", "Free", ""])
-    def test_only_free_targets_are_accepted(self, kind):
-        with pytest.raises(ValueError, match="target kind"):
-            QuotientSpec(kind, {"a": ("a",), "b": ("b",)})
-
     def test_kernel_closed_under_inversion(self, std_group):
-        spec = QuotientSpec("free", {"a": (), "b": ("b",)})
+        spec = QuotientSpec({"a": (), "b": ("b",)})
         kernel = {w.letters for w, _ in kernel_enumerate(std_group, spec, 4)}
         for letters in kernel:
             inverse = tuple(l ^ 1 for l in reversed(letters))
             assert inverse in kernel
 
     def test_tracker_keeps_parent_levels_only(self, std_group):
-        spec = QuotientSpec("free", {"a": (), "b": ("b",)})
+        spec = QuotientSpec({"a": (), "b": ("b",)})
         tracker = QuotientTracker(std_group, spec, 3)
         kernel = []
         for batch in iter_word_batches(std_group, 3, slab=5):
@@ -235,22 +230,22 @@ class TestQuotients:
         assert sum(kernel) == sum(1 for _ in kernel_enumerate(std_group, spec, 3))
 
     def test_unlisted_generator_keeps_its_own_label(self, std_group):
-        partial = QuotientSpec("free", {"a": ()})
-        full = QuotientSpec("free", {"a": (), "b": ("b",)})
+        partial = QuotientSpec({"a": ()})
+        full = QuotientSpec({"a": (), "b": ("b",)})
         assert ([w.letters for w, _ in kernel_enumerate(std_group, partial, 3)]
                 == [w.letters for w, _ in kernel_enumerate(std_group, full, 3)])
 
     def test_int64_key_caps_the_image_length(self):
         group = SchottkyGroup.from_disc_pairs(1, [(arc(72, 10), arc(216, 10))])
-        spec = QuotientSpec("free", {"a": ("a",)})   # a^n has an image of n letters
+        spec = QuotientSpec({"a": ("a",)})   # a^n has an image of n letters
         assert walk(group, 39, kernel=spec).depth_completed == 39
         with pytest.raises(NotImplementedError, match="39 letters"):
             walk(group, 40, kernel=spec)
-        killed = QuotientSpec("free", {"a": ()})   # every key is 0: no cap
+        killed = QuotientSpec({"a": ()})   # every key is 0: no cap
         assert walk(group, 70, kernel=killed).depth_completed == 70
 
     def test_kernel_closed_under_short_conjugation(self, std_group):
-        spec = QuotientSpec("free", {"a": (), "b": ("b",)})
+        spec = QuotientSpec({"a": (), "b": ("b",)})
         kernel = {w.letters for w, _ in kernel_enumerate(std_group, spec, 6)}
         short = [k for k in kernel if len(k) <= 2]
         for letters in short:
@@ -286,7 +281,7 @@ def test_tracker_matches_hand_reduced_images(group, depth, slab, data):
         choice = data.draw(st.sampled_from(["unlisted", (), (gen.label,), ("x",), ("x^-1",)]))
         if choice != "unlisted":
             images[gen.label] = choice
-    tracker = QuotientTracker(group, QuotientSpec("free", images), depth)
+    tracker = QuotientTracker(group, QuotientSpec(images), depth)
     key_of = {}
     for batch in iter_word_batches(group, depth, slab=slab):
         keys, lengths = tracker.extend(batch)
@@ -335,7 +330,7 @@ class TestCosets:
             assert rep in kernel
 
     def test_only_declared_stabilizers_are_transversals(self, std_group):
-        quotient = QuotientSpec("free", {"a": (), "b": ("b",)})
+        quotient = QuotientSpec({"a": (), "b": ("b",)})
         zeta = BoundaryPoint.from_angle(math.radians(108.0))
         with pytest.raises(TypeError):
             reduced_horospherical_partial(std_group, zeta, 0.8, 3, stab=quotient)

@@ -95,7 +95,7 @@ class TestHoroballEntry:
             assert values[0] == values[1] == 0
 
     def test_kernel_restriction(self, group):
-        quotient = QuotientSpec("free", {"a": (), "b": ("b",)})
+        quotient = QuotientSpec({"a": (), "b": ("b",)})
         zeta = group.generators[0].transform.classify().fixed_points[0]
         full = horoball_entry(group, zeta, 2.0, 6)
         restricted = horoball_entry(group, zeta, 2.0, 6, kernel=quotient)

@@ -149,7 +149,7 @@ class TestEndingMeasure:
         assert mu.total_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_kernel_restriction_sums_kernel_words_only(self, group):
-        quotient = QuotientSpec("free", {"a": (), "b": ("b",)})
+        quotient = QuotientSpec({"a": (), "b": ("b",)})
         zeta = group.generator("b").transform.classify().fixed_points[0]
         mu = ending_measure(group, zeta, 0.6, 4, kernel=quotient)
         from kleinian.group import kernel_enumerate

@@ -5,9 +5,9 @@ import pytest
 
 from kleinian.errors import DiscsOverlap, NumericallyAmbiguous
 from kleinian.mobius import (Transform, apply_boundary_raw, boundary_derivative_raw,
-                             classify, image_disc, inverse_origin_images_raw, matmul_raw,
-                             origin_images_raw, pair_discs, parabolic_fixing,
-                             rotation_moving_to_pole)
+                             classify, conorm_raw, image_disc, inverse_origin_images_raw,
+                             matmul_raw, origin_images_raw, pair_discs, parabolic_fixing,
+                             poisson_raw, rotation_moving_to_pole)
 from kleinian.model import BoundaryPoint, InteriorPoint, hyperbolic_distance
 
 from conftest import arc, cap, random_boundary_points, random_interior_points, \
@@ -39,7 +39,7 @@ class TestGroupLaw:
     def test_inverse_gives_identity(self, std_group):
         for gen in std_group.generators:
             prod = gen.transform.compose(gen.transform.inverse())
-            assert prod.is_identity(tol=1e-12)
+            assert prod.is_identity()
 
     def test_dimension_mismatch(self, std_group, std_group_2d):
         with pytest.raises(ValueError):
@@ -434,6 +434,31 @@ class TestRawKernels:
             assert np.ascontiguousarray(img[:, :2]).tobytes() == \
                 np.ascontiguousarray(ref_img[:, :2]).tobytes()
             assert conorm.tobytes() == ref_conorm.tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8])
+    def test_conorm_is_the_written_out_identity(self, rng, dtype, scale):
+        z = rng.normal(size=20000) * scale
+        if dtype is complex:
+            z = z + 1j * rng.normal(size=20000) * scale
+        t = rng.uniform(0.0, 2.0, size=20000) * scale
+        dd = np.abs(z) ** 2 + (t + 1.0) ** 2
+        assert conorm_raw(z, t).tobytes() == (4.0 * t / dd).tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8])
+    def test_poisson_is_the_written_out_kernel(self, rng, dtype, scale):
+        points, conorm = origin_images_raw(_random_mats(rng, 20000, dtype, scale))
+        zetas = rng.normal(size=(20000, 3))
+        zetas /= np.linalg.norm(zetas, axis=1)[:, None]
+        # many points at one boundary point, as a horoball scan reads them
+        diff = zetas[0][None, :] - points
+        assert poisson_raw(points, conorm, zetas[0]).tobytes() == \
+            (conorm / np.einsum("ij,ij->i", diff, diff)).tobytes()
+        # row by row, as the boundary derivative broadcasts them
+        diff = zetas - points
+        assert poisson_raw(points, conorm, zetas).tobytes() == \
+            (conorm / np.einsum("...i,...i->...", diff, diff)).tobytes()
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8])

@@ -208,3 +208,37 @@ class TestDisc:
         small = Disc.from_angles(1.1, 0.1)
         assert big.contains_disc(small)
         assert not small.contains_disc(big)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_complement_is_the_exterior(self, rng, dim):
+        for center, radius in zip(random_boundary_points(rng, dim, 20),
+                                  rng.uniform(0.05, 1.95, size=20)):
+            disc = Disc(BoundaryPoint(center), radius)
+            comp = disc.complement()
+            for point in map(BoundaryPoint, random_boundary_points(rng, dim, 200)):
+                if abs(disc.chordal_distance(point) - radius) < 1e-9:
+                    continue   # on the rim, where both closures meet
+                assert comp.contains(point, closed=False) != disc.contains(point, closed=False)
+            twice = comp.complement()
+            assert twice.center.coords == pytest.approx(disc.center.coords, abs=1e-15)
+            assert twice.radius == pytest.approx(radius, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_angle_to_the_centre_and_the_antipode(self, rng, dim):
+        rounded_past_one = 0
+        for coords in random_boundary_points(rng, dim, 500):
+            disc = Disc(BoundaryPoint(coords), 0.5)
+            center = disc.center.coords
+            antipode = BoundaryPoint(-center)
+            assert disc.angle_to(disc.center) == pytest.approx(0.0, abs=1e-7)
+            assert disc.angle_to(antipode) == pytest.approx(math.pi, abs=1e-7)
+            if float(np.dot(center, center)) > 1.0:   # acos alone raises here
+                rounded_past_one += 1
+                assert disc.angle_to(disc.center) == 0.0
+                if np.array_equal(antipode.coords, -center):
+                    assert disc.angle_to(antipode) == math.pi
+        assert rounded_past_one > 0
+        for axis in np.eye(dim + 1):
+            disc = Disc(BoundaryPoint(axis), 0.5)
+            assert disc.angle_to(BoundaryPoint(axis)) == 0.0
+            assert disc.angle_to(BoundaryPoint(-axis)) == math.pi

@@ -13,8 +13,8 @@ from kleinian.model import BoundaryPoint, InteriorPoint
 from kleinian.series import (SeparationSchedule, TailCertificate,
                              bounded_parabolic_domination, branch_contraction,
                              estimate_delta, example1_certificate, horospherical_partial,
-                             poincare_partial, reduced_horospherical_partial,
-                             trivial_subgroup, unit_fixer, _probe_label)
+                             fixes, poincare_partial, reduced_horospherical_partial,
+                             trivial_subgroup, unit_derivative, unit_fixer, _probe_label)
 
 from conftest import arc
 
@@ -174,8 +174,8 @@ class TestReducedSeries:
             assert red <= dom["factor"] * poi * (1.0 + 1e-12)
 
 
-KILLS_P = QuotientSpec("free", {"a": ("a",), "b": ("b",), "p": ()})
-KEEPS_P = QuotientSpec("free", {"a": (), "b": ("b",), "p": ("p",)})
+KILLS_P = QuotientSpec({"a": ("a",), "b": ("b",), "p": ()})
+KEEPS_P = QuotientSpec({"a": (), "b": ("b",), "p": ("p",)})
 
 
 class TestUnitFixer:
@@ -229,8 +229,8 @@ class TestTrivialSubgroup:
     """Tail 0 is certified only for the identity alone, never from level
     blocks that happen to be zero."""
 
-    KERNEL_XX = QuotientSpec("free", {"a": ("x",), "b": ("x",)})
-    KERNEL_XY = QuotientSpec("free", {"a": ("x",), "b": ("y^-1",)})
+    KERNEL_XX = QuotientSpec({"a": ("x",), "b": ("x",)})
+    KERNEL_XY = QuotientSpec({"a": ("x",), "b": ("y^-1",)})
 
     @pytest.mark.parametrize("evaluate", [
         lambda g: poincare_partial(g, InteriorPoint.origin(1), 1.0, 0),
@@ -264,8 +264,8 @@ class TestTrivialSubgroup:
         assert not trivial_subgroup(group, None)
         assert trivial_subgroup(group, self.KERNEL_XY)
         assert not trivial_subgroup(group, self.KERNEL_XX)
-        assert not trivial_subgroup(group, QuotientSpec("free", {"a": ("x",), "b": ("x^-1",)}))
-        assert not trivial_subgroup(group, QuotientSpec("free", {"a": (), "b": ("b",)}))
+        assert not trivial_subgroup(group, QuotientSpec({"a": ("x",), "b": ("x^-1",)}))
+        assert not trivial_subgroup(group, QuotientSpec({"a": (), "b": ("b",)}))
         assert trivial_subgroup(group, DeclaredStabilizer(("a", "b")).quotient_for(group))
 
     def test_delta_probes_read_the_same_rule(self, group):
@@ -384,7 +384,7 @@ class TestEstimateDelta:
             estimate_delta(group, (0.8, 0.2))
 
     def test_kernel_restriction_estimates_smaller_exponent(self, group):
-        quotient = QuotientSpec("free", {"a": (), "b": ("b",)})
+        quotient = QuotientSpec({"a": (), "b": ("b",)})
         full = estimate_delta(group, (0.05, 0.9), depths=(6, 8), budget=10 ** 5)
         restricted = estimate_delta(group, (0.01, 0.9), depths=(6, 8, 10),
                                     budget=10 ** 5, restrict=quotient)
@@ -409,7 +409,7 @@ def _probe_walk(group, s, depth, budget, restrict):
 @pytest.mark.parametrize("bracket, depths, restrict, probes_cut", [
     ((0.05, 0.9), (6, 8), None, False),
     ((0.05, 0.9), (4, 6, 10), None, True),   # 10^5 words end inside level 10
-    ((0.01, 0.9), (6, 8, 10), QuotientSpec("free", {"a": (), "b": ("b",)}), False),
+    ((0.01, 0.9), (6, 8, 10), QuotientSpec({"a": (), "b": ("b",)}), False),
 ])
 def test_probes_equal_one_walk_per_probe(group, bracket, depths, restrict, probes_cut):
     est = estimate_delta(group, bracket, depths=depths, budget=10 ** 5,
@@ -436,3 +436,25 @@ class TestSummationContract:
         for w, t in enumerate_words(group, 6):
             values.append(t.derivative_interior(InteriorPoint.origin(1)))
         assert math.fsum(values) == pytest.approx(r.partial_sum, rel=1e-15)
+
+
+class TestFixedPointTests:
+    """The one fixed-point test and the one unit-derivative test."""
+
+    def test_parabolic_fixes_its_point_with_unit_derivative(self):
+        from kleinian.examples import example3_group
+
+        group, target = example3_group()
+        p = group.generator("p").transform
+        assert (fixes(p, target), unit_derivative(p, target)) == (True, True)
+
+    def test_loxodromic_fixes_its_point_without_unit_derivative(self, parabolic_group):
+        a = parabolic_group.generator("a").transform
+        for xi in a.classify().fixed_points:
+            assert (fixes(a, xi), unit_derivative(a, xi)) == (True, False)
+
+    def test_a_moved_point_is_not_fixed(self, parabolic_group, group):
+        zeta = parabolic_group.generator("p").transform.classify().fixed_points[0]
+        for gen in group.generators:
+            assert not fixes(gen.transform, zeta)
+        assert not fixes(group.generator("a").transform, DOMAIN_POINT)

@@ -31,7 +31,7 @@ from conftest import cap_groups, schottky_groups
 SRC = Path(__file__).resolve().parent.parent / "src" / "kleinian"
 DOMAIN_POINT = BoundaryPoint.from_angle(math.radians(108.0))
 TARGETS = (DOMAIN_POINT, BoundaryPoint.from_angle(math.radians(252.0)))
-QUOTIENT = QuotientSpec("free", {"a": (), "b": ("b",)})
+QUOTIENT = QuotientSpec({"a": (), "b": ("b",)})
 
 
 # --- one rule across the APIs ----------------------------------------------------
@@ -108,7 +108,7 @@ def _assert_same_measure(mu, reference):
 @pytest.mark.parametrize("budget", [None, 17, 20])
 @pytest.mark.parametrize("restriction", [
     {}, {"stab": DeclaredStabilizer(("a",))}, {"kernel": QUOTIENT},
-    {"kernel": QuotientSpec("free", {"a": ("x",), "b": ("x",)})}],
+    {"kernel": QuotientSpec({"a": ("x",), "b": ("x",)})}],
     ids=["group", "stabilizer", "kernel", "kernel without level 1"])
 def test_ending_measures_equal_one_walk_per_depth(std_group, budget, restriction):
     # budget 17 ends on the level-2 boundary and budget 20 inside level 3, so
@@ -226,7 +226,7 @@ def test_kernel_walk_is_the_masked_whole_walk(group, depth, data):
     membership (taken from ``kernel_enumerate``), bit for bit."""
     labels = [gen.label for gen in group.generators]
     killed = data.draw(st.sets(st.sampled_from(labels), min_size=1))
-    spec = QuotientSpec("free", {l: () if l in killed else (l,) for l in labels})
+    spec = QuotientSpec({l: () if l in killed else (l,) for l in labels})
     total = sum(level_count(group, length) for length in range(depth + 1))
     budget = data.draw(st.one_of(st.none(), st.integers(1, total)))
     bc = embed3(BoundaryPoint.from_angle(math.pi).coords)
@@ -304,7 +304,7 @@ def test_pruned_kernel_walk_crosses_slabs(group, depth, slab, data):
     dimensions 1 (float64 matrices) and 2 (complex128)."""
     labels = [gen.label for gen in group.generators]
     killed = data.draw(st.sets(st.sampled_from(labels), min_size=1))
-    spec = QuotientSpec("free", {l: () if l in killed else (l,) for l in labels})
+    spec = QuotientSpec({l: () if l in killed else (l,) for l in labels})
     budget = _slab_budget(data, group, depth, slab)
     bc = embed3(BoundaryPoint.from_angle(math.pi).coords)
 
