@@ -46,7 +46,9 @@ class AtomicMeasure:
 
     ``points`` are ambient coordinates (norm 1 for boundary-supported
     measures, < 1 for orbit measures), ``word_lengths`` the word length
-    that produced each atom.  ``series`` is the normalizing partial sum.
+    that produced each atom.  ``source`` is ``"ending"`` for a measure on
+    the boundary and ``"orbit"`` for one on an orbit in the ball.
+    ``series`` is the normalizing partial sum.
     """
 
     points: np.ndarray
@@ -56,11 +58,14 @@ class AtomicMeasure:
     source: str
     exponent: float
     depth: int
-    boundary_supported: bool
     series: SeriesResult | None = None
     meta: dict = field(default_factory=dict)
     # the depth shell the conformality residual pairs, kept by its first call
     _shell: "_Shell | None" = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def boundary_supported(self) -> bool:
+        return self.source == "ending"
 
     @property
     def atom_count(self) -> int:
@@ -249,8 +254,7 @@ def ending_measure(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
                    stab: DeclaredStabilizer | None = None,
                    kernel: QuotientSpec | None = None,
                    budget: int | None = None,
-                   tail: TailCertificate | None = None,
-                   check_domain: bool = True) -> AtomicMeasure:
+                   tail: TailCertificate | None = None) -> AtomicMeasure:
     """Normalized point masses j(w, zeta)^s at the boundary orbit of the target.
 
     ``stab`` declares the stabilizer of ``zeta``; the sum then runs over
@@ -260,8 +264,7 @@ def ending_measure(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
     mutually exclusive.  The normalizing series verdict is attached, never
     hidden: a truncation of a divergent series stays flagged.
     """
-    measures = EndingMeasures(group, [zeta], s, stab=stab, kernel=kernel, tail=tail,
-                              check_domain=check_domain)
+    measures = EndingMeasures(group, [zeta], s, stab=stab, kernel=kernel, tail=tail)
     return measures.at(measures.walk(max_length, budget))[0]
 
 
@@ -285,16 +288,14 @@ class EndingMeasures:
     def __init__(self, group: SchottkyGroup, targets, s: float,
                  stab: DeclaredStabilizer | None = None,
                  kernel: QuotientSpec | None = None,
-                 tail: TailCertificate | None = None,
-                 check_domain: bool = True, orbit_points=()):
+                 tail: TailCertificate | None = None, orbit_points=()):
         if stab is not None and kernel is not None:
             raise ValueError("pass a stabilizer or a kernel restriction, not both")
         self.reduced = stab is not None and bool(stab.labels)   # over a coset transversal
         if orbit_points and (kernel is not None or tail is not None or self.reduced):
             raise ValueError("orbit measures sum the whole group without a tail")
-        if check_domain:
-            for zeta in targets:
-                _check_target(group, zeta, stab, kernel)
+        for zeta in targets:
+            _check_target(group, zeta, stab, kernel)
         self.group, self.s, self.tail, self.kernel = group, s, tail, kernel
         self.spec = stab.quotient_for(group) if self.reduced else kernel
         self._targets, self.points = len(targets), [*targets, *orbit_points]
@@ -347,8 +348,7 @@ class EndingMeasures:
                                         "domain is larger)")
             out.append(AtomicMeasure(points, weights / series.partial_sum, lengths,
                                      self.group.dim, "ending" if boundary else "orbit",
-                                     self.s, done.depth, boundary_supported=boundary,
-                                     series=series, meta=meta))
+                                     self.s, done.depth, series=series, meta=meta))
         return tuple(out)
 
 

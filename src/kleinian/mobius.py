@@ -499,63 +499,36 @@ def _loxodromic_fixed_points(g: Transform) -> tuple[BoundaryPoint, BoundaryPoint
 
 # --- discs: images and pairing ----------------------------------------------
 
-def _disc_frame(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    seed = np.array([1.0, 0.0, 0.0]) if abs(m[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e = seed - np.dot(seed, m) * m
-    e /= np.linalg.norm(e)
-    return e, np.cross(m, e)
-
-
-def disc_boundary_points(disc: Disc, count: int) -> np.ndarray:
-    """(count, 3) sample of the disc's boundary circle (both endpoints for N=1)."""
-    m = embed3(disc.center.coords)
-    alpha = disc.angular_radius
-    if disc.dim == 1:
-        theta = math.atan2(m[1], m[0])
-        pts = np.array([[math.cos(theta - alpha), math.sin(theta - alpha), 0.0],
-                        [math.cos(theta + alpha), math.sin(theta + alpha), 0.0]])
-        return pts if count <= 2 else np.tile(pts, (count // 2 + 1, 1))[:count]
-    e, f = _disc_frame(m)
-    ts = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-    return (math.cos(alpha) * m[None, :]
-            + math.sin(alpha) * (np.cos(ts)[:, None] * e[None, :]
-                                 + np.sin(ts)[:, None] * f[None, :]))
-
-
 def image_disc(g: Transform, disc: Disc) -> Disc:
-    """Exact image of a boundary disc: Mobius maps carry discs to discs."""
+    """Exact image of a boundary disc: Mobius maps carry discs to discs.
+
+    The disc {xi : xi . m > cos(alpha)} is the set of projective points
+    v = (p, q) with v* H v > 0, where H = [[m0 - h, w], [conj(w), -(m0 + h)]],
+    h = cos(alpha) and w = m1 + i m2.  Its image is the form
+    g^{-*} H g^{-1} = [[a, b], [conj(b), c]].  With s = hypot((a - c)/2, |b|)
+    the image centre is ((a - c)/2, Re b, Im b) / s, and as det H = -sin^2(alpha)
+    is invariant, the image's angular radius is atan2(sin(alpha), -(a + c)/2).
+    One formula for arcs and caps: a real g keeps the centre on the equator.
+    """
     if g.dim != disc.dim:
         raise ValueError("transform and disc dimensions differ")
-    m = embed3(disc.center.coords)
+    m0, m1, m2 = embed3(disc.center.coords).tolist()
     alpha = disc.angular_radius
-    if g.dim == 1:
-        ends = apply_boundary_raw(g.matrix[None, :, :], disc_boundary_points(disc, 2))
-        mid = apply_boundary_raw(g.matrix, m)
-        t1 = math.atan2(ends[0, 1], ends[0, 0])
-        t2 = math.atan2(ends[1, 1], ends[1, 0])
-        tm = math.atan2(mid[1], mid[0])
-        span = (t2 - t1) % (2.0 * math.pi)
-        if (tm - t1) % (2.0 * math.pi) <= span:
-            center, half = t1 + span / 2.0, span / 2.0
-        else:
-            rest = 2.0 * math.pi - span
-            center, half = t2 + rest / 2.0, rest / 2.0
-        return Disc.from_angles(center, half)
-    e, f = _disc_frame(m)
-    pts = np.stack([math.cos(alpha) * m + math.sin(alpha) * (math.cos(t) * e + math.sin(t) * f)
-                    for t in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)])
-    imgs = apply_boundary_raw(g.matrix[None, :, :], pts)
-    n = np.cross(imgs[0] - imgs[1], imgs[0] - imgs[2])
-    norm = np.linalg.norm(n)
-    if norm < 1e-300:
-        raise ValueError("degenerate disc image (boundary points collapsed)")
-    n /= norm
-    h = float(np.dot(n, imgs[0]))
-    center_img = apply_boundary_raw(g.matrix, m)
-    if float(np.dot(center_img, n)) < h:
-        n, h = -n, -h
-    h = min(h, 1.0 - 1e-15)
-    return Disc(BoundaryPoint(project_dim(n, g.dim)), math.sqrt(max(2.0 - 2.0 * h, 0.0)))
+    h, w = math.cos(alpha), complex(m1, m2)
+    (p, q), (r, t) = invert_matrix(g.matrix).tolist()
+    # the columns (p, r) and (q, t) of g^{-1} against H
+    hp = (m0 - h) * p + w * r
+    hr = w.conjugate() * p - (m0 + h) * r
+    hq = (m0 - h) * q + w * t
+    ht = w.conjugate() * q - (m0 + h) * t
+    a = (p.conjugate() * hp + r.conjugate() * hr).real
+    b = p.conjugate() * hq + r.conjugate() * ht
+    c = (q.conjugate() * hq + t.conjugate() * ht).real
+    half_diff = (a - c) / 2.0
+    scale = math.hypot(half_diff, abs(b))
+    center = np.array([half_diff, b.real, b.imag]) / scale
+    angle = math.atan2(math.sin(alpha), -(a + c) / 2.0)
+    return Disc(BoundaryPoint(project_dim(center, g.dim)), 2.0 * math.sin(angle / 2.0))
 
 
 def _disc_to_plane_circle(disc: Disc) -> tuple[complex, float]:
@@ -571,28 +544,18 @@ def _disc_to_plane_circle(disc: Disc) -> tuple[complex, float]:
 
 def _gap_point_on_circle(c_plus: Disc, c_minus: Disc) -> np.ndarray:
     """A boundary point well clear of both discs: midpoint of the larger gap
-    on the great circle through the two centers."""
+    on the great circle through the two centers (the equator, for arcs)."""
     m1 = embed3(c_plus.center.coords)
     m2 = embed3(c_minus.center.coords)
     a1, a2 = c_plus.angular_radius, c_minus.angular_radius
-    if c_plus.dim == 1:
-        t1 = math.atan2(m1[1], m1[0])
-        t2 = math.atan2(m2[1], m2[0])
-        span = (t2 - t1) % (2.0 * math.pi)
-        gap_a = span - a1 - a2                # from t1+a1 forward to t2-a2
-        gap_b = 2.0 * math.pi - span - a1 - a2
-        if gap_a >= gap_b:
-            theta = t1 + a1 + gap_a / 2.0
-        else:
-            theta = t2 + a2 + gap_b / 2.0
-        return np.array([math.cos(theta), math.sin(theta), 0.0])
     f = m2 - np.dot(m2, m1) * m1
     fn = np.linalg.norm(f)
-    if fn < 1e-12:
-        f = _disc_frame(m1)[0]
-    else:
-        f = f / fn
-    t2 = math.acos(float(np.clip(np.dot(m1, m2), -1.0, 1.0)))
+    if fn < 1e-12:   # antipodal centres: any great circle serves; this one keeps arcs real
+        seed = np.array([1.0, 0.0, 0.0]) if abs(m1[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        f = seed - np.dot(seed, m1) * m1
+        fn = np.linalg.norm(f)
+    f = f / fn
+    t2 = c_plus.angle_to(c_minus.center)
     gap_a = t2 - a1 - a2
     gap_b = 2.0 * math.pi - t2 - a1 - a2
     if gap_a >= gap_b:
@@ -616,8 +579,8 @@ def pair_discs(c_plus: Disc, c_minus: Disc) -> Transform:
         raise DiscsOverlap(
             f"paired discs overlap (angular gap {gap:.3e}); centers "
             f"{c_plus.center.coords} / {c_minus.center.coords}")
-    margin = min(math.acos(float(np.clip(embed3(d.center.coords)[0], -1.0, 1.0)))
-                 - d.angular_radius for d in (c_plus, c_minus))
+    pole = BoundaryPoint(project_dim(POLE, dim))
+    margin = min(d.angle_to(pole) - d.angular_radius for d in (c_plus, c_minus))
     if margin < POLE_MARGIN:
         rot = rotation_moving_to_pole(_gap_point_on_circle(c_plus, c_minus), dim)
         rot_t = Transform(rot, dim)

@@ -28,15 +28,15 @@ import numpy as np
 from .errors import EnlargedDiscsOverlap, InconclusiveBracket, InvalidSeparation
 from .group import (DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup, Walk,
                     WordBatch, level_count, walk)
-from .mobius import (Transform, boundary_derivative_raw, disc_boundary_points,
-                     interior_derivative_raw, inverse_origin_images_raw)
+from .mobius import (Transform, boundary_derivative_raw, interior_derivative_raw,
+                     inverse_origin_images_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
 
 RATIO_CONVERGENT = 0.95
 RATIO_DIVERGENT = 1.05
 ORACLE_BITS = 160   # mantissa bits of the extended-precision oracle
 RATIO_WINDOW = 3
-CIRCLE_SAMPLES = 4096
+ANGLE_MARGIN = 1e-13          # dominates the rounding of an angle in [0, pi]
 FIXED_POINT_TOL = 1e-8        # |g(zeta) - zeta| up to which g fixes zeta
 UNIT_DERIVATIVE_TOL = 1e-9    # |j(g, zeta) - 1| up to which j(g, zeta) = 1
 DELTA_TOL = 1e-2              # bracket width at which estimate_delta stops
@@ -354,12 +354,15 @@ def example1_certificate(schedule: SeparationSchedule, s: float) -> TailCertific
 
 @dataclass(frozen=True)
 class BranchBounds:
-    """Certified per-letter bounds sup{j(letter, zeta) : zeta off the enlarged disc}."""
+    """Certified per-letter bounds sup{j(letter, zeta) : zeta off the enlarged disc}.
+
+    ``chain_valid`` is False when a generator is parabolic: its letter
+    bounds hold, but they do not chain into a level envelope.
+    """
 
     letter_bounds: tuple[float, ...]
     letter_labels: tuple[str, ...]
     enlargement_factors: tuple[float, ...]
-    notes: tuple[str, ...] = ()
     chain_valid: bool = True
 
     def rate(self, s: float) -> float:
@@ -368,10 +371,8 @@ class BranchBounds:
 
     def _require_chain(self) -> None:
         if not self.chain_valid:
-            raise ValueError(
-                "per-letter bounds cannot be chained into a level envelope here "
-                "(parabolic generator present, or a letter bound is uncertified); "
-                f"notes: {self.notes}")
+            raise ValueError("per-letter bounds cannot be chained into a level envelope "
+                             "when a generator is parabolic")
 
     def boundary_certificate(self, s: float) -> TailCertificate:
         """Envelope for the boundary series at any point off every enlarged disc."""
@@ -392,11 +393,13 @@ def branch_contraction(group: SchottkyGroup,
                        enlargement_factors: Sequence[float] | float) -> BranchBounds:
     """Certified sup of each letter's boundary derivative off its enlarged source disc.
 
-    The derivative j(g, .) = k(g^{-1}(0), .) is a Poisson kernel, radially
-    decreasing about the direction of g^{-1}(0); over the complement of an
-    enlarged disc containing that direction its sup sits on the enlarged
-    boundary circle.  For arcs the two endpoints give the exact sup; for
-    caps the circle is sampled densely and padded with a derivative bound.
+    The derivative j(g, .) = k(u, .), u = g^{-1}(0), is a Poisson kernel: at
+    the angle phi from the direction of u it is
+    (1 - |u|^2) / ((1 - |u|)^2 + 4 |u| sin^2(phi / 2)), decreasing in phi.
+    Off a disc of angular radius alpha whose centre is at the angle theta
+    from that direction, the least angle is phi = max(0, alpha - theta), for
+    arcs and caps alike.  phi is rounded down by ``ANGLE_MARGIN`` and the
+    bound up by a relative 1e-12.
     """
     gens = group.generators
     if isinstance(enlargement_factors, (int, float)):
@@ -417,39 +420,18 @@ def branch_contraction(group: SchottkyGroup,
                 raise EnlargedDiscsOverlap(
                     f"enlarged discs {i} and {j} intersect; shrink the factors")
     bounds = []
-    notes = []
     pres, conorms = inverse_origin_images_raw(group.letter_matrices)
     for e in range(group.letter_count):
         disc = group.letter_sources[e].enlarged(factors[e // 2])
-        u = pres[e]
-        conorm = conorms[e]
-        direction = u / np.linalg.norm(u)
-        if not disc.contains(BoundaryPoint(direction[: group.dim + 1]), closed=False):
-            bounds.append(math.inf)
-            notes.append(f"{group.letter_labels[e]}: pole direction escaped the "
-                         "enlarged disc; no certified bound")
-            continue
-        samples = disc_boundary_points(disc, 2 if group.dim == 1 else CIRCLE_SAMPLES)
-        diffs = samples - u[None, :]
-        dists_sq = np.einsum("ij,ij->i", diffs, diffs)
-        kmax = float(np.max(conorm / dists_sq))
-        if group.dim == 1:
-            bounds.append(kmax * (1.0 + 1e-12))
-        else:
-            circle_radius = math.sin(disc.angular_radius)
-            gap = circle_radius * (2.0 * math.pi / CIRCLE_SAMPLES)
-            dmin = math.sqrt(float(np.min(dists_sq))) - gap / 2.0
-            if dmin <= 0:
-                bounds.append(math.inf)
-                notes.append(f"{group.letter_labels[e]}: sampling gap swallows "
-                             "the distance margin")
-                continue
-            grad_bound = 2.0 * conorm / dmin ** 3
-            bounds.append(kmax + grad_bound * gap / 2.0)
-    chain_valid = (all(math.isfinite(b) for b in bounds)
-                   and all(gen.kind != "parabolic" for gen in gens))
+        u, conorm = pres[e], float(conorms[e])
+        norm = float(np.linalg.norm(u))
+        theta = disc.angle_to(BoundaryPoint(u[: group.dim + 1]))
+        phi = max(0.0, disc.angular_radius - theta - ANGLE_MARGIN)
+        gap = conorm / (1.0 + norm)   # 1 - |u|, without cancellation
+        bound = conorm / (gap * gap + 4.0 * norm * math.sin(phi / 2.0) ** 2)
+        bounds.append(bound * (1.0 + 1e-12))
     return BranchBounds(tuple(bounds), group.letter_labels, tuple(factors),
-                        tuple(notes), chain_valid)
+                        all(gen.kind != "parabolic" for gen in gens))
 
 
 # --- bounded-parabolic domination -------------------------------------------------

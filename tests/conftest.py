@@ -52,6 +52,23 @@ def random_interior_points(rng, dim: int, count: int, rmax: float = 0.9) -> np.n
     return pts * rng.uniform(0.0, rmax, size=(count, 1))
 
 
+def rim_points(disc: Disc, count: int) -> np.ndarray:
+    """(n, 3) points of the disc's rim: the two ends of an arc, or ``count``
+    equally spaced points of a cap's circle."""
+    m = np.zeros(3)
+    m[: disc.dim + 1] = disc.center.coords
+    alpha = disc.angular_radius
+    if disc.dim == 1:
+        theta = math.atan2(m[1], m[0])
+        return np.array([[math.cos(theta + t), math.sin(theta + t), 0.0]
+                         for t in (-alpha, alpha)])
+    e = np.cross(m, [1.0, 0.0, 0.0] if abs(m[0]) < 0.9 else [0.0, 1.0, 0.0])
+    e /= np.linalg.norm(e)
+    f = np.cross(m, e)
+    ts = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)[:, None]
+    return math.cos(alpha) * m + math.sin(alpha) * (np.cos(ts) * e + np.sin(ts) * f)
+
+
 def random_reduced_words(rng, group: SchottkyGroup, count: int, max_len: int):
     """Random reduced words (as letter tuples) of length 1..max_len."""
     words = []

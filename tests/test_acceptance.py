@@ -18,7 +18,7 @@ from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec,
 from kleinian.measure import (conformality_residual, ending_measure, orbit_measure,
                               weak_distance)
 from kleinian.mobius import image_disc
-from kleinian.model import BoundaryPoint, Disc, InteriorPoint, embed3, poisson_kernel
+from kleinian.model import BoundaryPoint, InteriorPoint, embed3, poisson_kernel
 from kleinian.series import horospherical_partial
 
 from conftest import random_boundary_points, random_interior_points, \
@@ -372,9 +372,7 @@ def test_criterion_11_freeness_and_nesting(std_group):
             continue
         source = std_group.letter_sources[w.letters[-1]]
         target = std_group.letter_targets[w.letters[0]]
-        ext = Disc(BoundaryPoint(-source.center.coords),
-                   math.sqrt(max(0.0, 4.0 - source.radius ** 2)))
-        image = image_disc(t, ext)
+        image = image_disc(t, source.complement())
         if len(w) == 1:
             inside = (np.allclose(image.center.coords, target.center.coords,
                                   atol=1e-9)

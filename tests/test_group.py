@@ -11,7 +11,7 @@ from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec
                             enumerate_words, iter_word_batches,
                             kernel_enumerate, level_count, walk, word_at)
 from kleinian.mobius import image_disc
-from kleinian.model import BoundaryPoint, Disc
+from kleinian.model import BoundaryPoint
 from kleinian.series import reduced_horospherical_partial
 
 from conftest import arc, schottky_groups
@@ -125,9 +125,7 @@ class TestEnumeration:
             first, last = w.letters[0], w.letters[-1]
             target = std_group.letter_targets[first]
             source = std_group.letter_sources[last]
-            ext = Disc(BoundaryPoint(-source.center.coords),
-                       math.sqrt(max(0.0, 4.0 - source.radius ** 2)))
-            image = image_disc(t, ext)
+            image = image_disc(t, source.complement())
             if len(w) == 1:
                 # a single letter maps the closed exterior onto the closed
                 # target disc exactly
@@ -141,15 +139,10 @@ class TestEnumeration:
         for w, t in enumerate_words(std_group, 4):
             if len(w) < 2:
                 continue
-            src = std_group.letter_sources[w.letters[-1]]
-            ext = Disc(BoundaryPoint(-src.center.coords),
-                       math.sqrt(max(0.0, 4.0 - src.radius ** 2)))
-            radius = image_disc(t, ext).radius
+            radius = image_disc(t, std_group.letter_sources[w.letters[-1]].complement()).radius
             prefix_radius = image_disc(
                 std_group.word_transform(w.letters[:-1]),
-                Disc(BoundaryPoint(-std_group.letter_sources[w.letters[-2]].center.coords),
-                     math.sqrt(max(0.0, 4.0 - std_group.letter_sources[w.letters[-2]].radius ** 2)))
-            ).radius
+                std_group.letter_sources[w.letters[-2]].complement()).radius
             assert radius < prefix_radius
 
     def test_ping_pong_words_leave_fundamental_domain(self, std_group):

@@ -298,7 +298,7 @@ def test_shell_residual_equals_the_word_pairing(group, depth, kind, s, data):
     total = sum(level_count(group, length) for length in range(depth + 1))
     budget = data.draw(st.one_of(st.none(), st.integers(1, total)))
     zeta, z = SHELL_POINTS[group.dim]
-    mu = (ending_measure(group, zeta, s, depth, budget=budget, check_domain=False)
+    mu = (ending_measure(group, zeta, s, depth, budget=budget)
           if kind == "ending" else orbit_measure(group, z, s, depth, budget=budget))
     # one cell weighs both sides in full; the default cells locate them
     for cells in (DEFAULT_CELLS, 1):
@@ -524,8 +524,7 @@ class TestCsvExport:
         weights = np.array([5e-324, 0.5, 2.5e-310, 0.5, -0.0])
         lengths = np.array([0, 3, 12, 1, 7])
         for n in (0, 5):
-            mu = AtomicMeasure(points[:n], weights[:n], lengths[:n], dim, "ending", 1.0, 12,
-                               True)
+            mu = AtomicMeasure(points[:n], weights[:n], lengths[:n], dim, "ending", 1.0, 12)
             path = tmp_path / f"atoms{n}.csv"
             mu.to_csv(path)
             order = np.lexsort((np.arange(n), -weights[:n]))
@@ -547,7 +546,7 @@ class TestTopAtoms:
         weights[[17, 60, 133]] = np.nan
         points = rng.normal(size=(200, 2))
         mu = AtomicMeasure(points, weights, np.ones(200, dtype=np.int64), 1, "ending",
-                           1.0, 1, True)
+                           1.0, 1)
         order = np.lexsort((np.arange(200), -weights))[:k]
         top_points, top_weights = mu.top_atoms(k)
         assert top_points.tobytes() == points[order].tobytes()

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from kleinian.mobius import (Transform, apply_boundary_raw, boundary_derivative_
 from kleinian.model import BoundaryPoint, InteriorPoint, hyperbolic_distance
 
 from conftest import arc, cap, random_boundary_points, random_interior_points, \
-    random_reduced_words
+    random_reduced_words, rim_points
 
 
 def word_transform(group, letters):
@@ -308,6 +310,22 @@ class TestPairDiscs:
         mid = BoundaryPoint([0.0, 1.0, 0.0])
         assert c_minus.contains(g.apply_boundary(mid))
 
+    @pytest.mark.parametrize("plus, minus", [(2, 180), (358, 40), (179, 1)])
+    def test_arcs_near_the_pole(self, plus, minus):
+        """An arc within POLE_MARGIN of the pole sends the pairing through the
+        rotation to a gap point on the equator.  The rotation stays real (a
+        dimension-1 Transform refuses any other), and the result pairs the
+        arcs."""
+        c_plus, c_minus = arc(plus, 10), arc(minus, 10)
+        g = pair_discs(c_plus, c_minus)
+        assert classify(g).kind == "loxodromic"
+        for theta in np.linspace(0.0, 2.0 * math.pi, 721):
+            zeta = BoundaryPoint.from_angle(theta)
+            if abs(c_plus.chordal_distance(zeta) - c_plus.radius) < 1e-9:
+                continue   # on the rim, where both closures meet
+            inside_source = c_plus.contains(zeta, closed=False)
+            assert c_minus.contains(g.apply_boundary(zeta)) == (not inside_source)
+
     def test_equal_radii_not_required(self):
         g = pair_discs(arc(60, 4), arc(240, 18))
         assert classify(g).kind == "loxodromic"
@@ -318,12 +336,37 @@ class TestImageDisc:
         g = word_transform(std_group_2d, (0, 2))
         sample = cap([0.0, 0.0, -1.0], 0.35)
         img = image_disc(g, sample)
-        from kleinian.mobius import disc_boundary_points, apply_boundary_raw
-
-        pts = disc_boundary_points(sample, 64)
-        images = apply_boundary_raw(g.matrix[None, :, :], pts)
+        images = apply_boundary_raw(g.matrix[None, :, :], rim_points(sample, 64))
         dists = np.linalg.norm(images - img.center.coords[None, :], axis=1)
         assert np.max(np.abs(dists - img.radius)) < 1e-10
+
+    @pytest.mark.parametrize("fixture, max_len", [("std_group", 6), ("std_group_2d", 7)])
+    def test_matches_the_exact_word(self, fixture, max_len, request, rng):
+        """The image of the disc that each word's last letter sends into the
+        word's first target, and of that letter's own target, agrees with an
+        mpmath circle through the images of rim points under the exact
+        product of the letter matrices; the float word's images of the rim
+        lie on the image circle."""
+        group = request.getfixturevalue(fixture)
+        words = [w for w in itertools.product(range(group.letter_count), repeat=2)
+                 if w[1] != w[0] ^ 1]
+        words += random_reduced_words(rng, group, 60, max_len - 1)
+        words += [tuple(w) + (w[-1],) * (max_len - len(w))
+                  for w in random_reduced_words(rng, group, 60, max_len)]
+        assert max(map(len, words)) == max_len
+        for word in words:
+            g = word_transform(group, word)
+            letters = [group.letter_matrices[letter] for letter in word]
+            last = word[-1]
+            for disc in (group.letter_sources[last].complement(), group.letter_targets[last]):
+                img = image_disc(g, disc)
+                center, radius = _mp_image_circle(letters, disc)
+                assert abs(img.radius - radius) <= 1e-12 * radius
+                err = mpmath.norm(mpmath.matrix(_padded(img.center.coords)) - center)
+                assert err <= 1e-12 * radius + 1e-14
+                images = apply_boundary_raw(g.matrix[None, :, :], rim_points(disc, 16))
+                dists = np.linalg.norm(images - _padded(img.center.coords), axis=1)
+                assert np.max(np.abs(dists - img.radius)) <= 1e-12 * img.radius + 1e-14
 
     def test_arc_image_exact(self, std_group, rng):
         g = word_transform(std_group, (0,))
@@ -333,6 +376,50 @@ class TestImageDisc:
             theta = 144 * math.pi / 180 + t * sample.angular_radius
             image = g.apply_boundary(BoundaryPoint.from_angle(theta))
             assert img.chordal_distance(image) <= img.radius + 1e-10
+
+
+def _padded(coords) -> np.ndarray:
+    return np.append(coords, np.zeros(3 - len(coords)))
+
+
+def _mp_apply(mat, x):
+    """Boundary action of an mpmath matrix on an mpmath unit vector."""
+    p, q = mpmath.mpc(x[1], x[2]), 1 - x[0]
+    p, q = mat[0, 0] * p + mat[0, 1] * q, mat[1, 0] * p + mat[1, 1] * q
+    n = abs(p) ** 2 + abs(q) ** 2
+    w = 2 * p * mpmath.conj(q) / n
+    return mpmath.matrix([(abs(p) ** 2 - abs(q) ** 2) / n, w.real, w.imag])
+
+
+def _mp_image_circle(letters, disc):
+    """Centre and chordal radius of the image of ``disc`` under the product
+    of ``letters``, at 40 digits: the circle through the images of rim
+    points, the centre's image picking the side."""
+    with mpmath.workdps(40):
+        mat = mpmath.eye(2)
+        for letter in letters:
+            mat = mat * mpmath.matrix(letter.tolist())
+        m = mpmath.matrix(_padded(disc.center.coords))
+        m /= mpmath.norm(m)
+        alpha = 2 * mpmath.asin(mpmath.mpf(disc.radius) / 2)
+        seed = [0, 0, 1] if disc.dim == 1 else ([1, 0, 0] if abs(m[0]) < 0.9 else [0, 1, 0])
+        e = mpmath.matrix(seed) - mpmath.fdot(seed, m) * m
+        e /= mpmath.norm(e)
+        f = mpmath.matrix([m[1] * e[2] - m[2] * e[1], m[2] * e[0] - m[0] * e[2],
+                           m[0] * e[1] - m[1] * e[0]])
+        rim = [_mp_apply(mat, mpmath.cos(alpha) * m + mpmath.sin(alpha)
+                         * (mpmath.cos(t) * f + mpmath.sin(t) * e))
+               for t in ((0, mpmath.pi) if disc.dim == 1 else
+                         (0, 2 * mpmath.pi / 3, 4 * mpmath.pi / 3))]
+        # an arc's rim is its two ends; its circle lies in the plane normal to e3
+        u, v = rim[0] - rim[1], rim[0] - rim[2] if disc.dim == 2 else e
+        n = mpmath.matrix([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                           u[0] * v[1] - u[1] * v[0]])
+        n /= mpmath.norm(n)
+        h = mpmath.fdot(n, rim[0])
+        if mpmath.fdot(n, _mp_apply(mat, m)) < h:
+            n, h = -n, -h
+        return n, mpmath.sqrt(2 - 2 * h)
 
 
 class TestParabolicConstruction:

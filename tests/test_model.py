@@ -225,20 +225,21 @@ class TestDisc:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_angle_to_the_centre_and_the_antipode(self, rng, dim):
-        rounded_past_one = 0
-        for coords in random_boundary_points(rng, dim, 500):
+        for coords in [*random_boundary_points(rng, dim, 500), *np.eye(dim + 1)]:
             disc = Disc(BoundaryPoint(coords), 0.5)
-            center = disc.center.coords
-            antipode = BoundaryPoint(-center)
-            assert disc.angle_to(disc.center) == pytest.approx(0.0, abs=1e-7)
-            assert disc.angle_to(antipode) == pytest.approx(math.pi, abs=1e-7)
-            if float(np.dot(center, center)) > 1.0:   # acos alone raises here
-                rounded_past_one += 1
-                assert disc.angle_to(disc.center) == 0.0
-                if np.array_equal(antipode.coords, -center):
-                    assert disc.angle_to(antipode) == math.pi
-        assert rounded_past_one > 0
-        for axis in np.eye(dim + 1):
-            disc = Disc(BoundaryPoint(axis), 0.5)
-            assert disc.angle_to(BoundaryPoint(axis)) == 0.0
-            assert disc.angle_to(BoundaryPoint(-axis)) == math.pi
+            assert disc.angle_to(disc.center) == 0.0
+            assert disc.angle_to(BoundaryPoint(-disc.center.coords)) == math.pi
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_angle_to_resolves_small_angles(self, rng, dim):
+        """Angles from 1e-6 down to 1e-9 rad come out to 1e-6 relative, where
+        the arccosine of the dot product reads 0."""
+        for coords in random_boundary_points(rng, dim, 50):
+            disc = Disc(BoundaryPoint(coords), 0.5)
+            m = disc.center.coords
+            normal = rng.normal(size=dim + 1)
+            normal -= np.dot(normal, m) * m
+            normal /= np.linalg.norm(normal)
+            for angle in (1e-6, 1e-7, 1e-8, 1e-9):
+                point = BoundaryPoint(math.cos(angle) * m + math.sin(angle) * normal)
+                assert disc.angle_to(point) == pytest.approx(angle, rel=1e-6)

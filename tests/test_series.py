@@ -8,15 +8,16 @@ from kleinian.errors import (EnlargedDiscsOverlap, InconclusiveBracket,
                              InvalidSeparation)
 from kleinian.group import (DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup,
                             enumerate_words, walk)
-from kleinian.mobius import interior_derivative_raw
-from kleinian.model import BoundaryPoint, InteriorPoint
+from kleinian.mobius import (boundary_derivative_raw, interior_derivative_raw,
+                             inverse_origin_images_raw)
+from kleinian.model import BoundaryPoint, Disc, InteriorPoint
 from kleinian.series import (SeparationSchedule, TailCertificate,
                              bounded_parabolic_domination, branch_contraction,
                              estimate_delta, example1_certificate, horospherical_partial,
                              fixes, poincare_partial, reduced_horospherical_partial,
                              trivial_subgroup, unit_derivative, unit_fixer, _probe_label)
 
-from conftest import arc
+from conftest import arc, rim_points
 
 
 @pytest.fixture(scope="module")
@@ -220,9 +221,11 @@ class TestUnitFixer:
     def test_measure_and_series_read_one_rule(self, parabolic_group, zeta):
         from kleinian.measure import ending_measure
 
-        mu = ending_measure(parabolic_group, zeta, 0.7, 5, check_domain=False)
-        r = horospherical_partial(parabolic_group, zeta, 0.7, 5)
+        # zeta lies in p's open disc, so only a subgroup's measure may sit there
+        mu = ending_measure(parabolic_group, zeta, 0.7, 5, kernel=KILLS_P)
+        r = horospherical_partial(parabolic_group, zeta, 0.7, 5, kernel=KILLS_P)
         assert mu.series.verdict.kind == r.verdict.kind == "growth_witness"
+        assert mu.series.verdict.evidence["unit_fixer"] == "p"
 
 
 class TestTrivialSubgroup:
@@ -343,6 +346,38 @@ class TestBranchContraction:
                 if enlarged.contains(zeta):
                     continue
                 assert t.derivative_boundary(zeta) <= bounds.letter_bounds[e]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bounds_are_tight(self, dim, std_group, std_group_2d):
+        """Each bound is the sup of j(letter, .) off the enlarged disc, up to
+        its rounding: at most 1 + 1e-9 times the largest value over a dense
+        sample of the rim, and the direction of g^{-1}(0) when that lies off
+        the disc.  The second group pairs the arcs over the plane intervals
+        [-10.5, -9.5] and [-2, 4] (for caps, the discs with the same centres
+        and radii): its wide target throws the direction of g^{-1}(0) off
+        the small source disc."""
+        def plane_interval(lo, hi):
+            a, b = (2.0 * math.atan2(1.0, x) for x in (lo, hi))
+            mid = (a + b) / 2.0
+            return Disc(BoundaryPoint([math.cos(mid), math.sin(mid), 0.0][: dim + 1]),
+                        2.0 * math.sin(abs(a - b) / 4.0))
+
+        wide = SchottkyGroup.from_disc_pairs(
+            dim, [(plane_interval(-10.5, -9.5), plane_interval(-2.0, 4.0))])
+        off_disc = 0
+        for group, factor in (((std_group, std_group_2d)[dim - 1], 2.0), (wide, 1.05)):
+            bounds = branch_contraction(group, factor)
+            pres, _ = inverse_origin_images_raw(group.letter_matrices)
+            for e in range(group.letter_count):
+                enlarged = group.letter_sources[e].enlarged(factor)
+                samples = rim_points(enlarged, 1 << 16)
+                direction = pres[e] / np.linalg.norm(pres[e])
+                if not enlarged.contains(BoundaryPoint(direction[: dim + 1]), closed=False):
+                    off_disc += 1
+                    samples = np.vstack([samples, direction])
+                sup = float(np.max(boundary_derivative_raw(group.letter_matrices[e], samples)))
+                assert sup <= bounds.letter_bounds[e] <= sup * (1.0 + 1e-9)
+        assert off_disc > 0
 
     def test_parabolic_blocks_chain_certificates(self, parabolic_group):
         bounds = branch_contraction(parabolic_group, 1.5)

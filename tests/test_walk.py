@@ -505,13 +505,11 @@ def _blocked_outputs(group, depth, budget):
     series = horospherical_partial(group, targets[0], 0.7, depth, budget)
     out.append(np.array(series.level_sums + (series.partial_sum,)).tobytes())
     for count, orbits in ((1, ()), (2, ()), (1, (base,))):
-        measures = EndingMeasures(group, targets[:count], 0.7, check_domain=False,
-                                  orbit_points=orbits)
+        measures = EndingMeasures(group, targets[:count], 0.7, orbit_points=orbits)
         for mu in measures.at(measures.walk(depth, budget)):
             out += [mu.points.tobytes(), mu.weights.tobytes(), mu.word_lengths.tobytes(),
                     np.array(mu.series.level_sums).tobytes()]
-    for mu in (ending_measure(group, targets[0], 0.7, depth, budget=budget,
-                              check_domain=False),
+    for mu in (ending_measure(group, targets[0], 0.7, depth, budget=budget),
                orbit_measure(group, base, 0.7, depth, budget)):
         shell = _record_shell(mu, mu.meta["enumeration"])
         out += [getattr(shell, name).tobytes() for name in ("first", "jraw", "points", "z", "t")
