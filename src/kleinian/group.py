@@ -69,13 +69,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __str__(self) -> str:
-        if not self.letters:
-            return "id"
-        if self.labels:
-            return " ".join(self.labels[l] for l in self.letters)
-        return " ".join(str(l) for l in self.letters)
-
 
 class SchottkyGroup:
     """Finitely many disc-pairing generators acting on the ball of dimension N."""
@@ -482,28 +475,35 @@ def exact_sum(values: np.ndarray) -> float:
     Both are correctly rounded, so they are the same double.  Each value is
     m 2^(e - 53) with m an integer below 2^53 in magnitude; m is split into
     26- and 27-bit halves, which ``np.bincount`` sums by exponent exactly,
-    since fewer than 2^26 of them stay below 2^53.  The buckets are
-    combined as Python ints and rounded once.  Short, non-finite, huge or
-    non-float64 batches, and sums that are zero or not normal, go to
-    ``math.fsum``.
+    one block of ``BLOCK_WORDS`` values at a time (a sum of fewer than 2^26
+    halves stays below 2^53).  The blocks' buckets join one Python-int
+    total, kept at the lowest exponent so far and shifted left when a block
+    goes lower, and the total is rounded once.  Short, non-finite, huge or non-float64
+    batches, and sums that are zero or not normal, go to ``math.fsum``.
     """
     n = values.shape[0]
-    if values.dtype != np.float64 or not EXACT_SUM_MIN <= n < 1 << 26:
+    if values.dtype != np.float64 or n < EXACT_SUM_MIN:
         return math.fsum(values.tolist())
-    mant, exp = np.frexp(values)
-    if not np.isfinite(mant).all():
-        return math.fsum(values.tolist())
-    lowest, highest = int(exp.min()), int(exp.max())
+    total, lowest, highest = 0, 2048, -2048   # beyond every float64 exponent
+    for lo in range(0, n, BLOCK_WORDS):
+        mant, exp = np.frexp(values[lo:lo + BLOCK_WORDS])
+        if not np.isfinite(mant).all():
+            return math.fsum(values.tolist())
+        base, highest = int(exp.min()), max(highest, int(exp.max()))
+        if base < lowest:
+            total, lowest = total << (lowest - base), base
+        mant *= 2.0 ** 26
+        high = np.trunc(mant)
+        mant -= high
+        mant *= 2.0 ** 27
+        exp -= base
+        for shift, (h, l) in enumerate(zip(np.bincount(exp, weights=high).tolist(),
+                                           np.bincount(exp, weights=mant).tolist()),
+                                       base - lowest):
+            if h or l:
+                total += (int(h) << (shift + 27)) + (int(l) << shift)
     if highest + n.bit_length() > 1022:   # fsum could overflow on the way
         return math.fsum(values.tolist())
-    high = np.trunc(mant * 2.0 ** 26)
-    low = (mant * 2.0 ** 26 - high) * 2.0 ** 27
-    bucket = exp - lowest
-    total = 0
-    for shift, (h, l) in enumerate(zip(np.bincount(bucket, weights=high).tolist(),
-                                       np.bincount(bucket, weights=low).tolist())):
-        if h or l:
-            total += (int(h) << (shift + 27)) + (int(l) << shift)
     scale = lowest - 53
     result = float(total << scale) if scale >= 0 else total / (1 << -scale)
     if abs(result) < 2.0 ** -1022:   # zero or subnormal

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TargetNotInDomainClosure
-from .group import (SLAB_WORDS, DeclaredStabilizer, LevelSums, QuotientSpec,
+from .group import (BLOCK_WORDS, SLAB_WORDS, DeclaredStabilizer, LevelSums, QuotientSpec,
                     SchottkyGroup, Walk, WordBatch, walk)
 from .mobius import (apply_boundary_raw, apply_halfspace_raw, apply_interior_raw,
                      ball_to_halfspace, boundary_derivative_raw, halfspace_to_ball,
@@ -152,14 +152,15 @@ def _merge_atoms(points: np.ndarray, weights: np.ndarray,
 
 
 class _AtomStream:
-    """Atoms merged as a walk yields them, equal bit for bit to one
-    :func:`_merge_atoms` of every atom so far.
+    """Atoms merged as a walk forms them, one block of words at a time,
+    equal bit for bit to one :func:`_merge_atoms` of every atom so far.
 
-    Each batch's keys are first looked up in the sorted table of known
+    Each block's keys are first looked up in the sorted table of known
     atoms; only the keys it misses are sorted, and its new atoms are
     numbered in order of first appearance.  Its weights are added into the
     running totals in enumeration order, so every atom gets the same
-    representative and the same summation order as in the one-shot merge.
+    representative and the same summation order as in the one-shot merge,
+    however the words are split into blocks.
     A key is an atom's row of grid integers as one value that compares as
     the row does: for width 2 a complex128 whose parts are the snapped
     floats themselves (exact integers: |k| <= 10^15 < 2^53 on the closed
@@ -305,23 +306,25 @@ class EndingMeasures:
 
     def __call__(self, batch: WordBatch, words: WordBatch) -> None:
         """Every measure's values j(w, .)^s and atom positions of the batch's
-        words: the orbit points' first, from the batch's matrices, so that
-        the blocks below are views of them; then the targets', from one
-        formation of each block of matrices."""
-        width, s = self.group.dim + 1, self.s
-        measures = list(zip(self._embedded, self.blocks, self._atoms))
-        for zc, blocks, atoms in measures[self._targets:]:
-            _add_atoms(batch, blocks, atoms, interior_derivative_raw(words.mats, zc) ** s,
-                       apply_interior_raw(words.mats, zc)[:, :width])
-        n = words.last.shape[0]
-        targets = [(np.empty(n), np.empty((n, width))) for _ in range(self._targets)]
+        words, from one formation of each block of matrices.  Each block's
+        atoms are merged as soon as it is formed; each measure's level block
+        takes the batch's values whole."""
+        width, s, length = self.group.dim + 1, self.s, batch.length
+        values = [np.empty(words.last.shape[0]) for _ in self.points]
         for lo, mats in words.blocks():
             rows = slice(lo, lo + mats.shape[0])
-            for bc, (value, place) in zip(self._embedded, targets):
-                value[rows] = boundary_power(mats, bc, s)
-                place[rows] = apply_boundary_raw(mats, bc)[:, :width]
-        for (_, blocks, atoms), (value, place) in zip(measures, targets):
-            _add_atoms(batch, blocks, atoms, value, place)
+            for i, (pc, value, atoms) in enumerate(zip(self._embedded, values, self._atoms)):
+                if i < self._targets:
+                    value[rows] = boundary_power(mats, pc, s)
+                    place = apply_boundary_raw(mats, pc)
+                else:
+                    value[rows] = interior_derivative_raw(mats, pc) ** s
+                    place = apply_interior_raw(mats, pc)
+                atoms.add(place[:, :width], value[rows], length)
+        for blocks, atoms, value in zip(self.blocks, self._atoms, values):
+            blocks.add(length, value)
+            if batch.final:
+                atoms.close(length)
 
     def walk(self, max_length: int, budget: int | None = None, consumers=()) -> Walk:
         """One walk to ``max_length`` feeding these measures, then ``consumers``."""
@@ -350,15 +353,6 @@ class EndingMeasures:
                                      self.group.dim, "ending" if boundary else "orbit",
                                      self.s, done.depth, series=series, meta=meta))
         return tuple(out)
-
-
-def _add_atoms(batch: WordBatch, blocks: LevelSums, atoms: _AtomStream,
-               values: np.ndarray, places: np.ndarray) -> None:
-    """One measure's share of a batch: its level block and its atoms."""
-    blocks.add(batch.length, values)
-    atoms.add(places, values, batch.length)
-    if batch.final:
-        atoms.close(batch.length)
 
 
 def _check_target(group: SchottkyGroup, zeta: BoundaryPoint,
@@ -466,7 +460,7 @@ class _Shell:
     points: np.ndarray
     z: np.ndarray | None = None
     t: np.ndarray | None = None
-    # (cell count, slab start) -> the cell of each v(p), which no g changes
+    # (cells, block start, block stop) -> the cell of each v(p); no g changes it
     cells: dict = field(default_factory=dict)
 
 
@@ -497,7 +491,9 @@ def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
     walk(group, depth, enum.get("budget"), consumers=[shell])
     if not parts:   # the walk was cut before its top level
         return _Shell(np.empty(0, dtype=np.int16), np.empty(0), np.empty((0, 3)))
-    return _Shell(*(np.concatenate(column) for column in zip(*parts)))
+    columns = list(zip(*parts))
+    parts.clear()   # each column's parts go once it is joined
+    return _Shell(*(np.concatenate(columns.pop(0)) for _ in range(len(columns))))
 
 
 def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
@@ -515,7 +511,11 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
     both of which are depth-shell terms.  With the chain rule
     j(g v, p) = j(g, v(p)) j(v, p) both come from the shell record: the
     positions v(p), moved by g^{-1} and differentiated by g, and the raw
-    j(v, p).  Slabs of ``SLAB_WORDS`` words are binned in walk order.
+    j(v, p).  Slabs of ``SLAB_WORDS`` words are binned in walk order, each
+    slab's mu(g A) terms before its integral terms, and each side is
+    evaluated in blocks of ``BLOCK_WORDS`` words: ``np.add.at`` adds one
+    term at a time, so the blocks add the same terms in the same order as
+    one pass over the slab would.
     """
     if mu._shell is None:
         mu._shell = _record_shell(mu, enum)
@@ -524,23 +524,28 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
     ginv = g.inverse()
     scale = mu.series.partial_sum
     net = np.zeros(cells)
-    for lo in range(0, shell.first.shape[0], SLAB_WORDS):
-        part = slice(lo, lo + SLAB_WORDS)
-        if shell.z is None:
-            pre = apply_boundary_raw(ginv.matrix, shell.points[part])
-            jg = boundary_derivative_raw(g.matrix, shell.points[part])
-        else:
-            z, t = shell.z[part], shell.t[part]
-            pre = halfspace_to_ball(*apply_halfspace_raw(ginv.matrix, z, t))
-            jg = _stretch(g, z, t)
-        if (cells, lo) not in shell.cells:
-            shell.cells[cells, lo] = _cells_of(shell.points[part], mu.dim, cells)
-        jw = shell.jraw[part] ** s
-        keep_lhs = shell.first[part] != g_letter
-        keep_rhs = shell.first[part] != ginv_letter
-        np.add.at(net, _cells_of(pre, mu.dim, cells)[keep_lhs], jw[keep_lhs] / scale)
-        np.subtract.at(net, shell.cells[cells, lo][keep_rhs],
-                       (jg ** s * jw)[keep_rhs] / scale)
+    n = shell.first.shape[0]
+    for slab in range(0, n, SLAB_WORDS):
+        end = min(slab + SLAB_WORDS, n)
+        parts = [slice(lo, min(lo + BLOCK_WORDS, end)) for lo in range(slab, end, BLOCK_WORDS)]
+        for part in parts:
+            if shell.z is None:
+                pre = apply_boundary_raw(ginv.matrix, shell.points[part])
+            else:
+                pre = halfspace_to_ball(*apply_halfspace_raw(ginv.matrix, shell.z[part],
+                                                             shell.t[part]))
+            keep = shell.first[part] != g_letter
+            np.add.at(net, _cells_of(pre, mu.dim, cells)[keep],
+                      (shell.jraw[part] ** s)[keep] / scale)
+        for part in parts:
+            jg = (boundary_derivative_raw(g.matrix, shell.points[part]) if shell.z is None
+                  else _stretch(g, shell.z[part], shell.t[part]))
+            key = (cells, part.start, part.stop)
+            if key not in shell.cells:
+                shell.cells[key] = _cells_of(shell.points[part], mu.dim, cells)
+            keep = shell.first[part] != ginv_letter
+            np.subtract.at(net, shell.cells[key][keep],
+                           (jg ** s * shell.jraw[part] ** s)[keep] / scale)
     return float(np.max(np.abs(net)))
 
 

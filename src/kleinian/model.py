@@ -60,11 +60,6 @@ class BoundaryPoint:
         """Point of the circle S^1 at angle ``theta`` (N=1 only)."""
         return cls((math.cos(theta), math.sin(theta)))
 
-    def angle(self) -> float:
-        if self.dim != 1:
-            raise ValueError("angle() is only defined on S^1")
-        return math.atan2(self.coords[1], self.coords[0])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BoundaryPoint) and np.array_equal(self.coords, other.coords)
 

@@ -378,8 +378,6 @@ class TestRenderCommand:
     def test_uniform_synthetic_measure_flat_bins(self, tmp_path):
         # many equal atoms spread evenly: every bin within 2/bins of 1/bins
         bins = 16
-        pairs = TWO_GEN["pairs"] if "pairs" in TWO_GEN else None
-        doc = dict(TRIVIAL, render={"bins": bins, "width": 64})
         # uniform measure: fake it through a trivial group is impossible, so
         # check the histogram helper directly instead
         from kleinian.measure import _cell_masses
@@ -390,6 +388,27 @@ class TestRenderCommand:
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         masses = _cell_masses(pts, np.full(n, 1.0 / n), 1, bins)
         assert np.all(np.abs(masses - 1.0 / bins) < 2.0 / bins)
+
+    def test_cap_group_renders_its_cells_on_a_grid(self, tmp_path):
+        # a dimension-2 group: longitude across, latitude down, one
+        # rectangle of width / 4 by height / 4 pixels per cell
+        caps = [([0.0, 1.0, 0.0], [0.0, -1.0, 0.0]), ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0])]
+        doc = dict(TWO_GEN, target={"coords": [-1.0, 0.0, 0.0]}, depth=4,
+                   render={"bins": 16, "width": 40, "height": 24})
+        doc["group"] = {"kind": "schottky", "dim": 2, "pairs": [
+            {"label": label, "plus": {"coords": plus, "radius": 0.35},
+             "minus": {"coords": minus, "radius": 0.35}}
+            for label, (plus, minus) in zip("ab", caps)]}
+        out = tmp_path / "o"
+        assert main(["render", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        data = (out / "render.ppm").read_bytes()
+        header = b"P6\n40 24\n255\n"
+        assert data.startswith(header) and len(data) == len(header) + 3 * 40 * 24
+        rows = (out / "histogram.csv").read_text().strip().splitlines()[1:]
+        masses = [float(row.split(",")[1]) for row in rows]
+        red = list(data[len(header)::3])
+        y, x = divmod(red.index(min(red)), 40)
+        assert masses[(x * 4 // 40) * 4 + y * 4 // 24] == max(masses) > 0.0
 
     def test_histogram_csv_masses_sum_to_one(self, tmp_path):
         cfg = write_config(tmp_path, TWO_GEN)

@@ -495,6 +495,14 @@ class TestSingularityDiagnostic:
                 assert (kleinian.measure._nearest_distances(x, y).tobytes()
                         == cKDTree(y).query(x, k=1)[0].tobytes())
 
+    def test_nothing_is_near_an_empty_measure(self):
+        m1 = one_atom_measure(0.5)
+        empty = AtomicMeasure(np.empty((0, 2)), np.empty(0), np.empty(0, dtype=np.int64),
+                              1, "ending", 1.0, 0)
+        assert kleinian.measure._nearest_distances(embed3(m1.points), np.empty((0, 3))
+                                                   ).tolist() == [math.inf]
+        assert singularity_diagnostic(m1, empty, 0.1) == (0.0, 0.0)
+
     def test_eps_validation(self):
         m1 = one_atom_measure(0.5)
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import ast
 import copy
 import functools
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -14,13 +15,15 @@ from hypothesis import strategies as st
 
 import kleinian.group
 import kleinian.limits
+import kleinian.measure
 from kleinian.errors import BudgetExceeded
-from kleinian.examples import example2_group, example3_group
+from kleinian.examples import Example1Config, build_example1, example2_group, example3_group
 from kleinian.group import (EXACT_SUM_MIN, DeclaredStabilizer, LevelSums, QuotientSpec,
                             SchottkyGroup, enumerate_words, exact_sum, iter_word_batches,
                             kernel_enumerate, level_count, walk, word_at)
 from kleinian.limits import horoball_entry, horoball_scanner
-from kleinian.measure import EndingMeasures, _record_shell, ending_measure, orbit_measure
+from kleinian.measure import (DEFAULT_CELLS, EndingMeasures, _record_shell,
+                              conformality_residual, ending_measure, orbit_measure)
 from kleinian.mobius import boundary_derivative_raw, matmul_raw
 from kleinian.model import BoundaryPoint, InteriorPoint, embed3
 from kleinian.series import (bounded_parabolic_domination, horospherical_partial,
@@ -493,8 +496,9 @@ def _whole_slab_blocks(batch):
 
 def _blocked_outputs(group, depth, budget):
     """The bits of a boundary series, of ending measures at one and at two
-    targets and beside an orbit measure, and of the conformality shells of
-    an ending and an orbit measure."""
+    targets and beside an orbit measure, and of the conformality shells and
+    residuals (every letter, one cell and the default cells) of an ending
+    and an orbit measure."""
     if group.dim == 1:
         targets = (BoundaryPoint.from_angle(math.pi), BoundaryPoint.from_angle(3.5))
         base = InteriorPoint([0.1, 0.2])
@@ -514,6 +518,9 @@ def _blocked_outputs(group, depth, budget):
         shell = _record_shell(mu, mu.meta["enumeration"])
         out += [getattr(shell, name).tobytes() for name in ("first", "jraw", "points", "z", "t")
                 if getattr(shell, name) is not None]
+        # one cell takes every term, so any change of summation order shows
+        out += [conformality_residual(mu, group.letter_transform(e), 0.7, cells).hex()
+                for cells in (1, DEFAULT_CELLS) for e in range(group.letter_count)]
     return out
 
 
@@ -522,14 +529,17 @@ def _blocked_outputs(group, depth, budget):
        slab=st.sampled_from([23, 200]), block=st.sampled_from([7, 64]), data=st.data())
 def test_blocked_top_level_keeps_every_bit(group, depth, slab, block, data):
     """With blocks of 7 or 64 words, boundary series level sums, ending
-    measures at one and two targets (points, weights, word lengths) and the
-    conformality shells equal the whole-slab path bit for bit, in
-    dimensions 1 and 2, for budgets that cut on and inside slabs and blocks."""
+    measures at one and two targets (points, weights, word lengths), the
+    conformality shells and their residuals equal the whole-slab path bit
+    for bit, in dimensions 1 and 2, for budgets that cut on and inside slabs
+    and blocks.  The residual bins its shell in slabs of the same size."""
     budget = _slab_budget(data, group, depth, slab)
     assume(budget is None or budget >= 1)
     with mock.patch.object(kleinian.group, "iter_word_batches",
-                           functools.partial(iter_word_batches, slab=slab)):
-        with mock.patch.object(kleinian.group, "BLOCK_WORDS", block):
+                           functools.partial(iter_word_batches, slab=slab)), \
+            mock.patch.object(kleinian.measure, "SLAB_WORDS", slab):
+        with mock.patch.object(kleinian.group, "BLOCK_WORDS", block), \
+                mock.patch.object(kleinian.measure, "BLOCK_WORDS", block):
             blocked = _blocked_outputs(group, depth, budget)
         with mock.patch.object(kleinian.group.WordBatch, "blocks", _whole_slab_blocks):
             whole = _blocked_outputs(group, depth, budget)
@@ -556,6 +566,66 @@ def test_boundary_walks_never_form_a_whole_top_slab(std_group):
         assert formed == []
         poincare_partial(std_group, InteriorPoint([0.1, 0.2]), 0.7, depth)
     assert sum(formed) == level_count(std_group, depth) and len(formed) > 1
+
+
+def test_block_consumers_see_at_most_a_block(std_group):
+    """The atom merge of an unpruned boundary walk, and the paired
+    conformality residual's boundary images, derivatives and cells, see at
+    most ``BLOCK_WORDS`` rows a call, never a whole slab or shell."""
+    block, slab, depth = 16, 100, 5
+    rows = {name: [] for name in ("add", "apply_boundary_raw", "boundary_derivative_raw",
+                                  "_cells_of")}
+    add = kleinian.measure._AtomStream.add
+
+    def merged(stream, points, weights, length):
+        rows["add"].append(points.shape[0])
+        return add(stream, points, weights, length)
+
+    def spied(name):
+        call = getattr(kleinian.measure, name)
+
+        def counted(*args):
+            out = call(*args)
+            rows[name].append(out.shape[0])
+            return out
+        return mock.patch.object(kleinian.measure, name, counted)
+
+    with mock.patch.object(kleinian.group, "iter_word_batches",
+                           functools.partial(iter_word_batches, slab=slab)), \
+            mock.patch.object(kleinian.group, "BLOCK_WORDS", block), \
+            mock.patch.object(kleinian.measure, "BLOCK_WORDS", block), \
+            mock.patch.object(kleinian.measure._AtomStream, "add", merged):
+        mu = ending_measure(std_group, DOMAIN_POINT, 0.7, depth)
+        with spied("apply_boundary_raw"), spied("boundary_derivative_raw"), \
+                spied("_cells_of"):
+            conformality_residual(mu, std_group.letter_transform(0), 0.7)
+    assert sum(rows["add"]) == sum(level_count(std_group, n) for n in range(depth + 1))
+    for name, seen in rows.items():
+        assert seen and max(seen) <= block, name
+
+
+def _traced_peak(call) -> int:
+    """The peak of the memory traced while ``call()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_sum_holds_little_beside_its_values():
+    values = np.random.default_rng(19).random(1 << 20)   # 8 MiB
+    assert _traced_peak(lambda: exact_sum(values)) < 4 << 20
+
+
+def test_a_later_residual_holds_little_beside_the_shell():
+    """The first residual keeps the depth-7 shell (941,192 words) on the
+    measure; a later one evaluates it by blocks."""
+    ex1 = build_example1(Example1Config(depth=7))
+    first, second = (gen.transform for gen in ex1.group.generators[:2])
+    conformality_residual(ex1.measure, first, 0.5)
+    assert _traced_peak(lambda: conformality_residual(ex1.measure, second, 0.5)) < 16 << 20
 
 
 # --- exact batch sums ------------------------------------------------------------------
@@ -601,6 +671,50 @@ def test_exact_sum_falls_back_on_non_finite_and_huge_values(values, special, dat
     array = np.array(values, dtype=np.float64)
     assert _sum_outcome(exact_sum, array) == _sum_outcome(
         lambda a: math.fsum(a.tolist()), array)
+
+
+SUM_BLOCK = 7   # BLOCK_WORDS for the blocked sums below
+
+
+@st.composite
+def _blocked_sums(draw):
+    """Arrays of at least ``EXACT_SUM_MIN`` values in blocks of ``SUM_BLOCK``,
+    each block spread over its own few binades, the first block highest, so
+    that the lowest exponent first appears in a later block.  Some cancel
+    to zero or to a subnormal; some end with inf, nan or 1e308 in the last
+    block only."""
+    blocks = draw(st.integers(EXACT_SUM_MIN // SUM_BLOCK + 1, 3 * EXACT_SUM_MIN // SUM_BLOCK))
+    base = draw(st.integers(-1070, 700))
+    lows = draw(st.lists(st.integers(base, base + 200), min_size=blocks, max_size=blocks))
+    lows[0] = max(lows) + 1
+    spread = draw(st.integers(0, 60))
+    values = [math.ldexp(draw(st.floats(-1.0, 1.0)), low + draw(st.integers(0, spread)))
+              for low in lows for _ in range(SUM_BLOCK)]
+    ending = draw(st.sampled_from(["plain", "zero", "subnormal", "special"]))
+    if ending in ("zero", "subnormal"):   # the values, then their negatives
+        values += [-v for v in values]
+        if ending == "subnormal":
+            values.append(draw(st.sampled_from([5e-324, -5e-324, 2.0 ** -1030, 1e-310])))
+    if ending == "special":   # the values are whole blocks: overwrite some of the last
+        rows = draw(st.sets(st.integers(1, SUM_BLOCK), min_size=1, max_size=3))
+        for row in rows:
+            values[-row] = draw(st.sampled_from([math.inf, -math.inf, math.nan,
+                                                 1e308, -1e308]))
+    return values
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_blocked_sums())
+@example(values=[1.0] * 67 + [1e308, 1e308, -1e308])   # fsum overflows on the way
+@example(values=[2.0 ** -1000] * 35 + [2.0 ** -1060] + [-(2.0 ** -1000)] * 35)
+def test_exact_sum_across_blocks_is_fsum_bit_for_bit(values):
+    """In blocks of 7 values, with exponent ranges that move from block to
+    block, exact_sum still equals math.fsum bit for bit, and still falls
+    back on non-finite or huge values met only in the last block."""
+    array = np.array(values, dtype=np.float64)
+    with mock.patch.object(kleinian.group, "BLOCK_WORDS", SUM_BLOCK):
+        blocked = _sum_outcome(exact_sum, array)
+    assert blocked == _sum_outcome(lambda a: math.fsum(a.tolist()), array)
 
 
 # --- the single-walker rule --------------------------------------------------------
