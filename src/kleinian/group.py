@@ -5,15 +5,14 @@ numpy arrays: a level is its last letters plus its matrices, stored
 component-major as one (2, 2, n) array so that every entry read or written
 is contiguous.  Children are produced in breadth-first, parent-major /
 letter-minor order, which makes the stream deterministic and the level
-array double as the prefix cache.  A slab's children are one broadcast
+array double as the prefix cache.  A batch's children are one broadcast
 product of its parents' matrices with a per-walk table of the letters that
 may follow each last letter, so no parent matrix is gathered per child.
-The final level of a deep run is emitted in slabs whose matrices are not
-formed up front: a consumer that reads ``WordBatch.mats`` forms its slab
-whole, and one that walks ``WordBatch.blocks`` forms cache-sized blocks
-with the same product, so the top level's matrices are never held at
-once.  Level sums take one correctly rounded sum per batch
-(:func:`exact_sum`, equal to ``math.fsum``), then one per level.
+Every batch holds at most ``BLOCK_WORDS`` words with their matrices
+formed, so the top level's matrices are never held at once.  Level sums
+take one correctly rounded sum per slab of ``SLAB_WORDS`` words
+(:func:`exact_sum`, equal to ``math.fsum``), then one per level; no batch
+straddles a slab, so the sums do not depend on the batch size.
 
 A kernel walk also tracks each word's image under a retraction onto a free
 group (:class:`QuotientTracker`): one integer key that reads the reduced
@@ -26,6 +25,7 @@ generator) and ``2*i + 1`` (its inverse); ``letter ^ 1`` is the inverse.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -35,8 +35,8 @@ from .errors import BudgetExceeded, DiscsOverlap, TargetNotInDomainClosure
 from .mobius import Transform, image_disc, matmul_raw, pair_discs, parabolic_fixing
 from .model import BoundaryPoint, Disc, InteriorPoint
 
-SLAB_WORDS = 1 << 20          # fixed, so partial sums are bit-reproducible
-BLOCK_WORDS = 1 << 15         # words per block of WordBatch.blocks: fits in cache
+SLAB_WORDS = 1 << 20          # words per level sum: fixed, so sums are bit-reproducible
+BLOCK_WORDS = 1 << 15         # words per batch: fits in cache
 PARABOLIC_POWER_CHECK = 30
 
 
@@ -222,39 +222,16 @@ class WordBatch:
     A batch made by :meth:`select`, or by a pruned walk, holds some of a
     run's words and keeps their ``rows`` in it: word i of the batch is word
     ``offset + rows[i]`` of its level.
-
-    A top-level slab of an unpruned walk comes with its matrices unformed
-    (``children``): the first read of :attr:`mats` forms the whole slab,
-    while :meth:`blocks` forms one cache-sized block at a time and keeps
-    none of them.  Either way each matrix is the same product, bit for bit.
     """
 
     length: int
     offset: int
     last: np.ndarray       # (m,) int16 letters, -1 for the identity
     parent: np.ndarray     # (m,) int64 indices into the previous level
-    formed: np.ndarray | None   # the matrices, once formed (see ``mats``)
+    mats: np.ndarray       # (m, 2, 2) float64 matrices in dimension 1, complex128 in 2
     final: bool            # True when this batch completes its level
     rows: np.ndarray | None = None   # (m,) rows in the batch selected from
     image: np.ndarray | None = None  # (m,) image lengths on a tracked walk
-    children: _Children | None = None   # how to form ``mats`` when not yet formed
-
-    @property
-    def mats(self) -> np.ndarray:
-        """(m, 2, 2) float64 matrices in dimension 1, complex128 in 2."""
-        if self.formed is None and self.children is not None:
-            self.formed, self.children = self.children.whole(), None
-        return self.formed
-
-    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """The matrices in consecutive blocks of about ``BLOCK_WORDS`` words,
-        as (row of the block's first word, its (n, 2, 2) matrices).  Unformed
-        matrices are formed block by block and stay unformed."""
-        if self.children is not None:
-            yield from self.children.blocks(BLOCK_WORDS)
-            return
-        for lo in range(0, self.last.shape[0], BLOCK_WORDS):
-            yield lo, self.mats[lo:lo + BLOCK_WORDS]
 
     def select(self, keep: np.ndarray) -> "WordBatch":
         """The words flagged by the boolean mask ``keep``, in order."""
@@ -276,38 +253,6 @@ def _products(parents: np.ndarray, keys: np.ndarray, table: np.ndarray,
     return out
 
 
-@dataclass
-class _Children:
-    """The unformed matrices of a top-level slab: children ``words`` of the
-    parents whose matrices ``parents`` are a (2, 2, p) view of the prefix
-    cache, with last letters ``keys``; ``table`` is the walk's (2, 2, 2k, b)
-    successor table."""
-
-    parents: np.ndarray
-    keys: np.ndarray
-    table: np.ndarray
-    words: slice
-
-    def whole(self) -> np.ndarray:
-        mats = _products(self.parents, self.keys, self.table).reshape(2, 2, -1)
-        mats = _matrices(mats[:, :, self.words])
-        mats.flags.writeable = False
-        return mats
-
-    def blocks(self, size: int) -> Iterator[tuple[int, np.ndarray]]:
-        """Blocks of whole parents, about ``size`` children each (see
-        :meth:`WordBatch.blocks`)."""
-        branching = self.table.shape[3]
-        step = max(1, size // branching)
-        start, stop = self.words.start, self.words.stop
-        for first in range(0, self.keys.shape[0], step):
-            last = min(first + step, self.keys.shape[0])
-            mats = _products(self.parents[:, :, first:last], self.keys[first:last],
-                             self.table).reshape(2, 2, -1)
-            lo, hi = max(start, first * branching), min(stop, last * branching)
-            yield lo - start, _matrices(mats[:, :, lo - first * branching:hi - first * branching])
-
-
 def _successors(letter_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The letters that may follow each last letter, and their matrices.
 
@@ -324,29 +269,28 @@ def _successors(letter_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _matrices(components: np.ndarray) -> np.ndarray:
     """The (..., 2, 2) view of a component-major (2, 2, ...) array."""
-    return np.moveaxis(components, (0, 1), (-2, -1))
+    return components.transpose(*range(2, components.ndim), 0, 1)
 
 
 def iter_word_batches(group: SchottkyGroup, max_length: int,
-                      budget: int | None = None, slab: int = SLAB_WORDS,
+                      budget: int | None = None, size: int = BLOCK_WORDS,
                       tracker: QuotientTracker | None = None) -> Iterator[WordBatch]:
     """Yield every reduced word of length <= max_length as WordBatch runs.
 
-    Level ``l`` has exactly 2k (2k-1)^(l-1) words, yielded in slabs of at
-    most ``slab`` words.  Levels below the top are kept whole (their
-    matrices are the prefix cache for the next level); the top level's
-    words live only in their slab.  An unpruned walk yields its top-level
-    slabs with their matrices unformed, as the parents' matrices (a view of
-    the prefix cache), their last letters and the slab's word range: see
-    :class:`WordBatch` for how ``mats`` and ``blocks`` form them.
+    Level ``l`` has exactly 2k (2k-1)^(l-1) words, yielded in batches of at
+    most ``size`` words with their matrices formed; no batch straddles a
+    multiple of ``SLAB_WORDS`` within its level.  Levels below the top are
+    kept whole (their matrices are the prefix cache for the next level);
+    the top level's words live only in their batch.
     Raises :class:`BudgetExceeded` after yielding whatever fits within the
     node budget; the partial batch before a cut is not ``final``.
 
     With a ``tracker`` each batch carries its words' image lengths as
-    ``image``.  A pruning tracker keys each slab's candidates, the children
+    ``image``.  A pruning tracker keys each batch's candidates, the children
     of the words kept one level down, and forms only those that can still
-    return to the kernel.  Slabs, ``offset``, ``final`` and the budget count
-    every word: batch i holds the kept words of the whole walk's slab i.
+    return to the kernel.  Batches, ``offset``, ``final`` and the budget
+    count every word: batch i holds the kept words of the whole walk's
+    batch i.
     """
     letter_mats = group.letter_matrices
     k2 = group.letter_count
@@ -376,15 +320,15 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     for length in range(1, max_length + 1):
         letter_table, mat_table = table
         branching = letter_table.shape[1]
-        size, total = keys.shape[0] * branching, level_count(group, length)
+        room, total = keys.shape[0] * branching, level_count(group, length)
         is_top = length == max_length
         if not is_top:   # the prefix cache of the next level
-            level = np.empty((2, 2, size), dtype=letter_mats.dtype)
-            level_last = np.empty(size, dtype=np.int16)
-            level_index = np.empty(size if prune else 0, dtype=np.int64)
+            level = np.empty((2, 2, room), dtype=letter_mats.dtype)
+            level_last = np.empty(room, dtype=np.int16)
+            level_index = np.empty(room if prune else 0, dtype=np.int64)
         pos = kept = 0
         while pos < total:
-            hi = min(pos + slab, total)
+            hi = min(pos + size, (pos // SLAB_WORDS + 1) * SLAB_WORDS, total)
             cut = budget is not None and generated + (hi - pos) > budget
             if cut:
                 hi = pos + (budget - generated)
@@ -403,7 +347,6 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
                 letters = letter_table[parent_keys].ravel()[words]
                 parents = np.repeat(np.arange(first, last, dtype=np.int64), branching)[words]
                 final = not cut and hi == total
-                mats = children = None
                 if prune:   # key the candidates, then form the survivors only
                     candidates = WordBatch(length, pos, letters, parents, None, final)
                     image = tracker.extend(candidates)[1]
@@ -415,22 +358,16 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
                     matmul_raw(_matrices(prev[:, :, parents]), letter_mats[letters], mats)
                     if not is_top:
                         level_index[kept:kept + alive.shape[0]] = rows + pos
-                elif is_top:   # formed when read (see WordBatch)
-                    children = _Children(prev[:, :, first:last], parent_keys, mat_table, words)
-                else:
-                    block = _products(prev[:, :, first:last], parent_keys, mat_table,
-                                      level.reshape(2, 2, -1, branching)[:, :, first:last])
+                else:   # below the top, into the prefix cache; at the top, a fresh array
+                    out = None if is_top else level.reshape(2, 2, -1, branching)[:, :, first:last]
+                    block = _products(prev[:, :, first:last], parent_keys, mat_table, out)
                     mats = _matrices(block.reshape(2, 2, -1)[:, :, words])
                 if not is_top:
                     level_last[kept:kept + letters.shape[0]] = letters
                 kept += letters.shape[0]
-                if mats is not None:
-                    mats.flags.writeable = False   # below the top, a view of the prefix cache
-                if is_top and hi == total:   # the last slab: the cache lives on in it alone
-                    prev = keys = index = None
+                mats.flags.writeable = False   # below the top, a view of the prefix cache
                 generated += hi - pos
-                batch = WordBatch(length, pos, letters, parents, mats, final, rows,
-                                  children=children)
+                batch = WordBatch(length, pos, letters, parents, mats, final, rows)
                 if tracker is not None:
                     batch.image = image if prune else tracker.extend(batch)[1]
                 yield batch
@@ -466,78 +403,96 @@ def word_at(group: SchottkyGroup, length: int, index: int) -> Word:
 
 # --- the walker -----------------------------------------------------------------
 
-EXACT_SUM_MIN = 64   # shorter batches are summed by math.fsum directly
+EXACT_SUM_MIN = 64   # fewer values are summed by math.fsum directly
 
 
-def exact_sum(values: np.ndarray) -> float:
-    """``math.fsum(values.tolist())``, bit for bit, without the Python list.
+def exact_sum(parts: Sequence[np.ndarray]) -> float:
+    """``math.fsum`` of the values of ``parts`` in order, bit for bit,
+    without a Python list or a joined copy.
 
     Both are correctly rounded, so they are the same double.  Each value is
     m 2^(e - 53) with m an integer below 2^53 in magnitude; m is split into
     26- and 27-bit halves, which ``np.bincount`` sums by exponent exactly,
-    one block of ``BLOCK_WORDS`` values at a time (a sum of fewer than 2^26
-    halves stays below 2^53).  The blocks' buckets join one Python-int
-    total, kept at the lowest exponent so far and shifted left when a block
-    goes lower, and the total is rounded once.  Short, non-finite, huge or non-float64
-    batches, and sums that are zero or not normal, go to ``math.fsum``.
+    ``BLOCK_WORDS`` values at a time (a sum of fewer than 2^26 halves stays
+    below 2^53).  The buckets join one Python-int total, kept at the lowest
+    exponent so far and shifted left when a block goes lower, and rounded
+    once.  Short, non-finite, huge or non-float64 input, and sums that are
+    zero or not normal, go to ``math.fsum``.
     """
-    n = values.shape[0]
-    if values.dtype != np.float64 or n < EXACT_SUM_MIN:
-        return math.fsum(values.tolist())
+    def fsum() -> float:
+        return math.fsum(value for part in parts for value in part.tolist())
+
+    n = sum(part.shape[0] for part in parts)
+    if n < EXACT_SUM_MIN or any(part.dtype != np.float64 for part in parts):
+        return fsum()
     total, lowest, highest = 0, 2048, -2048   # beyond every float64 exponent
-    for lo in range(0, n, BLOCK_WORDS):
-        mant, exp = np.frexp(values[lo:lo + BLOCK_WORDS])
-        if not np.isfinite(mant).all():
-            return math.fsum(values.tolist())
-        base, highest = int(exp.min()), max(highest, int(exp.max()))
-        if base < lowest:
-            total, lowest = total << (lowest - base), base
-        mant *= 2.0 ** 26
-        high = np.trunc(mant)
-        mant -= high
-        mant *= 2.0 ** 27
-        exp -= base
-        for shift, (h, l) in enumerate(zip(np.bincount(exp, weights=high).tolist(),
-                                           np.bincount(exp, weights=mant).tolist()),
-                                       base - lowest):
-            if h or l:
-                total += (int(h) << (shift + 27)) + (int(l) << shift)
+    for part in parts:
+        for lo in range(0, part.shape[0], BLOCK_WORDS):
+            mant, exp = np.frexp(part[lo:lo + BLOCK_WORDS])
+            if not np.isfinite(mant).all():
+                return fsum()
+            base, highest = int(exp.min()), max(highest, int(exp.max()))
+            if base < lowest:
+                total, lowest = total << (lowest - base), base
+            mant *= 2.0 ** 26
+            high = np.trunc(mant)
+            mant -= high
+            mant *= 2.0 ** 27
+            exp -= base
+            for shift, (h, l) in enumerate(zip(np.bincount(exp, weights=high).tolist(),
+                                               np.bincount(exp, weights=mant).tolist()),
+                                           base - lowest):
+                if h or l:
+                    total += (int(h) << (shift + 27)) + (int(l) << shift)
     if highest + n.bit_length() > 1022:   # fsum could overflow on the way
-        return math.fsum(values.tolist())
+        return fsum()
     scale = lowest - 53
     result = float(total << scale) if scale >= 0 else total / (1 << -scale)
     if abs(result) < 2.0 ** -1022:   # zero or subnormal
-        return math.fsum(values.tolist())
+        return fsum()
     return result
 
 
 class LevelSums:
-    """Level blocks of one value stream: an exact sum per batch, then per level.
+    """Level sums of one value stream: an exact sum per slab, then per level.
 
     A walk consumer.  ``values(words)`` gives one value per word of a
     batch; on a kernel walk it is handed only the kernel words unless
     ``whole_group`` is set, which also keeps the walk unpruned (:func:`walk`).
-    :meth:`finish` closes the blocks at a walk:
-    ``level_sums`` and ``level_counts`` then cover its complete levels and
-    ``tail_sum`` is what was summed beyond them before a budget cut.
+    A slab's values (the words of a level whose indices have one quotient
+    by ``SLAB_WORDS``) are kept until the next slab begins, then summed by
+    one :func:`exact_sum`, so no sum depends on the batch size.  After
+    :meth:`finish` closes the blocks at a walk, ``level_sums`` and
+    ``level_counts`` cover its complete levels and ``tail_sum`` is what was
+    summed beyond them before a budget cut.
     """
 
     def __init__(self, values: Callable[[WordBatch], np.ndarray] | None = None,
                  whole_group: bool = False):
         self.values = values
         self.whole_group = whole_group
-        self._parts: list[list[float]] = []
-        self._counts: list[int] = []
+        self._sums: defaultdict[int, list[float]] = defaultdict(list)   # one per slab
+        self._counts: Counter[int] = Counter()
+        self._slab: tuple[int, int] | None = None   # (level, slab) of the values kept
+        self._kept: list[np.ndarray] = []
 
     def __call__(self, batch: WordBatch, words: WordBatch) -> None:
-        self.add(batch.length, self.values(batch if self.whole_group else words))
+        self.add(batch.length, batch.offset, self.values(batch if self.whole_group else words))
 
-    def add(self, length: int, values: np.ndarray) -> None:
-        while len(self._parts) <= length:
-            self._parts.append([])
-            self._counts.append(0)
-        self._parts[length].append(exact_sum(values))
+    def add(self, length: int, offset: int, values: np.ndarray) -> None:
+        """The values of the next batch in walk order, which starts at word
+        ``offset`` of level ``length``."""
+        slab = (length, offset // SLAB_WORDS)
+        if slab != self._slab:
+            self._close()
+            self._slab = slab
+        self._kept.append(values)
         self._counts[length] += values.shape[0]
+
+    def _close(self) -> None:
+        if self._slab is not None:
+            self._sums[self._slab[0]].append(exact_sum(self._kept))
+            self._slab, self._kept = None, []
 
     def finish(self, done: Walk) -> None:
         """Close the blocks at the walk ``done``.
@@ -545,12 +500,11 @@ class LevelSums:
         Batches longer than ``done.depth`` are left out, so the blocks of one
         deep walk can be closed again at each shorter depth (see :meth:`Walk.upto`).
         """
-        depth = done.depth
-        sums = [math.fsum(parts) for parts in self._parts[: depth + 1]]
-        sums += [0.0] * (depth + 1 - len(sums))   # levels without words sum to zero
+        self._close()
+        sums = [math.fsum(self._sums[length]) for length in range(done.depth + 1)]
         self.tail_sum = math.fsum(sums[done.depth_completed + 1:])
         self.level_sums = sums[: done.depth_completed + 1]
-        self.level_counts = (self._counts + [0] * (depth + 1))[: done.depth_completed + 1]
+        self.level_counts = [self._counts[length] for length in range(done.depth_completed + 1)]
 
 
 @dataclass
@@ -568,7 +522,7 @@ class Walk:
     def upto(self, depth: int) -> "Walk":
         """The walk to ``depth`` <= ``self.depth`` that this walk contains.
 
-        Slab boundaries do not depend on which level is the top, so that
+        Batch boundaries do not depend on which level is the top, so that
         walk yields this walk's batches of length <= ``depth``; it is cut
         exactly when this walk's cut fell inside one of those levels.
         """

@@ -77,16 +77,15 @@ class AtomicMeasure:
     def max_atom_weight(self) -> float:
         return float(np.max(self.weights))
 
-    def shell_mass(self, length: int | None = None) -> float:
-        """Mass contributed by words of the given length (default: the depth).
+    def shell_mass(self) -> float:
+        """Mass contributed by the words of length ``depth``.
 
         Reads the normalizing series' level sums when available, which stays
         correct even when atoms of different lengths coalesce.
         """
-        length = self.depth if length is None else length
-        if self.series is not None and length < len(self.series.level_sums):
-            return self.series.level_sums[length] / self.series.partial_sum
-        return float(math.fsum(self.weights[self.word_lengths == length].tolist()))
+        if self.series is not None and self.depth < len(self.series.level_sums):
+            return self.series.level_sums[self.depth] / self.series.partial_sum
+        return float(math.fsum(self.weights[self.word_lengths == self.depth].tolist()))
 
     def top_atoms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k heaviest atoms, heaviest first, ties in atom order.
@@ -102,10 +101,9 @@ class AtomicMeasure:
         order = rows[np.lexsort((rows, keys[rows]))][:k]
         return self.points[order], self.weights[order]
 
-    def weight_at(self, point: BoundaryPoint | InteriorPoint,
-                  tol: float = 1e-9) -> float:
+    def weight_at(self, point: BoundaryPoint | InteriorPoint) -> float:
         d = np.linalg.norm(self.points - point.coords[None, :], axis=1)
-        return float(math.fsum(self.weights[d <= tol].tolist()))
+        return float(math.fsum(self.weights[d <= 1e-9].tolist()))
 
     def to_csv(self, path) -> None:
         """Columns x[,y][,z], weight, word_length; rows by descending weight.
@@ -152,21 +150,22 @@ def _merge_atoms(points: np.ndarray, weights: np.ndarray,
 
 
 class _AtomStream:
-    """Atoms merged as a walk forms them, one block of words at a time,
-    equal bit for bit to one :func:`_merge_atoms` of every atom so far.
+    """Atoms merged as a walk forms them, equal bit for bit to one
+    :func:`_merge_atoms` of every atom so far.
 
-    Each block's keys are first looked up in the sorted table of known
-    atoms; only the keys it misses are sorted, and its new atoms are
-    numbered in order of first appearance.  Its weights are added into the
-    running totals in enumeration order, so every atom gets the same
-    representative and the same summation order as in the one-shot merge,
-    however the words are split into blocks.
+    Batches of one length wait until ``BLOCK_WORDS`` words, their level's
+    end or :meth:`at`, and are then merged at once: their keys are looked
+    up in the sorted table of known atoms, only the keys missed are sorted,
+    and the new atoms are numbered in order of first appearance.  Weights
+    are added into the running totals in enumeration order, so every atom
+    gets the same representative and the same summation order as in the
+    one-shot merge, however the words are split into batches.
     A key is an atom's row of grid integers as one value that compares as
     the row does: for width 2 a complex128 whose parts are the snapped
     floats themselves (exact integers: |k| <= 10^15 < 2^53 on the closed
     disc), for width 3 a void row of big-endian integers.  Coordinates that
     are not finite, or off the int64 grid, raise :class:`FloatingPointError`
-    rather than merge.
+    when their batch is added, rather than merge.
 
     ``close(length)`` marks the end of a level, so ``at(depth)`` can give
     the merge of the words of length <= depth; its totals are copied only
@@ -182,6 +181,8 @@ class _AtomStream:
         self._totals = np.zeros(0)
         self._closed: dict[int, np.ndarray] = {}      # level -> totals at its end
         self._open: list[int] = []                    # ended levels not yet copied
+        self._queue: list[tuple] = []                 # (keys, points, weights) to merge
+        self._queued, self._length = 0, None
 
     def _key(self, points: np.ndarray) -> np.ndarray:
         grid = _snapped(points)
@@ -193,13 +194,23 @@ class _AtomStream:
         return _void_keys(grid.astype(np.int64))
 
     def add(self, points: np.ndarray, weights: np.ndarray, length: int) -> None:
-        if not points.shape[0]:
+        if length != self._length:
+            self._merge()
+        self._queue.append((self._key(points), points, weights))
+        self._queued, self._length = self._queued + points.shape[0], length
+        if self._queued >= BLOCK_WORDS:
+            self._merge()
+
+    def _merge(self) -> None:
+        if not self._queued:
             return
+        keys, points, weights = (column[0] if len(column) == 1 else np.concatenate(column)
+                                 for column in zip(*self._queue))   # one batch: no copy
+        self._queue, self._queued = [], 0
         if self._open:
             totals = self._totals.copy()
             self._closed.update(dict.fromkeys(self._open, totals))
             self._open = []
-        keys = self._key(points)
         pos = np.searchsorted(self._keys, keys)
         if self._keys.shape[0]:
             np.minimum(pos, self._keys.shape[0] - 1, out=pos)
@@ -222,11 +233,12 @@ class _AtomStream:
             self._keys = np.insert(self._keys, at, ranked[heads])
             self._ids = np.insert(self._ids, at, new_ids)
             self._points.append(points[first[by_appearance]])
-            self._lengths.append(np.full(first.shape[0], length, dtype=np.int64))
+            self._lengths.append(np.full(first.shape[0], self._length, dtype=np.int64))
             self._totals = np.concatenate([self._totals, np.zeros(first.shape[0])])
         np.add.at(self._totals, ids, weights)
 
     def close(self, length: int) -> None:
+        self._merge()
         self._open.append(length)
 
     def at(self, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,6 +248,7 @@ class _AtomStream:
         the walk stopped at or before it), so every atom so far is in the
         prefix.
         """
+        self._merge()
         totals = self._closed.get(depth, self._totals)
         n = totals.shape[0]
         return np.concatenate(self._points)[:n], totals, np.concatenate(self._lengths)[:n]
@@ -306,23 +319,17 @@ class EndingMeasures:
 
     def __call__(self, batch: WordBatch, words: WordBatch) -> None:
         """Every measure's values j(w, .)^s and atom positions of the batch's
-        words, from one formation of each block of matrices.  Each block's
-        atoms are merged as soon as it is formed; each measure's level block
-        takes the batch's values whole."""
-        width, s, length = self.group.dim + 1, self.s, batch.length
-        values = [np.empty(words.last.shape[0]) for _ in self.points]
-        for lo, mats in words.blocks():
-            rows = slice(lo, lo + mats.shape[0])
-            for i, (pc, value, atoms) in enumerate(zip(self._embedded, values, self._atoms)):
-                if i < self._targets:
-                    value[rows] = boundary_power(mats, pc, s)
-                    place = apply_boundary_raw(mats, pc)
-                else:
-                    value[rows] = interior_derivative_raw(mats, pc) ** s
-                    place = apply_interior_raw(mats, pc)
-                atoms.add(place[:, :width], value[rows], length)
-        for blocks, atoms, value in zip(self.blocks, self._atoms, values):
-            blocks.add(length, value)
+        words, into its level blocks and its atom stream."""
+        width, s, length, mats = self.group.dim + 1, self.s, batch.length, words.mats
+        for i, (pc, blocks, atoms) in enumerate(zip(self._embedded, self.blocks, self._atoms)):
+            if i < self._targets:
+                value = boundary_power(mats, pc, s)
+                place = apply_boundary_raw(mats, pc)
+            else:
+                value = interior_derivative_raw(mats, pc) ** s
+                place = apply_interior_raw(mats, pc)
+            blocks.add(length, batch.offset, value)
+            atoms.add(place[:, :width], value, length)
             if batch.final:
                 atoms.close(length)
 
@@ -460,7 +467,7 @@ class _Shell:
     points: np.ndarray
     z: np.ndarray | None = None
     t: np.ndarray | None = None
-    # (cells, block start, block stop) -> the cell of each v(p); no g changes it
+    # cell count -> the cell of each v(p), in the smallest integer type; no g changes it
     cells: dict = field(default_factory=dict)
 
 
@@ -477,16 +484,15 @@ def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
     def shell(batch, words) -> None:
         if batch.length != depth:
             return
-        for lo, mats in batch.blocks():
-            index = batch.offset + lo + np.arange(mats.shape[0])
-            first = (index // below if depth > 0 else np.full(1, -1)).astype(np.int16)
-            if boundary:
-                parts.append((first, boundary_derivative_raw(mats, point3),
-                              apply_boundary_raw(mats, point3)))
-            else:
-                z, t = apply_halfspace_raw(mats, *ball_to_halfspace(point3))
-                parts.append((first, interior_derivative_raw(mats, point3),
-                              halfspace_to_ball(z, t), z, t))
+        index = batch.offset + np.arange(batch.last.shape[0])
+        first = (index // below if depth > 0 else np.full(1, -1)).astype(np.int16)
+        if boundary:
+            parts.append((first, boundary_derivative_raw(batch.mats, point3),
+                          apply_boundary_raw(batch.mats, point3)))
+        else:
+            z, t = apply_halfspace_raw(batch.mats, *ball_to_halfspace(point3))
+            parts.append((first, interior_derivative_raw(batch.mats, point3),
+                          halfspace_to_ball(z, t), z, t))
 
     walk(group, depth, enum.get("budget"), consumers=[shell])
     if not parts:   # the walk was cut before its top level
@@ -515,7 +521,8 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
     slab's mu(g A) terms before its integral terms, and each side is
     evaluated in blocks of ``BLOCK_WORDS`` words: ``np.add.at`` adds one
     term at a time, so the blocks add the same terms in the same order as
-    one pass over the slab would.
+    one pass over the slab would.  The first call at a cell count bins the
+    shell's v(p) block by block and keeps their cells.
     """
     if mu._shell is None:
         mu._shell = _record_shell(mu, enum)
@@ -525,6 +532,8 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
     scale = mu.series.partial_sum
     net = np.zeros(cells)
     n = shell.first.shape[0]
+    binned = cells in shell.cells   # else filled below, in the smallest type for cells - 1
+    cell_of = shell.cells[cells] if binned else np.empty(n, np.min_scalar_type(-cells))
     for slab in range(0, n, SLAB_WORDS):
         end = min(slab + SLAB_WORDS, n)
         parts = [slice(lo, min(lo + BLOCK_WORDS, end)) for lo in range(slab, end, BLOCK_WORDS)]
@@ -540,12 +549,12 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
         for part in parts:
             jg = (boundary_derivative_raw(g.matrix, shell.points[part]) if shell.z is None
                   else _stretch(g, shell.z[part], shell.t[part]))
-            key = (cells, part.start, part.stop)
-            if key not in shell.cells:
-                shell.cells[key] = _cells_of(shell.points[part], mu.dim, cells)
+            if not binned:
+                cell_of[part] = _cells_of(shell.points[part], mu.dim, cells)
             keep = shell.first[part] != ginv_letter
-            np.subtract.at(net, shell.cells[key][keep],
+            np.subtract.at(net, cell_of[part][keep],
                            (jg ** s * shell.jraw[part] ** s)[keep] / scale)
+    shell.cells[cells] = cell_of
     return float(np.max(np.abs(net)))
 
 

@@ -2,10 +2,10 @@
 
 Every evaluator walks the breadth-first word stream once, forms the block
 sum of each word length by correctly rounded summation (one
-:func:`~kleinian.group.exact_sum` per batch, then ``math.fsum`` per
-level, in enumeration order), and returns a :class:`SeriesResult`
-carrying the per-level blocks, a three-valued convergence verdict and an
-optional certified tail.
+:func:`~kleinian.group.exact_sum` per slab of ``SLAB_WORDS`` words, then
+``math.fsum`` per level, in enumeration order), and returns a
+:class:`SeriesResult` carrying the per-level blocks, a three-valued
+convergence verdict and an optional certified tail.
 
 A ``converged_within`` verdict is only ever issued against a
 :class:`TailCertificate` (a proven geometric bound on the level blocks),
@@ -138,15 +138,11 @@ def _series(group: SchottkyGroup, values: Callable[[WordBatch], np.ndarray],
 
 
 def boundary_values(zeta: BoundaryPoint, s: float) -> Callable[[WordBatch], np.ndarray]:
-    """The value stream j(w, zeta)^s of a batch's words w, evaluated block
-    by block (:meth:`~kleinian.group.WordBatch.blocks`)."""
+    """The value stream j(w, zeta)^s of a batch's words w."""
     bc = embed3(zeta.coords)
 
     def values(batch: WordBatch) -> np.ndarray:
-        out = np.empty(batch.last.shape[0])
-        for lo, mats in batch.blocks():
-            out[lo:lo + mats.shape[0]] = boundary_power(mats, bc, s)
-        return out
+        return boundary_power(batch.mats, bc, s)
     return values
 
 
@@ -468,9 +464,9 @@ def parabolic_domination(zeta: BoundaryPoint, s: float):
     def consume(batch: WordBatch, words: WordBatch) -> None:
         nonlocal b_measured
         jb = boundary_derivative_raw(words.mats, bc)
-        reduced.add(batch.length, jb ** s)
+        reduced.add(batch.length, batch.offset, jb ** s)
         ji = interior_derivative_raw(batch.mats, np.zeros(3))
-        poincare.add(batch.length, ji ** s)
+        poincare.add(batch.length, batch.offset, ji ** s)
         if words.rows.shape[0]:
             conorm = ji[words.rows]  # at the origin 1 - |w(0)|^2 = j(w, 0)
             dist = np.arccosh(np.maximum(2.0 / conorm - 1.0, 1.0))
@@ -559,10 +555,10 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
     probes: list[ProbeRecord] = []
     notes: list[str] = []
     origin = np.zeros(3)
-    raw: list[tuple[int, np.ndarray]] = []   # (length, j(w, 0)) per batch
+    raw: list[tuple[int, int, np.ndarray]] = []   # (length, offset, j(w, 0)) per batch
 
     def cache(batch: WordBatch, words: WordBatch) -> None:
-        raw.append((batch.length, interior_derivative_raw(words.mats, origin)))
+        raw.append((batch.length, batch.offset, interior_derivative_raw(words.mats, origin)))
 
     done = walk(group, max(depths, default=0), budget, kernel=restrict,
                 consumers=[cache])
@@ -575,7 +571,8 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
         fed = 0
         for depth in depths:
             while fed < len(raw) and raw[fed][0] <= depth:
-                blocks.add(raw[fed][0], raw[fed][1] ** s)
+                length, offset, raw_values = raw[fed]
+                blocks.add(length, offset, raw_values ** s)
                 fed += 1
             probe = done.upto(depth)
             blocks.finish(probe)

@@ -4,13 +4,14 @@ Covers every CLI output file but the ``.meta.json`` sidecars, for each
 config under ``configs/`` and each command at the config's own depth, and
 the results of the three builders at their default configurations:
 reports, measures (points, weights, word lengths and normalizing series),
-series, the weak trend, the exponent probes and the domination record.
+series, the weak trend, the exponent probes and the domination record,
+and Example 1's conformality residuals at depth 7.
 Two checkouts give the same output exactly when they produce the same bits:
 
     PYTHONPATH=src python tests/output_hashes.py > hashes.txt
 
 pytest does not collect this file; ``test_output_hashes.py`` compares its
-lines with ``golden/output_hashes.txt``.  It takes about 11 s on two vCPUs.
+lines with ``golden/output_hashes.txt``.  It takes about 12 s on two vCPUs.
 """
 
 from __future__ import annotations
@@ -59,9 +60,16 @@ def builder_hashes() -> dict[str, str]:
     from kleinian.examples import (Example1Config, Example2Config, Example3Config,
                                    build_example1, build_example2, build_example3,
                                    example1_weak_trend)
+    from kleinian.measure import conformality_residual
 
     cfg1 = Example1Config()
     ex1 = build_example1(cfg1)
+    cfg7 = Example1Config(depth=7)
+    ex7 = build_example1(cfg7)
+    group7 = ex7.measure.meta["enumeration"]["group"]
+    residuals = [conformality_residual(ex7.measure, group7.letter_transform(e),
+                                       cfg7.exponent, cells).hex()
+                 for cells in (16, 64) for e in range(group7.letter_count)]
     ex2 = build_example2(Example2Config())
     ex3 = build_example3(Example3Config())
     probes = [[[p.s, p.depth, list(p.level_sums), p.ratio, p.label] for p in est.probes]
@@ -71,6 +79,7 @@ def builder_hashes() -> dict[str, str]:
         "example1/measure": measure_digest(ex1.measure),
         "example1/series": digest(dataclasses.asdict(ex1.series)),
         "example1/weak_trend": digest(example1_weak_trend(cfg1, ex1)),
+        "example1/residuals": digest(residuals),
         "example2/report": digest(ex2.report),
         **{f"example2/measure{i}": measure_digest(mu) for i, mu in enumerate(ex2.measures)},
         "example2/probes": digest(probes),

@@ -214,7 +214,7 @@ class TestQuotients:
         spec = QuotientSpec({"a": (), "b": ("b",)})
         tracker = QuotientTracker(std_group, spec, 3)
         kernel = []
-        for batch in iter_word_batches(std_group, 3, slab=5):
+        for batch in iter_word_batches(std_group, 3, size=5):
             kernel.append(int(np.count_nonzero(tracker.extend(batch)[1] == 0)))
         # the top level is never a parent, so its image keys are not kept
         assert [k.shape[0] for k in tracker.keys] == [1, 4, 12]
@@ -265,8 +265,8 @@ def _hand_image(group, images, letters):
 
 @settings(max_examples=30, deadline=None)
 @given(group=schottky_groups(), depth=st.integers(0, 5),
-       slab=st.sampled_from([7, 1 << 20]), data=st.data())
-def test_tracker_matches_hand_reduced_images(group, depth, slab, data):
+       size=st.sampled_from([7, 1 << 20]), data=st.data())
+def test_tracker_matches_hand_reduced_images(group, depth, size, data):
     """Kill, keep, merge onto one symbol or invert: each word's image length,
     kernel membership and key agree with the image reduced by hand."""
     images = {}
@@ -276,7 +276,7 @@ def test_tracker_matches_hand_reduced_images(group, depth, slab, data):
             images[gen.label] = choice
     tracker = QuotientTracker(group, QuotientSpec(images), depth)
     key_of = {}
-    for batch in iter_word_batches(group, depth, slab=slab):
+    for batch in iter_word_batches(group, depth, size=size):
         keys, lengths = tracker.extend(batch)
         for i in range(batch.last.shape[0]):
             word = word_at(group, batch.length, batch.offset + i)

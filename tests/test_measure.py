@@ -15,9 +15,10 @@ from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec
                             SchottkyGroup, ending_sequence, enumerate_words, level_count,
                             walk)
 from kleinian.measure import (DEFAULT_CELLS, MERGE_TOL, AtomicMeasure, _AtomStream,
-                              _cell_index, _letters_of, _merge_atoms, classify_atomicity,
-                              conformality_residual, ending_measure, orbit_measure,
-                              singularity_diagnostic, support_gap, weak_distance)
+                              _cell_index, _cells_of, _letters_of, _merge_atoms,
+                              classify_atomicity, conformality_residual, ending_measure,
+                              orbit_measure, singularity_diagnostic, support_gap,
+                              weak_distance)
 from kleinian.mobius import (apply_boundary_raw, apply_interior_raw,
                              boundary_derivative_raw, interior_derivative_raw, matmul_raw,
                              Transform)
@@ -330,6 +331,21 @@ def test_residuals_of_one_measure_walk_once(group, monkeypatch):
                                       rel=1e-12)
 
 
+def test_shell_keeps_one_small_cell_array_per_count(group):
+    """The first residual at a cell count bins the shell's points once, into
+    one array of the smallest signed integer type; later calls read it and
+    give the same bits."""
+    mu = ending_measure(group, DOMAIN_POINT, 0.8, 5, stab=DeclaredStabilizer.trivial())
+    g = group.generators[0].transform
+    first = {cells: conformality_residual(mu, g, 0.8, cells) for cells in (16, 64, 1000)}
+    shell = mu._shell
+    assert {cells: binned.dtype for cells, binned in shell.cells.items()} == {
+        16: np.int8, 64: np.int8, 1000: np.int16}
+    for cells, binned in shell.cells.items():
+        assert np.array_equal(binned, _cells_of(shell.points, group.dim, cells))
+        assert conformality_residual(mu, g, 0.8, cells) == first[cells]
+
+
 class TestClassifyAtomicity:
     @pytest.fixture(scope="class")
     def parabolic(self, group):
@@ -595,23 +611,26 @@ class TestAtomStream:
         lengths = np.repeat(np.arange(len(levels), dtype=np.int32),
                             [sum(batch.shape[0] for batch in level) for level in levels])
         top_closed = data.draw(st.booleans())   # an open top level is a budget cut
-        stream = _AtomStream(width)
-        start = 0
-        for length, level in enumerate(levels):
-            for i, batch in enumerate(level):
-                atoms = stream._totals.shape[0]
-                stream.add(batch, weights[start: start + batch.shape[0]], length)
-                start += batch.shape[0]
-                if length == len(levels) - 1:
-                    assert stream._totals.shape[0] - atoms == (0, 4, 4)[i]
-            if length < len(levels) - 1 or top_closed:
-                stream.close(length)
-        for depth in range(len(levels)):
-            n = int(np.searchsorted(lengths, depth, side="right"))
-            expected = _merge_atoms(points[:n], weights[:n], lengths[:n])
-            for got, want in zip(stream.at(depth), expected):
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+        # merged at every batch, or queued until 5 or 2^15 words wait
+        for block in (1, 5, 1 << 15):
+            stream = _AtomStream(width)
+            start = 0
+            with mock.patch.object(kleinian.measure, "BLOCK_WORDS", block):
+                for length, level in enumerate(levels):
+                    for i, batch in enumerate(level):
+                        atoms = stream._totals.shape[0]
+                        stream.add(batch, weights[start: start + batch.shape[0]], length)
+                        start += batch.shape[0]
+                        if block == 1 and length == len(levels) - 1:
+                            assert stream._totals.shape[0] - atoms == (0, 4, 4)[i]
+                    if length < len(levels) - 1 or top_closed:
+                        stream.close(length)
+            for depth in range(len(levels)):
+                n = int(np.searchsorted(lengths, depth, side="right"))
+                expected = _merge_atoms(points[:n], weights[:n], lengths[:n])
+                for got, want in zip(stream.at(depth), expected):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("width", [2, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e4])

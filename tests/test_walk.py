@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import kleinian.group
 import kleinian.limits
 import kleinian.measure
-from kleinian.errors import BudgetExceeded
+import kleinian.series
+from kleinian.errors import BudgetExceeded, InconclusiveBracket
 from kleinian.examples import Example1Config, build_example1, example2_group, example3_group
 from kleinian.group import (EXACT_SUM_MIN, DeclaredStabilizer, LevelSums, QuotientSpec,
                             SchottkyGroup, enumerate_words, exact_sum, iter_word_batches,
@@ -26,7 +27,8 @@ from kleinian.measure import (DEFAULT_CELLS, EndingMeasures, _record_shell,
                               conformality_residual, ending_measure, orbit_measure)
 from kleinian.mobius import boundary_derivative_raw, matmul_raw
 from kleinian.model import BoundaryPoint, InteriorPoint, embed3
-from kleinian.series import (bounded_parabolic_domination, horospherical_partial,
+from kleinian.series import (ProbeRecord, boundary_values, bounded_parabolic_domination,
+                             estimate_delta, horospherical_partial, parabolic_domination,
                              poincare_partial, reduced_horospherical_partial)
 
 from conftest import cap_groups, schottky_groups
@@ -277,12 +279,12 @@ def test_kernel_walk_is_the_masked_whole_walk(group, depth, data):
         assert (l1, m1, v1) == (l2, m2, v2) and np.array_equal(i1, i2)
 
 
-def _slab_budget(data, group, depth, slab):
-    """None, or a budget below 1, on a level boundary, on a slab boundary
-    inside a level, or inside a slab."""
+def _batch_budget(data, group, depth, size):
+    """None, or a budget below 1, on a level boundary, on a batch boundary
+    inside a level, or inside a batch of ``size`` words."""
     counts = [level_count(group, length) for length in range(depth + 1)]
     before = np.cumsum([0] + counts).tolist()   # words of the levels below each level
-    kind = data.draw(st.sampled_from(["none", "below 1", "level", "slab", "inside"]))
+    kind = data.draw(st.sampled_from(["none", "below 1", "level", "batch", "inside"]))
     if kind == "none":
         return None
     if kind == "below 1":
@@ -290,25 +292,25 @@ def _slab_budget(data, group, depth, slab):
     length = data.draw(st.integers(0, depth))
     if kind == "level":
         return before[length + 1]
-    start = before[length] + slab * data.draw(st.integers(0, (counts[length] - 1) // slab))
-    if kind == "slab":
+    start = before[length] + size * data.draw(st.integers(0, (counts[length] - 1) // size))
+    if kind == "batch":
         return start
-    return start + data.draw(st.integers(1, max(1, min(slab, before[length + 1] - start) - 1)))
+    return start + data.draw(st.integers(1, max(1, min(size, before[length + 1] - start) - 1)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(group=st.one_of(schottky_groups(), cap_groups()), depth=st.integers(1, 6),
-       slab=st.sampled_from([7, 64]), data=st.data())
-def test_pruned_kernel_walk_crosses_slabs(group, depth, slab, data):
-    """With slabs of 7 or 64 words, a pruned kernel walk gives the level
+       size=st.sampled_from([7, 64]), data=st.data())
+def test_pruned_kernel_walk_crosses_slabs(group, depth, size, data):
+    """With batches of 7 or 64 words, a pruned kernel walk gives the level
     sums, level counts, tail sum and consumer calls (rows, matrices and
     values) of the whole walk masked by kernel membership, bit for bit, for
-    budgets on level and slab boundaries, inside a slab and below 1, in
+    budgets on level and batch boundaries, inside a batch and below 1, in
     dimensions 1 (float64 matrices) and 2 (complex128)."""
     labels = [gen.label for gen in group.generators]
     killed = data.draw(st.sets(st.sampled_from(labels), min_size=1))
     spec = QuotientSpec({l: () if l in killed else (l,) for l in labels})
-    budget = _slab_budget(data, group, depth, slab)
+    budget = _batch_budget(data, group, depth, size)
     bc = embed3(BoundaryPoint.from_angle(math.pi).coords)
 
     def values(batch):
@@ -326,7 +328,7 @@ def test_pruned_kernel_walk_crosses_slabs(group, depth, slab, data):
         return consume
 
     with mock.patch.object(kleinian.group, "iter_word_batches",
-                           functools.partial(iter_word_batches, slab=slab)):
+                           functools.partial(iter_word_batches, size=size)):
         members = set()
         try:
             for word, _ in kernel_enumerate(group, spec, depth, budget):
@@ -450,12 +452,12 @@ def _reference_levels(group, depth):
 
 
 @pytest.mark.parametrize("name", ["std_group", "std_group_2d", "example3"])
-@pytest.mark.parametrize("slab", [7, 1000])
-def test_batches_are_the_level_by_level_products(name, slab, request):
+@pytest.mark.parametrize("size", [7, 1000])
+def test_batches_are_the_level_by_level_products(name, size, request):
     """Every batch's matrices, parents, letters, offset and ``final`` flag
-    equal the gather-and-multiply reference, bit for bit, for slabs that
-    are no multiple of 2k - 1 and for budgets that cut inside one parent's
-    children."""
+    equal the gather-and-multiply reference, bit for bit, for batch sizes
+    that are no multiple of 2k - 1 and for budgets that cut inside one
+    parent's children."""
     group = (example3_group()[0] if name == "example3"
              else request.getfixturevalue(name))
     depth = 4
@@ -468,9 +470,9 @@ def test_batches_are_the_level_by_level_products(name, slab, request):
     for budget in budgets:
         seen = [0] * (depth + 1)
         try:
-            for batch in iter_word_batches(group, depth, budget, slab=slab):
+            for batch in iter_word_batches(group, depth, budget, size=size):
                 m = batch.last.shape[0]
-                assert 0 < m <= slab and batch.offset == seen[batch.length]
+                assert 0 < m <= size and batch.offset == seen[batch.length]
                 assert batch.final == (batch.offset + m == sizes[batch.length])
                 seen[batch.length] += m
                 if batch.length == 0:
@@ -487,32 +489,37 @@ def test_batches_are_the_level_by_level_products(name, slab, request):
         assert sum(seen) == (before[-1] if budget is None else min(budget, before[-1]))
 
 
-# --- the blocked top level ------------------------------------------------------------
+# --- one batch size, slab-sized sums ------------------------------------------------
 
-def _whole_slab_blocks(batch):
-    """Each batch as one block of its whole matrices: the unblocked path."""
-    yield 0, batch.mats
+SLAB = 200   # SLAB_WORDS for the batch-size property below
 
 
-def _blocked_outputs(group, depth, budget):
-    """The bits of a boundary series, of ending measures at one and at two
-    targets and beside an orbit measure, and of the conformality shells and
-    residuals (every letter, one cell and the default cells) of an ending
-    and an orbit measure."""
+def _walk_outputs(group, depth, budget):
+    """The bits of every walk consumer: a boundary series; ending measures at
+    one and two targets and beside an orbit measure; the conformality
+    shells and residuals (every letter, one cell and the default cells) of
+    an ending and an orbit measure; kernel measures and a horoball scan on
+    one pruned kernel walk; a domination record on a whole kernel walk; and
+    the probe records of a pruned exponent estimate."""
     if group.dim == 1:
         targets = (BoundaryPoint.from_angle(math.pi), BoundaryPoint.from_angle(3.5))
         base = InteriorPoint([0.1, 0.2])
     else:
         targets = (BoundaryPoint([-1.0, 0.0, 0.0]), BoundaryPoint([-1.0, 0.3, 0.2]))
         base = InteriorPoint([0.1, 0.2, -0.1])
-    out = []
+    labels = [gen.label for gen in group.generators]
+    spec = QuotientSpec({labels[0]: ()})
+
+    def measure_bits(measures, done):
+        return [bits for mu in measures.at(done)
+                for bits in (mu.points.tobytes(), mu.weights.tobytes(),
+                             mu.word_lengths.tobytes(), repr(mu.series.level_sums))]
+
     series = horospherical_partial(group, targets[0], 0.7, depth, budget)
-    out.append(np.array(series.level_sums + (series.partial_sum,)).tobytes())
+    out = [repr((series.level_sums, series.partial_sum, series.transcript["level_counts"]))]
     for count, orbits in ((1, ()), (2, ()), (1, (base,))):
         measures = EndingMeasures(group, targets[:count], 0.7, orbit_points=orbits)
-        for mu in measures.at(measures.walk(depth, budget)):
-            out += [mu.points.tobytes(), mu.weights.tobytes(), mu.word_lengths.tobytes(),
-                    np.array(mu.series.level_sums).tobytes()]
+        out += measure_bits(measures, measures.walk(depth, budget))
     for mu in (ending_measure(group, targets[0], 0.7, depth, budget=budget),
                orbit_measure(group, base, 0.7, depth, budget)):
         shell = _record_shell(mu, mu.meta["enumeration"])
@@ -521,87 +528,47 @@ def _blocked_outputs(group, depth, budget):
         # one cell takes every term, so any change of summation order shows
         out += [conformality_residual(mu, group.letter_transform(e), 0.7, cells).hex()
                 for cells in (1, DEFAULT_CELLS) for e in range(group.letter_count)]
-    return out
+    scan, scanned = horoball_scanner(group, targets[0], (0.5, 1.0, 2.0), depth)
+    kernel_measures = EndingMeasures(group, targets, 0.7, kernel=spec)
+    done = kernel_measures.walk(depth, budget, [scan])
+    out += measure_bits(kernel_measures, done)
+    out += [repr((hits.entered, [(w.letters, k) for w, k in hits.witnesses]))
+            for hits in scanned(done)]
+    out.append(repr(bounded_parabolic_domination(group, targets[0], 0.7, depth,
+                                                 DeclaredStabilizer((labels[0],)), budget)))
+    probes = []
+
+    def record(*fields):
+        probes.append(repr(fields))
+        return ProbeRecord(*fields)
+
+    with mock.patch.object(kleinian.series, "ProbeRecord", record):
+        try:
+            estimate_delta(group, (0.05, 4.0), tuple(range(1, depth + 1)), budget, spec)
+        except InconclusiveBracket:
+            probes.append("inconclusive")
+    return out + probes
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(group=st.one_of(schottky_groups(), cap_groups()), depth=st.integers(1, 5),
-       slab=st.sampled_from([23, 200]), block=st.sampled_from([7, 64]), data=st.data())
-def test_blocked_top_level_keeps_every_bit(group, depth, slab, block, data):
-    """With blocks of 7 or 64 words, boundary series level sums, ending
-    measures at one and two targets (points, weights, word lengths), the
-    conformality shells and their residuals equal the whole-slab path bit
-    for bit, in dimensions 1 and 2, for budgets that cut on and inside slabs
-    and blocks.  The residual bins its shell in slabs of the same size."""
-    budget = _slab_budget(data, group, depth, slab)
+       size=st.sampled_from([7, 64, SLAB]), data=st.data())
+def test_batch_size_keeps_every_bit(group, depth, size, data):
+    """With slabs of 200 words, walks in batches of 7, 64 and 200 words give
+    the same level sums, measures, shells, residuals, horoball scans,
+    domination records and probe records, bit for bit, in dimensions 1 and
+    2, on whole, pruned and whole kernel walks, for budgets that cut on and
+    inside batches of ``size`` words."""
+    budget = _batch_budget(data, group, depth, size)
     assume(budget is None or budget >= 1)
-    with mock.patch.object(kleinian.group, "iter_word_batches",
-                           functools.partial(iter_word_batches, slab=slab)), \
-            mock.patch.object(kleinian.measure, "SLAB_WORDS", slab):
-        with mock.patch.object(kleinian.group, "BLOCK_WORDS", block), \
-                mock.patch.object(kleinian.measure, "BLOCK_WORDS", block):
-            blocked = _blocked_outputs(group, depth, budget)
-        with mock.patch.object(kleinian.group.WordBatch, "blocks", _whole_slab_blocks):
-            whole = _blocked_outputs(group, depth, budget)
-    assert blocked == whole
-
-
-def test_boundary_walks_never_form_a_whole_top_slab(std_group):
-    """The boundary series and the ending measure evaluate the top level block
-    by block and never form a top-level slab's matrices; the interior series
-    reads every slab's matrices whole."""
-    formed = []
-    whole = kleinian.group._Children.whole
-
-    def counted(children):
-        formed.append(children.words.stop - children.words.start)
-        return whole(children)
-
-    depth, slab = 5, 100
-    with mock.patch.object(kleinian.group._Children, "whole", counted), \
-            mock.patch.object(kleinian.group, "iter_word_batches",
-                              functools.partial(iter_word_batches, slab=slab)):
-        horospherical_partial(std_group, DOMAIN_POINT, 0.7, depth)
-        ending_measure(std_group, DOMAIN_POINT, 0.7, depth)
-        assert formed == []
-        poincare_partial(std_group, InteriorPoint([0.1, 0.2]), 0.7, depth)
-    assert sum(formed) == level_count(std_group, depth) and len(formed) > 1
-
-
-def test_block_consumers_see_at_most_a_block(std_group):
-    """The atom merge of an unpruned boundary walk, and the paired
-    conformality residual's boundary images, derivatives and cells, see at
-    most ``BLOCK_WORDS`` rows a call, never a whole slab or shell."""
-    block, slab, depth = 16, 100, 5
-    rows = {name: [] for name in ("add", "apply_boundary_raw", "boundary_derivative_raw",
-                                  "_cells_of")}
-    add = kleinian.measure._AtomStream.add
-
-    def merged(stream, points, weights, length):
-        rows["add"].append(points.shape[0])
-        return add(stream, points, weights, length)
-
-    def spied(name):
-        call = getattr(kleinian.measure, name)
-
-        def counted(*args):
-            out = call(*args)
-            rows[name].append(out.shape[0])
-            return out
-        return mock.patch.object(kleinian.measure, name, counted)
-
-    with mock.patch.object(kleinian.group, "iter_word_batches",
-                           functools.partial(iter_word_batches, slab=slab)), \
-            mock.patch.object(kleinian.group, "BLOCK_WORDS", block), \
-            mock.patch.object(kleinian.measure, "BLOCK_WORDS", block), \
-            mock.patch.object(kleinian.measure._AtomStream, "add", merged):
-        mu = ending_measure(std_group, DOMAIN_POINT, 0.7, depth)
-        with spied("apply_boundary_raw"), spied("boundary_derivative_raw"), \
-                spied("_cells_of"):
-            conformality_residual(mu, std_group.letter_transform(0), 0.7)
-    assert sum(rows["add"]) == sum(level_count(std_group, n) for n in range(depth + 1))
-    for name, seen in rows.items():
-        assert seen and max(seen) <= block, name
+    outputs = []
+    with mock.patch.object(kleinian.group, "SLAB_WORDS", SLAB), \
+            mock.patch.object(kleinian.measure, "SLAB_WORDS", SLAB):
+        for batch_words in (7, 64, SLAB):
+            with mock.patch.object(kleinian.group, "iter_word_batches",
+                                   functools.partial(iter_word_batches, size=batch_words)):
+                outputs.append(_walk_outputs(group, depth, budget))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def _traced_peak(call) -> int:
@@ -616,7 +583,18 @@ def _traced_peak(call) -> int:
 
 def test_exact_sum_holds_little_beside_its_values():
     values = np.random.default_rng(19).random(1 << 20)   # 8 MiB
-    assert _traced_peak(lambda: exact_sum(values)) < 4 << 20
+    assert _traced_peak(lambda: exact_sum([values])) < 4 << 20
+
+
+def test_the_example3_walk_holds_no_top_slab():
+    """``build_example3``'s depth-8 walk (measure, whole-group sum and
+    domination, 585,937 words) never forms a level-8 slab's matrices: it
+    traces about 20 MiB, where whole 2^20-word slabs trace about 57."""
+    group, target = example3_group()
+    measures = EndingMeasures(group, [target], 0.8, stab=DeclaredStabilizer(("p",)))
+    whole = LevelSums(boundary_values(target, 0.8), whole_group=True)
+    dominate, _ = parabolic_domination(target, 0.8)
+    assert _traced_peak(lambda: measures.walk(8, None, [whole, dominate])) < 32 << 20
 
 
 def test_a_later_residual_holds_little_beside_the_shell():
@@ -629,6 +607,11 @@ def test_a_later_residual_holds_little_beside_the_shell():
 
 
 # --- exact batch sums ------------------------------------------------------------------
+
+def _in_two_parts(values):
+    """``exact_sum`` of the values as two parts, a third and the rest."""
+    return exact_sum([values[: values.shape[0] // 3], values[values.shape[0] // 3:]])
+
 
 def _sum_outcome(add, values):
     """The bits of a sum, or the name of what it raised."""
@@ -656,7 +639,7 @@ FINITE = st.one_of(
 @example(values=[2.0 ** -1000] * 70 + [-(2.0 ** -1000)] * 69)
 def test_exact_sum_is_fsum_bit_for_bit(values):
     array = np.array(values, dtype=np.float64)
-    assert _sum_outcome(exact_sum, array) == _sum_outcome(
+    assert _sum_outcome(_in_two_parts, array) == _sum_outcome(
         lambda a: math.fsum(a.tolist()), array)
 
 
@@ -669,7 +652,7 @@ def test_exact_sum_falls_back_on_non_finite_and_huge_values(values, special, dat
     for value in special:
         values.insert(data.draw(st.integers(0, len(values))), value)
     array = np.array(values, dtype=np.float64)
-    assert _sum_outcome(exact_sum, array) == _sum_outcome(
+    assert _sum_outcome(_in_two_parts, array) == _sum_outcome(
         lambda a: math.fsum(a.tolist()), array)
 
 
@@ -713,7 +696,7 @@ def test_exact_sum_across_blocks_is_fsum_bit_for_bit(values):
     back on non-finite or huge values met only in the last block."""
     array = np.array(values, dtype=np.float64)
     with mock.patch.object(kleinian.group, "BLOCK_WORDS", SUM_BLOCK):
-        blocked = _sum_outcome(exact_sum, array)
+        blocked = _sum_outcome(lambda a: exact_sum([a]), array)
     assert blocked == _sum_outcome(lambda a: math.fsum(a.tolist()), array)
 
 
