@@ -217,6 +217,19 @@ def _top_atom_gap(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     return float(np.min(_nearest_distances(pa, pb)))
 
 
+def _equal_points(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (ia, ib) of the points that two tables of distinct
+    points in the plane share, by ascending ib: ``np.intersect1d``'s pairs
+    of their complex views, from one sort of ``p``."""
+    kp, kq = (t.view(np.complex128).ravel() for t in (p, q))
+    order = np.argsort(kp)
+    at = np.searchsorted(kp, kq, sorter=order)
+    ib = np.flatnonzero(at < kp.shape[0])
+    ia = order[at[ib]]
+    equal = kp[ia] == kq[ib]
+    return ia[equal], ib[equal]
+
+
 def example2_group() -> tuple[SchottkyGroup, QuotientSpec]:
     """The free product and its retraction onto the large-arc factor."""
     centers = np.linspace(math.radians(30.0), math.radians(330.0), 8)
@@ -269,8 +282,7 @@ def build_example2(cfg: Example2Config) -> Example2Result:
     # minimal-gap diagnostic runs at the deepest depth where the atom sets
     # are still disjoint.  A depth's atoms are the full-depth atoms of word
     # length <= that depth, so one exact join finds the first collision.
-    keys = [mu.points.view(np.complex128).ravel() for mu in measures]
-    _, ia, ib = np.intersect1d(*keys, return_indices=True)
+    ia, ib = _equal_points(measures[0].points, measures[1].points)
     first = np.maximum(measures[0].word_lengths[ia], measures[1].word_lengths[ib])
     collision = int(first.min(initial=cfg.depth + 1))   # past the depth when none
     singularity_depth = min(cfg.depth, max(collision - 1, 2))

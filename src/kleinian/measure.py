@@ -154,12 +154,13 @@ class _AtomStream:
     :func:`_merge_atoms` of every atom so far.
 
     Batches of one length wait until ``BLOCK_WORDS`` words, their level's
-    end or :meth:`at`, and are then merged at once: their keys are looked
-    up in the sorted table of known atoms, only the keys missed are sorted,
-    and the new atoms are numbered in order of first appearance.  Weights
-    are added into the running totals in enumeration order, so every atom
-    gets the same representative and the same summation order as in the
-    one-shot merge, however the words are split into batches.
+    end or :meth:`at`, and are then merged at once: the first key of each
+    run of equal keys is looked up in the sorted table of known atoms, only
+    the keys missed are sorted, and the new atoms are numbered in order of
+    first appearance.  Weights are added into the running totals in
+    enumeration order, so every atom gets the same representative and the
+    same summation order as in the one-shot merge, however the words are
+    split into batches.
     A key is an atom's row of grid integers as one value that compares as
     the row does: for width 2 a complex128 whose parts are the snapped
     floats themselves (exact integers: |k| <= 10^15 < 2^53 on the closed
@@ -168,19 +169,20 @@ class _AtomStream:
     when their batch is added, rather than merge.
 
     ``close(length)`` marks the end of a level, so ``at(depth)`` can give
-    the merge of the words of length <= depth; its totals are copied only
-    once a later batch changes them, so the top level's never are.
+    the merge of the words of length <= depth.  Totals that a level's end or
+    :meth:`at` holds are read-only, and copied only once a later batch
+    changes them, so the top level's never are.
     """
 
     def __init__(self, width: int):
         self._width = width
-        self._keys = self._key(np.empty((0, width)))  # sorted
-        self._ids = np.empty(0, dtype=np.int64)       # atom id of each sorted key
+        top = np.full((1, width), np.iinfo(np.int64).max)   # a last key, above every row
+        self._keys = _void_keys(top) if width == 3 else top.astype(float).view(np.complex128)[0]
+        self._ids = np.full(1, -1)                    # atom id of each sorted key
         self._points = [np.empty((0, width))]         # representatives by id
         self._lengths = [np.empty(0, dtype=np.int64)]
         self._totals = np.zeros(0)
         self._closed: dict[int, np.ndarray] = {}      # level -> totals at its end
-        self._open: list[int] = []                    # ended levels not yet copied
         self._queue: list[tuple] = []                 # (keys, points, weights) to merge
         self._queued, self._length = 0, None
 
@@ -207,22 +209,17 @@ class _AtomStream:
         keys, points, weights = (column[0] if len(column) == 1 else np.concatenate(column)
                                  for column in zip(*self._queue))   # one batch: no copy
         self._queue, self._queued = [], 0
-        if self._open:
-            totals = self._totals.copy()
-            self._closed.update(dict.fromkeys(self._open, totals))
-            self._open = []
-        pos = np.searchsorted(self._keys, keys)
-        if self._keys.shape[0]:
-            np.minimum(pos, self._keys.shape[0] - 1, out=pos)
-            miss = np.flatnonzero(self._keys[pos] != keys)
-            ids = self._ids[pos]
-        else:
-            miss, ids = np.arange(keys.shape[0]), np.empty(keys.shape[0], dtype=np.int64)
+        # sibling words mostly share an atom: look up the first key of each run
+        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        runs = keys[starts]
+        pos = np.searchsorted(self._keys, runs)   # never past the last key, which never matches
+        miss = np.flatnonzero(self._keys[pos] != runs)
+        ids = self._ids[pos]
         if miss.shape[0]:
             # a stable sort keeps equal keys in word order, so the head of
             # each run is the new atom's first word
-            order = miss[np.argsort(keys[miss], kind="stable")]
-            ranked = keys[order]
+            order = miss[np.argsort(runs[miss], kind="stable")]
+            ranked = runs[order]
             heads = np.concatenate([[True], ranked[1:] != ranked[:-1]])
             first = order[heads]
             by_appearance = np.argsort(first, kind="stable")
@@ -232,26 +229,34 @@ class _AtomStream:
             at = np.searchsorted(self._keys, ranked[heads])
             self._keys = np.insert(self._keys, at, ranked[heads])
             self._ids = np.insert(self._ids, at, new_ids)
-            self._points.append(points[first[by_appearance]])
+            self._points.append(points[starts[first[by_appearance]]])
             self._lengths.append(np.full(first.shape[0], self._length, dtype=np.int64))
             self._totals = np.concatenate([self._totals, np.zeros(first.shape[0])])
-        np.add.at(self._totals, ids, weights)
+        elif not self._totals.flags.writeable:   # totals handed out never change
+            self._totals = self._totals.copy()
+        np.add.at(self._totals, np.repeat(ids, np.diff(starts, append=keys.shape[0])), weights)
 
     def close(self, length: int) -> None:
         self._merge()
-        self._open.append(length)
+        self._closed[length] = self._totals
+        self._totals.flags.writeable = False
 
     def at(self, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Merged (points, weights, lengths) of the words of length <= depth.
+        """Merged (points, weights, lengths) of the words of length <= depth,
+        read-only; points and lengths are prefixes of one shared table.
 
-        Without a copy for level ``depth`` no batch was added after it (or
-        the walk stopped at or before it), so every atom so far is in the
-        prefix.
+        When level ``depth`` has not ended (a budget cut, or a walk that
+        stopped before it), every atom so far is in the prefix.
         """
         self._merge()
         totals = self._closed.get(depth, self._totals)
+        totals.flags.writeable = False
+        for parts in (self._points, self._lengths):
+            if len(parts) > 1 or parts[0].flags.writeable:
+                parts[:] = [np.concatenate(parts)]
+                parts[0].flags.writeable = False
         n = totals.shape[0]
-        return np.concatenate(self._points)[:n], totals, np.concatenate(self._lengths)[:n]
+        return self._points[0][:n], totals, self._lengths[0][:n]
 
 
 # --- synthesis ------------------------------------------------------------------
@@ -723,7 +728,7 @@ def weak_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 def singularity_diagnostic(mu: AtomicMeasure, nu: AtomicMeasure,
                            eps: float) -> tuple[float, float]:
     """(mass of mu within eps of supp nu, mass of nu within eps of supp mu)."""
-    if eps <= 0.0:
+    if not eps > 0.0:   # NaN included
         raise ValueError("eps must be positive")
     ea, eb = embed3(mu.points), embed3(nu.points)
     da, db = _nearest_distances(ea, eb), _nearest_distances(eb, ea)
@@ -733,23 +738,54 @@ def singularity_diagnostic(mu: AtomicMeasure, nu: AtomicMeasure,
 
 
 def support_gap(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
-    """Smallest distance between the two atom sets."""
-    return float(np.min(_nearest_distances(embed3(mu.points), embed3(nu.points))))
+    """Smallest distance between the two atom sets (inf when either is empty)."""
+    return float(np.min(_nearest_distances(embed3(mu.points), embed3(nu.points)),
+                        initial=np.inf))
 
 
 def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance from each row of ``a`` to the nearest row of ``b`` (ambient
-    (n, 3) points; inf when ``b`` is empty), by an exact search in row
-    blocks.  Squared differences are summed as (d0^2 + d1^2) + d2^2 and
-    the square root is taken last, as a KD-tree query computes them."""
-    nearest = np.full(a.shape[0], np.inf)
-    if not b.shape[0]:
-        return nearest
-    step = max(1, NEAREST_PAIRS // b.shape[0])
-    for lo in range(0, a.shape[0], step):
-        diff = a[lo:lo + step, None, :] - b[None, :, :]
-        diff *= diff
-        sq = diff[..., 0] + diff[..., 1]
-        sq += diff[..., 2]
-        nearest[lo:lo + step] = sq.min(axis=1)
-    return np.sqrt(nearest)
+    """Distance from each row of ``a`` to the nearest row of ``b`` (points
+    of the closed ball, (n, 3); inf when ``b`` is empty), as a KD-tree query
+    computes it: squares summed as (d0^2 + d1^2) + d2^2, the root last.
+
+    The nearer of a row's two neighbours in the order of a Z-order curve
+    through 1024^3 cells, then of first coordinates, bounds its squared
+    distance.  Only the rows of ``b`` whose first coordinate is within the
+    bound's root are compared, which is exact: a sum is never below its
+    fl(d0^2).
+    """
+    n, m = a.shape[0], b.shape[0]
+    if not m:
+        return np.full(n, np.inf)
+    cell = np.clip((np.concatenate([a, b]) + 1.0) * 511.5, 0, 1023).astype(np.int64)
+    for shift, mask in ((16, 0x30000FF), (8, 0x300F00F), (4, 0x30C30C3), (2, 0x9249249)):
+        cell = (cell | cell << shift) & mask   # each axis' 10 bits, spread 3 apart
+    keys = (cell[:, 0] << 2 | cell[:, 1] << 1 | cell[:, 2]) + 1j * np.append(a[:, 0], b[:, 0])
+    order = np.argsort(keys[n:])
+    at = np.clip(np.searchsorted(keys[n:][order], keys[:n]) - 1, 0, max(m - 2, 0))
+    bound = _window_minima(a, b[order], at, np.minimum(at + 2, m))
+    # fl(d0^2) <= bound implies |d0| <= sqrt(bound) / (1 - 2^-53)^1.5, below the
+    # rounded reach, or |d0| < 2^-510 where the square falls below 2^-1022
+    reach = np.sqrt(bound) * (1.0 + 2.0 ** -50) + 2.0 ** -510
+    b = b[np.argsort(b[:, 0])]
+    lo = np.searchsorted(b[:, 0], a[:, 0] - reach, side="left")
+    hi = np.searchsorted(b[:, 0], a[:, 0] + reach, side="right")
+    return np.sqrt(_window_minima(a, b, lo, hi))
+
+
+def _window_minima(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The least squared distance from each ``a[i]`` to ``b[lo[i]:hi[i]]``
+    (inf for an empty window), over at most ``NEAREST_PAIRS`` pairs at a time."""
+    out = np.full(a.shape[0], np.inf)
+    rows = np.flatnonzero(hi > lo)
+    ends = np.cumsum(hi[rows] - lo[rows])
+    for start in range(0, int(ends[-1]) if rows.shape[0] else 0, NEAREST_PAIRS):
+        stop = min(start + NEAREST_PAIRS, int(ends[-1]))
+        part = slice(np.searchsorted(ends, start, side="right"), np.searchsorted(ends, stop) + 1)
+        r, end = rows[part], ends[part]
+        counts = np.minimum(end, stop) - np.maximum(end - (hi[r] - lo[r]), start)
+        row, col = np.repeat(r, counts), np.repeat(hi[r] - end, counts) + np.arange(start, stop)
+        sq = (a[row, 0] - b[col, 0]) ** 2 + (a[row, 1] - b[col, 1]) ** 2
+        sq += (a[row, 2] - b[col, 2]) ** 2
+        out[r] = np.minimum(out[r], np.minimum.reduceat(sq, np.cumsum(counts) - counts))
+    return out

@@ -10,8 +10,8 @@ import pytest
 import kleinian.group
 from kleinian.errors import InvalidSeparation, PlacementInfeasible
 from kleinian.examples import (Example1Config, Example2Config, Example3Config,
-                               build_example1, build_example2, build_example3,
-                               example1_weak_trend, place_example1_discs)
+                               _equal_points, build_example1, build_example2,
+                               build_example3, example1_weak_trend, place_example1_discs)
 from kleinian.group import kernel_enumerate
 from kleinian.model import BoundaryPoint
 
@@ -23,6 +23,13 @@ def ex1():
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EX2_SMALL = {"depth": 6, "decay_depths": (4, 5, 6), "probe_depths": (5, 6)}
+
+
+def intersect1d_pairs(p: np.ndarray, q: np.ndarray) -> list[tuple[int, int]]:
+    """The (ia, ib) pairs of ``np.intersect1d`` of two point tables' complex views."""
+    _, ia, ib = np.intersect1d(*(t.view(np.complex128).ravel() for t in (p, q)),
+                               return_indices=True)
+    return sorted(zip(ia.tolist(), ib.tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +177,30 @@ class TestRetractionKernel:
         assert ex2.report["support_gap"] > 0.0
         assert tuple(ex2.report["singularity_overlap"]) == (0.0, 0.0)
         assert ex2.report["heavy_support_gap_top32"] > 1e-4
+
+    def test_collision_join_is_intersect1ds(self, ex2):
+        p, q = (mu.points for mu in ex2.measures)
+        ia, ib = _equal_points(p, q)
+        assert ia.shape[0] > 0 and np.all(np.diff(ib) > 0)
+        assert intersect1d_pairs(p, q) == sorted(zip(ia.tolist(), ib.tolist()))
+        first = np.maximum(ex2.measures[0].word_lengths[ia], ex2.measures[1].word_lengths[ib])
+        assert ex2.report["singularity_depth"] == min(6, max(int(first.min()) - 1, 2))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_collision_join_finds_planted_collisions(self, seed):
+        """Shared points among mirror pairs (x, +-y), equal first coordinates
+        and signed zeros, in tables of distinct points, some empty."""
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([rng.normal(size=(6, 2)),
+                               rng.choice([0.0, 0.5, -0.5], size=(6, 2))])
+        pool = np.unique(np.concatenate([pool, pool * [1.0, -1.0]]).view(np.complex128))
+        pool = pool.view(np.float64).reshape(-1, 2)
+        p, q = (pool[rng.permutation(pool.shape[0])[: rng.integers(0, pool.shape[0])]]
+                for _ in range(2))
+        q = np.where(q == 0.0, rng.choice([0.0, -0.0], size=q.shape), q)
+        ia, ib = _equal_points(p, q)
+        assert np.all(np.diff(ib) > 0)
+        assert intersect1d_pairs(p, q) == sorted(zip(ia.tolist(), ib.tolist()))
 
     def test_targets_are_factor_fixed_points(self, ex2):
         for label, zeta in zip(("c", "d"), ex2.targets):

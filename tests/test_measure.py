@@ -483,6 +483,44 @@ class TestWeakDistance:
         assert all(b < a for a, b in zip(distances, distances[1:]))
 
 
+def nearest_blocked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exhaustive nearest distances, in row blocks of at most
+    ``NEAREST_PAIRS`` pairs: (d0^2 + d1^2) + d2^2 over every pair, the
+    root taken last.  The reference for ``_nearest_distances``."""
+    nearest = np.full(a.shape[0], np.inf)
+    if not b.shape[0]:
+        return nearest
+    step = max(1, kleinian.measure.NEAREST_PAIRS // b.shape[0])
+    for lo in range(0, a.shape[0], step):
+        diff = a[lo:lo + step, None, :] - b[None, :, :]
+        diff *= diff
+        sq = diff[..., 0] + diff[..., 1]
+        sq += diff[..., 2]
+        nearest[lo:lo + step] = sq.min(axis=1)
+    return np.sqrt(nearest)
+
+
+@st.composite
+def nearest_cases(draw) -> np.ndarray:
+    """(n, 3) points, n <= 40, of the closed ball or one ulp outside it:
+    circle and S^2 points, a small cap, interior points, points with
+    coordinates on a coarse grid (equal first coordinates, equal distances),
+    their mirror images (x, -y, z), repeats, and points one ulp from another
+    in their first coordinate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cap = np.concatenate([np.ones((4, 1)), 1e-3 * rng.normal(size=(4, 2))], axis=1)
+    grid = rng.choice([0.0, -0.0, 0.25, -0.25, 0.5, 1.0 / 3.0, 1e-170], size=(4, 3))
+    pool = np.concatenate([embed3(random_boundary_points(rng, 1, 4)),
+                           random_boundary_points(rng, 2, 4),
+                           cap / np.linalg.norm(cap, axis=1, keepdims=True),
+                           random_interior_points(rng, 2, 4), grid])
+    pool = np.concatenate([pool, pool * [1.0, -1.0, 1.0]])
+    points = pool[rng.integers(0, pool.shape[0], size=draw(st.integers(0, 40)))]
+    nudged = rng.random(points.shape[0]) < 0.2
+    points[nudged, 0] = np.nextafter(points[nudged, 0], 2.0)
+    return points
+
+
 class TestSingularityDiagnostic:
     def test_identical_measures_full_overlap(self, group):
         mu = ending_measure(group, DOMAIN_POINT, 1.0, 4,
@@ -511,6 +549,20 @@ class TestSingularityDiagnostic:
                 assert (kleinian.measure._nearest_distances(x, y).tobytes()
                         == cKDTree(y).query(x, k=1)[0].tobytes())
 
+    @pytest.mark.parametrize("pairs", [7, 64])
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.data())
+    def test_nearest_distances_equal_the_block_search(self, pairs, case):
+        """The sorted-window search gives the exhaustive block search's
+        distances bit for bit, on duplicates, equal first coordinates,
+        mirror pairs (x, +-y), single points, S^2 caps and interior points,
+        with windows split across blocks."""
+        a, b = case.draw(nearest_cases()), case.draw(nearest_cases())
+        with mock.patch.object(kleinian.measure, "NEAREST_PAIRS", pairs):
+            for x, y in ((a, b), (b, a), (a, a)):
+                got = kleinian.measure._nearest_distances(x, y)
+                assert got.tobytes() == nearest_blocked(x, y).tobytes()
+
     def test_nothing_is_near_an_empty_measure(self):
         m1 = one_atom_measure(0.5)
         empty = AtomicMeasure(np.empty((0, 2)), np.empty(0), np.empty(0, dtype=np.int64),
@@ -518,11 +570,14 @@ class TestSingularityDiagnostic:
         assert kleinian.measure._nearest_distances(embed3(m1.points), np.empty((0, 3))
                                                    ).tolist() == [math.inf]
         assert singularity_diagnostic(m1, empty, 0.1) == (0.0, 0.0)
+        assert singularity_diagnostic(empty, m1, 0.1) == (0.0, 0.0)
+        assert support_gap(m1, empty) == support_gap(empty, m1) == math.inf
 
     def test_eps_validation(self):
         m1 = one_atom_measure(0.5)
-        with pytest.raises(ValueError):
-            singularity_diagnostic(m1, m1, 0.0)
+        for eps in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                singularity_diagnostic(m1, m1, eps)
 
 
 class TestCsvExport:
@@ -649,3 +704,40 @@ class TestAtomStream:
     def test_empty_stream(self):
         points, weights, lengths = _AtomStream(3).at(4)
         assert points.shape == (0, 3) and weights.shape == (0,) and lengths.shape == (0,)
+
+    def test_at_shares_one_read_only_table(self):
+        """``at`` gives prefixes of one joined table, equal bit for bit to a
+        fresh concatenation of the merged parts; what it gives is read-only
+        and stays unchanged by later merges, an open level's totals too."""
+        rng = np.random.default_rng(7)
+        stream, given, saved = _AtomStream(2), [], []
+        for length in range(4):   # the top level stays open, as after a budget cut
+            points = rng.normal(size=(5, 2))
+            points[:2] = points[2]   # a run of equal keys
+            if given:
+                points[3] = given[-1][0][-1]   # an atom already known
+            stream.add(points, rng.uniform(size=5), length)
+            if length < 3:
+                stream.close(length)
+            stream._merge()
+            fresh = [np.concatenate(parts) for parts in (stream._points, stream._lengths)]
+            for depth in range(length + 1):
+                got = stream.at(depth)
+                n = got[1].shape[0]
+                assert got[0].tobytes() == fresh[0][:n].tobytes()
+                assert got[2].tobytes() == fresh[1][:n].tobytes()
+                assert np.shares_memory(got[0], stream.at(length)[0])
+                for array in got:
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError):
+                        array[:1] = 0
+                given.append(got)
+                saved.append([array.copy() for array in got])
+        stream.add(given[-1][0][:2], np.ones(2), 3)   # more words of the open level
+        assert stream.at(3)[1].tolist() == (saved[-1][1] + np.eye(2, 9).sum(axis=0)).tolist()
+        stream.close(3)
+        stream.add(rng.normal(size=(3, 2)), np.ones(3), 4)
+        assert stream.at(4)[1].shape == (12,)
+        for got, kept in zip(given, saved):
+            for array, copy in zip(got, kept):
+                assert array.tobytes() == copy.tobytes()
