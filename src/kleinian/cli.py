@@ -237,6 +237,9 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     _require_known(render, RENDER_KEYS, "render")
     bins, width, height = (_integer(render.get(key, default), f"render.{key}", 1)
                            for key, default in (("bins", 64), ("width", 256), ("height", 128)))
+    # the S^2 grid has round(sqrt(bins)) longitudes of bins // that latitudes
+    _require(group.dim == 1 or bins % round(math.sqrt(bins)) == 0,
+             f"render.bins on S^2 must be a multiple of round(sqrt(bins)), got {bins}")
     return RunConfig(
         raw=raw, group=group, target=target, point=point, stabilizer=stab,
         kernel=kernel, certificate=cert, exponent=exponent, depth=depth,
@@ -303,8 +306,8 @@ def _build_measure(cfg: RunConfig) -> AtomicMeasure:
                              budget=cfg.budget)
     if cfg.target is None:
         raise ConfigError("measure runs need a 'target' (ending) or 'point' (orbit)")
-    return ending_measure(cfg.group, cfg.target, cfg.exponent, cfg.depth,
-                          stab=cfg.stabilizer, kernel=cfg.kernel,
+    kernel = cfg.kernel if cfg.stabilizer is None else cfg.stabilizer.quotient_for(cfg.group)
+    return ending_measure(cfg.group, cfg.target, cfg.exponent, cfg.depth, kernel=kernel,
                           budget=cfg.budget, tail=cfg.certificate)
 
 

@@ -136,13 +136,12 @@ def build_example1(cfg: Example1Config) -> Example1Result:
     branch = branch_contraction(group, seps)
     paper_bounds = [(4.0 / schedule.phi(1 + e // 2)) ** 2
                     for e in range(group.letter_count)]
-    stab = DeclaredStabilizer.trivial()
     # the boundary series is the measure's normalizer: one walk gives both
-    measures = EndingMeasures(group, [target], s, stab=stab, tail=certificate)
+    measures = EndingMeasures(group, [target], s, tail=certificate)
     [measure] = measures.at(measures.walk(cfg.depth, cfg.budget))
     series = measure.series
     # trivial stabilizer: the reduced series coincides with the plain one
-    atomicity = classify_atomicity(group, target, stab, series)
+    atomicity = classify_atomicity(group, target, DeclaredStabilizer.trivial(), series)
 
     report = {
         "construction": "separated-arc-family",
@@ -176,8 +175,7 @@ def example1_weak_trend(cfg: Example1Config, result: Example1Result) -> list[flo
     seq = ending_sequence(result.group,
                           EndingSequenceSpec.dyadic(result.target, cfg.sequence_count))
     # one walk for the ending measure and every orbit measure
-    measures = EndingMeasures(result.group, [result.target], cfg.exponent,
-                              stab=DeclaredStabilizer.trivial(), orbit_points=seq)
+    measures = EndingMeasures(result.group, [result.target], cfg.exponent, orbit_points=seq)
     reference, *orbits = measures.at(measures.walk(cfg.weak_depth))
     return [weak_distance(mu, reference) for mu in orbits]
 
@@ -256,7 +254,7 @@ def build_example2(cfg: Example2Config) -> Example2Result:
     delta_group = estimate_delta(group, (0.02, 0.9), depths=cfg.probe_depths, **probes)
     delta_kernel = estimate_delta(group, (0.02, 0.9),
                                   depths=cfg.probe_depths + (cfg.probe_depths[-1] + 1,),
-                                  restrict=quotient, **probes)
+                                  kernel=quotient, **probes)
     s = cfg.exponent if cfg.exponent is not None else delta_kernel.high
 
     targets = [example2_target(group, label) for label in ("c", "d")]
@@ -372,6 +370,7 @@ def build_example3(cfg: Example3Config) -> Example3Result:
     group, target = example3_group()
     pgen = group.generator("p")
     stab = DeclaredStabilizer(("p",))
+    transversal = stab.quotient_for(group)   # the retraction kernel killing a and b
     s = cfg.exponent
 
     power_table = []
@@ -385,7 +384,7 @@ def build_example3(cfg: Example3Config) -> Example3Result:
     # One walk over the transversal (the retraction kernel) gives the
     # measure, whose normalizer is the reduced series, the unreduced series
     # (a whole-group sum) and both domination sums.
-    measures = EndingMeasures(group, [target], s, stab=stab)
+    measures = EndingMeasures(group, [target], s, kernel=transversal)
     whole = LevelSums(boundary_values(target, s), whole_group=True)
     dominate, dominated = parabolic_domination(target, s)
     done = measures.walk(cfg.depth, cfg.budget, [whole, dominate])
@@ -401,7 +400,7 @@ def build_example3(cfg: Example3Config) -> Example3Result:
     coset_sum = measures.at(done.upto(identity_depth))[0].series.partial_sum
     kernel_sum = math.fsum(
         t.derivative_boundary(target) ** s
-        for _, t in kernel_enumerate(group, stab.quotient_for(group), identity_depth))
+        for _, t in kernel_enumerate(group, transversal, identity_depth))
     identity_defect = abs(coset_sum - kernel_sum)
 
     atomicity = classify_atomicity(group, target, stab, reduced)

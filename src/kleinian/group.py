@@ -596,9 +596,12 @@ class QuotientSpec:
     ``images`` maps each generator label to a word in target symbols, e.g.
     ``{"a": (), "b": ("b",)}`` kills ``a`` and keeps ``b``.  Because the
     domain is free the assignment always extends to a homomorphism.
+    ``stabilizer`` names the kept letters when the kernel is a declared
+    stabilizer's coset transversal (:meth:`DeclaredStabilizer.quotient_for`).
     """
 
     images: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    stabilizer: tuple[str, ...] = ()
 
 
 class QuotientTracker:
@@ -743,9 +746,12 @@ class DeclaredStabilizer:
     def trivial(cls) -> "DeclaredStabilizer":
         return cls(())
 
-    def quotient_for(self, group: SchottkyGroup) -> QuotientSpec:
+    def quotient_for(self, group: SchottkyGroup) -> QuotientSpec | None:
+        """The retraction onto the stabilizer; None when trivial (its transversal is G)."""
+        if not self.labels:
+            return None
         return QuotientSpec({gen.label: (gen.label,) if gen.label in self.labels
-                             else () for gen in group.generators})
+                             else () for gen in group.generators}, self.labels)
 
 
 # --- ending sequences ---------------------------------------------------------

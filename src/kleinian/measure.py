@@ -269,21 +269,19 @@ def orbit_measure(group: SchottkyGroup, z: InteriorPoint, s: float, max_length: 
 
 
 def ending_measure(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
-                   max_length: int,
-                   stab: DeclaredStabilizer | None = None,
-                   kernel: QuotientSpec | None = None,
+                   max_length: int, kernel: QuotientSpec | None = None,
                    budget: int | None = None,
                    tail: TailCertificate | None = None) -> AtomicMeasure:
     """Normalized point masses j(w, zeta)^s at the boundary orbit of the target.
 
-    ``stab`` declares the stabilizer of ``zeta``; the sum then runs over
-    the canonical coset transversal (the complement kernel).  ``kernel``
-    instead restricts the whole construction to a normal subgroup given as
-    a quotient kernel (the measure for that subgroup); the two are
-    mutually exclusive.  The normalizing series verdict is attached, never
-    hidden: a truncation of a divergent series stays flagged.
+    ``kernel`` restricts the sum to the kernel of a quotient: a normal
+    subgroup (the measure for that subgroup), or, from
+    :meth:`~kleinian.group.DeclaredStabilizer.quotient_for`, the canonical
+    coset transversal of the stabilizer of ``zeta``.  The normalizing series
+    verdict is attached, never hidden: a truncation of a divergent series
+    stays flagged.
     """
-    measures = EndingMeasures(group, [zeta], s, stab=stab, kernel=kernel, tail=tail)
+    measures = EndingMeasures(group, [zeta], s, kernel=kernel, tail=tail)
     return measures.at(measures.walk(max_length, budget))[0]
 
 
@@ -300,23 +298,16 @@ class EndingMeasures:
     of the enumeration order) and is normalized by that depth's own level
     blocks, so ``at(done.upto(depth))`` is bit for bit the measure that a
     walk to ``depth`` builds, budget cut included.  Orbit measures sum the
-    whole group without a tail, so they share no walk with a stabilizer, a
-    kernel or a tail.
+    whole group without a tail, so they share no walk with a kernel or a tail.
     """
 
     def __init__(self, group: SchottkyGroup, targets, s: float,
-                 stab: DeclaredStabilizer | None = None,
                  kernel: QuotientSpec | None = None,
                  tail: TailCertificate | None = None, orbit_points=()):
-        if stab is not None and kernel is not None:
-            raise ValueError("pass a stabilizer or a kernel restriction, not both")
-        self.reduced = stab is not None and bool(stab.labels)   # over a coset transversal
-        if orbit_points and (kernel is not None or tail is not None or self.reduced):
+        if orbit_points and (kernel is not None or tail is not None):
             raise ValueError("orbit measures sum the whole group without a tail")
-        for zeta in targets:
-            _check_target(group, zeta, stab, kernel)
-        self.group, self.s, self.tail, self.kernel = group, s, tail, kernel
-        self.spec = stab.quotient_for(group) if self.reduced else kernel
+        self._notes = [_check_target(group, zeta, kernel) for zeta in targets]
+        self.group, self.s, self.tail, self.spec = group, s, tail, kernel
         self._targets, self.points = len(targets), [*targets, *orbit_points]
         self.blocks = [LevelSums() for _ in self.points]
         self._embedded = [embed3(point.coords) for point in self.points]
@@ -351,16 +342,14 @@ class EndingMeasures:
         for i, point in enumerate(self.points):
             boundary = i < self._targets
             series = finish_series(done, self.blocks[i], self.s, self.tail, self.group,
-                                   self.spec, point if boundary else None,
-                                   incomplete_cosets=self.reduced)
+                                   self.spec, point if boundary else None)
             points, weights, lengths = self._atoms[i].at(done.depth)
             meta = {"target" if boundary else "base_point": point.coords.tolist(),
                     "enumeration": {"group": self.group, "point": embed3(point.coords),
                                     "kind": "boundary" if boundary else "interior",
                                     "kernel": self.spec, "budget": budget}}
-            if self.kernel is not None:
-                meta["domain_check"] = ("skipped (subgroup measure; the subgroup's "
-                                        "domain is larger)")
+            if boundary and self._notes[i]:
+                meta["domain_check"] = self._notes[i]
             out.append(AtomicMeasure(points, weights / series.partial_sum, lengths,
                                      self.group.dim, "ending" if boundary else "orbit",
                                      self.s, done.depth, series=series, meta=meta))
@@ -368,11 +357,12 @@ class EndingMeasures:
 
 
 def _check_target(group: SchottkyGroup, zeta: BoundaryPoint,
-                  stab: DeclaredStabilizer | None,
-                  kernel: QuotientSpec | None) -> None:
-    if kernel is not None:
-        return  # the subgroup's fundamental domain is larger than the group's
-    exempt: set[str] = set(stab.labels) if stab is not None else set()
+                  kernel: QuotientSpec | None) -> str | None:
+    """Reject a target inside an open generator disc, or return the note of a
+    skipped check: a normal subgroup's fundamental domain is the larger."""
+    if kernel is not None and not kernel.stabilizer:
+        return "skipped (subgroup measure; the subgroup's domain is larger)"
+    exempt = set(kernel.stabilizer) if kernel is not None else set()
     for name, disc in group.discs():
         if name[:-1] in exempt:
             continue  # a declared stabilizer's own disc may cover its fixed point

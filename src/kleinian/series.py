@@ -128,13 +128,11 @@ class TailCertificate:
 def _series(group: SchottkyGroup, values: Callable[[WordBatch], np.ndarray],
             exponent: float, max_length: int, budget: int | None,
             tail: TailCertificate | None, kernel: QuotientSpec | None = None,
-            target: BoundaryPoint | None = None,
-            incomplete_cosets: bool = False) -> SeriesResult:
+            target: BoundaryPoint | None = None) -> SeriesResult:
     """One walk summing ``values`` by level."""
     blocks = LevelSums(values)
     done = walk(group, max_length, budget, kernel=kernel, consumers=[blocks])
-    return finish_series(done, blocks, exponent, tail, group, kernel, target,
-                         incomplete_cosets=incomplete_cosets)
+    return finish_series(done, blocks, exponent, tail, group, kernel, target)
 
 
 def boundary_values(zeta: BoundaryPoint, s: float) -> Callable[[WordBatch], np.ndarray]:
@@ -229,14 +227,14 @@ def _verdict(done: Walk, level_sums: Sequence[float], tail: TailCertificate | No
 
 def finish_series(done: Walk, blocks: LevelSums, exponent: float,
                   tail: TailCertificate | None, group: SchottkyGroup,
-                  spec: QuotientSpec | None, target: BoundaryPoint | None, *,
-                  incomplete_cosets: bool = False) -> SeriesResult:
+                  spec: QuotientSpec | None, target: BoundaryPoint | None) -> SeriesResult:
     """The series result of a walk's level blocks: partial sum, verdict, tail.
 
     ``blocks`` sum the subgroup of ``group`` kept by ``spec`` (all of it when
     None) at the boundary ``target`` (None for interior sums); its exact
-    facts, :func:`trivial_subgroup` and :func:`unit_fixer`, are derived here
-    and nowhere else.  Closes ``blocks`` at ``done`` first."""
+    facts, :func:`trivial_subgroup` and :func:`unit_fixer`, and the
+    ``incomplete_cosets`` flag of a stabilizer's transversal are derived
+    here and nowhere else.  Closes ``blocks`` at ``done`` first."""
     blocks.finish(done)
     transcript = {"level_counts": list(blocks.level_counts),
                   "ratio_fit": _fit_ratio(blocks.level_sums)}
@@ -246,7 +244,7 @@ def finish_series(done: Walk, blocks: LevelSums, exponent: float,
         exponent=exponent, depth=done.depth, depth_completed=done.depth_completed,
         partial_sum=partial, level_sums=tuple(blocks.level_sums), verdict=verdict,
         tail_bound=verdict.tail_bound, budget_exhausted=done.budget_exhausted,
-        incomplete_cosets=incomplete_cosets, transcript=transcript)
+        incomplete_cosets=spec is not None and bool(spec.stabilizer), transcript=transcript)
 
 
 # --- public evaluators ----------------------------------------------------------
@@ -272,8 +270,10 @@ def horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: float,
                           kernel: QuotientSpec | None = None) -> SeriesResult:
     """Partial sum of the boundary series sum_w j(w, zeta)^s, by word length.
 
-    ``kernel`` restricts the sum to a normal subgroup given as a quotient
-    kernel; the extended-precision path sums the whole group, without budget.
+    ``kernel`` restricts the sum to the kernel of a quotient: a normal
+    subgroup, or a declared stabilizer's coset transversal
+    (:meth:`~kleinian.group.DeclaredStabilizer.quotient_for`).  The
+    extended-precision path sums the whole group, without budget.
     """
     if precision == "extended":
         if kernel is not None:
@@ -292,18 +292,17 @@ def reduced_horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: 
 
     With a :class:`DeclaredStabilizer` the representatives are the words of
     the canonical complement (the kernel of the retraction killing the
-    stabilizer letters), which is the exact coset transversal and makes the
-    truncation identical to a kernel enumeration at the same depth.  With a
-    trivial stabilizer this is the plain boundary series.  The
+    stabilizer letters), the exact coset transversal: this is
+    :func:`horospherical_partial` over that kernel.  With a
+    trivial stabilizer it is the plain boundary series.  The
     ``incomplete_cosets`` flag records that a depth-truncated transversal
     of a nontrivial stabilizer cannot be certified complete.  Any other
     ``stab`` raises :class:`TypeError`.
     """
     if stab is not None and not isinstance(stab, DeclaredStabilizer):
         raise TypeError(f"unsupported stabilizer declaration: {stab!r}")
-    kernel = stab.quotient_for(group) if stab is not None and stab.labels else None
-    return _series(group, boundary_values(zeta, s), s, max_length, budget, tail,
-                   kernel=kernel, target=zeta, incomplete_cosets=kernel is not None)
+    return horospherical_partial(group, zeta, s, max_length, budget, tail,
+                                 kernel=None if stab is None else stab.quotient_for(group))
 
 
 # --- certified tails -------------------------------------------------------------
@@ -451,10 +450,11 @@ def bounded_parabolic_domination(group: SchottkyGroup, zeta: BoundaryPoint, s: f
 
 def parabolic_domination(zeta: BoundaryPoint, s: float):
     """The walk consumer behind :func:`bounded_parabolic_domination`, for a
-    walk over the stabilizer's retraction kernel that may carry more.
+    walk over the stabilizer's retraction kernel (or, for the trivial
+    declaration, over the whole group) that may carry more.
 
     Returns ``(consume, result)``: ``consume`` sums the reduced series over
-    the kernel words and P(0, s) over every word, and measures b;
+    the walk's ``words`` and P(0, s) over every word, and measures b;
     ``result(done)`` is the domination record of the walk ``done``.
     """
     bc = embed3(zeta.coords)
@@ -467,8 +467,8 @@ def parabolic_domination(zeta: BoundaryPoint, s: float):
         reduced.add(batch.length, batch.offset, jb ** s)
         ji = interior_derivative_raw(batch.mats, np.zeros(3))
         poincare.add(batch.length, batch.offset, ji ** s)
-        if words.rows.shape[0]:
-            conorm = ji[words.rows]  # at the origin 1 - |w(0)|^2 = j(w, 0)
+        conorm = ji if words is batch else ji[words.rows]   # 1 - |w(0)|^2 = j(w, 0)
+        if conorm.shape[0]:
             dist = np.arccosh(np.maximum(2.0 / conorm - 1.0, 1.0))
             b_measured = max(b_measured, float(np.max(dist + np.log(jb))))
 
@@ -534,12 +534,12 @@ def _probe_label(level_sums: Sequence[float], trivial: bool) -> tuple[str, float
 
 def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
                    depths: Sequence[int] = (6, 8), budget: int | None = None,
-                   restrict: QuotientSpec | None = None,
+                   kernel: QuotientSpec | None = None,
                    max_probes: int = 8) -> DeltaEstimate:
     """Bracket the exponent of convergence by bisection on ratio evidence.
 
     Each probe evaluates the series at the origin (restricted to a kernel
-    when ``restrict`` is given) at increasing depths from ``depths`` until
+    when ``kernel`` is given) at increasing depths from ``depths`` until
     the fitted level-block ratio leaves the inconclusive band.  The result
     is evidence, never a certificate: the returned interval carries the
     probe transcripts.
@@ -560,10 +560,9 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
     def cache(batch: WordBatch, words: WordBatch) -> None:
         raw.append((batch.length, batch.offset, interior_derivative_raw(words.mats, origin)))
 
-    done = walk(group, max(depths, default=0), budget, kernel=restrict,
-                consumers=[cache])
+    done = walk(group, max(depths, default=0), budget, kernel=kernel, consumers=[cache])
     walked = (done.depth_completed, done.budget_exhausted)
-    trivial = trivial_subgroup(group, restrict)
+    trivial = trivial_subgroup(group, kernel)
 
     def run_probe(s: float) -> str:
         label = "inconclusive"

@@ -12,9 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec,
-                            ending_sequence, enumerate_words, iter_word_batches,
-                            level_count)
+from kleinian.group import (EndingSequenceSpec, ending_sequence, enumerate_words,
+                            iter_word_batches, level_count)
 from kleinian.measure import (conformality_residual, ending_measure, orbit_measure,
                               weak_distance)
 from kleinian.mobius import image_disc
@@ -228,11 +227,8 @@ def test_criterion_05_separated_family_certified_atom():
 def test_criterion_06_conformality_residual(ex1_result):
     """Residual decreases from L=6 to L=8 under every generator and stays
     below twice the depth-shell mass at both depths."""
-    from kleinian.group import DeclaredStabilizer
-
     s = 0.5
-    shallow = ending_measure(ex1_result.group, ex1_result.target, s, 6,
-                             stab=DeclaredStabilizer.trivial())
+    shallow = ending_measure(ex1_result.group, ex1_result.target, s, 6)
     deep = ex1_result.measure
     ok = True
     details = []
@@ -261,11 +257,8 @@ def test_ending_measure_normalizer_is_the_series(ex1_result):
 def test_criterion_07_weak_convergence_trend(ex1_result):
     """weak_distance(mu_n, mu_zeta) strictly decreasing for n = 1..8 along
     the radial ending sequence."""
-    from kleinian.group import DeclaredStabilizer
-
     s, depth = 0.5, 6
-    reference = ending_measure(ex1_result.group, ex1_result.target, s, depth,
-                               stab=DeclaredStabilizer.trivial())
+    reference = ending_measure(ex1_result.group, ex1_result.target, s, depth)
     seq = ending_sequence(ex1_result.group,
                           EndingSequenceSpec.dyadic(ex1_result.target, 8))
     distances = [weak_distance(orbit_measure(ex1_result.group, z, s, depth),

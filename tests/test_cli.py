@@ -63,6 +63,34 @@ def _two_gen_with(edit) -> dict:
     return doc
 
 
+CAP_TWO_GEN = dict(TWO_GEN, target={"coords": [-1.0, 0.0, 0.0]}, depth=4, group={
+    "kind": "schottky", "dim": 2, "pairs": [
+        {"label": label, "plus": {"coords": plus, "radius": 0.35},
+         "minus": {"coords": minus, "radius": 0.35}}
+        for label, (plus, minus) in zip("ab", [([0.0, 1.0, 0.0], [0.0, -1.0, 0.0]),
+                                               ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0])])]})
+
+# arcs a and b with a parabolic p fixing pi, the target, declared its stabilizer
+PARABOLIC = {
+    "schema_version": 1,
+    "group": {
+        "kind": "schottky",
+        "dim": 1,
+        "pairs": [
+            {"label": "a", "plus": {"angle": math.radians(60), "radius": 0.2},
+             "minus": {"angle": math.radians(300), "radius": 0.2}},
+            {"label": "b", "plus": {"angle": math.radians(120), "radius": 0.2},
+             "minus": {"angle": math.radians(240), "radius": 0.2}},
+        ],
+        "parabolics": [{"label": "p", "angle": math.pi, "radius": 0.4, "strength": 4.5}],
+    },
+    "exponent": 0.8,
+    "depth": 5,
+    "target": {"angle": math.pi},
+    "stabilizer": ["p"],
+}
+
+
 class TestSeriesCommand:
     def test_trivial_group_reports_unit_sum(self, tmp_path):
         cfg = write_config(tmp_path, TRIVIAL)
@@ -365,6 +393,45 @@ class TestClassifyCommand:
         assert report["result"]["conclusion"] == "inconclusive"
 
 
+class TestParabolicGenerator:
+    """A schottky config with a parabolic generator, declared the target's
+    stabilizer: measure and classify sum its coset transversal."""
+
+    def test_every_command_runs(self, tmp_path):
+        cfg = write_config(tmp_path, PARABOLIC)
+        for command in ("series", "measure", "classify"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        classify = json.loads((tmp_path / "classify" / "classify.json").read_text())["result"]
+        assert classify["stabilizer_check"]["kind"] == "all_derivatives_one"
+        assert classify["series"]["incomplete_cosets"]
+        measure = json.loads((tmp_path / "measure" / "measure.json").read_text())["result"]
+        assert measure["stabilizer_check"] == "all_derivatives_one"
+        assert measure["series"]["incomplete_cosets"]
+
+    def test_weak_parabolic_exits_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(PARABOLIC))
+        doc["group"]["parabolics"][0]["strength"] = 2.0
+        cfg = write_config(tmp_path, doc)
+        assert main(["series", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "group.parabolics[0]" in err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    ("series", dict(TWO_GEN, target=None), "boundary series need a 'target'"),
+    ("measure", dict(TWO_GEN, target=None), "measure runs need a 'target'"),
+    ("classify", dict(TWO_GEN, target=None), "classify runs need a 'target'"),
+], ids=["series", "measure", "classify"])
+def test_runs_without_a_target_exit_2(tmp_path, capsys, command, doc, named):
+    doc = {key: value for key, value in doc.items() if value is not None}
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert not (tmp_path / "o").exists()
+
+
 class TestRenderCommand:
     def test_single_atom_single_bin(self, tmp_path):
         cfg = write_config(tmp_path, TRIVIAL)
@@ -392,13 +459,7 @@ class TestRenderCommand:
     def test_cap_group_renders_its_cells_on_a_grid(self, tmp_path):
         # a dimension-2 group: longitude across, latitude down, one
         # rectangle of width / 4 by height / 4 pixels per cell
-        caps = [([0.0, 1.0, 0.0], [0.0, -1.0, 0.0]), ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0])]
-        doc = dict(TWO_GEN, target={"coords": [-1.0, 0.0, 0.0]}, depth=4,
-                   render={"bins": 16, "width": 40, "height": 24})
-        doc["group"] = {"kind": "schottky", "dim": 2, "pairs": [
-            {"label": label, "plus": {"coords": plus, "radius": 0.35},
-             "minus": {"coords": minus, "radius": 0.35}}
-            for label, (plus, minus) in zip("ab", caps)]}
+        doc = dict(CAP_TWO_GEN, render={"bins": 16, "width": 40, "height": 24})
         out = tmp_path / "o"
         assert main(["render", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
         data = (out / "render.ppm").read_bytes()
@@ -409,6 +470,23 @@ class TestRenderCommand:
         red = list(data[len(header)::3])
         y, x = divmod(red.index(min(red)), 40)
         assert masses[(x * 4 // 40) * 4 + y * 4 // 24] == max(masses) > 0.0
+
+    @pytest.mark.parametrize("doc, bins, code", [
+        (CAP_TWO_GEN, 8, 2), (CAP_TWO_GEN, 16, 0), (CAP_TWO_GEN, 64, 0), (TWO_GEN, 8, 0)],
+        ids=["S^2, 8", "S^2, 16", "S^2, 64", "S^1, 8"])
+    def test_bins_the_grid_cannot_fill_exit_2(self, tmp_path, capsys, doc, bins, code):
+        # the S^2 grid has round(sqrt(bins)) longitudes of bins // that
+        # latitudes: for 8 bins, 3 x 2 cells, and two bins that stay empty
+        cfg = write_config(tmp_path, dict(doc, render={"bins": bins}))
+        out = tmp_path / "o"
+        assert main(["render", "--config", cfg, "--out", str(out)]) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "render.bins" in err
+            assert not out.exists()
+        else:
+            rows = (out / "histogram.csv").read_text().strip().splitlines()[1:]
+            assert len(rows) == bins
 
     def test_histogram_csv_masses_sum_to_one(self, tmp_path):
         cfg = write_config(tmp_path, TWO_GEN)
@@ -580,12 +658,12 @@ def test_benchmark_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
-
 def test_every_public_name_resolves():
     """``kleinian.__all__`` lists only names the package binds."""
     import kleinian
 
     assert [name for name in kleinian.__all__ if not hasattr(kleinian, name)] == []
+
 
 class TestBudgetExitCode:
     @settings(max_examples=30, deadline=None)

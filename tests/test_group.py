@@ -306,10 +306,17 @@ class TestCosets:
         assert len(reps) == 1 and len(reps[0][0]) == 0
 
     def test_trivial_stabilizer_gives_all_words(self, std_group):
-        trivial = DeclaredStabilizer.trivial().quotient_for(std_group)
-        reps = [w.letters for w, _ in kernel_enumerate(std_group, trivial, 3)]
+        # the trivial declaration has no retraction: its transversal is the
+        # group, the kernel of the spec that kills every letter
+        assert DeclaredStabilizer.trivial().quotient_for(std_group) is None
+        kills_all = QuotientSpec({"a": (), "b": ()})
+        reps = [w.letters for w, _ in kernel_enumerate(std_group, kills_all, 3)]
         allw = [w.letters for w, _ in enumerate_words(std_group, 3)]
         assert reps == allw
+
+    def test_declared_stabilizer_spec_names_its_letters(self, std_group):
+        assert DeclaredStabilizer(("b",)).quotient_for(std_group) == QuotientSpec(
+            {"a": (), "b": ("b",)}, stabilizer=("b",))
 
     def test_declared_stabilizer_matches_kernel(self, std_group):
         # each coset w<b> holds exactly one kernel word, w b^-n with n the

@@ -14,8 +14,8 @@ from kleinian.examples import Example1Config, example1_group
 from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
                             SchottkyGroup, ending_sequence, enumerate_words, level_count,
                             walk)
-from kleinian.measure import (DEFAULT_CELLS, MERGE_TOL, AtomicMeasure, _AtomStream,
-                              _cell_index, _cells_of, _letters_of, _merge_atoms,
+from kleinian.measure import (DEFAULT_CELLS, MERGE_TOL, AtomicMeasure, EndingMeasures,
+                              _AtomStream, _cell_index, _cells_of, _letters_of, _merge_atoms,
                               classify_atomicity, conformality_residual, ending_measure,
                               orbit_measure, singularity_diagnostic, support_gap,
                               weak_distance)
@@ -23,7 +23,7 @@ from kleinian.mobius import (apply_boundary_raw, apply_interior_raw,
                              boundary_derivative_raw, interior_derivative_raw, matmul_raw,
                              Transform)
 from kleinian.model import BoundaryPoint, InteriorPoint, embed3
-from kleinian.series import (branch_contraction, horospherical_partial,
+from kleinian.series import (TailCertificate, branch_contraction, horospherical_partial,
                              reduced_horospherical_partial)
 
 from conftest import (arc, cap_groups, random_boundary_points, random_interior_points,
@@ -40,8 +40,7 @@ def group():
 
 
 def one_atom_measure(angle: float):
-    return ending_measure(SchottkyGroup.trivial(1), BoundaryPoint.from_angle(angle),
-                          1.0, 2, stab=DeclaredStabilizer.trivial())
+    return ending_measure(SchottkyGroup.trivial(1), BoundaryPoint.from_angle(angle), 1.0, 2)
 
 
 class TestOrbitMeasure:
@@ -102,21 +101,18 @@ class TestEndingMeasure:
         assert mu.series.verdict.kind == "converged_within"
 
     def test_unit_mass(self, group):
-        mu = ending_measure(group, DOMAIN_POINT, 1.0, 6,
-                            stab=DeclaredStabilizer.trivial())
+        mu = ending_measure(group, DOMAIN_POINT, 1.0, 6)
         assert mu.total_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_target_atom_weight_is_reciprocal_partial(self, group):
-        mu = ending_measure(group, DOMAIN_POINT, 1.0, 6,
-                            stab=DeclaredStabilizer.trivial())
+        mu = ending_measure(group, DOMAIN_POINT, 1.0, 6)
         assert mu.weight_at(DOMAIN_POINT) == pytest.approx(
             1.0 / mu.series.partial_sum, rel=1e-12)
 
     def test_conformal_pushforward_on_atoms(self, group):
         # weight at g(zeta) = j(g, zeta)^s * weight at zeta
         s = 1.0
-        mu = ending_measure(group, DOMAIN_POINT, s, 6,
-                            stab=DeclaredStabilizer.trivial())
+        mu = ending_measure(group, DOMAIN_POINT, s, 6)
         base = mu.weight_at(DOMAIN_POINT)
         for gen in group.generators:
             for t in (gen.transform, gen.transform.inverse()):
@@ -127,8 +123,7 @@ class TestEndingMeasure:
     def test_atoms_inside_first_letter_discs(self, group):
         # truncation shadow of boundary support: every non-identity atom
         # lies in a generator disc
-        mu = ending_measure(group, DOMAIN_POINT, 1.0, 5,
-                            stab=DeclaredStabilizer.trivial())
+        mu = ending_measure(group, DOMAIN_POINT, 1.0, 5)
         discs = [d for _, d in group.discs()]
         for point, length in zip(mu.points, mu.word_lengths):
             if length == 0:
@@ -138,21 +133,31 @@ class TestEndingMeasure:
     def test_target_inside_disc_rejected(self, group):
         inside = BoundaryPoint.from_angle(math.radians(72.0))
         with pytest.raises(TargetNotInDomainClosure):
-            ending_measure(group, inside, 1.0, 3,
-                           stab=DeclaredStabilizer.trivial())
+            ending_measure(group, inside, 1.0, 3)
 
     def test_stabilizer_disc_exempt_from_domain_check(self, group):
         extended = SchottkyGroup.free_product(group).with_parabolic(
             "p", arc(180, 12), 4.5)
         zeta = extended.generator("p").transform.classify().fixed_points[0]
         mu = ending_measure(extended, zeta, 0.7, 4,
-                            stab=DeclaredStabilizer(("p",)))
+                            kernel=DeclaredStabilizer(("p",)).quotient_for(extended))
         assert mu.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert mu.series.incomplete_cosets and "domain_check" not in mu.meta
+
+    @pytest.mark.parametrize("restriction", [
+        {"kernel": QuotientSpec({"a": (), "b": ("b",)})},
+        {"tail": TailCertificate(rate=0.5)}], ids=["kernel", "tail"])
+    def test_orbit_measures_sum_the_whole_group_without_a_tail(self, group, restriction):
+        with pytest.raises(ValueError, match="orbit measures"):
+            EndingMeasures(group, [DOMAIN_POINT], 1.0,
+                           orbit_points=[InteriorPoint([0.1, 0.2])], **restriction)
 
     def test_kernel_restriction_sums_kernel_words_only(self, group):
         quotient = QuotientSpec({"a": (), "b": ("b",)})
         zeta = group.generator("b").transform.classify().fixed_points[0]
         mu = ending_measure(group, zeta, 0.6, 4, kernel=quotient)
+        assert mu.meta["domain_check"].startswith("skipped")   # a normal subgroup
+        assert not mu.series.incomplete_cosets
         from kleinian.group import kernel_enumerate
 
         expected = math.fsum(
@@ -165,23 +170,20 @@ class TestConformalityResidual:
     def test_identity_transform_zero(self, group):
         from kleinian.mobius import Transform
 
-        mu = ending_measure(group, DOMAIN_POINT, 1.0, 5,
-                            stab=DeclaredStabilizer.trivial())
+        mu = ending_measure(group, DOMAIN_POINT, 1.0, 5)
         assert conformality_residual(mu, Transform.identity(1), 1.0) < 1e-14
 
     def test_residual_decreases_with_depth(self, group):
         g = group.generators[0].transform
         res = []
         for depth in (5, 7):
-            mu = ending_measure(group, DOMAIN_POINT, 1.0, depth,
-                                stab=DeclaredStabilizer.trivial())
+            mu = ending_measure(group, DOMAIN_POINT, 1.0, depth)
             res.append(conformality_residual(mu, g, 1.0))
         assert res[1] < res[0]
 
     def test_residual_bounded_by_shell_mass(self, group):
         for depth in (5, 6, 7):
-            mu = ending_measure(group, DOMAIN_POINT, 1.0, depth,
-                                stab=DeclaredStabilizer.trivial())
+            mu = ending_measure(group, DOMAIN_POINT, 1.0, depth)
             for gen in group.generators:
                 residual = conformality_residual(mu, gen.transform, 1.0)
                 assert residual <= 2.0 * mu.shell_mass() + 1e-15
@@ -313,7 +315,7 @@ def test_shell_residual_equals_the_word_pairing(group, depth, kind, s, data):
 
 
 def test_residuals_of_one_measure_walk_once(group, monkeypatch):
-    mu = ending_measure(group, DOMAIN_POINT, 0.8, 5, stab=DeclaredStabilizer.trivial())
+    mu = ending_measure(group, DOMAIN_POINT, 0.8, 5)
     walks = []
     enumerate_levels = kleinian.group.iter_word_batches
 
@@ -335,7 +337,7 @@ def test_shell_keeps_one_small_cell_array_per_count(group):
     """The first residual at a cell count bins the shell's points once, into
     one array of the smallest signed integer type; later calls read it and
     give the same bits."""
-    mu = ending_measure(group, DOMAIN_POINT, 0.8, 5, stab=DeclaredStabilizer.trivial())
+    mu = ending_measure(group, DOMAIN_POINT, 0.8, 5)
     g = group.generators[0].transform
     first = {cells: conformality_residual(mu, g, 0.8, cells) for cells in (16, 64, 1000)}
     shell = mu._shell
@@ -456,8 +458,7 @@ class TestClassifyAtomicity:
 
 class TestWeakDistance:
     def test_self_distance_zero(self, group):
-        mu = ending_measure(group, DOMAIN_POINT, 1.0, 5,
-                            stab=DeclaredStabilizer.trivial())
+        mu = ending_measure(group, DOMAIN_POINT, 1.0, 5)
         assert weak_distance(mu, mu) == 0.0
 
     def test_two_point_masses_distance_shrinks_with_angle(self):
@@ -468,15 +469,13 @@ class TestWeakDistance:
         assert distances[-1] < 2e-3
 
     def test_symmetry(self, group):
-        mu = ending_measure(group, DOMAIN_POINT, 1.0, 5,
-                            stab=DeclaredStabilizer.trivial())
+        mu = ending_measure(group, DOMAIN_POINT, 1.0, 5)
         nu = orbit_measure(group, InteriorPoint.radial(DOMAIN_POINT, 0.9), 1.0, 5)
         assert weak_distance(mu, nu) == pytest.approx(weak_distance(nu, mu),
                                                       abs=1e-14)
 
     def test_orbit_measures_approach_ending_measure(self, group):
-        nu = ending_measure(group, DOMAIN_POINT, 1.0, 5,
-                            stab=DeclaredStabilizer.trivial())
+        nu = ending_measure(group, DOMAIN_POINT, 1.0, 5)
         seq = ending_sequence(group, EndingSequenceSpec.dyadic(DOMAIN_POINT, 8))
         distances = [weak_distance(orbit_measure(group, z, 1.0, 5), nu)
                      for z in seq]
@@ -523,8 +522,7 @@ def nearest_cases(draw) -> np.ndarray:
 
 class TestSingularityDiagnostic:
     def test_identical_measures_full_overlap(self, group):
-        mu = ending_measure(group, DOMAIN_POINT, 1.0, 4,
-                            stab=DeclaredStabilizer.trivial())
+        mu = ending_measure(group, DOMAIN_POINT, 1.0, 4)
         overlap = singularity_diagnostic(mu, mu, 1e-9)
         assert overlap[0] == pytest.approx(1.0, abs=1e-12)
         assert overlap[1] == pytest.approx(1.0, abs=1e-12)
@@ -582,8 +580,7 @@ class TestSingularityDiagnostic:
 
 class TestCsvExport:
     def test_csv_rows_sorted_by_weight(self, group, tmp_path):
-        mu = ending_measure(group, DOMAIN_POINT, 1.0, 4,
-                            stab=DeclaredStabilizer.trivial())
+        mu = ending_measure(group, DOMAIN_POINT, 1.0, 4)
         path = tmp_path / "atoms.csv"
         mu.to_csv(path)
         lines = path.read_text().strip().splitlines()

@@ -14,8 +14,9 @@ from kleinian.model import BoundaryPoint, Disc, InteriorPoint
 from kleinian.series import (SeparationSchedule, TailCertificate,
                              bounded_parabolic_domination, branch_contraction,
                              estimate_delta, example1_certificate, horospherical_partial,
-                             fixes, poincare_partial, reduced_horospherical_partial,
-                             trivial_subgroup, unit_derivative, unit_fixer, _probe_label)
+                             fixes, parabolic_domination, poincare_partial,
+                             reduced_horospherical_partial, trivial_subgroup,
+                             unit_derivative, unit_fixer, _probe_label)
 
 from conftest import arc, rim_points
 
@@ -174,6 +175,20 @@ class TestReducedSeries:
         for red, poi in zip(dom["reduced_partials"], dom["poincare_partials"]):
             assert red <= dom["factor"] * poi * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("budget", [None, 100])
+    def test_trivial_declaration_dominates_over_the_whole_group(self, parabolic_group,
+                                                                budget):
+        # no retraction: the untracked walk of the whole group gives the
+        # record of a tracked walk over the kernel of the spec killing every letter
+        zeta = parabolic_group.generator("p").transform.classify().fixed_points[0]
+        consume, result = parabolic_domination(zeta, 0.7)
+        kills_all = QuotientSpec({gen.label: () for gen in parabolic_group.generators})
+        tracked = result(walk(parabolic_group, 5, budget, kernel=kills_all,
+                              consumers=[consume]))
+        assert bounded_parabolic_domination(parabolic_group, zeta, 0.7, 5,
+                                            DeclaredStabilizer.trivial(), budget) == tracked
+        assert tracked["budget_exhausted"] == (budget is not None)
+
 
 KILLS_P = QuotientSpec({"a": ("a",), "b": ("b",), "p": ()})
 KEEPS_P = QuotientSpec({"a": (), "b": ("b",), "p": ("p",)})
@@ -217,6 +232,11 @@ class TestUnitFixer:
         assert unit_fixer(parabolic_group, xi) is None
         r = horospherical_partial(parabolic_group, xi, 0.7, 5)
         assert "unit_fixer" not in (r.verdict.evidence or {})
+
+    def test_extended_precision_has_no_kernel(self, parabolic_group, zeta):
+        with pytest.raises(ValueError, match="kernel"):
+            horospherical_partial(parabolic_group, zeta, 0.7, 3, precision="extended",
+                                  kernel=KILLS_P)
 
     def test_measure_and_series_read_one_rule(self, parabolic_group, zeta):
         from kleinian.measure import ending_measure
@@ -275,7 +295,7 @@ class TestTrivialSubgroup:
         # kernel words of a, b -> x start at length 2: a depth-1 probe sees
         # zero blocks, which is no evidence of convergence
         with pytest.raises(InconclusiveBracket):
-            estimate_delta(group, (0.1, 0.9), depths=(1,), restrict=self.KERNEL_XX)
+            estimate_delta(group, (0.1, 0.9), depths=(1,), kernel=self.KERNEL_XX)
         est = estimate_delta(SchottkyGroup.trivial(1), (0.1, 0.9), depths=(2,))
         assert (est.low, est.high) == (0.0, 0.1)
         assert est.probes[0].label == "convergent"
@@ -422,7 +442,7 @@ class TestEstimateDelta:
         quotient = QuotientSpec({"a": (), "b": ("b",)})
         full = estimate_delta(group, (0.05, 0.9), depths=(6, 8), budget=10 ** 5)
         restricted = estimate_delta(group, (0.01, 0.9), depths=(6, 8, 10),
-                                    budget=10 ** 5, restrict=quotient)
+                                    budget=10 ** 5, kernel=quotient)
         assert restricted.high <= full.high + 1e-9
 
 
@@ -449,7 +469,7 @@ def _probe_walk(group, s, depth, budget, restrict):
 ])
 def test_probes_equal_one_walk_per_probe(group, bracket, depths, restrict, probes_cut):
     est = estimate_delta(group, bracket, depths=depths, budget=10 ** 5,
-                         restrict=restrict)
+                         kernel=restrict)
     cut = False
     for s, records in itertools.groupby(est.probes, key=lambda r: r.s):
         records = list(records)

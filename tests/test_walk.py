@@ -37,6 +37,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "kleinian"
 DOMAIN_POINT = BoundaryPoint.from_angle(math.radians(108.0))
 TARGETS = (DOMAIN_POINT, BoundaryPoint.from_angle(math.radians(252.0)))
 QUOTIENT = QuotientSpec({"a": (), "b": ("b",)})
+# the spec that DeclaredStabilizer(("a",)).quotient_for builds for a and b
+STABILIZER_A = QuotientSpec({"a": ("a",), "b": ()}, ("a",))
 
 
 # --- one rule across the APIs ----------------------------------------------------
@@ -112,7 +114,7 @@ def _assert_same_measure(mu, reference):
 
 @pytest.mark.parametrize("budget", [None, 17, 20])
 @pytest.mark.parametrize("restriction", [
-    {}, {"stab": DeclaredStabilizer(("a",))}, {"kernel": QUOTIENT},
+    {}, {"kernel": STABILIZER_A}, {"kernel": QUOTIENT},
     {"kernel": QuotientSpec({"a": ("x",), "b": ("x",)})}],
     ids=["group", "stabilizer", "kernel", "kernel without level 1"])
 def test_ending_measures_equal_one_walk_per_depth(std_group, budget, restriction):
@@ -591,7 +593,8 @@ def test_the_example3_walk_holds_no_top_slab():
     domination, 585,937 words) never forms a level-8 slab's matrices: it
     traces about 20 MiB, where whole 2^20-word slabs trace about 57."""
     group, target = example3_group()
-    measures = EndingMeasures(group, [target], 0.8, stab=DeclaredStabilizer(("p",)))
+    measures = EndingMeasures(group, [target], 0.8,
+                              kernel=DeclaredStabilizer(("p",)).quotient_for(group))
     whole = LevelSums(boundary_values(target, 0.8), whole_group=True)
     dominate, _ = parabolic_domination(target, 0.8)
     assert _traced_peak(lambda: measures.walk(8, None, [whole, dominate])) < 32 << 20
