@@ -22,11 +22,11 @@ import numpy as np
 from . import __version__
 from .errors import BudgetExceeded, ConfigError, KleinianError
 from .group import DeclaredStabilizer, QuotientSpec, SchottkyGroup
-from .measure import (AtomicMeasure, _cell_index, _cell_masses, classify_atomicity,
-                      ending_measure, moving_generator, orbit_measure)
+from .measure import (AtomicMeasure, _cell_index, _cell_masses, _sphere_grid,
+                      classify_atomicity, ending_measure, moving_generator, orbit_measure)
 from .model import BoundaryPoint, Disc, InteriorPoint
 from .series import (SeparationSchedule, SeriesResult, TailCertificate,
-                     example1_certificate, horospherical_partial, poincare_partial,
+                     example1_tail, horospherical_partial, poincare_partial,
                      reduced_horospherical_partial)
 
 SCHEMA_VERSION = 1
@@ -51,7 +51,7 @@ class RunConfig:
     point: InteriorPoint | None
     stabilizer: DeclaredStabilizer | None
     kernel: QuotientSpec | None
-    certificate: TailCertificate | None
+    certificate: TailCertificate | None   # for boundary series at ``target`` only
     exponent: float
     depth: int
     budget: int | None
@@ -192,8 +192,6 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
 
     exponent = _number(knob("exponent", 1.0), "exponent")
     _require(0.0 <= exponent < math.inf, f"exponent must be finite and >= 0, got {exponent}")
-    # the certificate at the exponent the run sums at
-    cert = example1_certificate(schedule, exponent) if schedule is not None else None
     depth = _integer(knob("depth", 6), "depth", 0)
     budget = raw.get("budget")
     budget = None if budget is None else _integer(budget, "budget", 1)
@@ -207,6 +205,9 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
 
     target = (_point_from(raw["target"], group.dim, "target") if "target" in raw
               else default_target)
+    # Example 1's certificate at the run exponent, for boundary series at a target it covers
+    cert = (example1_tail(schedule, exponent, group, target)
+            if schedule is not None and target is not None else None)
     point = None
     if "point" in raw:
         pdoc = raw["point"]
@@ -237,9 +238,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     _require_known(render, RENDER_KEYS, "render")
     bins, width, height = (_integer(render.get(key, default), f"render.{key}", 1)
                            for key, default in (("bins", 64), ("width", 256), ("height", 128)))
-    # the S^2 grid has round(sqrt(bins)) longitudes of bins // that latitudes
-    _require(group.dim == 1 or bins % round(math.sqrt(bins)) == 0,
-             f"render.bins on S^2 must be a multiple of round(sqrt(bins)), got {bins}")
+    if group.dim == 2:
+        _built("render.bins", _sphere_grid, bins)
     return RunConfig(
         raw=raw, group=group, target=target, point=point, stabilizer=stab,
         kernel=kernel, certificate=cert, exponent=exponent, depth=depth,
@@ -282,8 +282,7 @@ def _run_series(cfg: RunConfig) -> SeriesResult:
     if cfg.series_kind == "poincare":
         point = cfg.point if cfg.point is not None else InteriorPoint.origin(cfg.group.dim)
         return poincare_partial(cfg.group, point, cfg.exponent, cfg.depth,
-                                budget=cfg.budget, tail=cfg.certificate,
-                                precision=cfg.precision)
+                                budget=cfg.budget, precision=cfg.precision)
     if cfg.target is None:
         raise ConfigError("boundary series need a 'target'")
     if cfg.series_kind == "horospherical":
@@ -377,12 +376,11 @@ def _render_ppm(masses: np.ndarray, dim: int, size: tuple[int, int]) -> bytes:
                           ).reshape(xx.shape)
         level = np.where(ring, shade[idx], 0)
     else:
-        lon_cells = int(round(math.sqrt(bins)))
-        lat_cells = bins // lon_cells
+        lon_cells, lat_cells = _sphere_grid(bins)
         yy, xx = np.mgrid[0:height, 0:width]
         i = (xx * lon_cells // width).astype(np.int64)
         j = (yy * lat_cells // height).astype(np.int64)
-        level = shade[np.minimum(i * lat_cells + j, bins - 1)]
+        level = shade[i * lat_cells + j]
     img = np.full(level.shape + (3,), 255, dtype=np.uint8)
     img[..., 0] = img[..., 1] = 255 - level
     header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode()

@@ -33,7 +33,7 @@ from .mobius import Transform
 from .model import BoundaryPoint, Disc, embed3
 from .series import (BranchBounds, DeltaEstimate, SeparationSchedule, SeriesResult,
                      boundary_values, branch_contraction, estimate_delta,
-                     example1_certificate, finish_series, parabolic_domination)
+                     example1_tail, finish_series, parabolic_domination)
 
 POLE_SAFETY = 0.2        # keep all constructions away from the chart pole
 SLOT_FILL = 0.45         # enlarged discs fill this fraction of their half-slot
@@ -125,14 +125,11 @@ def build_example1(cfg: Example1Config) -> Example1Result:
     schedule = cfg.schedule()
     group, target = example1_group(cfg)
     seps = [gen.separation for gen in group.generators]
-    for gen in group.generators:
-        for disc in (gen.source, gen.target):
-            if disc.enlarged(gen.separation).contains(target):
-                raise PlacementInfeasible("target fell inside an enlarged disc")
-
     s = cfg.exponent
     adm = schedule.admissibility_sum(s)
-    certificate = example1_certificate(schedule, s)
+    certificate = example1_tail(schedule, s, group, target)
+    if certificate is None:   # the schedule is admissible, so the target is at fault
+        raise PlacementInfeasible("target fell inside an enlarged disc")
     branch = branch_contraction(group, seps)
     paper_bounds = [(4.0 / schedule.phi(1 + e // 2)) ** 2
                     for e in range(group.letter_count)]

@@ -9,10 +9,9 @@ array double as the prefix cache.  A batch's children are one broadcast
 product of its parents' matrices with a per-walk table of the letters that
 may follow each last letter, so no parent matrix is gathered per child.
 Every batch holds at most ``BLOCK_WORDS`` words with their matrices
-formed, so the top level's matrices are never held at once.  Level sums
-take one correctly rounded sum per slab of ``SLAB_WORDS`` words
-(:func:`exact_sum`, equal to ``math.fsum``), then one per level; no batch
-straddles a slab, so the sums do not depend on the batch size.
+formed, so the top level's matrices are never held at once.  Each level
+sum is exact until it is rounded once (:class:`ExactSum`, equal to
+``math.fsum``), so the sums do not depend on the batch size.
 
 A kernel walk also tracks each word's image under a retraction onto a free
 group (:class:`QuotientTracker`): one integer key that reads the reduced
@@ -35,7 +34,6 @@ from .errors import BudgetExceeded, DiscsOverlap, TargetNotInDomainClosure
 from .mobius import Transform, image_disc, matmul_raw, pair_discs, parabolic_fixing
 from .model import BoundaryPoint, Disc, InteriorPoint
 
-SLAB_WORDS = 1 << 20          # words per level sum: fixed, so sums are bit-reproducible
 BLOCK_WORDS = 1 << 15         # words per batch: fits in cache
 PARABOLIC_POWER_CHECK = 30
 
@@ -278,8 +276,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     """Yield every reduced word of length <= max_length as WordBatch runs.
 
     Level ``l`` has exactly 2k (2k-1)^(l-1) words, yielded in batches of at
-    most ``size`` words with their matrices formed; no batch straddles a
-    multiple of ``SLAB_WORDS`` within its level.  Levels below the top are
+    most ``size`` words with their matrices formed.  Levels below the top are
     kept whole (their matrices are the prefix cache for the next level);
     the top level's words live only in their batch.
     Raises :class:`BudgetExceeded` after yielding whatever fits within the
@@ -328,7 +325,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
             level_index = np.empty(room if prune else 0, dtype=np.int64)
         pos = kept = 0
         while pos < total:
-            hi = min(pos + size, (pos // SLAB_WORDS + 1) * SLAB_WORDS, total)
+            hi = min(pos + size, total)
             cut = budget is not None and generated + (hi - pos) > budget
             if cut:
                 hi = pos + (budget - generated)
@@ -403,37 +400,37 @@ def word_at(group: SchottkyGroup, length: int, index: int) -> Word:
 
 # --- the walker -----------------------------------------------------------------
 
-EXACT_SUM_MIN = 64   # fewer values are summed by math.fsum directly
+class ExactSum:
+    """The exact sum of float64 values fed in parts, rounded once: ``math.fsum``
+    of all of them, bit for bit, without keeping them.
 
-
-def exact_sum(parts: Sequence[np.ndarray]) -> float:
-    """``math.fsum`` of the values of ``parts`` in order, bit for bit,
-    without a Python list or a joined copy.
-
-    Both are correctly rounded, so they are the same double.  Each value is
-    m 2^(e - 53) with m an integer below 2^53 in magnitude; m is split into
-    26- and 27-bit halves, which ``np.bincount`` sums by exponent exactly,
-    ``BLOCK_WORDS`` values at a time (a sum of fewer than 2^26 halves stays
-    below 2^53).  The buckets join one Python-int total, kept at the lowest
-    exponent so far and shifted left when a block goes lower, and rounded
-    once.  Short, non-finite, huge or non-float64 input, and sums that are
-    zero or not normal, go to ``math.fsum``.
+    Each value is m 2^(e - 53) with m an integer below 2^53 in magnitude; its
+    26- and 27-bit halves are summed by exponent with ``np.bincount``, exactly,
+    ``BLOCK_WORDS`` values at a time (fewer than 2^26 halves stay below 2^53),
+    into one Python-int total kept at the lowest exponent so far.  :meth:`value`
+    rounds it once, correctly, as Python's int-to-float conversion and int
+    division do, and raises ``OverflowError`` beyond the float range; unlike
+    ``math.fsum`` it never overflows on the way.  Non-finite values give what
+    ``math.fsum`` gives: nan, +-inf, or ``ValueError`` for +inf with -inf.
     """
-    def fsum() -> float:
-        return math.fsum(value for part in parts for value in part.tolist())
 
-    n = sum(part.shape[0] for part in parts)
-    if n < EXACT_SUM_MIN or any(part.dtype != np.float64 for part in parts):
-        return fsum()
-    total, lowest, highest = 0, 2048, -2048   # beyond every float64 exponent
-    for part in parts:
-        for lo in range(0, part.shape[0], BLOCK_WORDS):
-            mant, exp = np.frexp(part[lo:lo + BLOCK_WORDS])
-            if not np.isfinite(mant).all():
-                return fsum()
-            base, highest = int(exp.min()), max(highest, int(exp.max()))
-            if base < lowest:
-                total, lowest = total << (lowest - base), base
+    def __init__(self):
+        self._total, self._lowest = 0, 2048   # beyond every float64 exponent
+        self._nan = self._inf = self._minus_inf = False   # seen
+
+    def add(self, values: np.ndarray) -> None:
+        """Add a one-dimensional array of values."""
+        for lo in range(0, values.shape[0], BLOCK_WORDS):
+            mant, exp = np.frexp(values[lo:lo + BLOCK_WORDS])
+            odd = ~np.isfinite(mant)
+            if odd.any():   # noted, then summed as zeros
+                self._nan |= bool(np.isnan(mant[odd]).any())
+                self._inf |= bool((mant[odd] > 0).any())
+                self._minus_inf |= bool((mant[odd] < 0).any())
+                mant[odd] = 0.0
+            base = int(exp.min())
+            if base < self._lowest:
+                self._total, self._lowest = self._total << (self._lowest - base), base
             mant *= 2.0 ** 26
             high = np.trunc(mant)
             mant -= high
@@ -441,67 +438,53 @@ def exact_sum(parts: Sequence[np.ndarray]) -> float:
             exp -= base
             for shift, (h, l) in enumerate(zip(np.bincount(exp, weights=high).tolist(),
                                                np.bincount(exp, weights=mant).tolist()),
-                                           base - lowest):
+                                           base - self._lowest):
                 if h or l:
-                    total += (int(h) << (shift + 27)) + (int(l) << shift)
-    if highest + n.bit_length() > 1022:   # fsum could overflow on the way
-        return fsum()
-    scale = lowest - 53
-    result = float(total << scale) if scale >= 0 else total / (1 << -scale)
-    if abs(result) < 2.0 ** -1022:   # zero or subnormal
-        return fsum()
-    return result
+                    self._total += (int(h) << (shift + 27)) + (int(l) << shift)
+
+    def value(self) -> float:
+        """The sum so far, rounded once."""
+        specials = [math.nan] * self._nan + [math.inf] * self._inf + [-math.inf] * self._minus_inf
+        if specials:
+            return math.fsum(specials)
+        scale = self._lowest - 53
+        return float(self._total << scale) if scale >= 0 else self._total / (1 << -scale)
 
 
 class LevelSums:
-    """Level sums of one value stream: an exact sum per slab, then per level.
+    """Level sums of one value stream: one :class:`ExactSum` per level.
 
     A walk consumer.  ``values(words)`` gives one value per word of a
     batch; on a kernel walk it is handed only the kernel words unless
     ``whole_group`` is set, which also keeps the walk unpruned (:func:`walk`).
-    A slab's values (the words of a level whose indices have one quotient
-    by ``SLAB_WORDS``) are kept until the next slab begins, then summed by
-    one :func:`exact_sum`, so no sum depends on the batch size.  After
-    :meth:`finish` closes the blocks at a walk, ``level_sums`` and
-    ``level_counts`` cover its complete levels and ``tail_sum`` is what was
-    summed beyond them before a budget cut.
+    Each level sum is ``math.fsum`` of its level's values, rounded once,
+    however the level was split into batches.  After :meth:`finish` at a
+    walk, ``level_sums`` and ``level_counts`` cover its complete levels and
+    ``tail_sum`` is what was summed beyond them before a budget cut.
     """
 
     def __init__(self, values: Callable[[WordBatch], np.ndarray] | None = None,
                  whole_group: bool = False):
         self.values = values
         self.whole_group = whole_group
-        self._sums: defaultdict[int, list[float]] = defaultdict(list)   # one per slab
+        self._sums: defaultdict[int, ExactSum] = defaultdict(ExactSum)
         self._counts: Counter[int] = Counter()
-        self._slab: tuple[int, int] | None = None   # (level, slab) of the values kept
-        self._kept: list[np.ndarray] = []
 
     def __call__(self, batch: WordBatch, words: WordBatch) -> None:
-        self.add(batch.length, batch.offset, self.values(batch if self.whole_group else words))
+        self.add(batch.length, self.values(batch if self.whole_group else words))
 
-    def add(self, length: int, offset: int, values: np.ndarray) -> None:
-        """The values of the next batch in walk order, which starts at word
-        ``offset`` of level ``length``."""
-        slab = (length, offset // SLAB_WORDS)
-        if slab != self._slab:
-            self._close()
-            self._slab = slab
-        self._kept.append(values)
+    def add(self, length: int, values: np.ndarray) -> None:
+        """The values of the next batch of level ``length``."""
+        self._sums[length].add(values)
         self._counts[length] += values.shape[0]
 
-    def _close(self) -> None:
-        if self._slab is not None:
-            self._sums[self._slab[0]].append(exact_sum(self._kept))
-            self._slab, self._kept = None, []
-
     def finish(self, done: Walk) -> None:
-        """Close the blocks at the walk ``done``.
+        """Round the level sums of the walk ``done``.
 
-        Batches longer than ``done.depth`` are left out, so the blocks of one
-        deep walk can be closed again at each shorter depth (see :meth:`Walk.upto`).
+        Levels deeper than ``done.depth`` are left out, so the sums of one
+        deep walk can be finished again at each shorter depth (see :meth:`Walk.upto`).
         """
-        self._close()
-        sums = [math.fsum(self._sums[length]) for length in range(done.depth + 1)]
+        sums = [self._sums[length].value() for length in range(done.depth + 1)]
         self.tail_sum = math.fsum(sums[done.depth_completed + 1:])
         self.level_sums = sums[: done.depth_completed + 1]
         self.level_counts = [self._counts[length] for length in range(done.depth_completed + 1)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TargetNotInDomainClosure
-from .group import (BLOCK_WORDS, SLAB_WORDS, DeclaredStabilizer, LevelSums, QuotientSpec,
+from .group import (BLOCK_WORDS, DeclaredStabilizer, LevelSums, QuotientSpec,
                     SchottkyGroup, Walk, WordBatch, walk)
 from .mobius import (apply_boundary_raw, apply_halfspace_raw, apply_interior_raw,
                      ball_to_halfspace, boundary_derivative_raw, halfspace_to_ball,
@@ -31,7 +31,6 @@ from .series import (SeriesResult, TailCertificate, boundary_power, finish_serie
 # derivative field varies violently, and breaks the conformality-residual
 # budget for strongly contracting generator families.
 MERGE_TOL = 1e-15
-MASS_TOL = 1e-12
 DEFAULT_CELLS = 64
 TOP_K_ATOMS = 32
 PARTITION_OFFSET = 0.5 * (math.sqrt(5.0) - 1.0)  # keeps atoms off cell edges
@@ -324,7 +323,7 @@ class EndingMeasures:
             else:
                 value = interior_derivative_raw(mats, pc) ** s
                 place = apply_interior_raw(mats, pc)
-            blocks.add(length, batch.offset, value)
+            blocks.add(length, value)
             atoms.add(place[:, :width], value, length)
             if batch.final:
                 atoms.close(length)
@@ -373,16 +372,27 @@ def _check_target(group: SchottkyGroup, zeta: BoundaryPoint,
 
 # --- conformality --------------------------------------------------------------
 
+def _sphere_grid(cells: int) -> tuple[int, int]:
+    """The longitudes and latitudes of the S^2 grid of ``cells`` cells:
+    round(sqrt(cells)) of the first, ``cells`` // that of the second.  A
+    count that is not a multiple of the longitudes would leave cells empty,
+    so it raises ValueError."""
+    lon_cells = int(round(math.sqrt(cells)))
+    if cells % lon_cells:
+        raise ValueError(f"{cells} cells on S^2 must be a multiple of "
+                         f"round(sqrt({cells})) = {lon_cells}")
+    return lon_cells, cells // lon_cells
+
+
 def _cell_index(directions: np.ndarray, dim: int, cells: int) -> np.ndarray:
     """Deterministic partition of the boundary into arcs (S^1) or a
-    longitude/latitude grid (S^2), rotated by an irrational offset so that
-    atom images do not straddle cell edges."""
+    longitude/latitude grid (S^2, :func:`_sphere_grid`), rotated by an
+    irrational offset so that atom images do not straddle cell edges."""
     if dim == 1:
         ang = np.arctan2(directions[:, 1], directions[:, 0])
         frac = (ang / (2.0 * math.pi) + PARTITION_OFFSET) % 1.0
         return np.minimum((frac * cells).astype(np.int64), cells - 1)
-    lon_cells = int(round(math.sqrt(cells)))
-    lat_cells = cells // lon_cells
+    lon_cells, lat_cells = _sphere_grid(cells)
     lon = np.arctan2(directions[:, 2], directions[:, 1])
     lat = np.arccos(np.clip(directions[:, 0], -1.0, 1.0))
     lon_frac = (lon / (2.0 * math.pi) + PARTITION_OFFSET) % 1.0
@@ -423,6 +433,8 @@ def conformality_residual(mu: AtomicMeasure, g, s: float,
     Other measures (restricted to a subgroup, or without enumeration data)
     and other transforms fall back to the direct atom formula.
     """
+    if mu.dim == 2:
+        _sphere_grid(cells)   # refused even when there is no shell to bin
     enum = mu.meta.get("enumeration")
     letters = (_letters_of(enum["group"], g)
                if enum is not None and enum.get("kernel") is None else (-2, -2))
@@ -512,12 +524,11 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
     both of which are depth-shell terms.  With the chain rule
     j(g v, p) = j(g, v(p)) j(v, p) both come from the shell record: the
     positions v(p), moved by g^{-1} and differentiated by g, and the raw
-    j(v, p).  Slabs of ``SLAB_WORDS`` words are binned in walk order, each
-    slab's mu(g A) terms before its integral terms, and each side is
-    evaluated in blocks of ``BLOCK_WORDS`` words: ``np.add.at`` adds one
-    term at a time, so the blocks add the same terms in the same order as
-    one pass over the slab would.  The first call at a cell count bins the
-    shell's v(p) block by block and keeps their cells.
+    j(v, p).  Every mu(g A) term is binned before every integral term, each
+    side in walk order and in blocks of ``BLOCK_WORDS`` words: ``np.add.at``
+    adds one term at a time, so the blocks add the same terms in the same
+    order as one pass over the shell would.  The first call at a cell count
+    bins the shell's v(p) block by block and keeps their cells.
     """
     if mu._shell is None:
         mu._shell = _record_shell(mu, enum)
@@ -529,26 +540,23 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
     n = shell.first.shape[0]
     binned = cells in shell.cells   # else filled below, in the smallest type for cells - 1
     cell_of = shell.cells[cells] if binned else np.empty(n, np.min_scalar_type(-cells))
-    for slab in range(0, n, SLAB_WORDS):
-        end = min(slab + SLAB_WORDS, n)
-        parts = [slice(lo, min(lo + BLOCK_WORDS, end)) for lo in range(slab, end, BLOCK_WORDS)]
-        for part in parts:
-            if shell.z is None:
-                pre = apply_boundary_raw(ginv.matrix, shell.points[part])
-            else:
-                pre = halfspace_to_ball(*apply_halfspace_raw(ginv.matrix, shell.z[part],
-                                                             shell.t[part]))
-            keep = shell.first[part] != g_letter
-            np.add.at(net, _cells_of(pre, mu.dim, cells)[keep],
-                      (shell.jraw[part] ** s)[keep] / scale)
-        for part in parts:
-            jg = (boundary_derivative_raw(g.matrix, shell.points[part]) if shell.z is None
-                  else _stretch(g, shell.z[part], shell.t[part]))
-            if not binned:
-                cell_of[part] = _cells_of(shell.points[part], mu.dim, cells)
-            keep = shell.first[part] != ginv_letter
-            np.subtract.at(net, cell_of[part][keep],
-                           (jg ** s * shell.jraw[part] ** s)[keep] / scale)
+    parts = [slice(lo, lo + BLOCK_WORDS) for lo in range(0, n, BLOCK_WORDS)]
+    for part in parts:
+        if shell.z is None:
+            pre = apply_boundary_raw(ginv.matrix, shell.points[part])
+        else:
+            pre = halfspace_to_ball(*apply_halfspace_raw(ginv.matrix, shell.z[part],
+                                                         shell.t[part]))
+        keep = shell.first[part] != g_letter
+        np.add.at(net, _cells_of(pre, mu.dim, cells)[keep], (shell.jraw[part] ** s)[keep] / scale)
+    for part in parts:
+        jg = (boundary_derivative_raw(g.matrix, shell.points[part]) if shell.z is None
+              else _stretch(g, shell.z[part], shell.t[part]))
+        if not binned:
+            cell_of[part] = _cells_of(shell.points[part], mu.dim, cells)
+        keep = shell.first[part] != ginv_letter
+        np.subtract.at(net, cell_of[part][keep],
+                       (jg ** s * shell.jraw[part] ** s)[keep] / scale)
     shell.cells[cells] = cell_of
     return float(np.max(np.abs(net)))
 

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import DiscsOverlap, NumericallyAmbiguous
 from .model import BoundaryPoint, Disc, InteriorPoint, embed3, project_dim
 
-DET_TOL = 1e-12
 IDENTITY_TOL = 1e-12
 PARABOLIC_TOL = 1e-12
 AMBIGUITY_TOL = 1e-9

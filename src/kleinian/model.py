@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BOUNDARY_NORM_TOL = 1e-12
 INTERIOR_MAX_NORM = 1.0 - 1e-14
 
 

@@ -1,9 +1,8 @@
 """Poincare-type series as certified partial sums.
 
 Every evaluator walks the breadth-first word stream once, forms the block
-sum of each word length by correctly rounded summation (one
-:func:`~kleinian.group.exact_sum` per slab of ``SLAB_WORDS`` words, then
-``math.fsum`` per level, in enumeration order), and returns a
+sum of each word length, rounded once (``math.fsum`` of the level's
+values; see :class:`~kleinian.group.ExactSum`), and returns a
 :class:`SeriesResult` carrying the per-level blocks, a three-valued
 convergence verdict and an optional certified tail.
 
@@ -347,6 +346,18 @@ def example1_certificate(schedule: SeparationSchedule, s: float) -> TailCertific
     return TailCertificate(rate=2.0 * adm, coeff=1.0, source="separation_schedule")
 
 
+def example1_tail(schedule: SeparationSchedule, s: float, group: SchottkyGroup,
+                  target: BoundaryPoint) -> TailCertificate | None:
+    """:func:`example1_certificate` for a boundary series at ``target``, or
+    None where it is not proven: the schedule bounds each letter's j(letter, .)
+    only off its disc enlarged by the separation, so ``target`` must lie off
+    every enlarged disc."""
+    if any(disc.enlarged(gen.separation).contains(target)
+           for gen in group.generators for disc in (gen.source, gen.target)):
+        return None
+    return example1_certificate(schedule, s)
+
+
 @dataclass(frozen=True)
 class BranchBounds:
     """Certified per-letter bounds sup{j(letter, zeta) : zeta off the enlarged disc}.
@@ -464,9 +475,9 @@ def parabolic_domination(zeta: BoundaryPoint, s: float):
     def consume(batch: WordBatch, words: WordBatch) -> None:
         nonlocal b_measured
         jb = boundary_derivative_raw(words.mats, bc)
-        reduced.add(batch.length, batch.offset, jb ** s)
+        reduced.add(batch.length, jb ** s)
         ji = interior_derivative_raw(batch.mats, np.zeros(3))
-        poincare.add(batch.length, batch.offset, ji ** s)
+        poincare.add(batch.length, ji ** s)
         conorm = ji if words is batch else ji[words.rows]   # 1 - |w(0)|^2 = j(w, 0)
         if conorm.shape[0]:
             dist = np.arccosh(np.maximum(2.0 / conorm - 1.0, 1.0))
@@ -555,10 +566,10 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
     probes: list[ProbeRecord] = []
     notes: list[str] = []
     origin = np.zeros(3)
-    raw: list[tuple[int, int, np.ndarray]] = []   # (length, offset, j(w, 0)) per batch
+    raw: list[tuple[int, np.ndarray]] = []   # (length, j(w, 0)) per batch
 
     def cache(batch: WordBatch, words: WordBatch) -> None:
-        raw.append((batch.length, batch.offset, interior_derivative_raw(words.mats, origin)))
+        raw.append((batch.length, interior_derivative_raw(words.mats, origin)))
 
     done = walk(group, max(depths, default=0), budget, kernel=kernel, consumers=[cache])
     walked = (done.depth_completed, done.budget_exhausted)
@@ -570,8 +581,8 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
         fed = 0
         for depth in depths:
             while fed < len(raw) and raw[fed][0] <= depth:
-                length, offset, raw_values = raw[fed]
-                blocks.add(length, offset, raw_values ** s)
+                length, raw_values = raw[fed]
+                blocks.add(length, raw_values ** s)
                 fed += 1
             probe = done.upto(depth)
             blocks.finish(probe)

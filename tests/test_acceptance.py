@@ -249,7 +249,7 @@ def test_criterion_06_conformality_residual(ex1_result):
 
 def test_ending_measure_normalizer_is_the_series(ex1_result):
     """The depth-8 ending measure's level blocks are the boundary series'
-    own, bit for bit, although its top level spans several slabs."""
+    own, bit for bit, although its top level spans many batches."""
     assert ex1_result.measure.series.level_sums == ex1_result.series.level_sums
     assert ex1_result.measure.series.partial_sum == ex1_result.series.partial_sum
 

@@ -131,6 +131,28 @@ class TestSeriesCommand:
         assert result["verdict"]["kind"] == "converged_within"
         assert result["tail_bound"] == cert.tail_from(6 + 1)
 
+    @pytest.mark.parametrize("edit, attached", [
+        ({"series": "poincare"}, True),   # P(0, s) is not the boundary series it bounds
+        ({"target": {"angle": 2.013}}, False),   # 0.05 rad from g1's disc, in its enlargement
+        ({"target": {"angle": 1.983}}, False),   # in it too: level 1 sums to 0.578 > 1/2
+    ])
+    def test_example1_certificate_only_where_it_is_proven(self, tmp_path, edit, attached):
+        """Example 1's certificate bounds the boundary series at a target off
+        every enlarged disc, and no other series."""
+        import argparse
+
+        from kleinian.cli import load_config
+
+        doc = {**json.loads((CONFIGS / "example1.json").read_text()), **edit}
+        path = write_config(tmp_path, doc)
+        ns = argparse.Namespace(exponent=None, depth=None, threads=None, precision=None)
+        assert (load_config(path, ns).certificate is not None) == attached
+        assert main(["series", "--config", path, "--out", str(tmp_path / "o"),
+                     "--depth", "6"]) == 0
+        result = json.loads((tmp_path / "o" / "series.json").read_text())["result"]
+        assert result["verdict"]["kind"] != "converged_within"
+        assert result["tail_bound"] is None
+
     def test_depth_zero_certifies_only_the_trivial_group(self, tmp_path):
         out = tmp_path / "o"
         cfg = str(CONFIGS / "two_generator.json")
@@ -472,8 +494,9 @@ class TestRenderCommand:
         assert masses[(x * 4 // 40) * 4 + y * 4 // 24] == max(masses) > 0.0
 
     @pytest.mark.parametrize("doc, bins, code", [
-        (CAP_TWO_GEN, 8, 2), (CAP_TWO_GEN, 16, 0), (CAP_TWO_GEN, 64, 0), (TWO_GEN, 8, 0)],
-        ids=["S^2, 8", "S^2, 16", "S^2, 64", "S^1, 8"])
+        (CAP_TWO_GEN, 8, 2), (CAP_TWO_GEN, 10, 2), (CAP_TWO_GEN, 16, 0), (CAP_TWO_GEN, 64, 0),
+        (TWO_GEN, 8, 0)],
+        ids=["S^2, 8", "S^2, 10", "S^2, 16", "S^2, 64", "S^1, 8"])
     def test_bins_the_grid_cannot_fill_exit_2(self, tmp_path, capsys, doc, bins, code):
         # the S^2 grid has round(sqrt(bins)) longitudes of bins // that
         # latitudes: for 8 bins, 3 x 2 cells, and two bins that stay empty

@@ -120,6 +120,24 @@ class TestSeparatedFamily:
         with pytest.raises(PlacementInfeasible):
             Example1Config(span=3.2)
 
+    def test_certificate_needs_a_target_off_the_enlarged_discs(self):
+        """The certificate holds at the accumulation point, not at a target
+        inside an enlarged disc, and the builder refuses such a target."""
+        from unittest import mock
+
+        import kleinian.examples
+        from kleinian.series import example1_tail
+
+        cfg = Example1Config(depth=2)
+        group, target = kleinian.examples.example1_group(cfg)
+        assert example1_tail(cfg.schedule(), 0.5, group, target) is not None
+        inside = BoundaryPoint.from_angle(2.013)
+        assert example1_tail(cfg.schedule(), 0.5, group, inside) is None
+        with mock.patch.object(kleinian.examples, "example1_group",
+                               return_value=(group, inside)):
+            with pytest.raises(PlacementInfeasible):
+                build_example1(cfg)
+
 
 class TestRetractionKernel:
     def test_quotient_assignment(self, ex2):

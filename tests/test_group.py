@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kleinian.errors import BudgetExceeded, DiscsOverlap, TargetNotInDomainClosure
 from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
-                            QuotientTracker, SchottkyGroup, ending_sequence,
+                            QuotientTracker, SchottkyGroup, Walk, ending_sequence,
                             enumerate_words, iter_word_batches,
                             kernel_enumerate, level_count, walk, word_at)
 from kleinian.mobius import image_disc
@@ -30,6 +30,10 @@ class TestConstruction:
     def test_free_product_requires_same_dim(self, std_group, std_group_2d):
         with pytest.raises(ValueError):
             SchottkyGroup.free_product(std_group, std_group_2d)
+
+    def test_unknown_generator_label(self, std_group):
+        with pytest.raises(KeyError, match="'z'"):
+            std_group.generator("z")
 
     def test_trivial_group(self):
         t = SchottkyGroup.trivial(1)
@@ -106,6 +110,12 @@ class TestEnumeration:
         assert len(words) == 20
         assert info.value.depth_completed == 2  # 1 + 4 + 12 complete, 3 of level 3
         assert info.value.words_generated == 20
+
+    def test_a_walk_contains_only_shallower_walks(self, std_group):
+        done = walk(std_group, 3)
+        assert done.upto(2) == Walk(2, 2)
+        with pytest.raises(ValueError, match="does not contain"):
+            done.upto(4)
 
     def test_final_marks_complete_levels_only(self, std_group):
         batches = []
@@ -227,6 +237,10 @@ class TestQuotients:
         full = QuotientSpec({"a": (), "b": ("b",)})
         assert ([w.letters for w, _ in kernel_enumerate(std_group, partial, 3)]
                 == [w.letters for w, _ in kernel_enumerate(std_group, full, 3)])
+
+    def test_two_letter_images_are_not_supported(self, std_group):
+        with pytest.raises(NotImplementedError, match="single-letter"):
+            walk(std_group, 2, kernel=QuotientSpec({"a": ("a", "b")}))
 
     def test_int64_key_caps_the_image_length(self):
         group = SchottkyGroup.from_disc_pairs(1, [(arc(72, 10), arc(216, 10))])

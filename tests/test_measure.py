@@ -15,10 +15,10 @@ from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec
                             SchottkyGroup, ending_sequence, enumerate_words, level_count,
                             walk)
 from kleinian.measure import (DEFAULT_CELLS, MERGE_TOL, AtomicMeasure, EndingMeasures,
-                              _AtomStream, _cell_index, _cells_of, _letters_of, _merge_atoms,
-                              classify_atomicity, conformality_residual, ending_measure,
-                              orbit_measure, singularity_diagnostic, support_gap,
-                              weak_distance)
+                              _AtomStream, _cell_index, _cell_masses, _cells_of, _letters_of,
+                              _merge_atoms, classify_atomicity, conformality_residual,
+                              ending_measure, orbit_measure, singularity_diagnostic,
+                              support_gap, weak_distance)
 from kleinian.mobius import (apply_boundary_raw, apply_interior_raw,
                              boundary_derivative_raw, interior_derivative_raw, matmul_raw,
                              Transform)
@@ -193,6 +193,24 @@ class TestConformalityResidual:
         mu = orbit_measure(group, z, 1.0, 6)
         g = group.generators[1].transform
         assert conformality_residual(mu, g, 1.0) <= 2.0 * mu.shell_mass() + 1e-15
+
+    @pytest.mark.parametrize("dim, cells, fills", [
+        (2, 8, False), (2, 10, False), (2, 16, True), (2, 64, True), (1, 8, True), (1, 10, True)])
+    def test_cell_counts_fill_their_grid(self, std_group_2d, dim, cells, fills):
+        """S^2 has round(sqrt(c)) longitudes of c // that latitudes, so 8 and
+        10 cells (3 x 2 and 3 x 3) are refused; S^1 takes any count."""
+        points = random_boundary_points(np.random.default_rng(8), dim, 20000)
+        weights = np.full(20000, 1.0 / 20000)
+        if fills:
+            assert np.count_nonzero(_cell_masses(points, weights, dim, cells)) == cells
+            return
+        with pytest.raises(ValueError, match="multiple of round"):
+            _cell_masses(points, weights, dim, cells)
+        for budget in (None, 10):   # 10 words end the walk before its top level
+            mu = ending_measure(std_group_2d, BoundaryPoint([-1.0, 0.0, 0.0]), 1.0, 3,
+                                budget=budget)
+            with pytest.raises(ValueError, match="multiple of round"):
+                conformality_residual(mu, std_group_2d.generators[0].transform, 1.0, cells)
 
 
 @pytest.fixture(scope="module")
@@ -460,6 +478,11 @@ class TestWeakDistance:
     def test_self_distance_zero(self, group):
         mu = ending_measure(group, DOMAIN_POINT, 1.0, 5)
         assert weak_distance(mu, mu) == 0.0
+
+    def test_dimensions_must_match(self):
+        sphere = ending_measure(SchottkyGroup.trivial(2), BoundaryPoint([-1.0, 0.0, 0.0]), 1.0, 2)
+        with pytest.raises(ValueError, match="different boundary dimensions"):
+            weak_distance(one_atom_measure(1.0), sphere)
 
     def test_two_point_masses_distance_shrinks_with_angle(self):
         base = one_atom_measure(1.0)

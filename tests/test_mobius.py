@@ -281,6 +281,10 @@ class TestPairDiscs:
         with pytest.raises(DiscsOverlap):
             pair_discs(arc(10, 20), arc(40, 20))
 
+    def test_dimensions_must_match(self):
+        with pytest.raises(ValueError, match="share a dimension"):
+            pair_discs(arc(10, 5), cap([0.0, 0.0, 1.0], 0.2))
+
     def test_images_shrink_discs(self, rng):
         g = pair_discs(arc(100, 12), arc(250, 12))
         for center, radius in ((0.0, 8.0), (170.0, 10.0), (310.0, 6.0)):
@@ -332,6 +336,10 @@ class TestPairDiscs:
 
 
 class TestImageDisc:
+    def test_dimensions_must_match(self, std_group):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            image_disc(std_group.generators[0].transform, cap([0.0, 0.0, 1.0], 0.2))
+
     def test_matches_boundary_samples(self, std_group_2d, rng):
         g = word_transform(std_group_2d, (0, 2))
         sample = cap([0.0, 0.0, -1.0], 0.35)

@@ -144,6 +144,13 @@ class TestHorosphericalPartial:
         assert r.verdict.kind != "converged_within"
         assert "certificate_rejected" in r.transcript
 
+    def test_certificate_without_decay_rejected(self, group):
+        flat = TailCertificate(rate=1.0, coeff=1e6, source="flat")
+        assert flat.tail_from(7) == math.inf
+        r = horospherical_partial(group, DOMAIN_POINT, 1.0, 6, tail=flat)
+        assert r.verdict.kind != "converged_within"
+        assert r.transcript["certificate_rejected"] == "certified rate 1.0 >= 1"
+
 
 class TestReducedSeries:
     def test_trivial_stabilizer_equals_plain(self, group):
@@ -354,6 +361,10 @@ class TestBranchContraction:
         with pytest.raises(EnlargedDiscsOverlap):
             branch_contraction(group, 8.0)
 
+    def test_one_factor_per_generator(self, group):
+        with pytest.raises(ValueError, match="one enlargement factor per generator"):
+            branch_contraction(group, [2.0])
+
     def test_sphere_bounds_padded(self, std_group_2d, rng):
         bounds = branch_contraction(std_group_2d, 2.0)
         for e in range(std_group_2d.letter_count):
@@ -453,8 +464,7 @@ def _probe_walk(group, s, depth, budget, restrict):
 
     def evaluate(batch, words):
         values = interior_derivative_raw(batch.mats, np.zeros(3)) ** s
-        blocks.add(batch.length, batch.offset,
-                   values if words is batch else values[words.rows])
+        blocks.add(batch.length, values if words is batch else values[words.rows])
 
     evaluate.whole_group = True   # it reads the whole batch, so the walk is not pruned
     done = walk(group, depth, budget, kernel=restrict, consumers=[evaluate])

@@ -5,6 +5,8 @@ import copy
 import functools
 import math
 import tracemalloc
+from collections import defaultdict
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -18,9 +20,10 @@ import kleinian.limits
 import kleinian.measure
 import kleinian.series
 from kleinian.errors import BudgetExceeded, InconclusiveBracket
-from kleinian.examples import Example1Config, build_example1, example2_group, example3_group
-from kleinian.group import (EXACT_SUM_MIN, DeclaredStabilizer, LevelSums, QuotientSpec,
-                            SchottkyGroup, enumerate_words, exact_sum, iter_word_batches,
+from kleinian.examples import (Example1Config, build_example1, example1_group, example2_group,
+                               example2_target, example3_group)
+from kleinian.group import (BLOCK_WORDS, DeclaredStabilizer, ExactSum, LevelSums, QuotientSpec,
+                            SchottkyGroup, enumerate_words, iter_word_batches,
                             kernel_enumerate, level_count, walk, word_at)
 from kleinian.limits import horoball_entry, horoball_scanner
 from kleinian.measure import (DEFAULT_CELLS, EndingMeasures, _record_shell,
@@ -491,10 +494,7 @@ def test_batches_are_the_level_by_level_products(name, size, request):
         assert sum(seen) == (before[-1] if budget is None else min(budget, before[-1]))
 
 
-# --- one batch size, slab-sized sums ------------------------------------------------
-
-SLAB = 200   # SLAB_WORDS for the batch-size property below
-
+# --- any batch size, the same bits -------------------------------------------------
 
 def _walk_outputs(group, depth, budget):
     """The bits of every walk consumer: a boundary series; ending measures at
@@ -554,22 +554,20 @@ def _walk_outputs(group, depth, budget):
 
 @settings(max_examples=25, deadline=None)
 @given(group=st.one_of(schottky_groups(), cap_groups()), depth=st.integers(1, 5),
-       size=st.sampled_from([7, 64, SLAB]), data=st.data())
+       size=st.sampled_from([7, 64, BLOCK_WORDS]), data=st.data())
 def test_batch_size_keeps_every_bit(group, depth, size, data):
-    """With slabs of 200 words, walks in batches of 7, 64 and 200 words give
-    the same level sums, measures, shells, residuals, horoball scans,
+    """Walks in batches of 7, 64 and ``BLOCK_WORDS`` words give the same
+    level sums, measures, shells, residuals, horoball scans,
     domination records and probe records, bit for bit, in dimensions 1 and
     2, on whole, pruned and whole kernel walks, for budgets that cut on and
     inside batches of ``size`` words."""
     budget = _batch_budget(data, group, depth, size)
     assume(budget is None or budget >= 1)
     outputs = []
-    with mock.patch.object(kleinian.group, "SLAB_WORDS", SLAB), \
-            mock.patch.object(kleinian.measure, "SLAB_WORDS", SLAB):
-        for batch_words in (7, 64, SLAB):
-            with mock.patch.object(kleinian.group, "iter_word_batches",
-                                   functools.partial(iter_word_batches, size=batch_words)):
-                outputs.append(_walk_outputs(group, depth, budget))
+    for batch_words in (7, 64, BLOCK_WORDS):
+        with mock.patch.object(kleinian.group, "iter_word_batches",
+                               functools.partial(iter_word_batches, size=batch_words)):
+            outputs.append(_walk_outputs(group, depth, budget))
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -585,13 +583,14 @@ def _traced_peak(call) -> int:
 
 def test_exact_sum_holds_little_beside_its_values():
     values = np.random.default_rng(19).random(1 << 20)   # 8 MiB
-    assert _traced_peak(lambda: exact_sum([values])) < 4 << 20
+    total = ExactSum()
+    assert _traced_peak(lambda: total.add(values)) < 4 << 20
 
 
 def test_the_example3_walk_holds_no_top_slab():
     """``build_example3``'s depth-8 walk (measure, whole-group sum and
-    domination, 585,937 words) never forms a level-8 slab's matrices: it
-    traces about 20 MiB, where whole 2^20-word slabs trace about 57."""
+    domination, 585,937 words) never forms its top level's matrices at once:
+    it traces about 20 MiB, where 2^20-word blocks of them trace about 57."""
     group, target = example3_group()
     measures = EndingMeasures(group, [target], 0.8,
                               kernel=DeclaredStabilizer(("p",)).quotient_for(group))
@@ -609,11 +608,69 @@ def test_a_later_residual_holds_little_beside_the_shell():
     assert _traced_peak(lambda: conformality_residual(ex1.measure, second, 0.5)) < 16 << 20
 
 
-# --- exact batch sums ------------------------------------------------------------------
+def test_a_deep_series_keeps_no_level_values():
+    """Example 1's depth-8 boundary series (7,686,401 words, 6,588,344 in
+    its top level) traces about 37 MiB: its level sums keep no values.  A
+    ``LevelSums`` that kept 2^20 of a level's values would trace about 44."""
+    group, target = example1_group(Example1Config())
+    assert _traced_peak(lambda: horospherical_partial(group, target, 0.5, 8)) < 40 << 20
 
-def _in_two_parts(values):
-    """``exact_sum`` of the values as two parts, a third and the rest."""
-    return exact_sum([values[: values.shape[0] // 3], values[values.shape[0] // 3:]])
+
+# --- exact level sums ------------------------------------------------------------------
+
+def _level_values(values):
+    """A walk consumer that keeps each level's ``values(words)``, and the
+    ``math.fsum`` of each of its first levels."""
+    levels = defaultdict(list)
+
+    def collect(batch, words):
+        levels[batch.length].append(values(words))
+
+    def fsums(count):
+        return [math.fsum(np.concatenate(levels[l] or [np.empty(0)]).tolist())
+                for l in range(count)]
+    return collect, fsums
+
+
+EXAMPLE2_EXPONENT = 0.3723437500000001   # the exponent of configs/example2.json
+
+
+def test_example2_kernel_level_sums_are_fsum_of_their_levels():
+    """The kernel measure at the fixed point of ``d``, depth 8, whose level 8
+    comes in 202 batches: each level sum is ``math.fsum`` of that level's
+    values, bit for bit."""
+    group, quotient = example2_group()
+    target = example2_target(group, "d")
+    measures = EndingMeasures(group, [target], EXAMPLE2_EXPONENT, kernel=quotient)
+    collect, fsums = _level_values(boundary_values(target, EXAMPLE2_EXPONENT))
+    [mu] = measures.at(measures.walk(8, None, [collect]))
+    assert list(mu.series.level_sums) == fsums(9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(group=st.one_of(schottky_groups(), cap_groups()), depth=st.integers(1, 5),
+       kernel=st.booleans())
+def test_level_sums_are_fsum_of_their_levels(group, depth, kernel):
+    """Walked in batches of 7, 64 and ``BLOCK_WORDS`` words, whole and as a
+    kernel walk, every level sum is ``math.fsum`` of its level's values."""
+    target = (BoundaryPoint.from_angle(math.pi) if group.dim == 1
+              else BoundaryPoint([-1.0, 0.0, 0.0]))
+    spec = QuotientSpec({group.generators[0].label: ()}) if kernel else None
+    for size in (7, 64, BLOCK_WORDS):
+        blocks = LevelSums(boundary_values(target, 0.7))
+        collect, fsums = _level_values(boundary_values(target, 0.7))
+        with mock.patch.object(kleinian.group, "iter_word_batches",
+                               functools.partial(iter_word_batches, size=size)):
+            blocks.finish(walk(group, depth, kernel=spec, consumers=[blocks, collect]))
+        assert blocks.level_sums == fsums(depth + 1)
+
+
+def _split_sum(values, cuts):
+    """``ExactSum`` of the values fed in the parts that the indices ``cuts`` mark."""
+    total = ExactSum()
+    for part in np.split(values, cuts):
+        total.add(part)
+    return total.value()
 
 
 def _sum_outcome(add, values):
@@ -624,6 +681,23 @@ def _sum_outcome(add, values):
         return type(exc).__name__
 
 
+def _rounded(values):
+    """The exact sum of finite values, correctly rounded: ``OverflowError``
+    exactly when it lies beyond the float range."""
+    return float(sum(map(Fraction, values)))
+
+
+def _oracle(values):
+    """``math.fsum``'s outcome on non-finite values, else the rounded exact sum."""
+    if all(map(math.isfinite, values)):
+        return _sum_outcome(_rounded, values)
+    return _sum_outcome(math.fsum, values)
+
+
+def _splits(data, n):
+    return sorted(data.draw(st.lists(st.integers(0, n), max_size=5)))
+
+
 FINITE = st.one_of(
     st.sampled_from([0.0, -0.0]),
     st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-300, 300)),   # ~600 binades
@@ -632,31 +706,49 @@ FINITE = st.one_of(
 
 
 @settings(max_examples=100, deadline=None)
-@given(values=st.lists(FINITE, min_size=EXACT_SUM_MIN, max_size=400))
-@example(values=[])
-@example(values=[0.1])
-@example(values=[0.0] * 100)
-@example(values=[-0.0] * 100)
-@example(values=[1.0, -1.0] * 50)
-@example(values=[5e-324] * 100)
-@example(values=[2.0 ** -1000] * 70 + [-(2.0 ** -1000)] * 69)
-def test_exact_sum_is_fsum_bit_for_bit(values):
+@given(values=st.lists(FINITE, max_size=400), data=st.data())
+@example(values=[], data=None)
+@example(values=[0.1], data=None)
+@example(values=[0.0] * 100, data=None)
+@example(values=[-0.0] * 100, data=None)
+@example(values=[1.0, -1.0] * 50, data=None)
+@example(values=[5e-324] * 100, data=None)
+@example(values=[2.0 ** -1000] * 70 + [-(2.0 ** -1000)] * 69, data=None)
+@example(values=[2.0 ** 60, 3.0 * 2.0 ** 70, -(2.0 ** 55)], data=None)
+def test_exact_sum_is_fsum_bit_for_bit(values, data):
+    """Fed in random parts, ``ExactSum`` is the correctly rounded sum, which
+    for these values is ``math.fsum``'s."""
+    cuts = _splits(data, len(values)) if data is not None else [len(values) // 3]
     array = np.array(values, dtype=np.float64)
-    assert _sum_outcome(_in_two_parts, array) == _sum_outcome(
-        lambda a: math.fsum(a.tolist()), array)
+    assert _sum_outcome(lambda a: _split_sum(a, cuts), array) == _oracle(values)
+    assert _oracle(values) == _sum_outcome(math.fsum, values)
 
 
 @settings(max_examples=50, deadline=None)
-@given(values=st.lists(FINITE, min_size=EXACT_SUM_MIN, max_size=200),
-       special=st.lists(st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308]),
-                        min_size=1, max_size=3),
+@given(values=st.lists(FINITE, max_size=200),
+       special=st.one_of(
+           st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1, max_size=3),
+           st.lists(st.sampled_from([1e308, -1e308, 2.0 ** 1023]), min_size=1, max_size=3)),
        data=st.data())
-def test_exact_sum_falls_back_on_non_finite_and_huge_values(values, special, data):
+def test_exact_sum_follows_fsum_on_non_finite_values_and_overflows(values, special, data):
+    """nan, +-inf and +inf with -inf give what ``math.fsum`` gives; sums of
+    huge finite values are the rounded exact sum, ``OverflowError`` beyond
+    the float range."""
     for value in special:
         values.insert(data.draw(st.integers(0, len(values))), value)
     array = np.array(values, dtype=np.float64)
-    assert _sum_outcome(_in_two_parts, array) == _sum_outcome(
-        lambda a: math.fsum(a.tolist()), array)
+    assert _sum_outcome(lambda a: _split_sum(a, _splits(data, len(values))), array) == (
+        _oracle(values))
+
+
+def test_exact_sum_does_not_overflow_on_the_way():
+    """``math.fsum`` raises on an intermediate overflow that ``ExactSum``,
+    summing exactly, never meets; a level sum of values j(w, .)^s >= 0 has
+    no such case."""
+    values = [1.0] * 67 + [1e308, 1e308, -1e308]
+    with pytest.raises(OverflowError):
+        math.fsum(values)
+    assert _split_sum(np.array(values), [30]) == 1e308
 
 
 SUM_BLOCK = 7   # BLOCK_WORDS for the blocked sums below
@@ -664,28 +756,28 @@ SUM_BLOCK = 7   # BLOCK_WORDS for the blocked sums below
 
 @st.composite
 def _blocked_sums(draw):
-    """Arrays of at least ``EXACT_SUM_MIN`` values in blocks of ``SUM_BLOCK``,
-    each block spread over its own few binades, the first block highest, so
-    that the lowest exponent first appears in a later block.  Some cancel
-    to zero or to a subnormal; some end with inf, nan or 1e308 in the last
+    """Arrays of several blocks of ``SUM_BLOCK`` values, each block spread
+    over its own few binades, the first block highest, so that the lowest
+    exponent first appears in a later block.  Some cancel to zero or to a
+    subnormal; some end with inf and nan, or with huge values, in the last
     block only."""
-    blocks = draw(st.integers(EXACT_SUM_MIN // SUM_BLOCK + 1, 3 * EXACT_SUM_MIN // SUM_BLOCK))
+    blocks = draw(st.integers(10, 27))
     base = draw(st.integers(-1070, 700))
     lows = draw(st.lists(st.integers(base, base + 200), min_size=blocks, max_size=blocks))
     lows[0] = max(lows) + 1
     spread = draw(st.integers(0, 60))
     values = [math.ldexp(draw(st.floats(-1.0, 1.0)), low + draw(st.integers(0, spread)))
               for low in lows for _ in range(SUM_BLOCK)]
-    ending = draw(st.sampled_from(["plain", "zero", "subnormal", "special"]))
+    ending = draw(st.sampled_from(["plain", "zero", "subnormal", "non-finite", "huge"]))
     if ending in ("zero", "subnormal"):   # the values, then their negatives
         values += [-v for v in values]
         if ending == "subnormal":
             values.append(draw(st.sampled_from([5e-324, -5e-324, 2.0 ** -1030, 1e-310])))
-    if ending == "special":   # the values are whole blocks: overwrite some of the last
-        rows = draw(st.sets(st.integers(1, SUM_BLOCK), min_size=1, max_size=3))
-        for row in rows:
-            values[-row] = draw(st.sampled_from([math.inf, -math.inf, math.nan,
-                                                 1e308, -1e308]))
+    if ending in ("non-finite", "huge"):   # the values are whole blocks: overwrite some of the last
+        specials = ([math.inf, -math.inf, math.nan] if ending == "non-finite"
+                    else [1e308, -1e308])
+        for row in draw(st.sets(st.integers(1, SUM_BLOCK), min_size=1, max_size=3)):
+            values[-row] = draw(st.sampled_from(specials))
     return values
 
 
@@ -693,14 +785,15 @@ def _blocked_sums(draw):
 @given(values=_blocked_sums())
 @example(values=[1.0] * 67 + [1e308, 1e308, -1e308])   # fsum overflows on the way
 @example(values=[2.0 ** -1000] * 35 + [2.0 ** -1060] + [-(2.0 ** -1000)] * 35)
+@example(values=[1.0] * 7 + [math.inf] * 7)   # a last block of non-finite values alone
 def test_exact_sum_across_blocks_is_fsum_bit_for_bit(values):
     """In blocks of 7 values, with exponent ranges that move from block to
-    block, exact_sum still equals math.fsum bit for bit, and still falls
-    back on non-finite or huge values met only in the last block."""
+    block, ``ExactSum`` is still the correctly rounded sum, and still
+    follows ``math.fsum`` on non-finite values met only in the last block."""
     array = np.array(values, dtype=np.float64)
     with mock.patch.object(kleinian.group, "BLOCK_WORDS", SUM_BLOCK):
-        blocked = _sum_outcome(lambda a: exact_sum([a]), array)
-    assert blocked == _sum_outcome(lambda a: math.fsum(a.tolist()), array)
+        blocked = _sum_outcome(lambda a: _split_sum(a, []), array)
+    assert blocked == _oracle(values)
 
 
 # --- the single-walker rule --------------------------------------------------------
