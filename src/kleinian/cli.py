@@ -155,7 +155,7 @@ def _resolve_group(doc) -> tuple[SchottkyGroup, BoundaryPoint | None, DeclaredSt
         from .examples import Example1Config, example1_group
 
         cfg = _built("group.params", Example1Config, **params)
-        group, target = example1_group(cfg)
+        group, target = _built("group.params", example1_group, cfg)
         return group, target, DeclaredStabilizer.trivial(), None, cfg.schedule()
     if kind == "example2":
         from .examples import example2_group, example2_target

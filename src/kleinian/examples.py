@@ -68,6 +68,8 @@ class Example1Config:
     weak_depth: int = 6
 
     def __post_init__(self):
+        if isinstance(self.pairs, bool) or not isinstance(self.pairs, int):
+            raise TypeError(f"pairs must be an integer, got {self.pairs!r}")
         if self.pairs < 1:
             raise PlacementInfeasible("need at least one generator pair")
         if not (0.0 < self.span and 0.975 * self.span < math.pi - POLE_SAFETY):

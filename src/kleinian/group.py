@@ -8,8 +8,9 @@ letter-minor order, which makes the stream deterministic and the level
 array double as the prefix cache.  A batch's children are one broadcast
 product of its parents' matrices with a per-walk table of the letters that
 may follow each last letter, so no parent matrix is gathered per child.
-Every batch holds at most ``BLOCK_WORDS`` words with their matrices
-formed, so the top level's matrices are never held at once.  Each level
+Every batch is the children of a run of whole parents, at most
+``BLOCK_WORDS`` words with their matrices formed, so the top level's
+matrices are never held at once.  Each level
 sum is exact until it is rounded once (:class:`ExactSum`, equal to
 ``math.fsum``), so the sums do not depend on the batch size.
 
@@ -194,12 +195,15 @@ class SchottkyGroup:
                 return gen
         raise KeyError(f"no generator labelled {label!r}")
 
+    def discs_containing(self, zeta: BoundaryPoint) -> list[str]:
+        """The names (as in :meth:`discs`) of the open generator discs that
+        contain ``zeta``, with a slack of 1e-12 for points on a rim."""
+        return [name for name, disc in self.discs()
+                if disc.chordal_distance(zeta) < disc.radius - 1e-12]
+
     def fundamental_domain_contains(self, zeta: BoundaryPoint) -> bool:
         """True iff ``zeta`` lies in the closed exterior of every generator disc."""
-        for _, disc in self.discs():
-            if disc.chordal_distance(zeta) < disc.radius - 1e-12:
-                return False
-        return True
+        return not self.discs_containing(zeta)
 
     def word_transform(self, word: Word | Sequence[int]) -> Transform:
         letters = word.letters if isinstance(word, Word) else tuple(word)
@@ -219,7 +223,8 @@ class WordBatch:
     ``offset`` is the index of the batch's first word within its level.
     A batch made by :meth:`select`, or by a pruned walk, holds some of a
     run's words and keeps their ``rows`` in it: word i of the batch is word
-    ``offset + rows[i]`` of its level.
+    ``offset + rows[i]`` of its level.  A pruned walk's batches have
+    ``offset`` 0, their ``rows`` being level indices.
     """
 
     length: int
@@ -275,20 +280,23 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
                       tracker: QuotientTracker | None = None) -> Iterator[WordBatch]:
     """Yield every reduced word of length <= max_length as WordBatch runs.
 
-    Level ``l`` has exactly 2k (2k-1)^(l-1) words, yielded in batches of at
-    most ``size`` words with their matrices formed.  Levels below the top are
-    kept whole (their matrices are the prefix cache for the next level);
-    the top level's words live only in their batch.
-    Raises :class:`BudgetExceeded` after yielding whatever fits within the
-    node budget; the partial batch before a cut is not ``final``.
+    Level ``l`` has exactly 2k (2k-1)^(l-1) words.  A batch is the children
+    of a run of max(1, size // b) parents, b the branching (2k at level 1,
+    2k - 1 above): at most ``size`` words when size >= b, with their
+    matrices formed.  Levels below the top are kept whole (the next level's
+    prefix cache); the top level's words live only in their batch.  A
+    complete level ends in one ``final`` batch.  Raises
+    :class:`BudgetExceeded` after yielding whatever fits within the node
+    budget, the run that the cut falls in truncated and not ``final``.
 
     With a ``tracker`` each batch carries its words' image lengths as
-    ``image``.  A pruning tracker keys each batch's candidates, the children
-    of the words kept one level down, and forms only those that can still
-    return to the kernel.  Batches, ``offset``, ``final`` and the budget
-    count every word: batch i holds the kept words of the whole walk's
-    batch i.
+    ``image``.  A pruning tracker keys the candidates of each run of kept
+    parents and forms only those that can still return to the kernel, with
+    their level indices as ``rows`` and ``offset`` 0 (a run may form none).
+    The budget counts every word, formed or not.
     """
+    if size < 1:
+        raise ValueError(f"batch size must be at least 1, got {size}")
     letter_mats = group.letter_matrices
     k2 = group.letter_count
     prune = tracker is not None and tracker.prune
@@ -318,61 +326,57 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
         letter_table, mat_table = table
         branching = letter_table.shape[1]
         room, total = keys.shape[0] * branching, level_count(group, length)
+        run = max(1, size // branching)   # parents per batch
+        stop = total if budget is None else min(total, budget - generated)
+        reach = -(-stop // branching)   # the parents of the words before ``stop``
+        if prune:
+            reach = int(np.searchsorted(index, reach))
         is_top = length == max_length
         if not is_top:   # the prefix cache of the next level
             level = np.empty((2, 2, room), dtype=letter_mats.dtype)
             level_last = np.empty(room, dtype=np.int16)
             level_index = np.empty(room if prune else 0, dtype=np.int64)
-        pos = kept = 0
-        while pos < total:
-            hi = min(pos + size, total)
-            cut = budget is not None and generated + (hi - pos) > budget
-            if cut:
-                hi = pos + (budget - generated)
-            if hi > pos:
-                # the children of the parents touched, cut to [pos, hi)
-                if prune:
-                    first, last = np.searchsorted(index, (pos // branching,
-                                                          (hi - 1) // branching + 1))
-                    rows = (index[first:last, None] * branching
-                            + np.arange(branching)).ravel() - pos
-                    words = slice(*np.searchsorted(rows, (0, hi - pos)))
-                else:
-                    first, last = pos // branching, (hi - 1) // branching + 1
-                    rows, words = None, slice(pos - first * branching, hi - first * branching)
-                parent_keys = keys[first:last]
-                letters = letter_table[parent_keys].ravel()[words]
-                parents = np.repeat(np.arange(first, last, dtype=np.int64), branching)[words]
-                final = not cut and hi == total
-                if prune:   # key the candidates, then form the survivors only
-                    candidates = WordBatch(length, pos, letters, parents, None, final)
-                    image = tracker.extend(candidates)[1]
-                    alive = np.flatnonzero(tracker.reaches(length, image))
-                    letters, parents, rows, image = (a[alive] for a in (letters, parents,
-                                                                        rows[words], image))
-                    mats = _matrices(np.empty((2, 2, alive.shape[0]), dtype=letter_mats.dtype)
-                                     if is_top else level[:, :, kept:kept + alive.shape[0]])
-                    matmul_raw(_matrices(prev[:, :, parents]), letter_mats[letters], mats)
-                    if not is_top:
-                        level_index[kept:kept + alive.shape[0]] = rows + pos
-                else:   # below the top, into the prefix cache; at the top, a fresh array
-                    out = None if is_top else level.reshape(2, 2, -1, branching)[:, :, first:last]
-                    block = _products(prev[:, :, first:last], parent_keys, mat_table, out)
-                    mats = _matrices(block.reshape(2, 2, -1)[:, :, words])
+        kept = 0
+        # one run at least when the level completes, so that it has a final batch
+        for first in range(0, reach or int(stop == total), run):
+            last = min(first + run, reach)
+            if prune:
+                rows = (index[first:last, None] * branching + np.arange(branching)).ravel()
+                rows = rows[:np.searchsorted(rows, stop)]
+                n = rows.shape[0]
+            else:
+                rows, n = None, min(last * branching, stop) - first * branching
+            parent_keys = keys[first:last]
+            letters = letter_table[parent_keys].ravel()[:n]
+            parents = np.repeat(np.arange(first, last, dtype=np.int64), branching)[:n]
+            final = last == reach and stop == total
+            if prune:   # key the candidates, then form the survivors only
+                image = tracker.extend(WordBatch(length, 0, letters, parents, None, final))[1]
+                alive = np.flatnonzero(tracker.reaches(length, image))
+                letters, parents, rows, image = (a[alive] for a in (letters, parents, rows, image))
+                mats = _matrices(np.empty((2, 2, alive.shape[0]), dtype=letter_mats.dtype)
+                                 if is_top else level[:, :, kept:kept + alive.shape[0]])
+                matmul_raw(_matrices(prev[:, :, parents]), letter_mats[letters], mats)
                 if not is_top:
-                    level_last[kept:kept + letters.shape[0]] = letters
-                kept += letters.shape[0]
-                mats.flags.writeable = False   # below the top, a view of the prefix cache
-                generated += hi - pos
-                batch = WordBatch(length, pos, letters, parents, mats, final, rows)
-                if tracker is not None:
-                    batch.image = image if prune else tracker.extend(batch)[1]
-                yield batch
-            if cut:
-                raise BudgetExceeded(
-                    f"node budget {budget} exhausted inside level {length}",
-                    words_generated=generated, depth_completed=length - 1)
-            pos = hi
+                    level_index[kept:kept + alive.shape[0]] = rows
+            else:   # below the top, into the prefix cache; at the top, a fresh array
+                out = None if is_top else level.reshape(2, 2, -1, branching)[:, :, first:last]
+                block = _products(prev[:, :, first:last], parent_keys, mat_table, out)
+                mats = _matrices(block.reshape(2, 2, -1)[:, :, :n])
+            if not is_top:
+                level_last[kept:kept + letters.shape[0]] = letters
+            kept += letters.shape[0]
+            mats.flags.writeable = False   # below the top, a view of the prefix cache
+            batch = WordBatch(length, 0 if prune else first * branching, letters, parents,
+                              mats, final, rows)
+            if tracker is not None:
+                batch.image = image if prune else tracker.extend(batch)[1]
+            yield batch
+        if stop < total:
+            raise BudgetExceeded(
+                f"node budget {budget} exhausted inside level {length}",
+                words_generated=generated + stop, depth_completed=length - 1)
+        generated += total
         if is_top:
             return
         prev, keys, index = level[:, :, :kept], level_last[:kept], level_index[:kept]
@@ -505,9 +509,10 @@ class Walk:
     def upto(self, depth: int) -> "Walk":
         """The walk to ``depth`` <= ``self.depth`` that this walk contains.
 
-        Batch boundaries do not depend on which level is the top, so that
-        walk yields this walk's batches of length <= ``depth``; it is cut
-        exactly when this walk's cut fell inside one of those levels.
+        That walk yields this walk's words of length <= ``depth`` in the
+        same order, though a pruned walk may split them into other batches
+        (it keeps fewer parents for a shallower top); it is cut exactly when
+        this walk's cut fell inside one of those levels.
         """
         if depth > self.depth:
             raise ValueError(f"a walk to {self.depth} does not contain one to {depth}")
@@ -530,11 +535,12 @@ def walk(group: SchottkyGroup, max_length: int, budget: int | None = None, *,
     their own answers, which they read off the returned :class:`Walk`.
 
     A kernel walk is pruned (see :class:`QuotientTracker`): ``batch`` holds
-    only the words that can still reach the kernel, while the calls,
-    ``words``, ``offset + words.rows``, ``final`` and the cut are the whole
-    walk's.  A consumer that reads the whole batch keeps the walk whole by a
-    true ``whole_group`` attribute: ``LevelSums(whole_group=True)`` and
-    :func:`~kleinian.series.parabolic_domination`'s consumer.
+    only the words that can still reach the kernel, and the calls are its
+    own, one per run of kept parents, not the whole walk's.  ``words``, its
+    level indices ``offset + words.rows``, ``final`` and the cut are the
+    whole walk's.  A consumer that reads the whole batch keeps the walk
+    whole by a true ``whole_group`` attribute: ``LevelSums(whole_group=True)``
+    and :func:`~kleinian.series.parabolic_domination`'s consumer.
     """
     whole = any(getattr(consume, "whole_group", False) for consume in consumers)
     tracker = None if kernel is None else QuotientTracker(group, kernel, max_length, not whole)

@@ -152,10 +152,9 @@ class _AtomStream:
     """Atoms merged as a walk forms them, equal bit for bit to one
     :func:`_merge_atoms` of every atom so far.
 
-    Batches of one length wait until ``BLOCK_WORDS`` words, their level's
-    end or :meth:`at`, and are then merged at once: the first key of each
-    run of equal keys is looked up in the sorted table of known atoms, only
-    the keys missed are sorted, and the new atoms are numbered in order of
+    Each batch is merged as it is added: the first key of each run of
+    equal keys is looked up in the sorted table of known atoms, only the
+    keys missed are sorted, and the new atoms are numbered in order of
     first appearance.  Weights are added into the running totals in
     enumeration order, so every atom gets the same representative and the
     same summation order as in the one-shot merge, however the words are
@@ -182,8 +181,6 @@ class _AtomStream:
         self._lengths = [np.empty(0, dtype=np.int64)]
         self._totals = np.zeros(0)
         self._closed: dict[int, np.ndarray] = {}      # level -> totals at its end
-        self._queue: list[tuple] = []                 # (keys, points, weights) to merge
-        self._queued, self._length = 0, None
 
     def _key(self, points: np.ndarray) -> np.ndarray:
         grid = _snapped(points)
@@ -195,19 +192,10 @@ class _AtomStream:
         return _void_keys(grid.astype(np.int64))
 
     def add(self, points: np.ndarray, weights: np.ndarray, length: int) -> None:
-        if length != self._length:
-            self._merge()
-        self._queue.append((self._key(points), points, weights))
-        self._queued, self._length = self._queued + points.shape[0], length
-        if self._queued >= BLOCK_WORDS:
-            self._merge()
-
-    def _merge(self) -> None:
-        if not self._queued:
+        """Merge the atoms of the next batch, of words of length ``length``."""
+        keys = self._key(points)
+        if not keys.shape[0]:
             return
-        keys, points, weights = (column[0] if len(column) == 1 else np.concatenate(column)
-                                 for column in zip(*self._queue))   # one batch: no copy
-        self._queue, self._queued = [], 0
         # sibling words mostly share an atom: look up the first key of each run
         starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
         runs = keys[starts]
@@ -229,14 +217,13 @@ class _AtomStream:
             self._keys = np.insert(self._keys, at, ranked[heads])
             self._ids = np.insert(self._ids, at, new_ids)
             self._points.append(points[starts[first[by_appearance]]])
-            self._lengths.append(np.full(first.shape[0], self._length, dtype=np.int64))
+            self._lengths.append(np.full(first.shape[0], length, dtype=np.int64))
             self._totals = np.concatenate([self._totals, np.zeros(first.shape[0])])
         elif not self._totals.flags.writeable:   # totals handed out never change
             self._totals = self._totals.copy()
         np.add.at(self._totals, np.repeat(ids, np.diff(starts, append=keys.shape[0])), weights)
 
     def close(self, length: int) -> None:
-        self._merge()
         self._closed[length] = self._totals
         self._totals.flags.writeable = False
 
@@ -247,7 +234,6 @@ class _AtomStream:
         When level ``depth`` has not ended (a budget cut, or a walk that
         stopped before it), every atom so far is in the prefix.
         """
-        self._merge()
         totals = self._closed.get(depth, self._totals)
         totals.flags.writeable = False
         for parts in (self._points, self._lengths):
@@ -362,10 +348,8 @@ def _check_target(group: SchottkyGroup, zeta: BoundaryPoint,
     if kernel is not None and not kernel.stabilizer:
         return "skipped (subgroup measure; the subgroup's domain is larger)"
     exempt = set(kernel.stabilizer) if kernel is not None else set()
-    for name, disc in group.discs():
-        if name[:-1] in exempt:
-            continue  # a declared stabilizer's own disc may cover its fixed point
-        if disc.chordal_distance(zeta) < disc.radius - 1e-12:
+    for name in group.discs_containing(zeta):
+        if name[:-1] not in exempt:   # a declared stabilizer's own disc may cover its fixed point
             raise TargetNotInDomainClosure(
                 f"target {zeta.coords} lies inside open generator disc {name}")
 

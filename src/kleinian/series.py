@@ -308,12 +308,14 @@ def reduced_horospherical_partial(group: SchottkyGroup, zeta: BoundaryPoint, s: 
 
 @dataclass(frozen=True)
 class SeparationSchedule:
-    """Geometric separation schedule phi(n) = scale * base^n (base > 1, increasing)."""
+    """Geometric separation schedule phi(n) = scale * base^n (0 < scale < inf, base > 1)."""
 
     scale: float
     base: float
 
     def __post_init__(self):
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"geometric schedule needs a finite scale > 0, got {self.scale}")
         if self.base <= 1.0:
             raise ValueError("geometric schedule needs base > 1")
 
@@ -324,7 +326,10 @@ class SeparationSchedule:
         return self.phi(1)
 
     def admissibility_sum(self, s: float) -> float:
-        """sum over all n >= 1 of (4 / phi(n))^(2s), in closed form."""
+        """sum over all n >= 1 of (4 / phi(n))^(2s), in closed form for s > 0;
+        +inf for s <= 0, where the terms do not decay."""
+        if not s > 0.0:
+            return math.inf
         term = (4.0 / self.scale) ** (2.0 * s)
         q = self.base ** (-2.0 * s)
         return term * q / (1.0 - q)

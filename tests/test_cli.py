@@ -242,6 +242,29 @@ class TestSeriesCommand:
         assert err.startswith("config error:") and named in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("params", [
+        {"pairs": 2.5}, {"pairs": 40}, {"schedule_scale": 0}, {"pairs": True},
+        {"exponent": 0}, {"exponent": -1},
+    ], ids=["pairs 2.5", "pairs 40", "schedule_scale 0", "pairs true", "exponent 0",
+            "exponent -1"])
+    def test_example1_params_that_break_the_placement_exit_2(self, tmp_path, capsys, params):
+        doc = dict(TRIVIAL, group={"kind": "example1", "params": params})
+        cfg = write_config(tmp_path, doc)
+        assert main(["series", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: group.params: ")
+
+    @pytest.mark.parametrize("command", ["series", "measure", "classify"])
+    def test_example1_at_exponent_zero_runs_without_a_certificate(self, tmp_path, command):
+        import argparse
+
+        from kleinian.cli import load_config
+
+        config = str(CONFIGS / "example1.json")
+        ns = argparse.Namespace(exponent=0.0, depth=None, threads=None, precision=None)
+        assert load_config(config, ns).certificate is None
+        assert main([command, "--config", config, "--out", str(tmp_path / "o"),
+                     "--exponent", "0", "--depth", "3"]) == 0
+
     @pytest.mark.parametrize("kind, field", [
         (kind, f.name) for kind, accepted in PARAMS_READ.items()
         for f in dataclasses.fields(EXAMPLE_CONFIGS[kind]) if f.name not in accepted])

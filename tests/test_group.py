@@ -220,6 +220,13 @@ class TestQuotients:
             inverse = tuple(l ^ 1 for l in reversed(letters))
             assert inverse in kernel
 
+    def test_batch_size_below_one_is_refused(self, std_group):
+        # ``next`` reaches the check before the identity batch: a size that
+        # never advanced would hang here rather than fail
+        for size in (0, -3):
+            with pytest.raises(ValueError, match="batch size"):
+                next(iter_word_batches(std_group, 3, size=size))
+
     def test_tracker_keeps_parent_levels_only(self, std_group):
         spec = QuotientSpec({"a": (), "b": ("b",)})
         tracker = QuotientTracker(std_group, spec, 3)

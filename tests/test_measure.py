@@ -686,26 +686,23 @@ class TestAtomStream:
         lengths = np.repeat(np.arange(len(levels), dtype=np.int32),
                             [sum(batch.shape[0] for batch in level) for level in levels])
         top_closed = data.draw(st.booleans())   # an open top level is a budget cut
-        # merged at every batch, or queued until 5 or 2^15 words wait
-        for block in (1, 5, 1 << 15):
-            stream = _AtomStream(width)
-            start = 0
-            with mock.patch.object(kleinian.measure, "BLOCK_WORDS", block):
-                for length, level in enumerate(levels):
-                    for i, batch in enumerate(level):
-                        atoms = stream._totals.shape[0]
-                        stream.add(batch, weights[start: start + batch.shape[0]], length)
-                        start += batch.shape[0]
-                        if block == 1 and length == len(levels) - 1:
-                            assert stream._totals.shape[0] - atoms == (0, 4, 4)[i]
-                    if length < len(levels) - 1 or top_closed:
-                        stream.close(length)
-            for depth in range(len(levels)):
-                n = int(np.searchsorted(lengths, depth, side="right"))
-                expected = _merge_atoms(points[:n], weights[:n], lengths[:n])
-                for got, want in zip(stream.at(depth), expected):
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
+        stream = _AtomStream(width)
+        start = 0
+        for length, level in enumerate(levels):
+            for i, batch in enumerate(level):   # each batch is merged as it is added
+                atoms = stream._totals.shape[0]
+                stream.add(batch, weights[start: start + batch.shape[0]], length)
+                start += batch.shape[0]
+                if length == len(levels) - 1:
+                    assert stream._totals.shape[0] - atoms == (0, 4, 4)[i]
+            if length < len(levels) - 1 or top_closed:
+                stream.close(length)
+        for depth in range(len(levels)):
+            n = int(np.searchsorted(lengths, depth, side="right"))
+            expected = _merge_atoms(points[:n], weights[:n], lengths[:n])
+            for got, want in zip(stream.at(depth), expected):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("width", [2, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e4])
@@ -739,7 +736,6 @@ class TestAtomStream:
             stream.add(points, rng.uniform(size=5), length)
             if length < 3:
                 stream.close(length)
-            stream._merge()
             fresh = [np.concatenate(parts) for parts in (stream._points, stream._lengths)]
             for depth in range(length + 1):
                 got = stream.at(depth)

@@ -326,6 +326,16 @@ class TestSeparationSchedules:
             example1_certificate(SeparationSchedule(0.5, 2.0), 1.0)
         with pytest.raises(ValueError):
             SeparationSchedule(16.0, 1.0)
+        for scale in (0.0, -16.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="scale"):
+                SeparationSchedule(scale, 2.0)
+
+    @pytest.mark.parametrize("s", [0.0, -0.5, math.nan])
+    def test_no_certificate_where_the_terms_do_not_decay(self, s):
+        # the closed form holds for s > 0 only: q = base^(-2s) >= 1 here
+        sch = SeparationSchedule(16.0, 2.0)
+        assert sch.admissibility_sum(s) == math.inf
+        assert example1_certificate(sch, s) is None
 
     def test_certificate_matches_tail_bound(self):
         sch = SeparationSchedule(16.0, 2.0)

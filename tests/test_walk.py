@@ -228,6 +228,30 @@ def _keeping(values):
     return kept
 
 
+def _recorder(calls, blocks, keep):
+    """A consumer that records each call's length, kernel level indices,
+    matrices and ``blocks``' values; a whole walk's batch (``words is
+    batch``) is masked by ``keep[0]``."""
+    def consume(batch, words):
+        if words is batch:
+            rows = np.flatnonzero(keep[0])
+            mats = batch.mats[rows]
+        else:
+            rows, mats = words.rows, words.mats
+        calls.append((batch.length, (batch.offset + rows).tolist(), mats.tobytes(),
+                      blocks.values.last.tobytes()))
+    return consume
+
+
+def _by_level(calls, depth):
+    """The recorded calls joined level by level: per level up to ``depth``,
+    its kernel level indices, matrices and values, however it was split."""
+    return [([row for l, rows, _, _ in calls if l == length for row in rows],
+             b"".join(mats for l, _, mats, _ in calls if l == length),
+             b"".join(values for l, _, _, values in calls if l == length))
+            for length in range(depth + 1)]
+
+
 @settings(max_examples=15, deadline=None)
 @given(group=schottky_groups(), depth=st.integers(1, 5), data=st.data())
 def test_kernel_walk_is_the_masked_whole_walk(group, depth, data):
@@ -257,31 +281,18 @@ def test_kernel_walk_is_the_masked_whole_walk(group, depth, data):
                              for i in range(batch.last.shape[0])], dtype=bool)]
         return values(batch)[keep[0]]
 
-    def seen_by(record, blocks):
-        def consume(batch, words):
-            if words is batch:   # the whole walk: mask it
-                rows = np.flatnonzero(keep[0])
-                mats = batch.mats[rows]
-            else:
-                rows, mats = words.rows, words.mats
-            record.append((batch.length, batch.offset + rows, mats.tobytes(),
-                           blocks.values.last.tobytes()))
-        return consume
-
     pruned, whole = LevelSums(_keeping(values)), LevelSums(_keeping(masked))
     by_kernel, by_mask = [], []
     done = walk(group, depth, budget, kernel=spec,
-                consumers=[pruned, seen_by(by_kernel, pruned)])
-    reference = walk(group, depth, budget, consumers=[whole, seen_by(by_mask, whole)])
+                consumers=[pruned, _recorder(by_kernel, pruned, keep)])
+    reference = walk(group, depth, budget, consumers=[whole, _recorder(by_mask, whole, keep)])
     pruned.finish(done)
     whole.finish(reference)
     assert (done.depth_completed, done.budget_exhausted) == (
         reference.depth_completed, reference.budget_exhausted)
     assert np.array(pruned.level_sums).tobytes() == np.array(whole.level_sums).tobytes()
     assert (pruned.level_counts, pruned.tail_sum) == (whole.level_counts, whole.tail_sum)
-    assert len(by_kernel) == len(by_mask)
-    for (l1, i1, m1, v1), (l2, i2, m2, v2) in zip(by_kernel, by_mask):
-        assert (l1, m1, v1) == (l2, m2, v2) and np.array_equal(i1, i2)
+    assert _by_level(by_kernel, depth) == _by_level(by_mask, depth)
 
 
 def _batch_budget(data, group, depth, size):
@@ -308,10 +319,11 @@ def _batch_budget(data, group, depth, size):
        size=st.sampled_from([7, 64]), data=st.data())
 def test_pruned_kernel_walk_crosses_slabs(group, depth, size, data):
     """With batches of 7 or 64 words, a pruned kernel walk gives the level
-    sums, level counts, tail sum and consumer calls (rows, matrices and
-    values) of the whole walk masked by kernel membership, bit for bit, for
-    budgets on level and batch boundaries, inside a batch and below 1, in
-    dimensions 1 (float64 matrices) and 2 (complex128)."""
+    sums, level counts, tail sum and, level by level, the kernel words
+    (level indices, matrices and values) of the whole walk masked by kernel
+    membership, bit for bit, for budgets on level and batch boundaries,
+    inside a batch and below 1, in dimensions 1 (float64 matrices) and 2
+    (complex128).  Its calls are its own: one per run of kept parents."""
     labels = [gen.label for gen in group.generators]
     killed = data.draw(st.sets(st.sampled_from(labels), min_size=1))
     spec = QuotientSpec({l: () if l in killed else (l,) for l in labels})
@@ -320,17 +332,6 @@ def test_pruned_kernel_walk_crosses_slabs(group, depth, size, data):
 
     def values(batch):
         return boundary_derivative_raw(batch.mats, bc) ** 0.7
-
-    def recorder(calls, blocks, keep=None):
-        def consume(batch, words):
-            if keep is None:
-                rows, mats = batch.offset + words.rows, words.mats
-            else:   # the whole walk, masked
-                rows = batch.offset + np.flatnonzero(keep[0])
-                mats = batch.mats[keep[0]]
-            calls.append((batch.length, batch.final, rows.tolist(), mats.tobytes(),
-                          blocks.values.last.tobytes()))
-        return consume
 
     with mock.patch.object(kleinian.group, "iter_word_batches",
                            functools.partial(iter_word_batches, size=size)):
@@ -350,8 +351,9 @@ def test_pruned_kernel_walk_crosses_slabs(group, depth, size, data):
         pruned, whole = LevelSums(_keeping(values)), LevelSums(_keeping(masked))
         by_kernel, by_mask = [], []
         done = walk(group, depth, budget, kernel=spec,
-                    consumers=[pruned, recorder(by_kernel, pruned)])
-        reference = walk(group, depth, budget, consumers=[whole, recorder(by_mask, whole, keep)])
+                    consumers=[pruned, _recorder(by_kernel, pruned, keep)])
+        reference = walk(group, depth, budget,
+                         consumers=[whole, _recorder(by_mask, whole, keep)])
     pruned.finish(done)
     whole.finish(reference)
     assert (done.depth_completed, done.budget_exhausted) == (
@@ -360,29 +362,70 @@ def test_pruned_kernel_walk_crosses_slabs(group, depth, size, data):
         assert done.cut.words_generated == reference.cut.words_generated == max(budget, 0)
     assert np.array(pruned.level_sums).tobytes() == np.array(whole.level_sums).tobytes()
     assert (pruned.level_counts, pruned.tail_sum) == (whole.level_counts, whole.tail_sum)
-    assert by_kernel == by_mask
+    assert _by_level(by_kernel, depth) == _by_level(by_mask, depth)
+
+
+@settings(max_examples=30, deadline=None)
+@given(group=st.one_of(schottky_groups(), cap_groups()), depth=st.integers(1, 6),
+       size=st.sampled_from([7, 64]), data=st.data())
+def test_every_complete_level_ends_in_one_final_batch(group, depth, size, data):
+    """Whole and pruned walks, cut or not, end each level up to
+    ``depth_completed`` in exactly one ``final`` batch, its last call; the
+    level of a cut has none."""
+    labels = [gen.label for gen in group.generators]
+    killed = data.draw(st.sets(st.sampled_from(labels), min_size=1))
+    spec = QuotientSpec({l: () if l in killed else (l,) for l in labels})
+    budget = _batch_budget(data, group, depth, size)
+    for kernel in (None, spec):
+        calls = []
+        with mock.patch.object(kleinian.group, "iter_word_batches",
+                               functools.partial(iter_word_batches, size=size)):
+            done = walk(group, depth, budget, kernel=kernel,
+                        consumers=[lambda batch, words: calls.append((batch.length,
+                                                                      batch.final))])
+        assert [length for length, _ in calls] == sorted(length for length, _ in calls)
+        for length in range(done.depth_completed + 1):
+            finals = [final for l, final in calls if l == length]
+            assert finals[-1] and sum(finals) == 1
+        assert not any(final for length, final in calls if length > done.depth_completed)
+
+
+def test_a_pruned_level_without_parents_still_ends():
+    """With every generator kept by the retraction, only the identity is in
+    the kernel: a depth-4 walk prunes all of level 3, and level 4, with no
+    parents, still ends in one empty ``final`` batch."""
+    group = example3_group()[0]
+    calls = []
+    walk(group, 4, kernel=DeclaredStabilizer(("a", "b", "p")).quotient_for(group),
+         consumers=[lambda batch, words: calls.append((batch.length, batch.last.shape[0],
+                                                       batch.final))])
+    assert calls == [(0, 1, True), (1, 6, True), (2, 30, True), (3, 0, True), (4, 0, True)]
 
 
 def test_pruning_is_pinned_on_the_constructions():
     """Example 2's depth-8 kernel walk forms 515,681 of its 7,686,401 words
-    and Example 3's declared-stabilizer walk 167,305 of 585,937; a
-    whole-group consumer keeps every word, with the same kernel words."""
+    in 62 consumer calls, and Example 3's declared-stabilizer walk 167,305
+    of 585,937 in 19; a whole-group consumer keeps every word, with the same
+    kernel words."""
     ex2, quotient = example2_group()
     ex3 = example3_group()[0]
-    for group, spec, kept, every, kernel in (
-            (ex2, quotient, 515_681, 7_686_401, 309_825),
-            (ex3, DeclaredStabilizer(("p",)).quotient_for(ex3), 167_305, 585_937, 117_249)):
+    for group, spec, kept, every, kernel, runs in (
+            (ex2, quotient, 515_681, 7_686_401, 309_825, 62),
+            (ex3, DeclaredStabilizer(("p",)).quotient_for(ex3), 167_305, 585_937, 117_249, 19)):
         for whole, formed in ((False, kept), (True, every)):
-            seen = [0, 0]
+            seen = [0, 0, 0]
 
             def count(batch, words):
                 seen[0] += batch.last.shape[0]
                 seen[1] += words.last.shape[0]
+                seen[2] += 1
 
             reads_all = LevelSums(lambda batch: np.ones(batch.last.shape[0]), whole_group=True)
             done = walk(group, 8, kernel=spec, consumers=[count, reads_all][: 1 + whole])
             assert (done.depth_completed, done.budget_exhausted) == (8, False)
-            assert seen == [formed, kernel]
+            assert seen[:2] == [formed, kernel]
+            if not whole:
+                assert seen[2] == runs
 
 
 @settings(max_examples=15, deadline=None)
@@ -637,7 +680,7 @@ EXAMPLE2_EXPONENT = 0.3723437500000001   # the exponent of configs/example2.json
 
 def test_example2_kernel_level_sums_are_fsum_of_their_levels():
     """The kernel measure at the fixed point of ``d``, depth 8, whose level 8
-    comes in 202 batches: each level sum is ``math.fsum`` of that level's
+    comes in 38 batches: each level sum is ``math.fsum`` of that level's
     values, bit for bit."""
     group, quotient = example2_group()
     target = example2_target(group, "d")
