@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TargetNotInDomainClosure
 from .group import (BLOCK_WORDS, DeclaredStabilizer, LevelSums, QuotientSpec,
-                    SchottkyGroup, Walk, WordBatch, walk)
+                    SchottkyGroup, Walk, WordBatch, level_count, walk)
 from .mobius import (apply_boundary_raw, apply_halfspace_raw, apply_interior_raw,
                      ball_to_halfspace, boundary_derivative_raw, halfspace_to_ball,
                      interior_derivative_raw)
@@ -447,50 +447,79 @@ def _conformality_residual_direct(mu: AtomicMeasure, g, s: float, cells: int) ->
 
 @dataclass
 class _Shell:
-    """The words of length ``mu.depth`` of a measure's walk, in enumeration
-    order: first letters (-1 for the identity), raw derivatives j(v, p) at
-    the base point p, and v(p) in ball coordinates; for an interior p also
-    the exact half-space coordinates (z, t) of v(p).
+    """The words of length L = ``mu.depth`` of a measure's walk, in
+    enumeration order, so row i's first letter is i // (2k-1)^(L-1) (the
+    identity, at L = 0, has none).  ``jraw`` holds the raw derivatives
+    j(v, p) at the base point p.  A boundary p keeps v(p) in ``points``, its
+    dim + 1 ball coordinates, 8 (dim + 2) bytes a word with ``jraw`` (a
+    dimension-1 walk's third coordinate is +0.0, which :meth:`ball`
+    restores).  An interior p keeps only the exact half-space coordinates
+    (z, t) of v(p), 32 bytes a word, whose ball coordinates
+    :func:`halfspace_to_ball` forms elementwise, so block by block gives the
+    same bits.
     """
 
-    first: np.ndarray
+    below: int   # (2k-1)^(L-1) words share a first letter; 0 at L = 0
     jraw: np.ndarray
-    points: np.ndarray
+    points: np.ndarray | None = None
     z: np.ndarray | None = None
     t: np.ndarray | None = None
     # cell count -> the cell of each v(p), in the smallest integer type; no g changes it
     cells: dict = field(default_factory=dict)
 
+    def keep(self, part: slice, letter: int) -> np.ndarray:
+        """Which words ``part`` do not start with ``letter``: those that do
+        are the rows [letter * below, (letter + 1) * below)."""
+        start, stop, _ = part.indices(self.jraw.shape[0])
+        keep = np.ones(stop - start, dtype=bool)
+        keep[max(letter * self.below - start, 0):max((letter + 1) * self.below - start, 0)] = False
+        return keep
+
+    def ball(self, part: slice, room: np.ndarray) -> np.ndarray:
+        """v(p) of the words ``part``, in (n, 3) ball coordinates.  A boundary
+        shell writes them over ``room``, zeros of at least their shape, so
+        no block allocates a third coordinate."""
+        if self.z is not None:
+            return halfspace_to_ball(self.z[part], self.t[part])
+        points = self.points[part]
+        room = room[:points.shape[0]]
+        for axis in range(points.shape[1]):   # a column at a time: rows of 2 copy slowly
+            room[:, axis] = points[:, axis]
+        return room
+
 
 def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
-    """One walk of ``mu``'s words (its depth and budget), keeping the shell."""
+    """One walk of ``mu``'s words (its depth and budget), writing the shell
+    into columns of its level's size; a budget cut keeps a copy of the
+    words it reached, not a whole level."""
     group: SchottkyGroup = enum["group"]
     point3 = embed3(np.asarray(enum["point"]))
-    boundary = enum["kind"] == "boundary"
-    depth = mu.depth
-    # the words below a level-1 word are contiguous: (2k-1)^(L-1) at level L
-    below = (group.letter_count - 1) ** (depth - 1) if depth > 0 else 1
-    parts: list[tuple] = []
+    depth, size = mu.depth, level_count(group, mu.depth)
+    shell = _Shell(depth and (group.letter_count - 1) ** (depth - 1), np.empty(size))
+    if enum["kind"] == "boundary":
+        shell.points = np.empty((size, group.dim + 1))
+    else:
+        shell.z, shell.t = np.empty(size, complex), np.empty(size)
+    reached = 0
 
-    def shell(batch, words) -> None:
-        if batch.length != depth:
-            return
-        index = batch.offset + np.arange(batch.last.shape[0])
-        first = (index // below if depth > 0 else np.full(1, -1)).astype(np.int16)
-        if boundary:
-            parts.append((first, boundary_derivative_raw(batch.mats, point3),
-                          apply_boundary_raw(batch.mats, point3)))
-        else:
-            z, t = apply_halfspace_raw(batch.mats, *ball_to_halfspace(point3))
-            parts.append((first, interior_derivative_raw(batch.mats, point3),
-                          halfspace_to_ball(z, t), z, t))
+    def record(batch, words) -> None:
+        nonlocal reached
+        if batch.length == depth:
+            part = slice(batch.offset, batch.offset + batch.last.shape[0])
+            if shell.z is None:
+                shell.jraw[part] = boundary_derivative_raw(batch.mats, point3)
+                shell.points[part] = apply_boundary_raw(batch.mats, point3)[:, :group.dim + 1]
+            else:
+                shell.jraw[part] = interior_derivative_raw(batch.mats, point3)
+                shell.z[part], shell.t[part] = apply_halfspace_raw(batch.mats,
+                                                                   *ball_to_halfspace(point3))
+            reached = part.stop
 
-    walk(group, depth, enum.get("budget"), consumers=[shell])
-    if not parts:   # the walk was cut before its top level
-        return _Shell(np.empty(0, dtype=np.int16), np.empty(0), np.empty((0, 3)))
-    columns = list(zip(*parts))
-    parts.clear()   # each column's parts go once it is joined
-    return _Shell(*(np.concatenate(columns.pop(0)) for _ in range(len(columns))))
+    walk(group, depth, enum.get("budget"), consumers=[record])
+    if reached < size:
+        vars(shell).update({name: column[:reached].copy() for name, column in vars(shell).items()
+                            if isinstance(column, np.ndarray)})
+    return shell
 
 
 def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
@@ -521,24 +550,26 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
     ginv = g.inverse()
     scale = mu.series.partial_sum
     net = np.zeros(cells)
-    n = shell.first.shape[0]
+    n = shell.jraw.shape[0]
     binned = cells in shell.cells   # else filled below, in the smallest type for cells - 1
     cell_of = shell.cells[cells] if binned else np.empty(n, np.min_scalar_type(-cells))
     parts = [slice(lo, lo + BLOCK_WORDS) for lo in range(0, n, BLOCK_WORDS)]
+    room = np.zeros((min(n, BLOCK_WORDS), 3))
     for part in parts:
         if shell.z is None:
-            pre = apply_boundary_raw(ginv.matrix, shell.points[part])
+            pre = apply_boundary_raw(ginv.matrix, shell.ball(part, room))
         else:
             pre = halfspace_to_ball(*apply_halfspace_raw(ginv.matrix, shell.z[part],
                                                          shell.t[part]))
-        keep = shell.first[part] != g_letter
+        keep = shell.keep(part, g_letter)
         np.add.at(net, _cells_of(pre, mu.dim, cells)[keep], (shell.jraw[part] ** s)[keep] / scale)
     for part in parts:
-        jg = (boundary_derivative_raw(g.matrix, shell.points[part]) if shell.z is None
+        v = shell.ball(part, room)
+        jg = (boundary_derivative_raw(g.matrix, v) if shell.z is None
               else _stretch(g, shell.z[part], shell.t[part]))
         if not binned:
-            cell_of[part] = _cells_of(shell.points[part], mu.dim, cells)
-        keep = shell.first[part] != ginv_letter
+            cell_of[part] = _cells_of(v, mu.dim, cells)
+        keep = shell.keep(part, ginv_letter)
         np.subtract.at(net, cell_of[part][keep],
                        (jg ** s * shell.jraw[part] ** s)[keep] / scale)
     shell.cells[cells] = cell_of

@@ -587,6 +587,9 @@ def pair_discs(c_plus: Disc, c_minus: Disc) -> Transform:
         return rot_t.inverse() @ moved @ rot_t
     p, r = _disc_to_plane_circle(c_plus)
     q, s = _disc_to_plane_circle(c_minus)
+    if not 0.0 < r * s < math.inf:   # radii that underflow leave no transform
+        raise ValueError(f"paired discs have plane radii {r:.3g} and {s:.3g}, whose product "
+                         "is not a positive finite number")
     mat = np.array([[q, -p * q - r * s], [1.0, -p]], dtype=complex) / math.sqrt(r * s)
     return Transform(mat, dim)
 

@@ -247,6 +247,7 @@ class TestSeriesCommand:
         {"exponent": 0}, {"exponent": -1},
     ], ids=["pairs 2.5", "pairs 40", "schedule_scale 0", "pairs true", "exponent 0",
             "exponent -1"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_example1_params_that_break_the_placement_exit_2(self, tmp_path, capsys, params):
         doc = dict(TRIVIAL, group={"kind": "example1", "params": params})
         cfg = write_config(tmp_path, doc)

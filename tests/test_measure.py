@@ -362,8 +362,24 @@ def test_shell_keeps_one_small_cell_array_per_count(group):
     assert {cells: binned.dtype for cells, binned in shell.cells.items()} == {
         16: np.int8, 64: np.int8, 1000: np.int16}
     for cells, binned in shell.cells.items():
-        assert np.array_equal(binned, _cells_of(shell.points, group.dim, cells))
+        assert np.array_equal(binned, _cells_of(embed3(shell.points), group.dim, cells))
         assert conformality_residual(mu, g, 0.8, cells) == first[cells]
+
+
+@pytest.mark.parametrize("kind", ["ending", "orbit"])
+def test_a_cut_shell_holds_only_the_words_it_reached(group, kind):
+    """A budget that cuts 100 words into the top level leaves a shell of
+    100 words: each array owns its data, so none pins a whole level."""
+    budget = sum(level_count(group, length) for length in range(5)) + 100
+    mu = (ending_measure(group, DOMAIN_POINT, 0.8, 5, budget=budget) if kind == "ending"
+          else orbit_measure(group, InteriorPoint([0.1, -0.2]), 0.8, 5, budget))
+    conformality_residual(mu, group.generators[0].transform, 0.8)
+    shell = mu._shell
+    arrays = [value for value in (*vars(shell).values(), *shell.cells.values())
+              if isinstance(value, np.ndarray)]
+    assert len(arrays) == (3 if kind == "ending" else 4)   # jraw, points or (z, t), cells
+    for array in arrays:
+        assert array.base is None and array.nbytes == 100 * array[0].nbytes
 
 
 class TestClassifyAtomicity:

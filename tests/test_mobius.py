@@ -10,7 +10,7 @@ from kleinian.mobius import (Transform, apply_boundary_raw, boundary_derivative_
                              classify, conorm_raw, image_disc, inverse_origin_images_raw,
                              matmul_raw, origin_images_raw, pair_discs, parabolic_fixing,
                              poisson_raw, rotation_moving_to_pole)
-from kleinian.model import BoundaryPoint, InteriorPoint, hyperbolic_distance
+from kleinian.model import BoundaryPoint, Disc, InteriorPoint, hyperbolic_distance
 
 from conftest import arc, cap, random_boundary_points, random_interior_points, \
     random_reduced_words, rim_points
@@ -284,6 +284,14 @@ class TestPairDiscs:
     def test_dimensions_must_match(self):
         with pytest.raises(ValueError, match="share a dimension"):
             pair_discs(arc(10, 5), cap([0.0, 0.0, 1.0], 0.2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_radii_that_underflow_are_refused(self):
+        """Arcs of chordal radius 1e-25 have cos(angular radius) = 1, so plane
+        radius 0: no transform pairs them."""
+        tiny = [Disc(BoundaryPoint.from_angle(theta), 1e-25) for theta in (2.0, 4.0)]
+        with pytest.raises(ValueError, match="plane radii 0 and 0,"):
+            pair_discs(*tiny)
 
     def test_images_shrink_discs(self, rng):
         g = pair_discs(arc(100, 12), arc(250, 12))
