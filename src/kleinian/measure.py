@@ -490,11 +490,13 @@ class _Shell:
 
 def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
     """One walk of ``mu``'s words (its depth and budget), writing the shell
-    into columns of its level's size; a budget cut keeps a copy of the
-    words it reached, not a whole level."""
+    into columns of its level's size, or of the budget when that is
+    smaller; a budget cut keeps a copy of the words it reached, not a whole
+    level."""
     group: SchottkyGroup = enum["group"]
     point3 = embed3(np.asarray(enum["point"]))
-    depth, size = mu.depth, level_count(group, mu.depth)
+    depth, budget = mu.depth, enum.get("budget")   # the budget counts every word
+    size = level_count(group, depth) if budget is None else min(level_count(group, depth), budget)
     shell = _Shell(depth and (group.letter_count - 1) ** (depth - 1), np.empty(size))
     if enum["kind"] == "boundary":
         shell.points = np.empty((size, group.dim + 1))
@@ -515,7 +517,7 @@ def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
                                                                    *ball_to_halfspace(point3))
             reached = part.stop
 
-    walk(group, depth, enum.get("budget"), consumers=[record])
+    walk(group, depth, budget, consumers=[record])
     if reached < size:
         vars(shell).update({name: column[:reached].copy() for name, column in vars(shell).items()
                             if isinstance(column, np.ndarray)})
@@ -564,7 +566,7 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
         keep = shell.keep(part, g_letter)
         np.add.at(net, _cells_of(pre, mu.dim, cells)[keep], (shell.jraw[part] ** s)[keep] / scale)
     for part in parts:
-        v = shell.ball(part, room)
+        v = shell.ball(part, room) if shell.z is None or not binned else None
         jg = (boundary_derivative_raw(g.matrix, v) if shell.z is None
               else _stretch(g, shell.z[part], shell.t[part]))
         if not binned:

@@ -382,6 +382,18 @@ def test_a_cut_shell_holds_only_the_words_it_reached(group, kind):
         assert array.base is None and array.nbytes == 100 * array[0].nbytes
 
 
+@pytest.mark.parametrize("kind", ["ending", "orbit"])
+def test_a_shell_cut_far_below_its_depth_is_sized_by_the_budget(group, kind):
+    """A depth-30 measure cut by a budget of 10^5 words never reaches its
+    top level of 4 * 3^29 words: its shell, sized by the budget, ends
+    empty, and every residual is 0."""
+    mu = (ending_measure(group, DOMAIN_POINT, 0.8, 30, budget=10 ** 5) if kind == "ending"
+          else orbit_measure(group, InteriorPoint([0.1, -0.2]), 0.8, 30, 10 ** 5))
+    assert [conformality_residual(mu, group.letter_transform(e), 0.8, cells)
+            for e in range(group.letter_count) for cells in (1, 64)] == [0.0] * 8
+    assert mu._shell.jraw.shape == (0,)
+
+
 class TestClassifyAtomicity:
     @pytest.fixture(scope="class")
     def parabolic(self, group):
