@@ -31,9 +31,9 @@ from .measure import (TOP_K_ATOMS, AtomicMeasure, AtomicityVerdict, EndingMeasur
                       support_gap, weak_distance)
 from .mobius import Transform
 from .model import BoundaryPoint, Disc, embed3
-from .series import (BranchBounds, DeltaEstimate, SeparationSchedule, SeriesResult,
-                     boundary_values, branch_contraction, estimate_delta,
-                     example1_tail, finish_series, parabolic_domination)
+from .series import (DeltaEstimate, SeparationSchedule, SeriesResult, boundary_values,
+                     branch_contraction, estimate_delta, example1_tail, finish_series,
+                     parabolic_domination)
 
 POLE_SAFETY = 0.2        # keep all constructions away from the chart pole
 SLOT_FILL = 0.45         # enlarged discs fill this fraction of their half-slot
@@ -90,7 +90,6 @@ class Example1Result:
     target: BoundaryPoint
     series: SeriesResult
     measure: AtomicMeasure
-    branch: BranchBounds
     atomicity: AtomicityVerdict
     report: dict
 
@@ -165,7 +164,7 @@ def build_example1(cfg: Example1Config) -> Example1Result:
         "atomicity": atomicity.conclusion,
         "stabilizer_check": atomicity.stabilizer_check.kind,
     }
-    return Example1Result(group, target, series, measure, branch, atomicity, report)
+    return Example1Result(group, target, series, measure, atomicity, report)
 
 
 def example1_weak_trend(cfg: Example1Config, result: Example1Result) -> list[float]:

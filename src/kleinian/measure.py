@@ -20,8 +20,8 @@ from .errors import TargetNotInDomainClosure
 from .group import (BLOCK_WORDS, DeclaredStabilizer, LevelSums, QuotientSpec,
                     SchottkyGroup, Walk, WordBatch, level_count, walk)
 from .mobius import (apply_boundary_raw, apply_halfspace_raw, apply_interior_raw,
-                     ball_to_halfspace, boundary_derivative_raw, halfspace_to_ball,
-                     interior_derivative_raw)
+                     ball_to_halfspace, boundary_derivative_raw, conorm_raw,
+                     halfspace_to_ball)
 from .model import BoundaryPoint, InteriorPoint, embed3
 from .series import (SeriesResult, TailCertificate, boundary_power, finish_series, fixes,
                      unit_derivative)
@@ -61,10 +61,6 @@ class AtomicMeasure:
     meta: dict = field(default_factory=dict)
     # the depth shell the conformality residual pairs, kept by its first call
     _shell: "_Shell | None" = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def boundary_supported(self) -> bool:
-        return self.source == "ending"
 
     @property
     def atom_count(self) -> int:
@@ -213,9 +209,8 @@ class _AtomStream:
             new_ids = np.empty(first.shape[0], dtype=np.int64)
             new_ids[by_appearance] = self._totals.shape[0] + np.arange(first.shape[0])
             ids[order] = new_ids[np.cumsum(heads) - 1]
-            at = np.searchsorted(self._keys, ranked[heads])
-            self._keys = np.insert(self._keys, at, ranked[heads])
-            self._ids = np.insert(self._ids, at, new_ids)
+            self._keys = np.insert(self._keys, pos[first], ranked[heads])
+            self._ids = np.insert(self._ids, pos[first], new_ids)
             self._points.append(points[starts[first[by_appearance]]])
             self._lengths.append(np.full(first.shape[0], length, dtype=np.int64))
             self._totals = np.concatenate([self._totals, np.zeros(first.shape[0])])
@@ -307,8 +302,9 @@ class EndingMeasures:
                 value = boundary_power(mats, pc, s)
                 place = apply_boundary_raw(mats, pc)
             else:
-                value = interior_derivative_raw(mats, pc) ** s
-                place = apply_interior_raw(mats, pc)
+                z, t, value = _orbit_images(mats, pc)
+                value **= s   # in place, as boundary_power
+                place = halfspace_to_ball(z, t)
             blocks.add(length, value)
             atoms.add(place[:, :width], value, length)
             if batch.final:
@@ -339,6 +335,13 @@ class EndingMeasures:
                                      self.group.dim, "ending" if boundary else "orbit",
                                      self.s, done.depth, series=series, meta=meta))
         return tuple(out)
+
+
+def _orbit_images(mats: np.ndarray, point3: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Half-space coordinates (z, t) of w(p) for the matrices w at the ball
+    point p, and the raw derivatives j(w, p), from the one image."""
+    z, t = apply_halfspace_raw(mats, *ball_to_halfspace(point3))
+    return z, t, conorm_raw(z, t) / (1.0 - float(np.dot(point3, point3)))
 
 
 def _check_target(group: SchottkyGroup, zeta: BoundaryPoint,
@@ -386,7 +389,7 @@ def _cell_index(directions: np.ndarray, dim: int, cells: int) -> np.ndarray:
 
 
 def _cells_of(points: np.ndarray, dim: int, cells: int) -> np.ndarray:
-    """The cell of the direction of each ambient (n, 3) point."""
+    """The cell of the direction of each ambient point, (n, dim + 1) or (n, 3)."""
     norms = np.linalg.norm(points, axis=1)
     return _cell_index(points / np.where(norms > 0, norms, 1.0)[:, None], dim, cells)
 
@@ -433,7 +436,7 @@ def _conformality_residual_direct(mu: AtomicMeasure, g, s: float, cells: int) ->
     """The transformation rule checked on the atoms as they stand."""
     emb = embed3(mu.points)
     ginv = g.inverse()
-    if mu.boundary_supported:
+    if mu.source == "ending":
         pre = apply_boundary_raw(ginv.matrix[None, :, :], emb)
         jvals = boundary_derivative_raw(g.matrix, emb)
     else:
@@ -451,12 +454,11 @@ class _Shell:
     enumeration order, so row i's first letter is i // (2k-1)^(L-1) (the
     identity, at L = 0, has none).  ``jraw`` holds the raw derivatives
     j(v, p) at the base point p.  A boundary p keeps v(p) in ``points``, its
-    dim + 1 ball coordinates, 8 (dim + 2) bytes a word with ``jraw`` (a
-    dimension-1 walk's third coordinate is +0.0, which :meth:`ball`
-    restores).  An interior p keeps only the exact half-space coordinates
-    (z, t) of v(p), 32 bytes a word, whose ball coordinates
-    :func:`halfspace_to_ball` forms elementwise, so block by block gives the
-    same bits.
+    dim + 1 ball coordinates, 8 (dim + 2) bytes a word with ``jraw``; the
+    float64 kernels read a dimension-1 shell's two columns as stored.  An
+    interior p keeps only the exact half-space coordinates (z, t) of v(p),
+    32 bytes a word, whose ball coordinates :func:`halfspace_to_ball` forms
+    elementwise, so block by block gives the same bits.
     """
 
     below: int   # (2k-1)^(L-1) words share a first letter; 0 at L = 0
@@ -475,17 +477,12 @@ class _Shell:
         keep[max(letter * self.below - start, 0):max((letter + 1) * self.below - start, 0)] = False
         return keep
 
-    def ball(self, part: slice, room: np.ndarray) -> np.ndarray:
-        """v(p) of the words ``part``, in (n, 3) ball coordinates.  A boundary
-        shell writes them over ``room``, zeros of at least their shape, so
-        no block allocates a third coordinate."""
+    def ball(self, part: slice) -> np.ndarray:
+        """v(p) of the words ``part``: a boundary shell's stored columns, or
+        an interior shell's (n, 3) ball coordinates."""
         if self.z is not None:
             return halfspace_to_ball(self.z[part], self.t[part])
-        points = self.points[part]
-        room = room[:points.shape[0]]
-        for axis in range(points.shape[1]):   # a column at a time: rows of 2 copy slowly
-            room[:, axis] = points[:, axis]
-        return room
+        return self.points[part]
 
 
 def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
@@ -495,6 +492,7 @@ def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
     level."""
     group: SchottkyGroup = enum["group"]
     point3 = embed3(np.asarray(enum["point"]))
+    stored = point3[:group.dim + 1]   # as the float64 kernels read a dimension-1 point
     depth, budget = mu.depth, enum.get("budget")   # the budget counts every word
     size = level_count(group, depth) if budget is None else min(level_count(group, depth), budget)
     shell = _Shell(depth and (group.letter_count - 1) ** (depth - 1), np.empty(size))
@@ -509,12 +507,10 @@ def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
         if batch.length == depth:
             part = slice(batch.offset, batch.offset + batch.last.shape[0])
             if shell.z is None:
-                shell.jraw[part] = boundary_derivative_raw(batch.mats, point3)
-                shell.points[part] = apply_boundary_raw(batch.mats, point3)[:, :group.dim + 1]
+                shell.jraw[part] = boundary_derivative_raw(batch.mats, stored)
+                shell.points[part] = apply_boundary_raw(batch.mats, stored)
             else:
-                shell.jraw[part] = interior_derivative_raw(batch.mats, point3)
-                shell.z[part], shell.t[part] = apply_halfspace_raw(batch.mats,
-                                                                   *ball_to_halfspace(point3))
+                shell.z[part], shell.t[part], shell.jraw[part] = _orbit_images(batch.mats, point3)
             reached = part.stop
 
     walk(group, depth, budget, consumers=[record])
@@ -543,31 +539,33 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
     side in walk order and in blocks of ``BLOCK_WORDS`` words: ``np.add.at``
     adds one term at a time, so the blocks add the same terms in the same
     order as one pass over the shell would.  The first call at a cell count
-    bins the shell's v(p) block by block and keeps their cells.
+    bins the shell's v(p) block by block and keeps their cells.  In
+    dimension 1, g and g^{-1} act by their real matrices, as in the walks,
+    so a boundary shell is read as stored and never leaves float64.
     """
     if mu._shell is None:
         mu._shell = _record_shell(mu, enum)
     shell = mu._shell
     g_letter, ginv_letter = letters
-    ginv = g.inverse()
+    gm, ginvm = g.matrix, g.inverse().matrix
+    if mu.dim == 1:
+        gm, ginvm = gm.real, ginvm.real
     scale = mu.series.partial_sum
     net = np.zeros(cells)
     n = shell.jraw.shape[0]
     binned = cells in shell.cells   # else filled below, in the smallest type for cells - 1
     cell_of = shell.cells[cells] if binned else np.empty(n, np.min_scalar_type(-cells))
     parts = [slice(lo, lo + BLOCK_WORDS) for lo in range(0, n, BLOCK_WORDS)]
-    room = np.zeros((min(n, BLOCK_WORDS), 3))
     for part in parts:
         if shell.z is None:
-            pre = apply_boundary_raw(ginv.matrix, shell.ball(part, room))
+            pre = apply_boundary_raw(ginvm, shell.ball(part))
         else:
-            pre = halfspace_to_ball(*apply_halfspace_raw(ginv.matrix, shell.z[part],
-                                                         shell.t[part]))
+            pre = halfspace_to_ball(*apply_halfspace_raw(ginvm, shell.z[part], shell.t[part]))
         keep = shell.keep(part, g_letter)
         np.add.at(net, _cells_of(pre, mu.dim, cells)[keep], (shell.jraw[part] ** s)[keep] / scale)
     for part in parts:
-        v = shell.ball(part, room) if shell.z is None or not binned else None
-        jg = (boundary_derivative_raw(g.matrix, v) if shell.z is None
+        v = shell.ball(part) if shell.z is None or not binned else None
+        jg = (boundary_derivative_raw(gm, v) if shell.z is None
               else _stretch(g, shell.z[part], shell.t[part]))
         if not binned:
             cell_of[part] = _cells_of(v, mu.dim, cells)

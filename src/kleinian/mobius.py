@@ -128,26 +128,31 @@ def apply_boundary_raw(mats: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Boundary action of matrices (..., 2, 2) on unit vectors (..., 3).
 
     Real matrices acting on points of the equator (the walks of
-    dimension-1 groups) take a float64 branch that gives the bits of the
-    complex formulas on the same matrices stored complex: the images of p
-    and q have zero imaginary parts, so |.|^2 is the square of the real
-    part, and numpy divides a complex array by a real one by multiplying
-    with the reciprocal, so the second coordinate is (2 p q) * (1 / n).
-    The third coordinate is zero, possibly of the other sign.
+    dimension-1 groups) take a float64 branch, which also reads points as
+    stored, (..., 2), and returns images of their shape.  It forms the
+    chart of :func:`sphere_to_proj` in real arithmetic and gives the bits
+    of the complex formulas on the same matrices stored complex: p and q
+    stay real, so |.|^2 is the square, and numpy divides a complex array
+    by a real one by multiplying with the reciprocal, so the second
+    coordinate is (2 p q) * (1 / n).  A third coordinate is zero, possibly
+    of the other sign.
     """
-    p, q = sphere_to_proj(points)
-    if np.iscomplexobj(mats) or np.any(points[..., 2]):
+    if np.iscomplexobj(mats) or (points.shape[-1] == 3 and np.any(points[..., 2])):
+        p, q = sphere_to_proj(points)
         p2 = mats[..., 0, 0] * p + mats[..., 0, 1] * q
         q2 = mats[..., 1, 0] * p + mats[..., 1, 1] * q
         return proj_to_sphere(p2, q2)
-    p, q = p.real, q.real
+    u1, u2 = points[..., 0], points[..., 1]
+    use_a = (1.0 - u1) > np.abs(u2)   # as in sphere_to_proj
+    p = np.where(use_a, u2, 1.0 + u1)
+    q = np.where(use_a, 1.0 - u1, u2)
     shape = np.broadcast_shapes(mats.shape[:-2], points.shape[:-1])
     p2, q2, n, tmp = (np.empty(shape) for _ in range(4))
     np.multiply(mats[..., 0, 0], p, out=p2)
     p2 += np.multiply(mats[..., 0, 1], q, out=tmp)
     np.multiply(mats[..., 1, 0], p, out=q2)
     q2 += np.multiply(mats[..., 1, 1], q, out=tmp)
-    out = np.zeros(shape + (3,))
+    out = np.zeros(shape + points.shape[-1:])
     np.multiply(p2, p2, out=n)
     np.multiply(q2, q2, out=tmp)
     np.subtract(n, tmp, out=out[..., 0])
@@ -249,10 +254,12 @@ def boundary_derivative_raw(mats: np.ndarray, zeta: np.ndarray) -> np.ndarray:
 
     Real matrices (the walks of dimension-1 groups) take a float64 branch
     on the four entry arrays that gives the bits of the complex formulas on
-    the same matrices stored complex.  With z = -(b a + d c) t, t = 1 / (a^2
-    + c^2) and D = z^2 + (t + 1)^2, g^{-1}(0) is ((z^2 + t^2 - 1) / D,
-    2 z / D, 0) with co-norm 4 t / D, and the squared distance is summed
-    as einsum sums it, (d0^2 + d2^2) + d1^2.
+    the same matrices stored complex (as a stack: numpy squares a lone
+    matrix's 0-d |a| by pow, which can round otherwise), and also reads
+    points as stored, (..., 2).  With z = -(b a + d c) t, t = 1 / (a^2 + c^2) and D = z^2 +
+    (t + 1)^2, g^{-1}(0) is ((z^2 + t^2 - 1) / D, 2 z / D, 0) with co-norm
+    4 t / D, and the squared distance is summed as einsum sums it, (d0^2 +
+    d2^2) + d1^2; (..., 2) points skip d2^2, as adding +0 changes no sum.
     """
     if np.iscomplexobj(mats):
         return poisson_raw(*inverse_origin_images_raw(mats), zeta)
@@ -280,7 +287,8 @@ def boundary_derivative_raw(mats: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     sq /= dd
     np.subtract(zeta[..., 0], sq, out=sq)
     sq *= sq                                # d0^2
-    sq += np.square(zeta[..., 2])           # d2^2, as g^{-1}(0) has no third coordinate
+    if zeta.shape[-1] == 3:
+        sq += np.square(zeta[..., 2])       # d2^2, as g^{-1}(0) has no third coordinate
     sq += m
     t *= 4.0
     t /= dd                                 # the co-norm

@@ -372,8 +372,6 @@ class BranchBounds:
     """
 
     letter_bounds: tuple[float, ...]
-    letter_labels: tuple[str, ...]
-    enlargement_factors: tuple[float, ...]
     chain_valid: bool = True
 
     def rate(self, s: float) -> float:
@@ -390,14 +388,6 @@ class BranchBounds:
         self._require_chain()
         return TailCertificate(rate=self.rate(s), coeff=1.0,
                                source="branch_contraction")
-
-    def interior_certificate(self, s: float, group: SchottkyGroup) -> TailCertificate:
-        """Envelope for P(0, s): blocks <= 2k (2 rho_max)^s q^(l-1)."""
-        self._require_chain()
-        rho_max = max(d.radius for _, d in group.discs())
-        q = self.rate(s)
-        coeff = group.letter_count * (2.0 * rho_max) ** s / q if q > 0 else math.inf
-        return TailCertificate(rate=q, coeff=coeff, source="branch_contraction")
 
 
 def branch_contraction(group: SchottkyGroup,
@@ -441,8 +431,7 @@ def branch_contraction(group: SchottkyGroup,
         gap = conorm / (1.0 + norm)   # 1 - |u|, without cancellation
         bound = conorm / (gap * gap + 4.0 * norm * math.sin(phi / 2.0) ** 2)
         bounds.append(bound * (1.0 + 1e-12))
-    return BranchBounds(tuple(bounds), group.letter_labels, tuple(factors),
-                        all(gen.kind != "parabolic" for gen in gens))
+    return BranchBounds(tuple(bounds), all(gen.kind != "parabolic" for gen in gens))
 
 
 # --- bounded-parabolic domination -------------------------------------------------
@@ -528,7 +517,6 @@ class DeltaEstimate:
     probes: list[ProbeRecord]
     depth_completed: int
     budget_exhausted: bool
-    notes: list[str] = field(default_factory=list)
 
     @property
     def width(self) -> float:
@@ -569,7 +557,6 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
     if not s_lo < s_hi:
         raise ValueError("bracket must satisfy s_lo < s_hi")
     probes: list[ProbeRecord] = []
-    notes: list[str] = []
     origin = np.zeros(3)
     raw: list[tuple[int, np.ndarray]] = []   # (length, j(w, 0)) per batch
 
@@ -599,10 +586,8 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
         return label
 
     lo_label = run_probe(s_lo)
-    if lo_label == "convergent":
-        notes.append(f"series already convergent at s_lo={s_lo}; "
-                     "exponent estimate collapses to [0, s_lo]")
-        return DeltaEstimate(0.0, s_lo, probes, *walked, notes)
+    if lo_label == "convergent":   # the estimate collapses to [0, s_lo]
+        return DeltaEstimate(0.0, s_lo, probes, *walked)
     if lo_label != "divergent":
         raise InconclusiveBracket(f"no divergence evidence at s_lo={s_lo}")
     hi_label = run_probe(s_hi)
@@ -631,10 +616,9 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
         if run_probe(quarter_hi) == "convergent":
             hi = quarter_hi
             moved = True
-        if not moved:
-            notes.append(f"probes around s={mid} all inconclusive; stopping")
+        if not moved:   # every probe around mid is inconclusive
             break
-    return DeltaEstimate(lo, hi, probes, *walked, notes)
+    return DeltaEstimate(lo, hi, probes, *walked)
 
 
 # --- extended-precision oracle path --------------------------------------------------

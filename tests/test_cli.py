@@ -183,6 +183,18 @@ class TestSeriesCommand:
         assert main(["series", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        assert main(["series", "--config", str(tmp_path / "absent.json"),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config file not found" in capsys.readouterr().err
+
+    def test_out_naming_a_regular_file_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("")
+        assert main(["series", "--config", write_config(tmp_path, TRIVIAL),
+                     "--out", str(out)]) == 4
+        assert "i/o error" in capsys.readouterr().err
+
     def test_invalid_numbers_rejected_before_compute(self, tmp_path):
         doc = dict(TRIVIAL, exponent=-1.0)
         cfg = write_config(tmp_path, doc)

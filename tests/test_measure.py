@@ -394,6 +394,22 @@ def test_a_shell_cut_far_below_its_depth_is_sized_by_the_budget(group, kind):
     assert mu._shell.jraw.shape == (0,)
 
 
+def test_later_dimension1_residuals_stay_in_float64(group):
+    """Once the shell is recorded, a dimension-1 residual reads its stored
+    columns with the real matrices of g and g^{-1}: no complex chart is
+    formed or left, and the values are those of the calls before."""
+    mu = ending_measure(group, DOMAIN_POINT, 0.8, 5)
+    letters = [group.letter_transform(e) for e in range(group.letter_count)]
+    want = [conformality_residual(mu, g, s) for g in letters for s in (0.8, 1.3)]
+    refused = AssertionError("a complex chart was formed")
+    with mock.patch("kleinian.mobius.sphere_to_proj", side_effect=refused), \
+            mock.patch("kleinian.mobius.proj_to_sphere", side_effect=refused):
+        assert [conformality_residual(mu, g, s) for g in letters for s in (0.8, 1.3)] == want
+        for gen in group.generators:
+            for cells in (16, 1000):
+                assert conformality_residual(mu, gen.transform, 0.8, cells) >= 0.0
+
+
 class TestClassifyAtomicity:
     @pytest.fixture(scope="class")
     def parabolic(self, group):

@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleinian.errors import DiscsOverlap, NumericallyAmbiguous
 from kleinian.mobius import (Transform, apply_boundary_raw, boundary_derivative_raw,
@@ -13,7 +15,7 @@ from kleinian.mobius import (Transform, apply_boundary_raw, boundary_derivative_
 from kleinian.model import BoundaryPoint, Disc, InteriorPoint, hyperbolic_distance
 
 from conftest import arc, cap, random_boundary_points, random_interior_points, \
-    random_reduced_words, rim_points
+    random_reduced_words, rim_points, schottky_groups
 
 
 def word_transform(group, letters):
@@ -618,3 +620,50 @@ class TestRawKernels:
         for zeta in (points[0], points[2500], points[-1]):
             same_bits(apply_boundary_raw(mats, zeta), apply_boundary_raw(wide, zeta))
         same_bits(apply_boundary_raw(mats[0], points), apply_boundary_raw(wide[0], points))
+
+
+@st.composite
+def words_and_equator_points(draw):
+    """Real matrices of reduced words of a drawn group, and (n, 2) points of
+    the circle: near the pole (1, 0), where the chart [1 + u1 : u2] is used,
+    anywhere, and the four points with a signed zero coordinate."""
+    group = draw(schottky_groups())
+    k2 = group.letter_count
+    words = []
+    for _ in range(draw(st.integers(1, 4))):
+        letters = [draw(st.integers(0, k2 - 1))]
+        for _ in range(draw(st.integers(0, 6))):   # any letter but the last one's inverse
+            letters.append(((letters[-1] ^ 1) + draw(st.integers(1, k2 - 1))) % k2)
+        words.append(group.word_transform(letters).matrix.real)
+    angles = draw(st.lists(st.floats(-1e-3, 1e-3) | st.floats(-math.pi, math.pi),
+                           min_size=1, max_size=8))
+    points = [(math.cos(a), math.sin(a)) for a in angles]
+    points += [(1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0)]
+    return np.stack(words), np.array(points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=words_and_equator_points(), zeros=st.lists(st.sampled_from([0.0, -0.0]),
+                                                      min_size=12, max_size=12))
+def test_real_kernels_read_stored_points_to_the_complex_bits(data, zeros):
+    """The float64 kernels give the same bytes on (n, 2) points, on (n, 3)
+    points with a zero third coordinate of either sign, and, up to the sign
+    of that zero, on the same matrices stored complex."""
+    mats, points = data
+    wide = np.column_stack([points, zeros[:points.shape[0]]])
+    pairs = [(mats, point, wide_point) for point, wide_point in zip(points, wide)]
+    pairs += [(mat, points, wide) for mat in mats]   # one word at many points
+    for mat, point, wide_point in pairs:
+        # a lone matrix goes complex as a stack of one: on 0-d entries numpy
+        # squares |a| by libm pow, which can round a^2 other than a * a does
+        stored_complex = mat.astype(complex).reshape(-1, 2, 2)
+        image = apply_boundary_raw(mat, point)
+        assert image.shape[-1] == 2 and image.dtype == np.float64
+        for other in (apply_boundary_raw(mat, wide_point),
+                      apply_boundary_raw(stored_complex, wide_point)):
+            assert np.ascontiguousarray(other[..., :2]).tobytes() == image.tobytes()
+            assert not np.any(other[..., 2])
+        j = boundary_derivative_raw(mat, point)
+        for other in (boundary_derivative_raw(mat, wide_point),
+                      boundary_derivative_raw(stored_complex, wide_point)):
+            assert other.dtype == np.float64 and other.tobytes() == j.tobytes()
