@@ -14,20 +14,19 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import BudgetExceeded, ConfigError, KleinianError
+from .errors import ConfigError, KleinianError
 from .group import DeclaredStabilizer, QuotientSpec, SchottkyGroup
 from .measure import (AtomicMeasure, _cell_index, _cell_masses, _sphere_grid,
                       classify_atomicity, ending_measure, moving_generator, orbit_measure)
 from .model import BoundaryPoint, Disc, InteriorPoint
 from .series import (SeparationSchedule, SeriesResult, TailCertificate,
-                     example1_tail, horospherical_partial, poincare_partial,
-                     reduced_horospherical_partial)
+                     example1_tail, horospherical_partial, poincare_partial)
 
 SCHEMA_VERSION = 1
 CONFIG_KEYS = {"schema_version", "group", "exponent", "depth", "budget", "threads",
@@ -51,6 +50,7 @@ class RunConfig:
     point: InteriorPoint | None
     stabilizer: DeclaredStabilizer | None
     kernel: QuotientSpec | None
+    subgroup: QuotientSpec | None   # what measures, classify and reduced series sum
     certificate: TailCertificate | None   # for boundary series at ``target`` only
     exponent: float
     depth: int
@@ -233,6 +233,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     _require(kernel is None or series_kind == "horospherical",
              f"series {series_kind!r} cannot be restricted to the group's kernel "
              "(use 'horospherical')")
+    # the kernel, else the declared stabilizer's coset transversal, else None (the group)
+    subgroup = kernel if stab is None else stab.quotient_for(group)
     render = raw.get("render", {})
     _require(isinstance(render, dict), "render must be an object")
     _require_known(render, RENDER_KEYS, "render")
@@ -242,7 +244,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
         _built("render.bins", _sphere_grid, bins)
     return RunConfig(
         raw=raw, group=group, target=target, point=point, stabilizer=stab,
-        kernel=kernel, certificate=cert, exponent=exponent, depth=depth,
+        kernel=kernel, subgroup=subgroup, certificate=cert, exponent=exponent, depth=depth,
         budget=budget, series_kind=series_kind, threads=threads,
         precision=precision, render_bins=bins, render_size=(width, height))
 
@@ -278,24 +280,27 @@ def _double_only(cfg: RunConfig, what: str) -> None:
              f"and horospherical series only, not for {what}")
 
 
-def _run_series(cfg: RunConfig) -> SeriesResult:
-    if cfg.series_kind == "poincare":
+def _run_series(cfg: RunConfig, classify: bool = False) -> SeriesResult:
+    """The series a series run reports, or the boundary series a classify run reads.
+
+    A horospherical series sums the group's kernel, if it has one, else the
+    whole group; a reduced series and a classify run sum ``cfg.subgroup``.
+    """
+    if cfg.series_kind == "poincare" and not classify:
         point = cfg.point if cfg.point is not None else InteriorPoint.origin(cfg.group.dim)
         return poincare_partial(cfg.group, point, cfg.exponent, cfg.depth,
                                 budget=cfg.budget, precision=cfg.precision)
-    if cfg.target is None:
-        raise ConfigError("boundary series need a 'target'")
-    if cfg.series_kind == "horospherical":
-        if cfg.kernel is not None and cfg.precision == "extended":
-            raise ConfigError("extended precision sums the whole group; this group's "
-                              "series is restricted to a kernel")
-        return horospherical_partial(cfg.group, cfg.target, cfg.exponent, cfg.depth,
-                                     budget=cfg.budget, tail=cfg.certificate,
-                                     precision=cfg.precision, kernel=cfg.kernel)
-    _double_only(cfg, "the reduced series")
-    return reduced_horospherical_partial(cfg.group, cfg.target, cfg.exponent,
-                                         cfg.depth, stab=cfg.stabilizer,
-                                         budget=cfg.budget, tail=cfg.certificate)
+    _require(cfg.target is not None,
+             f"{'classify runs' if classify else 'boundary series'} need a 'target'")
+    plain = not classify and cfg.series_kind == "horospherical"
+    if not plain:
+        _double_only(cfg, "classify runs" if classify else "the reduced series")
+    _require(cfg.kernel is None or cfg.precision == "double", "extended precision sums "
+             "the whole group; this group's series is restricted to a kernel")
+    return horospherical_partial(cfg.group, cfg.target, cfg.exponent, cfg.depth,
+                                 budget=cfg.budget, tail=cfg.certificate,
+                                 precision=cfg.precision,
+                                 kernel=cfg.kernel if plain else cfg.subgroup)
 
 
 def _build_measure(cfg: RunConfig) -> AtomicMeasure:
@@ -305,8 +310,7 @@ def _build_measure(cfg: RunConfig) -> AtomicMeasure:
                              budget=cfg.budget)
     if cfg.target is None:
         raise ConfigError("measure runs need a 'target' (ending) or 'point' (orbit)")
-    kernel = cfg.kernel if cfg.stabilizer is None else cfg.stabilizer.quotient_for(cfg.group)
-    return ending_measure(cfg.group, cfg.target, cfg.exponent, cfg.depth, kernel=kernel,
+    return ending_measure(cfg.group, cfg.target, cfg.exponent, cfg.depth, kernel=cfg.subgroup,
                           budget=cfg.budget, tail=cfg.certificate)
 
 
@@ -341,13 +345,7 @@ def cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
-    if cfg.target is None:
-        raise ConfigError("classify runs need a 'target'")
-    _double_only(cfg, "classify runs")
-    # a kernel-restricted group is classified on its kernel series, any
-    # other on the series over its stabilizer's coset transversal
-    series = _run_series(cfg if cfg.kernel is not None
-                         else replace(cfg, series_kind="reduced"))
+    series = _run_series(cfg, classify=True)
     verdict = classify_atomicity(cfg.group, cfg.target, cfg.stabilizer, series)
     payload = {
         "conclusion": verdict.conclusion,
@@ -440,9 +438,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
     except KleinianError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,9 +19,9 @@ import numpy as np
 from .errors import TargetNotInDomainClosure
 from .group import (BLOCK_WORDS, DeclaredStabilizer, LevelSums, QuotientSpec,
                     SchottkyGroup, Walk, WordBatch, level_count, walk)
-from .mobius import (apply_boundary_raw, apply_halfspace_raw, apply_interior_raw,
-                     ball_to_halfspace, boundary_derivative_raw, conorm_raw,
-                     halfspace_to_ball)
+from .mobius import (_sq, apply_boundary_raw, apply_halfspace_raw, apply_interior_raw,
+                     ball_to_halfspace, boundary_derivative_raw, halfspace_to_ball,
+                     interior_images_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
 from .series import (SeriesResult, TailCertificate, boundary_power, finish_series, fixes,
                      unit_derivative)
@@ -302,7 +302,7 @@ class EndingMeasures:
                 value = boundary_power(mats, pc, s)
                 place = apply_boundary_raw(mats, pc)
             else:
-                z, t, value = _orbit_images(mats, pc)
+                z, t, value = interior_images_raw(mats, pc)
                 value **= s   # in place, as boundary_power
                 place = halfspace_to_ball(z, t)
             blocks.add(length, value)
@@ -335,13 +335,6 @@ class EndingMeasures:
                                      self.group.dim, "ending" if boundary else "orbit",
                                      self.s, done.depth, series=series, meta=meta))
         return tuple(out)
-
-
-def _orbit_images(mats: np.ndarray, point3: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Half-space coordinates (z, t) of w(p) for the matrices w at the ball
-    point p, and the raw derivatives j(w, p), from the one image."""
-    z, t = apply_halfspace_raw(mats, *ball_to_halfspace(point3))
-    return z, t, conorm_raw(z, t) / (1.0 - float(np.dot(point3, point3)))
 
 
 def _check_target(group: SchottkyGroup, zeta: BoundaryPoint,
@@ -510,7 +503,8 @@ def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
                 shell.jraw[part] = boundary_derivative_raw(batch.mats, stored)
                 shell.points[part] = apply_boundary_raw(batch.mats, stored)
             else:
-                shell.z[part], shell.t[part], shell.jraw[part] = _orbit_images(batch.mats, point3)
+                images = interior_images_raw(batch.mats, point3)
+                shell.z[part], shell.t[part], shell.jraw[part] = images
             reached = part.stop
 
     walk(group, depth, budget, consumers=[record])
@@ -608,8 +602,8 @@ def _stretch(g, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """
     z2, t2 = apply_halfspace_raw(g.matrix, z, t)
     c, d = g.matrix[1, 0], g.matrix[1, 1]
-    stretch = np.abs(c * z + d) ** 2 + np.abs(c) ** 2 * t ** 2
-    return (np.abs(z) ** 2 + (t + 1.0) ** 2) / (stretch * (np.abs(z2) ** 2 + (t2 + 1.0) ** 2))
+    stretch = _sq(np.abs(c * z + d)) + _sq(np.abs(c)) * _sq(t)
+    return (_sq(np.abs(z)) + _sq(t + 1.0)) / (stretch * (_sq(np.abs(z2)) + _sq(t2 + 1.0)))
 
 
 # --- atomicity ------------------------------------------------------------------

@@ -41,6 +41,11 @@ POLE = np.array([1.0, 0.0, 0.0])
 
 # --- raw matrix/coordinate kernels (broadcast over leading axes) -----------
 
+def _sq(x):
+    """x * x: rounds alike on arrays and scalars, where numpy's ``x ** 2`` calls libm pow."""
+    return x * x
+
+
 def _canonical_sign(m: np.ndarray) -> np.ndarray:
     """Fix the overall sign by the first entry of sizeable relative magnitude."""
     scale = float(np.max(np.abs(m)))
@@ -115,10 +120,10 @@ def sphere_to_proj(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def proj_to_sphere(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    n = np.abs(p) ** 2 + np.abs(q) ** 2
+    n = _sq(np.abs(p)) + _sq(np.abs(q))
     w = 2.0 * p * np.conj(q) / n
     out = np.empty(np.broadcast(p, q).shape + (3,), dtype=float)
-    out[..., 0] = (np.abs(p) ** 2 - np.abs(q) ** 2) / n
+    out[..., 0] = (_sq(np.abs(p)) - _sq(np.abs(q))) / n
     out[..., 1] = w.real
     out[..., 2] = w.imag
     return out
@@ -184,9 +189,9 @@ def ball_to_halfspace(points: np.ndarray,
 
 
 def halfspace_to_ball(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    d = np.abs(z) ** 2 + (t + 1.0) ** 2
+    d = _sq(np.abs(z)) + _sq(t + 1.0)
     out = np.empty(np.broadcast(z, t).shape + (3,), dtype=float)
-    out[..., 0] = (np.abs(z) ** 2 + t ** 2 - 1.0) / d
+    out[..., 0] = (_sq(np.abs(z)) + _sq(t) - 1.0) / d
     out[..., 1] = 2.0 * z.real / d
     out[..., 2] = 2.0 * z.imag / d
     return out
@@ -195,7 +200,7 @@ def halfspace_to_ball(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 def conorm_raw(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """1 - |x|^2 of the ball point x at half-space coordinates (z, t), by the
     exact identity 4t / (|z|^2 + (t + 1)^2): no cancellation near the sphere."""
-    return 4.0 * t / (np.abs(z) ** 2 + (t + 1.0) ** 2)
+    return 4.0 * t / (_sq(np.abs(z)) + _sq(t + 1.0))
 
 
 def apply_halfspace_raw(mats: np.ndarray, z: np.ndarray,
@@ -203,8 +208,8 @@ def apply_halfspace_raw(mats: np.ndarray, z: np.ndarray,
     a, b = mats[..., 0, 0], mats[..., 0, 1]
     c, d = mats[..., 1, 0], mats[..., 1, 1]
     cz_d = c * z + d
-    denom = np.abs(cz_d) ** 2 + np.abs(c) ** 2 * t ** 2
-    z2 = ((a * z + b) * np.conj(cz_d) + a * np.conj(c) * t ** 2) / denom
+    denom = _sq(np.abs(cz_d)) + _sq(np.abs(c)) * _sq(t)
+    z2 = ((a * z + b) * np.conj(cz_d) + a * np.conj(c) * _sq(t)) / denom
     return z2, t / denom
 
 
@@ -223,7 +228,7 @@ def origin_images_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     a, b = mats[..., 0, 0], mats[..., 0, 1]
     c, d = mats[..., 1, 0], mats[..., 1, 1]
-    denom = np.abs(c) ** 2 + np.abs(d) ** 2
+    denom = _sq(np.abs(c)) + _sq(np.abs(d))
     t = 1.0 / denom
     # times the reciprocal: complex division by a real does exactly this, so
     # real (dimension-1) and complex matrices give the same bits
@@ -234,7 +239,7 @@ def origin_images_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def inverse_origin_images_raw(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b = mats[..., 0, 0], mats[..., 0, 1]
     c, d = mats[..., 1, 0], mats[..., 1, 1]
-    denom = np.abs(a) ** 2 + np.abs(c) ** 2
+    denom = _sq(np.abs(a)) + _sq(np.abs(c))
     t = 1.0 / denom
     z = (-b * np.conj(a) - d * np.conj(c)) * t   # as in origin_images_raw
     return halfspace_to_ball(z, t), conorm_raw(z, t)
@@ -254,9 +259,8 @@ def boundary_derivative_raw(mats: np.ndarray, zeta: np.ndarray) -> np.ndarray:
 
     Real matrices (the walks of dimension-1 groups) take a float64 branch
     on the four entry arrays that gives the bits of the complex formulas on
-    the same matrices stored complex (as a stack: numpy squares a lone
-    matrix's 0-d |a| by pow, which can round otherwise), and also reads
-    points as stored, (..., 2).  With z = -(b a + d c) t, t = 1 / (a^2 + c^2) and D = z^2 +
+    the same matrices stored complex, and also reads points as stored,
+    (..., 2).  With z = -(b a + d c) t, t = 1 / (a^2 + c^2) and D = z^2 +
     (t + 1)^2, g^{-1}(0) is ((z^2 + t^2 - 1) / D, 2 z / D, 0) with co-norm
     4 t / D, and the squared distance is summed as einsum sums it, (d0^2 +
     d2^2) + d1^2; (..., 2) points skip d2^2, as adding +0 changes no sum.
@@ -296,11 +300,16 @@ def boundary_derivative_raw(mats: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     return t
 
 
+def interior_images_raw(mats: np.ndarray, point3: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Half-space coordinates (z, t) of g(p) for the matrices g (..., 2, 2) at
+    the ball point p, and j(g, p) = (1 - |g(p)|^2) / (1 - |p|^2), from the one image."""
+    z, t = apply_halfspace_raw(mats, *ball_to_halfspace(point3))
+    return z, t, conorm_raw(z, t) / (1.0 - float(np.dot(point3, point3)))
+
+
 def interior_derivative_raw(mats: np.ndarray, z: np.ndarray) -> np.ndarray:
     """j(g, z) = (1 - |g(z)|^2) / (1 - |z|^2), vectorized over matrices."""
-    zc, t = ball_to_halfspace(z)
-    z2, t2 = apply_halfspace_raw(mats, np.asarray(zc), np.asarray(t))
-    return conorm_raw(z2, t2) / (1.0 - float(np.dot(z, z)))
+    return interior_images_raw(mats, z)[2]
 
 
 # --- rotations --------------------------------------------------------------

@@ -332,26 +332,62 @@ def test_extended_precision_verdict_is_the_double_verdict(tmp_path, config, dept
 def test_extended_precision_refuses_a_budget(tmp_path, capsys):
     doc = json.loads((CONFIGS / "example1.json").read_text())
     doc.update(budget=50, precision="extended")
-    argv = ["series", "--config", write_config(tmp_path, doc), "--depth", "3",
-            "--out", str(tmp_path / "o")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "budget" in err
-    assert not (tmp_path / "o").exists()
+    for command in ("series", "measure", "classify", "render"):
+        argv = [command, "--config", write_config(tmp_path, doc), "--depth", "3",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "budget" in err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["series", "measure", "classify", "render"])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_extended_precision_is_refused_where_it_would_be_ignored(tmp_path, capsys,
                                                                 command, via):
-    # example3 sums its reduced series; measures and verdicts sum in double
-    doc = json.loads((CONFIGS / "example3.json").read_text())
-    doc.update(depth=4, precision="extended" if via == "config" else "double")
-    argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
-    assert main(argv + (["--precision", "extended"] if via == "flag" else [])) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "precision" in err
-    assert not (tmp_path / "o").exists()
+    # example3 sums its reduced series and example2 its kernel series; measures
+    # and verdicts sum in double
+    for config in ("example3.json", "example2.json"):
+        doc = json.loads((CONFIGS / config).read_text())
+        doc.update(depth=4, precision="extended" if via == "config" else "double")
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert main(argv + (["--precision", "extended"] if via == "flag" else [])) == 2, config
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "precision" in err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    dict(json.loads((CONFIGS / "example3.json").read_text()), depth=5),
+    dict(PARABOLIC, series="reduced"),
+    dict(json.loads((CONFIGS / "example2.json").read_text()), depth=4),
+], ids=["example3", "schottky-stabilizer", "example2-kernel"])
+def test_series_measure_and_classify_sum_one_subgroup(tmp_path, doc):
+    """The reduced series (the kernel series on example2), the ending measure
+    and the verdict report one series: the stabilizer's coset transversal, or
+    the kernel, summed by the library directly."""
+    import argparse
+
+    from kleinian.cli import load_config
+    from kleinian.series import horospherical_partial, reduced_horospherical_partial
+
+    path = write_config(tmp_path, doc)
+    cfg = load_config(path, argparse.Namespace(exponent=None, depth=None, threads=None,
+                                               precision=None))
+    if cfg.kernel is not None:
+        expected = horospherical_partial(cfg.group, cfg.target, cfg.exponent, cfg.depth,
+                                         tail=cfg.certificate, kernel=cfg.kernel)
+    else:
+        assert cfg.stabilizer.labels
+        expected = reduced_horospherical_partial(cfg.group, cfg.target, cfg.exponent,
+                                                 cfg.depth, stab=cfg.stabilizer,
+                                                 tail=cfg.certificate)
+    expected = json.loads(json.dumps(expected.summary()))
+    for command in ("series", "measure", "classify"):
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        result = json.loads((out / f"{command}.json").read_text())["result"]
+        assert (result if command == "series" else result["series"]) == expected, command
 
 
 class TestMeasureCommand:

@@ -31,6 +31,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SchottkyGroup.free_product(std_group, std_group_2d)
 
+    def test_dimension_3_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            SchottkyGroup(3, [])
+
     def test_unknown_generator_label(self, std_group):
         with pytest.raises(KeyError, match="'z'"):
             std_group.generator("z")

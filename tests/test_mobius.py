@@ -50,6 +50,20 @@ class TestGroupLaw:
             std_group.generators[0].transform.compose(
                 std_group_2d.generators[0].transform)
 
+    @pytest.mark.parametrize("matrix, dim, named", [
+        (np.eye(3), 1, "2x2"),
+        (np.array([[1.0, 2.0], [2.0, 4.0]]), 1, "singular"),
+        (np.eye(2), 3, "dimension"),
+        (np.array([[1.0, 1j], [0.0, 1.0]]), 1, "real matrix"),
+    ], ids=["3x3", "singular", "dim3", "complex-dim1"])
+    def test_bad_matrices_are_rejected(self, matrix, dim, named):
+        with pytest.raises(ValueError, match=named):
+            Transform(matrix, dim)
+
+    def test_point_of_another_dimension_is_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            Transform.identity(1).apply_boundary(BoundaryPoint([0.0, 0.0, 1.0]))
+
     def test_composition_acts_by_double_application(self, std_group, std_group_2d, rng):
         for group in (std_group, std_group_2d):
             words = random_reduced_words(rng, group, 40, 4)
@@ -654,9 +668,7 @@ def test_real_kernels_read_stored_points_to_the_complex_bits(data, zeros):
     pairs = [(mats, point, wide_point) for point, wide_point in zip(points, wide)]
     pairs += [(mat, points, wide) for mat in mats]   # one word at many points
     for mat, point, wide_point in pairs:
-        # a lone matrix goes complex as a stack of one: on 0-d entries numpy
-        # squares |a| by libm pow, which can round a^2 other than a * a does
-        stored_complex = mat.astype(complex).reshape(-1, 2, 2)
+        stored_complex = mat.astype(complex)   # a lone matrix or a stack, as it came
         image = apply_boundary_raw(mat, point)
         assert image.shape[-1] == 2 and image.dtype == np.float64
         for other in (apply_boundary_raw(mat, wide_point),

@@ -25,6 +25,16 @@ class TestPoints:
             InteriorPoint([1.0 - 1e-15, 0.0])
         InteriorPoint([1.0 - 1e-13, 0.0])  # just inside the cutoff
 
+    def test_boundary_rejects_four_coordinates(self):
+        with pytest.raises(ValueError, match="2 or 3"):
+            BoundaryPoint([1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("coords, conorm, named", [([0.5, 0.0], 0.0, "positive"),
+                                                       ([2.0, 0.0], 0.5, "closed ball")])
+    def test_interior_rejects_a_bad_exact_conorm(self, coords, conorm, named):
+        with pytest.raises(ValueError, match=named):
+            InteriorPoint(coords, conorm=conorm)
+
     def test_radial_constructor(self):
         z = InteriorPoint.radial(BoundaryPoint.from_angle(0.7), 0.5)
         assert z.norm() == pytest.approx(0.5)

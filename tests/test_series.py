@@ -62,6 +62,13 @@ class TestPoincarePartial:
         for a, b in zip(double.level_sums, oracle.level_sums):
             assert a == pytest.approx(b, rel=1e-9)
 
+    def test_extended_precision_is_capped(self):
+        from kleinian.examples import Example1Config, example1_group
+
+        example1, _ = example1_group(Example1Config())
+        with pytest.raises(ValueError, match="oracle-scale"):
+            poincare_partial(example1, InteriorPoint.origin(1), 0.5, 8, precision="extended")
+
     def test_budget_flagged_not_hidden(self, group):
         r = poincare_partial(group, InteriorPoint.origin(1), 1.0, 6, budget=30)
         assert r.budget_exhausted
