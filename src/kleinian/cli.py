@@ -101,7 +101,9 @@ def _point_from(doc, dim: int, what: str, extra: tuple[str, ...] = ()) -> Bounda
         _require(dim == 1, f"{what}: angles only make sense on S^1")
         angle = _number(doc["angle"], f"{what}.angle")
         return _built(f"{what}.angle", BoundaryPoint.from_angle, angle)
-    return _built(f"{what}.coords", BoundaryPoint, doc["coords"])
+    point = _built(f"{what}.coords", BoundaryPoint, doc["coords"])
+    _require(point.dim == dim, f"{what}.coords needs {dim + 1} coordinates (group.dim {dim})")
+    return point
 
 
 def _disc_from(doc, dim: int, what: str, extra: tuple[str, ...] = ()) -> Disc:
@@ -214,6 +216,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
         _require(isinstance(pdoc, dict) and set(pdoc) == {"coords"},
                  "point must be {'coords': [...]}")
         point = _built("point.coords", InteriorPoint, pdoc["coords"])
+        _require(point.dim == group.dim,
+                 f"point.coords needs {group.dim + 1} coordinates (group.dim {group.dim})")
     if "stabilizer" in raw:
         _require(kernel is None, "stabilizer cannot be declared for this group: every "
                  "command sums over its kernel, not over a coset transversal")

@@ -286,9 +286,11 @@ class EndingMeasures:
                  tail: TailCertificate | None = None, orbit_points=()):
         if orbit_points and (kernel is not None or tail is not None):
             raise ValueError("orbit measures sum the whole group without a tail")
+        self._targets, self.points = len(targets), [*targets, *orbit_points]
+        if any(point.dim != group.dim for point in self.points):
+            raise ValueError(f"the points of the group's ball need {group.dim + 1} coordinates")
         self._notes = [_check_target(group, zeta, kernel) for zeta in targets]
         self.group, self.s, self.tail, self.spec = group, s, tail, kernel
-        self._targets, self.points = len(targets), [*targets, *orbit_points]
         self.blocks = [LevelSums() for _ in self.points]
         self._embedded = [embed3(point.coords) for point in self.points]
         self._atoms = [_AtomStream(group.dim + 1) for _ in self.points]
@@ -364,33 +366,30 @@ def _sphere_grid(cells: int) -> tuple[int, int]:
     return lon_cells, cells // lon_cells
 
 
-def _cell_index(directions: np.ndarray, dim: int, cells: int) -> np.ndarray:
+def _cell_index(points: np.ndarray, dim: int, cells: int) -> np.ndarray:
     """Deterministic partition of the boundary into arcs (S^1) or a
     longitude/latitude grid (S^2, :func:`_sphere_grid`), rotated by an
-    irrational offset so that atom images do not straddle cell edges."""
+    irrational offset so that atom images do not straddle cell edges.
+    A point is binned by its direction: ``arctan2`` reads the angles off
+    its coordinates, the S^2 latitude as pi/2 - arctan2(x, hypot(y, z)),
+    which puts the origin at latitude pi/2."""
     if dim == 1:
-        ang = np.arctan2(directions[:, 1], directions[:, 0])
+        ang = np.arctan2(points[:, 1], points[:, 0])
         frac = (ang / (2.0 * math.pi) + PARTITION_OFFSET) % 1.0
         return np.minimum((frac * cells).astype(np.int64), cells - 1)
     lon_cells, lat_cells = _sphere_grid(cells)
-    lon = np.arctan2(directions[:, 2], directions[:, 1])
-    lat = np.arccos(np.clip(directions[:, 0], -1.0, 1.0))
+    lon = np.arctan2(points[:, 2], points[:, 1])
+    lat = 0.5 * math.pi - np.arctan2(points[:, 0], np.hypot(points[:, 1], points[:, 2]))
     lon_frac = (lon / (2.0 * math.pi) + PARTITION_OFFSET) % 1.0
     i = np.minimum((lon_frac * lon_cells).astype(np.int64), lon_cells - 1)
     j = np.minimum((lat / math.pi * lat_cells).astype(np.int64), lat_cells - 1)
     return i * lat_cells + j
 
 
-def _cells_of(points: np.ndarray, dim: int, cells: int) -> np.ndarray:
-    """The cell of the direction of each ambient point, (n, dim + 1) or (n, 3)."""
-    norms = np.linalg.norm(points, axis=1)
-    return _cell_index(points / np.where(norms > 0, norms, 1.0)[:, None], dim, cells)
-
-
 def _cell_masses(points: np.ndarray, weights: np.ndarray, dim: int,
                  cells: int) -> np.ndarray:
     out = np.zeros(cells)
-    np.add.at(out, _cells_of(embed3(points), dim, cells), weights)
+    np.add.at(out, _cell_index(points, dim, cells), weights)
     return out
 
 
@@ -416,10 +415,10 @@ def conformality_residual(mu: AtomicMeasure, g, s: float,
     if mu.dim == 2:
         _sphere_grid(cells)   # refused even when there is no shell to bin
     enum = mu.meta.get("enumeration")
-    letters = (_letters_of(enum["group"], g)
-               if enum is not None and enum.get("kernel") is None else (-2, -2))
-    residual = (_conformality_residual_paired(mu, g, s, cells, enum, letters)
-                if letters[0] >= 0 else _conformality_residual_direct(mu, g, s, cells))
+    letter = (_letter_of(enum["group"], g)
+              if enum is not None and enum.get("kernel") is None else None)
+    residual = (_conformality_residual_direct(mu, g, s, cells) if letter is None
+                else _conformality_residual_paired(mu, g, s, cells, enum, letter))
     if math.isnan(residual):
         raise FloatingPointError("the conformality residual is NaN")
     return residual
@@ -462,20 +461,14 @@ class _Shell:
     # cell count -> the cell of each v(p), in the smallest integer type; no g changes it
     cells: dict = field(default_factory=dict)
 
-    def keep(self, part: slice, letter: int) -> np.ndarray:
-        """Which words ``part`` do not start with ``letter``: those that do
-        are the rows [letter * below, (letter + 1) * below)."""
-        start, stop, _ = part.indices(self.jraw.shape[0])
-        keep = np.ones(stop - start, dtype=bool)
-        keep[max(letter * self.below - start, 0):max((letter + 1) * self.below - start, 0)] = False
-        return keep
-
-    def ball(self, part: slice) -> np.ndarray:
-        """v(p) of the words ``part``: a boundary shell's stored columns, or
-        an interior shell's (n, 3) ball coordinates."""
-        if self.z is not None:
-            return halfspace_to_ball(self.z[part], self.t[part])
-        return self.points[part]
+    def blocks(self, letter: int | None = None) -> list[slice]:
+        """``BLOCK_WORDS`` slices, in walk order, of the rows of the words that
+        do not start with ``letter``: all but [letter * below, (letter + 1) *
+        below), clipped to a cut shell; every row when ``letter`` is None."""
+        n = self.jraw.shape[0]
+        cut = (n, n) if letter is None else [min(e * self.below, n) for e in (letter, letter + 1)]
+        return [slice(lo, min(lo + BLOCK_WORDS, stop)) for start, stop in ((0, cut[0]), (cut[1], n))
+                for lo in range(start, stop, BLOCK_WORDS)]
 
 
 def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
@@ -515,7 +508,7 @@ def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
 
 
 def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
-                                  enum: dict, letters: tuple[int, int]) -> float:
+                                  enum: dict, letter: int) -> float:
     """Residual via the exact word pairing w = g v, on the depth shell.
 
     Every word v with |g v| <= L contributes j(g v, p)^s at the cell of
@@ -529,57 +522,54 @@ def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
     both of which are depth-shell terms.  With the chain rule
     j(g v, p) = j(g, v(p)) j(v, p) both come from the shell record: the
     positions v(p), moved by g^{-1} and differentiated by g, and the raw
-    j(v, p).  Every mu(g A) term is binned before every integral term, each
-    side in walk order and in blocks of ``BLOCK_WORDS`` words: ``np.add.at``
-    adds one term at a time, so the blocks add the same terms in the same
-    order as one pass over the shell would.  The first call at a cell count
-    bins the shell's v(p) block by block and keeps their cells.  In
-    dimension 1, g and g^{-1} act by their real matrices, as in the walks,
-    so a boundary shell is read as stored and never leaves float64.
+    j(v, p).  The words of one first letter are one range of the walk
+    order, so each side reads the other rows by :meth:`_Shell.blocks`.
+    Every mu(g A) term is added before every integral term, each side in
+    walk order: ``np.add.at`` adds one term at a time, so the blocks add the
+    terms of one pass over the shell, in its order.  The shell's v(p) are
+    binned by direction once per cell count, in their own loop, and their
+    cells kept.  In dimension 1, g and g^{-1} act by their real matrices, as
+    in the walks, so a boundary shell never leaves float64.
     """
     if mu._shell is None:
         mu._shell = _record_shell(mu, enum)
     shell = mu._shell
-    g_letter, ginv_letter = letters
     gm, ginvm = g.matrix, g.inverse().matrix
     if mu.dim == 1:
         gm, ginvm = gm.real, ginvm.real
     scale = mu.series.partial_sum
     net = np.zeros(cells)
-    n = shell.jraw.shape[0]
-    binned = cells in shell.cells   # else filled below, in the smallest type for cells - 1
-    cell_of = shell.cells[cells] if binned else np.empty(n, np.min_scalar_type(-cells))
-    parts = [slice(lo, lo + BLOCK_WORDS) for lo in range(0, n, BLOCK_WORDS)]
-    for part in parts:
+    cell_of = shell.cells.get(cells)
+    if cell_of is None:   # in the smallest type for cells - 1
+        cell_of = np.empty(shell.jraw.shape[0], np.min_scalar_type(-cells))
+        for part in shell.blocks():
+            v = (shell.points[part] if shell.z is None
+                 else halfspace_to_ball(shell.z[part], shell.t[part]))
+            cell_of[part] = _cell_index(v, mu.dim, cells)
+        shell.cells[cells] = cell_of
+    for part in shell.blocks(letter):
         if shell.z is None:
-            pre = apply_boundary_raw(ginvm, shell.ball(part))
+            pre = apply_boundary_raw(ginvm, shell.points[part])
         else:
             pre = halfspace_to_ball(*apply_halfspace_raw(ginvm, shell.z[part], shell.t[part]))
-        keep = shell.keep(part, g_letter)
-        np.add.at(net, _cells_of(pre, mu.dim, cells)[keep], (shell.jraw[part] ** s)[keep] / scale)
-    for part in parts:
-        v = shell.ball(part) if shell.z is None or not binned else None
-        jg = (boundary_derivative_raw(gm, v) if shell.z is None
+        np.add.at(net, _cell_index(pre, mu.dim, cells), shell.jraw[part] ** s / scale)
+    for part in shell.blocks(letter ^ 1):
+        jg = (boundary_derivative_raw(gm, shell.points[part]) if shell.z is None
               else _stretch(g, shell.z[part], shell.t[part]))
-        if not binned:
-            cell_of[part] = _cells_of(v, mu.dim, cells)
-        keep = shell.keep(part, ginv_letter)
-        np.subtract.at(net, cell_of[part][keep],
-                       (jg ** s * shell.jraw[part] ** s)[keep] / scale)
-    shell.cells[cells] = cell_of
+        np.subtract.at(net, cell_of[part], jg ** s * shell.jraw[part] ** s / scale)
     return float(np.max(np.abs(net)))
 
 
-def _letters_of(group: SchottkyGroup, g) -> tuple[int, int]:
-    """Letter indices of a generator transform and its inverse (-2 if absent).
+def _letter_of(group: SchottkyGroup, g) -> int | None:
+    """The letter index of a generator transform, or None.
 
     Matrices are compared projectively at a relative tolerance, so a letter
     re-normalized on its way in (``group.letter_transform(e)``) is matched.
     """
     for e, letter in enumerate(group.letter_matrices):
         if _projectively_close(letter, g.matrix):
-            return e, e ^ 1
-    return -2, -2
+            return e
+    return None
 
 
 def _projectively_close(a: np.ndarray, b: np.ndarray) -> bool:

@@ -526,6 +526,30 @@ def test_runs_without_a_target_exit_2(tmp_path, capsys, command, doc, named):
     assert not (tmp_path / "o").exists()
 
 
+def _three_coordinate_centre(doc: dict) -> None:
+    doc["group"]["pairs"][0]["plus"] = {"coords": [0.309, 0.951, 0.0], "radius": 0.1743}
+
+
+@pytest.mark.parametrize("command", ["series", "measure", "classify", "render"])
+@pytest.mark.parametrize("doc, named", [
+    (dict(TWO_GEN, target={"coords": [0.0, 0.6, 0.8]}), "target.coords"),
+    (_two_gen_with(_three_coordinate_centre), "group.pairs[0].plus.coords"),
+    (_two_gen_with(lambda doc: doc["group"].update(parabolics=[
+        {"coords": [-1.0, 0.0, 0.0], "radius": 0.2}])), "group.parabolics[0].coords"),
+    (dict(TWO_GEN, point={"coords": [0.0, 0.3, 0.4]}), "point.coords"),
+    (dict(CAP_TWO_GEN, target={"coords": [-1.0, 0.0]}), "target.coords"),
+], ids=["dim-1 target", "dim-1 disc centre", "dim-1 parabolic disc", "dim-1 point",
+        "dim-2 target"])
+def test_coordinates_must_match_the_group_dimension(tmp_path, capsys, command, doc, named):
+    """Every point of a config has group.dim + 1 coordinates: a mismatch is
+    a config error naming the key, never a dropped coordinate or a crash."""
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{named} needs" in err
+    assert not (tmp_path / "o").exists()
+
+
 class TestRenderCommand:
     def test_single_atom_single_bin(self, tmp_path):
         cfg = write_config(tmp_path, TRIVIAL)

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kleinian.errors import BudgetExceeded, DiscsOverlap, TargetNotInDomainClosure
-from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
+from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, Generator, QuotientSpec,
                             QuotientTracker, SchottkyGroup, Walk, ending_sequence,
                             enumerate_words, iter_word_batches,
                             kernel_enumerate, level_count, walk, word_at)
-from kleinian.mobius import image_disc
+from kleinian.mobius import image_disc, parabolic_fixing
 from kleinian.model import BoundaryPoint
 from kleinian.series import reduced_horospherical_partial
 
@@ -26,6 +26,26 @@ class TestConstruction:
         with pytest.raises(DiscsOverlap, match="overlap"):
             SchottkyGroup.from_disc_pairs(
                 1, [(arc(72, 10), arc(216, 10)), (arc(75, 10), arc(288, 10))])
+
+    def test_a_generator_missing_its_target_fails_ping_pong(self):
+        """Give b's transform a target disc of its own choosing: every disc is
+        disjoint, but b maps the other discs into its true target, not this one."""
+        a_plus, a_minus, b_plus, b_minus = arc(72, 10), arc(216, 10), arc(144, 10), arc(288, 10)
+        a = SchottkyGroup.from_disc_pairs(1, [(a_plus, a_minus)]).generators[0]
+        b = SchottkyGroup.from_disc_pairs(1, [(b_plus, b_minus)]).generators[0]
+        stray = Generator("b", b.transform, b_plus, arc(0, 10))
+        SchottkyGroup(1, [a, b])
+        with pytest.raises(DiscsOverlap, match="ping-pong failure: b "):
+            SchottkyGroup(1, [a, stray])
+
+    def test_a_parabolic_power_leaking_out_of_its_disc_is_rejected(self):
+        """A parabolic built for one disc but declared on a smaller one maps
+        the smaller disc's exterior only into the larger."""
+        disc, smaller = arc(180, 20), arc(180, 5)
+        p = parabolic_fixing(disc, 2.5)
+        SchottkyGroup(1, [Generator("p", p, disc, disc, "parabolic")])
+        with pytest.raises(DiscsOverlap, match="parabolic generator p: some power leaks"):
+            SchottkyGroup(1, [Generator("p", p, smaller, smaller, "parabolic")])
 
     def test_free_product_requires_same_dim(self, std_group, std_group_2d):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import kleinian.group
@@ -14,11 +14,11 @@ from kleinian.examples import Example1Config, example1_group
 from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
                             SchottkyGroup, ending_sequence, enumerate_words, level_count,
                             walk)
-from kleinian.measure import (DEFAULT_CELLS, MERGE_TOL, AtomicMeasure, EndingMeasures,
-                              _AtomStream, _cell_index, _cell_masses, _cells_of, _letters_of,
-                              _merge_atoms, classify_atomicity, conformality_residual,
-                              ending_measure, orbit_measure, singularity_diagnostic,
-                              support_gap, weak_distance)
+from kleinian.measure import (DEFAULT_CELLS, MERGE_TOL, PARTITION_OFFSET, AtomicMeasure,
+                              EndingMeasures, _AtomStream, _cell_index, _cell_masses,
+                              _letter_of, _merge_atoms, _sphere_grid, classify_atomicity,
+                              conformality_residual, ending_measure, orbit_measure,
+                              singularity_diagnostic, support_gap, weak_distance)
 from kleinian.mobius import (apply_boundary_raw, apply_interior_raw,
                              boundary_derivative_raw, interior_derivative_raw, matmul_raw,
                              Transform)
@@ -152,6 +152,12 @@ class TestEndingMeasure:
             EndingMeasures(group, [DOMAIN_POINT], 1.0,
                            orbit_points=[InteriorPoint([0.1, 0.2])], **restriction)
 
+    def test_points_need_the_group_dimension(self, group):
+        with pytest.raises(ValueError, match="need 2 coordinates"):
+            EndingMeasures(group, [BoundaryPoint([0.0, 0.6, 0.8])], 1.0)
+        with pytest.raises(ValueError, match="need 2 coordinates"):
+            EndingMeasures(group, (), 1.0, orbit_points=[InteriorPoint([0.0, 0.3, 0.4])])
+
     def test_kernel_restriction_sums_kernel_words_only(self, group):
         quotient = QuotientSpec({"a": (), "b": ("b",)})
         zeta = group.generator("b").transform.classify().fixed_points[0]
@@ -213,6 +219,35 @@ class TestConformalityResidual:
                 conformality_residual(mu, std_group_2d.generators[0].transform, 1.0, cells)
 
 
+@st.composite
+def nonzero_points(draw, dim: int) -> np.ndarray:
+    """Points of norm >= 1e-3 whose nonzero coordinates are >= 1e-6 in size,
+    so that every scaled copy in the test below holds them as normal floats."""
+    magnitude = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    coords = st.tuples(magnitude, st.sampled_from([1.0, -1.0])).map(lambda pair: pair[0] * pair[1])
+    p = np.array(draw(st.lists(coords, min_size=dim + 1, max_size=dim + 1)))
+    assume(np.linalg.norm(p) >= 1e-3)
+    return p
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 64), (1, 7), (2, 64), (2, 12)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cell_index_bins_by_direction(dim, cells, data):
+    """A nonzero point lies in the cell of its direction, at any length the
+    floats hold; the origin stays in the cell of angle 0 and latitude pi/2."""
+    p = data.draw(nonzero_points(dim))
+    direction = _cell_index((p / np.linalg.norm(p))[None, :], dim, cells)
+    for scale in (1e-300, 1e-8, 1.0, 1e8):
+        assert np.array_equal(_cell_index(scale * p[None, :], dim, cells), direction)
+    if dim == 1:
+        origin = int(PARTITION_OFFSET * cells)
+    else:
+        lon_cells, lat_cells = _sphere_grid(cells)
+        origin = int(PARTITION_OFFSET * lon_cells) * lat_cells + lat_cells // 2
+    assert _cell_index(np.zeros((1, dim + 1)), dim, cells).tolist() == [origin]
+
+
 @pytest.fixture(scope="module")
 def example1():
     return example1_group(Example1Config())[0]
@@ -227,7 +262,7 @@ def test_letter_transforms_take_the_paired_path(example1, depth):
         gen = example1.generators[e // 2].transform
         own = gen if e % 2 == 0 else gen.inverse()
         g = example1.letter_transform(e)
-        assert _letters_of(example1, g) == (e, e ^ 1)
+        assert _letter_of(example1, g) == e
         residual = conformality_residual(mu, g, 0.5)
         assert residual == pytest.approx(conformality_residual(mu, own, 0.5), rel=1e-9)
         assert residual <= 2.0 * mu.shell_mass()
@@ -238,7 +273,7 @@ def test_direct_residual_on_deep_orbit_atoms(example1):
     co-norms near the sphere stay finite."""
     mu = orbit_measure(example1, InteriorPoint([0.1, -0.2]), 0.5, 7)
     g = example1.word_transform((0, 2))
-    assert _letters_of(example1, g) == (-2, -2)
+    assert _letter_of(example1, g) is None
     with np.errstate(all="raise"):
         assert math.isfinite(conformality_residual(mu, g, 0.5))
 
@@ -258,8 +293,9 @@ def _paired_reference(mu, g, s: float, cells: int = DEFAULT_CELLS) -> float:
     group = enum["group"]
     point3 = embed3(np.asarray(enum["point"]))
     boundary = enum["kind"] == "boundary"
-    g_letter, ginv_letter = _letters_of(group, g)
-    assert g_letter >= 0
+    g_letter = _letter_of(group, g)
+    assert g_letter is not None
+    ginv_letter = g_letter ^ 1
     g_mat, ginv_mat = (t.matrix.real if group.dim == 1 else t.matrix
                        for t in (g, g.inverse()))
     scale = mu.series.partial_sum
@@ -362,7 +398,7 @@ def test_shell_keeps_one_small_cell_array_per_count(group):
     assert {cells: binned.dtype for cells, binned in shell.cells.items()} == {
         16: np.int8, 64: np.int8, 1000: np.int16}
     for cells, binned in shell.cells.items():
-        assert np.array_equal(binned, _cells_of(embed3(shell.points), group.dim, cells))
+        assert np.array_equal(binned, _cell_index(shell.points, group.dim, cells))
         assert conformality_residual(mu, g, 0.8, cells) == first[cells]
 
 

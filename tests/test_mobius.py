@@ -45,6 +45,10 @@ class TestGroupLaw:
             prod = gen.transform.compose(gen.transform.inverse())
             assert prod.is_identity()
 
+    def test_repr_names_the_dimension_and_matrix(self):
+        assert repr(Transform.identity(2)) == (
+            "Transform(dim=2, matrix=[[1.+0.j 0.+0.j]\n [0.+0.j 1.+0.j]])")
+
     def test_dimension_mismatch(self, std_group, std_group_2d):
         with pytest.raises(ValueError):
             std_group.generators[0].transform.compose(

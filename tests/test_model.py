@@ -47,6 +47,17 @@ class TestPoints:
             p.coords[0] = 2.0
         assert p == BoundaryPoint([1.0, 0.0])
 
+    def test_equal_points_hash_alike(self):
+        """Points are keys by value: equal coordinates, one key; a boundary
+        and an interior point never equal each other."""
+        b = BoundaryPoint([2.0, 0.0])
+        assert {b: 1, BoundaryPoint([1.0, 0.0]): 2} == {BoundaryPoint([1.0, 0.0]): 2}
+        z = InteriorPoint([0.1, 0.2])
+        assert {z: 1, InteriorPoint([0.1, 0.2]): 2} == {InteriorPoint([0.1, 0.2]): 2}
+        near = InteriorPoint([1.0, 0.0], conorm=1e-3)
+        assert near != b and b != near
+        assert z != InteriorPoint([0.1, 0.2, 0.0])
+
 
 class TestPoissonKernel:
     def test_origin_gives_one(self, rng):
