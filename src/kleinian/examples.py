@@ -29,7 +29,7 @@ from .limits import DEFAULT_C_GRID, horoball_scanner, jorgensen_test
 from .measure import (TOP_K_ATOMS, AtomicMeasure, AtomicityVerdict, EndingMeasures,
                       _nearest_distances, classify_atomicity, singularity_diagnostic,
                       support_gap, weak_distance)
-from .mobius import Transform
+from .mobius import boundary_derivative_raw
 from .model import BoundaryPoint, Disc, embed3
 from .series import (DeltaEstimate, SeparationSchedule, SeriesResult, boundary_values,
                      branch_contraction, estimate_delta, example1_tail, finish_series,
@@ -366,17 +366,13 @@ def example3_group() -> tuple[SchottkyGroup, BoundaryPoint]:
 
 def build_example3(cfg: Example3Config) -> Example3Result:
     group, target = example3_group()
-    pgen = group.generator("p")
+    p = group.letter_labels.index("p")
     stab = DeclaredStabilizer(("p",))
     transversal = stab.quotient_for(group)   # the retraction kernel killing a and b
     s = cfg.exponent
 
-    power_table = []
-    mat = np.eye(2, dtype=complex)
-    for k in range(1, 21):   # the derivatives of p, ..., p^20 at the target
-        mat = mat @ pgen.transform.matrix
-        power_table.append(Transform(mat, group.dim, _trusted_unit_det=True)
-                           .derivative_boundary(target))
+    power_table = [group.word_transform((p,) * k).derivative_boundary(target)
+                   for k in range(1, 21)]   # j(p^k, target) for k = 1, ..., 20
     max_power_defect = max(abs(v - 1.0) for v in power_table)
 
     # One walk over the transversal (the retraction kernel) gives the
@@ -392,13 +388,13 @@ def build_example3(cfg: Example3Config) -> Example3Result:
     unreduced = finish_series(done, whole, s, None, group, None, target)
     domination = dominated(done)
 
-    # the walk's coset sum at a small depth against an independent per-word
-    # recomputation of the kernel sum
+    # the walk's coset sum at a small depth against the kernel sum over the
+    # independent per-word stream, in one stacked kernel call
     identity_depth = min(cfg.identity_depth, done.depth_completed)
     coset_sum = measures.at(done.upto(identity_depth))[0].series.partial_sum
-    kernel_sum = math.fsum(
-        t.derivative_boundary(target) ** s
-        for _, t in kernel_enumerate(group, transversal, identity_depth))
+    kernel_mats = np.stack([t.matrix for _, t in kernel_enumerate(group, transversal,
+                                                                  identity_depth)])
+    kernel_sum = math.fsum(boundary_derivative_raw(kernel_mats, embed3(target.coords)) ** s)
     identity_defect = abs(coset_sum - kernel_sum)
 
     atomicity = classify_atomicity(group, target, stab, reduced)

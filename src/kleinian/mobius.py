@@ -350,9 +350,9 @@ def rotation_moving_to_pole(xi: np.ndarray, dim: int) -> np.ndarray:
 class Transform:
     """Conformal automorphism of the closed ball in dimension ``dim``.
 
-    Immutable.  The ball images of the origin under the map and its inverse,
-    which feed the conformal-derivative formulas, are computed on demand,
-    with co-norms 1 - |.|^2 in the cancellation-free 4t/D form.
+    Immutable.  Every query runs the batch kernels on the stack of one,
+    ``matrix[None]``, so a transform rounds as a walk does on its matrix:
+    numpy's scalar complex arithmetic is not its array loop.
     """
 
     matrix: np.ndarray
@@ -385,14 +385,14 @@ class Transform:
     @property
     def origin_image(self) -> InteriorPoint:
         """g(0)."""
-        img, conorm = origin_images_raw(self.matrix)
-        return InteriorPoint(project_dim(img, self.dim), conorm=float(conorm))
+        img, conorm = origin_images_raw(self.matrix[None])
+        return InteriorPoint(project_dim(img[0], self.dim), conorm=float(conorm[0]))
 
     @property
     def origin_preimage(self) -> InteriorPoint:
         """g^{-1}(0)."""
-        pre, conorm = inverse_origin_images_raw(self.matrix)
-        return InteriorPoint(project_dim(pre, self.dim), conorm=float(conorm))
+        pre, conorm = inverse_origin_images_raw(self.matrix[None])
+        return InteriorPoint(project_dim(pre[0], self.dim), conorm=float(conorm[0]))
 
     def compose(self, other: "Transform") -> "Transform":
         """(self o other): apply ``other`` first."""
@@ -410,30 +410,28 @@ class Transform:
 
     def apply_boundary(self, zeta: BoundaryPoint) -> BoundaryPoint:
         self._check_point_dim(zeta.dim)
-        out = apply_boundary_raw(self.matrix, embed3(zeta.coords))
-        return BoundaryPoint(project_dim(out, self.dim))
+        out = apply_boundary_raw(self.matrix[None], embed3(zeta.coords))
+        return BoundaryPoint(project_dim(out[0], self.dim))
 
     def apply_interior(self, z: InteriorPoint) -> InteriorPoint:
         z2, t2 = self._halfspace_image(z)
-        return InteriorPoint(project_dim(halfspace_to_ball(z2, t2), self.dim),
-                             conorm=float(conorm_raw(z2, t2)))
+        return InteriorPoint(project_dim(halfspace_to_ball(z2, t2)[0], self.dim),
+                             conorm=float(conorm_raw(z2, t2)[0]))
 
     def derivative_boundary(self, zeta: BoundaryPoint) -> float:
         """Conformal stretch on the sphere: equals k(g^{-1}(0), zeta)."""
         self._check_point_dim(zeta.dim)
-        pre, conorm = inverse_origin_images_raw(self.matrix)
-        diff = embed3(zeta.coords) - pre
-        return float(conorm / np.dot(diff, diff))
+        return float(boundary_derivative_raw(self.matrix[None], embed3(zeta.coords))[0])
 
     def derivative_interior(self, z: InteriorPoint) -> float:
         """Conformal stretch in the ball: (1 - |g(z)|^2) / (1 - |z|^2)."""
-        return float(conorm_raw(*self._halfspace_image(z))) / z.conorm
+        return float(conorm_raw(*self._halfspace_image(z))[0]) / z.conorm
 
     def _halfspace_image(self, z: InteriorPoint) -> tuple[np.ndarray, np.ndarray]:
-        """Half-space coordinates of g(z), from the exact co-norm of ``z``."""
+        """Half-space coordinates of g(z) as arrays of one, from the exact co-norm of ``z``."""
         self._check_point_dim(z.dim)
         zc, t = ball_to_halfspace(embed3(z.coords), z.conorm)
-        return apply_halfspace_raw(self.matrix, np.asarray(zc), np.asarray(t))
+        return apply_halfspace_raw(self.matrix[None], zc, t)
 
     def is_identity(self) -> bool:
         return bool(np.max(np.abs(self.matrix - np.eye(2))) < IDENTITY_TOL

@@ -321,23 +321,24 @@ def test_criterion_09_kernel_measures():
 
 def test_criterion_10_cli_determinism(tmp_path):
     """All CLI outputs byte-identical across thread counts {1, 4} and across
-    two consecutive runs."""
+    two consecutive runs, on S^1 (two_generator) and on S^2 (cap_two_generator)."""
     from kleinian.cli import main
 
-    config = str(REPO / "configs" / "two_generator.json")
     digests = []
     for label, threads in (("t1", "1"), ("t4", "4"), ("t1b", "1")):
         run = {}
-        for command, files in (("series", ["series.json"]),
-                               ("measure", ["measure.json", "atoms.csv"]),
-                               ("render", ["render.json", "render.ppm",
-                                           "histogram.csv"])):
-            out = tmp_path / label / command
-            assert main([command, "--config", config, "--out", str(out),
-                         "--threads", threads]) == 0
-            for name in files:
-                run[f"{command}/{name}"] = hashlib.sha256(
-                    (out / name).read_bytes()).hexdigest()
+        for stem in ("two_generator", "cap_two_generator"):
+            config = str(REPO / "configs" / f"{stem}.json")
+            for command, files in (("series", ["series.json"]),
+                                   ("measure", ["measure.json", "atoms.csv"]),
+                                   ("render", ["render.json", "render.ppm",
+                                               "histogram.csv"])):
+                out = tmp_path / label / stem / command
+                assert main([command, "--config", config, "--out", str(out),
+                             "--threads", threads]) == 0
+                for name in files:
+                    run[f"{stem}/{command}/{name}"] = hashlib.sha256(
+                        (out / name).read_bytes()).hexdigest()
         digests.append(run)
     ok = digests[0] == digests[1] == digests[2]
     report("criterion 10 (byte-identical CLI outputs)", ok,

@@ -177,6 +177,14 @@ class TestSeriesCommand:
         err = capsys.readouterr().err
         assert "bad" in err and "overlap" in err
 
+    def test_a_span_with_no_admissible_radius_exits_2(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "example1.json").read_text())
+        doc["group"]["params"]["span"] = 5e-324
+        cfg = write_config(tmp_path, doc)
+        assert main(["series", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "pair 1: no admissible radius" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -651,8 +659,8 @@ class TestDeterminism:
 
 
 class TestCommittedConfigs:
-    @pytest.mark.parametrize("name", ["example1.json", "example2.json",
-                                      "example3.json", "trivial.json",
+    @pytest.mark.parametrize("name", ["cap_two_generator.json", "example1.json",
+                                      "example2.json", "example3.json", "trivial.json",
                                       "two_generator.json"])
     def test_configs_parse(self, name, tmp_path):
         import argparse

@@ -120,6 +120,13 @@ class TestSeparatedFamily:
         with pytest.raises(PlacementInfeasible):
             Example1Config(span=3.2)
 
+    def test_a_span_with_no_admissible_radius_is_infeasible(self):
+        """The smallest positive span passes the config's checks, but its
+        arcs' radii round to zero."""
+        cfg = Example1Config(span=5e-324)
+        with pytest.raises(PlacementInfeasible, match="pair 1: no admissible radius"):
+            place_example1_discs(cfg)
+
     def test_certificate_needs_a_target_off_the_enlarged_discs(self):
         """The certificate holds at the accumulation point, not at a target
         inside an enlarged disc, and the builder refuses such a target."""

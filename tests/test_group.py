@@ -10,11 +10,12 @@ from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, Generator, Q
                             QuotientTracker, SchottkyGroup, Walk, ending_sequence,
                             enumerate_words, iter_word_batches,
                             kernel_enumerate, level_count, walk, word_at)
-from kleinian.mobius import image_disc, parabolic_fixing
-from kleinian.model import BoundaryPoint
+from kleinian.mobius import (Transform, apply_boundary_raw, boundary_derivative_raw,
+                             image_disc, parabolic_fixing)
+from kleinian.model import BoundaryPoint, Disc, embed3
 from kleinian.series import reduced_horospherical_partial
 
-from conftest import arc, schottky_groups
+from conftest import arc, cap_groups, schottky_groups
 
 
 class TestConstruction:
@@ -330,6 +331,63 @@ def test_tracker_matches_hand_reduced_images(group, depth, size, data):
             # one key per image: equal images share it, different ones do not
             assert key_of.setdefault(image, int(keys[i])) == keys[i]
     assert len(set(key_of.values())) == len(key_of)
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=st.one_of(schottky_groups(), cap_groups()), depth=st.integers(1, 5),
+       theta=st.floats(-math.pi, math.pi), lat=st.floats(-1.5, 1.5))
+def test_a_word_has_one_value(group, depth, theta, lat):
+    """For every word w, word_transform(w) is the walk's matrix up to sign,
+    its boundary derivative is the walk's kernel's bytes on that row, and its
+    image the walk's by value (the canonical sign may negate the walk's
+    matrix, which flips the sign of a zero coordinate)."""
+    zeta = BoundaryPoint([math.cos(theta), math.sin(theta)] if group.dim == 1 else
+                         [math.cos(lat) * math.cos(theta), math.cos(lat) * math.sin(theta),
+                          math.sin(lat)])
+    point = embed3(zeta.coords)
+    for batch in iter_word_batches(group, depth):
+        derivatives = boundary_derivative_raw(batch.mats, point)
+        images = apply_boundary_raw(batch.mats, point)
+        for i, row in enumerate(batch.mats):
+            t = group.word_transform(word_at(group, batch.length, batch.offset + i))
+            assert np.array_equal(t.matrix, row) or np.array_equal(t.matrix, -row)
+            assert t.derivative_boundary(zeta).hex() == float(derivatives[i]).hex()
+            walk_image = BoundaryPoint(images[i, :group.dim + 1])
+            assert np.array_equal(t.apply_boundary(zeta).coords, walk_image.coords)
+
+
+def _thirty_powers_stay_in_disc(gen: Generator, dim: int) -> bool:
+    """The check that p and p^-1 replaced: the first 30 powers of each."""
+    ext = gen.source.complement()
+    for sign_mat in (gen.transform.matrix, gen.transform.inverse().matrix):
+        power = np.eye(2, dtype=complex)
+        for _ in range(30):
+            power = power @ sign_mat
+            if not gen.source.contains_disc(image_disc(Transform(power, dim), ext)):
+                return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(strength=st.floats(2.0, 2.6, exclude_min=True),
+       radius=st.sampled_from([0.1, 0.3, 0.6, 1.0]), shrink=st.floats(0.5, 1.0),
+       dim=st.sampled_from([1, 2]))
+def test_p_and_its_inverse_decide_every_parabolic_power(strength, radius, shrink, dim):
+    """A parabolic built for one disc, declared on a concentric one of the
+    same or a smaller radius: the group is accepted exactly when the first
+    30 powers of p and of p^-1 map the declared disc's exterior inside it."""
+    center = BoundaryPoint([-1.0, 0.0] if dim == 1 else [-0.6, 0.0, 0.8])
+    p = parabolic_fixing(Disc(center, radius), strength)
+    declared = Disc(center, radius * shrink)
+    gen = Generator("p", p, declared, declared, "parabolic")
+    try:
+        SchottkyGroup(dim, [gen])
+    except DiscsOverlap as exc:
+        assert "parabolic generator p: some power leaks" in str(exc)
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == _thirty_powers_stay_in_disc(gen, dim)
 
 
 def _reduce(letters):
