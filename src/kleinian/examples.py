@@ -392,8 +392,8 @@ def build_example3(cfg: Example3Config) -> Example3Result:
     # independent per-word stream, in one stacked kernel call
     identity_depth = min(cfg.identity_depth, done.depth_completed)
     coset_sum = measures.at(done.upto(identity_depth))[0].series.partial_sum
-    kernel_mats = np.stack([t.matrix for _, t in kernel_enumerate(group, transversal,
-                                                                  identity_depth)])
+    words = kernel_enumerate(group, transversal, identity_depth)
+    kernel_mats = np.fromiter((t.matrix for _, t in words), np.dtype((complex, (2, 2))))
     kernel_sum = math.fsum(boundary_derivative_raw(kernel_mats, embed3(target.coords)) ** s)
     identity_defect = abs(coset_sum - kernel_sum)
 

@@ -36,6 +36,7 @@ from .mobius import Transform, image_disc, matmul_raw, pair_discs, parabolic_fix
 from .model import BoundaryPoint, Disc, InteriorPoint
 
 BLOCK_WORDS = 1 << 15         # words per batch: fits in cache
+GATHER_WORDS = 1 << 12        # successor matrices gathered per product
 
 
 # --- generators and the group -----------------------------------------------
@@ -242,13 +243,17 @@ class WordBatch:
 
 def _products(parents: np.ndarray, keys: np.ndarray, table: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
-    """The children of the parents, (2, 2, p, b): one broadcast product of
+    """The children of the parents, (2, 2, p, b): the broadcast products of
     their matrices ``parents`` (2, 2, p) with the successor matrices
-    ``table[:, :, key]`` of their last letters ``keys``."""
+    ``table[:, :, key]`` of their last letters ``keys``, gathered for at most
+    ``GATHER_WORDS`` children at a time."""
     if out is None:
         out = np.empty(parents.shape + table.shape[3:], dtype=table.dtype)
-    matmul_raw(_matrices(parents[:, :, :, None]),
-               _matrices(np.take(table, keys, axis=2)), _matrices(out))
+    step = max(1, GATHER_WORDS // table.shape[3])   # parents per product
+    for lo in range(0, keys.shape[0], step):
+        matmul_raw(_matrices(parents[:, :, lo:lo + step, None]),
+                   _matrices(np.take(table, keys[lo:lo + step], axis=2)),
+                   _matrices(out[:, :, lo:lo + step]))
     return out
 
 
@@ -279,8 +284,11 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     Level ``l`` has exactly 2k (2k-1)^(l-1) words.  A batch is the children
     of a run of max(1, size // b) parents, b the branching (2k at level 1,
     2k - 1 above): at most ``size`` words when size >= b, with their
-    matrices formed.  Levels below the top are kept whole (the next level's
-    prefix cache); the top level's words live only in their batch.  A
+    matrices formed in an array of their own.  Levels up to max_length - 2
+    are kept (the prefix cache); level max_length - 1 keeps only its last
+    letters, and on a pruned walk its words' parents and level indices, so
+    each top run re-forms its parents' matrices from theirs, by the product
+    that first formed them, into a buffer of the walk's own.  A
     complete level ends in one ``final`` batch.  Raises
     :class:`BudgetExceeded` after yielding whatever fits within the node
     budget, the run that the cut falls in truncated and not ``final``.
@@ -310,29 +318,29 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     if max_length == 0 or k2 == 0:
         return
 
-    # A level is (2, 2, n): entry (i, k) of its n matrices is contiguous.
-    # The identity's children are every letter; any other word's children
-    # are the successors of its last letter, found by ``keys``; ``index``
-    # holds the level indices of a pruned level's words.
-    prev = identity[:, :, None]
-    keys = np.zeros(1, dtype=np.int16)
-    index = np.zeros(1, dtype=np.int64)
+    # The parent level: its matrices ``prev`` as (2, 2, n), so that entry
+    # (i, k) of its n matrices is contiguous, or None at the top, whose
+    # parents are re-formed from their own, ``grand``; its last letters
+    # ``keys``, which find each word's successors in ``table`` (the identity's
+    # children are every letter); on a pruned walk its level indices ``index``.
+    prev, keys, index = identity[:, :, None], np.zeros(1, np.int16), np.zeros(1, np.int64)
     table = np.arange(k2, dtype=np.int16)[None], letter_mats.transpose(1, 2, 0)[:, :, None]
     for length in range(1, max_length + 1):
         letter_table, mat_table = table
         branching = letter_table.shape[1]
-        room, total = keys.shape[0] * branching, level_count(group, length)
+        total = level_count(group, length)
         run = max(1, size // branching)   # parents per batch
         stop = total if budget is None else min(total, budget - generated)
         reach = -(-stop // branching)   # the parents of the words before ``stop``
         if prune:
             reach = int(np.searchsorted(index, reach))
-        is_top = length == max_length
-        if not is_top:   # the prefix cache of the next level
-            level = np.empty((2, 2, room), dtype=letter_mats.dtype)
-            level_last = np.empty(room, dtype=np.int16)
-            level_index = np.empty(room if prune else 0, dtype=np.int64)
-        kept = 0
+        if prev is None:   # the top: one buffer for the parents of each run
+            up_branching = grand_table[0].shape[1]
+            parent_buffer = np.empty((2, 2, run // up_branching + 2, up_branching),
+                                     dtype=letter_mats.dtype)
+            parent_mats = parent_buffer.reshape(2, 2, -1)
+        cache = length < max_length - 1   # this level's matrices are the prefix cache
+        parts = []   # per run, what the next level reads of this one
         # one run at least when the level completes, so that it has a final batch
         for first in range(0, reach or int(stop == total), run):
             last = min(first + run, reach)
@@ -346,23 +354,31 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
             letters = letter_table[parent_keys].ravel()[:n]
             parents = np.repeat(np.arange(first, last, dtype=np.int64), branching)[:n]
             final = last == reach and stop == total
+            if prev is not None:
+                source = prev[:, :, first:last]
+            elif prune:   # the parents' matrices, by the gather product that formed them
+                source = parent_mats[:, :, :last - first]
+                matmul_raw(_matrices(grand[:, :, up[first:last]]), letter_mats[parent_keys],
+                           _matrices(source))
+            else:   # by the broadcast product of their own parents' run
+                lo, hi = first // up_branching, -(-last // up_branching)
+                _products(grand[:, :, lo:hi], grand_keys[lo:hi], grand_table[1],
+                          parent_buffer[:, :, :hi - lo])
+                source = parent_mats[:, :, first - lo * up_branching:last - lo * up_branching]
             if prune:   # key the candidates, then form the survivors only
                 image = tracker.extend(WordBatch(length, 0, letters, parents, None, final))[1]
                 alive = np.flatnonzero(tracker.reaches(length, image))
                 letters, parents, rows, image = (a[alive] for a in (letters, parents, rows, image))
-                mats = _matrices(np.empty((2, 2, alive.shape[0]), dtype=letter_mats.dtype)
-                                 if is_top else level[:, :, kept:kept + alive.shape[0]])
-                matmul_raw(_matrices(prev[:, :, parents]), letter_mats[letters], mats)
-                if not is_top:
-                    level_index[kept:kept + alive.shape[0]] = rows
-            else:   # below the top, into the prefix cache; at the top, a fresh array
-                out = None if is_top else level.reshape(2, 2, -1, branching)[:, :, first:last]
-                block = _products(prev[:, :, first:last], parent_keys, mat_table, out)
-                mats = _matrices(block.reshape(2, 2, -1)[:, :, :n])
-            if not is_top:
-                level_last[kept:kept + letters.shape[0]] = letters
-            kept += letters.shape[0]
-            mats.flags.writeable = False   # below the top, a view of the prefix cache
+                block = np.empty((2, 2, alive.shape[0]), dtype=letter_mats.dtype)
+                matmul_raw(_matrices(source[:, :, parents - first]), letter_mats[letters],
+                           _matrices(block))
+            else:
+                block = _products(source, parent_keys, mat_table).reshape(2, 2, -1)[:, :, :n]
+            if length < max_length:
+                parts.append((letters, rows, None if cache or not prune else parents,
+                              block if cache else None))
+            mats = _matrices(block)
+            mats.flags.writeable = False   # read-only: below the top the cache is joined from these
             batch = WordBatch(length, 0 if prune else first * branching, letters, parents,
                               mats, final, rows)
             if tracker is not None:
@@ -373,9 +389,13 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
                 f"node budget {budget} exhausted inside level {length}",
                 words_generated=generated + stop, depth_completed=length - 1)
         generated += total
-        if is_top:
+        if length == max_length:
             return
-        prev, keys, index = level[:, :, :kept], level_last[:kept], level_index[:kept]
+        letters, rows, parents, block = (None if joined[0] is None else np.concatenate(joined, -1)
+                                         for joined in zip(*parts))
+        if not cache:
+            grand, grand_keys, grand_table, up = prev, keys, table, parents
+        prev, keys, index = block, letters, rows
         if length == 1:
             table = _successors(letter_mats)
 
@@ -600,9 +620,11 @@ class QuotientTracker:
     the inverse of the letter's digit, and pushes (``key * B + d``) in every
     other case.  The image length is kept beside the key, so kernel
     membership (length 0) is exact.  Only parent levels are stored, one int64
-    key and one int16 length per word.  A key holds at most ``cap`` letters
-    (39 for B = 3), so a walk deeper than ``cap`` with B > 1, and generator
-    images of more than one letter, raise :class:`NotImplementedError`.
+    key and one int16 length per word (per kept word when pruning), joined
+    from their batches when the next level first reads them.  A key holds at
+    most ``cap`` letters (39 for B = 3), so a walk deeper than ``cap`` with
+    B > 1, and generator images of more than one letter, raise
+    :class:`NotImplementedError`.
 
     Pruning is exact: a letter changes the image length by at most one, so
     a word whose image is longer than the letters it has left never returns
@@ -633,9 +655,9 @@ class QuotientTracker:
         self.scale = np.where(digit > 0, self.base, 1).astype(np.int16)
         self.pop_digit = np.where(digit > 0, digit[np.arange(digit.shape[0]) ^ 1], -1)
         self.step = (digit > 0).astype(np.int16)
-        self.group, self.depth, self.prune = group, max_length, prune
-        self.keys: list[np.ndarray] = []      # per parent level, filled up to ``filled``
-        self.lengths: list[np.ndarray] = []
+        self.depth, self.prune = max_length, prune
+        self.keys: list[np.ndarray | list[np.ndarray]] = []   # per parent level
+        self.lengths: list[np.ndarray | list[np.ndarray]] = []
 
     def reaches(self, length: int, lengths: np.ndarray) -> np.ndarray:
         """Which words of ``length`` can still return to the kernel by ``depth``."""
@@ -647,6 +669,9 @@ class QuotientTracker:
             keys, lengths = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int16)
         else:
             last, level = batch.last, batch.length - 1
+            if isinstance(self.keys[level], list):   # the level's first child: join its parts
+                self.keys[level], self.lengths[level] = (np.concatenate(store[level])
+                                                         for store in (self.keys, self.lengths))
             keys = self.keys[level][batch.parent]   # a copy: the parents' keys
             top = keys % self.base
             pops = top == self.pop_digit[last]
@@ -657,14 +682,12 @@ class QuotientTracker:
             lengths = self.lengths[level][batch.parent] + self.step[last]
             lengths[pops] -= 2
         if batch.length < self.depth:   # only a parent level is ever indexed
-            if batch.length == len(self.keys):   # its first batch
-                self.filled = 0
-                for store, dtype in ((self.keys, np.int64), (self.lengths, np.int16)):
-                    store.append(np.empty(level_count(self.group, batch.length), dtype))
-            kept = self.reaches(batch.length, lengths) if self.prune else slice(None)
-            for store, values in ((self.keys, keys[kept]), (self.lengths, lengths[kept])):
-                store[batch.length][self.filled:self.filled + values.shape[0]] = values
-            self.filled += values.shape[0]
+            kept = (self.reaches(batch.length, lengths) if self.prune
+                    else np.ones_like(lengths, bool))
+            for store, values in ((self.keys, keys), (self.lengths, lengths)):
+                if batch.length == len(store):   # its first batch
+                    store.append([])
+                store[batch.length].append(values[kept])
         return keys, lengths
 
 

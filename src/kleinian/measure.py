@@ -104,14 +104,17 @@ class AtomicMeasure:
         """Columns x[,y][,z], weight, word_length; rows by descending weight.
 
         The bytes of ``csv.writer``: each field is the ``repr`` of its
-        number, which needs no quoting, and each line ends in ``\\r\\n``."""
+        number, which needs no quoting, and each line ends in ``\\r\\n``;
+        rows go out ``BLOCK_WORDS`` at a time."""
         order = np.lexsort((np.arange(self.atom_count), -self.weights))
         headers = ["x", "y", "z"][: self.dim + 1] + ["weight", "word_length"]
-        columns = [*self.points[order].T, self.weights[order], self.word_lengths[order]]
-        lines = [",".join(headers)]
-        lines += map(",".join, zip(*(map(repr, column.tolist()) for column in columns)))
         with open(path, "w", newline="") as handle:
-            handle.write("\r\n".join(lines) + "\r\n")
+            handle.write(",".join(headers) + "\r\n")
+            for lo in range(0, self.atom_count, BLOCK_WORDS):
+                rows = order[lo:lo + BLOCK_WORDS]
+                columns = [*self.points[rows].T, self.weights[rows], self.word_lengths[rows]]
+                lines = map(",".join, zip(*(map(repr, column.tolist()) for column in columns)))
+                handle.write("\r\n".join(lines) + "\r\n")
 
 
 def _snapped(points: np.ndarray) -> np.ndarray:
@@ -142,6 +145,17 @@ def _merge_atoms(points: np.ndarray, weights: np.ndarray,
     np.minimum.at(merged_l, inverse, lengths.astype(np.int64))
     order = np.argsort(first_idx, kind="stable")
     return points[first_idx[order]], merged_w[order], merged_l[order]
+
+
+def _inserted(table: np.ndarray, pos: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.insert(table, pos, values)`` for ascending ``pos``, as the head of a
+    power-of-two block, so that a growing table reuses the block it last freed."""
+    at = pos + np.arange(values.shape[0])
+    keep = np.ones(table.shape[0] + at.shape[0], dtype=bool)
+    keep[at] = False
+    out = np.empty(1 << (keep.shape[0] - 1).bit_length(), dtype=table.dtype)[:keep.shape[0]]
+    out[at], out[keep] = values, table
+    return out
 
 
 class _AtomStream:
@@ -209,8 +223,8 @@ class _AtomStream:
             new_ids = np.empty(first.shape[0], dtype=np.int64)
             new_ids[by_appearance] = self._totals.shape[0] + np.arange(first.shape[0])
             ids[order] = new_ids[np.cumsum(heads) - 1]
-            self._keys = np.insert(self._keys, pos[first], ranked[heads])
-            self._ids = np.insert(self._ids, pos[first], new_ids)
+            self._keys = _inserted(self._keys, pos[first], ranked[heads])
+            self._ids = _inserted(self._ids, pos[first], new_ids)
             self._points.append(points[starts[first[by_appearance]]])
             self._lengths.append(np.full(first.shape[0], length, dtype=np.int64))
             self._totals = np.concatenate([self._totals, np.zeros(first.shape[0])])

@@ -551,7 +551,8 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
     The derivatives j(w, 0) do not depend on s, so one walk to the deepest
     depth caches them per batch and every probe is a power sum over the
     cached batches: at depth d it sees exactly the batches, and the budget
-    cut, of a walk to d (see :meth:`~kleinian.group.Walk.upto`).
+    cut, of a walk to d (see :meth:`~kleinian.group.Walk.upto`).  An s
+    probed again (bisection can return to one) replays its records.
     """
     s_lo, s_hi = bracket
     if not s_lo < s_hi:
@@ -566,24 +567,27 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
     done = walk(group, max(depths, default=0), budget, kernel=kernel, consumers=[cache])
     walked = (done.depth_completed, done.budget_exhausted)
     trivial = trivial_subgroup(group, kernel)
+    seen: dict[float, list[ProbeRecord]] = {}   # each s's records, replayed when it recurs
 
     def run_probe(s: float) -> str:
-        label = "inconclusive"
-        blocks = LevelSums()
-        fed = 0
-        for depth in depths:
-            while fed < len(raw) and raw[fed][0] <= depth:
-                length, raw_values = raw[fed]
-                blocks.add(length, raw_values ** s)
-                fed += 1
-            probe = done.upto(depth)
-            blocks.finish(probe)
-            label, ratio = _probe_label(blocks.level_sums, trivial)
-            probes.append(ProbeRecord(s, probe.depth_completed,
-                                      tuple(blocks.level_sums), ratio, label))
-            if label != "inconclusive":
-                return label
-        return label
+        if s not in seen:
+            seen[s] = records = []
+            blocks = LevelSums()
+            fed = 0
+            for depth in depths:
+                while fed < len(raw) and raw[fed][0] <= depth:
+                    length, raw_values = raw[fed]
+                    blocks.add(length, raw_values ** s)
+                    fed += 1
+                probe = done.upto(depth)
+                blocks.finish(probe)
+                label, ratio = _probe_label(blocks.level_sums, trivial)
+                records.append(ProbeRecord(s, probe.depth_completed,
+                                           tuple(blocks.level_sums), ratio, label))
+                if label != "inconclusive":
+                    break
+        probes.extend(seen[s])
+        return seen[s][-1].label if seen[s] else "inconclusive"
 
     lo_label = run_probe(s_lo)
     if lo_label == "convergent":   # the estimate collapses to [0, s_lo]

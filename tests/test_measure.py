@@ -11,14 +11,14 @@ import kleinian.group
 import kleinian.measure
 from kleinian.errors import TargetNotInDomainClosure
 from kleinian.examples import Example1Config, example1_group
-from kleinian.group import (DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
+from kleinian.group import (BLOCK_WORDS, DeclaredStabilizer, EndingSequenceSpec, QuotientSpec,
                             SchottkyGroup, ending_sequence, enumerate_words, level_count,
                             walk)
 from kleinian.measure import (DEFAULT_CELLS, MERGE_TOL, PARTITION_OFFSET, AtomicMeasure,
                               EndingMeasures, _AtomStream, _cell_index, _cell_masses,
-                              _letter_of, _merge_atoms, _sphere_grid, classify_atomicity,
-                              conformality_residual, ending_measure, orbit_measure,
-                              singularity_diagnostic, support_gap, weak_distance)
+                              _inserted, _letter_of, _merge_atoms, _sphere_grid, _void_keys,
+                              classify_atomicity, conformality_residual, ending_measure,
+                              orbit_measure, singularity_diagnostic, support_gap, weak_distance)
 from kleinian.mobius import (apply_boundary_raw, apply_interior_raw,
                              boundary_derivative_raw, interior_derivative_raw, matmul_raw,
                              Transform)
@@ -715,6 +715,24 @@ class TestCsvExport:
             assert path.read_bytes() == expected.getvalue().encode()
 
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("count", [0, 1, BLOCK_WORDS - 1, BLOCK_WORDS + 1])
+    def test_blocked_rows_are_the_one_shot_join(self, dim, count, rng, tmp_path):
+        """Rows written ``BLOCK_WORDS`` at a time give the bytes of every row
+        joined at once, with tied weights across the block boundary."""
+        points = random_boundary_points(rng, dim, count)
+        weights = rng.choice([0.5, 0.25, 1e-300, -0.0], size=count) * rng.integers(1, 3, count)
+        lengths = rng.integers(0, 9, size=count)
+        mu = AtomicMeasure(points, weights, lengths, dim, "ending", 1.0, 8)
+        path = tmp_path / "atoms.csv"
+        mu.to_csv(path)
+        order = np.lexsort((np.arange(count), -weights))
+        columns = [*points[order].T, weights[order], lengths[order]]
+        lines = [",".join(["x", "y", "z"][: dim + 1] + ["weight", "word_length"])]
+        lines += map(",".join, zip(*(map(repr, column.tolist()) for column in columns)))
+        assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+
 class TestTopAtoms:
     @pytest.mark.parametrize("k", [-3, 0, 1, 5, 37, 38, 197, 199, 200, 250])
     def test_top_atoms_are_the_full_sorts_head(self, k, rng):
@@ -797,6 +815,22 @@ class TestAtomStream:
         stream.add(good, np.ones(3), 0)
         with pytest.raises(FloatingPointError):
             stream.add(np.concatenate([good, points]), np.ones(6), 1)
+
+    @pytest.mark.parametrize("dtype", ["complex128", "int64", "float64", "void24"])
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 1000])
+    def test_inserted_is_np_insert(self, dtype, size, rng):
+        """The atom tables grow by ``np.insert`` bit for bit, ties in the
+        positions and inserts at both ends included, in blocks whose length
+        is the next power of two."""
+        table = rng.integers(-9, 9, size=(size, 3)).astype(np.int64)
+        table = (_void_keys(table) if dtype == "void24"
+                 else table[:, 0].astype(dtype))
+        for count in (1, 2, 9):   # besides one insert at each end
+            pos = np.sort(np.concatenate([[0, size], rng.integers(0, size + 1, count)]))
+            values = table[rng.integers(0, size, pos.shape[0])]
+            got = _inserted(table, pos, values)
+            assert got.tobytes() == np.insert(table, pos, values).tobytes()
+            assert got.base.shape[0] == 1 << (got.shape[0] - 1).bit_length()
 
     def test_empty_stream(self):
         points, weights, lengths = _AtomStream(3).at(4)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import kleinian.series
 from kleinian.errors import (EnlargedDiscsOverlap, InconclusiveBracket,
                              InvalidSeparation)
 from kleinian.group import (DeclaredStabilizer, LevelSums, QuotientSpec, SchottkyGroup,
@@ -465,6 +466,30 @@ class TestEstimateDelta:
             estimate_delta(group, (0.01, 0.05), depths=(5,))  # both divergent
         with pytest.raises(ValueError):
             estimate_delta(group, (0.8, 0.2))
+
+    def test_each_exponent_is_summed_once(self, monkeypatch):
+        """Example 2's group estimate, as ``build_example2`` runs it, comes
+        back to some s: one power sum per distinct (s, depth), and a repeated
+        s replays its first records."""
+        from kleinian.examples import example2_group
+
+        finished = []
+
+        class Counted(LevelSums):
+            def finish(self, done):
+                finished.append(done.depth)
+                super().finish(done)
+
+        group, _ = example2_group()
+        monkeypatch.setattr(kleinian.series, "LevelSums", Counted)
+        est = estimate_delta(group, (0.02, 0.9), depths=(5, 6), budget=10 ** 6, max_probes=10)
+        assert not est.budget_exhausted   # so a record's depth is its probe's
+        distinct = {(p.s, p.depth) for p in est.probes}
+        assert len(finished) == len(distinct) < len(est.probes)
+        for s in {p.s for p in est.probes}:
+            records = [p for p in est.probes if p.s == s]
+            first = records[:len({p.depth for p in records})]
+            assert records == first * (len(records) // len(first))
 
     def test_kernel_restriction_estimates_smaller_exponent(self, group):
         quotient = QuotientSpec({"a": (), "b": ("b",)})

@@ -23,7 +23,7 @@ from kleinian.errors import BudgetExceeded, InconclusiveBracket
 from kleinian.examples import (Example1Config, build_example1, example1_group, example2_group,
                                example2_target, example3_group)
 from kleinian.group import (BLOCK_WORDS, DeclaredStabilizer, ExactSum, LevelSums, QuotientSpec,
-                            SchottkyGroup, enumerate_words, iter_word_batches,
+                            QuotientTracker, SchottkyGroup, enumerate_words, iter_word_batches,
                             kernel_enumerate, level_count, walk, word_at)
 from kleinian.limits import horoball_entry, horoball_scanner
 from kleinian.measure import (DEFAULT_CELLS, EndingMeasures, _record_shell,
@@ -537,6 +537,88 @@ def test_batches_are_the_level_by_level_products(name, size, request):
         assert sum(seen) == (before[-1] if budget is None else min(budget, before[-1]))
 
 
+def _engine_walk(group, depth, budget, size, spec):
+    """A walk's batches joined level by level: per level its matrices'
+    bytes, last letters, parents, level indices and image lengths, and
+    whether it ended in a ``final`` batch; with the cut's word count and
+    completed depth.  ``spec`` walks pruned, by that retraction."""
+    tracker = None if spec is None else QuotientTracker(group, spec, depth, prune=True)
+    levels = defaultdict(lambda: ([], [], [], [], [], []))
+    cut = None
+    try:
+        for batch in iter_word_batches(group, depth, budget, size, tracker):
+            mats, last, parent, index, image, final = levels[batch.length]
+            assert not any(final), "a batch after the level's final one"
+            m = batch.last.shape[0]
+            mats.append(batch.mats.tobytes())
+            last.append(batch.last)
+            parent.append(batch.parent)
+            index.append(batch.offset + (np.arange(m) if batch.rows is None else batch.rows))
+            image.append(np.empty(0) if batch.image is None else batch.image)
+            final.append(batch.final)
+    except BudgetExceeded as exc:
+        cut = (exc.words_generated, exc.depth_completed)
+    joined = {length: (b"".join(mats), *(np.concatenate(a).tolist() for a in arrays),
+                       any(final))
+              for length, (mats, *arrays, final) in levels.items()}
+    return joined, cut
+
+
+def _inside(data, group, length):
+    """A budget that cuts inside level ``length``, or None if it has one word."""
+    count = level_count(group, length)
+    if count < 2:
+        return None
+    return sum(level_count(group, l) for l in range(length)) + data.draw(st.integers(1, count - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=st.one_of(schottky_groups(), cap_groups()), depth=st.integers(1, 5),
+       pruned=st.booleans(), data=st.data())
+def test_batches_do_not_depend_on_the_batch_size(group, depth, pruned, data):
+    """Whole walks and walks pruned by a random retraction, cut inside
+    level L - 1, inside the top level L or not at all, give the same words
+    in batches of 1, 2, 2k - 1 and ``BLOCK_WORDS`` words: per level, the same
+    matrix bytes, last letters, parents, level indices, image lengths and
+    ``final`` flag, and the same cut.  Each word's matrix is the
+    ``matmul_raw`` fold of ``word_at``'s letters, bit for bit."""
+    labels = [gen.label for gen in group.generators]
+    spec = None
+    if pruned:
+        killed = data.draw(st.sets(st.sampled_from(labels), min_size=1))
+        spec = QuotientSpec({l: () if l in killed else (l,) for l in labels})
+    budget = data.draw(st.sampled_from([None, "L-1", "L"]))
+    if budget is not None:
+        budget = _inside(data, group, depth - 1 if budget == "L-1" else depth)
+    walks = [_engine_walk(group, depth, budget, size, spec)
+             for size in (1, 2, group.letter_count - 1, BLOCK_WORDS)]
+    assert all(w == walks[0] for w in walks[1:])
+    levels, cut = walks[0]
+    if cut is not None:
+        assert cut[0] == budget
+    letter_mats = group.letter_matrices
+    for length, (mats, _, _, index, _, _) in levels.items():
+        words = np.frombuffer(mats, dtype=letter_mats.dtype).reshape(-1, 2, 2)
+        for row, i in zip(words, index):
+            fold = np.eye(2, dtype=letter_mats.dtype)
+            for letter in word_at(group, length, i).letters:
+                fold = matmul_raw(fold, letter_mats[letter])
+            assert fold.tobytes() == row.tobytes()
+
+
+def test_a_walk_holds_no_matrices_of_the_level_below_the_top():
+    """Example 1's whole depth-7 walk and Example 2's pruned depth-8 kernel
+    walk each trace less than 32 bytes (one float64 matrix) per word of
+    their level L - 1: that level keeps last letters, and parents on a
+    pruned walk, and its matrices are re-formed run by run at the top."""
+    ex1, _ = example1_group(Example1Config())
+    ex2, quotient = example2_group()
+    for group, depth, kernel in ((ex1, 7, None), (ex2, 8, quotient)):
+        assert group.letter_matrices.dtype == np.float64
+        bound = 32 * level_count(group, depth - 1)
+        assert _traced_peak(lambda: walk(group, depth, kernel=kernel)) < bound
+
+
 # --- any batch size, the same bits -------------------------------------------------
 
 def _walk_outputs(group, depth, budget):
@@ -632,7 +714,7 @@ def test_exact_sum_holds_little_beside_its_values():
 def test_the_example3_walk_holds_no_top_slab():
     """``build_example3``'s depth-8 walk (measure, whole-group sum and
     domination, 585,937 words) never forms its top level's matrices at once:
-    it traces about 20 MiB, where 2^20-word blocks of them trace about 57."""
+    it traces about 9 MiB, where 2^20-word blocks of them trace about 57."""
     group, target = example3_group()
     measures = EndingMeasures(group, [target], 0.8,
                               kernel=DeclaredStabilizer(("p",)).quotient_for(group))
@@ -662,8 +744,8 @@ def test_a_later_residual_holds_little_beside_the_shell():
 
 def test_a_deep_series_keeps_no_level_values():
     """Example 1's depth-8 boundary series (7,686,401 words, 6,588,344 in
-    its top level) traces about 37 MiB: its level sums keep no values.  A
-    ``LevelSums`` that kept 2^20 of a level's values would trace about 44."""
+    its top level) traces about 9 MiB: its level sums keep no values.  A
+    ``LevelSums`` that kept 2^20 of a level's values would trace about 17."""
     group, target = example1_group(Example1Config())
     assert _traced_peak(lambda: horospherical_partial(group, target, 0.5, 8)) < 40 << 20
 
