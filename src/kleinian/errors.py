@@ -46,9 +46,5 @@ class PlacementInfeasible(KleinianError):
     """The disc placement policy cannot fit the requested generator pairs."""
 
 
-class StabilizerNotParabolic(KleinianError):
-    """A declared parabolic stabilizer generator failed classification."""
-
-
 class ConfigError(KleinianError):
     """A run configuration document is malformed."""

@@ -5,14 +5,15 @@ numpy arrays: a level is its last letters plus its matrices, stored
 component-major as one (2, 2, n) array so that every entry read or written
 is contiguous.  Children are produced in breadth-first, parent-major /
 letter-minor order, which makes the stream deterministic and the level
-array double as the prefix cache.  A batch's children are one broadcast
-product of its parents' matrices with a per-walk table of the letters that
-may follow each last letter, so no parent matrix is gathered per child.
-Every batch is the children of a run of whole parents, at most
-``BLOCK_WORDS`` words with their matrices formed, so the top level's
-matrices are never held at once.  Each level
-sum is exact until it is rounded once (:class:`ExactSum`, equal to
-``math.fsum``), so the sums do not depend on the batch size.
+array double as the prefix cache.  A whole walk's children are one
+broadcast product of their parents' matrices with a per-walk table of the
+letters that may follow each last letter; a pruned walk gathers each
+surviving child's parent.  A batch is the children of a run of whole
+parents, at most ``BLOCK_WORDS`` words, so the top level's matrices are
+never held at once; a top run re-forms its parents' matrices from their
+own parents' by a gather product.  Each level sum is exact until it is
+rounded once (:class:`ExactSum`, equal to ``math.fsum``), so the sums do
+not depend on the batch size.
 
 A kernel walk also tracks each word's image under a retraction onto a free
 group (:class:`QuotientTracker`): one integer key that reads the reduced
@@ -241,14 +242,12 @@ class WordBatch:
                          rows if self.rows is None else self.rows[rows])
 
 
-def _products(parents: np.ndarray, keys: np.ndarray, table: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
+def _products(parents: np.ndarray, keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     """The children of the parents, (2, 2, p, b): the broadcast products of
     their matrices ``parents`` (2, 2, p) with the successor matrices
     ``table[:, :, key]`` of their last letters ``keys``, gathered for at most
     ``GATHER_WORDS`` children at a time."""
-    if out is None:
-        out = np.empty(parents.shape + table.shape[3:], dtype=table.dtype)
+    out = np.empty(parents.shape + table.shape[3:], dtype=table.dtype)
     step = max(1, GATHER_WORDS // table.shape[3])   # parents per product
     for lo in range(0, keys.shape[0], step):
         matmul_raw(_matrices(parents[:, :, lo:lo + step, None]),
@@ -287,11 +286,11 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     matrices formed in an array of their own.  Levels up to max_length - 2
     are kept (the prefix cache); level max_length - 1 keeps only its last
     letters, and on a pruned walk its words' parents and level indices, so
-    each top run re-forms its parents' matrices from theirs, by the product
-    that first formed them, into a buffer of the walk's own.  A
-    complete level ends in one ``final`` batch.  Raises
-    :class:`BudgetExceeded` after yielding whatever fits within the node
-    budget, the run that the cut falls in truncated and not ``final``.
+    each top run re-forms its parents' matrices from theirs by a gather
+    product, into a buffer of the walk's own.  A complete level ends in one
+    ``final`` batch.  Raises :class:`BudgetExceeded` after yielding whatever
+    fits within the node budget, the run that the cut falls in truncated
+    and not ``final``.
 
     With a ``tracker`` each batch carries its words' image lengths as
     ``image``.  A pruning tracker keys the candidates of each run of kept
@@ -335,10 +334,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
         if prune:
             reach = int(np.searchsorted(index, reach))
         if prev is None:   # the top: one buffer for the parents of each run
-            up_branching = grand_table[0].shape[1]
-            parent_buffer = np.empty((2, 2, run // up_branching + 2, up_branching),
-                                     dtype=letter_mats.dtype)
-            parent_mats = parent_buffer.reshape(2, 2, -1)
+            parent_mats = np.empty((2, 2, run), dtype=letter_mats.dtype)
         cache = length < max_length - 1   # this level's matrices are the prefix cache
         parts = []   # per run, what the next level reads of this one
         # one run at least when the level completes, so that it has a final batch
@@ -356,15 +352,12 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
             final = last == reach and stop == total
             if prev is not None:
                 source = prev[:, :, first:last]
-            elif prune:   # the parents' matrices, by the gather product that formed them
+            else:   # the top re-forms its parents' matrices from their own parents'
+                up_rows = up[first:last] if prune else np.arange(first, last) // up_branching
                 source = parent_mats[:, :, :last - first]
-                matmul_raw(_matrices(grand[:, :, up[first:last]]), letter_mats[parent_keys],
+                matmul_raw(_matrices(grand[:, :, up_rows]), letter_mats[parent_keys],
                            _matrices(source))
-            else:   # by the broadcast product of their own parents' run
-                lo, hi = first // up_branching, -(-last // up_branching)
-                _products(grand[:, :, lo:hi], grand_keys[lo:hi], grand_table[1],
-                          parent_buffer[:, :, :hi - lo])
-                source = parent_mats[:, :, first - lo * up_branching:last - lo * up_branching]
+            # whole runs broadcast, pruned runs gather their survivors: each is the faster there
             if prune:   # key the candidates, then form the survivors only
                 image = tracker.extend(WordBatch(length, 0, letters, parents, None, final))[1]
                 alive = np.flatnonzero(tracker.reaches(length, image))
@@ -394,7 +387,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
         letters, rows, parents, block = (None if joined[0] is None else np.concatenate(joined, -1)
                                          for joined in zip(*parts))
         if not cache:
-            grand, grand_keys, grand_table, up = prev, keys, table, parents
+            grand, up, up_branching = prev, parents, branching
         prev, keys, index = block, letters, rows
         if length == 1:
             table = _successors(letter_mats)

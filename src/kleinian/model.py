@@ -63,7 +63,7 @@ class BoundaryPoint:
         return isinstance(other, BoundaryPoint) and np.array_equal(self.coords, other.coords)
 
     def __hash__(self) -> int:
-        return hash(self.coords.tobytes())
+        return hash((self.coords + 0.0).tobytes())   # -0.0 hashes as 0.0
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ class InteriorPoint:
         return isinstance(other, InteriorPoint) and np.array_equal(self.coords, other.coords)
 
     def __hash__(self) -> int:
-        return hash(self.coords.tobytes())
+        return hash((self.coords + 0.0).tobytes())   # -0.0 hashes as 0.0
 
 
 @dataclass(frozen=True)

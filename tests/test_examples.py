@@ -285,7 +285,7 @@ class TestParabolicStabilizer:
         assert check["defect"] < 1e-10
 
     def test_built_generator_classifies_parabolic(self):
-        # the builder validates the classification and raises otherwise
+        # the builder takes the target as p's fixed point, so p must classify parabolic
         cfg = Example3Config(depth=3, identity_depth=2)
         result = build_example3(cfg)
         assert result.group.generator("p").transform.classify().kind == "parabolic"

@@ -57,6 +57,8 @@ class TestPoints:
         near = InteriorPoint([1.0, 0.0], conorm=1e-3)
         assert near != b and b != near
         assert z != InteriorPoint([0.1, 0.2, 0.0])
+        for point in (BoundaryPoint, InteriorPoint):   # signed zeros compare equal
+            assert len({point([0.5, 0.0]), point([0.5, -0.0])}) == 1
 
 
 class TestPoissonKernel:
