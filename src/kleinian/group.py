@@ -355,16 +355,16 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
             else:   # the top re-forms its parents' matrices from their own parents'
                 up_rows = up[first:last] if prune else np.arange(first, last) // up_branching
                 source = parent_mats[:, :, :last - first]
-                matmul_raw(_matrices(grand[:, :, up_rows]), letter_mats[parent_keys],
-                           _matrices(source))
-            # whole runs broadcast, pruned runs gather their survivors: each is the faster there
+                matmul_raw(_matrices(np.take(grand, up_rows, axis=2)),
+                           np.take(letter_mats, parent_keys, axis=0), _matrices(source))
+            # pruned runs gather their survivors, faster than broadcasting every candidate
             if prune:   # key the candidates, then form the survivors only
                 image = tracker.extend(WordBatch(length, 0, letters, parents, None, final))[1]
                 alive = np.flatnonzero(tracker.reaches(length, image))
                 letters, parents, rows, image = (a[alive] for a in (letters, parents, rows, image))
                 block = np.empty((2, 2, alive.shape[0]), dtype=letter_mats.dtype)
-                matmul_raw(_matrices(source[:, :, parents - first]), letter_mats[letters],
-                           _matrices(block))
+                matmul_raw(_matrices(np.take(source, parents - first, axis=2)),
+                           np.take(letter_mats, letters, axis=0), _matrices(block))
             else:
                 block = _products(source, parent_keys, mat_table).reshape(2, 2, -1)[:, :, :n]
             if length < max_length:
