@@ -5,15 +5,14 @@ numpy arrays: a level is its last letters plus its matrices, stored
 component-major as one (2, 2, n) array so that every entry read or written
 is contiguous.  Children are produced in breadth-first, parent-major /
 letter-minor order, which makes the stream deterministic and the level
-array double as the prefix cache.  A whole walk's children are one
-broadcast product of their parents' matrices with a per-walk table of the
-letters that may follow each last letter; a pruned walk gathers each
-surviving child's parent.  A batch is the children of a run of whole
-parents, at most ``BLOCK_WORDS`` words, so the top level's matrices are
-never held at once; a top run re-forms its parents' matrices from their
-own parents' by a gather product.  Each level sum is exact until it is
-rounded once (:class:`ExactSum`, equal to ``math.fsum``), so the sums do
-not depend on the batch size.
+array double as the prefix cache.  Every child, of a whole or a pruned
+walk, is one gather product: its parent's matrix times its last letter's.
+A batch is the children of a run of whole parents, at most ``BLOCK_WORDS``
+words, so the top level's matrices are never held at once; a top run
+re-forms its parents' matrices from their own parents' by a gather
+product.  Each level sum is exact until it is rounded once
+(:class:`ExactSum`, equal to ``math.fsum``), so the sums do not depend on
+the batch size.
 
 A kernel walk also tracks each word's image under a retraction onto a free
 group (:class:`QuotientTracker`): one integer key that reads the reduced
@@ -37,7 +36,7 @@ from .mobius import Transform, image_disc, matmul_raw, pair_discs, parabolic_fix
 from .model import BoundaryPoint, Disc, InteriorPoint
 
 BLOCK_WORDS = 1 << 15         # words per batch: fits in cache
-GATHER_WORDS = 1 << 12        # successor matrices gathered per product
+GATHER_WORDS = 1 << 12        # children formed per gather product: its operands stay small
 
 
 # --- generators and the group -----------------------------------------------
@@ -242,32 +241,15 @@ class WordBatch:
                          rows if self.rows is None else self.rows[rows])
 
 
-def _products(parents: np.ndarray, keys: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The children of the parents, (2, 2, p, b): the broadcast products of
-    their matrices ``parents`` (2, 2, p) with the successor matrices
-    ``table[:, :, key]`` of their last letters ``keys``, gathered for at most
-    ``GATHER_WORDS`` children at a time."""
-    out = np.empty(parents.shape + table.shape[3:], dtype=table.dtype)
-    step = max(1, GATHER_WORDS // table.shape[3])   # parents per product
-    for lo in range(0, keys.shape[0], step):
-        matmul_raw(_matrices(parents[:, :, lo:lo + step, None]),
-                   _matrices(np.take(table, keys[lo:lo + step], axis=2)),
-                   _matrices(out[:, :, lo:lo + step]))
-    return out
+def _successors(k2: int) -> np.ndarray:
+    """The letters that may follow each last letter, as a (2k, 2k - 1) table.
 
-
-def _successors(letter_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The letters that may follow each last letter, and their matrices.
-
-    Row ``a`` of the (2k, 2k - 1) letter table lists the letters other than
-    ``a ^ 1`` in increasing order, the order of a parent's children; the
-    matrices come component-major, as a (2, 2, 2k, 2k - 1) array.
+    Row ``a`` lists the letters other than ``a ^ 1`` in increasing order, the
+    order of a parent's children.
     """
-    k2 = letter_mats.shape[0]
     r = np.arange(k2 - 1, dtype=np.int16)
     skip = (np.arange(k2, dtype=np.int16) ^ 1)[:, None]
-    letters = r + (r >= skip).astype(np.int16)
-    return letters, np.ascontiguousarray(letter_mats[letters].transpose(2, 3, 0, 1))
+    return r + (r >= skip).astype(np.int16)
 
 
 def _matrices(components: np.ndarray) -> np.ndarray:
@@ -283,14 +265,15 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     Level ``l`` has exactly 2k (2k-1)^(l-1) words.  A batch is the children
     of a run of max(1, size // b) parents, b the branching (2k at level 1,
     2k - 1 above): at most ``size`` words when size >= b, with their
-    matrices formed in an array of their own.  Levels up to max_length - 2
-    are kept (the prefix cache); level max_length - 1 keeps only its last
-    letters, and on a pruned walk its words' parents and level indices, so
-    each top run re-forms its parents' matrices from theirs by a gather
-    product, into a buffer of the walk's own.  A complete level ends in one
-    ``final`` batch.  Raises :class:`BudgetExceeded` after yielding whatever
-    fits within the node budget, the run that the cut falls in truncated
-    and not ``final``.
+    matrices formed in an array of their own, ``GATHER_WORDS`` at a time,
+    from the gathered matrices of their parents and letters.  Levels up to
+    max_length - 2 are kept (the prefix cache); level max_length - 1 keeps
+    only its last letters, and on a pruned walk its words' parents and
+    level indices, so each top run re-forms its parents' matrices from
+    theirs by one unchunked gather product, into a buffer of the walk's
+    own.  A complete level ends in one ``final`` batch.  Raises
+    :class:`BudgetExceeded` after yielding whatever fits within the node
+    budget, the run that the cut falls in truncated and not ``final``.
 
     With a ``tracker`` each batch carries its words' image lengths as
     ``image``.  A pruning tracker keys the candidates of each run of kept
@@ -320,12 +303,12 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     # The parent level: its matrices ``prev`` as (2, 2, n), so that entry
     # (i, k) of its n matrices is contiguous, or None at the top, whose
     # parents are re-formed from their own, ``grand``; its last letters
-    # ``keys``, which find each word's successors in ``table`` (the identity's
-    # children are every letter); on a pruned walk its level indices ``index``.
+    # ``keys``, which find each word's successor letters in ``letter_table``
+    # (the identity's children are every letter); on a pruned walk its level
+    # indices ``index``.
     prev, keys, index = identity[:, :, None], np.zeros(1, np.int16), np.zeros(1, np.int64)
-    table = np.arange(k2, dtype=np.int16)[None], letter_mats.transpose(1, 2, 0)[:, :, None]
+    letter_table = np.arange(k2, dtype=np.int16)[None]
     for length in range(1, max_length + 1):
-        letter_table, mat_table = table
         branching = letter_table.shape[1]
         total = level_count(group, length)
         run = max(1, size // branching)   # parents per batch
@@ -347,7 +330,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
             else:
                 rows, n = None, min(last * branching, stop) - first * branching
             parent_keys = keys[first:last]
-            letters = letter_table[parent_keys].ravel()[:n]
+            letters = np.take(letter_table, parent_keys, axis=0).ravel()[:n]
             parents = np.repeat(np.arange(first, last, dtype=np.int64), branching)[:n]
             final = last == reach and stop == total
             if prev is not None:
@@ -357,16 +340,16 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
                 source = parent_mats[:, :, :last - first]
                 matmul_raw(_matrices(np.take(grand, up_rows, axis=2)),
                            np.take(letter_mats, parent_keys, axis=0), _matrices(source))
-            # pruned runs gather their survivors, faster than broadcasting every candidate
             if prune:   # key the candidates, then form the survivors only
                 image = tracker.extend(WordBatch(length, 0, letters, parents, None, final))[1]
                 alive = np.flatnonzero(tracker.reaches(length, image))
                 letters, parents, rows, image = (a[alive] for a in (letters, parents, rows, image))
-                block = np.empty((2, 2, alive.shape[0]), dtype=letter_mats.dtype)
-                matmul_raw(_matrices(np.take(source, parents - first, axis=2)),
-                           np.take(letter_mats, letters, axis=0), _matrices(block))
-            else:
-                block = _products(source, parent_keys, mat_table).reshape(2, 2, -1)[:, :, :n]
+            block = np.empty((2, 2, letters.shape[0]), dtype=letter_mats.dtype)
+            for lo in range(0, letters.shape[0], GATHER_WORDS):
+                hi = lo + GATHER_WORDS
+                matmul_raw(_matrices(np.take(source, parents[lo:hi] - first, axis=2)),
+                           np.take(letter_mats, letters[lo:hi], axis=0),
+                           _matrices(block[:, :, lo:hi]))
             if length < max_length:
                 parts.append((letters, rows, None if cache or not prune else parents,
                               block if cache else None))
@@ -390,7 +373,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
             grand, up, up_branching = prev, parents, branching
         prev, keys, index = block, letters, rows
         if length == 1:
-            table = _successors(letter_mats)
+            letter_table = _successors(k2)
 
 
 def word_at(group: SchottkyGroup, length: int, index: int) -> Word:

@@ -22,9 +22,9 @@ import kleinian.series
 from kleinian.errors import BudgetExceeded, InconclusiveBracket
 from kleinian.examples import (Example1Config, build_example1, example1_group, example2_group,
                                example2_target, example3_group)
-from kleinian.group import (BLOCK_WORDS, DeclaredStabilizer, ExactSum, LevelSums, QuotientSpec,
-                            QuotientTracker, SchottkyGroup, enumerate_words, iter_word_batches,
-                            kernel_enumerate, level_count, walk, word_at)
+from kleinian.group import (BLOCK_WORDS, GATHER_WORDS, DeclaredStabilizer, ExactSum, LevelSums,
+                            QuotientSpec, QuotientTracker, SchottkyGroup, enumerate_words,
+                            iter_word_batches, kernel_enumerate, level_count, walk, word_at)
 from kleinian.limits import horoball_entry, horoball_scanner
 from kleinian.measure import (DEFAULT_CELLS, EndingMeasures, _record_shell,
                               conformality_residual, ending_measure, orbit_measure)
@@ -499,16 +499,26 @@ def _reference_levels(group, depth):
     return levels
 
 
-@pytest.mark.parametrize("name", ["std_group", "std_group_2d", "example3"])
-@pytest.mark.parametrize("size", [7, 1000])
-def test_batches_are_the_level_by_level_products(name, size, request):
+@pytest.mark.parametrize("size, name", [(size, name) for size in (7, 1000)
+                                        for name in ("std_group", "std_group_2d", "example3")]
+                         + [(BLOCK_WORDS, "example1"), (BLOCK_WORDS, "example2-kernel")])
+def test_batches_are_the_level_by_level_products(size, name, request):
     """Every batch's matrices, parents, letters, offset and ``final`` flag
     equal the gather-and-multiply reference, bit for bit, for batch sizes
     that are no multiple of 2k - 1 and for budgets that cut inside one
-    parent's children."""
-    group = (example3_group()[0] if name == "example3"
-             else request.getfixturevalue(name))
-    depth = 4
+    parent's children.  In ``BLOCK_WORDS`` batches Example 1's depth-6 walk
+    forms runs of 19,208 and 32,767 children, and Example 2's depth-6
+    kernel walk, pruned, keeps 5,636 in its level-5 run and 6,891 in its
+    first level-6 run: each run spans several ``GATHER_WORDS`` chunks, and
+    a kept word's letter and matrix are the reference's at its level index."""
+    spec = None
+    if name == "example1":
+        group = example1_group(Example1Config())[0]
+    elif name == "example2-kernel":
+        group, spec = example2_group()
+    else:
+        group = example3_group()[0] if name == "example3" else request.getfixturevalue(name)
+    depth = 4 if size < BLOCK_WORDS else 6
     levels = _reference_levels(group, depth)
     sizes = [1] + [letters.shape[0] for _, letters, _ in levels]
     before = np.cumsum([0] + sizes)          # words of the levels below each level
@@ -516,25 +526,35 @@ def test_batches_are_the_level_by_level_products(name, size, request):
     budgets = [None, int(before[-1]), int(before[2]) + branching + 1,
                int(before[depth]) + branching + 2]
     for budget in budgets:
-        seen = [0] * (depth + 1)
+        tracker = None if spec is None else QuotientTracker(group, spec, depth, prune=True)
+        seen, widest = [0] * (depth + 1), [0] * (depth + 1)
         try:
-            for batch in iter_word_batches(group, depth, budget, size=size):
+            for batch in iter_word_batches(group, depth, budget, size=size, tracker=tracker):
                 m = batch.last.shape[0]
-                assert 0 < m <= size and batch.offset == seen[batch.length]
-                assert batch.final == (batch.offset + m == sizes[batch.length])
+                widest[batch.length] = max(widest[batch.length], m)
+                if batch.rows is None:
+                    assert 0 < m <= size and batch.offset == seen[batch.length]
+                    assert batch.final == (batch.offset + m == sizes[batch.length])
+                    rows = slice(batch.offset, batch.offset + m)
+                else:   # a pruned run's kept words, at their level indices
+                    assert m <= size and batch.offset == 0
+                    rows = batch.rows
                 seen[batch.length] += m
                 if batch.length == 0:
                     assert batch.mats.tobytes() == np.eye(2, dtype=group.letter_matrices.dtype
                                                           ).tobytes()
                     continue
                 parents, letters, mats = levels[batch.length - 1]
-                rows = slice(batch.offset, batch.offset + m)
-                assert np.array_equal(batch.parent, parents[rows])
+                if batch.rows is None:
+                    assert np.array_equal(batch.parent, parents[rows])
                 assert np.array_equal(batch.last, letters[rows])
                 assert batch.mats.tobytes() == mats[rows].tobytes()
         except BudgetExceeded as cut:
             assert budget is not None and cut.words_generated == budget
-        assert sum(seen) == (before[-1] if budget is None else min(budget, before[-1]))
+        if tracker is None:
+            assert sum(seen) == (before[-1] if budget is None else min(budget, before[-1]))
+        if budget is None and size == BLOCK_WORDS:
+            assert min(widest[5:]) > GATHER_WORDS
 
 
 def _engine_walk(group, depth, budget, size, spec):
