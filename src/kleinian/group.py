@@ -232,13 +232,15 @@ class WordBatch:
     final: bool            # True when this batch completes its level
     rows: np.ndarray | None = None   # (m,) rows in the batch selected from
     image: np.ndarray | None = None  # (m,) image lengths on a tracked walk
+    first_span: int = 0   # a first letter's level indices, (2k-1)^(length-1); 0 at length 0
 
     def select(self, keep: np.ndarray) -> "WordBatch":
         """The words flagged by the boolean mask ``keep``, in order."""
         rows = np.flatnonzero(keep)
         return WordBatch(self.length, self.offset, self.last[rows], self.parent[rows],
                          self.mats[rows], self.final,
-                         rows if self.rows is None else self.rows[rows])
+                         rows if self.rows is None else self.rows[rows],
+                         first_span=self.first_span)
 
 
 def _successors(k2: int) -> np.ndarray:
@@ -311,6 +313,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     for length in range(1, max_length + 1):
         branching = letter_table.shape[1]
         total = level_count(group, length)
+        first_span = total // k2
         run = max(1, size // branching)   # parents per batch
         stop = total if budget is None else min(total, budget - generated)
         reach = -(-stop // branching)   # the parents of the words before ``stop``
@@ -356,7 +359,7 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
             mats = _matrices(block)
             mats.flags.writeable = False   # read-only: below the top the cache is joined from these
             batch = WordBatch(length, 0 if prune else first * branching, letters, parents,
-                              mats, final, rows)
+                              mats, final, rows, first_span=first_span)
             if tracker is not None:
                 batch.image = image if prune else tracker.extend(batch)[1]
             yield batch
@@ -412,7 +415,7 @@ class ExactSum:
 
     def __init__(self):
         self._total, self._lowest = 0, 2048   # beyond every float64 exponent
-        self._nan = self._inf = self._minus_inf = False   # seen
+        self._specials: set[float] = set()   # the non-finite values seen
 
     def add(self, values: np.ndarray) -> None:
         """Add a one-dimensional array of values."""
@@ -420,9 +423,7 @@ class ExactSum:
             mant, exp = np.frexp(values[lo:lo + BLOCK_WORDS])
             odd = ~np.isfinite(mant)
             if odd.any():   # noted, then summed as zeros
-                self._nan |= bool(np.isnan(mant[odd]).any())
-                self._inf |= bool((mant[odd] > 0).any())
-                self._minus_inf |= bool((mant[odd] < 0).any())
+                self._specials.update(np.unique(mant[odd]).tolist())
                 mant[odd] = 0.0
             base = int(exp.min())
             if base < self._lowest:
@@ -438,41 +439,68 @@ class ExactSum:
                 if h or l:
                     self._total += (int(h) << (shift + 27)) + (int(l) << shift)
 
+    @classmethod
+    def total(cls, parts) -> "ExactSum":
+        """The exact sum of the sums ``parts``, as one."""
+        out = cls()
+        for part in parts:
+            low = min(out._lowest, part._lowest)
+            out._total = (out._total << out._lowest - low) + (part._total << part._lowest - low)
+            out._lowest = low
+            out._specials |= part._specials
+        return out
+
     def value(self) -> float:
         """The sum so far, rounded once."""
-        specials = [math.nan] * self._nan + [math.inf] * self._inf + [-math.inf] * self._minus_inf
-        if specials:
-            return math.fsum(specials)
+        if self._specials:
+            return math.fsum(self._specials)
         scale = self._lowest - 53
         return float(self._total << scale) if scale >= 0 else self._total / (1 << -scale)
 
 
 class LevelSums:
-    """Level sums of one value stream: one :class:`ExactSum` per level.
+    """Level sums of one value stream: one :class:`ExactSum` per level and
+    first letter.
 
     A walk consumer.  ``values(words)`` gives one value per word of a
     batch; on a kernel walk it is handed only the kernel words unless
     ``whole_group`` is set, which also keeps the walk unpruned (:func:`walk`).
-    Each level sum is ``math.fsum`` of its level's values, rounded once,
-    however the level was split into batches.  After :meth:`finish` at a
-    walk, ``level_sums`` and ``level_counts`` cover its complete levels and
-    ``tail_sum`` is what was summed beyond them before a budget cut.
+    Each level sum is the exact total of its first-letter sums, rounded
+    once: ``math.fsum`` of its level's values, however the level was split
+    into batches.  After :meth:`finish` at a walk, ``level_sums`` and
+    ``level_counts`` cover its complete levels, ``tail_sum`` is what was
+    summed beyond them before a budget cut, and ``first_letter_sums`` maps
+    each first letter of level ``done.depth`` (-1 for the identity) to the
+    exact sum of its words' values.
     """
 
     def __init__(self, values: Callable[[WordBatch], np.ndarray] | None = None,
                  whole_group: bool = False):
         self.values = values
         self.whole_group = whole_group
-        self._sums: defaultdict[int, ExactSum] = defaultdict(ExactSum)
+        self._sums: defaultdict[tuple[int, int], ExactSum] = defaultdict(ExactSum)
         self._counts: Counter[int] = Counter()
 
     def __call__(self, batch: WordBatch, words: WordBatch) -> None:
-        self.add(batch.length, self.values(batch if self.whole_group else words))
+        words = batch if self.whole_group else words
+        self.add(words, self.values(words))
 
-    def add(self, length: int, values: np.ndarray) -> None:
-        """The values of the next batch of level ``length``."""
-        self._sums[length].add(values)
-        self._counts[length] += values.shape[0]
+    def add(self, words: WordBatch, values: np.ndarray) -> None:
+        """The values of a batch's ``words``, one per word.  They are in level
+        order, so those of one first letter are one slice, cut where the level
+        index reaches a multiple of ``first_span`` (in ``rows``, if any)."""
+        n, span, offset, rows = values.shape[0], words.first_span, words.offset, words.rows
+        self._counts[words.length] += n
+        first = last = -1
+        if span and n:
+            first, last = ((offset + int(end)) // span
+                           for end in ((0, n - 1) if rows is None else rows[[0, -1]]))
+        cuts = [f * span - offset for f in range(first + 1, last + 1)]
+        if rows is not None:
+            cuts = np.searchsorted(rows, cuts).tolist()
+        for f, lo, hi in zip(range(first, last + 1), [0, *cuts], [*cuts, n]):
+            if hi > lo:   # a selection may hold no word of a first letter
+                self._sums[words.length, f].add(values[lo:hi])
 
     def finish(self, done: Walk) -> None:
         """Round the level sums of the walk ``done``.
@@ -480,10 +508,13 @@ class LevelSums:
         Levels deeper than ``done.depth`` are left out, so the sums of one
         deep walk can be finished again at each shorter depth (see :meth:`Walk.upto`).
         """
-        sums = [self._sums[length].value() for length in range(done.depth + 1)]
+        sums = [ExactSum.total(part for (level, _), part in self._sums.items()
+                               if level == length).value() for length in range(done.depth + 1)]
         self.tail_sum = math.fsum(sums[done.depth_completed + 1:])
         self.level_sums = sums[: done.depth_completed + 1]
         self.level_counts = [self._counts[length] for length in range(done.depth_completed + 1)]
+        self.first_letter_sums = {first: part for (level, first), part in self._sums.items()
+                                  if level == done.depth}
 
 
 @dataclass

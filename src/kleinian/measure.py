@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TargetNotInDomainClosure
-from .group import (BLOCK_WORDS, DeclaredStabilizer, LevelSums, QuotientSpec,
-                    SchottkyGroup, Walk, WordBatch, level_count, walk)
+from .group import (BLOCK_WORDS, DeclaredStabilizer, ExactSum, LevelSums, QuotientSpec,
+                    SchottkyGroup, Walk, WordBatch, walk)
 from .mobius import (_sq, apply_boundary_raw, apply_halfspace_raw, apply_interior_raw,
                      ball_to_halfspace, boundary_derivative_raw, halfspace_to_ball,
-                     interior_images_raw)
+                     interior_images_raw, inverse_origin_images_raw)
 from .model import BoundaryPoint, InteriorPoint, embed3
 from .series import (SeriesResult, TailCertificate, boundary_power, finish_series, fixes,
                      unit_derivative)
@@ -59,8 +59,9 @@ class AtomicMeasure:
     depth: int
     series: SeriesResult | None = None
     meta: dict = field(default_factory=dict)
-    # the depth shell the conformality residual pairs, kept by its first call
-    _shell: "_Shell | None" = field(default=None, init=False, repr=False, compare=False)
+    # the exact sums of the words of length ``depth`` by first letter (-1 for
+    # the identity), unnormalized, as the walk's LevelSums closed them
+    first_letter_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def atom_count(self) -> int:
@@ -73,14 +74,10 @@ class AtomicMeasure:
         return float(np.max(self.weights))
 
     def shell_mass(self) -> float:
-        """Mass contributed by the words of length ``depth``.
-
-        Reads the normalizing series' level sums when available, which stays
-        correct even when atoms of different lengths coalesce.
-        """
-        if self.series is not None and self.depth < len(self.series.level_sums):
-            return self.series.level_sums[self.depth] / self.series.partial_sum
-        return float(math.fsum(self.weights[self.word_lengths == self.depth].tolist()))
+        """Mass of the words of length ``depth``: the exact total of their
+        first-letter sums, rounded once, over the normalizer (a complete
+        level's sum, what a budget cut reached of it, or 0)."""
+        return ExactSum.total(self.first_letter_sums.values()).value() / self.series.partial_sum
 
     def top_atoms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k heaviest atoms, heaviest first, ties in atom order.
@@ -321,7 +318,7 @@ class EndingMeasures:
                 z, t, value = interior_images_raw(mats, pc)
                 value **= s   # in place, as boundary_power
                 place = halfspace_to_ball(z, t)
-            blocks.add(length, value)
+            blocks.add(words, value)
             atoms.add(place[:, :width], value, length)
             if batch.final:
                 atoms.close(length)
@@ -347,9 +344,11 @@ class EndingMeasures:
                                     "kernel": self.spec, "budget": budget}}
             if boundary and self._notes[i]:
                 meta["domain_check"] = self._notes[i]
-            out.append(AtomicMeasure(points, weights / series.partial_sum, lengths,
-                                     self.group.dim, "ending" if boundary else "orbit",
-                                     self.s, done.depth, series=series, meta=meta))
+            mu = AtomicMeasure(points, weights / series.partial_sum, lengths, self.group.dim,
+                               "ending" if boundary else "orbit", self.s, done.depth,
+                               series=series, meta=meta)
+            mu.first_letter_sums = self.blocks[i].first_letter_sums
+            out.append(mu)
         return tuple(out)
 
 
@@ -409,30 +408,20 @@ def _cell_masses(points: np.ndarray, weights: np.ndarray, dim: int,
 
 def conformality_residual(mu: AtomicMeasure, g, s: float,
                           cells: int = DEFAULT_CELLS) -> float:
-    """Worst cell defect of the transformation rule mu(g A) = int_A j(g,.)^s dmu.
+    """A bound on the worst cell defect of the rule mu(g A) = int_A j(g,.)^s dmu.
 
-    Exact conformal measures give zero; depth-L truncations leak only the
-    words whose g-translate crosses the depth boundary, so the residual is
-    controlled by the mass of the depth shell.
-
-    For a measure synthesized from a word enumeration of the whole group,
-    and a generator or inverse ``g``, the two sides are paired word by word
-    through the chain rule, under which all interior terms cancel
-    identically and only the depth-shell stragglers remain; this keeps the
-    computation meaningful even when distinct deep atoms are closer than
-    float resolution.  The first such call walks the measure's words once
-    (its depth and budget cut) and keeps the depth shell on the measure;
-    every later call, with any ``g`` or ``s``, is arithmetic on that record.
-    Other measures (restricted to a subgroup, or without enumeration data)
-    and other transforms fall back to the direct atom formula.
+    On a measure of the whole group's words, for a letter g = l, the sides
+    pair word by word (w = g v) but for the words of length L = ``mu.depth``:
+    the masses A of those not starting with l (mu(g A) side), and j(g, v(p))^s
+    times the masses B of those not starting with l^-1.  So every cell of any
+    partition is off by at most max(A, B) <= max(A, B^sup) (:func:`_shell_sides`),
+    which this returns with no walk.  Other measures and transforms, and what
+    :func:`_shell_sides` leaves out, take the direct atom formula on ``cells``.
     """
     if mu.dim == 2:
-        _sphere_grid(cells)   # refused even when there is no shell to bin
-    enum = mu.meta.get("enumeration")
-    letter = (_letter_of(enum["group"], g)
-              if enum is not None and enum.get("kernel") is None else None)
-    residual = (_conformality_residual_direct(mu, g, s, cells) if letter is None
-                else _conformality_residual_paired(mu, g, s, cells, enum, letter))
+        _sphere_grid(cells)   # refused even when no cell is binned
+    sides = _shell_sides(mu, g, s)
+    residual = _conformality_residual_direct(mu, g, s, cells) if sides is None else max(sides)
     if math.isnan(residual):
         raise FloatingPointError("the conformality residual is NaN")
     return residual
@@ -454,124 +443,41 @@ def _conformality_residual_direct(mu: AtomicMeasure, g, s: float, cells: int) ->
     return float(np.max(np.abs(lhs - rhs)))
 
 
-@dataclass
-class _Shell:
-    """The words of length L = ``mu.depth`` of a measure's walk, in
-    enumeration order, so row i's first letter is i // (2k-1)^(L-1) (the
-    identity, at L = 0, has none).  ``jraw`` holds the raw derivatives
-    j(v, p) at the base point p.  A boundary p keeps v(p) in ``points``, its
-    dim + 1 ball coordinates, 8 (dim + 2) bytes a word with ``jraw``; the
-    float64 kernels read a dimension-1 shell's two columns as stored.  An
-    interior p keeps only the exact half-space coordinates (z, t) of v(p),
-    32 bytes a word, whose ball coordinates :func:`halfspace_to_ball` forms
-    elementwise, so block by block gives the same bits.
+def _shell_sides(mu: AtomicMeasure, g, s: float) -> tuple[float, float] | None:
+    """(A, B^sup) of :func:`conformality_residual` from the first-letter sums
+    m_f and normalizer S of ``mu``, or None where they are not formed.
+
+    A = sum of m_f, f != l, exact and rounded once, over S.  The words of first
+    letter f move a base point p of the closed fundamental domain into the
+    closed ball R_f orthogonal to the sphere over f's target disc, centre
+    c_f / cos(a_f), radius tan(a_f) (the identity keeps p).  With u = g^-1(0),
+    u* = u / |u|^2, j(g, x) = (1 - |u|^2) / (|u|^2 |x - u*|^2) in the ball, so
+    B^sup = sum over f != l^-1 of m_f (sup of j(g, .) on R_f)^s, over S.  None
+    for a kernel measure, a transform that is no letter, s < 0, a target disc
+    of a hemisphere or more, an orbit point in an open half-ball, or u* in an R_f.
     """
-
-    below: int   # (2k-1)^(L-1) words share a first letter; 0 at L = 0
-    jraw: np.ndarray
-    points: np.ndarray | None = None
-    z: np.ndarray | None = None
-    t: np.ndarray | None = None
-    # cell count -> the cell of each v(p), in the smallest integer type; no g changes it
-    cells: dict = field(default_factory=dict)
-
-    def blocks(self, letter: int | None = None) -> list[slice]:
-        """``BLOCK_WORDS`` slices, in walk order, of the rows of the words that
-        do not start with ``letter``: all but [letter * below, (letter + 1) *
-        below), clipped to a cut shell; every row when ``letter`` is None."""
-        n = self.jraw.shape[0]
-        cut = (n, n) if letter is None else [min(e * self.below, n) for e in (letter, letter + 1)]
-        return [slice(lo, min(lo + BLOCK_WORDS, stop)) for start, stop in ((0, cut[0]), (cut[1], n))
-                for lo in range(start, stop, BLOCK_WORDS)]
-
-
-def _record_shell(mu: AtomicMeasure, enum: dict) -> _Shell:
-    """One walk of ``mu``'s words (its depth and budget), writing the shell
-    into columns of its level's size, or of the budget when that is
-    smaller; a budget cut keeps a copy of the words it reached, not a whole
-    level."""
-    group: SchottkyGroup = enum["group"]
-    point3 = embed3(np.asarray(enum["point"]))
-    stored = point3[:group.dim + 1]   # as the float64 kernels read a dimension-1 point
-    depth, budget = mu.depth, enum.get("budget")   # the budget counts every word
-    size = level_count(group, depth) if budget is None else min(level_count(group, depth), budget)
-    shell = _Shell(depth and (group.letter_count - 1) ** (depth - 1), np.empty(size))
-    if enum["kind"] == "boundary":
-        shell.points = np.empty((size, group.dim + 1))
-    else:
-        shell.z, shell.t = np.empty(size, complex), np.empty(size)
-    reached = 0
-
-    def record(batch, words) -> None:
-        nonlocal reached
-        if batch.length == depth:
-            part = slice(batch.offset, batch.offset + batch.last.shape[0])
-            if shell.z is None:
-                shell.jraw[part] = boundary_derivative_raw(batch.mats, stored)
-                shell.points[part] = apply_boundary_raw(batch.mats, stored)
-            else:
-                images = interior_images_raw(batch.mats, point3)
-                shell.z[part], shell.t[part], shell.jraw[part] = images
-            reached = part.stop
-
-    walk(group, depth, budget, consumers=[record])
-    if reached < size:
-        vars(shell).update({name: column[:reached].copy() for name, column in vars(shell).items()
-                            if isinstance(column, np.ndarray)})
-    return shell
-
-
-def _conformality_residual_paired(mu: AtomicMeasure, g, s: float, cells: int,
-                                  enum: dict, letter: int) -> float:
-    """Residual via the exact word pairing w = g v, on the depth shell.
-
-    Every word v with |g v| <= L contributes j(g v, p)^s at the cell of
-    v(p) to both sides, cancelling exactly.  What remains per cell is
-
-      + weight(w)        for |w| = L not starting with the g letter,
-                         binned at g^{-1} w (p)     [mu(g A) keeps them]
-      - j(g v, p)^s/S    for |v| = L not starting with the g^{-1} letter,
-                         binned at v(p)             [the integral keeps them]
-
-    both of which are depth-shell terms.  With the chain rule
-    j(g v, p) = j(g, v(p)) j(v, p) both come from the shell record: the
-    positions v(p), moved by g^{-1} and differentiated by g, and the raw
-    j(v, p).  The words of one first letter are one range of the walk
-    order, so each side reads the other rows by :meth:`_Shell.blocks`.
-    Every mu(g A) term is added before every integral term, each side in
-    walk order: ``np.add.at`` adds one term at a time, so the blocks add the
-    terms of one pass over the shell, in its order.  The shell's v(p) are
-    binned by direction once per cell count, in their own loop, and their
-    cells kept.  In dimension 1, g and g^{-1} act by their real matrices, as
-    in the walks, so a boundary shell never leaves float64.
-    """
-    if mu._shell is None:
-        mu._shell = _record_shell(mu, enum)
-    shell = mu._shell
-    gm, ginvm = g.matrix, g.inverse().matrix
-    if mu.dim == 1:
-        gm, ginvm = gm.real, ginvm.real
-    scale = mu.series.partial_sum
-    net = np.zeros(cells)
-    cell_of = shell.cells.get(cells)
-    if cell_of is None:   # in the smallest type for cells - 1
-        cell_of = np.empty(shell.jraw.shape[0], np.min_scalar_type(-cells))
-        for part in shell.blocks():
-            v = (shell.points[part] if shell.z is None
-                 else halfspace_to_ball(shell.z[part], shell.t[part]))
-            cell_of[part] = _cell_index(v, mu.dim, cells)
-        shell.cells[cells] = cell_of
-    for part in shell.blocks(letter):
-        if shell.z is None:
-            pre = apply_boundary_raw(ginvm, shell.points[part])
-        else:
-            pre = halfspace_to_ball(*apply_halfspace_raw(ginvm, shell.z[part], shell.t[part]))
-        np.add.at(net, _cell_index(pre, mu.dim, cells), shell.jraw[part] ** s / scale)
-    for part in shell.blocks(letter ^ 1):
-        jg = (boundary_derivative_raw(gm, shell.points[part]) if shell.z is None
-              else _stretch(g, shell.z[part], shell.t[part]))
-        np.subtract.at(net, cell_of[part], jg ** s * shell.jraw[part] ** s / scale)
-    return float(np.max(np.abs(net)))
+    enum = mu.meta.get("enumeration")
+    letter = None if enum is None or enum["kernel"] is not None else _letter_of(enum["group"], g)
+    if letter is None or s < 0:
+        return None
+    point, targets = enum["point"], enum["group"].letter_targets
+    balls = {f: (embed3(disc.center.coords) / math.cos(disc.angular_radius),
+                 math.tan(disc.angular_radius)) for f, disc in enumerate(targets)}
+    if max(disc.angular_radius for disc in targets) >= 0.5 * math.pi or (
+            enum["kind"] == "interior"
+            and any(np.linalg.norm(point - c) < r for c, r in balls.values())):
+        return None
+    balls[-1] = (point, 0.0)
+    [u], [conorm] = inverse_origin_images_raw(g.matrix[None])
+    u2, sums = float(np.dot(u, u)), mu.first_letter_sums
+    gaps = {f: float(np.linalg.norm(u / u2 - balls[f][0])) - balls[f][1]
+            for f in sums if f != letter ^ 1}
+    if not all(gap > 0.0 for gap in gaps.values()):
+        return None
+    a = ExactSum.total(part for f, part in sums.items() if f != letter).value()
+    b = math.fsum(sums[f].value() * (float(conorm) / (u2 * gap * gap)) ** s
+                  for f, gap in gaps.items())
+    return a / mu.series.partial_sum, b / mu.series.partial_sum
 
 
 def _letter_of(group: SchottkyGroup, g) -> int | None:

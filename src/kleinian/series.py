@@ -469,9 +469,9 @@ def parabolic_domination(zeta: BoundaryPoint, s: float):
     def consume(batch: WordBatch, words: WordBatch) -> None:
         nonlocal b_measured
         jb = boundary_derivative_raw(words.mats, bc)
-        reduced.add(batch.length, jb ** s)
+        reduced.add(words, jb ** s)
         ji = interior_derivative_raw(batch.mats, np.zeros(3))
-        poincare.add(batch.length, ji ** s)
+        poincare.add(batch, ji ** s)
         conorm = ji if words is batch else ji[words.rows]   # 1 - |w(0)|^2 = j(w, 0)
         if conorm.shape[0]:
             dist = np.arccosh(np.maximum(2.0 / conorm - 1.0, 1.0))
@@ -559,10 +559,12 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
         raise ValueError("bracket must satisfy s_lo < s_hi")
     probes: list[ProbeRecord] = []
     origin = np.zeros(3)
-    raw: list[tuple[int, np.ndarray]] = []   # (length, j(w, 0)) per batch
+    raw: list[tuple[WordBatch, np.ndarray]] = []   # (level, j(w, 0)) per batch
 
     def cache(batch: WordBatch, words: WordBatch) -> None:
-        raw.append((batch.length, interior_derivative_raw(words.mats, origin)))
+        # a probe reads level sums only: its batches keep no first letters (span 0)
+        raw.append((WordBatch(words.length, 0, None, None, None, words.final),
+                    interior_derivative_raw(words.mats, origin)))
 
     done = walk(group, max(depths, default=0), budget, kernel=kernel, consumers=[cache])
     walked = (done.depth_completed, done.budget_exhausted)
@@ -575,9 +577,9 @@ def estimate_delta(group: SchottkyGroup, bracket: tuple[float, float],
             blocks = LevelSums()
             fed = 0
             for depth in depths:
-                while fed < len(raw) and raw[fed][0] <= depth:
-                    length, raw_values = raw[fed]
-                    blocks.add(length, raw_values ** s)
+                while fed < len(raw) and raw[fed][0].length <= depth:
+                    words, raw_values = raw[fed]
+                    blocks.add(words, raw_values ** s)
                     fed += 1
                 probe = done.upto(depth)
                 blocks.finish(probe)

@@ -16,7 +16,8 @@ from kleinian.group import (BLOCK_WORDS, DeclaredStabilizer, EndingSequenceSpec,
                             walk)
 from kleinian.measure import (DEFAULT_CELLS, MERGE_TOL, PARTITION_OFFSET, AtomicMeasure,
                               EndingMeasures, _AtomStream, _cell_index, _cell_masses,
-                              _inserted, _letter_of, _merge_atoms, _sphere_grid, _void_keys,
+                              _conformality_residual_direct, _inserted, _letter_of,
+                              _merge_atoms, _shell_sides, _sphere_grid, _void_keys,
                               classify_atomicity, conformality_residual, ending_measure,
                               orbit_measure, singularity_diagnostic, support_gap, weak_distance)
 from kleinian.mobius import (apply_boundary_raw, apply_interior_raw,
@@ -285,10 +286,13 @@ def test_nan_residual_raises():
         conformality_residual(mu, Transform.identity(1), 1.0)
 
 
-def _paired_reference(mu, g, s: float, cells: int = DEFAULT_CELLS) -> float:
+def _paired_reference(mu, g, s: float, cells=(DEFAULT_CELLS,)):
     """The paired conformality residual formed word by word: a walk of the
     measure's words (its depth and budget) that multiplies g and g^-1 onto
-    every word v of the depth shell and evaluates j(g v, p) and g^-1 v (p)."""
+    every word v of the depth shell and evaluates j(g v, p) and g^-1 v (p).
+    Returns the binned residual at each count of ``cells``, and the totals
+    of the mu(g A) side and of the integral side, ``math.fsum`` of their
+    terms."""
     enum = mu.meta["enumeration"]
     group = enum["group"]
     point3 = embed3(np.asarray(enum["point"]))
@@ -299,7 +303,8 @@ def _paired_reference(mu, g, s: float, cells: int = DEFAULT_CELLS) -> float:
     g_mat, ginv_mat = (t.matrix.real if group.dim == 1 else t.matrix
                        for t in (g, g.inverse()))
     scale = mu.series.partial_sum
-    net = np.zeros(cells)
+    nets = {count: np.zeros(count) for count in cells}
+    sides: tuple[list, list] = ([], [])
     first_by_level: list[np.ndarray] = []
 
     def first_letters(batch) -> np.ndarray:
@@ -313,9 +318,9 @@ def _paired_reference(mu, g, s: float, cells: int = DEFAULT_CELLS) -> float:
         first_by_level[batch.length] = np.concatenate([first_by_level[batch.length], arr])
         return arr
 
-    def bin_of(points: np.ndarray) -> np.ndarray:
+    def bin_of(points: np.ndarray, count: int) -> np.ndarray:
         norms = np.linalg.norm(points, axis=1)
-        return _cell_index(points / np.where(norms > 0, norms, 1.0)[:, None], mu.dim, cells)
+        return _cell_index(points / np.where(norms > 0, norms, 1.0)[:, None], mu.dim, count)
 
     def shell(batch, words) -> None:
         first = first_letters(batch)
@@ -334,11 +339,15 @@ def _paired_reference(mu, g, s: float, cells: int = DEFAULT_CELLS) -> float:
             pos_pre = apply_interior_raw(pre_mats, point3)
             jgv = interior_derivative_raw(comp_mats, point3) ** s
         keep_lhs, keep_rhs = first != g_letter, first != ginv_letter
-        np.add.at(net, bin_of(pos_pre)[keep_lhs], jw[keep_lhs] / scale)
-        np.subtract.at(net, bin_of(pos_v)[keep_rhs], jgv[keep_rhs] / scale)
+        sides[0].extend((jw[keep_lhs] / scale).tolist())
+        sides[1].extend((jgv[keep_rhs] / scale).tolist())
+        for count, net in nets.items():
+            np.add.at(net, bin_of(pos_pre, count)[keep_lhs], jw[keep_lhs] / scale)
+            np.subtract.at(net, bin_of(pos_v, count)[keep_rhs], jgv[keep_rhs] / scale)
 
     walk(group, mu.depth, enum["budget"], consumers=[shell])
-    return float(np.max(np.abs(net)))
+    return ({count: float(np.max(np.abs(net))) for count, net in nets.items()},
+            math.fsum(sides[0]), math.fsum(sides[1]))
 
 
 SHELL_POINTS = {1: (BoundaryPoint.from_angle(math.pi), InteriorPoint([0.1, -0.2])),
@@ -348,28 +357,51 @@ SHELL_POINTS = {1: (BoundaryPoint.from_angle(math.pi), InteriorPoint([0.1, -0.2]
 @settings(max_examples=25, deadline=None)
 @given(group=st.one_of(schottky_groups(), cap_groups()), depth=st.integers(0, 5),
        kind=st.sampled_from(["ending", "orbit"]), s=st.floats(0.3, 1.5), data=st.data())
-def test_shell_residual_equals_the_word_pairing(group, depth, kind, s, data):
-    """The residual from the recorded shell (chain rule on stored positions)
-    agrees with the per-word matrix pairing for every letter, with and
-    without a budget cut, on both boundary dimensions."""
+def test_first_letter_residual_bounds_the_word_pairing(group, depth, kind, s, data):
+    """For every letter, with and without a budget cut, on both boundary
+    dimensions: the per-word pairing binned on 1, 16 and 64 cells is at most
+    the residual max(A, B^sup); A is the pairing's mu(g A) side, and B^sup
+    bounds its integral side."""
     total = sum(level_count(group, length) for length in range(depth + 1))
     budget = data.draw(st.one_of(st.none(), st.integers(1, total)))
     zeta, z = SHELL_POINTS[group.dim]
     mu = (ending_measure(group, zeta, s, depth, budget=budget)
           if kind == "ending" else orbit_measure(group, z, s, depth, budget=budget))
-    # one cell weighs both sides in full; the default cells locate them
-    for cells in (DEFAULT_CELLS, 1):
-        for gen in group.generators:
-            for g in (gen.transform, gen.transform.inverse()):
-                reference = _paired_reference(mu, g, s, cells)
-                residual = conformality_residual(mu, g, s, cells)
-                assert abs(residual - reference) <= 1e-12 * abs(reference)
-                event(f"{cells} cells: " + ("bit-equal" if residual == reference
-                                            else "within rel 1e-12, not bit-equal"))
+    for e in range(group.letter_count):
+        g = group.letter_transform(e)
+        binned, a_ref, b_ref = _paired_reference(mu, g, s, (1, 16, DEFAULT_CELLS))
+        a, b_sup = _shell_sides(mu, g, s)
+        residual = conformality_residual(mu, g, s)
+        assert residual == max(a, b_sup)
+        assert all(value <= residual * (1.0 + 1e-12) for value in binned.values())
+        assert abs(a - a_ref) <= 1e-12 * a_ref
+        assert b_ref <= b_sup * (1.0 + 1e-12)
+        event("A decides" if a >= b_sup else "B^sup decides")
+
+
+def test_outside_its_conditions_the_residual_is_the_direct_formula(group):
+    """An orbit point inside the open half-ball over a generator disc is not
+    moved into the balls R_f by the words of first letter f, a disc of more
+    than a hemisphere has no such ball, and a parabolic letter's own ball
+    holds u*: there the bound is not formed, and the residual is the direct
+    atom formula's."""
+    z = InteriorPoint(0.95 * group.generators[0].source.center.coords)
+    wide = SchottkyGroup.from_disc_pairs(1, [(arc(0, 100), arc(180, 40))])
+    parabolic = SchottkyGroup.free_product(group).with_parabolic("p", arc(0, 12), 4.5)
+    p = parabolic.letter_labels.index("p")
+    for mu, letters in ((orbit_measure(group, z, 1.0, 4), range(group.letter_count)),
+                        (ending_measure(wide, BoundaryPoint.from_angle(2.3), 1.0, 4), (0, 1)),
+                        (ending_measure(parabolic, DOMAIN_POINT, 1.0, 4), (p, p ^ 1))):
+        for e in letters:
+            g = mu.meta["enumeration"]["group"].letter_transform(e)
+            assert _shell_sides(mu, g, 1.0) is None
+            assert conformality_residual(mu, g, 1.0) == _conformality_residual_direct(
+                mu, g, 1.0, DEFAULT_CELLS)
 
 
 def test_residuals_of_one_measure_walk_once(group, monkeypatch):
-    mu = ending_measure(group, DOMAIN_POINT, 0.8, 5)
+    """The measure's own walk is the only one: its residuals, for every
+    letter, read its first-letter sums."""
     walks = []
     enumerate_levels = kleinian.group.iter_word_batches
 
@@ -378,62 +410,31 @@ def test_residuals_of_one_measure_walk_once(group, monkeypatch):
         return enumerate_levels(*args, **kwargs)
 
     monkeypatch.setattr(kleinian.group, "iter_word_batches", counted)
+    mu = ending_measure(group, DOMAIN_POINT, 0.8, 5)
     residuals = [conformality_residual(mu, t, 0.8) for gen in group.generators
                  for t in (gen.transform, gen.transform.inverse())]
     assert walks == [5]
-    assert residuals == pytest.approx([_paired_reference(mu, t, 0.8)
-                                       for gen in group.generators
-                                       for t in (gen.transform, gen.transform.inverse())],
-                                      rel=1e-12)
-
-
-def test_shell_keeps_one_small_cell_array_per_count(group):
-    """The first residual at a cell count bins the shell's points once, into
-    one array of the smallest signed integer type; later calls read it and
-    give the same bits."""
-    mu = ending_measure(group, DOMAIN_POINT, 0.8, 5)
-    g = group.generators[0].transform
-    first = {cells: conformality_residual(mu, g, 0.8, cells) for cells in (16, 64, 1000)}
-    shell = mu._shell
-    assert {cells: binned.dtype for cells, binned in shell.cells.items()} == {
-        16: np.int8, 64: np.int8, 1000: np.int16}
-    for cells, binned in shell.cells.items():
-        assert np.array_equal(binned, _cell_index(shell.points, group.dim, cells))
-        assert conformality_residual(mu, g, 0.8, cells) == first[cells]
-
-
-@pytest.mark.parametrize("kind", ["ending", "orbit"])
-def test_a_cut_shell_holds_only_the_words_it_reached(group, kind):
-    """A budget that cuts 100 words into the top level leaves a shell of
-    100 words: each array owns its data, so none pins a whole level."""
-    budget = sum(level_count(group, length) for length in range(5)) + 100
-    mu = (ending_measure(group, DOMAIN_POINT, 0.8, 5, budget=budget) if kind == "ending"
-          else orbit_measure(group, InteriorPoint([0.1, -0.2]), 0.8, 5, budget))
-    conformality_residual(mu, group.generators[0].transform, 0.8)
-    shell = mu._shell
-    arrays = [value for value in (*vars(shell).values(), *shell.cells.values())
-              if isinstance(value, np.ndarray)]
-    assert len(arrays) == (3 if kind == "ending" else 4)   # jraw, points or (z, t), cells
-    for array in arrays:
-        assert array.base is None and array.nbytes == 100 * array[0].nbytes
+    monkeypatch.undo()
+    for residual, t in zip(residuals, [t for gen in group.generators
+                                       for t in (gen.transform, gen.transform.inverse())]):
+        assert _paired_reference(mu, t, 0.8)[0][DEFAULT_CELLS] <= residual * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("kind", ["ending", "orbit"])
 def test_a_shell_cut_far_below_its_depth_is_sized_by_the_budget(group, kind):
     """A depth-30 measure cut by a budget of 10^5 words never reaches its
-    top level of 4 * 3^29 words: its shell, sized by the budget, ends
-    empty, and every residual is 0."""
+    top level of 4 * 3^29 words: its depth shell is empty, its mass 0, and
+    every residual is 0."""
     mu = (ending_measure(group, DOMAIN_POINT, 0.8, 30, budget=10 ** 5) if kind == "ending"
           else orbit_measure(group, InteriorPoint([0.1, -0.2]), 0.8, 30, 10 ** 5))
     assert [conformality_residual(mu, group.letter_transform(e), 0.8, cells)
             for e in range(group.letter_count) for cells in (1, 64)] == [0.0] * 8
-    assert mu._shell.jraw.shape == (0,)
+    assert mu.first_letter_sums == {} and mu.shell_mass() == 0.0
 
 
 def test_later_dimension1_residuals_stay_in_float64(group):
-    """Once the shell is recorded, a dimension-1 residual reads its stored
-    columns with the real matrices of g and g^{-1}: no complex chart is
-    formed or left, and the values are those of the calls before."""
+    """A dimension-1 residual forms no complex chart, and a later call gives
+    the values of the calls before."""
     mu = ending_measure(group, DOMAIN_POINT, 0.8, 5)
     letters = [group.letter_transform(e) for e in range(group.letter_count)]
     want = [conformality_residual(mu, g, s) for g in letters for s in (0.8, 1.3)]

@@ -506,7 +506,7 @@ def _probe_walk(group, s, depth, budget, restrict):
 
     def evaluate(batch, words):
         values = interior_derivative_raw(batch.mats, np.zeros(3)) ** s
-        blocks.add(batch.length, values if words is batch else values[words.rows])
+        blocks.add(words, values if words is batch else values[words.rows])
 
     evaluate.whole_group = True   # it reads the whole batch, so the walk is not pruned
     done = walk(group, depth, budget, kernel=restrict, consumers=[evaluate])

@@ -26,8 +26,8 @@ from kleinian.group import (BLOCK_WORDS, GATHER_WORDS, DeclaredStabilizer, Exact
                             QuotientSpec, QuotientTracker, SchottkyGroup, enumerate_words,
                             iter_word_batches, kernel_enumerate, level_count, walk, word_at)
 from kleinian.limits import horoball_entry, horoball_scanner
-from kleinian.measure import (DEFAULT_CELLS, EndingMeasures, _record_shell,
-                              conformality_residual, ending_measure, orbit_measure)
+from kleinian.measure import (DEFAULT_CELLS, EndingMeasures, conformality_residual,
+                              ending_measure, orbit_measure)
 from kleinian.mobius import boundary_derivative_raw, matmul_raw
 from kleinian.model import BoundaryPoint, InteriorPoint, embed3
 from kleinian.series import (ProbeRecord, boundary_values, bounded_parabolic_domination,
@@ -643,9 +643,9 @@ def test_a_walk_holds_no_matrices_of_the_level_below_the_top():
 
 def _walk_outputs(group, depth, budget):
     """The bits of every walk consumer: a boundary series; ending measures at
-    one and two targets and beside an orbit measure; the conformality
-    shells and residuals (every letter, one cell and the default cells) of
-    an ending and an orbit measure; kernel measures and a horoball scan on
+    one and two targets and beside an orbit measure, with their first-letter
+    sums; the conformality residuals (every letter, one cell and the default
+    cells) of an ending and an orbit measure; kernel measures and a horoball scan on
     one pruned kernel walk; a domination record on a whole kernel walk; and
     the probe records of a pruned exponent estimate."""
     if group.dim == 1:
@@ -660,7 +660,8 @@ def _walk_outputs(group, depth, budget):
     def measure_bits(measures, done):
         return [bits for mu in measures.at(done)
                 for bits in (mu.points.tobytes(), mu.weights.tobytes(),
-                             mu.word_lengths.tobytes(), repr(mu.series.level_sums))]
+                             mu.word_lengths.tobytes(), repr(mu.series.level_sums),
+                             repr({f: part.value() for f, part in mu.first_letter_sums.items()}))]
 
     series = horospherical_partial(group, targets[0], 0.7, depth, budget)
     out = [repr((series.level_sums, series.partial_sum, series.transcript["level_counts"]))]
@@ -669,9 +670,6 @@ def _walk_outputs(group, depth, budget):
         out += measure_bits(measures, measures.walk(depth, budget))
     for mu in (ending_measure(group, targets[0], 0.7, depth, budget=budget),
                orbit_measure(group, base, 0.7, depth, budget)):
-        out += [value.tobytes() if isinstance(value, np.ndarray) else repr(value)
-                for value in vars(_record_shell(mu, mu.meta["enumeration"])).values()]
-        # one cell takes every term, so any change of summation order shows
         out += [conformality_residual(mu, group.letter_transform(e), 0.7, cells).hex()
                 for cells in (1, DEFAULT_CELLS) for e in range(group.letter_count)]
     scan, scanned = horoball_scanner(group, targets[0], (0.5, 1.0, 2.0), depth)
@@ -701,7 +699,7 @@ def _walk_outputs(group, depth, budget):
        size=st.sampled_from([7, 64, BLOCK_WORDS]), data=st.data())
 def test_batch_size_keeps_every_bit(group, depth, size, data):
     """Walks in batches of 7, 64 and ``BLOCK_WORDS`` words give the same
-    level sums, measures, shells, residuals, horoball scans,
+    level and first-letter sums, measures, residuals, horoball scans,
     domination records and probe records, bit for bit, in dimensions 1 and
     2, on whole, pruned and whole kernel walks, for budgets that cut on and
     inside batches of ``size`` words."""
@@ -743,23 +741,19 @@ def test_the_example3_walk_holds_no_top_slab():
     assert _traced_peak(lambda: measures.walk(8, None, [whole, dominate])) < 32 << 20
 
 
-def test_the_first_residual_writes_the_shell_in_place():
-    """The first residual on the depth-7 measure walks it once and writes
-    its shell (941,192 words, 24 bytes each) into columns of the level's
-    size: it traces about 30 MiB, where per-batch parts joined at the end
-    traced about 52."""
-    ex1 = build_example1(Example1Config(depth=7))
-    first = ex1.group.generators[0].transform
-    assert _traced_peak(lambda: conformality_residual(ex1.measure, first, 0.5)) < 32 << 20
-
-
-def test_a_later_residual_holds_little_beside_the_shell():
-    """The first residual keeps the depth-7 shell (941,192 words) on the
-    measure; a later one evaluates it by blocks."""
-    ex1 = build_example1(Example1Config(depth=7))
-    first, second = (gen.transform for gen in ex1.group.generators[:2])
-    conformality_residual(ex1.measure, first, 0.5)
-    assert _traced_peak(lambda: conformality_residual(ex1.measure, second, 0.5)) < 16 << 20
+def test_residuals_walk_nothing_and_hold_little():
+    """The residuals of every letter on Example 1's depth-7 ending and orbit
+    measures (941,192 top-level words) walk nothing, and trace well under
+    1 MiB: they read the measures' first-letter sums."""
+    group, target = example1_group(Example1Config(depth=7))
+    measures = EndingMeasures(group, [target], 0.5, orbit_points=[InteriorPoint([0.1, -0.2])])
+    done = measures.walk(7)
+    letters = [group.letter_transform(e) for e in range(group.letter_count)]
+    refused = AssertionError("a residual walked")
+    with mock.patch.object(kleinian.group, "iter_word_batches", side_effect=refused):
+        for mu in measures.at(done):
+            peak = _traced_peak(lambda: [conformality_residual(mu, g, 0.5) for g in letters])
+            assert peak < 1 << 20
 
 
 def test_a_deep_series_keeps_no_level_values():
@@ -819,12 +813,52 @@ def test_level_sums_are_fsum_of_their_levels(group, depth, kernel):
         assert blocks.level_sums == fsums(depth + 1)
 
 
+@settings(max_examples=20, deadline=None)
+@given(group=st.one_of(schottky_groups(), cap_groups()), depth=st.integers(0, 5),
+       kernel=st.booleans(), data=st.data())
+def test_first_letter_sums_are_fsum_of_their_words(group, depth, kernel, data):
+    """On whole, pruned kernel and budget-cut walks, in batches of 7 words,
+    each first-letter sum of each level is ``math.fsum`` of its words'
+    values, their first letters tracked from their parents'."""
+    target = (BoundaryPoint.from_angle(math.pi) if group.dim == 1
+              else BoundaryPoint([-1.0, 0.0, 0.0]))
+    spec = QuotientSpec({group.generators[0].label: ()}) if kernel else None
+    total = sum(level_count(group, length) for length in range(depth + 1))
+    budget = data.draw(st.one_of(st.none(), st.integers(1, total)))
+    values = boundary_values(target, 0.7)
+    blocks = LevelSums(values)
+    firsts: list[np.ndarray] = []   # per level, the first letters of its batches' words
+    summed = defaultdict(list)      # (level, first letter) -> values
+
+    def track(batch, words):
+        if batch.length == 0:
+            first = np.array([-1])
+        else:
+            parents = firsts[batch.length - 1][batch.parent]
+            first = np.where(parents < 0, batch.last, parents)
+        if batch.length == len(firsts):
+            firsts.append(np.empty(0, dtype=np.int64))
+        firsts[batch.length] = np.concatenate([firsts[batch.length], first])
+        for f, value in zip((first if spec is None else first[batch.image == 0]).tolist(),
+                            values(words).tolist()):
+            summed[batch.length, f].append(value)
+
+    with mock.patch.object(kleinian.group, "iter_word_batches",
+                           functools.partial(iter_word_batches, size=7)):
+        done = walk(group, depth, budget, kernel=spec, consumers=[blocks, track])
+    for length in range(depth + 1):
+        blocks.finish(done.upto(length))
+        assert {f: part.value() for f, part in blocks.first_letter_sums.items()} == {
+            f: math.fsum(level) for (at, f), level in summed.items() if at == length}
+
+
 def _split_sum(values, cuts):
-    """``ExactSum`` of the values fed in the parts that the indices ``cuts`` mark."""
-    total = ExactSum()
-    for part in np.split(values, cuts):
-        total.add(part)
-    return total.value()
+    """The values fed in the parts that the indices ``cuts`` mark, in turn to
+    two ``ExactSum`` objects, and ``ExactSum.total`` of those, rounded."""
+    sums = (ExactSum(), ExactSum())
+    for i, part in enumerate(np.split(values, cuts)):
+        sums[i % 2].add(part)
+    return ExactSum.total(sums).value()
 
 
 def _sum_outcome(add, values):
