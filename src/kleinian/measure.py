@@ -35,6 +35,7 @@ DEFAULT_CELLS = 64
 TOP_K_ATOMS = 32
 PARTITION_OFFSET = 0.5 * (math.sqrt(5.0) - 1.0)  # keeps atoms off cell edges
 NEAREST_PAIRS = 1 << 18   # point pairs compared at a time by _nearest_distances
+QUEUE_WORDS = 1 << 15     # words an atom stream queues at most before it merges them
 
 
 # --- the measure value type ---------------------------------------------------
@@ -132,7 +133,7 @@ def _merge_atoms(points: np.ndarray, weights: np.ndarray,
     """Coalesce atoms closer than the merge tolerance (grid snap), keeping
     the earliest representative and summing weights.
 
-    The one-shot form of :class:`_AtomStream`, which merges batch by batch
+    The one-shot form of :class:`_AtomStream`, which merges queued batches
     to the same bits."""
     keys = _void_keys(_snapped(points).astype(np.int64))
     _, first_idx, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -159,13 +160,16 @@ class _AtomStream:
     """Atoms merged as a walk forms them, equal bit for bit to one
     :func:`_merge_atoms` of every atom so far.
 
-    Each batch is merged as it is added: the first key of each run of
-    equal keys is looked up in the sorted table of known atoms, only the
-    keys missed are sorted, and the new atoms are numbered in order of
-    first appearance.  Weights are added into the running totals in
-    enumeration order, so every atom gets the same representative and the
-    same summation order as in the one-shot merge, however the words are
-    split into batches.
+    :meth:`add` keys a batch at once and queues it; :meth:`_flush` merges
+    the queue as one batch once its words reach the table's atoms (at most
+    ``QUEUE_WORDS``), when a level ends and before :meth:`at`, so each merge
+    copies the table for at least as many words as it holds (below the
+    cap).  A merge looks up the first key of each run of equal keys in the
+    sorted table of known atoms; only the keys missed are sorted, and the
+    new atoms are numbered in order of first appearance.  Weights are added
+    into the running totals in enumeration order, so every atom gets the
+    same representative and the same summation order as in the one-shot
+    merge, however the words are split into batches and merges.
     A key is an atom's row of grid integers as one value that compares as
     the row does: for width 2 a complex128 whose parts are the snapped
     floats themselves (exact integers: |k| <= 10^15 < 2^53 on the closed
@@ -175,7 +179,7 @@ class _AtomStream:
 
     ``close(length)`` marks the end of a level, so ``at(depth)`` can give
     the merge of the words of length <= depth.  Totals that a level's end or
-    :meth:`at` holds are read-only, and copied only once a later batch
+    :meth:`at` holds are read-only, and copied only once a later merge
     changes them, so the top level's never are.
     """
 
@@ -188,6 +192,8 @@ class _AtomStream:
         self._lengths = [np.empty(0, dtype=np.int64)]
         self._totals = np.zeros(0)
         self._closed: dict[int, np.ndarray] = {}      # level -> totals at its end
+        self._queue: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []   # keys, points, weights
+        self._queued, self._length = 0, 0             # words queued, and their level
 
     def _key(self, points: np.ndarray) -> np.ndarray:
         grid = _snapped(points)
@@ -199,10 +205,23 @@ class _AtomStream:
         return _void_keys(grid.astype(np.int64))
 
     def add(self, points: np.ndarray, weights: np.ndarray, length: int) -> None:
-        """Merge the atoms of the next batch, of words of length ``length``."""
+        """Queue the atoms of the next batch, of words of length ``length``;
+        the batches of one level come between two :meth:`close` calls."""
         keys = self._key(points)
         if not keys.shape[0]:
             return
+        self._queue.append((keys, points, weights))
+        self._queued, self._length = self._queued + keys.shape[0], length
+        if self._queued >= min(self._totals.shape[0], QUEUE_WORDS):
+            self._flush()
+
+    def _flush(self) -> None:
+        """Merge the queued batches as one."""
+        if not self._queue:
+            return
+        keys, points, weights = (parts[0] if len(parts) == 1 else np.concatenate(parts)
+                                 for parts in zip(*self._queue))
+        self._queue, self._queued = [], 0
         # sibling words mostly share an atom: look up the first key of each run
         starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
         runs = keys[starts]
@@ -216,20 +235,21 @@ class _AtomStream:
             ranked = runs[order]
             heads = np.concatenate([[True], ranked[1:] != ranked[:-1]])
             first = order[heads]
-            by_appearance = np.argsort(first, kind="stable")
-            new_ids = np.empty(first.shape[0], dtype=np.int64)
-            new_ids[by_appearance] = self._totals.shape[0] + np.arange(first.shape[0])
+            appears = np.zeros(runs.shape[0], dtype=bool)
+            appears[first] = True   # new atoms are numbered as they first appear
+            new_ids = np.cumsum(appears)[first] + (self._totals.shape[0] - 1)
             ids[order] = new_ids[np.cumsum(heads) - 1]
             self._keys = _inserted(self._keys, pos[first], ranked[heads])
             self._ids = _inserted(self._ids, pos[first], new_ids)
-            self._points.append(points[starts[first[by_appearance]]])
-            self._lengths.append(np.full(first.shape[0], length, dtype=np.int64))
+            self._points.append(points[starts[appears]])
+            self._lengths.append(np.full(first.shape[0], self._length, dtype=np.int64))
             self._totals = np.concatenate([self._totals, np.zeros(first.shape[0])])
         elif not self._totals.flags.writeable:   # totals handed out never change
             self._totals = self._totals.copy()
         np.add.at(self._totals, np.repeat(ids, np.diff(starts, append=keys.shape[0])), weights)
 
     def close(self, length: int) -> None:
+        self._flush()
         self._closed[length] = self._totals
         self._totals.flags.writeable = False
 
@@ -240,6 +260,7 @@ class _AtomStream:
         When level ``depth`` has not ended (a budget cut, or a walk that
         stopped before it), every atom so far is in the prefix.
         """
+        self._flush()
         totals = self._closed.get(depth, self._totals)
         totals.flags.writeable = False
         for parts in (self._points, self._lengths):
@@ -667,9 +688,10 @@ def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The nearer of a row's two neighbours in the order of a Z-order curve
     through 1024^3 cells, then of first coordinates, bounds its squared
-    distance.  Only the rows of ``b`` whose first coordinate is within the
-    bound's root are compared, which is exact: a sum is never below its
-    fl(d0^2).
+    distance.  Only the rows of ``b`` whose coordinate k is within the
+    bound's root are compared, k the axis along which ``b`` spreads most
+    (its widest range), which is exact: a rounded sum of squares is never
+    below its rounded term fl(dk^2).
     """
     n, m = a.shape[0], b.shape[0]
     if not m:
@@ -681,12 +703,13 @@ def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     order = np.argsort(keys[n:])
     at = np.clip(np.searchsorted(keys[n:][order], keys[:n]) - 1, 0, max(m - 2, 0))
     bound = _window_minima(a, b[order], at, np.minimum(at + 2, m))
-    # fl(d0^2) <= bound implies |d0| <= sqrt(bound) / (1 - 2^-53)^1.5, below the
-    # rounded reach, or |d0| < 2^-510 where the square falls below 2^-1022
+    # fl(dk^2) <= bound implies |dk| <= sqrt(bound) / (1 - 2^-53)^1.5, below the
+    # rounded reach, or |dk| < 2^-510 where the square falls below 2^-1022
     reach = np.sqrt(bound) * (1.0 + 2.0 ** -50) + 2.0 ** -510
-    b = b[np.argsort(b[:, 0])]
-    lo = np.searchsorted(b[:, 0], a[:, 0] - reach, side="left")
-    hi = np.searchsorted(b[:, 0], a[:, 0] + reach, side="right")
+    k = int(np.argmax(np.ptp(b, axis=0)))
+    b = b[np.argsort(b[:, k])]
+    lo = np.searchsorted(b[:, k], a[:, k] - reach, side="left")
+    hi = np.searchsorted(b[:, k], a[:, k] + reach, side="right")
     return np.sqrt(_window_minima(a, b, lo, hi))
 
 

@@ -651,6 +651,34 @@ class TestSingularityDiagnostic:
                 assert (kleinian.measure._nearest_distances(x, y).tobytes()
                         == cKDTree(y).query(x, k=1)[0].tobytes())
 
+    def test_a_cap_windows_across_its_axis(self, rng):
+        """On the S^2 cap x > 0.9 the window runs along the axis of widest
+        spread, not along x, where it would be an annulus: the distances
+        are the KD-tree's bit for bit, and the search compares fewer than a
+        quarter of the pairs that a window along x would."""
+        from scipy.spatial import cKDTree
+
+        sphere = random_boundary_points(rng, 2, 40000)
+        a, b = sphere[sphere[:, 0] > 0.9][:1000], sphere[sphere[:, 0] < -0.9][:1000] * -1.0
+        windows, bounds = [], []
+        search = kleinian.measure._window_minima
+
+        def recorded(x, y, lo, hi):
+            windows.append(int(np.sum(hi - lo)))
+            bounds.append(search(x, y, lo, hi))
+            return bounds[-1]
+
+        with mock.patch.object(kleinian.measure, "_window_minima", recorded):
+            for x, y in ((a, b), (b, a)):
+                got = kleinian.measure._nearest_distances(x, y)
+                assert got.tobytes() == cKDTree(y).query(x, k=1)[0].tobytes()
+                # the pairs that the same bound admits along the first axis
+                reach = np.sqrt(bounds[-2]) * (1.0 + 2.0 ** -50) + 2.0 ** -510
+                first = np.sort(y[:, 0])
+                along_x = (np.searchsorted(first, x[:, 0] + reach, side="right")
+                           - np.searchsorted(first, x[:, 0] - reach, side="left"))
+                assert 4 * windows[-1] < int(along_x.sum())
+
     @pytest.mark.parametrize("pairs", [7, 64])
     @settings(max_examples=150, deadline=None)
     @given(case=st.data())
@@ -788,12 +816,13 @@ class TestAtomStream:
         stream = _AtomStream(width)
         start = 0
         for length, level in enumerate(levels):
-            for i, batch in enumerate(level):   # each batch is merged as it is added
-                atoms = stream._totals.shape[0]
+            for i, batch in enumerate(level):
+                if length == len(levels) - 1:   # ``at`` merges what is queued
+                    atoms = stream.at(length)[1].shape[0]
                 stream.add(batch, weights[start: start + batch.shape[0]], length)
                 start += batch.shape[0]
                 if length == len(levels) - 1:
-                    assert stream._totals.shape[0] - atoms == (0, 4, 4)[i]
+                    assert stream.at(length)[1].shape[0] - atoms == (0, 4, 4)[i]
             if length < len(levels) - 1 or top_closed:
                 stream.close(length)
         for depth in range(len(levels)):
@@ -802,6 +831,109 @@ class TestAtomStream:
             for got, want in zip(stream.at(depth), expected):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data(),
+           cap=st.sampled_from([1, 5, 1 << 18]))
+    def test_tiny_batches_merge_wherever_they_flush(self, width, seed, data, cap):
+        """Levels of many batches of 0-3 words over few atoms queue several
+        batches at a time, so merges fall mid-level, at a level's end and at
+        ``at`` of the open top level (a budget cut); every prefix is still
+        one merge of its words, whatever the queue's cap."""
+        rng = np.random.default_rng(seed)
+        pool = rng.normal(size=(6, width))
+        sizes = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=25),
+                                   min_size=1, max_size=4))
+        peeks = set(data.draw(st.lists(st.integers(0, 24), max_size=3)))   # at() mid-level
+        idx = rng.integers(0, pool.shape[0], size=sum(map(sum, sizes)))
+        nudge = rng.choice([0.0, 0.1 * MERGE_TOL, 10.0 * MERGE_TOL], size=(idx.shape[0], 1))
+        points = pool[idx] + nudge
+        weights = rng.uniform(0.0, 1.0, size=points.shape[0]) ** 8
+        lengths = np.repeat(np.arange(len(sizes)), list(map(sum, sizes)))
+        top, stream, start, sites = len(sizes) - 1, _AtomStream(width), 0, set()
+        flush = _AtomStream._flush
+
+        def recorded(self):
+            if self._queue:
+                sites.add((site, len(self._queue) > 1))
+            flush(self)
+
+        with (mock.patch.object(kleinian.measure, "QUEUE_WORDS", cap),
+              mock.patch.object(_AtomStream, "_flush", recorded)):
+            for length, level in enumerate(sizes):
+                for i, size in enumerate(level):
+                    site = "add"
+                    stream.add(points[start:start + size], weights[start:start + size], length)
+                    start += size
+                    if length == top and i in peeks:
+                        site = "at"
+                        got = stream.at(top)
+                        expected = _merge_atoms(points[:start], weights[:start], lengths[:start])
+                        for array, want in zip(got, expected):
+                            assert array.tobytes() == want.tobytes()
+                site = "close"
+                if length < top:
+                    stream.close(length)
+            site = "at"
+            for depth in range(len(sizes)):
+                n = int(np.searchsorted(lengths, depth, side="right"))
+                for got, want in zip(stream.at(depth), _merge_atoms(points[:n], weights[:n],
+                                                                    lengths[:n])):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for where, several in sites:
+            event(f"merged at {where}" + (" several batches" if several else ""))
+
+    def test_each_flush_site_merges_queued_batches(self):
+        """Six atoms, then batches of two known words: the queue holds two
+        batches at level 1's end, three when level 2's words reach the six
+        atoms, and two more when ``at`` reads the open level 2."""
+        rng = np.random.default_rng(11)
+        pool = rng.normal(size=(6, 2))
+        levels = [[pool]] + [[pool[rng.integers(0, 6, size=2)] for _ in range(n)] for n in (2, 5)]
+        stream, sites, added = _AtomStream(2), [], []
+        flush = _AtomStream._flush
+
+        def recorded(self):
+            if self._queue:
+                sites.append((site, len(self._queue)))
+            flush(self)
+
+        with mock.patch.object(_AtomStream, "_flush", recorded):
+            for length, level in enumerate(levels):
+                for points in level:
+                    site = "add"
+                    added.append((points, rng.uniform(size=points.shape[0]), length))
+                    stream.add(*added[-1])
+                site = "close"
+                if length < 2:
+                    stream.close(length)
+            site = "at"
+            got = stream.at(2)
+        assert sites == [("add", 1), ("close", 2), ("add", 3), ("at", 2)]
+        points, weights, lengths = zip(*added)
+        expected = _merge_atoms(np.concatenate(points), np.concatenate(weights),
+                                np.repeat(lengths, [p.shape[0] for p in points]))
+        for array, want in zip(got, expected):
+            assert array.tobytes() == want.tobytes()
+
+    def test_table_inserts_grow_logarithmically(self):
+        """One level of 64 batches of new keys: each merge copies the tables
+        for at least as many words as they hold, so they are copied 7 times
+        (after batches 1, 2, 4, ..., 64), not 64."""
+        rng = np.random.default_rng(5)
+        points = rng.normal(size=(64 * 8, 3))
+        weights = rng.uniform(size=points.shape[0])
+        stream = _AtomStream(3)
+        with mock.patch.object(kleinian.measure, "_inserted",
+                               wraps=kleinian.measure._inserted) as inserted:
+            for lo in range(0, points.shape[0], 8):
+                stream.add(points[lo:lo + 8], weights[lo:lo + 8], 0)
+            stream.close(0)
+        assert inserted.call_count == 2 * 7   # the key and the id table
+        expected = _merge_atoms(points, weights, np.zeros(points.shape[0], dtype=np.int64))
+        for array, want in zip(stream.at(0), expected):
+            assert array.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("width", [2, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e4])
@@ -838,26 +970,30 @@ class TestAtomStream:
         assert points.shape == (0, 3) and weights.shape == (0,) and lengths.shape == (0,)
 
     def test_at_shares_one_read_only_table(self):
-        """``at`` gives prefixes of one joined table, equal bit for bit to a
-        fresh concatenation of the merged parts; what it gives is read-only
-        and stays unchanged by later merges, an open level's totals too."""
+        """``at`` gives prefixes of one joined table, each equal bit for bit
+        to one merge of its words; what it gives is read-only and stays
+        unchanged by later merges, an open level's totals too."""
         rng = np.random.default_rng(7)
-        stream, given, saved = _AtomStream(2), [], []
+        stream, given, saved, added = _AtomStream(2), [], [], []
         for length in range(4):   # the top level stays open, as after a budget cut
             points = rng.normal(size=(5, 2))
             points[:2] = points[2]   # a run of equal keys
             if given:
                 points[3] = given[-1][0][-1]   # an atom already known
-            stream.add(points, rng.uniform(size=5), length)
+            added.append((points, rng.uniform(size=5), np.full(5, length)))
+            stream.add(points, added[-1][1], length)
             if length < 3:
                 stream.close(length)
-            fresh = [np.concatenate(parts) for parts in (stream._points, stream._lengths)]
+            whole = [array.copy() for array in stream.at(length)]
             for depth in range(length + 1):
                 got = stream.at(depth)
                 n = got[1].shape[0]
-                assert got[0].tobytes() == fresh[0][:n].tobytes()
-                assert got[2].tobytes() == fresh[1][:n].tobytes()
+                assert got[0].tobytes() == whole[0][:n].tobytes()
+                assert got[2].tobytes() == whole[2][:n].tobytes()
                 assert np.shares_memory(got[0], stream.at(length)[0])
+                expected = _merge_atoms(*map(np.concatenate, zip(*added[:depth + 1])))
+                for array, want in zip(got, expected):
+                    assert array.tobytes() == want.tobytes()
                 for array in got:
                     assert not array.flags.writeable
                     with pytest.raises(ValueError):
