@@ -273,9 +273,10 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
     only its last letters, and on a pruned walk its words' parents and
     level indices, so each top run re-forms its parents' matrices from
     theirs by one unchunked gather product, into a buffer of the walk's
-    own.  A complete level ends in one ``final`` batch.  Raises
-    :class:`BudgetExceeded` after yielding whatever fits within the node
-    budget, the run that the cut falls in truncated and not ``final``.
+    own.  Every level ends in one ``final`` batch.  The node budget counts
+    whole levels: before a level whose words would take the count past it,
+    :class:`BudgetExceeded` is raised, so a cut walk has yielded every word
+    of its levels <= ``depth_completed`` and no other.
 
     With a ``tracker`` each batch carries its words' image lengths as
     ``image``.  A pruning tracker keys the candidates of each run of kept
@@ -314,28 +315,24 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
         branching = letter_table.shape[1]
         total = level_count(group, length)
         first_span = total // k2
+        if budget is not None and generated + total > budget:
+            raise BudgetExceeded(f"node budget {budget} exhausted before level {length}",
+                                 words_generated=generated, depth_completed=length - 1)
         run = max(1, size // branching)   # parents per batch
-        stop = total if budget is None else min(total, budget - generated)
-        reach = -(-stop // branching)   # the parents of the words before ``stop``
-        if prune:
-            reach = int(np.searchsorted(index, reach))
+        reach = keys.shape[0]   # the parents, or on a pruned walk the kept ones
         if prev is None:   # the top: one buffer for the parents of each run
             parent_mats = np.empty((2, 2, run), dtype=letter_mats.dtype)
         cache = length < max_length - 1   # this level's matrices are the prefix cache
         parts = []   # per run, what the next level reads of this one
-        # one run at least when the level completes, so that it has a final batch
-        for first in range(0, reach or int(stop == total), run):
+        for first in range(0, reach or 1, run):   # one run at least: the final batch
             last = min(first + run, reach)
+            rows = None
             if prune:
                 rows = (index[first:last, None] * branching + np.arange(branching)).ravel()
-                rows = rows[:np.searchsorted(rows, stop)]
-                n = rows.shape[0]
-            else:
-                rows, n = None, min(last * branching, stop) - first * branching
             parent_keys = keys[first:last]
-            letters = np.take(letter_table, parent_keys, axis=0).ravel()[:n]
-            parents = np.repeat(np.arange(first, last, dtype=np.int64), branching)[:n]
-            final = last == reach and stop == total
+            letters = np.take(letter_table, parent_keys, axis=0).ravel()
+            parents = np.repeat(np.arange(first, last, dtype=np.int64), branching)
+            final = last == reach
             if prev is not None:
                 source = prev[:, :, first:last]
             else:   # the top re-forms its parents' matrices from their own parents'
@@ -363,10 +360,6 @@ def iter_word_batches(group: SchottkyGroup, max_length: int,
             if tracker is not None:
                 batch.image = image if prune else tracker.extend(batch)[1]
             yield batch
-        if stop < total:
-            raise BudgetExceeded(
-                f"node budget {budget} exhausted inside level {length}",
-                words_generated=generated + stop, depth_completed=length - 1)
         generated += total
         if length == max_length:
             return
@@ -468,10 +461,9 @@ class LevelSums:
     Each level sum is the exact total of its first-letter sums, rounded
     once: ``math.fsum`` of its level's values, however the level was split
     into batches.  After :meth:`finish` at a walk, ``level_sums`` and
-    ``level_counts`` cover its complete levels, ``tail_sum`` is what was
-    summed beyond them before a budget cut, and ``first_letter_sums`` maps
-    each first letter of level ``done.depth`` (-1 for the identity) to the
-    exact sum of its words' values.
+    ``level_counts`` cover its levels <= ``done.depth_completed``, and
+    ``first_letter_sums`` maps each first letter of the top one (-1 for the
+    identity) to the exact sum of its words' values.
     """
 
     def __init__(self, values: Callable[[WordBatch], np.ndarray] | None = None,
@@ -505,16 +497,16 @@ class LevelSums:
     def finish(self, done: Walk) -> None:
         """Round the level sums of the walk ``done``.
 
-        Levels deeper than ``done.depth`` are left out, so the sums of one
-        deep walk can be finished again at each shorter depth (see :meth:`Walk.upto`).
+        Levels deeper than ``done.depth_completed`` are left out, so the sums
+        of one deep walk can be finished again at each shorter depth (see
+        :meth:`Walk.upto`).
         """
-        sums = [ExactSum.total(part for (level, _), part in self._sums.items()
-                               if level == length).value() for length in range(done.depth + 1)]
-        self.tail_sum = math.fsum(sums[done.depth_completed + 1:])
-        self.level_sums = sums[: done.depth_completed + 1]
-        self.level_counts = [self._counts[length] for length in range(done.depth_completed + 1)]
+        top = done.depth_completed
+        self.level_sums = [ExactSum.total(part for (level, _), part in self._sums.items()
+                                          if level == length).value() for length in range(top + 1)]
+        self.level_counts = [self._counts[length] for length in range(top + 1)]
         self.first_letter_sums = {first: part for (level, first), part in self._sums.items()
-                                  if level == done.depth}
+                                  if level == top}
 
 
 @dataclass
@@ -535,7 +527,7 @@ class Walk:
         That walk yields this walk's words of length <= ``depth`` in the
         same order, though a pruned walk may split them into other batches
         (it keeps fewer parents for a shallower top); it is cut exactly when
-        this walk's cut fell inside one of those levels.
+        this walk was cut before level ``depth``.
         """
         if depth > self.depth:
             raise ValueError(f"a walk to {self.depth} does not contain one to {depth}")
@@ -549,8 +541,8 @@ def walk(group: SchottkyGroup, max_length: int, budget: int | None = None, *,
     """Walk the reduced words of length <= max_length once, batch by batch.
 
     This is the one place that catches a budget cut and decides how far a
-    walk got: a level counts only when all of its words were enumerated,
-    which is the cut's ``depth_completed``.  With ``kernel`` the quotient is
+    walk got: a cut stops it between two levels, after the cut's
+    ``depth_completed``.  With ``kernel`` the quotient is
     tracked and ``words`` is the batch's selection of kernel words (the
     batch itself otherwise), so kernel walks evaluate kernel words only.
     Each batch goes to every consumer in turn as ``consume(batch, words)``;
@@ -583,8 +575,8 @@ def enumerate_words(group: SchottkyGroup, max_length: int,
     """Stream (word, transform) pairs in breadth-first lexicographic order.
 
     Yields 2k (2k-1)^(l-1) words at each length l >= 1 plus the identity;
-    raises :class:`BudgetExceeded` once the configured node budget is hit,
-    after yielding the words that fit.
+    raises :class:`BudgetExceeded` before the first level that does not fit
+    in the node budget, after yielding every word of the levels that do.
     """
     for batch in iter_word_batches(group, max_length, budget):
         for i in range(batch.last.shape[0]):

@@ -60,8 +60,9 @@ class AtomicMeasure:
     depth: int
     series: SeriesResult | None = None
     meta: dict = field(default_factory=dict)
-    # the exact sums of the words of length ``depth`` by first letter (-1 for
-    # the identity), unnormalized, as the walk's LevelSums closed them
+    # the exact sums of the words of the top level, length
+    # ``series.depth_completed``, by first letter (-1 for the identity),
+    # unnormalized, as the walk's LevelSums closed them
     first_letter_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -75,10 +76,11 @@ class AtomicMeasure:
         return float(np.max(self.weights))
 
     def shell_mass(self) -> float:
-        """Mass of the words of length ``depth``: the exact total of their
-        first-letter sums, rounded once, over the normalizer (a complete
-        level's sum, what a budget cut reached of it, or 0)."""
-        return ExactSum.total(self.first_letter_sums.values()).value() / self.series.partial_sum
+        """Mass of the words of the top level, length ``series.depth_completed``:
+        the exact total of their first-letter sums, rounded once, over the
+        normalizer; 0 for the empty measure of a walk cut before the identity."""
+        shell = ExactSum.total(self.first_letter_sums.values()).value()
+        return shell / self.series.partial_sum if self.series.partial_sum else 0.0
 
     def top_atoms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k heaviest atoms, heaviest first, ties in atom order.
@@ -257,8 +259,7 @@ class _AtomStream:
         """Merged (points, weights, lengths) of the words of length <= depth,
         read-only; points and lengths are prefixes of one shared table.
 
-        When level ``depth`` has not ended (a budget cut, or a walk that
-        stopped before it), every atom so far is in the prefix.
+        Before level ``depth`` is closed, every atom so far is in the prefix.
         """
         self._flush()
         totals = self._closed.get(depth, self._totals)
@@ -309,8 +310,9 @@ class EndingMeasures:
     Each measure merges the atoms of the words of length <= depth (a prefix
     of the enumeration order) and is normalized by that depth's own level
     blocks, so ``at(done.upto(depth))`` is bit for bit the measure that a
-    walk to ``depth`` builds, budget cut included.  Orbit measures sum the
-    whole group without a tail, so they share no walk with a kernel or a tail.
+    walk to ``depth`` builds, and those of a cut walk are the uncut walk's
+    at its ``depth_completed``.  Orbit measures sum the whole group without
+    a tail, so they share no walk with a kernel or a tail.
     """
 
     def __init__(self, group: SchottkyGroup, targets, s: float,
@@ -353,16 +355,15 @@ class EndingMeasures:
         """The measures of the walk ``done``; pass ``done.upto(depth)`` for a
         shallower depth.  Closes ``blocks`` at ``done``."""
         out = []
-        budget = done.cut.words_generated if done.cut else None   # reproduces the cut
         for i, point in enumerate(self.points):
             boundary = i < self._targets
             series = finish_series(done, self.blocks[i], self.s, self.tail, self.group,
                                    self.spec, point if boundary else None)
-            points, weights, lengths = self._atoms[i].at(done.depth)
+            points, weights, lengths = self._atoms[i].at(done.depth_completed)
             meta = {"target" if boundary else "base_point": point.coords.tolist(),
                     "enumeration": {"group": self.group, "point": embed3(point.coords),
                                     "kind": "boundary" if boundary else "interior",
-                                    "kernel": self.spec, "budget": budget}}
+                                    "kernel": self.spec}}
             if boundary and self._notes[i]:
                 meta["domain_check"] = self._notes[i]
             mu = AtomicMeasure(points, weights / series.partial_sum, lengths, self.group.dim,
@@ -432,7 +433,8 @@ def conformality_residual(mu: AtomicMeasure, g, s: float,
     """A bound on the worst cell defect of the rule mu(g A) = int_A j(g,.)^s dmu.
 
     On a measure of the whole group's words, for a letter g = l, the sides
-    pair word by word (w = g v) but for the words of length L = ``mu.depth``:
+    pair word by word (w = g v) but for the words of its top level, length
+    L = ``mu.series.depth_completed`` (a budget cut stops a walk between levels):
     the masses A of those not starting with l (mu(g A) side), and j(g, v(p))^s
     times the masses B of those not starting with l^-1.  So every cell of any
     partition is off by at most max(A, B) <= max(A, B^sup) (:func:`_shell_sides`),
@@ -475,11 +477,12 @@ def _shell_sides(mu: AtomicMeasure, g, s: float) -> tuple[float, float] | None:
     u* = u / |u|^2, j(g, x) = (1 - |u|^2) / (|u|^2 |x - u*|^2) in the ball, so
     B^sup = sum over f != l^-1 of m_f (sup of j(g, .) on R_f)^s, over S.  None
     for a kernel measure, a transform that is no letter, s < 0, a target disc
-    of a hemisphere or more, an orbit point in an open half-ball, or u* in an R_f.
+    of a hemisphere or more, an orbit point in an open half-ball, u* in an
+    R_f, or the empty measure of a walk cut before the identity (S = 0).
     """
     enum = mu.meta.get("enumeration")
     letter = None if enum is None or enum["kernel"] is not None else _letter_of(enum["group"], g)
-    if letter is None or s < 0:
+    if letter is None or s < 0 or not mu.series.partial_sum:
         return None
     point, targets = enum["point"], enum["group"].letter_targets
     balls = {f: (embed3(disc.center.coords) / math.cos(disc.angular_radius),

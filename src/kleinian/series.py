@@ -202,8 +202,8 @@ def _fit_ratio(level_sums: Sequence[float]) -> float | None:
 def _verdict(done: Walk, level_sums: Sequence[float], tail: TailCertificate | None,
              group: SchottkyGroup, spec: QuotientSpec | None,
              target: BoundaryPoint | None, transcript: dict) -> Verdict:
-    if trivial_subgroup(group, spec) and not done.budget_exhausted:
-        return Verdict("converged_within", 0.0)   # the partial sum is the series
+    if trivial_subgroup(group, spec) and done.depth_completed >= 0:
+        return Verdict("converged_within", 0.0)   # the identity's term is the series
     if tail is not None:
         if not tail.admits_blocks(level_sums):
             transcript["certificate_rejected"] = (
@@ -238,7 +238,7 @@ def finish_series(done: Walk, blocks: LevelSums, exponent: float,
     transcript = {"level_counts": list(blocks.level_counts),
                   "ratio_fit": _fit_ratio(blocks.level_sums)}
     verdict = _verdict(done, blocks.level_sums, tail, group, spec, target, transcript)
-    partial = math.fsum(blocks.level_sums + [blocks.tail_sum])
+    partial = math.fsum(blocks.level_sums)
     return SeriesResult(
         exponent=exponent, depth=done.depth, depth_completed=done.depth_completed,
         partial_sum=partial, level_sums=tuple(blocks.level_sums), verdict=verdict,

@@ -91,6 +91,13 @@ PARABOLIC = {
 }
 
 
+def _without(report, keys):
+    """A report's JSON with the fields named in ``keys`` dropped at every level."""
+    if isinstance(report, dict):
+        return {k: _without(v, keys) for k, v in report.items() if k not in keys}
+    return report
+
+
 class TestSeriesCommand:
     def test_trivial_group_reports_unit_sum(self, tmp_path):
         cfg = write_config(tmp_path, TRIVIAL)
@@ -307,6 +314,30 @@ class TestSeriesCommand:
         report = json.loads((out / "series.json").read_text())
         assert report["result"]["budget_exhausted"]
         assert report["result"]["depth_completed"] < 5
+
+    def test_a_cut_run_writes_the_uncut_run_at_its_depth(self, tmp_path):
+        """The shipped two-generator config with a budget of 300 words stops
+        before level 5 (levels <= 4 hold 161 words, level 5 another 324):
+        its series, measure and render outputs are those of the uncut run
+        with ``--depth 4`` byte for byte, and its reports differ from that
+        run's only in ``depth`` and ``budget_exhausted``."""
+        doc = json.loads((CONFIGS / "two_generator.json").read_text())
+        cut_config = write_config(tmp_path, dict(doc, budget=300))
+        for command, files in (("series", ()), ("measure", ("atoms.csv",)),
+                               ("render", ("histogram.csv", "render.ppm"))):
+            cut, whole = tmp_path / f"{command}-cut", tmp_path / f"{command}-whole"
+            assert main([command, "--config", cut_config, "--out", str(cut)]) == 3
+            assert main([command, "--config", str(CONFIGS / "two_generator.json"),
+                         "--out", str(whole), "--depth", "4"]) == 0
+            for name in files:
+                assert (cut / name).read_bytes() == (whole / name).read_bytes(), name
+            results = [json.loads((out / f"{command}.json").read_text())["result"]
+                       for out in (cut, whole)]
+            series = [r if command == "series" else r["series"] for r in results]
+            assert [(s["depth"], s["depth_completed"], s["budget_exhausted"])
+                    for s in series] == [(6, 4, True), (4, 4, False)]
+            assert _without(results[0], {"depth", "budget_exhausted"}) == _without(
+                results[1], {"depth", "budget_exhausted"})
 
     def test_extended_precision_flag(self, tmp_path):
         cfg = write_config(tmp_path, dict(TWO_GEN, depth=4, series="poincare",

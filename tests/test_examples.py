@@ -193,8 +193,9 @@ class TestRetractionKernel:
         assert sorted(walks) == [6, 6, 7]
 
     def test_delta_estimates_say_how_far_their_walk_got(self, ex2):
-        # the kernel probes' depth-7 walk is cut inside level 7 by its 10^6
-        # budget; the group probes' depth-6 walk is whole
+        # the kernel probes' depth-7 walk stops before level 7 (levels <= 7
+        # hold 1,098,057 words, over its 10^6 budget); the group probes'
+        # depth-6 walk is whole
         assert (ex2.delta_kernel.depth_completed, ex2.delta_kernel.budget_exhausted) == (6, True)
         assert (ex2.delta_group.depth_completed, ex2.delta_group.budget_exhausted) == (6, False)
 
@@ -395,3 +396,27 @@ def test_diagnostics_builders_match_committed_hashes(name, monkeypatch):
     assert walks == {"build_example1": [cfg1.depth],
                      "example1_weak_trend": [cfg1.weak_depth],
                      "build_example3": [cfg3.depth, cfg3.identity_depth, 6]}
+
+
+def test_cut_builders_are_the_uncut_builders_at_their_depth():
+    """The ``budget`` builds stop both walks before level 5 (Example 1's 5,000
+    words and Example 3's 3,000 fall inside it): their measures, series and
+    domination partials are bit for bit those of uncut builds to depth 4."""
+    cfg1, cfg3 = DIAGNOSTICS_SMALL["budget"]
+    cut1, cut3 = build_example1(cfg1), build_example3(cfg3)
+    whole1 = build_example1(dataclasses.replace(cfg1, depth=4, budget=None))
+    whole3 = build_example3(dataclasses.replace(cfg3, depth=4, budget=None))
+
+    def bits(mu):
+        return mu.points.tobytes(), mu.weights.tobytes(), mu.word_lengths.tobytes()
+
+    def sums(series):
+        return np.array(series.level_sums).tobytes(), series.partial_sum, series.depth_completed
+
+    assert bits(cut1.measure) == bits(whole1.measure)
+    assert bits(cut3.measure) == bits(whole3.measure)
+    for cut, whole in ((cut1.series, whole1.series), (cut3.reduced, whole3.reduced),
+                       (cut3.unreduced, whole3.unreduced)):
+        assert cut.budget_exhausted and not whole.budget_exhausted
+        assert sums(cut) == sums(whole) and cut.depth_completed == 4
+    assert ({**cut3.domination, "budget_exhausted": False} == whole3.domination)

@@ -132,9 +132,11 @@ class TestEnumeration:
         with pytest.raises(BudgetExceeded) as info:
             for w, _ in enumerate_words(std_group, 4, budget=20):
                 words.append(w)
-        assert len(words) == 20
-        assert info.value.depth_completed == 2  # 1 + 4 + 12 complete, 3 of level 3
-        assert info.value.words_generated == 20
+        # levels 0-2 hold 1 + 4 + 12 words; level 3's 36 would pass 20, so
+        # the walk stops before it
+        assert len(words) == 17 and {len(w) for w in words} == {0, 1, 2}
+        assert info.value.depth_completed == 2
+        assert info.value.words_generated == 17
 
     def test_a_walk_contains_only_shallower_walks(self, std_group):
         done = walk(std_group, 3)
@@ -147,8 +149,8 @@ class TestEnumeration:
         with pytest.raises(BudgetExceeded):
             for batch in iter_word_batches(std_group, 3, budget=20):
                 batches.append((batch.length, batch.last.shape[0], batch.final))
-        # levels 0-2 complete (1 + 4 + 12 words), then 3 of the 36 top-level words
-        assert batches == [(0, 1, True), (1, 4, True), (2, 12, True), (3, 3, False)]
+        # levels 0-2 complete (1 + 4 + 12 words); none of the 36 top-level words
+        assert batches == [(0, 1, True), (1, 4, True), (2, 12, True)]
 
     def test_ping_pong_nesting_exhaustive(self, std_group):
         # every reduced word maps the closed exterior of its last letter's

@@ -287,9 +287,9 @@ def test_nan_residual_raises():
 
 
 def _paired_reference(mu, g, s: float, cells=(DEFAULT_CELLS,)):
-    """The paired conformality residual formed word by word: a walk of the
-    measure's words (its depth and budget) that multiplies g and g^-1 onto
-    every word v of the depth shell and evaluates j(g v, p) and g^-1 v (p).
+    """The paired conformality residual formed word by word: an uncut walk
+    to the measure's top level, ``depth_completed``, that multiplies g and
+    g^-1 onto every word v of that shell and evaluates j(g v, p) and g^-1 v (p).
     Returns the binned residual at each count of ``cells``, and the totals
     of the mu(g A) side and of the integral side, ``math.fsum`` of their
     terms."""
@@ -322,9 +322,11 @@ def _paired_reference(mu, g, s: float, cells=(DEFAULT_CELLS,)):
         norms = np.linalg.norm(points, axis=1)
         return _cell_index(points / np.where(norms > 0, norms, 1.0)[:, None], mu.dim, count)
 
+    top = mu.series.depth_completed
+
     def shell(batch, words) -> None:
         first = first_letters(batch)
-        if batch.length != mu.depth:
+        if batch.length != top:
             return
         pre_mats = matmul_raw(ginv_mat, batch.mats)
         comp_mats = matmul_raw(g_mat, batch.mats)
@@ -345,7 +347,7 @@ def _paired_reference(mu, g, s: float, cells=(DEFAULT_CELLS,)):
             np.add.at(net, bin_of(pos_pre, count)[keep_lhs], jw[keep_lhs] / scale)
             np.subtract.at(net, bin_of(pos_v, count)[keep_rhs], jgv[keep_rhs] / scale)
 
-    walk(group, mu.depth, enum["budget"], consumers=[shell])
+    walk(group, top, consumers=[shell])
     return ({count: float(np.max(np.abs(net))) for count, net in nets.items()},
             math.fsum(sides[0]), math.fsum(sides[1]))
 
@@ -422,14 +424,73 @@ def test_residuals_of_one_measure_walk_once(group, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["ending", "orbit"])
 def test_a_shell_cut_far_below_its_depth_is_sized_by_the_budget(group, kind):
-    """A depth-30 measure cut by a budget of 10^5 words never reaches its
-    top level of 4 * 3^29 words: its depth shell is empty, its mass 0, and
-    every residual is 0."""
-    mu = (ending_measure(group, DOMAIN_POINT, 0.8, 30, budget=10 ** 5) if kind == "ending"
-          else orbit_measure(group, InteriorPoint([0.1, -0.2]), 0.8, 30, 10 ** 5))
-    assert [conformality_residual(mu, group.letter_transform(e), 0.8, cells)
-            for e in range(group.letter_count) for cells in (1, 64)] == [0.0] * 8
-    assert mu.first_letter_sums == {} and mu.shell_mass() == 0.0
+    """A depth-30 measure cut by a budget of 10^5 words stops before level
+    10 (levels <= 9 hold 39,365 words, level 10 another 78,732): its shell
+    is level 9, of 4 * 3^8 words, and its first-letter sums, shell mass and
+    residuals are those of the uncut depth-9 measure, each residual at least
+    the binned defect on 1 and 64 cells."""
+    def build(depth, budget=None):
+        if kind == "ending":
+            return ending_measure(group, DOMAIN_POINT, 0.8, depth, budget=budget)
+        return orbit_measure(group, InteriorPoint([0.1, -0.2]), 0.8, depth, budget)
+
+    mu, whole = build(30, 10 ** 5), build(9)
+    assert (mu.series.depth_completed, mu.series.budget_exhausted) == (9, True)
+    assert mu.word_lengths.max() == 9
+    assert {f: p.value() for f, p in mu.first_letter_sums.items()} == {
+        f: p.value() for f, p in whole.first_letter_sums.items()}
+    assert sorted(mu.first_letter_sums) == list(range(group.letter_count))
+    assert 0.0 < mu.shell_mass() == whole.shell_mass()
+    for e in range(group.letter_count):
+        g = group.letter_transform(e)
+        residual = conformality_residual(mu, g, 0.8)
+        assert residual == conformality_residual(whole, g, 0.8) > 0.0
+        _bounds_binned_defects(mu, g, 0.8, residual, (1, DEFAULT_CELLS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=st.one_of(schottky_groups(), cap_groups()), depth=st.integers(1, 4),
+       kind=st.sampled_from(["ending", "orbit"]), data=st.data())
+def test_the_residual_of_a_cut_measure_bounds_its_binned_defect(group, depth, kind, data):
+    """For every budget from 1 to the walk's words, on both boundary
+    dimensions, ending and orbit measures: for every letter the residual is
+    at least the measure's own binned defect on 1, 16 and 64 cells.  A cut
+    measure holds whole levels, so its unpaired words are its top level."""
+    total = sum(level_count(group, length) for length in range(depth + 1))
+    budget = data.draw(st.integers(1, total))
+    zeta, z = SHELL_POINTS[group.dim]
+    mu = (ending_measure(group, zeta, 1.0, depth, budget=budget)
+          if kind == "ending" else orbit_measure(group, z, 1.0, depth, budget=budget))
+    for e in range(group.letter_count):
+        g = group.letter_transform(e)
+        _bounds_binned_defects(mu, g, 1.0, conformality_residual(mu, g, 1.0),
+                               (1, 16, DEFAULT_CELLS))
+
+
+def _bounds_binned_defects(mu, g, s, residual, cells):
+    """``residual`` is at least the direct binned defect on each count of
+    ``cells``, up to 1e-12: the rounding of cell sums of masses that total
+    about 1 on each side."""
+    for count in cells:
+        assert _conformality_residual_direct(mu, g, s, count) <= residual + 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_empty_measure_has_no_shell_and_no_defect(dim, group, std_group_2d):
+    """A walk cut before the identity gives measures with no atoms and a
+    normalizer of 0: both sides of the rule are 0, so the shell mass and
+    every residual are 0, the residual from the direct formula."""
+    walked = group if dim == 1 else std_group_2d
+    zeta, z = SHELL_POINTS[dim]
+    for mu in (ending_measure(walked, zeta, 0.8, 3, budget=0),
+               orbit_measure(walked, z, 0.8, 3, budget=0)):
+        assert mu.atom_count == 0 and mu.series.partial_sum == 0.0
+        assert mu.shell_mass() == 0.0
+        for e in range(walked.letter_count):
+            g = walked.letter_transform(e)
+            assert _shell_sides(mu, g, 0.8) is None
+            assert conformality_residual(mu, g, 0.8) == 0.0
+            assert conformality_residual(mu, g, 0.8, 4) == 0.0
 
 
 def test_later_dimension1_residuals_stay_in_float64(group):

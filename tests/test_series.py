@@ -297,6 +297,20 @@ class TestTrivialSubgroup:
         assert r.verdict.kind == "converged_within"
         assert r.tail_bound == 0.0 and r.partial_sum == 1.0
 
+    @pytest.mark.parametrize("budget, completed, kind", [
+        (1, 0, "converged_within"), (20, 2, "converged_within"), (0, -1, "inconclusive")])
+    def test_a_cut_after_the_identity_still_sums_the_identity_alone(self, group, budget,
+                                                                   completed, kind):
+        # a cut stops the walk between levels, so once level 0 is walked the
+        # partial sum is the series, as in the uncut walk to that level
+        r = horospherical_partial(group, DOMAIN_POINT, 1.0, 3, budget, kernel=self.KERNEL_XY)
+        assert (r.depth_completed, r.budget_exhausted, r.verdict.kind) == (completed, True, kind)
+        if completed >= 0:
+            whole = horospherical_partial(group, DOMAIN_POINT, 1.0, completed,
+                                          kernel=self.KERNEL_XY)
+            assert (r.verdict, r.partial_sum, r.level_sums) == (
+                whole.verdict, whole.partial_sum, whole.level_sums)
+
     def test_rule(self, group):
         assert trivial_subgroup(SchottkyGroup.trivial(1), None)
         assert not trivial_subgroup(group, None)

@@ -189,7 +189,8 @@ def test_walk_before_the_identity(std_group):
     done = walk(std_group, 3, 0, consumers=[blocks])
     blocks.finish(done)
     assert (done.depth_completed, done.budget_exhausted) == (-1, True)
-    assert blocks.level_sums == [] and blocks.tail_sum == 0.0
+    assert done.cut.words_generated == 0
+    assert (blocks.level_sums, blocks.level_counts, blocks.first_letter_sums) == ([], [], {})
 
 
 @settings(max_examples=15, deadline=None)
@@ -218,6 +219,69 @@ def test_budget_cut_is_a_prefix(group, depth, data):
     assert cut.level_sums == full.level_sums[: complete + 1]
     assert cut.transcript["level_counts"] == full.transcript["level_counts"][: complete + 1]
     assert cut.partial_sum <= full.partial_sum
+
+
+def _cut_outputs(group, depth, budget, kernel):
+    """What every walk-backed API returns from a walk to ``depth``, as bytes
+    and reprs: boundary and interior series (level sums, partial sum, level
+    counts, verdict), ending and orbit measures (atoms, first-letter sums,
+    shell mass, verdict), a horoball scan (count and witnesses) and a
+    domination record (partials and b).  ``kernel`` restricts all but the
+    interior series and the orbit measure; the domination record then runs
+    over the kernel of the retraction keeping the first generator."""
+    if group.dim == 1:
+        zeta, z = BoundaryPoint.from_angle(math.pi), InteriorPoint([0.1, 0.2])
+    else:
+        zeta, z = BoundaryPoint([-1.0, 0.0, 0.0]), InteriorPoint([0.1, 0.2, -0.1])
+    stab = DeclaredStabilizer(() if kernel is None else (group.generators[0].label,))
+    out = []
+    for series in (horospherical_partial(group, zeta, 0.7, depth, budget, kernel=kernel),
+                   poincare_partial(group, z, 0.7, depth, budget)):
+        out.append(repr((np.array(series.level_sums).tobytes(), series.partial_sum.hex(),
+                         series.transcript["level_counts"], series.verdict)))
+    for mu in (ending_measure(group, zeta, 0.7, depth, kernel=kernel, budget=budget),
+               orbit_measure(group, z, 0.7, depth, budget)):
+        out += [mu.points.tobytes(), mu.weights.tobytes(), mu.word_lengths.tobytes(),
+                repr({f: part.value().hex() for f, part in mu.first_letter_sums.items()}),
+                mu.shell_mass().hex(), repr(mu.series.verdict)]
+    hits = horoball_entry(group, zeta, 0.5, depth, budget, kernel)
+    out.append(repr((hits.count(), [(w.letters, k) for w, k in hits.witnesses])))
+    dom = bounded_parabolic_domination(group, zeta, 0.7, depth, stab, budget)
+    out.append(repr([dom[key] for key in ("reduced_partials", "poincare_partials", "b")]))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(group=st.one_of(schottky_groups(), cap_groups()), depth=st.integers(1, 5),
+       kernel=st.booleans(), data=st.data())
+def test_a_cut_result_is_the_uncut_result_at_its_depth(group, depth, kernel, data):
+    """For any budget of at least one word, whole and kernel walks: every
+    API's cut result is, bit for bit, the uncut result at the cut's
+    ``depth_completed``, and the walk yields no word of the level after it."""
+    total = sum(level_count(group, length) for length in range(depth + 1))
+    budget = data.draw(st.integers(1, total))
+    spec = QuotientSpec({group.generators[-1].label: ()}) if kernel else None
+    lengths = []
+    try:
+        for batch in iter_word_batches(group, depth, budget):
+            lengths.append(batch.length)
+        complete = depth
+    except BudgetExceeded as cut:
+        complete = cut.depth_completed
+    assert complete == max(l for l in range(depth + 1)
+                           if sum(level_count(group, k) for k in range(l + 1)) <= budget)
+    assert max(lengths) == complete
+    assert _cut_outputs(group, depth, budget, spec) == _cut_outputs(group, complete, None, spec)
+
+
+def _whole_levels(group, done, calls=()):
+    """The rule of a cut: ``words_generated`` is the number of words of the
+    levels <= ``depth_completed``, and no recorded call (length first) holds
+    a word of a deeper level."""
+    if done.cut is not None:
+        assert done.cut.words_generated == sum(
+            level_count(group, length) for length in range(done.depth_completed + 1))
+    assert all(call[0] <= done.depth_completed for call in calls)
 
 
 def _keeping(values):
@@ -290,8 +354,10 @@ def test_kernel_walk_is_the_masked_whole_walk(group, depth, data):
     whole.finish(reference)
     assert (done.depth_completed, done.budget_exhausted) == (
         reference.depth_completed, reference.budget_exhausted)
+    _whole_levels(group, done, by_kernel)
+    _whole_levels(group, reference, by_mask)
     assert np.array(pruned.level_sums).tobytes() == np.array(whole.level_sums).tobytes()
-    assert (pruned.level_counts, pruned.tail_sum) == (whole.level_counts, whole.tail_sum)
+    assert pruned.level_counts == whole.level_counts
     assert _by_level(by_kernel, depth) == _by_level(by_mask, depth)
 
 
@@ -319,11 +385,12 @@ def _batch_budget(data, group, depth, size):
        size=st.sampled_from([7, 64]), data=st.data())
 def test_pruned_kernel_walk_crosses_slabs(group, depth, size, data):
     """With batches of 7 or 64 words, a pruned kernel walk gives the level
-    sums, level counts, tail sum and, level by level, the kernel words
+    sums, level counts and, level by level, the kernel words
     (level indices, matrices and values) of the whole walk masked by kernel
     membership, bit for bit, for budgets on level and batch boundaries,
     inside a batch and below 1, in dimensions 1 (float64 matrices) and 2
-    (complex128).  Its calls are its own: one per run of kept parents."""
+    (complex128).  Its calls are its own: one per run of kept parents.  A
+    cut stops both walks before the level it falls in."""
     labels = [gen.label for gen in group.generators]
     killed = data.draw(st.sets(st.sampled_from(labels), min_size=1))
     spec = QuotientSpec({l: () if l in killed else (l,) for l in labels})
@@ -358,10 +425,14 @@ def test_pruned_kernel_walk_crosses_slabs(group, depth, size, data):
     whole.finish(reference)
     assert (done.depth_completed, done.budget_exhausted) == (
         reference.depth_completed, reference.budget_exhausted)
-    if done.cut is not None:
-        assert done.cut.words_generated == reference.cut.words_generated == max(budget, 0)
+    _whole_levels(group, done, by_kernel)
+    _whole_levels(group, reference, by_mask)
+    if budget is not None:
+        before = [sum(level_count(group, l) for l in range(length)) for length in range(depth + 2)]
+        assert done.depth_completed == max(
+            (l for l in range(depth + 1) if before[l + 1] <= budget), default=-1)
     assert np.array(pruned.level_sums).tobytes() == np.array(whole.level_sums).tobytes()
-    assert (pruned.level_counts, pruned.tail_sum) == (whole.level_counts, whole.tail_sum)
+    assert pruned.level_counts == whole.level_counts
     assert _by_level(by_kernel, depth) == _by_level(by_mask, depth)
 
 
@@ -426,6 +497,25 @@ def test_pruning_is_pinned_on_the_constructions():
             assert seen[:2] == [formed, kernel]
             if not whole:
                 assert seen[2] == runs
+
+
+def test_the_example2_probe_walk_stops_before_level_7():
+    """``build_example2``'s kernel probes walk to depth 7 under a budget of
+    10^6 words: levels <= 6 hold 156,865 and level 7 another 941,192, so
+    the walk keys and forms no word of level 7."""
+    group, quotient = example2_group()
+    lengths, keyed = set(), []
+    extend = QuotientTracker.extend
+
+    def keying(tracker, batch):
+        keyed.append(batch.length)
+        return extend(tracker, batch)
+
+    with mock.patch.object(QuotientTracker, "extend", keying):
+        done = walk(group, 7, 10 ** 6, kernel=quotient,
+                    consumers=[lambda batch, words: lengths.add(batch.length)])
+    assert (done.depth_completed, done.cut.words_generated) == (6, 156_865)
+    assert max(lengths) == max(keyed) == 6
 
 
 @settings(max_examples=15, deadline=None)
@@ -505,8 +595,8 @@ def _reference_levels(group, depth):
 def test_batches_are_the_level_by_level_products(size, name, request):
     """Every batch's matrices, parents, letters, offset and ``final`` flag
     equal the gather-and-multiply reference, bit for bit, for batch sizes
-    that are no multiple of 2k - 1 and for budgets that cut inside one
-    parent's children.  In ``BLOCK_WORDS`` batches Example 1's depth-6 walk
+    that are no multiple of 2k - 1; a budget that falls inside one parent's
+    children stops the walk before that level.  In ``BLOCK_WORDS`` batches Example 1's depth-6 walk
     forms runs of 19,208 and 32,767 children, and Example 2's depth-6
     kernel walk, pruned, keeps 5,636 in its level-5 run and 6,891 in its
     first level-6 run: each run spans several ``GATHER_WORDS`` chunks, and
@@ -528,6 +618,7 @@ def test_batches_are_the_level_by_level_products(size, name, request):
     for budget in budgets:
         tracker = None if spec is None else QuotientTracker(group, spec, depth, prune=True)
         seen, widest = [0] * (depth + 1), [0] * (depth + 1)
+        complete = depth
         try:
             for batch in iter_word_batches(group, depth, budget, size=size, tracker=tracker):
                 m = batch.last.shape[0]
@@ -550,9 +641,12 @@ def test_batches_are_the_level_by_level_products(size, name, request):
                 assert np.array_equal(batch.last, letters[rows])
                 assert batch.mats.tobytes() == mats[rows].tobytes()
         except BudgetExceeded as cut:
-            assert budget is not None and cut.words_generated == budget
+            complete = cut.depth_completed
+            assert budget is not None and before[complete + 1] <= budget < before[complete + 2]
+            assert cut.words_generated == before[complete + 1]
+        assert not any(seen[complete + 1:])
         if tracker is None:
-            assert sum(seen) == (before[-1] if budget is None else min(budget, before[-1]))
+            assert seen[:complete + 1] == sizes[:complete + 1]
         if budget is None and size == BLOCK_WORDS:
             assert min(widest[5:]) > GATHER_WORDS
 
@@ -600,22 +694,27 @@ def test_batches_do_not_depend_on_the_batch_size(group, depth, pruned, data):
     level L - 1, inside the top level L or not at all, give the same words
     in batches of 1, 2, 2k - 1 and ``BLOCK_WORDS`` words: per level, the same
     matrix bytes, last letters, parents, level indices, image lengths and
-    ``final`` flag, and the same cut.  Each word's matrix is the
-    ``matmul_raw`` fold of ``word_at``'s letters, bit for bit."""
+    ``final`` flag, and the same cut, which stops the walk before the level
+    it falls in.  Each word's matrix is the ``matmul_raw`` fold of
+    ``word_at``'s letters, bit for bit."""
     labels = [gen.label for gen in group.generators]
     spec = None
     if pruned:
         killed = data.draw(st.sets(st.sampled_from(labels), min_size=1))
         spec = QuotientSpec({l: () if l in killed else (l,) for l in labels})
-    budget = data.draw(st.sampled_from([None, "L-1", "L"]))
-    if budget is not None:
-        budget = _inside(data, group, depth - 1 if budget == "L-1" else depth)
+    where = data.draw(st.sampled_from([None, "L-1", "L"]))
+    cut_level = depth - 1 if where == "L-1" else depth
+    budget = None if where is None else _inside(data, group, cut_level)
     walks = [_engine_walk(group, depth, budget, size, spec)
              for size in (1, 2, group.letter_count - 1, BLOCK_WORDS)]
     assert all(w == walks[0] for w in walks[1:])
     levels, cut = walks[0]
-    if cut is not None:
-        assert cut[0] == budget
+    if budget is None:
+        assert cut is None and sorted(levels) == list(range(depth + 1))
+    else:
+        assert cut == (sum(level_count(group, l) for l in range(cut_level)), cut_level - 1)
+        assert sorted(levels) == list(range(cut_level))
+    assert all(final for *_, final in levels.values())
     letter_mats = group.letter_matrices
     for length, (mats, _, _, index, _, _) in levels.items():
         words = np.frombuffer(mats, dtype=letter_mats.dtype).reshape(-1, 2, 2)
@@ -819,7 +918,9 @@ def test_level_sums_are_fsum_of_their_levels(group, depth, kernel):
 def test_first_letter_sums_are_fsum_of_their_words(group, depth, kernel, data):
     """On whole, pruned kernel and budget-cut walks, in batches of 7 words,
     each first-letter sum of each level is ``math.fsum`` of its words'
-    values, their first letters tracked from their parents'."""
+    values, their first letters tracked from their parents'.  A cut walk
+    sees no word beyond ``depth_completed``, and finished at a deeper depth
+    it splits its top complete level."""
     target = (BoundaryPoint.from_angle(math.pi) if group.dim == 1
               else BoundaryPoint([-1.0, 0.0, 0.0]))
     spec = QuotientSpec({group.generators[0].label: ()}) if kernel else None
@@ -846,10 +947,12 @@ def test_first_letter_sums_are_fsum_of_their_words(group, depth, kernel, data):
     with mock.patch.object(kleinian.group, "iter_word_batches",
                            functools.partial(iter_word_batches, size=7)):
         done = walk(group, depth, budget, kernel=spec, consumers=[blocks, track])
+    _whole_levels(group, done, list(summed))
     for length in range(depth + 1):
         blocks.finish(done.upto(length))
+        top = min(length, done.depth_completed)
         assert {f: part.value() for f, part in blocks.first_letter_sums.items()} == {
-            f: math.fsum(level) for (at, f), level in summed.items() if at == length}
+            f: math.fsum(level) for (at, f), level in summed.items() if at == top}
 
 
 def _split_sum(values, cuts):

@@ -5,7 +5,9 @@ group and the pruned kernel walk of Example 2's group (its retraction onto
 the large-arc factor), and that kernel walk feeding the ending measures at
 the fixed points of c and d at s = ``EXPONENT``, as ``build_example2``
 builds them, so the atom merge shows beside the bare walk; all to depth
-``DEPTH`` = 8.  Every process is a fresh interpreter that imports the
+``DEPTH`` = 8.  A fourth row is the walk of ``build_example2``'s kernel
+exponent probes: the pruned kernel walk to depth 7 under the probes'
+budget of 10^6 words, which stops before level 7.  Every process is a fresh interpreter that imports the
 library from one checkout's ``src`` with one BLAS thread, runs each walk
 ``RUNS`` = 7 times and reports the fastest.  With ``--against PATH`` (the
 root of another checkout) the processes alternate between the two
@@ -31,7 +33,7 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-WALKS = ("example1-whole", "example2-kernel", "example2-measures")
+WALKS = ("example1-whole", "example2-kernel", "example2-measures", "example2-probes")
 DEPTH = 8          # walk depth
 RUNS = 7           # in-process runs per walk, the fastest kept
 EXPONENT = 0.42    # s of the Example 2 measures, in the benchmark's range
@@ -51,7 +53,8 @@ def child() -> None:
     calls = {"example1-whole": lambda: walk(whole, DEPTH),
              "example2-kernel": lambda: walk(pruned, DEPTH, kernel=quotient),
              "example2-measures": lambda: EndingMeasures(pruned, targets, EXPONENT,
-                                                         kernel=quotient).walk(DEPTH)}
+                                                         kernel=quotient).walk(DEPTH),
+             "example2-probes": lambda: walk(pruned, 7, 10 ** 6, kernel=quotient)}
     best = {}
     for name in WALKS:
         times = []
